@@ -59,12 +59,18 @@ class RunConfig:
 
 
 def _parse_partition(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
     try:
+        if isinstance(text, (list, tuple)):
+            return tuple(int(x) for x in text)
         return tuple(int(p) for p in str(text).split(",") if p.strip())
-    except ValueError:
+    except (TypeError, ValueError):
         raise WAlgebraError(f"partition must be comma-separated integers: {text!r}")
+
+
+def _parse_cap(name: str, val) -> Optional[int]:
+    if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
+        raise WAlgebraError(f"{name} must be a positive integer: {val!r}")
+    return val
 
 
 def _parse_gen_spec(text: str) -> tuple:
@@ -89,7 +95,10 @@ def _load_config_file(path: str) -> dict:
                 "TOML config files need Python 3.11+ (tomllib); "
                 "use a JSON config on this interpreter")
         return tomllib.loads(text)
-    return json.loads(text)
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise WAlgebraError(f"config file {path} must hold a JSON object")
+    return data
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,12 +179,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         ktilde=pick("ktilde", "one"),
         format=pick("format", "text"),
         output=pick("output", None),
-        max_n=pick("max_n", None),
-        max_elements=pick("max_elements", None),
+        max_n=_parse_cap("max_n", pick("max_n", None)),
+        max_elements=_parse_cap("max_elements", pick("max_elements", None)),
     )
     raw_w = pick("max_weight", None)
     if raw_w is not None:
-        cfg.max_weight = F(str(raw_w))
+        try:
+            cfg.max_weight = F(str(raw_w))
+        except (ValueError, ZeroDivisionError):
+            raise WAlgebraError(f"max_weight must be a rational number: {raw_w!r}")
         if cfg.max_weight <= 0:
             raise WAlgebraError("caps must be positive")
     if args.command == "bracket":

@@ -342,11 +342,6 @@ def _mono_order_key(mono: tuple):
     return (letters, depth, lex)
 
 
-def evaluate_in_generators(gens: GeneratorSolution, Q: DiffPoly) -> VpPoly:
-    """Substitute each generator letter by its realization."""
-    return substitute(Q, dict(gens.solutions))
-
-
 def reexpress(gens: GeneratorSolution, P: VpPoly) -> tuple[DiffPoly, VpPoly]:
     """Write P as a differential polynomial in the generators.
 

@@ -23,7 +23,7 @@ from math import comb, factorial
 from typing import NamedTuple, Optional
 
 from .errors import NormalizationImpossible, SingularPairing, SuperEqualParts, WAlgebraError
-from .linalg import Echelon, kernel_basis, solve
+from .linalg import kernel_basis, solve
 
 F = Fraction
 _F0 = F(0)
@@ -66,7 +66,7 @@ class PartitionSpec:
         if self.kind not in ("sl", "sl_super"):
             raise WAlgebraError(f"unknown algebra kind {self.kind!r}")
         for parts in (self.parts1, self.parts2):
-            if any((not isinstance(m, int)) or m < 1 for m in parts):
+            if any(not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in parts):
                 raise WAlgebraError(f"partition parts must be positive integers: {parts}")
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
                 raise WAlgebraError(f"partition must be non-increasing: {parts}")
@@ -223,9 +223,6 @@ class SuperMatrix:
             if r == c:
                 tot += v * self.shape.eps[r]
         return tot
-
-    def transpose_support(self) -> set:
-        return {(c, r) for (r, c) in self.entries}
 
     def flatten(self) -> dict[int, Fraction]:
         """Vectorize for span comparisons: column index = r*N + c."""

@@ -135,59 +135,3 @@ def solve(rows: list[dict], rhs: list, one) -> Optional[dict]:
         if b:
             sol[col] = b
     return sol
-
-
-class Echelon:
-    """Incremental echelon span tracker over a fixed ordered column set."""
-
-    def __init__(self):
-        self.rows: dict[int, dict] = {}  # pivot column -> normalized row
-
-    def reduce(self, vec: dict) -> dict:
-        vec = {c: v for c, v in vec.items() if v}
-        for col in sorted(vec):
-            if col in self.rows:
-                v = vec.get(col)
-                if v:
-                    row_axpy(vec, -v, self.rows[col])
-        return vec
-
-    def add(self, vec: dict) -> Optional[int]:
-        """Insert vec into the span; returns the new pivot column, or None if
-        vec was already in the span."""
-        vec = self.reduce(vec)
-        if not vec:
-            return None
-        lead = min(vec)
-        inv = 1 / vec[lead]
-        vec = {c: v * inv for c, v in vec.items()}
-        for row in self.rows.values():
-            v = row.get(lead)
-            if v is not None:
-                row_axpy(row, -v, vec)
-                row.pop(lead, None)
-        self.rows[lead] = vec
-        return lead
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def pivot_columns(self) -> set[int]:
-        return set(self.rows)
-
-    def coordinates(self, vec: dict) -> Optional[dict[int, object]]:
-        """Express vec over the stored rows: returns {pivot_col: coefficient}
-        with vec == sum coeff * row[pivot_col], or None if outside the span."""
-        vec = {c: v for c, v in vec.items() if v}
-        coords: dict = {}
-        for col in sorted(vec):
-            if col in self.rows:
-                v = vec.get(col)
-                if v:
-                    coords[col] = v
-                    row_axpy(vec, -v, self.rows[col])
-        return None if vec else coords

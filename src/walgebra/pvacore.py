@@ -177,8 +177,12 @@ class DiffPoly:
                 out[m] = v
         return DiffPoly(out)
 
+    def at_level(self, k) -> "DiffPoly":
+        """Every coefficient evaluated at the rational level k."""
+        return self.map_coeffs(lambda c: Coeff.of(c.eval(k)))
+
     def at_level_one(self) -> "DiffPoly":
-        return self.map_coeffs(lambda c: Coeff.of(c.at_one()))
+        return self.at_level(1)
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         return sorted(self.terms.items(), key=lambda mc: monomial_key(mc[0]))
@@ -222,10 +226,6 @@ def linear_term(poly: DiffPoly) -> dict:
         if len(m) == 1 and m[0][1] == 0:
             out[m[0][0]] = c
     return out
-
-
-def weight_of(poly: DiffPoly) -> Optional[Fraction]:
-    return poly.weight()
 
 
 class LambdaPoly:
@@ -301,8 +301,11 @@ class LambdaPoly:
                 out += LambdaPoly({m: term})
         return out
 
+    def at_level(self, k) -> "LambdaPoly":
+        return LambdaPoly({n: p.at_level(k) for n, p in self.coeffs.items()})
+
     def at_level_one(self) -> "LambdaPoly":
-        return LambdaPoly({n: p.at_level_one() for n, p in self.coeffs.items()})
+        return self.at_level(1)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -325,6 +328,25 @@ class BracketTable:
             return self.entries[(u, v)]
         except KeyError:
             raise MissingTableEntry(f"no bracket stored for ({u}, {v})") from None
+
+    def linear_product(self, ca: dict, cb: dict, n: int) -> dict:
+        """Linear term of the n-th product of two linear combinations
+        {variable: scalar}: n! * sum of va*vb * linear_term({ga lambda gb}
+        at lambda^n), zero sums dropped.  Each pair's term is memoized."""
+        out: dict = {}
+        for ga, va in ca.items():
+            for gb, vb in cb.items():
+                key = ("lin", ga, gb, n)
+                lin = self._cache.get(key)
+                if lin is None:
+                    lin = {v: c * factorial(n)
+                           for v, c in linear_term(self.lookup(ga, gb).get(n)).items()}
+                    self._cache[key] = lin
+                s = va * vb
+                for v, c in lin.items():
+                    cur = out.get(v)
+                    out[v] = c * s if cur is None else cur + c * s
+        return {v: c for v, c in out.items() if c}
 
 
 def _bracket_var_mono(table: BracketTable, u, mono: Monomial) -> LambdaPoly:
@@ -423,7 +445,8 @@ def nth_product(table: BracketTable, A: DiffPoly, B: DiffPoly, n: int) -> DiffPo
 def check_skew(table: BracketTable, pairs=None) -> list[dict]:
     """Violations of {a lambda b} = -(-1)^{p(a)p(b)} {b_{-lambda-d} a}."""
     out = []
-    pairs = pairs or list(table.entries.keys())
+    if pairs is None:
+        pairs = list(table.entries.keys())
     for (a, b) in pairs:
         lhs = table.lookup(a, b)
         rhs = table.lookup(b, a).subst_neg_lambda_partial().scale(

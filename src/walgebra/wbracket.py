@@ -9,8 +9,12 @@ everything to their right.
 
 Evaluation runs right-to-left with memoized suffix sums: V(node) collects the
 value of all chain tails starting at that node, so a full row of brackets
-{a, -} reuses one suffix sweep.  A direct chain-by-chain evaluator over
-enumerate_chains is kept as an independent cross-check.
+{a, -} reuses one suffix sweep.  The direct chain-by-chain evaluator over
+enumerate_chains is the reference the test suite checks every row against.
+
+Brackets are built once, with the level k kept formal.  The engine only adds
+and multiplies, so every entry is a polynomial in k, and a table at a fixed
+rational level is exactly the symbolic table evaluated there.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
-from .coeffs import Coeff, ONE
-from .liestruct import AlgebraCtx, CentralizerData, GenIndex, SuperMatrix, sharp_coords
+from .coeffs import Coeff
+from .liestruct import AlgebraCtx, CentralizerData, GenIndex, sharp_coords
 from .linalg import solve
 from .pvacore import BracketTable, DiffPoly, LambdaPoly, apply_partial
 
@@ -109,26 +113,19 @@ def enumerate_chains(
 
 KTilde = Union[str, int, Fraction]
 
-
-def _k_coeff(ktilde: KTilde) -> Coeff:
-    if ktilde == "symbolic":
-        return Coeff.level(1)
-    return Coeff.of(F(ktilde))
+K = Coeff.level(1)
 
 
 class MasterEngine:
-    """Evaluates generator brackets for one algebra, sign convention and
-    level; caches the per-edge factors and per-row suffix sums."""
+    """Evaluates generator brackets, symbolic in the level, for one algebra
+    and sign convention; caches the per-edge factors."""
 
-    def __init__(self, ctx: AlgebraCtx, signs: Optional[SignConvention] = None,
-                 ktilde: KTilde = "symbolic"):
+    def __init__(self, ctx: AlgebraCtx, signs: Optional[SignConvention] = None):
         self.ctx = ctx
         self.cdata = ctx.centralizer()
         self.signs = signs or default_signs(ctx)
-        self.kc = _k_coeff(ktilde)
         self.nodes = ladder_nodes(self.cdata)
         self._mid_cache: dict = {}
-        self._sharp_cache: dict = {}
 
     # -- factor ingredients --------------------------------------------------
 
@@ -176,7 +173,7 @@ class MasterEngine:
         """(P - c*k(lambda+d)) applied to X, the operator acting on X."""
         P, c = factor
         out: dict = {}
-        ck = Coeff.of(c) * self.kc
+        ck = Coeff.of(c) * K
         for n, p in X.coeffs.items():
             pieces = []
             if P:
@@ -201,7 +198,7 @@ class MasterEngine:
         coeffs = {}
         if P:
             coeffs[0] = P
-        ck = Coeff.of(c) * self.kc
+        ck = Coeff.of(c) * K
         if ck:
             coeffs[1] = DiffPoly.constant(-ck)
         return LambdaPoly(coeffs)
@@ -236,7 +233,7 @@ class MasterEngine:
             qa, qb = cdata.basisF[a], cdata.basisF[b]
             head = LambdaPoly(
                 {0: self._lin(sharp_coords(ctx, cdata, qa.comm(qb)))}
-            ) + LambdaPoly({1: DiffPoly.constant(self.kc * Coeff.of(ctx.pair(qa, qb)))})
+            ) + LambdaPoly({1: DiffPoly.constant(K * Coeff.of(ctx.pair(qa, qb)))})
             chain_sum = LambdaPoly()
             for u in pool:
                 if u.alpha >= -t2 and V[u]:
@@ -257,7 +254,7 @@ class MasterEngine:
         qa, qb = cdata.basisF[a], cdata.basisF[b]
         total = LambdaPoly(
             {0: self._lin(sharp_coords(ctx, cdata, qa.comm(qb)))}
-        ) + LambdaPoly({1: DiffPoly.constant(self.kc * Coeff.of(ctx.pair(qa, qb)))})
+        ) + LambdaPoly({1: DiffPoly.constant(K * Coeff.of(ctx.pair(qa, qb)))})
         chain_sum = LambdaPoly()
         for chain in enumerate_chains(cdata, t1, t2):
             if not chain:
@@ -279,10 +276,9 @@ def master_bracket(
     a: GenIndex,
     b: GenIndex,
     signs: Optional[SignConvention] = None,
-    ktilde: KTilde = "symbolic",
 ) -> LambdaPoly:
     """One generator bracket, evaluated through the chain formula."""
-    return MasterEngine(ctx, signs, ktilde).bracket(a, b)
+    return MasterEngine(ctx, signs).bracket(a, b)
 
 
 _TABLE_CACHE: dict = {}
@@ -293,20 +289,29 @@ def bracket_table(
     signs: Optional[SignConvention] = None,
     ktilde: KTilde = "symbolic",
 ) -> BracketTable:
-    """All ordered generator-pair brackets, memoized per algebra/level."""
+    """All ordered generator-pair brackets, memoized per algebra/level.
+
+    Only the symbolic table is built; a rational ktilde gives that table
+    with every entry evaluated at the level ktilde."""
     signs = signs or default_signs(ctx)
     spec = ctx.spec
     key = (spec.kind, spec.parts1, spec.parts2, signs.name, str(ktilde))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
-    engine = MasterEngine(ctx, signs, ktilde)
-    entries = {}
-    for a in engine.cdata.gens:
-        row = engine.row(a)
-        for b, val in row.items():
-            entries[(a, b)] = val
-    table = BracketTable(engine.cdata.gens, entries)
+    if ktilde == "symbolic":
+        engine = MasterEngine(ctx, signs)
+        entries = {}
+        for a in engine.cdata.gens:
+            row = engine.row(a)
+            for b, val in row.items():
+                entries[(a, b)] = val
+        table = BracketTable(engine.cdata.gens, entries)
+    else:
+        sym = bracket_table(ctx, signs)
+        level = F(ktilde)
+        table = BracketTable(sym.variables,
+                             {ab: val.at_level(level) for ab, val in sym.entries.items()})
     _TABLE_CACHE[key] = table
     return table
 

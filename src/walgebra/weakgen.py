@@ -28,13 +28,12 @@ for genericity reporting.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .coeffs import Coeff
 from .errors import ScheduleInapplicable, UnknownGenerator
 from .linalg import solve as _linsolve
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex
-from .pvacore import BracketTable, DiffPoly, LambdaPoly, linear_term
+from .pvacore import BracketTable
 
 F = Fraction
 _F0 = F(0)
@@ -243,6 +242,18 @@ class _Vec:
         self.weight = weight
 
 
+def _product(table: BracketTable, ca: dict, cb: dict, n: int):
+    """Linear term of the n-th product of two linear elements: symbolic in
+    the level, and its nonzero values at k=1 in generator order."""
+    ltK = table.linear_product(ca, cb, n)
+    lt1 = {}
+    for gi in sorted(ltK, key=lambda g: g.sort_key()):
+        v = ltK[gi].at_one()
+        if v:
+            lt1[gi] = v
+    return ltK, lt1
+
+
 class _Run:
     """Shared machinery for replaying a product schedule."""
 
@@ -264,21 +275,6 @@ class _Run:
         """The generator index (t; i,j) if this shape has it, else None."""
         gi = self.ctx.gen(t, i, j)
         return gi if gi in self.cdata.delta else None
-
-    def product(self, ca, cb, n: int):
-        """Linear term of the n-th product of two linear elements."""
-        lam = LambdaPoly()
-        for ga, va in ca.items():
-            for gb, vb in cb.items():
-                lam += self.table.lookup(ga, gb).scale(Coeff.of(va * vb))
-        poly = lam.get(n).scale(factorial(n))
-        ltK = linear_term(poly)
-        lt1 = {}
-        for gi, c in sorted(ltK.items(), key=lambda kv: kv[0].sort_key()):
-            v = c.at_one()
-            if v:
-                lt1[gi] = v
-        return ltK, lt1
 
     def bank(self, gi: GenIndex, expression: str, coeff: Coeff):
         if gi not in self.recovered:
@@ -305,7 +301,7 @@ class _Run:
         if target is None:
             return self._record(label, expr, n, "target generator absent", False,
                                 "target index does not exist for this shape", {})
-        ltK, lt1 = self.product(ca, cb, n)
+        ltK, lt1 = _product(self.table, ca, cb, n)
         stray = [gi for gi in lt1 if gi != target]
         ok = target in lt1 and not stray
         note = ""
@@ -327,7 +323,7 @@ class _Run:
         products gathered merely as slice-separation material: a vanishing
         linear term is then recorded but not counted as a failure."""
         expr = f"({aname})_({n})({bname})"
-        ltK, lt1 = self.product(ca, cb, n)
+        ltK, lt1 = _product(self.table, ca, cb, n)
         weight = F(weight)
         note = ""
         ok = bool(lt1)
@@ -930,7 +926,6 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
                 if max(i, k) < lo or len(nodes) >= caps.max_elements:
                     continue
                 A, B = nodes[i], nodes[k]
-                lam = None
                 top = A.weight + B.weight
                 n = 0
                 while n < top and n <= caps.max_n:
@@ -938,19 +933,8 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
                     if rw < 1 or rw > caps.max_weight or rw not in weights_present:
                         n += 1
                         continue
-                    if lam is None:
-                        lam = LambdaPoly()
-                        for ga, va in A.coords.items():
-                            for gb, vb in B.coords.items():
-                                lam += table.lookup(ga, gb).scale(Coeff.of(va * vb))
                     tried += 1
-                    poly = lam.get(n).scale(factorial(n))
-                    ltK = linear_term(poly)
-                    lt1 = {}
-                    for gi in sorted(ltK, key=lambda g: gens_order[g]):
-                        v = ltK[gi].at_one()
-                        if v:
-                            lt1[gi] = v
+                    ltK, lt1 = _product(table, A.coords, B.coords, n)
                     if lt1:
                         expr = f"({A.label})_({n})({B.label})"
                         news = reveal(ltK, lt1, expr)

@@ -1,9 +1,9 @@
 """Shared builders for the test suite.
 
 Contexts and bracket tables are cached per process: bracket_table already
-memoizes by (kind, partitions, signs, level mode), and ctx_of adds the same
-for algebra contexts, so every test file can ask for what it needs without
-re-deriving it.
+memoizes the symbolic table per (kind, partitions, signs) and each
+fixed-level evaluation of it, and ctx_of adds the same for algebra contexts,
+so every test file can ask for what it needs without re-deriving it.
 """
 
 from fractions import Fraction

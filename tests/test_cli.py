@@ -103,6 +103,8 @@ def test_closure_caps_flags(capsys):
     code, out, _ = run(capsys, "closure", "--seed", "big", "--partition", "2,2",
                        "--max-n", "1", "--max-weight", "3/2")
     assert code == 3
+    code, _, err = run(capsys, "closure", "--partition", "2,1", "--max-weight", "abc")
+    assert code == 2 and err.count("\n") == 1 and "max_weight" in err
 
 
 def test_axioms_clean(capsys):
@@ -141,6 +143,11 @@ def test_config_file_merging(tmp_path, capsys):
     # explicit flags beat the config file
     code, out, _ = run(capsys, "verify", "--config", str(cfg), "--flavor", "big")
     assert code == 0 and "big" in out
+    # malformed config values are input errors with a one-line message
+    for bad in ({"partition": [3, 2], "max_n": "3"}, [3, 2], {"partition": [2, "x"]}):
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "closure", "--config", str(cfg))
+        assert code == 2 and err.count("\n") == 1, (bad, err)
 
 
 def test_bad_partition_is_input_error(capsys):

@@ -37,6 +37,8 @@ def test_partition_validation():
     with pytest.raises(WAlgebraError):
         PartitionSpec("sl", (2, 0))
     with pytest.raises(WAlgebraError):
+        PartitionSpec("sl", (2, True))
+    with pytest.raises(WAlgebraError):
         PartitionSpec("so", (2,))
     with pytest.raises(WAlgebraError):
         PartitionSpec("sl", (2,), (1,))

@@ -131,6 +131,24 @@ def test_linear_term_extraction():
     assert lt == {A_EVEN: Coeff.of(F(2, 3))}
 
 
+def test_linear_product_matches_nth_product():
+    for kind, p1, p2 in [("sl", (3, 2), ()), ("sl_super", (3,), (2,))]:
+        ctx = ctx_of(kind, p1, p2)
+        tab = table_of(kind, p1, p2)
+        gens = ctx.centralizer().gens
+        cases = [({a: F(1)}, {b: F(1)}) for a in gens for b in gens]
+        for a, b in zip(gens, gens[1:]):
+            if a.weight == b.weight:
+                cases.append(({a: F(1), b: F(-3, 2)}, {b: F(2), gens[0]: F(1, 2)}))
+        for ca, cb in cases:
+            A = sum((DiffPoly.variable(g).scale(c) for g, c in ca.items()), DiffPoly())
+            B = sum((DiffPoly.variable(g).scale(c) for g, c in cb.items()), DiffPoly())
+            top = max(tab.lookup(a, b).degree() for a in ca for b in cb)
+            for n in range(top + 2):
+                want = linear_term(nth_product(tab, A, B, n))
+                assert tab.linear_product(ca, cb, n) == want, (ca, cb, n)
+
+
 def test_poly_normalize_collects():
     raw = [(((B_ODD, 1), (B_ODD, 0)), F(1)), (((B_ODD, 0), (B_ODD, 1)), F(1))]
     assert not poly_normalize(raw)  # opposite orders cancel for odd factors

@@ -3,23 +3,56 @@
 The sl2 principal bracket is small enough to freeze term by term; it was
 cross-checked bit-exactly against the independent reduction engine (see
 test_dsreduction).  The super sign convention is pinned by elimination: of
-the four parity characters, only one clears skew + Jacobi."""
+the four parity characters, only one clears skew + Jacobi.  The suffix-sum
+rows are checked against the chain-by-chain evaluator, and the fixed-level
+tables against digests recorded when each level had its own engine build."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import ctx_of, gen, table_of
+from walgebra import serialize
 from walgebra.coeffs import Coeff
 from walgebra.errors import MissingTableEntry
 from walgebra.pvacore import (DiffPoly, LambdaPoly, check_jacobi, check_skew,
                               linear_term, monomial_weight, nth_product)
-from walgebra.wbracket import (SIGN_CONVENTIONS, bracket_table,
+from walgebra.wbracket import (SIGN_CONVENTIONS, MasterEngine, bracket_table,
                                conformal_check, conformal_vector,
                                default_signs, master_bracket)
 
 F = Fraction
 K = Coeff.level()
+
+# sha256 of bracket_table(ctx, ktilde=level), as built by the chain formula
+# run at that fixed level
+FIXED_LEVEL_DIGESTS = {
+    (("sl", (2, 1), ()), F(1)):
+        "3126bc85c9b6075473a415fa94235433d8597374b10a71b0f2d721e4ff3bf829",
+    (("sl", (2, 1), ()), F(1, 2)):
+        "44e1ecfa3d10a3b774d36247bf382c7ce3d07a558a3e5351f520938011e1d0cb",
+    (("sl", (3, 2), ()), F(1)):
+        "9b785e52f417e1162c35c016d64a3bf507a146025d3a29d9c813eb76b3fbc62c",
+    (("sl", (3, 2), ()), F(1, 2)):
+        "3e06a578708b4dace1ffe2725ce4e53039ec5d234985a1258fd98bc4b041f614",
+    (("sl_super", (2,), (1,)), F(1)):
+        "2829bfb7d7b2ba0e7a915777ee735f71ddd1f9a28bd26e8e5b9152cae69478e1",
+    (("sl_super", (2,), (1,)), F(1, 2)):
+        "29a51770d76e05bf0cc34f6576db8836587261738becd9ddbf585973f5c0233a",
+}
+
+
+def _digest(table) -> str:
+    """sha256 of the entries in generator order, through the exact JSON view."""
+    h = hashlib.sha256()
+    for a, b in sorted(table.entries, key=lambda ab: (ab[0].sort_key(), ab[1].sort_key())):
+        row = [serialize.gen_to_json(a), serialize.gen_to_json(b),
+               serialize.lambda_poly_to_json(table.entries[(a, b)])]
+        h.update(json.dumps(row, separators=(",", ":")).encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 def test_sl2_master_bracket_frozen():
@@ -39,6 +72,28 @@ def test_master_matches_table():
     tab = table_of("sl", (2, 1))
     for (a, b), entry in tab.entries.items():
         assert master_bracket(ctx, a, b) == entry
+
+
+def test_rows_match_chain_by_chain_evaluation():
+    for kind, p1, p2 in [("sl", (2, 1), ()), ("sl", (2, 2), ()), ("sl", (3, 1), ()),
+                         ("sl", (2, 1, 1), ()), ("sl_super", (2,), (1,)),
+                         ("sl_super", (3,), (2,))]:
+        engine = MasterEngine(ctx_of(kind, p1, p2))
+        gens = engine.cdata.gens
+        for a in gens:
+            row = engine.row(a)
+            for b in gens:
+                assert row[b] == engine.bracket_by_chains(a, b), (kind, p1, p2, a, b)
+
+
+def test_fixed_level_tables_are_evaluations():
+    for (shape, level), want in FIXED_LEVEL_DIGESTS.items():
+        ctx = ctx_of(*shape)
+        tab = bracket_table(ctx, ktilde=level)
+        assert _digest(tab) == want, (shape, level)
+        sym = bracket_table(ctx)
+        assert tab.entries == {ab: v.at_level(level) for ab, v in sym.entries.items()}
+    assert bracket_table(ctx_of("sl", (3, 2)), ktilde=1) is table_of("sl", (3, 2), ktilde=1)
 
 
 def test_table_is_complete_and_weight_graded():

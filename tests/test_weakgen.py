@@ -302,3 +302,4 @@ def test_corrupted_table_fails_skew():
     dirty = BracketTable(gens, entries)
     assert check_skew(clean) == []
     assert len(check_skew(dirty)) >= 1
+    assert check_skew(dirty, pairs=[]) == []
