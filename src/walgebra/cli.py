@@ -157,10 +157,36 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _command_flags(command: str) -> dict:
+    """dest -> choices (None for a free value) of every long flag that
+    `command` takes, read from the parser itself."""
+    top = build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.choices for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _check_config(command: str, merged: dict) -> None:
+    """A config file may set only the command's own flags, and a
+    choice-valued flag only to one of its choices."""
+    flags = _command_flags(command)
+    for key, val in merged.items():
+        if key not in flags:
+            raise WAlgebraError(f"unknown config key for {command}: {key!r}")
+        choices = flags[key]
+        if choices is not None and val not in choices:
+            raise WAlgebraError(
+                f"config key {key!r} must be one of {', '.join(choices)}: {val!r}")
+    # open() would take an integer as a file descriptor
+    if "output" in merged and not isinstance(merged["output"], str):
+        raise WAlgebraError(f"config key 'output' must be a path: {merged['output']!r}")
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
+        _check_config(args.command, merged)
 
     def pick(flag: str, default):
         val = getattr(args, flag, None)

@@ -245,6 +245,9 @@ class CentralizerData:
     adFPowers[g][n]   -- the matching downward family through q_g obtained by
                          scaled ad-e powers, biorthonormal to dualFamily
     delta[g]      -- half-length of the sl2-string through q_g (= t - 1)
+    dual_at[(r, c)]   -- [(rank of g, w)]: entry (r, c) of z contributes
+                         z[r, c] * w to (q*_g | z), for every g with
+                         q*_g[c, r] != 0
     """
 
     gens: list[GenIndex]
@@ -254,6 +257,7 @@ class CentralizerData:
     dualFamily: dict[GenIndex, list[SuperMatrix]] = field(default_factory=dict)
     adFPowers: dict[GenIndex, list[SuperMatrix]] = field(default_factory=dict)
     col: dict[GenIndex, int] = field(default_factory=dict)
+    dual_at: dict[tuple, list] = field(default_factory=dict)
 
     def __post_init__(self):
         self.col = {g: i for i, g in enumerate(self.gens)}
@@ -311,8 +315,16 @@ class AlgebraCtx:
     # -- structure maps ------------------------------------------------------
 
     def pair(self, a: SuperMatrix, b: SuperMatrix) -> Fraction:
-        """The invariant form (a|b), supertrace scaled so (e|f) = 1."""
-        return a.mul(b).supertrace() * self.form_scale
+        """The invariant form (a|b) = str(ab) / str(ef), read off as the trace
+        pairing sum a[r,c] b[c,r] eps[r]; no product matrix is formed."""
+        be = b.entries
+        eps = self.shape.eps
+        tot = _F0
+        for (r, c), v in a.entries.items():
+            w = be.get((c, r))
+            if w is not None:
+                tot += v * w * eps[r]
+        return tot * self.form_scale
 
     def grade_of(self, m: SuperMatrix) -> Optional[Fraction]:
         """Common ad-x eigenvalue of all entries, or None if mixed/zero."""
@@ -485,6 +497,10 @@ def dual_bases(ctx: AlgebraCtx, cdata: CentralizerData) -> CentralizerData:
         if ctx.e.comm(qs) or ctx.pair(qs, q) != 1:
             raise SingularPairing(f"dual candidate failed its defining relations for {g}")
         cdata.basisE[g] = qs
+        rank = cdata.col[g]
+        for (r, c), v in qs.entries.items():
+            cdata.dual_at.setdefault((c, r), []).append(
+                (rank, v * sh.eps[r] * ctx.form_scale))
 
         two_delta = int(2 * dlt)
         ups = [qs]
@@ -504,13 +520,15 @@ def dual_bases(ctx: AlgebraCtx, cdata: CentralizerData) -> CentralizerData:
 
 
 def sharp_coords(ctx: AlgebraCtx, cdata: CentralizerData, z: SuperMatrix) -> dict[GenIndex, Fraction]:
-    """Coordinates of the centralizer component of z: g -> (q*_g | z)."""
-    out = {}
-    for g in cdata.gens:
-        v = ctx.pair(cdata.basisE[g], z)
-        if v:
-            out[g] = v
-    return out
+    """Coordinates of the centralizer component of z: g -> (q*_g | z), in
+    generator order, zeros dropped.  One pass over z's entries through
+    cdata.dual_at; no pairing is formed per generator."""
+    coords: dict[int, Fraction] = {}
+    for pos, w in z.entries.items():
+        for rank, v in cdata.dual_at.get(pos, ()):
+            coords[rank] = coords.get(rank, _F0) + v * w
+    gens = cdata.gens
+    return {gens[r]: v for r, v in sorted(coords.items()) if v}
 
 
 def sharp_project(ctx: AlgebraCtx, cdata: CentralizerData, z: SuperMatrix) -> SuperMatrix:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 from .coeffs import Coeff, ONE
@@ -320,7 +321,8 @@ class BracketTable:
 
     def __init__(self, variables: list, entries: dict):
         self.variables = list(variables)
-        self.entries = entries  # (u, v) -> LambdaPoly
+        # (u, v) -> LambdaPoly, read-only: tables are shared through caches
+        self.entries = MappingProxyType(dict(entries))
         self._cache: dict = {}
 
     def lookup(self, u, v) -> LambdaPoly:

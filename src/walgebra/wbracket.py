@@ -7,10 +7,26 @@ factor being a linear generator term minus a scalar multiple of k(lambda+d)
 (a bare k*lambda on the rightmost factor); the (lambda+d) operators act on
 everything to their right.
 
-Evaluation runs right-to-left with memoized suffix sums: V(node) collects the
-value of all chain tails starting at that node, so a full row of brackets
-{a, -} reuses one suffix sweep.  The direct chain-by-chain evaluator over
-enumerate_chains is the reference the test suite checks every row against.
+Structure constants.  Every factor is read off one supercommutator of ladder
+elements: the centralizer coordinates of [x, y] (trace pairings against the
+dual basis) and the pairing (x|y).  MasterEngine computes each once, keyed
+by ints (generator ranks in cdata.gens, node indices in ladder_nodes): mid
+factors by (u, v), head factors by (b, u), tail factors by (u, a) and the
+chain-free head terms by (a, b).  Each is stored as (tuple of (rank,
+coordinate) pairs, pairing) and lives as long as the engine.
+
+The sweep.  Evaluation runs right-to-left with memoized suffix sums: V(node)
+collects the value of all chain tails starting at that node, so a full row
+of brackets {a, -} reuses one suffix sweep.  Inside it a factor (rank r,
+derivative power n) is the int r*D + n, so a monomial is a sorted int tuple
+in the canonical factor order, with parity looked up per int; coefficients
+are k-polynomials (coeffs tuples) accumulated in place.
+
+The edge.  A finished row is converted once to DiffPoly/LambdaPoly with
+GenIndex factors and Coeff coefficients, sharing one (GenIndex, n) tuple per
+int factor.  The chain-by-chain evaluator over enumerate_chains works on
+DiffPoly/LambdaPoly throughout and is the reference the test suite checks
+every row against.
 
 Brackets are built once, with the level k kept formal.  The engine only adds
 and multiplies, so every entry is a polynomial in k, and a table at a fixed
@@ -19,11 +35,12 @@ rational level is exactly the symbolic table evaluated there.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
-from .coeffs import Coeff
+from .coeffs import Coeff, padd, pneg, pscale
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, sharp_coords
 from .linalg import solve
 from .pvacore import BracketTable, DiffPoly, LambdaPoly, apply_partial
@@ -114,161 +131,308 @@ def enumerate_chains(
 KTilde = Union[str, int, Fraction]
 
 K = Coeff.level(1)
+_F0 = F(0)
+
+# A structure constant of the chain sum: the centralizer coordinates of a
+# supercommutator as (generator rank, coordinate) pairs, and the pairing.
+Factor = tuple  # (tuple[tuple[int, Fraction], ...], Fraction)
+_NO_FACTOR: Factor = ((), _F0)
+
+
+def _accumulate(dst: dict, m: tuple, term: tuple) -> None:
+    """dst[m] += term for k-polynomials, dropping a sum that cancels."""
+    cur = dst.get(m)
+    if cur is None:
+        dst[m] = term
+    else:
+        s = padd(cur, term)
+        if s:
+            dst[m] = s
+        else:
+            del dst[m]
 
 
 class MasterEngine:
     """Evaluates generator brackets, symbolic in the level, for one algebra
-    and sign convention; caches the per-edge factors."""
+    and sign convention.
+
+    Generators are named by their rank in cdata.gens and ladder positions by
+    their index in self.nodes.  Every structure constant is computed once, on
+    first use, and kept for the engine's lifetime."""
 
     def __init__(self, ctx: AlgebraCtx, signs: Optional[SignConvention] = None):
         self.ctx = ctx
-        self.cdata = ctx.centralizer()
+        self.cdata = cdata = ctx.centralizer()
         self.signs = signs or default_signs(ctx)
-        self.nodes = ladder_nodes(self.cdata)
-        self._mid_cache: dict = {}
+        self.nodes = nodes = ladder_nodes(cdata)
+        gens = cdata.gens
+        # a chain applies at most one d per node, so every dpow is below D
+        self._D = D = len(nodes) + 1
+        self._odd = [g.parity for g in gens for _ in range(D)]
+        self._alpha = [c.alpha for c in nodes]
+        self._sj = [self.signs.sJ(c.j.parity) for c in nodes]
+        # string tops never contribute: every factor to their right vanishes;
+        # descending grade, so a node's successors come before it
+        live = [i for i, c in enumerate(nodes) if c.n < 2 * cdata.delta[c.j]]
+        live.sort(key=lambda i: (nodes[i].alpha, nodes[i].j.sort_key(), nodes[i].n),
+                  reverse=True)
+        self._live = live
+        self._constants: dict = {}
+        self._successors: dict = {}
+        self._openers: dict = {}
+        self._derivs: dict = {}
+        self._edge: dict = {}
+        self._edge_factor: dict = {}
 
-    # -- factor ingredients --------------------------------------------------
+    # -- structure constants, keyed by ranks and node indices ----------------
 
-    def _lin(self, coords: dict[GenIndex, Fraction]) -> DiffPoly:
-        return DiffPoly({((g, 0),): Coeff.of(v) for g, v in coords.items()})
-
-    def _raised(self, u: ChainIndex):
-        """q[n+1] one rung past u, or None when u tops out its string."""
-        fam = self.cdata.adFPowers[u.j]
-        return fam[u.n + 1] if u.n + 1 < len(fam) else None
-
-    def _mid_factor(self, u: ChainIndex, v: ChainIndex):
-        """Factor coupling consecutive chain elements u -> v."""
-        key = (u.j, u.n, v.j, v.n)
-        hit = self._mid_cache.get(key)
+    def _constant(self, key: tuple, x, y) -> Factor:
+        """The factor of the ladder pair (x, y), memoized under key; x is None
+        past a string top, where the factor vanishes."""
+        hit = self._constants.get(key)
         if hit is None:
-            qu = self._raised(u)
-            if qu is None:
-                hit = (DiffPoly(), F(0))
+            if x is None:
+                hit = _NO_FACTOR
             else:
-                qv = self.cdata.dualFamily[v.j][v.n]
-                br = qu.comm(qv)
-                hit = (self._lin(sharp_coords(self.ctx, self.cdata, br)),
-                       self.ctx.pair(qu, qv))
-            self._mid_cache[key] = hit
+                col = self.cdata.col
+                coords = sharp_coords(self.ctx, self.cdata, x.comm(y))
+                pairing = self.ctx.pair(x, y)
+                if coords or pairing:
+                    hit = (tuple((col[g], v) for g, v in coords.items()), pairing)
+                else:
+                    hit = _NO_FACTOR
+            self._constants[key] = hit
         return hit
 
-    def _tail_factor(self, u: ChainIndex, a: GenIndex):
-        qu = self._raised(u)
-        if qu is None:
-            return (DiffPoly(), F(0))
-        qa = self.cdata.basisF[a]
-        br = qu.comm(qa)
-        return (self._lin(sharp_coords(self.ctx, self.cdata, br)),
-                self.ctx.pair(qu, qa))
+    def _raised(self, u: int):
+        """q[n+1] one rung past node u, or None when u tops out its string."""
+        c = self.nodes[u]
+        fam = self.cdata.adFPowers[c.j]
+        return fam[c.n + 1] if c.n + 1 < len(fam) else None
 
-    def _head_factor(self, b: GenIndex, u: ChainIndex):
-        qb = self.cdata.basisF[b]
-        qu = self.cdata.dualFamily[u.j][u.n]
-        br = qb.comm(qu)
-        return (self._lin(sharp_coords(self.ctx, self.cdata, br)),
-                self.ctx.pair(qb, qu))
+    def _dual(self, u: int):
+        c = self.nodes[u]
+        return self.cdata.dualFamily[c.j][c.n]
 
-    def _apply(self, factor, X: LambdaPoly) -> LambdaPoly:
-        """(P - c*k(lambda+d)) applied to X, the operator acting on X."""
+    def _basis(self, r: int):
+        return self.cdata.basisF[self.cdata.gens[r]]
+
+    def mid_factor(self, u: int, v: int) -> Factor:
+        """Factor coupling consecutive chain nodes u -> v."""
+        return self._constant(("mid", u, v), self._raised(u), self._dual(v))
+
+    def tail_factor(self, u: int, a: int) -> Factor:
+        """Factor closing a chain at node u in the row of generator a."""
+        return self._constant(("tail", u, a), self._raised(u), self._basis(a))
+
+    def head_factor(self, b: int, u: int) -> Factor:
+        """Factor opening a chain at node u in the column of generator b."""
+        return self._constant(("head", b, u), self._basis(b), self._dual(u))
+
+    def head_term(self, a: int, b: int) -> Factor:
+        """The chain-free term of {a lambda b}: [q_a, q_b] and (q_a|q_b)."""
+        return self._constant(("top", a, b), self._basis(a), self._basis(b))
+
+    def _successors_of(self, u: int) -> list:
+        """[(v, mid factor)] over the live nodes v a chain may step to from u,
+        zero factors dropped."""
+        hit = self._successors.get(u)
+        if hit is None:
+            step = self._alpha[u] + 1
+            hit = [(v, fac) for v in self._live
+                   if self._alpha[v] >= step and any(fac := self.mid_factor(u, v))]
+            self._successors[u] = hit
+        return hit
+
+    def _openers_of(self, b: int) -> list:
+        """[(u, head factor)] over the live nodes a chain in the column of
+        generator b may start at, zero factors dropped."""
+        hit = self._openers.get(b)
+        if hit is None:
+            low = -self.cdata.delta[self.cdata.gens[b]]
+            hit = [(u, fac) for u in self._live
+                   if self._alpha[u] >= low and any(fac := self.head_factor(b, u))]
+            self._openers[b] = hit
+        return hit
+
+    # -- the interned sweep ---------------------------------------------------
+    #
+    # A factor (generator rank r, dpow) is the int r*D + dpow, so monomials are
+    # sorted int tuples in the canonical factor order; values are
+    # {lambda power: {monomial: k-polynomial}}.
+
+    def _value(self, factor: Factor, ksign: int) -> dict:
+        """{0: P, 1: ksign * c k} for factor (P, c), interned."""
         P, c = factor
-        out: dict = {}
-        ck = Coeff.of(c) * K
-        for n, p in X.coeffs.items():
-            pieces = []
-            if P:
-                pieces.append(P * p)
-            if ck:
-                pieces.append(apply_partial(p).scale(-ck))
-            if pieces:
-                tot = pieces[0]
-                for q in pieces[1:]:
-                    tot = tot + q
-                if tot:
-                    cur = out.get(n)
-                    out[n] = tot if cur is None else cur + tot
-            if ck:
-                shifted = p.scale(-ck)
-                cur = out.get(n + 1)
-                out[n + 1] = shifted if cur is None else cur + shifted
-        return LambdaPoly({n: p for n, p in out.items() if p})
-
-    def _tail_value(self, factor) -> LambdaPoly:
-        P, c = factor
-        coeffs = {}
+        D = self._D
+        out = {}
         if P:
-            coeffs[0] = P
-        ck = Coeff.of(c) * K
-        if ck:
-            coeffs[1] = DiffPoly.constant(-ck)
-        return LambdaPoly(coeffs)
+            out[0] = {(r * D,): (v,) for r, v in P}
+        if c:
+            out[1] = {(): (_F0, c if ksign > 0 else -c)}
+        return out
+
+    def _deriv(self, m: tuple) -> list:
+        """The monomials of d(m), one per factor bumped, repeats kept."""
+        hit = self._derivs.get(m)
+        if hit is None:
+            odd = self._odd
+            n = len(m)
+            hit = []
+            for idx, x in enumerate(m):
+                x1 = x + 1
+                j = idx + 1
+                while j < n and m[j] < x1:  # equal even factors move left
+                    j += 1
+                if j < n and m[j] == x1 and odd[x]:
+                    continue  # a repeated odd factor
+                hit.append(m[:idx] + m[idx + 1:j] + (x1,) + m[j:])
+            self._derivs[m] = hit
+        return hit
+
+    def _apply_into(self, out: dict, factor: Factor, X: dict) -> None:
+        """out += (P - c*k(lambda+d)) X, the operator acting on X."""
+        P, c = factor
+        D = self._D
+        odd = self._odd
+        for n, p in X.items():
+            if P:
+                dst = out.get(n)
+                if dst is None:
+                    dst = out[n] = {}
+                for r, coord in P:
+                    x = r * D
+                    for m, cp in p.items():
+                        pos = bisect_left(m, x)
+                        s = coord
+                        if odd[x]:
+                            if pos < len(m) and m[pos] == x:
+                                continue  # a repeated odd factor
+                            for y in m[:pos]:
+                                if odd[y]:
+                                    s = -s
+                        _accumulate(dst, m[:pos] + (x,) + m[pos:], pscale(cp, s))
+            if c:
+                dst = out.get(n)
+                if dst is None:
+                    dst = out[n] = {}
+                up = out.get(n + 1)
+                if up is None:
+                    up = out[n + 1] = {}
+                for m, cp in p.items():
+                    term = (_F0,) + pscale(cp, -c)
+                    _accumulate(up, m, term)
+                    for dm in self._deriv(m):
+                        _accumulate(dst, dm, term)
+
+    def _to_lambda_poly(self, X: dict) -> LambdaPoly:
+        """The edge: interned monomials back to (GenIndex, dpow) factors, one
+        shared factor tuple per code and one monomial tuple per monomial."""
+        gens, D = self.cdata.gens, self._D
+        edge, edge_factor = self._edge, self._edge_factor
+        out = {}
+        for n, p in X.items():
+            terms = {}
+            for m, cp in p.items():
+                gm = edge.get(m)
+                if gm is None:
+                    fs = []
+                    for x in m:
+                        f = edge_factor.get(x)
+                        if f is None:
+                            f = edge_factor[x] = (gens[x // D], x % D)
+                        fs.append(f)
+                    gm = edge[m] = tuple(fs)
+                terms[gm] = Coeff(cp)
+            out[n] = DiffPoly(terms)
+        return LambdaPoly(out)
 
     # -- rows of brackets ------------------------------------------------------
 
     def row(self, a: GenIndex) -> dict[GenIndex, LambdaPoly]:
         """{omega(a) lambda omega(b)} for every generator b."""
-        ctx, cdata = self.ctx, self.cdata
-        t1 = cdata.delta[a]
-        # string tops never contribute: every factor to their right vanishes
-        pool = [c for c in self.nodes
-                if c.alpha <= t1 - 1 and c.n < 2 * cdata.delta[c.j]]
-        pool.sort(key=lambda c: (c.alpha, c.j.sort_key(), c.n), reverse=True)
-        # suffix sums, descending grade so successors are already done
-        V: dict[ChainIndex, LambdaPoly] = {}
-        for u in pool:
-            acc = self._tail_value(self._tail_factor(u, a))
-            for v in pool:
-                if v.alpha >= u.alpha + 1:
-                    Sv = V[v]
-                    if Sv:
-                        factor = self._mid_factor(u, v)
-                        if factor[0] or factor[1]:
-                            acc = acc + self._apply(factor, Sv)
-            sj = self.signs.sJ(u.j.parity)
-            V[u] = acc.scale(sj) if sj < 0 else acc
+        cdata = self.cdata
+        ra = cdata.col[a]
+        max_grade = cdata.delta[a] - 1
+        # suffix sums over the chains starting at each node
+        V: dict[int, dict] = {}
+        for u in self._live:
+            if self._alpha[u] > max_grade:
+                continue
+            acc = self._value(self.tail_factor(u, ra), -1)
+            for v, factor in self._successors_of(u):
+                Sv = V.get(v)
+                if Sv is not None:
+                    self._apply_into(acc, factor, Sv)
+            acc = {n: p for n, p in acc.items() if p}
+            if acc:
+                if self._sj[u] < 0:
+                    acc = {n: {m: pneg(cp) for m, cp in p.items()} for n, p in acc.items()}
+                V[u] = acc
 
         out: dict[GenIndex, LambdaPoly] = {}
-        for b in cdata.gens:
-            t2 = cdata.delta[b]
-            qa, qb = cdata.basisF[a], cdata.basisF[b]
-            head = LambdaPoly(
-                {0: self._lin(sharp_coords(ctx, cdata, qa.comm(qb)))}
-            ) + LambdaPoly({1: DiffPoly.constant(K * Coeff.of(ctx.pair(qa, qb)))})
-            chain_sum = LambdaPoly()
-            for u in pool:
-                if u.alpha >= -t2 and V[u]:
-                    factor = self._head_factor(b, u)
-                    if factor[0] or factor[1]:
-                        chain_sum = chain_sum + self._apply(factor, V[u])
-            sab = self.signs.sAB(a.parity, b.parity)
-            out[b] = head - chain_sum.scale(sab)
+        for rb, b in enumerate(cdata.gens):
+            chain_sum: dict = {}
+            for u, factor in self._openers_of(rb):
+                Vu = V.get(u)
+                if Vu is not None:
+                    self._apply_into(chain_sum, factor, Vu)
+            val = self._value(self.head_term(ra, rb), 1)
+            neg = self.signs.sAB(a.parity, b.parity) > 0
+            for n, p in chain_sum.items():
+                dst = val.setdefault(n, {})
+                for m, cp in p.items():
+                    _accumulate(dst, m, pneg(cp) if neg else cp)
+            out[b] = self._to_lambda_poly(val)
         return out
 
     def bracket(self, a: GenIndex, b: GenIndex) -> LambdaPoly:
         return self.row(a)[b]
 
+    # -- the chain-by-chain oracle, on DiffPoly/LambdaPoly ---------------------
+
+    def _lin(self, factor: Factor):
+        """factor as (the DiffPoly linear term P, pairing c)."""
+        gens = self.cdata.gens
+        P, c = factor
+        return DiffPoly({((gens[r], 0),): Coeff.of(v) for r, v in P}), c
+
+    def _apply(self, factor, X: LambdaPoly) -> LambdaPoly:
+        """(P - c*k(lambda+d)) applied to X, the operator acting on X."""
+        P, c = self._lin(factor)
+        out = LambdaPoly({n: P * p for n, p in X.coeffs.items()})
+        ck = Coeff.of(c) * K
+        if ck:
+            dX = LambdaPoly({n: apply_partial(p) for n, p in X.coeffs.items()})
+            lX = LambdaPoly({n + 1: p for n, p in X.coeffs.items()})
+            out = out - (dX + lX).scale(ck)
+        return out
+
+    def _lambda_value(self, factor, ksign: int) -> LambdaPoly:
+        """P + ksign * c k lambda for factor (P, c)."""
+        P, c = self._lin(factor)
+        return LambdaPoly({0: P, 1: DiffPoly.constant(K * Coeff.of(ksign * c))})
+
     def bracket_by_chains(self, a: GenIndex, b: GenIndex) -> LambdaPoly:
         """Independent evaluation summing over enumerate_chains directly."""
-        ctx, cdata = self.ctx, self.cdata
-        t1, t2 = cdata.delta[a], cdata.delta[b]
-        qa, qb = cdata.basisF[a], cdata.basisF[b]
-        total = LambdaPoly(
-            {0: self._lin(sharp_coords(ctx, cdata, qa.comm(qb)))}
-        ) + LambdaPoly({1: DiffPoly.constant(K * Coeff.of(ctx.pair(qa, qb)))})
+        cdata = self.cdata
+        ra, rb = cdata.col[a], cdata.col[b]
+        index = {c: i for i, c in enumerate(self.nodes)}
         chain_sum = LambdaPoly()
-        for chain in enumerate_chains(cdata, t1, t2):
+        for chain in enumerate_chains(cdata, cdata.delta[a], cdata.delta[b]):
             if not chain:
                 continue
-            val = self._tail_value(self._tail_factor(chain[-1], a))
-            for u, v in zip(reversed(chain[:-1]), reversed(chain[1:])):
-                val = self._apply(self._mid_factor(u, v), val)
-            val = self._apply(self._head_factor(b, chain[0]), val)
+            us = [index[c] for c in chain]
+            val = self._lambda_value(self.tail_factor(us[-1], ra), -1)
+            for u, v in zip(reversed(us[:-1]), reversed(us[1:])):
+                val = self._apply(self.mid_factor(u, v), val)
+            val = self._apply(self.head_factor(rb, us[0]), val)
             s = 1
             for u in chain:
                 s *= self.signs.sJ(u.j.parity)
             chain_sum = chain_sum + (val.scale(s) if s < 0 else val)
         sab = self.signs.sAB(a.parity, b.parity)
-        return total - chain_sum.scale(sab)
+        return self._lambda_value(self.head_term(ra, rb), 1) - chain_sum.scale(sab)
 
 
 def master_bracket(

@@ -143,11 +143,21 @@ def test_config_file_merging(tmp_path, capsys):
     # explicit flags beat the config file
     code, out, _ = run(capsys, "verify", "--config", str(cfg), "--flavor", "big")
     assert code == 0 and "big" in out
-    # malformed config values are input errors with a one-line message
-    for bad in ({"partition": [3, 2], "max_n": "3"}, [3, 2], {"partition": [2, "x"]}):
+    # malformed config values, a choice-valued key off its flag's choices and
+    # an unknown key are input errors with a one-line message
+    for command, bad in [("closure", {"partition": [3, 2], "max_n": "3"}),
+                         ("closure", [3, 2]),
+                         ("closure", {"partition": [2, "x"]}),
+                         ("verify", {"partition": [3, 2], "flavor": "x"}),
+                         ("verify", {"kind": 3}),
+                         ("verify", {"ktilde": "two"}),
+                         ("verify", {"format": "xml"}),
+                         ("verify", {"bogus": 1}),
+                         ("closure", {"seed": "zzz"}),
+                         ("algebra", {"partition": [2], "output": 1})]:
         cfg.write_text(json.dumps(bad))
-        code, _, err = run(capsys, "closure", "--config", str(cfg))
-        assert code == 2 and err.count("\n") == 1, (bad, err)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == "" and err.count("\n") == 1, (bad, err)
 
 
 def test_bad_partition_is_input_error(capsys):
@@ -163,3 +173,14 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "generators: 1" in proc.stdout
+
+
+def test_module_entry_point_reports_bad_input_in_one_line(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"partition": [3, 2], "flavor": "x"}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "walgebra", "verify", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr

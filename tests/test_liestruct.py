@@ -118,6 +118,14 @@ def test_full_biorthonormality():
                         assert ctx.pair(up, down) == want
 
 
+def test_trace_pairing_equals_product_supertrace():
+    ctx = ctx_of("sl_super", (3,), (2,))
+    basis = ctx.sl_basis()
+    for a in basis:
+        for b in basis:
+            assert ctx.pair(a, b) == a.mul(b).supertrace() * ctx.form_scale
+
+
 def test_sharp_projection_idempotent():
     for kind, p1, p2 in SWEEP:
         ctx = ctx_of(kind, p1, p2)

@@ -5,7 +5,9 @@ cross-checked bit-exactly against the independent reduction engine (see
 test_dsreduction).  The super sign convention is pinned by elimination: of
 the four parity characters, only one clears skew + Jacobi.  The suffix-sum
 rows are checked against the chain-by-chain evaluator, and the fixed-level
-tables against digests recorded when each level had its own engine build."""
+tables against digests recorded when each level had its own engine build.
+Both evaluators read the engine's precomputed structure constants, so those
+are checked against the matrix computation they replace."""
 
 import hashlib
 import json
@@ -17,6 +19,7 @@ from conftest import ctx_of, gen, table_of
 from walgebra import serialize
 from walgebra.coeffs import Coeff
 from walgebra.errors import MissingTableEntry
+from walgebra.liestruct import sharp_coords
 from walgebra.pvacore import (DiffPoly, LambdaPoly, check_jacobi, check_skew,
                               linear_term, monomial_weight, nth_product)
 from walgebra.wbracket import (SIGN_CONVENTIONS, MasterEngine, bracket_table,
@@ -41,6 +44,18 @@ FIXED_LEVEL_DIGESTS = {
         "2829bfb7d7b2ba0e7a915777ee735f71ddd1f9a28bd26e8e5b9152cae69478e1",
     (("sl_super", (2,), (1,)), F(1, 2)):
         "29a51770d76e05bf0cc34f6576db8836587261738becd9ddbf585973f5c0233a",
+}
+
+# sha256 of the symbolic tables, copied from bench/table_digests.json
+SYMBOLIC_DIGESTS = {
+    ("sl", (3, 2), ()):
+        "74bf124cb4da8c74f0eb989ef0dc858b48b9d5a1a5163ebb35fc3717fa4a39c7",
+    ("sl", (4, 3), ()):
+        "1b4ccc3394c42649470fb204d77599af9e506af078518f427e1c5e9cf96f4b96",
+    ("sl_super", (3,), (2,)):
+        "83afe9781ebe4fad71a3693a53902610c9b4bbf8f5b0463d2f1d27fe8e6428bf",
+    ("sl_super", (4,), (2,)):
+        "16220967be4bd28937ff70da558fecdd2110658a054a2948b1ccb31d0f7fc653",
 }
 
 
@@ -77,13 +92,91 @@ def test_master_matches_table():
 def test_rows_match_chain_by_chain_evaluation():
     for kind, p1, p2 in [("sl", (2, 1), ()), ("sl", (2, 2), ()), ("sl", (3, 1), ()),
                          ("sl", (2, 1, 1), ()), ("sl_super", (2,), (1,)),
-                         ("sl_super", (3,), (2,))]:
+                         ("sl_super", (3,), (2,)), ("sl_super", (2, 1), (1,))]:
         engine = MasterEngine(ctx_of(kind, p1, p2))
         gens = engine.cdata.gens
         for a in gens:
             row = engine.row(a)
             for b in gens:
                 assert row[b] == engine.bracket_by_chains(a, b), (kind, p1, p2, a, b)
+
+
+def test_structure_constants_match_the_matrix_path():
+    for kind, p1, p2 in [("sl", (3, 2), ()), ("sl", (2, 1, 1), ()),
+                         ("sl_super", (3,), (2,))]:
+        ctx = ctx_of(kind, p1, p2)
+        engine = MasterEngine(ctx)
+        cdata = engine.cdata
+        gens = cdata.gens
+        for a in gens:
+            engine.row(a)
+
+        def product_pair(x, y):
+            return x.mul(y).supertrace() * ctx.form_scale
+
+        def want(x, y):
+            if x is None:
+                return {}, 0
+            z = x.comm(y)
+            coords = {g: product_pair(cdata.basisE[g], z) for g in gens}
+            coords = {g: v for g, v in coords.items() if v}
+            assert sharp_coords(ctx, cdata, z) == coords
+            return coords, product_pair(x, y)
+
+        def got(factor):
+            coords, pairing = factor
+            return {gens[r]: v for r, v in coords}, pairing
+
+        raised, dual = [], []
+        for c in engine.nodes:
+            fam = cdata.adFPowers[c.j]
+            raised.append(fam[c.n + 1] if c.n + 1 < len(fam) else None)
+            dual.append(cdata.dualFamily[c.j][c.n])
+        basis = [cdata.basisF[g] for g in gens]
+        for u in range(len(engine.nodes)):
+            for v in range(len(engine.nodes)):
+                assert got(engine.mid_factor(u, v)) == want(raised[u], dual[v]), (u, v)
+            for r in range(len(gens)):
+                assert got(engine.tail_factor(u, r)) == want(raised[u], basis[r]), (u, r)
+                assert got(engine.head_factor(r, u)) == want(basis[r], dual[u]), (r, u)
+        for ra in range(len(gens)):
+            for rb in range(len(gens)):
+                assert got(engine.head_term(ra, rb)) == want(basis[ra], basis[rb])
+
+
+def test_interned_operator_matches_the_diffpoly_operator():
+    # the sweep's in-place (P - c*k(lambda+d)) against the oracle's, on
+    # monomials the chain sums of small shapes never produce: an odd factor
+    # beside its own derivative, and a repeated even factor
+    engine = MasterEngine(ctx_of("sl_super", (3,), (2,)))
+    gens, D = engine.cdata.gens, engine._D
+    odd, odd2 = [r for r, g in enumerate(gens) if g.parity][:2]
+    even = next(r for r, g in enumerate(gens) if not g.parity)
+    X = {0: {(odd * D, odd * D + 1): (F(1),),
+             (even * D, even * D): (F(2), F(3))},
+         1: {tuple(sorted((even * D + 1, odd * D + 1))): (F(-1),),
+             tuple(sorted((odd * D, even * D, odd * D + 2))): (F(0), F(1, 2))}}
+    factor = (((odd, F(2)), (odd2, F(-1)), (even, F(1, 3))), F(5))
+    out: dict = {}
+    engine._apply_into(out, factor, X)
+    want = engine._apply(factor, engine._to_lambda_poly(X))
+    assert engine._to_lambda_poly(out) == want
+    assert want
+
+
+def test_symbolic_tables_are_pinned():
+    for shape, want in SYMBOLIC_DIGESTS.items():
+        assert _digest(table_of(*shape)) == want, shape
+
+
+def test_cached_tables_are_read_only():
+    tab = table_of("sl", (3, 2))
+    a, b = tab.variables[0], tab.variables[1]
+    with pytest.raises(TypeError):
+        tab.entries[(a, b)] = LambdaPoly()
+    with pytest.raises(TypeError):
+        del tab.entries[(a, b)]
+    assert _digest(table_of("sl", (3, 2))) == SYMBOLIC_DIGESTS[("sl", (3, 2), ())]
 
 
 def test_fixed_level_tables_are_evaluations():
