@@ -333,6 +333,12 @@ def cmd_axioms(cfg: RunConfig) -> int:
             f"jacobi: {len(jac)} violations over {len(triples)} triples\n"
             f"conformal action: {'ok' if conf['ok'] else 'FAILED'} "
             f"(central lambda^3 coefficient {conf['central']})")
+    first = (skew + jac)[:3]
+    if first:
+        rep["first_failures"] = first
+        for v in first:
+            where = v["pair"] if v["kind"] == "skew" else v["triple"]
+            text += f"\n{v['kind']} violation at ({', '.join(map(str, where))}): {v['diff']!r}"
     _emit(cfg, text, ser.axiom_report_to_json(rep))
     return 0 if not skew and not jac and conf["ok"] else 4
 

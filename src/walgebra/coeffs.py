@@ -34,6 +34,9 @@ def ptrim(c: tuple) -> tuple:
 
 
 def padd(a: tuple, b: tuple) -> tuple:
+    if len(a) == 1 == len(b):
+        s = a[0] + b[0]
+        return (s,) if s else ()
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -62,6 +65,37 @@ def pmul(a: tuple, b: tuple) -> tuple:
                 if y:
                     out[i + j] += x * y
     return ptrim(tuple(out))
+
+
+def pmul_int(a: tuple, b: tuple) -> tuple:
+    """pmul for polynomials with int coefficients, which stay ints; a
+    product of nonzero ones is nonzero, so nothing is trimmed."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        x = a[0]
+        return tuple([x * y for y in b])
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def paccum(dst: dict, key, term: tuple) -> None:
+    """dst[key] += term for k-polynomials, dropping a sum that cancels."""
+    cur = dst.get(key)
+    if cur is None:
+        dst[key] = term
+    else:
+        s = padd(cur, term)
+        if s:
+            dst[key] = s
+        else:
+            del dst[key]
 
 
 def pdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:

@@ -7,21 +7,43 @@ canonically ordered tuple of (variable, derivative-power) factors; odd
 variables anticommute, so reordering tracks a sign and a repeated odd factor
 kills the monomial.  Polynomials map monomials to Coeff scalars.
 
-Lambda-polynomials collect differential polynomials by power of lambda; the
-bracket extension implements the sesquilinearity and both Leibniz rules of a
-Poisson vertex algebra, so a table of generator-pair brackets extends to
-arbitrary differential polynomials.
+Lambda-polynomials collect differential polynomials by power of lambda.  A
+BracketTable holds the generator-pair brackets of one algebra, read-only
+down to every entry's terms; its Leibniz engine extends them to arbitrary
+differential polynomials by sesquilinearity and both Leibniz rules of a
+Poisson vertex algebra (the Master Formula of Barakat-De Sole-Kac), and
+checks the Jacobi identity.
+
+The engine.  Each table builds one on first use and keeps it for its
+lifetime.  The table's variables are ranked by sort_key(); a factor (rank r,
+derivative power n) is the int r*64 + n, so a monomial is a sorted int tuple
+in the canonical factor order and parity is an array lookup.  A derivative
+power of 64 or more is refused with WAlgebraError; a variable outside the
+table raises MissingTableEntry.  Every entry coefficient must be a
+polynomial in k (WAlgebraError names the pair otherwise); L is the lcm of
+their coefficient denominators, and each entry is interned lazily as int
+k-polynomials equal to L times its value.  The Leibniz rules only add and
+multiply by integers (binomials, signs, multiplicities), so every memoized
+{variable lambda monomial} and {monomial lambda monomial} is an int value
+at scale L, and a Jacobi term, a product of two of them, is at scale L^2.
+
+The edge.  extend_bracket codes its inputs' monomials, multiplies by their
+Coeff coefficients (grouped by denominator, so rational ones in k work too),
+divides by L once and converts each output monomial once, sharing one
+(variable, dpow) tuple per int factor.  check_jacobi accumulates lhs - rhs
+in place at scale L^2; a triple passes exactly when that sum is empty, and
+only a failing triple's diff is converted back, to a TwoVar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional
 
-from .coeffs import Coeff, ONE
-from .errors import MissingTableEntry
+from .coeffs import Coeff, ONE, paccum, padd, pmul, pmul_int
+from .errors import MissingTableEntry, WAlgebraError
 
 Factor = tuple  # (var, dpow)
 Monomial = tuple  # tuple of factors, canonically ordered
@@ -270,28 +292,11 @@ class LambdaPoly:
             return LambdaPoly()
         return LambdaPoly({n: p.scale(c) for n, p in self.coeffs.items()})
 
-    def lmul_poly(self, p: DiffPoly) -> "LambdaPoly":
-        """Multiply every coefficient by p from the left."""
-        return LambdaPoly({n: p * q for n, q in self.coeffs.items()})
-
-    def rmul_poly(self, p: DiffPoly) -> "LambdaPoly":
-        return LambdaPoly({n: q * p for n, q in self.coeffs.items()})
-
     def get(self, n: int) -> DiffPoly:
         return self.coeffs.get(n, DiffPoly())
 
     def degree(self) -> int:
         return max(self.coeffs) if self.coeffs else -1
-
-    def shift_plus_partial(self, l: int) -> "LambdaPoly":
-        """Apply (lambda + d)^l, the operators acting on the coefficients."""
-        if l == 0:
-            return self
-        out = LambdaPoly()
-        for n, p in self.coeffs.items():
-            for k in range(l + 1):
-                out += LambdaPoly({n + k: apply_partial(p, l - k).scale(comb(l, k))})
-        return out
 
     def subst_neg_lambda_partial(self) -> "LambdaPoly":
         """lambda -> -lambda - d: returns sum_n (-lambda-d)^n . coeff_n."""
@@ -316,20 +321,40 @@ class LambdaPoly:
         )
 
 
+def frozen(lp: LambdaPoly) -> LambdaPoly:
+    """lp read-only: a copy whose coefficient map and every DiffPoly's terms
+    are MappingProxyType views over fresh dicts; lp itself if it already is."""
+    if type(lp.coeffs) is MappingProxyType and all(
+            type(p.terms) is MappingProxyType for p in lp.coeffs.values()):
+        return lp
+    out = LambdaPoly()
+    out.coeffs = MappingProxyType(
+        {n: DiffPoly(MappingProxyType(dict(p.terms))) for n, p in lp.coeffs.items() if p})
+    return out
+
+
 class BracketTable:
     """All ordered generator-pair lambda-brackets of one algebra."""
 
     def __init__(self, variables: list, entries: dict):
         self.variables = list(variables)
-        # (u, v) -> LambdaPoly, read-only: tables are shared through caches
-        self.entries = MappingProxyType(dict(entries))
+        # (u, v) -> LambdaPoly, read-only through and through: tables are
+        # shared through caches, and the Leibniz engine interns entries lazily
+        self.entries = MappingProxyType({uv: frozen(lp) for uv, lp in entries.items()})
         self._cache: dict = {}
+        self._engine: Optional[_Leibniz] = None
 
     def lookup(self, u, v) -> LambdaPoly:
         try:
             return self.entries[(u, v)]
         except KeyError:
             raise MissingTableEntry(f"no bracket stored for ({u}, {v})") from None
+
+    def _leibniz(self) -> "_Leibniz":
+        """The table's Leibniz engine, built on first use."""
+        if self._engine is None:
+            self._engine = _Leibniz(self)
+        return self._engine
 
     def linear_product(self, ca: dict, cb: dict, n: int) -> dict:
         """Linear term of the n-th product of two linear combinations
@@ -351,88 +376,373 @@ class BracketTable:
         return {v: c for v, c in out.items() if c}
 
 
-def _bracket_var_mono(table: BracketTable, u, mono: Monomial) -> LambdaPoly:
-    """{u lambda mono} by the right Leibniz rule; u is a bare variable."""
-    key = ("vm", u, mono)
-    hit = table._cache.get(key)
-    if hit is not None:
-        return hit
-    if not mono:
-        res = LambdaPoly()
-    elif len(mono) == 1:
-        v, l = mono[0]
-        res = table.lookup(u, v).shift_plus_partial(l)
-    else:
-        head, rest = mono[0], mono[1:]
-        left = _bracket_var_mono(table, u, (head,)).rmul_poly(DiffPoly({rest: ONE}))
-        right = _bracket_var_mono(table, u, rest).lmul_poly(DiffPoly({(head,): ONE}))
-        if u.parity and head[0].parity:
-            right = right.scale(-1)
-        res = left + right
-    table._cache[key] = res
-    return res
+# ---------------------------------------------------------------------------
+# the Leibniz engine
+#
+# A factor (variable rank r, dpow n) is the int r*_STRIDE + n, so monomials
+# are sorted int tuples in the canonical factor order.  Values are
+# {lambda power: {monomial: int k-polynomial}}, meaning value / L.
+
+_STRIDE = 64
 
 
-def _arrow_apply(br: LambdaPoly, other: Monomial) -> LambdaPoly:
-    """{X_{lambda+d} B}_-> Y: expand each lambda^n as sum C(n,k) lambda^{n-k}
-    (coefficient) * d^k(Y)."""
-    Y = DiffPoly({other: ONE})
-    out = LambdaPoly()
-    for n, p in br.coeffs.items():
-        for k in range(n + 1):
-            out += LambdaPoly({n - k: (p * apply_partial(Y, k)).scale(comb(n, k))})
+def interned_derivs(m: tuple, odd: list, stride: int) -> list:
+    """The monomials of d(m) for a monomial of int factors r*stride + n, one
+    per factor bumped, repeats kept; odd[x] is the parity of factor x.  A
+    derivative power reaching stride is refused."""
+    out = []
+    n = len(m)
+    for idx, x in enumerate(m):
+        x1 = x + 1
+        if not x1 % stride:
+            raise WAlgebraError(f"derivative power {stride} is past the engine's range")
+        j = idx + 1
+        while j < n and m[j] < x1:  # equal even factors move left
+            j += 1
+        if j < n and m[j] == x1 and odd[x]:
+            continue  # a repeated odd factor
+        out.append(m[:idx] + m[idx + 1:j] + (x1,) + m[j:])
     return out
 
 
-def _bracket_mono_mono(table: BracketTable, mono: Monomial, other: Monomial) -> LambdaPoly:
-    """{mono lambda other} peeling the first slot by the left Leibniz rule and
-    first-slot sesquilinearity."""
-    key = ("mm", mono, other)
-    hit = table._cache.get(key)
-    if hit is not None:
+def _scaled(poly: tuple, s: int) -> tuple:
+    return poly if s == 1 else tuple(x * s for x in poly)
+
+
+class _Leibniz:
+    """{mono lambda mono} and the Jacobi sums of one table, on interned
+    monomials with integer k-polynomial coefficients scaled by L."""
+
+    def __init__(self, table: BracketTable):
+        self.table = table
+        self.vars = sorted(table.variables, key=lambda v: v.sort_key())
+        self.rank = {v: r for r, v in enumerate(self.vars)}
+        self.odd = [v.parity for v in self.vars for _ in range(_STRIDE)]
+        L = 1
+        for (u, v), lp in table.entries.items():
+            for p in lp.coeffs.values():
+                for c in p.terms.values():
+                    if not c.is_polynomial:
+                        raise WAlgebraError(
+                            f"bracket ({u}, {v}) has a coefficient {c} that is not a "
+                            "polynomial in k")
+                    for x in c.num:
+                        if L % x.denominator:
+                            L = lcm(L, x.denominator)
+        self.L = L
+        self._entries: dict = {}
+        self._vm: dict = {}
+        self._mm: dict = {}
+        self._products: dict = {}
+        self._derivs: dict = {}
+        self._dpows: dict = {}
+        self._codes: dict = {}
+        self._edge: dict = {}
+        self._edge_factor: dict = {}
+
+    # -- interning ---------------------------------------------------------
+
+    def _rank(self, v) -> int:
+        r = self.rank.get(v)
+        if r is None:
+            raise MissingTableEntry(f"{v} is not a variable of the bracket table")
+        return r
+
+    def _canonical(self, xs) -> Optional[tuple]:
+        """(sign, sorted int tuple) of a factor sequence, counting odd-odd
+        transpositions; None when an odd factor repeats."""
+        fs = list(xs)
+        odd = self.odd
+        sign = 1
+        for i in range(1, len(fs)):
+            j = i
+            while j and fs[j - 1] > fs[j]:
+                if odd[fs[j - 1]] and odd[fs[j]]:
+                    sign = -sign
+                fs[j - 1], fs[j] = fs[j], fs[j - 1]
+                j -= 1
+        for x, y in zip(fs, fs[1:]):
+            if x == y and odd[x]:
+                return None
+        return sign, tuple(fs)
+
+    def _code(self, mono: Monomial) -> Optional[tuple]:
+        """(sign, interned monomial) of a DiffPoly monomial; None if it
+        vanishes."""
+        hit = self._codes.get(mono, False)
+        if hit is False:
+            xs = []
+            for v, n in mono:
+                if not 0 <= n < _STRIDE:
+                    raise WAlgebraError(f"derivative power {n} of {v} is out of range")
+                xs.append(self._rank(v) * _STRIDE + n)
+            hit = self._codes[mono] = self._canonical(xs)
         return hit
-    if not mono:
-        res = LambdaPoly()
-    elif len(mono) == 1:
-        v, k = mono[0]
-        base = _bracket_var_mono(table, v, other)
-        if k:
-            # {d^k v lambda B} = (-lambda)^k {v lambda B}
-            res = LambdaPoly(
-                {n + k: p.scale((-1) ** k) for n, p in base.coeffs.items()}
-            )
-        else:
-            res = base
-    else:
-        # {ab l c} = (-1)^{p(b)p(c)} {a l+d c}->b
-        #          + (-1)^{p(a)p(b)+p(a)p(c)} {b l+d c}->a
-        head, rest = mono[0], mono[1:]
-        ph = head[0].parity
-        pr = monomial_parity(rest)
-        pc = monomial_parity(other)
-        t1 = _arrow_apply(_bracket_mono_mono(table, (head,), other), rest)
-        if pr and pc:
-            t1 = t1.scale(-1)
-        t2 = _arrow_apply(_bracket_mono_mono(table, rest, other), (head,))
-        if ph and (pr + pc) % 2:
-            t2 = t2.scale(-1)
-        res = t1 + t2
-    table._cache[key] = res
-    return res
+
+    def _entry(self, u: int, v: int) -> dict:
+        """{u lambda v} for ranks u, v, at scale L."""
+        key = (u, v)
+        hit = self._entries.get(key)
+        if hit is None:
+            L = self.L
+            hit = {}
+            for n, p in self.table.lookup(self.vars[u], self.vars[v]).coeffs.items():
+                dst: dict = {}
+                for m, c in p.terms.items():
+                    cm = self._code(m)
+                    if cm is not None:
+                        s, x = cm
+                        paccum(dst, x, tuple(s * f.numerator * (L // f.denominator)
+                                             for f in c.num))
+                if dst:
+                    hit[n] = dst
+            self._entries[key] = hit
+        return hit
+
+    def _mul(self, m1: tuple, m2: tuple) -> Optional[tuple]:
+        """(sign, m1*m2), or None when the product vanishes."""
+        key = (m1, m2)
+        hit = self._products.get(key, False)
+        if hit is False:
+            hit = self._products[key] = self._canonical(m1 + m2)
+        return hit
+
+    def _deriv(self, m: tuple) -> list:
+        hit = self._derivs.get(m)
+        if hit is None:
+            hit = self._derivs[m] = interned_derivs(m, self.odd, _STRIDE)
+        return hit
+
+    def _dpow(self, m: tuple, j: int) -> dict:
+        """d^j(m) as {monomial: multiplicity}."""
+        if not j:
+            return {m: 1}
+        key = (m, j)
+        hit = self._dpows.get(key)
+        if hit is None:
+            hit = {}
+            for y, cy in self._dpow(m, j - 1).items():
+                for dy in self._deriv(y):
+                    hit[dy] = hit.get(dy, 0) + cy
+            self._dpows[key] = hit
+        return hit
+
+    def _parity(self, m: tuple) -> int:
+        odd = self.odd
+        return sum(odd[x] for x in m) & 1
+
+    # -- the Leibniz rules ----------------------------------------------------
+
+    def _var_mono(self, u: int, m: tuple) -> dict:
+        """{u lambda m} for a rank u, by the right Leibniz rule."""
+        key = (u, m)
+        hit = self._vm.get(key)
+        if hit is None:
+            hit = {}
+            if len(m) == 1:
+                v, l = divmod(m[0], _STRIDE)
+                # sesquilinearity: {u lambda d^l v} = (lambda + d)^l {u lambda v}
+                for n, p in self._entry(u, v).items():
+                    for k in range(l + 1):
+                        dst = hit.setdefault(n + k, {})
+                        mult = comb(l, k)
+                        for y, cp in p.items():
+                            for dy, cy in self._dpow(y, l - k).items():
+                                paccum(dst, dy, _scaled(cp, mult * cy))
+            elif m:
+                # {u lambda h r} = {u lambda h} r + (-1)^{p(u)p(h)} h {u lambda r}
+                head, rest = m[:1], m[1:]
+                self._times_into(hit, self._var_mono(u, head), rest, 1, True)
+                sign = -1 if self.odd[u * _STRIDE] and self.odd[m[0]] else 1
+                self._times_into(hit, self._var_mono(u, rest), head, sign, False)
+            hit = {n: p for n, p in hit.items() if p}
+            self._vm[key] = hit
+        return hit
+
+    def _times_into(self, out: dict, X: dict, y: tuple, sign: int, right: bool) -> None:
+        """out += sign * X*y (right) or sign * y*X, y a monomial."""
+        for n, p in X.items():
+            dst = out.setdefault(n, {})
+            for m, cp in p.items():
+                r = self._mul(m, y) if right else self._mul(y, m)
+                if r is not None:
+                    paccum(dst, r[1], _scaled(cp, sign * r[0]))
+
+    def _arrow_into(self, out: dict, br: dict, y: tuple, sign: int) -> None:
+        """out += sign * {X_{lambda+d} B}_-> y: each lambda^n of br becomes
+        sum C(n,k) lambda^{n-k} (coefficient) * d^k(y)."""
+        for n, p in br.items():
+            for k in range(n + 1):
+                dst = out.setdefault(n - k, {})
+                mult = sign * comb(n, k)
+                dy = self._dpow(y, k)
+                for m, cp in p.items():
+                    for z, cz in dy.items():
+                        r = self._mul(m, z)
+                        if r is not None:
+                            paccum(dst, r[1], _scaled(cp, mult * cz * r[0]))
+
+    def _mono_mono(self, m: tuple, o: tuple) -> dict:
+        """{m lambda o}, peeling the first slot by the left Leibniz rule and
+        first-slot sesquilinearity."""
+        key = (m, o)
+        hit = self._mm.get(key)
+        if hit is None:
+            if len(m) == 1:
+                v, k = divmod(m[0], _STRIDE)
+                base = self._var_mono(v, o)
+                # {d^k v lambda B} = (-lambda)^k {v lambda B}
+                if not k:
+                    hit = base
+                elif k % 2:
+                    hit = {n + k: {y: tuple(-x for x in cp) for y, cp in p.items()}
+                           for n, p in base.items()}
+                else:
+                    hit = {n + k: p for n, p in base.items()}
+            else:
+                # {h r lambda c} = (-1)^{p(r)p(c)} {h lambda+d c}-> r
+                #                + (-1)^{p(h)(p(r)+p(c))} {r lambda+d c}-> h
+                hit = {}
+                if m:
+                    head, rest = m[:1], m[1:]
+                    pr, pc = self._parity(rest), self._parity(o)
+                    self._arrow_into(hit, self._mono_mono(head, o), rest,
+                                     -1 if pr and pc else 1)
+                    self._arrow_into(hit, self._mono_mono(rest, o), head,
+                                     -1 if self.odd[m[0]] and pr != pc else 1)
+                    hit = {n: p for n, p in hit.items() if p}
+            self._mm[key] = hit
+        return hit
+
+    # -- the edge ---------------------------------------------------------------
+
+    def _edge_mono(self, m: tuple) -> Monomial:
+        """An interned monomial as (variable, dpow) factors, one shared factor
+        tuple per code and one monomial tuple per monomial."""
+        gm = self._edge.get(m)
+        if gm is None:
+            fs = []
+            for x in m:
+                f = self._edge_factor.get(x)
+                if f is None:
+                    v, n = divmod(x, _STRIDE)
+                    f = self._edge_factor[x] = (self.vars[v], n)
+                fs.append(f)
+            gm = self._edge[m] = tuple(fs)
+        return gm
+
+    def _edge_poly(self, p: dict, scale: int) -> DiffPoly:
+        """{monomial: int k-polynomial} divided by scale, as a DiffPoly."""
+        return DiffPoly({self._edge_mono(m): Coeff(tuple(Fraction(x, scale) for x in cp))
+                         for m, cp in p.items()})
+
+    def _groups(self, P: DiffPoly) -> dict:
+        """P's non-constant terms grouped by coefficient denominator:
+        {den: (M, [(interned monomial, int numerator)])}, where a term's
+        coefficient is its int numerator / (M * den)."""
+        groups: dict = {}
+        for m, c in P.terms.items():
+            if m:
+                cm = self._code(m)
+                if cm is not None:
+                    groups.setdefault(c.den, []).append((cm, c.num))
+        out = {}
+        for den, terms in groups.items():
+            M = 1
+            for _, num in terms:
+                for f in num:
+                    if M % f.denominator:
+                        M = lcm(M, f.denominator)
+            out[den] = (M, [(x, tuple(s * f.numerator * (M // f.denominator) for f in num))
+                            for (s, x), num in terms])
+        return out
+
+    # -- entry points -------------------------------------------------------------
+
+    def bracket(self, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
+        """{A lambda B}: int sums per pair of coefficient denominators, divided
+        by L and converted once per output monomial."""
+        if not any(A.terms) or not any(B.terms):
+            return LambdaPoly()
+        out: dict = {}
+        groups_b = self._groups(B)
+        for da, (Ma, ta) in self._groups(A).items():
+            for db, (Mb, tb) in groups_b.items():
+                acc: dict = {}
+                for ma, na in ta:
+                    for mb, nb in tb:
+                        w = pmul_int(na, nb)
+                        for n, p in self._mono_mono(ma, mb).items():
+                            dst = acc.setdefault(n, {})
+                            for m, cp in p.items():
+                                paccum(dst, m, pmul_int(cp, w))
+                scale = self.L * Ma * Mb
+                den = pmul(da, db)
+                for n, p in acc.items():
+                    dst = out.setdefault(n, {})
+                    for m, cp in p.items():
+                        c = Coeff(tuple(Fraction(x, scale) for x in cp), den)
+                        gm = self._edge_mono(m)
+                        cur = dst.get(gm)
+                        if cur is None:
+                            dst[gm] = c
+                        else:
+                            s = cur + c
+                            if s:
+                                dst[gm] = s
+                            else:
+                                del dst[gm]
+        return LambdaPoly({n: DiffPoly(p) for n, p in out.items()})
+
+    def jacobi(self, a, b, c) -> dict:
+        """{a lambda {b mu c}} - {{a lambda b}_{lambda+mu} c}
+        - (-1)^{p(a)p(b)} {b mu {a lambda c}} for variables a, b, c, as
+        {(lambda power, mu power): {monomial: int k-polynomial}} at scale L^2."""
+        ra, rb, rc = self._rank(a), self._rank(b), self._rank(c)
+        terms = []  # (ij, w, X): diff[ij] += w * X
+        for j, p in self._entry(rb, rc).items():
+            for y, cy in p.items():
+                for i, q in self._var_mono(ra, y).items():
+                    terms.append(((i, j), cy, q))
+        cc = (rc * _STRIDE,)
+        for n, p in self._entry(ra, rb).items():
+            for y, cy in p.items():
+                for l, q in self._mono_mono(y, cc).items():
+                    # (lambda + mu)^l expanded on top of lambda^n
+                    for k in range(l + 1):
+                        terms.append(((n + k, l - k), _scaled(cy, -comb(l, k)), q))
+        sign = 1 if a.parity and b.parity else -1
+        for i, p in self._entry(ra, rc).items():
+            for y, cy in p.items():
+                w = _scaled(cy, sign)
+                for j, q in self._var_mono(rb, y).items():
+                    terms.append(((i, j), w, q))
+        diff: dict = {}
+        for ij, w, q in terms:
+            dst = diff.setdefault(ij, {})
+            for m, cq in q.items():
+                t = pmul_int(w, cq)
+                cur = dst.get(m)
+                if cur is None:
+                    dst[m] = t
+                else:
+                    t = padd(cur, t)
+                    if t:
+                        dst[m] = t
+                    else:
+                        del dst[m]
+        return {ij: p for ij, p in diff.items() if p}
+
+    def two_var(self, diff: dict) -> "TwoVar":
+        """A jacobi() result as the TwoVar it stands for."""
+        L2 = self.L * self.L
+        return TwoVar({ij: self._edge_poly(p, L2) for ij, p in diff.items()})
 
 
 def extend_bracket(table: BracketTable, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
     """{A lambda B} for arbitrary differential polynomials over the table's
     variables.  Coefficients multiply through; constants bracket to zero."""
-    out = LambdaPoly()
-    for ma, ca in A.terms.items():
-        if not ma:
-            continue
-        for mb, cb in B.terms.items():
-            if not mb:
-                continue
-            out += _bracket_mono_mono(table, ma, mb).scale(ca * cb)
-    return out
+    return table._leibniz().bracket(A, B)
 
 
 def nth_product(table: BracketTable, A: DiffPoly, B: DiffPoly, n: int) -> DiffPoly:
@@ -489,50 +799,24 @@ class TwoVar:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-
-def _outer_in_lambda(table: BracketTable, a, inner: LambdaPoly) -> TwoVar:
-    """{a lambda inner} where inner is a polynomial in mu: lambda -> slot 0."""
-    out = TwoVar()
-    A = DiffPoly.variable(a)
-    for j, p in inner.coeffs.items():
-        br = extend_bracket(table, A, p)
-        for i, q in br.coeffs.items():
-            out += TwoVar({(i, j): q})
-    return out
-
-
-def _composed_bracket(table: BracketTable, ab: LambdaPoly, c) -> TwoVar:
-    """{{a lambda b}_{lambda+mu} c}: bracket each lambda^n coefficient into c,
-    then expand the (lambda+mu)-powers binomially on top of lambda^n."""
-    out = TwoVar()
-    C = DiffPoly.variable(c)
-    for n, p in ab.coeffs.items():
-        br = extend_bracket(table, p, C)
-        for m, q in br.coeffs.items():
-            for k in range(m + 1):
-                out += TwoVar({(n + k, m - k): q.scale(comb(m, k))})
-    return out
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(
+            f"L^{i} M^{j}[{self.coeffs[(i, j)]!r}]" for i, j in sorted(self.coeffs)
+        )
 
 
 def check_jacobi(table: BracketTable, triples) -> list[dict]:
     """Violations of {a lambda {b mu c}} = {{a lambda b}_{lambda+mu} c}
-    + (-1)^{p(a)p(b)} {b mu {a lambda c}}."""
+    + (-1)^{p(a)p(b)} {b mu {a lambda c}}; a violation's diff is lhs - rhs,
+    keyed by (lambda power, mu power)."""
+    engine = table._leibniz()
     out = []
     for (a, b, c) in triples:
-        lhs = _outer_in_lambda(table, a, table.lookup(b, c))
-        t1 = _composed_bracket(table, table.lookup(a, b), c)
-        inner_ac = table.lookup(a, c)
-        t2 = TwoVar()
-        B = DiffPoly.variable(b)
-        for i, p in inner_ac.coeffs.items():
-            br = extend_bracket(table, B, p)
-            for j, q in br.coeffs.items():
-                t2 += TwoVar({(i, j): q})
-        if a.parity and b.parity:
-            t2 = TwoVar({ij: -p for ij, p in t2.coeffs.items()})
-        rhs = t1 + t2
-        if lhs != rhs:
-            out.append({"kind": "jacobi", "triple": (a, b, c), "diff": lhs - rhs})
+        diff = engine.jacobi(a, b, c)
+        if diff:
+            out.append({"kind": "jacobi", "triple": (a, b, c), "diff": engine.two_var(diff)})
     return out
 
 

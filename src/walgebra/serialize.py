@@ -231,7 +231,21 @@ def axiom_report_to_json(rep: dict) -> dict:
     if "conformal_ok" in rep:
         out["conformal_ok"] = rep["conformal_ok"]
         out["central_coeff"] = coeff_to_json(rep["central_coeff"])
+    if "first_failures" in rep:
+        out["first_failures"] = [violation_to_json(v) for v in rep["first_failures"]]
     return out
+
+
+def violation_to_json(v: dict) -> dict:
+    """A check_skew or check_jacobi violation with its exact diff: a lambda
+    polynomial for a pair, {lpow, mupow, poly} terms for a triple."""
+    if v["kind"] == "skew":
+        return {"kind": "skew", "pair": [gen_to_json(g) for g in v["pair"]],
+                "diff": lambda_poly_to_json(v["diff"])}
+    diff = v["diff"].coeffs
+    return {"kind": "jacobi", "triple": [gen_to_json(g) for g in v["triple"]],
+            "diff": [{"lpow": i, "mupow": j, "poly": diff_poly_to_json(diff[(i, j)])}
+                     for i, j in sorted(diff)]}
 
 
 def reconcile_report_to_json(rep) -> dict:

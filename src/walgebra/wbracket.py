@@ -40,10 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
-from .coeffs import Coeff, padd, pneg, pscale
+from .coeffs import Coeff, paccum, pneg, pscale
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, sharp_coords
 from .linalg import solve
-from .pvacore import BracketTable, DiffPoly, LambdaPoly, apply_partial
+from .pvacore import BracketTable, DiffPoly, LambdaPoly, apply_partial, frozen, interned_derivs
 
 F = Fraction
 
@@ -137,19 +137,6 @@ _F0 = F(0)
 # supercommutator as (generator rank, coordinate) pairs, and the pairing.
 Factor = tuple  # (tuple[tuple[int, Fraction], ...], Fraction)
 _NO_FACTOR: Factor = ((), _F0)
-
-
-def _accumulate(dst: dict, m: tuple, term: tuple) -> None:
-    """dst[m] += term for k-polynomials, dropping a sum that cancels."""
-    cur = dst.get(m)
-    if cur is None:
-        dst[m] = term
-    else:
-        s = padd(cur, term)
-        if s:
-            dst[m] = s
-        else:
-            del dst[m]
 
 
 class MasterEngine:
@@ -276,18 +263,7 @@ class MasterEngine:
         """The monomials of d(m), one per factor bumped, repeats kept."""
         hit = self._derivs.get(m)
         if hit is None:
-            odd = self._odd
-            n = len(m)
-            hit = []
-            for idx, x in enumerate(m):
-                x1 = x + 1
-                j = idx + 1
-                while j < n and m[j] < x1:  # equal even factors move left
-                    j += 1
-                if j < n and m[j] == x1 and odd[x]:
-                    continue  # a repeated odd factor
-                hit.append(m[:idx] + m[idx + 1:j] + (x1,) + m[j:])
-            self._derivs[m] = hit
+            hit = self._derivs[m] = interned_derivs(m, self._odd, self._D)
         return hit
 
     def _apply_into(self, out: dict, factor: Factor, X: dict) -> None:
@@ -311,7 +287,7 @@ class MasterEngine:
                             for y in m[:pos]:
                                 if odd[y]:
                                     s = -s
-                        _accumulate(dst, m[:pos] + (x,) + m[pos:], pscale(cp, s))
+                        paccum(dst, m[:pos] + (x,) + m[pos:], pscale(cp, s))
             if c:
                 dst = out.get(n)
                 if dst is None:
@@ -321,9 +297,9 @@ class MasterEngine:
                     up = out[n + 1] = {}
                 for m, cp in p.items():
                     term = (_F0,) + pscale(cp, -c)
-                    _accumulate(up, m, term)
+                    paccum(up, m, term)
                     for dm in self._deriv(m):
-                        _accumulate(dst, dm, term)
+                        paccum(dst, dm, term)
 
     def _to_lambda_poly(self, X: dict) -> LambdaPoly:
         """The edge: interned monomials back to (GenIndex, dpow) factors, one
@@ -382,7 +358,7 @@ class MasterEngine:
             for n, p in chain_sum.items():
                 dst = val.setdefault(n, {})
                 for m, cp in p.items():
-                    _accumulate(dst, m, pneg(cp) if neg else cp)
+                    paccum(dst, m, pneg(cp) if neg else cp)
             out[b] = self._to_lambda_poly(val)
         return out
 
@@ -467,15 +443,14 @@ def bracket_table(
         engine = MasterEngine(ctx, signs)
         entries = {}
         for a in engine.cdata.gens:
-            row = engine.row(a)
-            for b, val in row.items():
-                entries[(a, b)] = val
+            for b, val in engine.row(a).items():
+                entries[(a, b)] = frozen(val)
         table = BracketTable(engine.cdata.gens, entries)
     else:
         sym = bracket_table(ctx, signs)
         level = F(ktilde)
         table = BracketTable(sym.variables,
-                             {ab: val.at_level(level) for ab, val in sym.entries.items()})
+                             {ab: frozen(val.at_level(level)) for ab, val in sym.entries.items()})
     _TABLE_CACHE[key] = table
     return table
 

@@ -26,3 +26,18 @@ def table_of(kind, parts1, parts2=(), ktilde="symbolic"):
 
 def gen(ctx, t, i, j):
     return ctx.gen(F(t), i, j)
+
+
+def corrupted_table():
+    """The symbolic (2,1) table with q[2](1,1) added to the lambda^0 term of
+    {q[3/2](1,2) lambda q[3/2](2,1)} and subtracted from the reverse bracket:
+    skew symmetry still holds, the Jacobi identity does not."""
+    from walgebra.pvacore import BracketTable, DiffPoly, LambdaPoly
+
+    ctx = ctx_of("sl", (2, 1))
+    a, b, w = gen(ctx, "3/2", 1, 2), gen(ctx, "3/2", 2, 1), gen(ctx, 2, 1, 1)
+    extra = LambdaPoly({0: DiffPoly.variable(w)})
+    entries = dict(table_of("sl", (2, 1)).entries)
+    entries[(a, b)] = entries[(a, b)] + extra
+    entries[(b, a)] = entries[(b, a)] - extra
+    return BracketTable(ctx.centralizer().gens, entries)

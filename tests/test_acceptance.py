@@ -51,8 +51,10 @@ def test_criterion_01_sl2_oracle_equivalence():
 
 def test_criterion_02_reconcile_zero_residual():
     times = []
-    for kind, p1, p2 in [("sl", (3,), ()), ("sl", (2, 1), ()),
-                         ("sl", (2, 2), ()), ("sl_super", (2,), (1,))]:
+    shapes = [("sl", (3,), ()), ("sl", (2, 1), ()), ("sl", (2, 2), ()),
+              ("sl", (3, 1), ()), ("sl", (4,), ()),
+              ("sl_super", (2,), (1,)), ("sl_super", (3,), (1,))]
+    for kind, p1, p2 in shapes:
         t0 = time.perf_counter()
         ctx = ctx_of(kind, p1, p2)
         rep = reconcile(ReductionCtx(ctx), table_of(kind, p1, p2))
@@ -60,7 +62,7 @@ def test_criterion_02_reconcile_zero_residual():
         assert rep.ok, (kind, p1, p2, rep.failure)
         assert dt < 60.0, f"{kind}{p1}{p2} took {dt:.1f}s"
         times.append(dt)
-    _report(2, f"4 reconciliations, slowest {max(times):.2f}s")
+    _report(2, f"{len(shapes)} reconciliations, slowest {max(times):.2f}s")
 
 
 def test_criterion_03_axiom_suite():

@@ -8,9 +8,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from conftest import ctx_of, table_of
-from walgebra import serialize as ser
+from conftest import corrupted_table, ctx_of, table_of
+from walgebra import cli, serialize as ser
 from walgebra.cli import main
+from walgebra.pvacore import BracketTable, DiffPoly, LambdaPoly, check_jacobi, check_skew
 
 F = Fraction
 
@@ -113,6 +114,7 @@ def test_axioms_clean(capsys):
     assert "skew: 0 violations" in out
     assert "jacobi: 0 violations" in out
     assert "conformal action: ok" in out
+    assert len(out.splitlines()) == 3
 
 
 def test_axioms_json(capsys):
@@ -122,6 +124,35 @@ def test_axioms_json(capsys):
     assert doc["skew_violations"] == 0 and doc["jacobi_violations"] == 0
     assert doc["conformal_ok"] is True
     assert doc["central_coeff"] == {"num": "-1", "den": "2"}
+    assert "first_failures" not in doc
+
+
+def test_axioms_names_the_first_failing_triples(capsys, monkeypatch):
+    tab = corrupted_table()
+    monkeypatch.setattr(cli, "_table", lambda ctx, cfg: tab)
+    gens = tab.variables
+    first = check_jacobi(tab, [(a, b, c) for a in gens for b in gens for c in gens])[:3]
+    code, out, _ = run(capsys, "axioms", "--partition", "2,1")
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[:2] == ["skew: 0 violations over 16 pairs", "jacobi: 12 violations over 64 triples"]
+    assert len(lines) == 6
+    assert lines[3] == ("jacobi violation at (q[3/2](1,2), q[3/2](1,2), q[3/2](2,1)): "
+                        "L^0 M^1[(-3/2*k)*q[3/2](1,2)] + L^1 M^0[(3/2*k)*q[3/2](1,2)]")
+    assert lines[4:] == [f"jacobi violation at ({', '.join(map(str, v['triple']))}): {v['diff']!r}"
+                         for v in first[1:]]
+
+    code, out, _ = run(capsys, "axioms", "--partition", "2,1", "--format", "json")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["jacobi_violations"] == 12
+    assert [f["kind"] for f in doc["first_failures"]] == ["jacobi"] * 3
+    assert [f["triple"] for f in doc["first_failures"]] == \
+        [[ser.gen_to_json(g) for g in v["triple"]] for v in first]
+    diff = first[0]["diff"].coeffs
+    assert doc["first_failures"][0]["diff"] == [
+        {"lpow": i, "mupow": j, "poly": ser.diff_poly_to_json(diff[(i, j)])}
+        for i, j in [(0, 1), (1, 0)]]
 
 
 def test_output_file(tmp_path, capsys):
@@ -184,3 +215,21 @@ def test_module_entry_point_reports_bad_input_in_one_line(tmp_path):
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_axioms_names_a_failing_pair(capsys, monkeypatch):
+    ctx = ctx_of("sl", (2, 1))
+    clean = table_of("sl", (2, 1))
+    a, b = ctx.gen(F(3, 2), 1, 2), ctx.gen(F(3, 2), 2, 1)
+    entries = dict(clean.entries)
+    entries[(a, b)] = entries[(a, b)] + LambdaPoly({0: DiffPoly.variable(ctx.gen(F(2), 1, 1))})
+    dirty = BracketTable(clean.variables, entries)
+    monkeypatch.setattr(cli, "_table", lambda ctx, cfg: dirty)
+    [first, second] = check_skew(dirty)
+    code, out, _ = run(capsys, "axioms", "--partition", "2,1", "--format", "json")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["first_failures"][:2] == [
+        {"kind": "skew", "pair": [ser.gen_to_json(g) for g in v["pair"]],
+         "diff": ser.lambda_poly_to_json(v["diff"])} for v in (first, second)]
+    assert doc["first_failures"][2]["kind"] == "jacobi"

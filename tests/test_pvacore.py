@@ -4,20 +4,26 @@ Toy one-variable tables (free boson, free fermion) have brackets small
 enough to expand by hand; those hand values are frozen here.  The axioms are
 then property-tested with composite (non-variable) arguments in both slots,
 on a genuinely super algebra, since several sign errors are invisible at the
-variable level."""
+variable level.
+
+The Leibniz engine (interned monomials, integer coefficients at scale L) is
+checked against the reference below: the recursion on DiffPoly/LambdaPoly
+with Coeff values that the engine replaced."""
 
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ctx_of, gen, table_of
-from walgebra.coeffs import Coeff
+from conftest import corrupted_table, ctx_of, table_of
+from walgebra.coeffs import Coeff, ONE
+from walgebra.errors import MissingTableEntry, WAlgebraError
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, TwoVar,
-                              apply_partial, extend_bracket, linear_term,
-                              monomial_parity, normalize_factors, nth_product,
-                              poly_normalize)
+                              apply_partial, check_jacobi, extend_bracket,
+                              linear_term, monomial_parity, normalize_factors,
+                              nth_product, poly_normalize)
 
 F = Fraction
 
@@ -237,3 +243,200 @@ def test_jacobi_on_composites(data):
             t2 += TwoVar({(j, i): q})
     rhs = t1 + TwoVar({ij: p.scale((-1) ** (pa * pb)) for ij, p in t2.coeffs.items()})
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the reference Leibniz extension: the DiffPoly recursion on Coeff values,
+# memoized per table
+
+_REFERENCE_MEMO: dict = {}
+
+
+def _ref_memo(table) -> dict:
+    return _REFERENCE_MEMO.setdefault(table, {})
+
+
+def _shift_plus_partial(lp: LambdaPoly, l: int) -> LambdaPoly:
+    """(lambda + d)^l acting on the coefficients."""
+    out = LambdaPoly()
+    for n, p in lp.coeffs.items():
+        for k in range(l + 1):
+            out += LambdaPoly({n + k: apply_partial(p, l - k).scale(comb(l, k))})
+    return out
+
+
+def _ref_var_mono(table, u, mono) -> LambdaPoly:
+    """{u lambda mono} by the right Leibniz rule; u is a bare variable."""
+    memo = _ref_memo(table)
+    key = ("vm", u, mono)
+    if key in memo:
+        return memo[key]
+    if not mono:
+        res = LambdaPoly()
+    elif len(mono) == 1:
+        v, l = mono[0]
+        res = _shift_plus_partial(table.lookup(u, v), l)
+    else:
+        head, rest = mono[0], mono[1:]
+        R, H = DiffPoly({rest: ONE}), DiffPoly({(head,): ONE})
+        left = LambdaPoly({n: q * R for n, q in _ref_var_mono(table, u, (head,)).coeffs.items()})
+        right = LambdaPoly({n: H * q for n, q in _ref_var_mono(table, u, rest).coeffs.items()})
+        if u.parity and head[0].parity:
+            right = right.scale(-1)
+        res = left + right
+    memo[key] = res
+    return res
+
+
+def _ref_arrow(br: LambdaPoly, other) -> LambdaPoly:
+    """{X_{lambda+d} B}_-> Y: each lambda^n becomes sum C(n,k) lambda^{n-k}
+    (coefficient) * d^k(Y)."""
+    Y = DiffPoly({other: ONE})
+    out = LambdaPoly()
+    for n, p in br.coeffs.items():
+        for k in range(n + 1):
+            out += LambdaPoly({n - k: (p * apply_partial(Y, k)).scale(comb(n, k))})
+    return out
+
+
+def _ref_mono_mono(table, mono, other) -> LambdaPoly:
+    """{mono lambda other} by the left Leibniz rule and first-slot
+    sesquilinearity."""
+    memo = _ref_memo(table)
+    key = ("mm", mono, other)
+    if key in memo:
+        return memo[key]
+    if not mono:
+        res = LambdaPoly()
+    elif len(mono) == 1:
+        v, k = mono[0]
+        base = _ref_var_mono(table, v, other)
+        res = LambdaPoly({n + k: p.scale((-1) ** k) for n, p in base.coeffs.items()})
+    else:
+        head, rest = mono[0], mono[1:]
+        ph, pr, pc = head[0].parity, monomial_parity(rest), monomial_parity(other)
+        t1 = _ref_arrow(_ref_mono_mono(table, (head,), other), rest)
+        if pr and pc:
+            t1 = t1.scale(-1)
+        t2 = _ref_arrow(_ref_mono_mono(table, rest, other), (head,))
+        if ph and (pr + pc) % 2:
+            t2 = t2.scale(-1)
+        res = t1 + t2
+    memo[key] = res
+    return res
+
+
+def reference_bracket(table, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
+    out = LambdaPoly()
+    for ma, ca in A.terms.items():
+        for mb, cb in B.terms.items():
+            if ma and mb:
+                out += _ref_mono_mono(table, ma, mb).scale(ca * cb)
+    return out
+
+
+def reference_jacobi(table, a, b, c) -> TwoVar:
+    """lhs - rhs of {a lambda {b mu c}} = {{a lambda b}_{lambda+mu} c}
+    + (-1)^{p(a)p(b)} {b mu {a lambda c}}, keyed (lambda power, mu power)."""
+    lhs = TwoVar()
+    for j, p in table.lookup(b, c).coeffs.items():
+        for i, q in reference_bracket(table, DiffPoly.variable(a), p).coeffs.items():
+            lhs += TwoVar({(i, j): q})
+    t1 = TwoVar()
+    for n, p in table.lookup(a, b).coeffs.items():
+        for m, q in reference_bracket(table, p, DiffPoly.variable(c)).coeffs.items():
+            for k in range(m + 1):
+                t1 += TwoVar({(n + k, m - k): q.scale(comb(m, k))})
+    t2 = TwoVar()
+    for i, p in table.lookup(a, c).coeffs.items():
+        for j, q in reference_bracket(table, DiffPoly.variable(b), p).coeffs.items():
+            t2 += TwoVar({(i, j): q.scale((-1) ** (a.parity * b.parity))})
+    return lhs - (t1 + t2)
+
+
+# ---------------------------------------------------------------------------
+# the engine against the reference
+
+_K_COEFFS = [Coeff.of(1), Coeff.of(-2), Coeff.of(F(3, 4)), Coeff.level(1, F(-1, 3)),
+             Coeff((F(1), F(2)), (F(1),)), Coeff((F(2),), (F(1), F(1)))]  # last: 2/(k+1)
+
+
+def _composite(draw, gens):
+    """A sum of 1-3 monomials of 1-3 factors, derivative powers up to 2."""
+    total = DiffPoly()
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [(draw(st.sampled_from(gens)), draw(st.integers(0, 2)))
+                   for _ in range(draw(st.integers(1, 3)))]
+        total = total + poly_normalize([(factors, draw(st.sampled_from(_K_COEFFS)))])
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_engine_matches_reference_on_random_composites(data):
+    shape = data.draw(st.sampled_from([("sl_super", (2,), (1,)), ("sl", (3, 1), ())]))
+    tab = table_of(*shape)
+    gens = tab.variables
+    A, B = _composite(data.draw, gens), _composite(data.draw, gens)
+    assert extend_bracket(tab, A, B) == reference_bracket(tab, A, B)
+
+
+def _pair_composites(a, b):
+    """(A, B) for a generator pair at composite depths one and two."""
+    va, vb = DiffPoly.variable(a), DiffPoly.variable(b)
+    yield va, apply_partial(vb)
+    yield (va * apply_partial(vb)).scale(Coeff.level(1, 2)) + vb, \
+        vb * apply_partial(va, 2) + (va * vb).scale(F(-1, 3))
+
+
+def test_engine_matches_reference_on_every_generator_pair():
+    for shape in [("sl", (2, 1), ()), ("sl_super", (3,), (2,))]:
+        tab = table_of(*shape)
+        for a in tab.variables:
+            for b in tab.variables:
+                for A, B in _pair_composites(a, b):
+                    assert extend_bracket(tab, A, B) == reference_bracket(tab, A, B), \
+                        (shape, a, b)
+
+
+def test_jacobi_names_corrupted_triples_with_reference_diffs():
+    tab = corrupted_table()
+    gens = tab.variables
+    triples = [(a, b, c) for a in gens for b in gens for c in gens]
+    want = [(t, reference_jacobi(tab, *t)) for t in triples]
+    want = [(t, d) for t, d in want if d]
+    got = check_jacobi(tab, triples)
+    assert want and [(v["triple"], v["diff"]) for v in got] == want
+
+
+def test_rational_entry_coefficient_is_refused():
+    a = DiffPoly.variable(A_EVEN)
+    over = Coeff((F(1),), (F(1), F(1)))  # 1/(k+1)
+    tab = BracketTable([A_EVEN], {(A_EVEN, A_EVEN): LambdaPoly({1: DiffPoly.constant(over)})})
+    with pytest.raises(WAlgebraError, match=r"\(a, a\)"):
+        extend_bracket(tab, a, a)
+
+
+def test_fixed_level_table_with_denominators_matches_reference():
+    tab = table_of("sl_super", (2,), (1,), ktilde=F(1, 2))
+    gens = tab.variables
+    assert tab._leibniz().L > 1
+    for a in gens:
+        for b in gens:
+            for A, B in _pair_composites(a, b):
+                assert extend_bracket(tab, A, B) == reference_bracket(tab, A, B), (a, b)
+    triples = [(a, b, c) for a in gens for b in gens for c in gens]
+    assert check_jacobi(tab, triples) == []
+    assert not any(reference_jacobi(tab, *t) for t in triples)
+
+
+def test_engine_range_and_unknown_variables():
+    tab = _boson_table()
+    a = DiffPoly.variable(A_EVEN)
+    # {a d^63 a lambda a} carries d^64 a: past the factor encoding
+    with pytest.raises(WAlgebraError, match="derivative power"):
+        extend_bracket(tab, a * apply_partial(a, 63), a)
+    with pytest.raises(WAlgebraError, match="derivative power"):
+        extend_bracket(tab, apply_partial(a, 64), a)
+    with pytest.raises(MissingTableEntry):
+        extend_bracket(tab, a, DiffPoly.variable(B_ODD))

@@ -16,11 +16,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import ctx_of, gen, table_of
-from walgebra import serialize
+from walgebra import serialize, wbracket
 from walgebra.coeffs import Coeff
 from walgebra.errors import MissingTableEntry
 from walgebra.liestruct import sharp_coords
-from walgebra.pvacore import (DiffPoly, LambdaPoly, check_jacobi, check_skew,
+from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, check_jacobi, check_skew,
                               linear_term, monomial_weight, nth_product)
 from walgebra.wbracket import (SIGN_CONVENTIONS, MasterEngine, bracket_table,
                                conformal_check, conformal_vector,
@@ -170,13 +170,40 @@ def test_symbolic_tables_are_pinned():
 
 
 def test_cached_tables_are_read_only():
+    ctx = ctx_of("sl", (3, 2))
     tab = table_of("sl", (3, 2))
     a, b = tab.variables[0], tab.variables[1]
     with pytest.raises(TypeError):
         tab.entries[(a, b)] = LambdaPoly()
     with pytest.raises(TypeError):
         del tab.entries[(a, b)]
+    # the entries themselves are frozen down to their terms
+    entry = next(v for v in tab.entries.values() if v.get(0))
+    with pytest.raises(AttributeError):
+        entry.coeffs.clear()
+    with pytest.raises(TypeError):
+        entry.coeffs[0] = DiffPoly()
+    mono = next(iter(entry.get(0).terms))
+    with pytest.raises(TypeError):
+        entry.get(0).terms[mono] = Coeff.of(7)
     assert _digest(table_of("sl", (3, 2))) == SYMBOLIC_DIGESTS[("sl", (3, 2), ())]
+    # a fixed-level view built afterwards is still the evaluation
+    for key in [k for k in wbracket._TABLE_CACHE if k[:3] == ("sl", (3, 2), ()) and k[4] == "1"]:
+        del wbracket._TABLE_CACHE[key]
+    k1 = bracket_table(ctx, ktilde=1)
+    assert k1.entries == {ab: v.at_level(1) for ab, v in tab.entries.items()}
+    assert _digest(k1) == FIXED_LEVEL_DIGESTS[(("sl", (3, 2), ()), F(1))]
+
+
+def test_tables_copy_what_they_are_given():
+    val = LambdaPoly({0: DiffPoly.constant(1)})
+    tab = BracketTable(["x"], {("x", "x"): val})
+    assert type(val.coeffs) is dict and type(val.get(0).terms) is dict
+    val.coeffs.clear()
+    assert tab.lookup("x", "x") == LambdaPoly({0: DiffPoly.constant(1)})
+    # frozen entries are shared, not copied again
+    again = BracketTable(["x"], tab.entries)
+    assert again.lookup("x", "x") is tab.lookup("x", "x")
 
 
 def test_fixed_level_tables_are_evaluations():
