@@ -202,15 +202,6 @@ class Coeff:
     def is_polynomial(self) -> bool:
         return self.den == _DEN1
 
-    @property
-    def is_constant(self) -> bool:
-        return self.den == _DEN1 and len(self.num) <= 1
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant: {self!r}")
-        return self.num[0] if self.num else _F0
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Coeff":

@@ -10,16 +10,27 @@ centralizer strings (these span the traceless matrices).  The variable for
 (g, n) has conformal weight t_g - n; positions of weight > 0 make up the
 subalgebra the generators live in, positions of grade > 0 supply the
 constraints.
+
+The projection rho replaces every letter of weight <= 0 by the constant
+(f | q_g[n]) and fixes the rest.  It is applied inside the affine table:
+each entry is rho([u, v]) + k lambda (u|v).  The Leibniz rules only multiply
+entries by factors of the two arguments (and their derivatives), and rho is
+a differential-algebra morphism, so bracketing in that table equals
+bracketing in the full affine algebra and projecting afterwards whenever rho
+fixes every letter of the arguments.  reduced_bracket therefore takes only
+arguments over the positive-weight letters (p_vars); the constraint brackets
+{nv lambda W} qualify too, since a single first-slot letter is never
+multiplied into the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .coeffs import Coeff, ONE, ZERO
-from .errors import NoSolution
+from .errors import NoSolution, WAlgebraError
 from .liestruct import AlgebraCtx, GenIndex, SuperMatrix
 from .linalg import solve
 from .pvacore import (
@@ -65,18 +76,16 @@ class GeneratorSolution:
 
     solutions: dict  # GenIndex -> VpPoly
     pinned: dict  # GenIndex -> list of zeroed monomials
-    ktilde: Union[str, Fraction]
 
 
 class ReductionCtx:
     """Affine-side workspace: ladder variables, their matrices, expansion of
-    arbitrary traceless matrices over them, and the affine bracket table."""
+    arbitrary traceless matrices over them, and the rho-projected affine
+    bracket table, symbolic in the level."""
 
-    def __init__(self, ctx: AlgebraCtx, ktilde: Union[str, Fraction] = "symbolic"):
+    def __init__(self, ctx: AlgebraCtx):
         self.ctx = ctx
         self.cdata = ctx.centralizer()
-        self.ktilde = ktilde
-        self.kc = Coeff.level(1) if ktilde == "symbolic" else Coeff.of(F(ktilde))
         cd = self.cdata
         self.variables: list[AffVar] = []
         self.matrix: dict[AffVar, SuperMatrix] = {}
@@ -89,13 +98,8 @@ class ReductionCtx:
         self.variables.sort(key=lambda v: v.sort_key())
         self.p_vars = [v for v in self.variables if v.weight > 0]
         self.n_vars = [v for v in self.variables if v.weight < 1]
+        self._p_set = frozenset(self.p_vars)
         self._buckets = self._build_buckets()
-        self._rho_const = {
-            v: ctx.pair(ctx.f, self.matrix[v])
-            for v in self.variables
-            if v.weight <= 0
-        }
-        self._rho_map = {v: Coeff.of(c) for v, c in self._rho_const.items()}
         self._affine: Optional[BracketTable] = None
 
     # -- matrix expansion over the ladder basis ------------------------------
@@ -151,9 +155,14 @@ class ReductionCtx:
     # -- affine structure ------------------------------------------------------
 
     def affine_table(self) -> BracketTable:
-        """{u lambda v} = [u, v] + k*lambda*(u|v) over the ladder basis."""
+        """{u lambda v} = rho([u, v]) + k*lambda*(u|v) over the ladder basis:
+        the commutator's expansion with every letter of weight <= 0 replaced
+        by its constant (f|q)."""
         if self._affine is not None:
             return self._affine
+        ctx = self.ctx
+        rho = {v: Coeff.of(ctx.pair(ctx.f, self.matrix[v]))
+               for v in self.variables if v.weight <= 0}
         entries = {}
         for u in self.variables:
             mu = self.matrix[u]
@@ -162,41 +171,31 @@ class ReductionCtx:
                 br = mu.comm(mv)
                 coeffs: dict[int, DiffPoly] = {}
                 if br:
-                    poly = DiffPoly(
-                        {((w, 0),): Coeff.of(c) for w, c in self.expand(br).items()}
-                    )
-                    if poly:
-                        coeffs[0] = poly
-                pairing = self.ctx.pair(mu, mv)
+                    coeffs[0] = substitute(DiffPoly(
+                        {((w, 0),): Coeff.of(c) for w, c in self.expand(br).items()}), rho)
+                pairing = ctx.pair(mu, mv)
                 if pairing:
-                    const = self.kc * Coeff.of(pairing)
-                    if const:
-                        coeffs[1] = DiffPoly.constant(const)
+                    coeffs[1] = DiffPoly.constant(Coeff.level(1, pairing))
                 entries[(u, v)] = LambdaPoly(coeffs)
         self._affine = BracketTable(self.variables, entries)
         return self._affine
 
 
-def rho_apply(rctx: ReductionCtx, X):
-    """Project onto the generator-side subalgebra: variables of weight <= 0
-    become the scalar (f | q_g[n]); the rest stay.  Accepts a DiffPoly or a
-    LambdaPoly and maps coefficient-wise."""
-    mapping = rctx._rho_map
-    if isinstance(X, LambdaPoly):
-        return LambdaPoly(
-            {n: substitute(p, mapping) for n, p in X.coeffs.items()}
-        )
-    return substitute(X, mapping)
-
-
-def affine_bracket(rctx: ReductionCtx, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
-    """Bracket of two differential polynomials over the ladder variables."""
-    return extend_bracket(rctx.affine_table(), A, B)
+def _letters_of(poly: DiffPoly):
+    for m in poly.terms:
+        for v, _ in m:
+            yield v
 
 
 def reduced_bracket(rctx: ReductionCtx, A: VpPoly, B: VpPoly) -> LambdaPoly:
-    """Bracket of two generator-side elements, projected back."""
-    return rho_apply(rctx, affine_bracket(rctx, A, B))
+    """rho of the affine bracket of two generator-side elements.  Every
+    letter of A and B must be of positive weight (in p_vars), where rho is
+    the identity; WAlgebraError otherwise."""
+    for P in (A, B):
+        for v in _letters_of(P):
+            if v not in rctx._p_set:
+                raise WAlgebraError(f"{v} is not a positive-weight letter")
+    return extend_bracket(rctx.affine_table(), A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +244,44 @@ def _monomial_poly(mono: tuple) -> DiffPoly:
     return acc
 
 
+class _Equations:
+    """A sparse linear system assembled term by term: one row per key, rows
+    in order of first use, rhs holding minus the constant terms."""
+
+    def __init__(self):
+        self.rows: list[dict] = []
+        self.rhs: list = []
+        self._index: dict = {}
+
+    def add(self, key, col: Optional[int], c) -> None:
+        """c * x[col], or the constant c if col is None, into key's row."""
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self.rows)
+            self.rows.append({})
+            self.rhs.append(ZERO)
+        if col is None:
+            self.rhs[i] = self.rhs[i] - c
+            return
+        row = self.rows[i]
+        cur = row.get(col)
+        s = c if cur is None else cur + c
+        if s:
+            row[col] = s
+        else:
+            row.pop(col, None)
+
+    def add_lambda(self, tag, col: Optional[int], lp: LambdaPoly) -> None:
+        """Every coefficient of lp into the row keyed (tag, lambda power,
+        monomial)."""
+        for slot, poly in lp.coeffs.items():
+            for m, c in poly.terms.items():
+                self.add((tag, slot, m), col, c)
+
+    def solve(self) -> Optional[dict]:
+        return solve(self.rows, self.rhs, ONE)
+
+
 # ---------------------------------------------------------------------------
 # generator construction
 
@@ -262,52 +299,22 @@ def solve_generator(rctx: ReductionCtx, a: GenIndex) -> tuple[VpPoly, list]:
         for m in weight_monomials(rctx.p_vars, lambda v: v.weight, target_weight)
         if m != ((avar, 0),)
     ]
-    col_of = {m: i for i, m in enumerate(monos)}
     mono_polys = [_monomial_poly(m) for m in monos]
 
-    rows: list[dict] = []
-    rhs: list[Coeff] = []
-    eq_index: dict = {}
-
-    def add_coeff(eq_key, col, value):
-        if not value:
-            return
-        if eq_key not in eq_index:
-            eq_index[eq_key] = len(rows)
-            rows.append({})
-            rhs.append(ZERO)
-        row = rows[eq_index[eq_key]]
-        cur = row.get(col)
-        w = value if cur is None else cur + value
-        if w:
-            row[col] = w
-        else:
-            row.pop(col, None)
-
+    table = rctx.affine_table()
+    eqs = _Equations()
     base = DiffPoly.variable(avar)
     for nv in rctx.n_vars:
         nv_poly = DiffPoly.variable(nv)
-        br0 = rho_apply(rctx, affine_bracket(rctx, nv_poly, base))
-        for slot, poly in br0.coeffs.items():
-            for m, c in poly.terms.items():
-                key = (nv, slot, m)
-                if key not in eq_index:
-                    eq_index[key] = len(rows)
-                    rows.append({})
-                    rhs.append(ZERO)
-                rhs[eq_index[key]] = rhs[eq_index[key]] - c
+        eqs.add_lambda(nv, None, extend_bracket(table, nv_poly, base))
         for col, mp in enumerate(mono_polys):
-            br = rho_apply(rctx, affine_bracket(rctx, nv_poly, mp))
-            for slot, poly in br.coeffs.items():
-                for m, c in poly.terms.items():
-                    add_coeff((nv, slot, m), col, c)
+            eqs.add_lambda(nv, col, extend_bracket(table, nv_poly, mp))
     # pin every other bare variable of this weight to zero
-    for m in monos:
+    for col, m in enumerate(monos):
         if len(m) == 1 and m[0][1] == 0:
-            rows.append({col_of[m]: ONE})
-            rhs.append(ZERO)
+            eqs.add(("pin", m), col, ONE)
 
-    sol = solve(rows, rhs, ONE)
+    sol = eqs.solve()
     if sol is None:
         raise NoSolution(f"constraint system inconsistent for {a}")
     W = DiffPoly.variable(avar)
@@ -315,9 +322,9 @@ def solve_generator(rctx: ReductionCtx, a: GenIndex) -> tuple[VpPoly, list]:
         if c:
             W = W + mono_polys[col].scale(c)
     zeroed = [monos[i] for i in range(len(monos)) if i not in sol]
-    # defining constraints re-verified by direct substitution
+    # defining constraints re-verified on the solution
     for nv in rctx.n_vars:
-        if rho_apply(rctx, affine_bracket(rctx, DiffPoly.variable(nv), W)):
+        if extend_bracket(table, DiffPoly.variable(nv), W):
             raise NoSolution(f"constraint violated after solve for {a}")
     return W, zeroed
 
@@ -328,7 +335,7 @@ def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
         W, zeroed = solve_generator(rctx, g)
         solutions[g] = W
         pinned[g] = zeroed
-    return GeneratorSolution(solutions, pinned, rctx.ktilde)
+    return GeneratorSolution(solutions, pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +393,6 @@ class ReconcileReport:
     deferred: list = field(default_factory=list)
 
 
-def _letters_of(poly: DiffPoly):
-    for m in poly.terms:
-        for v, _ in m:
-            yield v
-
-
 def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
     """Adjust the pinned generators by lower-weight corrections until their
     reduced brackets reproduce the closed-form table exactly.
@@ -423,37 +424,8 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         if not basis:
             continue
         col_of = {gm: i for i, gm in enumerate(basis)}
-
-        rows: list[dict] = []
-        rhs: list = []
-
-        def add_equation(diff_base: LambdaPoly, gamma_coeffs: dict):
-            """diff_base + sum gamma * gamma_coeffs[col] must vanish."""
-            eq_keys: dict = {}
-
-            def key_of(slot, m):
-                k = (slot, m)
-                if k not in eq_keys:
-                    eq_keys[k] = len(rows)
-                    rows.append({})
-                    rhs.append(ZERO)
-                return eq_keys[k]
-
-            for slot, poly in diff_base.coeffs.items():
-                for m, c in poly.terms.items():
-                    idx = key_of(slot, m)
-                    rhs[idx] = rhs[idx] - c
-            for col, lam in gamma_coeffs.items():
-                for slot, poly in lam.coeffs.items():
-                    for m, c in poly.terms.items():
-                        idx = key_of(slot, m)
-                        row = rows[idx]
-                        cur = row.get(col)
-                        v = c if cur is None else cur + c
-                        if v:
-                            row[col] = v
-                        else:
-                            row.pop(col, None)
+        # one equation per pair (u, v): its rows are keyed by (slot, monomial)
+        eqs = _Equations()
 
         for a in stage:
             for b in lower:
@@ -504,12 +476,15 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                         if contrib is not None and contrib:
                             cur = gamma.get(col, LambdaPoly())
                             gamma[col] = cur - contrib
-                    add_equation(lhs - base_rhs, {c: -lam for c, lam in gamma.items()})
+                    # lhs - base_rhs - sum of x[col] * gamma[col] must vanish
+                    eqs.add_lambda((u, v), None, lhs - base_rhs)
+                    for col, lam in gamma.items():
+                        eqs.add_lambda((u, v), col, -lam)
 
-        sol = solve(rows, rhs, ONE)
+        sol = eqs.solve()
         if sol is None:
             return ReconcileReport(
-                False, corrections, GeneratorSolution(W, base.pinned, rctx.ktilde),
+                False, corrections, GeneratorSolution(W, base.pinned),
                 failure={"stage": w, "reason": "correction system inconsistent"},
                 deferred=deferred,
             )
@@ -521,7 +496,7 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
             if corrections[g]:
                 W[g] = W[g] + substitute(corrections[g], W)
 
-    corrected = GeneratorSolution(W, base.pinned, rctx.ktilde)
+    corrected = GeneratorSolution(W, base.pinned)
     # full verification: every ordered pair, every slot
     for a in gens_all:
         for b in gens_all:

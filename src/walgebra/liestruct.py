@@ -354,10 +354,6 @@ class AlgebraCtx:
             out.append(SuperMatrix(sh, {(r, r): F(sh.eps[r]), (r + 1, r + 1): F(-sh.eps[r + 1])}))
         return out
 
-    @property
-    def dim_sl(self) -> int:
-        return self.shape.N * self.shape.N - 1
-
     def centralizer(self) -> CentralizerData:
         if self._cdata is None:
             cd = centralizer_basis(self)

@@ -9,30 +9,37 @@ kills the monomial.  Polynomials map monomials to Coeff scalars.
 
 Lambda-polynomials collect differential polynomials by power of lambda.  A
 BracketTable holds the generator-pair brackets of one algebra, read-only
-down to every entry's terms; its Leibniz engine extends them to arbitrary
-differential polynomials by sesquilinearity and both Leibniz rules of a
-Poisson vertex algebra (the Master Formula of Barakat-De Sole-Kac), and
-checks the Jacobi identity.
+down to every entry's terms and attributes; its Leibniz engine extends them
+to arbitrary differential polynomials by sesquilinearity and both Leibniz
+rules of a Poisson vertex algebra (the Master Formula of Barakat-De
+Sole-Kac), and checks the Jacobi identity.
+
+VarSpace.  The interned monomial format both engines run on (this one and
+wbracket's chain sweep).  Variables are ranked by sort_key(); a factor (rank
+r, derivative power n) is the int r*stride + n, so a monomial is a sorted
+int tuple in the canonical factor order and parity is an array lookup.  The
+space codes DiffPoly monomials (sign and int tuple; a derivative power of
+stride or more is refused with WAlgebraError, an unknown variable raises
+MissingTableEntry), differentiates int monomials, and converts them back to
+(variable, dpow) factors at the edge, memoizing each.
 
 The engine.  Each table builds one on first use and keeps it for its
-lifetime.  The table's variables are ranked by sort_key(); a factor (rank r,
-derivative power n) is the int r*64 + n, so a monomial is a sorted int tuple
-in the canonical factor order and parity is an array lookup.  A derivative
-power of 64 or more is refused with WAlgebraError; a variable outside the
-table raises MissingTableEntry.  Every entry coefficient must be a
-polynomial in k (WAlgebraError names the pair otherwise); L is the lcm of
-their coefficient denominators, and each entry is interned lazily as int
-k-polynomials equal to L times its value.  The Leibniz rules only add and
-multiply by integers (binomials, signs, multiplicities), so every memoized
-{variable lambda monomial} and {monomial lambda monomial} is an int value
-at scale L, and a Jacobi term, a product of two of them, is at scale L^2.
+lifetime, in a VarSpace of stride 64 over the table's variables.  The engine
+holds the table's read-only entries, not the table, so it dies with the
+table.  Every entry coefficient must be a polynomial in k (WAlgebraError
+names the pair otherwise); L is the lcm of their coefficient denominators,
+and each entry is interned lazily as int k-polynomials equal to L times its
+value.  The Leibniz rules only add and multiply by integers (binomials,
+signs, multiplicities), so every memoized {variable lambda monomial} and
+{monomial lambda monomial} is an int value at scale L, and a Jacobi term, a
+product of two of them, is at scale L^2.
 
 The edge.  extend_bracket codes its inputs' monomials, multiplies by their
 Coeff coefficients (grouped by denominator, so rational ones in k work too),
-divides by L once and converts each output monomial once, sharing one
-(variable, dpow) tuple per int factor.  check_jacobi accumulates lhs - rhs
-in place at scale L^2; a triple passes exactly when that sum is empty, and
-only a failing triple's diff is converted back, to a TwoVar.
+divides by L once and converts each output monomial once through
+VarSpace.edge.  check_jacobi accumulates lhs - rhs in place at scale L^2; a
+triple passes exactly when that sum is empty, and only a failing triple's
+diff is converted back, to a TwoVar.
 """
 
 from __future__ import annotations
@@ -75,6 +82,16 @@ def _factor_key(f: Factor):
     return (f[0].sort_key(), f[1])
 
 
+def _accum(out: dict, key, c) -> None:
+    """out[key] += c, dropping a sum that cancels."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 def monomial_weight(m: Monomial) -> Fraction:
     return sum((v.weight + k for v, k in m), Fraction(0))
 
@@ -114,12 +131,7 @@ class DiffPoly:
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            _accum(out, m, c)
         return DiffPoly(out)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
@@ -142,14 +154,7 @@ class DiffPoly:
                 if m is None:
                     continue
                 c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                _accum(out, m, c if sign > 0 else -c)
         return DiffPoly(out)
 
     def d(self) -> "DiffPoly":
@@ -160,15 +165,8 @@ class DiffPoly:
                 v, k = m[idx]
                 bumped = m[:idx] + ((v, k + 1),) + m[idx + 1:]
                 sign, mono = normalize_factors(bumped)
-                if mono is None:
-                    continue
-                cc = c if sign > 0 else -c
-                s = out.get(mono)
-                s = cc if s is None else s + cc
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+                if mono is not None:
+                    _accum(out, mono, c if sign > 0 else -c)
         return DiffPoly(out)
 
     def parity(self) -> Optional[int]:
@@ -192,17 +190,14 @@ class DiffPoly:
                 return None
         return w
 
-    def map_coeffs(self, fn) -> "DiffPoly":
-        out = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[m] = v
-        return DiffPoly(out)
-
     def at_level(self, k) -> "DiffPoly":
         """Every coefficient evaluated at the rational level k."""
-        return self.map_coeffs(lambda c: Coeff.of(c.eval(k)))
+        out = {}
+        for m, c in self.terms.items():
+            v = c.eval(k)
+            if v:
+                out[m] = Coeff.of(v)
+        return DiffPoly(out)
 
     def at_level_one(self) -> "DiffPoly":
         return self.at_level(1)
@@ -224,16 +219,13 @@ class DiffPoly:
 
 def poly_normalize(raw_terms: Iterable[tuple[Iterable[Factor], Coeff]]) -> DiffPoly:
     """Build a DiffPoly from arbitrarily ordered factor lists."""
-    out = DiffPoly()
+    out: dict = {}
     for factors, coeff in raw_terms:
         sign, m = normalize_factors(factors)
-        if m is None:
-            continue
-        c = Coeff.of(coeff)
-        if sign < 0:
-            c = -c
-        out = out + DiffPoly({m: c} if c else {})
-    return out
+        if m is not None:
+            c = Coeff.of(coeff)
+            _accum(out, m, c if sign > 0 else -c)
+    return DiffPoly(out)
 
 
 def apply_partial(poly: DiffPoly, times: int = 1) -> DiffPoly:
@@ -259,10 +251,6 @@ class LambdaPoly:
     def __init__(self, coeffs: Optional[dict] = None):
         self.coeffs = {n: p for n, p in (coeffs or {}).items() if p}
 
-    @staticmethod
-    def of_poly(p: DiffPoly) -> "LambdaPoly":
-        return LambdaPoly({0: p})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -272,12 +260,7 @@ class LambdaPoly:
     def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
         out = dict(self.coeffs)
         for n, p in other.coeffs.items():
-            q = out.get(n)
-            q = p if q is None else q + p
-            if q:
-                out[n] = q
-            else:
-                out.pop(n, None)
+            _accum(out, n, p)
         return LambdaPoly(out)
 
     def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
@@ -321,15 +304,39 @@ class LambdaPoly:
         )
 
 
+class _ReadOnly:
+    """Refuses to rebind or delete an attribute."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{name} of a frozen table entry is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{name} of a frozen table entry is read-only")
+
+
+class _FrozenDiffPoly(_ReadOnly, DiffPoly):
+    __slots__ = ()
+
+
+class _FrozenLambdaPoly(_ReadOnly, LambdaPoly):
+    __slots__ = ()
+
+
 def frozen(lp: LambdaPoly) -> LambdaPoly:
     """lp read-only: a copy whose coefficient map and every DiffPoly's terms
-    are MappingProxyType views over fresh dicts; lp itself if it already is."""
-    if type(lp.coeffs) is MappingProxyType and all(
-            type(p.terms) is MappingProxyType for p in lp.coeffs.values()):
+    are MappingProxyType views over fresh dicts, and whose attributes cannot
+    be rebound; lp itself if it already is."""
+    if type(lp) is _FrozenLambdaPoly:
         return lp
-    out = LambdaPoly()
-    out.coeffs = MappingProxyType(
-        {n: DiffPoly(MappingProxyType(dict(p.terms))) for n, p in lp.coeffs.items() if p})
+    coeffs = {}
+    for n, p in lp.coeffs.items():
+        if p:
+            q = coeffs[n] = object.__new__(_FrozenDiffPoly)
+            object.__setattr__(q, "terms", MappingProxyType(dict(p.terms)))
+    out = object.__new__(_FrozenLambdaPoly)
+    object.__setattr__(out, "coeffs", MappingProxyType(coeffs))
     return out
 
 
@@ -353,7 +360,7 @@ class BracketTable:
     def _leibniz(self) -> "_Leibniz":
         """The table's Leibniz engine, built on first use."""
         if self._engine is None:
-            self._engine = _Leibniz(self)
+            self._engine = _Leibniz(self.variables, self.entries)
         return self._engine
 
     def linear_product(self, ca: dict, cb: dict, n: int) -> dict:
@@ -377,78 +384,34 @@ class BracketTable:
 
 
 # ---------------------------------------------------------------------------
-# the Leibniz engine
-#
-# A factor (variable rank r, dpow n) is the int r*_STRIDE + n, so monomials
-# are sorted int tuples in the canonical factor order.  Values are
-# {lambda power: {monomial: int k-polynomial}}, meaning value / L.
-
-_STRIDE = 64
+# interned monomials
 
 
-def interned_derivs(m: tuple, odd: list, stride: int) -> list:
-    """The monomials of d(m) for a monomial of int factors r*stride + n, one
-    per factor bumped, repeats kept; odd[x] is the parity of factor x.  A
-    derivative power reaching stride is refused."""
-    out = []
-    n = len(m)
-    for idx, x in enumerate(m):
-        x1 = x + 1
-        if not x1 % stride:
-            raise WAlgebraError(f"derivative power {stride} is past the engine's range")
-        j = idx + 1
-        while j < n and m[j] < x1:  # equal even factors move left
-            j += 1
-        if j < n and m[j] == x1 and odd[x]:
-            continue  # a repeated odd factor
-        out.append(m[:idx] + m[idx + 1:j] + (x1,) + m[j:])
-    return out
+class VarSpace:
+    """The interned monomial format over one set of variables.
 
+    Variables are ranked by sort_key(); a factor (rank r, derivative power n)
+    is the int r*stride + n, so a monomial is a sorted int tuple in the
+    canonical factor order, and odd[x] is the parity of factor x.  Codes,
+    derivatives and edge monomials are memoized for the space's lifetime."""
 
-def _scaled(poly: tuple, s: int) -> tuple:
-    return poly if s == 1 else tuple(x * s for x in poly)
-
-
-class _Leibniz:
-    """{mono lambda mono} and the Jacobi sums of one table, on interned
-    monomials with integer k-polynomial coefficients scaled by L."""
-
-    def __init__(self, table: BracketTable):
-        self.table = table
-        self.vars = sorted(table.variables, key=lambda v: v.sort_key())
+    def __init__(self, variables, stride: int):
+        self.vars = sorted(variables, key=lambda v: v.sort_key())
         self.rank = {v: r for r, v in enumerate(self.vars)}
-        self.odd = [v.parity for v in self.vars for _ in range(_STRIDE)]
-        L = 1
-        for (u, v), lp in table.entries.items():
-            for p in lp.coeffs.values():
-                for c in p.terms.values():
-                    if not c.is_polynomial:
-                        raise WAlgebraError(
-                            f"bracket ({u}, {v}) has a coefficient {c} that is not a "
-                            "polynomial in k")
-                    for x in c.num:
-                        if L % x.denominator:
-                            L = lcm(L, x.denominator)
-        self.L = L
-        self._entries: dict = {}
-        self._vm: dict = {}
-        self._mm: dict = {}
-        self._products: dict = {}
-        self._derivs: dict = {}
-        self._dpows: dict = {}
+        self.stride = stride
+        self.odd = [v.parity for v in self.vars for _ in range(stride)]
         self._codes: dict = {}
+        self._derivs: dict = {}
         self._edge: dict = {}
-        self._edge_factor: dict = {}
+        self._factors: dict = {}
 
-    # -- interning ---------------------------------------------------------
-
-    def _rank(self, v) -> int:
+    def rank_of(self, v) -> int:
         r = self.rank.get(v)
         if r is None:
             raise MissingTableEntry(f"{v} is not a variable of the bracket table")
         return r
 
-    def _canonical(self, xs) -> Optional[tuple]:
+    def canonical(self, xs) -> Optional[tuple]:
         """(sign, sorted int tuple) of a factor sequence, counting odd-odd
         transpositions; None when an odd factor repeats."""
         fs = list(xs)
@@ -466,37 +429,123 @@ class _Leibniz:
                 return None
         return sign, tuple(fs)
 
-    def _code(self, mono: Monomial) -> Optional[tuple]:
+    def code(self, mono: Monomial) -> Optional[tuple]:
         """(sign, interned monomial) of a DiffPoly monomial; None if it
-        vanishes."""
+        vanishes.  A derivative power of stride or more is refused."""
         hit = self._codes.get(mono, False)
         if hit is False:
+            stride = self.stride
             xs = []
             for v, n in mono:
-                if not 0 <= n < _STRIDE:
+                if not 0 <= n < stride:
                     raise WAlgebraError(f"derivative power {n} of {v} is out of range")
-                xs.append(self._rank(v) * _STRIDE + n)
-            hit = self._codes[mono] = self._canonical(xs)
+                xs.append(self.rank_of(v) * stride + n)
+            hit = self._codes[mono] = self.canonical(xs)
         return hit
+
+    def deriv(self, m: tuple) -> list:
+        """The monomials of d(m), one per factor bumped, repeats kept.  A
+        bumped factor only moves past equal even ones, so no sign arises; a
+        derivative power reaching stride is refused."""
+        hit = self._derivs.get(m)
+        if hit is None:
+            stride, odd = self.stride, self.odd
+            hit = []
+            n = len(m)
+            for idx, x in enumerate(m):
+                x1 = x + 1
+                if not x1 % stride:
+                    raise WAlgebraError(f"derivative power {stride} is past the engine's range")
+                j = idx + 1
+                while j < n and m[j] < x1:  # equal even factors move left
+                    j += 1
+                if j < n and m[j] == x1 and odd[x]:
+                    continue  # a repeated odd factor
+                hit.append(m[:idx] + m[idx + 1:j] + (x1,) + m[j:])
+            self._derivs[m] = hit
+        return hit
+
+    def edge(self, m: tuple) -> Monomial:
+        """An interned monomial as (variable, dpow) factors, one shared factor
+        tuple per int and one monomial tuple per monomial."""
+        gm = self._edge.get(m)
+        if gm is None:
+            fs = []
+            for x in m:
+                f = self._factors.get(x)
+                if f is None:
+                    r, n = divmod(x, self.stride)
+                    f = self._factors[x] = (self.vars[r], n)
+                fs.append(f)
+            gm = self._edge[m] = tuple(fs)
+        return gm
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz engine
+#
+# Values are {lambda power: {interned monomial: int k-polynomial}}, meaning
+# value / L.
+
+_STRIDE = 64
+
+
+def _scaled(poly: tuple, s: int) -> tuple:
+    return poly if s == 1 else tuple(x * s for x in poly)
+
+
+class _Leibniz:
+    """{mono lambda mono} and the Jacobi sums of one table, on interned
+    monomials with integer k-polynomial coefficients scaled by L.  It keeps
+    the table's read-only entries, not the table, so a dropped table takes
+    its engine with it."""
+
+    def __init__(self, variables: list, entries):
+        self.space = VarSpace(variables, _STRIDE)
+        self.entries = entries
+        L = 1
+        for (u, v), lp in entries.items():
+            for p in lp.coeffs.values():
+                for c in p.terms.values():
+                    if not c.is_polynomial:
+                        raise WAlgebraError(
+                            f"bracket ({u}, {v}) has a coefficient {c} that is not a "
+                            "polynomial in k")
+                    for x in c.num:
+                        if L % x.denominator:
+                            L = lcm(L, x.denominator)
+        self.L = L
+        self._interned: dict = {}
+        self._vm: dict = {}
+        self._mm: dict = {}
+        self._products: dict = {}
+        self._dpows: dict = {}
+
+    # -- interning ---------------------------------------------------------
 
     def _entry(self, u: int, v: int) -> dict:
         """{u lambda v} for ranks u, v, at scale L."""
         key = (u, v)
-        hit = self._entries.get(key)
+        hit = self._interned.get(key)
         if hit is None:
+            space = self.space
+            a, b = space.vars[u], space.vars[v]
+            lp = self.entries.get((a, b))
+            if lp is None:
+                raise MissingTableEntry(f"no bracket stored for ({a}, {b})")
             L = self.L
             hit = {}
-            for n, p in self.table.lookup(self.vars[u], self.vars[v]).coeffs.items():
+            for n, p in lp.coeffs.items():
                 dst: dict = {}
                 for m, c in p.terms.items():
-                    cm = self._code(m)
+                    cm = space.code(m)
                     if cm is not None:
                         s, x = cm
                         paccum(dst, x, tuple(s * f.numerator * (L // f.denominator)
                                              for f in c.num))
                 if dst:
                     hit[n] = dst
-            self._entries[key] = hit
+            self._interned[key] = hit
         return hit
 
     def _mul(self, m1: tuple, m2: tuple) -> Optional[tuple]:
@@ -504,13 +553,7 @@ class _Leibniz:
         key = (m1, m2)
         hit = self._products.get(key, False)
         if hit is False:
-            hit = self._products[key] = self._canonical(m1 + m2)
-        return hit
-
-    def _deriv(self, m: tuple) -> list:
-        hit = self._derivs.get(m)
-        if hit is None:
-            hit = self._derivs[m] = interned_derivs(m, self.odd, _STRIDE)
+            hit = self._products[key] = self.space.canonical(m1 + m2)
         return hit
 
     def _dpow(self, m: tuple, j: int) -> dict:
@@ -521,14 +564,15 @@ class _Leibniz:
         hit = self._dpows.get(key)
         if hit is None:
             hit = {}
+            deriv = self.space.deriv
             for y, cy in self._dpow(m, j - 1).items():
-                for dy in self._deriv(y):
+                for dy in deriv(y):
                     hit[dy] = hit.get(dy, 0) + cy
             self._dpows[key] = hit
         return hit
 
     def _parity(self, m: tuple) -> int:
-        odd = self.odd
+        odd = self.space.odd
         return sum(odd[x] for x in m) & 1
 
     # -- the Leibniz rules ----------------------------------------------------
@@ -540,7 +584,7 @@ class _Leibniz:
         if hit is None:
             hit = {}
             if len(m) == 1:
-                v, l = divmod(m[0], _STRIDE)
+                v, l = divmod(m[0], self.space.stride)
                 # sesquilinearity: {u lambda d^l v} = (lambda + d)^l {u lambda v}
                 for n, p in self._entry(u, v).items():
                     for k in range(l + 1):
@@ -553,7 +597,8 @@ class _Leibniz:
                 # {u lambda h r} = {u lambda h} r + (-1)^{p(u)p(h)} h {u lambda r}
                 head, rest = m[:1], m[1:]
                 self._times_into(hit, self._var_mono(u, head), rest, 1, True)
-                sign = -1 if self.odd[u * _STRIDE] and self.odd[m[0]] else 1
+                odd = self.space.odd
+                sign = -1 if odd[u * self.space.stride] and odd[m[0]] else 1
                 self._times_into(hit, self._var_mono(u, rest), head, sign, False)
             hit = {n: p for n, p in hit.items() if p}
             self._vm[key] = hit
@@ -589,7 +634,7 @@ class _Leibniz:
         hit = self._mm.get(key)
         if hit is None:
             if len(m) == 1:
-                v, k = divmod(m[0], _STRIDE)
+                v, k = divmod(m[0], self.space.stride)
                 base = self._var_mono(v, o)
                 # {d^k v lambda B} = (-lambda)^k {v lambda B}
                 if not k:
@@ -609,31 +654,17 @@ class _Leibniz:
                     self._arrow_into(hit, self._mono_mono(head, o), rest,
                                      -1 if pr and pc else 1)
                     self._arrow_into(hit, self._mono_mono(rest, o), head,
-                                     -1 if self.odd[m[0]] and pr != pc else 1)
+                                     -1 if self.space.odd[m[0]] and pr != pc else 1)
                     hit = {n: p for n, p in hit.items() if p}
             self._mm[key] = hit
         return hit
 
     # -- the edge ---------------------------------------------------------------
 
-    def _edge_mono(self, m: tuple) -> Monomial:
-        """An interned monomial as (variable, dpow) factors, one shared factor
-        tuple per code and one monomial tuple per monomial."""
-        gm = self._edge.get(m)
-        if gm is None:
-            fs = []
-            for x in m:
-                f = self._edge_factor.get(x)
-                if f is None:
-                    v, n = divmod(x, _STRIDE)
-                    f = self._edge_factor[x] = (self.vars[v], n)
-                fs.append(f)
-            gm = self._edge[m] = tuple(fs)
-        return gm
-
     def _edge_poly(self, p: dict, scale: int) -> DiffPoly:
         """{monomial: int k-polynomial} divided by scale, as a DiffPoly."""
-        return DiffPoly({self._edge_mono(m): Coeff(tuple(Fraction(x, scale) for x in cp))
+        edge = self.space.edge
+        return DiffPoly({edge(m): Coeff(tuple(Fraction(x, scale) for x in cp))
                          for m, cp in p.items()})
 
     def _groups(self, P: DiffPoly) -> dict:
@@ -641,9 +672,10 @@ class _Leibniz:
         {den: (M, [(interned monomial, int numerator)])}, where a term's
         coefficient is its int numerator / (M * den)."""
         groups: dict = {}
+        code = self.space.code
         for m, c in P.terms.items():
             if m:
-                cm = self._code(m)
+                cm = code(m)
                 if cm is not None:
                     groups.setdefault(c.den, []).append((cm, c.num))
         out = {}
@@ -665,6 +697,7 @@ class _Leibniz:
         if not any(A.terms) or not any(B.terms):
             return LambdaPoly()
         out: dict = {}
+        edge = self.space.edge
         groups_b = self._groups(B)
         for da, (Ma, ta) in self._groups(A).items():
             for db, (Mb, tb) in groups_b.items():
@@ -682,7 +715,7 @@ class _Leibniz:
                     dst = out.setdefault(n, {})
                     for m, cp in p.items():
                         c = Coeff(tuple(Fraction(x, scale) for x in cp), den)
-                        gm = self._edge_mono(m)
+                        gm = edge(m)
                         cur = dst.get(gm)
                         if cur is None:
                             dst[gm] = c
@@ -698,13 +731,14 @@ class _Leibniz:
         """{a lambda {b mu c}} - {{a lambda b}_{lambda+mu} c}
         - (-1)^{p(a)p(b)} {b mu {a lambda c}} for variables a, b, c, as
         {(lambda power, mu power): {monomial: int k-polynomial}} at scale L^2."""
-        ra, rb, rc = self._rank(a), self._rank(b), self._rank(c)
+        space = self.space
+        ra, rb, rc = space.rank_of(a), space.rank_of(b), space.rank_of(c)
         terms = []  # (ij, w, X): diff[ij] += w * X
         for j, p in self._entry(rb, rc).items():
             for y, cy in p.items():
                 for i, q in self._var_mono(ra, y).items():
                     terms.append(((i, j), cy, q))
-        cc = (rc * _STRIDE,)
+        cc = (rc * space.stride,)
         for n, p in self._entry(ra, rb).items():
             for y, cy in p.items():
                 for l, q in self._mono_mono(y, cc).items():
@@ -781,12 +815,7 @@ class TwoVar:
     def __add__(self, other: "TwoVar") -> "TwoVar":
         out = dict(self.coeffs)
         for ij, p in other.coeffs.items():
-            q = out.get(ij)
-            q = p if q is None else q + p
-            if q:
-                out[ij] = q
-            else:
-                out.pop(ij, None)
+            _accum(out, ij, p)
         return TwoVar(out)
 
     def __sub__(self, other: "TwoVar") -> "TwoVar":
@@ -828,10 +857,9 @@ def substitute(poly: DiffPoly, mapping: dict) -> DiffPoly:
     """Replace variables by differential polynomials (a differential-algebra
     morphism: derivative powers push onto the image).  Variables absent from
     the mapping stay themselves; images may be DiffPoly or plain scalars."""
-    out = DiffPoly()
+    out: dict = {}
     for m, c in poly.terms.items():
         acc = DiffPoly.constant(c)
-        dead = False
         for v, k in m:
             img = mapping.get(v)
             if img is None:
@@ -841,9 +869,9 @@ def substitute(poly: DiffPoly, mapping: dict) -> DiffPoly:
             else:  # scalar image: derivative kills it
                 fac = DiffPoly.constant(img) if k == 0 else DiffPoly()
             if not fac:
-                dead = True
                 break
             acc = acc * fac
-        if not dead:
-            out = out + acc
-    return out
+        else:
+            for mm, cc in acc.terms.items():
+                _accum(out, mm, cc)
+    return DiffPoly(out)

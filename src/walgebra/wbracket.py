@@ -17,16 +17,15 @@ coordinate) pairs, pairing) and lives as long as the engine.
 
 The sweep.  Evaluation runs right-to-left with memoized suffix sums: V(node)
 collects the value of all chain tails starting at that node, so a full row
-of brackets {a, -} reuses one suffix sweep.  Inside it a factor (rank r,
-derivative power n) is the int r*D + n, so a monomial is a sorted int tuple
-in the canonical factor order, with parity looked up per int; coefficients
-are k-polynomials (coeffs tuples) accumulated in place.
+of brackets {a, -} reuses one suffix sweep.  Inside it monomials are
+interned in a pvacore.VarSpace over cdata.gens, with stride one more than
+the number of ladder nodes; coefficients are k-polynomials (coeffs tuples)
+accumulated in place.
 
 The edge.  A finished row is converted once to DiffPoly/LambdaPoly with
-GenIndex factors and Coeff coefficients, sharing one (GenIndex, n) tuple per
-int factor.  The chain-by-chain evaluator over enumerate_chains works on
-DiffPoly/LambdaPoly throughout and is the reference the test suite checks
-every row against.
+GenIndex factors and Coeff coefficients through VarSpace.edge.  The
+chain-by-chain evaluator over enumerate_chains works on DiffPoly/LambdaPoly
+throughout and is the reference the test suite checks every row against.
 
 Brackets are built once, with the level k kept formal.  The engine only adds
 and multiplies, so every entry is a polynomial in k, and a table at a fixed
@@ -43,7 +42,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 from .coeffs import Coeff, paccum, pneg, pscale
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, sharp_coords
 from .linalg import solve
-from .pvacore import BracketTable, DiffPoly, LambdaPoly, apply_partial, frozen, interned_derivs
+from .pvacore import BracketTable, DiffPoly, LambdaPoly, VarSpace, apply_partial, frozen
 
 F = Fraction
 
@@ -152,10 +151,9 @@ class MasterEngine:
         self.cdata = cdata = ctx.centralizer()
         self.signs = signs or default_signs(ctx)
         self.nodes = nodes = ladder_nodes(cdata)
-        gens = cdata.gens
-        # a chain applies at most one d per node, so every dpow is below D
-        self._D = D = len(nodes) + 1
-        self._odd = [g.parity for g in gens for _ in range(D)]
+        # a chain applies at most one d per node, so every dpow is below the
+        # stride; cdata.gens is in sort_key order, so ranks are cdata.col
+        self.space = VarSpace(cdata.gens, len(nodes) + 1)
         self._alpha = [c.alpha for c in nodes]
         self._sj = [self.signs.sJ(c.j.parity) for c in nodes]
         # string tops never contribute: every factor to their right vanishes;
@@ -167,9 +165,6 @@ class MasterEngine:
         self._constants: dict = {}
         self._successors: dict = {}
         self._openers: dict = {}
-        self._derivs: dict = {}
-        self._edge: dict = {}
-        self._edge_factor: dict = {}
 
     # -- structure constants, keyed by ranks and node indices ----------------
 
@@ -244,14 +239,13 @@ class MasterEngine:
 
     # -- the interned sweep ---------------------------------------------------
     #
-    # A factor (generator rank r, dpow) is the int r*D + dpow, so monomials are
-    # sorted int tuples in the canonical factor order; values are
+    # Monomials are interned in self.space; values are
     # {lambda power: {monomial: k-polynomial}}.
 
     def _value(self, factor: Factor, ksign: int) -> dict:
         """{0: P, 1: ksign * c k} for factor (P, c), interned."""
         P, c = factor
-        D = self._D
+        D = self.space.stride
         out = {}
         if P:
             out[0] = {(r * D,): (v,) for r, v in P}
@@ -259,18 +253,11 @@ class MasterEngine:
             out[1] = {(): (_F0, c if ksign > 0 else -c)}
         return out
 
-    def _deriv(self, m: tuple) -> list:
-        """The monomials of d(m), one per factor bumped, repeats kept."""
-        hit = self._derivs.get(m)
-        if hit is None:
-            hit = self._derivs[m] = interned_derivs(m, self._odd, self._D)
-        return hit
-
     def _apply_into(self, out: dict, factor: Factor, X: dict) -> None:
         """out += (P - c*k(lambda+d)) X, the operator acting on X."""
         P, c = factor
-        D = self._D
-        odd = self._odd
+        space = self.space
+        D, odd, deriv = space.stride, space.odd, space.deriv
         for n, p in X.items():
             if P:
                 dst = out.get(n)
@@ -298,30 +285,14 @@ class MasterEngine:
                 for m, cp in p.items():
                     term = (_F0,) + pscale(cp, -c)
                     paccum(up, m, term)
-                    for dm in self._deriv(m):
+                    for dm in deriv(m):
                         paccum(dst, dm, term)
 
     def _to_lambda_poly(self, X: dict) -> LambdaPoly:
-        """The edge: interned monomials back to (GenIndex, dpow) factors, one
-        shared factor tuple per code and one monomial tuple per monomial."""
-        gens, D = self.cdata.gens, self._D
-        edge, edge_factor = self._edge, self._edge_factor
-        out = {}
-        for n, p in X.items():
-            terms = {}
-            for m, cp in p.items():
-                gm = edge.get(m)
-                if gm is None:
-                    fs = []
-                    for x in m:
-                        f = edge_factor.get(x)
-                        if f is None:
-                            f = edge_factor[x] = (gens[x // D], x % D)
-                        fs.append(f)
-                    gm = edge[m] = tuple(fs)
-                terms[gm] = Coeff(cp)
-            out[n] = DiffPoly(terms)
-        return LambdaPoly(out)
+        """The edge: interned monomials back to (GenIndex, dpow) factors."""
+        edge = self.space.edge
+        return LambdaPoly({n: DiffPoly({edge(m): Coeff(cp) for m, cp in p.items()})
+                           for n, p in X.items()})
 
     # -- rows of brackets ------------------------------------------------------
 

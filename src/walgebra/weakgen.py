@@ -28,8 +28,9 @@ for genericity reporting.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .coeffs import Coeff
+from .coeffs import Coeff, peval
 from .errors import ScheduleInapplicable, UnknownGenerator
 from .linalg import solve as _linsolve
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex
@@ -60,12 +61,6 @@ class GenericityReport:
     roots: tuple = ()
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int):
     out = []
     d = 1
@@ -76,13 +71,6 @@ def _divisors(n: int):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _horner(coeffs, x):
-    acc = _F0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _rational_roots(num) -> tuple:
@@ -99,14 +87,12 @@ def _rational_roots(num) -> tuple:
             coeffs.pop(0)
     if len(coeffs) <= 1:
         return tuple(roots)
-    mult = 1
-    for c in coeffs:
-        mult = mult * c.denominator // _gcd(mult, c.denominator)
+    mult = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * mult) for c in coeffs]
     for p in _divisors(abs(ints[0])):
         for q in _divisors(abs(ints[-1])):
             for cand in (F(p, q), F(-p, q)):
-                if cand not in roots and not _horner(coeffs, cand):
+                if cand not in roots and not peval(coeffs, cand):
                     roots.append(cand)
     roots.sort()
     return tuple(roots)

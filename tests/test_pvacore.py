@@ -10,6 +10,8 @@ The Leibniz engine (interned monomials, integer coefficients at scale L) is
 checked against the reference below: the recursion on DiffPoly/LambdaPoly
 with Coeff values that the engine replaced."""
 
+import gc
+import weakref
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -21,9 +23,9 @@ from conftest import corrupted_table, ctx_of, table_of
 from walgebra.coeffs import Coeff, ONE
 from walgebra.errors import MissingTableEntry, WAlgebraError
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, TwoVar,
-                              apply_partial, check_jacobi, extend_bracket,
-                              linear_term, monomial_parity, normalize_factors,
-                              nth_product, poly_normalize)
+                              VarSpace, apply_partial, check_jacobi,
+                              extend_bracket, linear_term, monomial_parity,
+                              normalize_factors, nth_product, poly_normalize)
 
 F = Fraction
 
@@ -440,3 +442,41 @@ def test_engine_range_and_unknown_variables():
         extend_bracket(tab, apply_partial(a, 64), a)
     with pytest.raises(MissingTableEntry):
         extend_bracket(tab, a, DiffPoly.variable(B_ODD))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_var_space_matches_the_diffpoly_format(data):
+    # factor lists in any order, with repeats, over the odd and even
+    # generators of sl(3|2): codes against normalize_factors, derivatives
+    # against DiffPoly.d()
+    gens = ctx_of("sl_super", (3,), (2,)).centralizer().gens
+    space = VarSpace(gens, 8)
+    factors = data.draw(st.lists(st.tuples(st.sampled_from(gens), st.integers(0, 3)),
+                                 max_size=5))
+    sign, mono = normalize_factors(factors)
+    got = space.code(tuple(factors))
+    if mono is None:
+        assert got is None
+        return
+    s, x = got
+    assert (s, space.edge(x)) == (sign, mono)
+    derived: dict = {}
+    for y in space.deriv(x):
+        derived[space.edge(y)] = derived.get(space.edge(y), 0) + 1
+    assert DiffPoly({m: Coeff.of(c) for m, c in derived.items()}) == DiffPoly({mono: ONE}).d()
+
+
+def test_engines_die_with_their_tables():
+    # the engine keeps the table's entries, not the table, so no reference
+    # cycle holds a dropped table and its memo tables until a full GC pass
+    gc.disable()
+    try:
+        tab = _boson_table()
+        a = _dp(A_EVEN)
+        assert extend_bracket(tab, a * a, a)
+        engine = weakref.ref(tab._engine)
+        del tab
+        assert engine() is None
+    finally:
+        gc.enable()

@@ -149,7 +149,7 @@ def test_interned_operator_matches_the_diffpoly_operator():
     # monomials the chain sums of small shapes never produce: an odd factor
     # beside its own derivative, and a repeated even factor
     engine = MasterEngine(ctx_of("sl_super", (3,), (2,)))
-    gens, D = engine.cdata.gens, engine._D
+    gens, D = engine.cdata.gens, engine.space.stride
     odd, odd2 = [r for r, g in enumerate(gens) if g.parity][:2]
     even = next(r for r, g in enumerate(gens) if not g.parity)
     X = {0: {(odd * D, odd * D + 1): (F(1),),
@@ -186,6 +186,15 @@ def test_cached_tables_are_read_only():
     mono = next(iter(entry.get(0).terms))
     with pytest.raises(TypeError):
         entry.get(0).terms[mono] = Coeff.of(7)
+    # and their attributes cannot be rebound or deleted
+    with pytest.raises(AttributeError):
+        entry.coeffs = {}
+    with pytest.raises(AttributeError):
+        del entry.coeffs
+    with pytest.raises(AttributeError):
+        entry.get(0).terms = {}
+    with pytest.raises(AttributeError):
+        del entry.get(0).terms
     assert _digest(table_of("sl", (3, 2))) == SYMBOLIC_DIGESTS[("sl", (3, 2), ())]
     # a fixed-level view built afterwards is still the evaluation
     for key in [k for k in wbracket._TABLE_CACHE if k[:3] == ("sl", (3, 2), ()) and k[4] == "1"]:
