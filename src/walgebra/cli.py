@@ -85,8 +85,12 @@ def _parse_gen_spec(text: str) -> tuple:
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WAlgebraError(f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}")
     if path.endswith(".toml"):
         try:
             import tomllib
@@ -94,7 +98,10 @@ def _load_config_file(path: str) -> dict:
             raise WAlgebraError(
                 "TOML config files need Python 3.11+ (tomllib); "
                 "use a JSON config on this interpreter")
-        return tomllib.loads(text)
+        try:
+            return tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise WAlgebraError(f"config file {path} is not valid TOML: {exc}")
     data = json.loads(text)
     if not isinstance(data, dict):
         raise WAlgebraError(f"config file {path} must hold a JSON object")

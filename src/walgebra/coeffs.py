@@ -126,10 +126,19 @@ def pgcd(a: tuple, b: tuple) -> tuple:
 
 
 def peval(a: tuple, x: Fraction) -> Fraction:
-    acc = _F0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+    """The exact value of the k-polynomial a at x.
+
+    Sparse: zero coefficients are skipped and each other term is c*x**i,
+    just c when i = 0 or x = 1, so a single power of k (every bracket table
+    coefficient is one) costs one multiplication at most.  The result is a
+    Fraction when a's coefficients are."""
+    one = x == 1
+    acc = None
+    for i, c in enumerate(a):
+        if c:
+            t = c if one or not i else c * x ** i
+            acc = t if acc is None else acc + t
+    return _F0 if acc is None else acc
 
 
 def _as_poly(v) -> tuple:
@@ -263,6 +272,8 @@ class Coeff:
     def eval(self, k: Scalar) -> Fraction:
         """Value at a rational level k; the denominator must not vanish there."""
         kk = k if isinstance(k, Fraction) else Fraction(k)
+        if self.den == _DEN1:
+            return peval(self.num, kk)
         d = peval(self.den, kk)
         if not d:
             raise ZeroDivisionError(f"denominator vanishes at k={kk}")

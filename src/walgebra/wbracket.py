@@ -13,19 +13,29 @@ dual basis) and the pairing (x|y).  MasterEngine computes each once, keyed
 by ints (generator ranks in cdata.gens, node indices in ladder_nodes): mid
 factors by (u, v), head factors by (b, u), tail factors by (u, a) and the
 chain-free head terms by (a, b).  Each is stored as (tuple of (rank,
-coordinate) pairs, pairing) and lives as long as the engine.
+coordinate) pairs, pairing) of Fractions and lives as long as the engine.
+The first row computes every constant a full table uses, at once.
 
-The sweep.  Evaluation runs right-to-left with memoized suffix sums: V(node)
-collects the value of all chain tails starting at that node, so a full row
-of brackets {a, -} reuses one suffix sweep.  Inside it monomials are
-interned in a pvacore.VarSpace over cdata.gens, with stride one more than
-the number of ladder nodes; coefficients are k-polynomials (coeffs tuples)
-accumulated in place.
+The sweep.  Evaluation runs right-to-left with memoized suffix sums: V(u)
+collects the value of all chain tails starting at node u, so a full row of
+brackets {a, -} reuses one suffix sweep.  Inside it monomials are interned
+in a pvacore.VarSpace over cdata.gens, with stride one more than the number
+of ladder nodes, and coefficients are int k-polynomials accumulated in
+place.  S is the lcm of the denominators of all the structure constants.  A
+live node u has the exponent h(u) = 1 + the largest h over the nodes a chain
+may step to from u (1 if there are none), and H = 1 + max h.  The sweep
+keeps S^h(u) V(u), which is integral: each constant is stored once as an
+int, S times the Fraction times the power of S that brings the term it
+builds to its node's scale (S^(h(u)-1-h(v)) for a step u -> v, S^(h(u)-1)
+for a tail, S^(H-1-h(u)) for an opener, S^(H-1) for a head term).  So a
+finished row holds every entry at the one scale S^H.
 
 The edge.  A finished row is converted once to DiffPoly/LambdaPoly with
-GenIndex factors and Coeff coefficients through VarSpace.edge.  The
-chain-by-chain evaluator over enumerate_chains works on DiffPoly/LambdaPoly
-throughout and is the reference the test suite checks every row against.
+GenIndex factors through VarSpace.edge, and every int coefficient is divided
+by S^H, the only division of the sweep, into a Coeff.  The chain-by-chain
+evaluator over enumerate_chains works on DiffPoly/LambdaPoly and the
+Fraction constants throughout and is the reference the test suite checks
+every row against.
 
 Brackets are built once, with the level k kept formal.  The engine only adds
 and multiplies, so every entry is a polynomial in k, and a table at a fixed
@@ -37,6 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .coeffs import Coeff, paccum, pneg, pscale
@@ -133,7 +144,8 @@ K = Coeff.level(1)
 _F0 = F(0)
 
 # A structure constant of the chain sum: the centralizer coordinates of a
-# supercommutator as (generator rank, coordinate) pairs, and the pairing.
+# supercommutator as (generator rank, coordinate) pairs, and the pairing;
+# Fractions, or ints scaled for the sweep.
 Factor = tuple  # (tuple[tuple[int, Fraction], ...], Fraction)
 _NO_FACTOR: Factor = ((), _F0)
 
@@ -143,8 +155,9 @@ class MasterEngine:
     and sign convention.
 
     Generators are named by their rank in cdata.gens and ladder positions by
-    their index in self.nodes.  Every structure constant is computed once, on
-    first use, and kept for the engine's lifetime."""
+    their index in self.nodes.  Every structure constant is computed once and
+    kept for the engine's lifetime; the first row computes all that a full
+    table uses."""
 
     def __init__(self, ctx: AlgebraCtx, signs: Optional[SignConvention] = None):
         self.ctx = ctx
@@ -163,8 +176,7 @@ class MasterEngine:
                   reverse=True)
         self._live = live
         self._constants: dict = {}
-        self._successors: dict = {}
-        self._openers: dict = {}
+        self._scale = 0  # S^H once _prepare has run
 
     # -- structure constants, keyed by ranks and node indices ----------------
 
@@ -215,46 +227,66 @@ class MasterEngine:
         """The chain-free term of {a lambda b}: [q_a, q_b] and (q_a|q_b)."""
         return self._constant(("top", a, b), self._basis(a), self._basis(b))
 
-    def _successors_of(self, u: int) -> list:
-        """[(v, mid factor)] over the live nodes v a chain may step to from u,
-        zero factors dropped."""
-        hit = self._successors.get(u)
-        if hit is None:
-            step = self._alpha[u] + 1
-            hit = [(v, fac) for v in self._live
-                   if self._alpha[v] >= step and any(fac := self.mid_factor(u, v))]
-            self._successors[u] = hit
-        return hit
+    def _prepare(self) -> None:
+        """Every structure constant a full table uses, as an int at the scale
+        the sweep needs (see the module docstring); zero mid and head
+        factors are dropped."""
+        cdata, live, alpha = self.cdata, self._live, self._alpha
+        ranks = range(len(cdata.gens))
+        succ = {u: [(v, fac) for v in live
+                    if alpha[v] >= alpha[u] + 1 and any(fac := self.mid_factor(u, v))]
+                for u in live}
+        delta = [cdata.delta[g] for g in cdata.gens]
+        opens = [[(u, fac) for u in live
+                  if alpha[u] >= -delta[rb] and any(fac := self.head_factor(rb, u))]
+                 for rb in ranks]
+        # a row skips the nodes above its generator's top grade
+        tails = {u: [self.tail_factor(u, ra) if alpha[u] <= delta[ra] - 1 else _NO_FACTOR
+                     for ra in ranks] for u in live}
+        tops = [[self.head_term(ra, rb) for rb in ranks] for ra in ranks]
 
-    def _openers_of(self, b: int) -> list:
-        """[(u, head factor)] over the live nodes a chain in the column of
-        generator b may start at, zero factors dropped."""
-        hit = self._openers.get(b)
-        if hit is None:
-            low = -self.cdata.delta[self.cdata.gens[b]]
-            hit = [(u, fac) for u in self._live
-                   if self._alpha[u] >= low and any(fac := self.head_factor(b, u))]
-            self._openers[b] = hit
-        return hit
+        used = [f for vs in succ.values() for _, f in vs] + [f for us in opens for _, f in us]
+        used += [f for fs in (*tails.values(), *tops) for f in fs]
+        S = lcm(*{x.denominator for P, c in used for x in (c, *(v for _, v in P))})
+
+        def scaled(fac: Factor, e: int) -> Factor:
+            """S^(e+1) * fac, as ints."""
+            m = S ** e
+            P, c = fac
+            return (tuple((r, v.numerator * (S // v.denominator) * m) for r, v in P),
+                    c.numerator * (S // c.denominator) * m)
+
+        h: dict[int, int] = {}
+        for u in live:  # successors come first
+            h[u] = 1 + max((h[v] for v, _ in succ[u]), default=0)
+        H = 1 + max(h.values(), default=0)
+        self._succ = {u: [(v, scaled(f, h[u] - 1 - h[v])) for v, f in vs]
+                      for u, vs in succ.items()}
+        self._opens = [[(u, scaled(f, H - 1 - h[u])) for u, f in us] for us in opens]
+        self._tails = {u: [scaled(f, h[u] - 1) for f in fs] for u, fs in tails.items()}
+        self._tops = [[scaled(f, H - 1) for f in fs] for fs in tops]
+        self._scale = S ** H
 
     # -- the interned sweep ---------------------------------------------------
     #
     # Monomials are interned in self.space; values are
-    # {lambda power: {monomial: k-polynomial}}.
+    # {lambda power: {monomial: int k-polynomial}}, at the scale of their
+    # factors.
 
     def _value(self, factor: Factor, ksign: int) -> dict:
-        """{0: P, 1: ksign * c k} for factor (P, c), interned."""
+        """{0: P, 1: ksign * c k} for an int factor (P, c), interned."""
         P, c = factor
         D = self.space.stride
         out = {}
         if P:
             out[0] = {(r * D,): (v,) for r, v in P}
         if c:
-            out[1] = {(): (_F0, c if ksign > 0 else -c)}
+            out[1] = {(): (0, c if ksign > 0 else -c)}
         return out
 
     def _apply_into(self, out: dict, factor: Factor, X: dict) -> None:
-        """out += (P - c*k(lambda+d)) X, the operator acting on X."""
+        """out += (P - c*k(lambda+d)) X, the operator acting on X; an int
+        factor keeps int values int."""
         P, c = factor
         space = self.space
         D, odd, deriv = space.stride, space.odd, space.deriv
@@ -283,31 +315,36 @@ class MasterEngine:
                 if up is None:
                     up = out[n + 1] = {}
                 for m, cp in p.items():
-                    term = (_F0,) + pscale(cp, -c)
+                    term = (0,) + pscale(cp, -c)
                     paccum(up, m, term)
                     for dm in deriv(m):
                         paccum(dst, dm, term)
 
-    def _to_lambda_poly(self, X: dict) -> LambdaPoly:
-        """The edge: interned monomials back to (GenIndex, dpow) factors."""
+    def _to_lambda_poly(self, X: dict, scale: int) -> LambdaPoly:
+        """The edge: interned monomials back to (GenIndex, dpow) factors, and
+        int coefficients divided by scale."""
         edge = self.space.edge
-        return LambdaPoly({n: DiffPoly({edge(m): Coeff(cp) for m, cp in p.items()})
-                           for n, p in X.items()})
+        return LambdaPoly({
+            n: DiffPoly({edge(m): Coeff(tuple([F(x, scale) for x in cp]), _normalized=True)
+                         for m, cp in p.items()})
+            for n, p in X.items()})
 
     # -- rows of brackets ------------------------------------------------------
 
     def row(self, a: GenIndex) -> dict[GenIndex, LambdaPoly]:
         """{omega(a) lambda omega(b)} for every generator b."""
+        if not self._scale:
+            self._prepare()
         cdata = self.cdata
         ra = cdata.col[a]
         max_grade = cdata.delta[a] - 1
-        # suffix sums over the chains starting at each node
+        # suffix sums over the chains starting at each node, V[u] at scale S^h(u)
         V: dict[int, dict] = {}
         for u in self._live:
             if self._alpha[u] > max_grade:
                 continue
-            acc = self._value(self.tail_factor(u, ra), -1)
-            for v, factor in self._successors_of(u):
+            acc = self._value(self._tails[u][ra], -1)
+            for v, factor in self._succ[u]:
                 Sv = V.get(v)
                 if Sv is not None:
                     self._apply_into(acc, factor, Sv)
@@ -317,20 +354,21 @@ class MasterEngine:
                     acc = {n: {m: pneg(cp) for m, cp in p.items()} for n, p in acc.items()}
                 V[u] = acc
 
+        # every entry at scale S^H
         out: dict[GenIndex, LambdaPoly] = {}
         for rb, b in enumerate(cdata.gens):
             chain_sum: dict = {}
-            for u, factor in self._openers_of(rb):
+            for u, factor in self._opens[rb]:
                 Vu = V.get(u)
                 if Vu is not None:
                     self._apply_into(chain_sum, factor, Vu)
-            val = self._value(self.head_term(ra, rb), 1)
+            val = self._value(self._tops[ra][rb], 1)
             neg = self.signs.sAB(a.parity, b.parity) > 0
             for n, p in chain_sum.items():
                 dst = val.setdefault(n, {})
                 for m, cp in p.items():
                     paccum(dst, m, pneg(cp) if neg else cp)
-            out[b] = self._to_lambda_poly(val)
+            out[b] = self._to_lambda_poly(val, self._scale)
         return out
 
     def bracket(self, a: GenIndex, b: GenIndex) -> LambdaPoly:

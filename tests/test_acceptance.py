@@ -168,7 +168,7 @@ def test_criterion_08_extended_6_4_3():
     conf = conformal_check(ctx, bracket_table(ctx, ktilde=1))
     assert conf["ok"]
     dt = time.perf_counter() - t0
-    assert dt < 7200.0, f"took {dt:.1f}s"
+    assert dt < 300.0, f"took {dt:.1f}s"
     _report(8, f"(6,4,3) both schedules recover all 32 generators in {dt:.1f}s")
 
 

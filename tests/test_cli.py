@@ -189,6 +189,14 @@ def test_config_file_merging(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == 2 and out == "" and err.count("\n") == 1, (bad, err)
+    # a TOML syntax error and a file that is not UTF-8 name the file in one line
+    bad_toml = tmp_path / "run.toml"
+    bad_toml.write_text('partition = [3, 2\n')
+    cfg.write_bytes(b"\xff\xfe{}")
+    for path in (bad_toml, cfg):
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert code == 2 and out == "" and err.count("\n") == 1, (path, err)
+        assert str(path) in err
 
 
 def test_bad_partition_is_input_error(capsys):

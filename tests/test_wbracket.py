@@ -91,7 +91,7 @@ def test_master_matches_table():
 
 def test_rows_match_chain_by_chain_evaluation():
     for kind, p1, p2 in [("sl", (2, 1), ()), ("sl", (2, 2), ()), ("sl", (3, 1), ()),
-                         ("sl", (2, 1, 1), ()), ("sl_super", (2,), (1,)),
+                         ("sl", (2, 1, 1), ()), ("sl", (3, 2), ()), ("sl_super", (2,), (1,)),
                          ("sl_super", (3,), (2,)), ("sl_super", (2, 1), (1,))]:
         engine = MasterEngine(ctx_of(kind, p1, p2))
         gens = engine.cdata.gens
@@ -145,9 +145,12 @@ def test_structure_constants_match_the_matrix_path():
 
 
 def test_interned_operator_matches_the_diffpoly_operator():
-    # the sweep's in-place (P - c*k(lambda+d)) against the oracle's, on
-    # monomials the chain sums of small shapes never produce: an odd factor
-    # beside its own derivative, and a repeated even factor
+    # the sweep's in-place (P - c*k(lambda+d)) on int values scaled by sx and
+    # an int factor scaled by sf, divided by sx*sf at the edge, against the
+    # oracle's operator on the same Fraction values.  The monomials are ones
+    # the chain sums of small shapes never produce: an odd factor beside its
+    # own derivative, a repeated even factor, and odd factors the inserted
+    # odd one has to move past
     engine = MasterEngine(ctx_of("sl_super", (3,), (2,)))
     gens, D = engine.cdata.gens, engine.space.stride
     odd, odd2 = [r for r, g in enumerate(gens) if g.parity][:2]
@@ -157,10 +160,14 @@ def test_interned_operator_matches_the_diffpoly_operator():
          1: {tuple(sorted((even * D + 1, odd * D + 1))): (F(-1),),
              tuple(sorted((odd * D, even * D, odd * D + 2))): (F(0), F(1, 2))}}
     factor = (((odd, F(2)), (odd2, F(-1)), (even, F(1, 3))), F(5))
+    sx, sf = 4, 6
+    Xi = {n: {m: tuple(int(c * sx) for c in cp) for m, cp in p.items()} for n, p in X.items()}
+    fi = (tuple((r, int(v * sf)) for r, v in factor[0]), int(factor[1] * sf))
     out: dict = {}
-    engine._apply_into(out, factor, X)
-    want = engine._apply(factor, engine._to_lambda_poly(X))
-    assert engine._to_lambda_poly(out) == want
+    engine._apply_into(out, fi, Xi)
+    assert {type(c) for p in out.values() for cp in p.values() for c in cp} == {int}
+    want = engine._apply(factor, engine._to_lambda_poly(Xi, sx))
+    assert engine._to_lambda_poly(out, sx * sf) == want
     assert want
 
 
