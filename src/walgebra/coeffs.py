@@ -187,14 +187,6 @@ class Coeff:
         return Coeff(p, _DEN1, _normalized=True)
 
     @staticmethod
-    def zero() -> "Coeff":
-        return _C0
-
-    @staticmethod
-    def one() -> "Coeff":
-        return _C1
-
-    @staticmethod
     def level(power: int = 1, scale: Scalar = 1) -> "Coeff":
         """scale * k**power."""
         s = scale if isinstance(scale, Fraction) else Fraction(scale)

@@ -25,24 +25,24 @@ multiplied into the result.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .coeffs import Coeff, ONE, ZERO
+from .coeffs import Coeff, ONE
 from .errors import NoSolution, WAlgebraError
 from .liestruct import AlgebraCtx, GenIndex, SuperMatrix
-from .linalg import solve
+from .linalg import System
 from .pvacore import (
     BracketTable,
     DiffPoly,
     LambdaPoly,
     apply_partial,
     extend_bracket,
+    normalize_factors,
     substitute,
 )
-
-F = Fraction
 
 # A differential polynomial over the ladder-position variables.
 VpPoly = DiffPoly
@@ -130,26 +130,19 @@ class ReductionCtx:
             vars_here = self._buckets.get(key)
             if not vars_here:
                 raise NoSolution(f"matrix component outside the ladder span: {key}")
-            positions: dict[tuple, int] = {}
-            rows: list[dict] = []
-            rhs: list[Fraction] = []
+            system = System()
             for jcol, v in enumerate(vars_here):
                 for pos, val in self.matrix[v].entries.items():
-                    if pos not in positions:
-                        positions[pos] = len(rows)
-                        rows.append({})
-                        rhs.append(F(0))
-                    rows[positions[pos]][jcol] = val
+                    system.add(pos, jcol, val)
             for pos, val in entries.items():
-                if pos not in positions:
+                if pos not in system:
                     raise NoSolution(f"matrix position {pos} outside the ladder span")
-                rhs[positions[pos]] = val
-            sol = solve(rows, rhs, F(1))
+                system.add(pos, None, -val)
+            sol = system.solve()
             if sol is None:
                 raise NoSolution("matrix expansion inconsistent")
             for jcol, val in sol.items():
-                if val:
-                    out[vars_here[jcol]] = val
+                out[vars_here[jcol]] = val
         return out
 
     # -- affine structure ------------------------------------------------------
@@ -203,10 +196,11 @@ def reduced_bracket(rctx: ReductionCtx, A: VpPoly, B: VpPoly) -> LambdaPoly:
 
 
 def weight_monomials(letters: list, weight_of, target: Fraction) -> list[tuple]:
-    """All normalized monomials (tuples of (letter, dpower)) over the given
-    letters with total weight (letter weight + dpower summed) equal to target.
-    Letters of non-positive weight are rejected (enumeration would not
-    terminate)."""
+    """All canonical monomials (tuples of (letter, dpower) in normalized
+    order, no repeated odd factor) over the given letters with total weight
+    (letter weight + dpower summed) equal to target, each once, in order of
+    first appearance in the search.  Letters of non-positive weight are
+    rejected (enumeration would not terminate)."""
     letters = sorted(letters, key=lambda v: v.sort_key())
     for v in letters:
         if weight_of(v) <= 0:
@@ -223,63 +217,31 @@ def weight_monomials(letters: list, weight_of, target: Fraction) -> list[tuple]:
             w = weight_of(v)
             d = 0
             while w + d <= remaining:
-                entry = (v, d)
-                # a repeated odd factor squares to zero
-                if not (v.parity and current and current[-1] == entry):
-                    current.append(entry)
-                    rec(i, remaining - w - d, current)
-                    current.pop()
+                current.append((v, d))
+                rec(i, remaining - w - d, current)
+                current.pop()
                 d += 1
 
     rec(0, target, [])
-    # normalized order inside each monomial: ascending (sort_key, dpower)
-    return [tuple(sorted(m, key=lambda e: (e[0].sort_key(), e[1]))) for m in out]
+    # the search reaches a monomial once per ordering of its factors;
+    # normalize_factors returns None for one that vanishes
+    found = dict.fromkeys(normalize_factors(m)[1] for m in out)
+    found.pop(None, None)
+    return list(found)
 
 
-def _monomial_poly(mono: tuple) -> DiffPoly:
-    """The monomial as a DiffPoly (products applied left to right)."""
-    acc = DiffPoly.constant(ONE)
-    for v, d in mono:
-        acc = acc * DiffPoly({((v, d),): ONE})
-    return acc
+def _add_poly(system: System, tag, col: Optional[int], poly: DiffPoly,
+              sign: int = 1) -> None:
+    """sign * every coefficient of poly into the row keyed (tag, monomial)."""
+    for m, c in poly.terms.items():
+        system.add((tag, m), col, c if sign > 0 else -c)
 
 
-class _Equations:
-    """A sparse linear system assembled term by term: one row per key, rows
-    in order of first use, rhs holding minus the constant terms."""
-
-    def __init__(self):
-        self.rows: list[dict] = []
-        self.rhs: list = []
-        self._index: dict = {}
-
-    def add(self, key, col: Optional[int], c) -> None:
-        """c * x[col], or the constant c if col is None, into key's row."""
-        i = self._index.get(key)
-        if i is None:
-            i = self._index[key] = len(self.rows)
-            self.rows.append({})
-            self.rhs.append(ZERO)
-        if col is None:
-            self.rhs[i] = self.rhs[i] - c
-            return
-        row = self.rows[i]
-        cur = row.get(col)
-        s = c if cur is None else cur + c
-        if s:
-            row[col] = s
-        else:
-            row.pop(col, None)
-
-    def add_lambda(self, tag, col: Optional[int], lp: LambdaPoly) -> None:
-        """Every coefficient of lp into the row keyed (tag, lambda power,
-        monomial)."""
-        for slot, poly in lp.coeffs.items():
-            for m, c in poly.terms.items():
-                self.add((tag, slot, m), col, c)
-
-    def solve(self) -> Optional[dict]:
-        return solve(self.rows, self.rhs, ONE)
+def _add_lambda(system: System, tag, col: Optional[int], lp: LambdaPoly) -> None:
+    """Every coefficient of lp into the row keyed ((tag, lambda power),
+    monomial)."""
+    for slot, poly in lp.coeffs.items():
+        _add_poly(system, (tag, slot), col, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +254,31 @@ def solve_generator(rctx: ReductionCtx, a: GenIndex) -> tuple[VpPoly, list]:
 
     Returns (W_a, zeroed) where zeroed lists the free monomials the
     deterministic pinning set to zero."""
-    target_weight = a.t
     avar = AffVar(a, 0)
     monos = [
         m
-        for m in weight_monomials(rctx.p_vars, lambda v: v.weight, target_weight)
+        for m in weight_monomials(rctx.p_vars, lambda v: v.weight, a.t)
         if m != ((avar, 0),)
     ]
-    mono_polys = [_monomial_poly(m) for m in monos]
 
     table = rctx.affine_table()
-    eqs = _Equations()
+    system = System()
     base = DiffPoly.variable(avar)
     for nv in rctx.n_vars:
         nv_poly = DiffPoly.variable(nv)
-        eqs.add_lambda(nv, None, extend_bracket(table, nv_poly, base))
-        for col, mp in enumerate(mono_polys):
-            eqs.add_lambda(nv, col, extend_bracket(table, nv_poly, mp))
+        _add_lambda(system, nv, None, extend_bracket(table, nv_poly, base))
+        for col, m in enumerate(monos):
+            _add_lambda(system, nv, col, extend_bracket(table, nv_poly, DiffPoly({m: ONE})))
     # pin every other bare variable of this weight to zero
     for col, m in enumerate(monos):
         if len(m) == 1 and m[0][1] == 0:
-            eqs.add(("pin", m), col, ONE)
+            system.add(("pin", m), col, ONE)
 
-    sol = eqs.solve()
+    sol = system.solve()
     if sol is None:
         raise NoSolution(f"constraint system inconsistent for {a}")
-    W = DiffPoly.variable(avar)
-    for col, c in sol.items():
-        if c:
-            W = W + mono_polys[col].scale(c)
-    zeroed = [monos[i] for i in range(len(monos)) if i not in sol]
+    W = DiffPoly({((avar, 0),): ONE, **{monos[col]: c for col, c in sol.items()}})
+    zeroed = [m for col, m in enumerate(monos) if col not in sol]
     # defining constraints re-verified on the solution
     for nv in rctx.n_vars:
         if extend_bracket(table, DiffPoly.variable(nv), W):
@@ -411,88 +368,58 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
     for w in weights:
         stage = [g for g in gens_all if g.t == w]
         lower = [g for g in gens_all if g.t < w]
-        # correction space: weight-w monomials over strictly lower letters
-        basis: list[tuple] = []  # (gen, monomial over GenIndex letters)
-        mono_eval: dict = {}
-        if lower:
-            lowmonos = weight_monomials(lower, lambda g: g.t, w)
-            for mu in lowmonos:
-                mono_eval[mu] = substitute(_monomial_poly(mu), W)
-            for g in stage:
-                for mu in lowmonos:
-                    basis.append((g, mu))
-        if not basis:
+        # correction space: weight-w monomials over strictly lower letters;
+        # x[si * len(lowmonos) + mi] is the coefficient of lowmonos[mi] in
+        # the correction of stage[si]
+        lowmonos = weight_monomials(lower, lambda g: g.t, w)
+        if not lowmonos:
             continue
-        col_of = {gm: i for i, gm in enumerate(basis)}
-        # one equation per pair (u, v): its rows are keyed by (slot, monomial)
-        eqs = _Equations()
+        mono_eval = [substitute(DiffPoly({mu: ONE}), W) for mu in lowmonos]
+        first_col = {g: si * len(lowmonos) for si, g in enumerate(stage)}
+        # one row per pair (u, v), lambda power and monomial, reading
+        # bracket(W + x) - target(W + x), which is linear in x
+        system = System()
 
         for a in stage:
             for b in lower:
                 for u, v in ((a, b), (b, a)):
                     target = table.lookup(u, v)
-                    skip = False
-                    for poly in target.coeffs.values():
-                        if any(l.t > w for l in _letters_of(poly)):
-                            skip = True
-                    if skip:
+                    if any(l.t > w for poly in target.coeffs.values()
+                           for l in _letters_of(poly)):
                         deferred.append((u, v))
                         continue
-                    # base difference: bracket of uncorrected stage gens
-                    lhs = reduced_bracket(rctx, W[u], W[v])
-                    # target substituted: lower letters exact, stage letters
-                    # split into base + linear correction terms
-                    gamma: dict = {}
-                    base_rhs = LambdaPoly()
+                    _add_lambda(system, (u, v), None, reduced_bracket(rctx, W[u], W[v]))
+                    for mi, mu_W in enumerate(mono_eval):
+                        contrib = (reduced_bracket(rctx, mu_W, W[v]) if u == a
+                                   else reduced_bracket(rctx, W[u], mu_W))
+                        _add_lambda(system, (u, v), first_col[a] + mi, contrib)
                     for slot, poly in target.coeffs.items():
-                        base_rhs = base_rhs + LambdaPoly(
-                            {slot: substitute(poly, W)}
-                        )
+                        _add_poly(system, ((u, v), slot), None, substitute(poly, W), -1)
+                        # a target monomial holds at most one stage letter (two
+                        # would outweigh the bracket), so target(W + x) is
+                        # linear in x: substitute each correction monomial for it
+                        through: dict = {}
                         for m, c in poly.terms.items():
-                            for pos, (l, d) in enumerate(m):
-                                if l.t == w:
-                                    for mu in (
-                                        mu for (g2, mu) in basis if g2 == l
-                                    ):
-                                        img = dict(W)
-                                        img[l] = mono_eval[mu]
-                                        rest = substitute(
-                                            DiffPoly({m: c}), img
-                                        )
-                                        # only the single stage letter varies;
-                                        # subtract nothing: base uses W[l]
-                                        col = col_of[(l, mu)]
-                                        cur = gamma.get(col, LambdaPoly())
-                                        gamma[col] = cur + LambdaPoly({slot: rest})
-                                    break
-                    # corrections on the bracket side
-                    for g2, mu in basis:
-                        col = col_of[(g2, mu)]
-                        contrib = None
-                        if g2 == u:
-                            contrib = reduced_bracket(rctx, mono_eval[mu], W[v])
-                        elif g2 == v:
-                            contrib = reduced_bracket(rctx, W[u], mono_eval[mu])
-                        if contrib is not None and contrib:
-                            cur = gamma.get(col, LambdaPoly())
-                            gamma[col] = cur - contrib
-                    # lhs - base_rhs - sum of x[col] * gamma[col] must vanish
-                    eqs.add_lambda((u, v), None, lhs - base_rhs)
-                    for col, lam in gamma.items():
-                        eqs.add_lambda((u, v), col, -lam)
+                            l = next((l for l, _ in m if l.t == w), None)
+                            if l is not None:
+                                through.setdefault(l, {})[m] = c
+                        for l, terms in through.items():
+                            part = DiffPoly(terms)
+                            for mi, mu_W in enumerate(mono_eval):
+                                _add_poly(system, ((u, v), slot), first_col[l] + mi,
+                                          substitute(part, ChainMap({l: mu_W}, W)), -1)
 
-        sol = eqs.solve()
+        sol = system.solve()
         if sol is None:
             return ReconcileReport(
                 False, corrections, GeneratorSolution(W, base.pinned),
                 failure={"stage": w, "reason": "correction system inconsistent"},
                 deferred=deferred,
             )
-        for (g, mu), col in col_of.items():
-            c = sol.get(col)
-            if c:
-                corrections[g] = corrections[g] + DiffPoly({mu: c})
         for g in stage:
+            col = first_col[g]
+            corrections[g] = DiffPoly({mu: sol[col + mi] for mi, mu in enumerate(lowmonos)
+                                       if col + mi in sol})
             if corrections[g]:
                 W[g] = W[g] + substitute(corrections[g], W)
 

@@ -23,7 +23,7 @@ from math import comb, factorial
 from typing import NamedTuple, Optional
 
 from .errors import NormalizationImpossible, SingularPairing, SuperEqualParts, WAlgebraError
-from .linalg import kernel_basis, solve
+from .linalg import System, kernel_basis
 
 F = Fraction
 _F0 = F(0)
@@ -139,9 +139,6 @@ class SuperMatrix:
     def __init__(self, shape: BlockShape, entries: Optional[dict] = None):
         self.shape = shape
         self.entries = entries or {}
-
-    def copy(self) -> "SuperMatrix":
-        return SuperMatrix(self.shape, dict(self.entries))
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -468,23 +465,16 @@ def dual_bases(ctx: AlgebraCtx, cdata: CentralizerData) -> CentralizerData:
             raise SingularPairing(f"no candidate slots for the dual of {g}")
         sh = ctx.shape
         # unknowns: coefficients over pool; equations: [e, Q] = 0 plus (Q|q)=1
-        rows: list[dict] = []
-        rhs: list[Fraction] = []
-        eq_index: dict[tuple, int] = {}
         units = [SuperMatrix(sh, {pos: _F1}) for pos in pool]
-        brackets = [ctx.e.comm(u) for u in units]
-        for jcol, bu in enumerate(brackets):
-            for pos, v in bu.entries.items():
-                if pos not in eq_index:
-                    eq_index[pos] = len(rows)
-                    rows.append({})
-                    rhs.append(_F0)
-                rows[eq_index[pos]][jcol] = v
-        norm_row = {jcol: ctx.pair(u, q) for jcol, u in enumerate(units)}
-        norm_row = {k: v for k, v in norm_row.items() if v}
-        rows.append(norm_row)
-        rhs.append(_F1)
-        sol = solve(rows, rhs, _F1)
+        system = System()
+        for jcol, u in enumerate(units):
+            for pos, v in ctx.e.comm(u).entries.items():
+                system.add(pos, jcol, v)
+            pairing = ctx.pair(u, q)
+            if pairing:
+                system.add("norm", jcol, pairing)
+        system.add("norm", None, -_F1)
+        sol = system.solve()
         if sol is None:
             raise SingularPairing(f"dual system inconsistent for {g}")
         qs = SuperMatrix(sh)

@@ -59,23 +59,21 @@ def rref(rows: Iterable[dict]) -> tuple[list[dict], dict[int, int]]:
     return reduced, pivots
 
 
-def kernel_basis(columns: list[dict], nrows_hint: int = 0) -> list[dict]:
+def kernel_basis(columns: list[dict]) -> list[dict]:
     """Kernel of the linear map sending basis vector j to the sparse column
     vector columns[j].  Returns a list of coefficient dicts {j: value}, one
     per free column, each normalized so its free coordinate is 1."""
     # equations: one per output coordinate r: sum_j columns[j][r] * x_j = 0
-    eq_rows: dict[int, dict] = {}
+    system = System()
     for j, col in enumerate(columns):
         for r, v in col.items():
-            eq_rows.setdefault(r, {})[j] = v
-    reduced, pivots = rref(eq_rows.values())
-    n = len(columns)
-    pivot_cols = set(pivots)
+            system.add(r, j, v)
+    reduced, pivots = rref(system.rows.values())
     basis = []
-    for j in range(n):
-        if j in pivot_cols:
+    for j in range(len(columns)):
+        if j in pivots:
             continue
-        vec = {j: _one_like(columns, j)}
+        vec = {j: 1}
         for col, ridx in pivots.items():
             v = reduced[ridx].get(j)
             if v:
@@ -84,54 +82,53 @@ def kernel_basis(columns: list[dict], nrows_hint: int = 0) -> list[dict]:
     return basis
 
 
-def _one_like(columns, j):
-    from fractions import Fraction
+def solve(rows: list[dict], rhs: list) -> Optional[dict]:
+    """Solve the sparse system rows[i] . x = rhs[i] (a falsy rhs entry is 0).
 
-    for col in columns:
-        for v in col.values():
-            return v / v
-    return Fraction(1)
-
-
-def solve(rows: list[dict], rhs: list, one) -> Optional[dict]:
-    """Solve the sparse system rows[i] . x = rhs[i].
-
-    Returns a particular solution {col: value} with every free variable set
-    to zero, or None if the system is inconsistent.  `one` is the field unit
-    (Fraction(1) or Coeff.one()) used to normalize."""
-    RHS = -1  # sentinel column, never eligible as a pivot
-    aug = []
+    Returns the particular solution {col: value} with every free variable
+    set to zero, or None if the system is inconsistent.  The right-hand side
+    is one more column past every unknown; it leads a reduced row exactly
+    when that row reads 0 = 1."""
+    b_col = 1 + max((c for row in rows for c in row), default=-1)
+    augmented = []
     for row, b in zip(rows, rhs):
-        r = dict(row)
         if b:
-            r[RHS] = b
-        aug.append(r)
-    reduced: list[dict] = []
-    pivots: dict[int, int] = {}
-    for row in aug:
-        row = dict(row)
-        for col in sorted(c for c in row if c in pivots):
-            v = row.get(col)
-            if v:
-                row_axpy(row, -v, reduced[pivots[col]])
-        real = [c for c in row if c != RHS]
-        if not real:
-            if RHS in row:
-                return None  # 0 = nonzero
-            continue
-        lead = min(real)
-        inv = one / row[lead]
-        row = {c: v * inv for c, v in row.items()}
-        for r in reduced:
-            v = r.get(lead)
-            if v is not None:
-                row_axpy(r, -v, row)
-                r.pop(lead, None)
-        pivots[lead] = len(reduced)
-        reduced.append(row)
-    sol: dict = {}
-    for col, ridx in pivots.items():
-        b = reduced[ridx].get(RHS)
-        if b:
-            sol[col] = b
-    return sol
+            row = dict(row)
+            row[b_col] = b
+        augmented.append(row)
+    reduced, pivots = rref(augmented)
+    if b_col in pivots:
+        return None
+    return {col: reduced[ridx][b_col]
+            for col, ridx in pivots.items() if b_col in reduced[ridx]}
+
+
+class System:
+    """A sparse linear system assembled term by term: one row per key, rows
+    in order of first use, rhs holding minus the constant terms."""
+
+    def __init__(self):
+        self.rows: dict = {}
+        self.rhs: dict = {}
+
+    def __contains__(self, key) -> bool:
+        return key in self.rows
+
+    def add(self, key, col: Optional[int], c) -> None:
+        """c * x[col], or the constant c if col is None, into key's row."""
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = {}
+        if col is None:
+            b = self.rhs.get(key)
+            self.rhs[key] = -c if b is None else b - c
+            return
+        cur = row.get(col)
+        s = c if cur is None else cur + c
+        if s:
+            row[col] = s
+        else:
+            row.pop(col, None)
+
+    def solve(self) -> Optional[dict]:
+        return solve(list(self.rows.values()), [self.rhs.get(k) for k in self.rows])

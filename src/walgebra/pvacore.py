@@ -169,16 +169,6 @@ class DiffPoly:
                     _accum(out, mono, c if sign > 0 else -c)
         return DiffPoly(out)
 
-    def parity(self) -> Optional[int]:
-        p = None
-        for m in self.terms:
-            q = monomial_parity(m)
-            if p is None:
-                p = q
-            elif p != q:
-                return None
-        return 0 if p is None else p
-
     def weight(self) -> Optional[Fraction]:
         """Common conformal weight of all monomials; None if mixed or zero."""
         w = None
@@ -198,9 +188,6 @@ class DiffPoly:
             if v:
                 out[m] = Coeff.of(v)
         return DiffPoly(out)
-
-    def at_level_one(self) -> "DiffPoly":
-        return self.at_level(1)
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         return sorted(self.terms.items(), key=lambda mc: monomial_key(mc[0]))

@@ -487,7 +487,7 @@ def conformal_vector(ctx: AlgebraCtx) -> DiffPoly:
             gram_rows.append(row)
         for jdx, gj in enumerate(zero_gens):
             rhs = [F(1) if i == jdx else F(0) for i in range(len(zero_gens))]
-            sol = solve(gram_rows, rhs, F(1))
+            sol = solve(gram_rows, rhs)
             if sol is None:
                 raise ValueError("grade-zero pairing is singular")
             dual = DiffPoly(

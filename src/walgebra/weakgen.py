@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .coeffs import Coeff, peval
+from .coeffs import ONE, ZERO, Coeff, peval
 from .errors import ScheduleInapplicable, UnknownGenerator
-from .linalg import solve as _linsolve
+from .linalg import System
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex
 from .pvacore import BracketTable
 
@@ -267,7 +267,7 @@ class _Run:
             self.recovered[gi] = Recovery(gi, expression, coeff, coefficient_genericity(coeff))
 
     def seed(self, gi: GenIndex):
-        self.bank(gi, f"seed {gi}", Coeff.one())
+        self.bank(gi, f"seed {gi}", ONE)
 
     def have(self, gi) -> bool:
         return gi is not None and gi in self.recovered
@@ -367,19 +367,19 @@ class _Run:
         slice_gens = [gi for gi in self.cdata.gens if gi.weight == weight]
         for target in [gi for gi in slice_gens if gi not in self.recovered]:
             missing = [gi for gi in slice_gens if gi not in self.recovered]
-            rows, rhs = [], []
+            system = System()
             for gi in missing:
-                rows.append({i: v.lt1[gi] for i, v in enumerate(vecs) if gi in v.lt1})
-                rhs.append(_F1 if gi == target else _F0)
-            sol = _linsolve(rows, rhs, _F1)
+                for i, v in enumerate(vecs):
+                    if gi in v.lt1:
+                        system.add(gi, i, v.lt1[gi])
+            system.add(target, None, -_F1)
+            sol = system.solve()
             if sol is None:
                 continue
-            coeff = Coeff.zero()
+            coeff = ZERO
             parts = []
             for i, x in sorted(sol.items()):
-                if not x:
-                    continue
-                coeff = coeff + Coeff.of(x) * vecs[i].ltK.get(target, Coeff.zero())
+                coeff = coeff + Coeff.of(x) * vecs[i].ltK.get(target, ZERO)
                 parts.append(f"({x})*{vecs[i].label}")
             self.bank(target, " + ".join(parts) if parts else "0", coeff)
 

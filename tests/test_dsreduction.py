@@ -6,15 +6,19 @@ affine bracket and the constraint projection, sharing no code path with the
 chain formula — which is what makes the bit-exact agreement below count as
 independent certification."""
 
+import hashlib
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ctx_of, gen, table_of
 from walgebra.coeffs import Coeff
 from walgebra.dsreduction import (ReductionCtx, reconcile, reduced_bracket,
-                                  reexpress, solve_all)
+                                  reexpress, solve_all, weight_monomials)
 from walgebra.errors import WAlgebraError
+from walgebra.liestruct import GenIndex
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, extend_bracket,
                               substitute)
 
@@ -56,6 +60,68 @@ def test_reconcile_accepted_specs():
         ctx = ctx_of(kind, p1, p2)
         rep = reconcile(ReductionCtx(ctx), table_of(kind, p1, p2))
         assert rep.ok, (kind, p1, p2, rep.failure)
+
+
+# sha256 of the corrected realizations and the corrections on criterion 2's
+# fast shapes, recorded from the hand-assembled systems that linalg.System
+# replaced: any change to a column order or a solution shows here
+RECONCILE_DIGESTS = {
+    ('sl', (3,), ()):
+        "67d4de453542f44dcbd95ffd7b7deefafa71ed6ee9146d1c34f906f2c228a69a",
+    ('sl', (2, 1), ()):
+        "180d3b824efcfad90494f752d258304af4b8a8a3ee2dd6615a902cc2336e2934",
+    ('sl', (2, 2), ()):
+        "e83406df7963b22aa49e57139cb1b6ba93500432f279ef5c8b730e331a2514f2",
+    ('sl', (3, 1), ()):
+        "5207eca67870752b14ea2f80ca8ae61a606e40ebb557e860f2524d1e59d8994d",
+    ('sl', (4,), ()):
+        "de72b148d3fc00937139422aeb150db5ce89d5dc961b8eca7168a6ba90d8772c",
+    ('sl_super', (2,), (1,)):
+        "611e6951ea925da5b3248e56e14689dcbdef630b8bb99d8d9bd54f99157e2894",
+    ('sl_super', (3,), (1,)):
+        "fbc897ba2dac9f4f55eed743e98c085a76d311d0c5a9bd32c806aafa2881f1da",
+}
+
+
+def _reconcile_digest(rep) -> str:
+    gens = sorted(rep.corrections, key=lambda g: g.sort_key())
+    text = "\n".join(f"{g} W {rep.corrected.solutions[g]!r} C {rep.corrections[g]!r}"
+                     for g in gens)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reconcile_results_are_pinned():
+    for (kind, p1, p2), digest in RECONCILE_DIGESTS.items():
+        rep = reconcile(ReductionCtx(ctx_of(kind, p1, p2)), table_of(kind, p1, p2))
+        assert rep.ok and _reconcile_digest(rep) == digest, (kind, p1, p2)
+
+
+def _brute_force_monomials(letters, target):
+    """Every multiset of factors (letter, dpower) of total weight target
+    with no repeated odd factor, each in normalized order."""
+    factors = sorted(((v, d) for v in letters for d in range(int(target - v.t) + 1)),
+                     key=lambda f: (f[0].sort_key(), f[1]))
+    out = set()
+    for r in range(1, int(target / min(v.t for v in letters)) + 1):
+        for mono in combinations_with_replacement(factors, r):
+            if sum(v.t + d for v, d in mono) != target:
+                continue
+            if any(a == b and a[0].parity for a, b in zip(mono, mono[1:])):
+                continue
+            out.add(mono)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1)), min_size=1, max_size=3),
+       st.integers(1, 6))
+def test_weight_monomials_are_the_canonical_monomials_once(specs, twice_target):
+    # letters of half-integer weight t/2, either parity, told apart by i
+    letters = [GenIndex(F(t, 2), i, 1, parity) for i, (t, parity) in enumerate(specs)]
+    target = F(twice_target, 2)
+    got = weight_monomials(letters, lambda v: v.t, target)
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_force_monomials(letters, target)
 
 
 def test_reconcile_corrections_stay_lower_weight():
