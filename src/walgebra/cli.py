@@ -73,6 +73,15 @@ def _parse_cap(name: str, val) -> Optional[int]:
     return val
 
 
+def _parse_weight(val) -> Optional[Fraction]:
+    if val is None:
+        return None
+    try:
+        return F(str(val))
+    except (ValueError, ZeroDivisionError):
+        raise WAlgebraError(f"max_weight must be a rational number: {val!r}")
+
+
 def _parse_gen_spec(text: str) -> tuple:
     """'t,i,j' with t an integer or fraction like 5/2."""
     parts = text.split(",")
@@ -212,17 +221,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         ktilde=pick("ktilde", "one"),
         format=pick("format", "text"),
         output=pick("output", None),
+        max_weight=_parse_weight(pick("max_weight", None)),
         max_n=_parse_cap("max_n", pick("max_n", None)),
         max_elements=_parse_cap("max_elements", pick("max_elements", None)),
     )
-    raw_w = pick("max_weight", None)
-    if raw_w is not None:
-        try:
-            cfg.max_weight = F(str(raw_w))
-        except (ValueError, ZeroDivisionError):
-            raise WAlgebraError(f"max_weight must be a rational number: {raw_w!r}")
-        if cfg.max_weight <= 0:
-            raise WAlgebraError("caps must be positive")
     if args.command == "bracket":
         cfg.gens = (_parse_gen_spec(args.left), _parse_gen_spec(args.right))
     return cfg

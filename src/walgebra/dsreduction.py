@@ -13,7 +13,15 @@ constraints.
 
 The projection rho replaces every letter of weight <= 0 by the constant
 (f | q_g[n]) and fixes the rest.  It is applied inside the affine table:
-each entry is rho([u, v]) + k lambda (u|v).  The Leibniz rules only multiply
+each entry is rho([u, v]) + k lambda (u|v).  The ladder families are
+biorthonormal and span sl, so the coordinate of [u, v] on the letter w is
+the pairing (q*_w | [u, v]) with w's dual rung q*_w; a letter of weight t
+has grade 1 - t, so f pairs only with letters of weight 0, and the part of
+rho([u, v]) over letters of weight <= 0 sums to (f | [u, v]).  Hence
+
+    rho([u, v]) = sum over w in p_vars of (q*_w | [u, v]) w + (f | [u, v]),
+
+read off without a linear solve.  The Leibniz rules only multiply
 entries by factors of the two arguments (and their derivatives), and rho is
 a differential-algebra morphism, so bracketing in that table equals
 bracketing in the full affine algebra and projecting afterwards whenever rho
@@ -32,7 +40,7 @@ from typing import NamedTuple, Optional
 
 from .coeffs import Coeff, ONE
 from .errors import NoSolution, WAlgebraError
-from .liestruct import AlgebraCtx, GenIndex, SuperMatrix
+from .liestruct import AlgebraCtx, GenIndex, SuperMatrix, pairing_index, pairings
 from .linalg import System
 from .pvacore import (
     BracketTable,
@@ -71,17 +79,15 @@ class AffVar(NamedTuple):
 
 @dataclass
 class GeneratorSolution:
-    """Pinned realizations W_a of every generator, with the record of which
-    free coefficients the pinning zeroed."""
+    """Pinned realizations W_a of every generator."""
 
     solutions: dict  # GenIndex -> VpPoly
-    pinned: dict  # GenIndex -> list of zeroed monomials
 
 
 class ReductionCtx:
-    """Affine-side workspace: ladder variables, their matrices, expansion of
-    arbitrary traceless matrices over them, and the rho-projected affine
-    bracket table, symbolic in the level."""
+    """Affine-side workspace: ladder variables, their matrices, and the
+    rho-projected affine bracket table, symbolic in the level.  Refuses
+    (NoSolution) a ladder whose variables cannot span sl."""
 
     def __init__(self, ctx: AlgebraCtx):
         self.ctx = ctx
@@ -99,63 +105,24 @@ class ReductionCtx:
         self.p_vars = [v for v in self.variables if v.weight > 0]
         self.n_vars = [v for v in self.variables if v.weight < 1]
         self._p_set = frozenset(self.p_vars)
-        self._buckets = self._build_buckets()
+        # biorthonormal families with N^2 - 1 members span sl, so pairing
+        # with the dual rungs gives exact coordinates
+        if len(self.variables) != ctx.shape.N ** 2 - 1:
+            raise NoSolution(f"{len(self.variables)} ladder variables cannot span "
+                             f"sl of dimension {ctx.shape.N ** 2 - 1}")
+        self._p_index = pairing_index(
+            ctx, [cd.dualFamily[v.g][v.n] for v in self.p_vars])
         self._affine: Optional[BracketTable] = None
-
-    # -- matrix expansion over the ladder basis ------------------------------
-
-    def _slice_key(self, r: int, c: int):
-        sh = self.ctx.shape
-        bi, bj = sh.block_of[r], sh.block_of[c]
-        pair = "D" if bi == bj else (bi, bj)
-        return (pair, self.ctx._xdiag[r] - self.ctx._xdiag[c])
-
-    def _build_buckets(self) -> dict:
-        buckets: dict = {}
-        for v in self.variables:
-            mat = self.matrix[v]
-            keys = {self._slice_key(r, c) for (r, c) in mat.entries}
-            if len(keys) != 1:
-                raise AssertionError(f"ladder element {v} straddles slices")
-            buckets.setdefault(keys.pop(), []).append(v)
-        return buckets
-
-    def expand(self, z: SuperMatrix) -> dict[AffVar, Fraction]:
-        """Coordinates of a traceless matrix over the ladder variables."""
-        pieces: dict = {}
-        for (r, c), val in z.entries.items():
-            pieces.setdefault(self._slice_key(r, c), {})[(r, c)] = val
-        out: dict[AffVar, Fraction] = {}
-        for key, entries in pieces.items():
-            vars_here = self._buckets.get(key)
-            if not vars_here:
-                raise NoSolution(f"matrix component outside the ladder span: {key}")
-            system = System()
-            for jcol, v in enumerate(vars_here):
-                for pos, val in self.matrix[v].entries.items():
-                    system.add(pos, jcol, val)
-            for pos, val in entries.items():
-                if pos not in system:
-                    raise NoSolution(f"matrix position {pos} outside the ladder span")
-                system.add(pos, None, -val)
-            sol = system.solve()
-            if sol is None:
-                raise NoSolution("matrix expansion inconsistent")
-            for jcol, val in sol.items():
-                out[vars_here[jcol]] = val
-        return out
 
     # -- affine structure ------------------------------------------------------
 
     def affine_table(self) -> BracketTable:
-        """{u lambda v} = rho([u, v]) + k*lambda*(u|v) over the ladder basis:
-        the commutator's expansion with every letter of weight <= 0 replaced
-        by its constant (f|q)."""
+        """{u lambda v} = rho([u, v]) + k*lambda*(u|v) over the ladder basis,
+        rho([u, v]) read off as the pairings of [u, v] with the dual rungs of
+        p_vars plus the constant (f | [u, v])."""
         if self._affine is not None:
             return self._affine
-        ctx = self.ctx
-        rho = {v: Coeff.of(ctx.pair(ctx.f, self.matrix[v]))
-               for v in self.variables if v.weight <= 0}
+        ctx, p_vars = self.ctx, self.p_vars
         entries = {}
         for u in self.variables:
             mu = self.matrix[u]
@@ -164,8 +131,12 @@ class ReductionCtx:
                 br = mu.comm(mv)
                 coeffs: dict[int, DiffPoly] = {}
                 if br:
-                    coeffs[0] = substitute(DiffPoly(
-                        {((w, 0),): Coeff.of(c) for w, c in self.expand(br).items()}), rho)
+                    terms = {((p_vars[i], 0),): Coeff.of(c)
+                             for i, c in pairings(self._p_index, br).items()}
+                    constant = ctx.pair(ctx.f, br)
+                    if constant:
+                        terms[()] = Coeff.of(constant)
+                    coeffs[0] = DiffPoly(terms)
                 pairing = ctx.pair(mu, mv)
                 if pairing:
                     coeffs[1] = DiffPoly.constant(Coeff.level(1, pairing))
@@ -248,12 +219,10 @@ def _add_lambda(system: System, tag, col: Optional[int], lp: LambdaPoly) -> None
 # generator construction
 
 
-def solve_generator(rctx: ReductionCtx, a: GenIndex) -> tuple[VpPoly, list]:
+def solve_generator(rctx: ReductionCtx, a: GenIndex) -> VpPoly:
     """Realize one generator: W_a = a + (weight-homogeneous correction over
-    the positive-weight variables) annihilated by every constraint bracket.
-
-    Returns (W_a, zeroed) where zeroed lists the free monomials the
-    deterministic pinning set to zero."""
+    the positive-weight variables) annihilated by every constraint bracket,
+    every free coefficient pinned to zero."""
     avar = AffVar(a, 0)
     monos = [
         m
@@ -278,21 +247,15 @@ def solve_generator(rctx: ReductionCtx, a: GenIndex) -> tuple[VpPoly, list]:
     if sol is None:
         raise NoSolution(f"constraint system inconsistent for {a}")
     W = DiffPoly({((avar, 0),): ONE, **{monos[col]: c for col, c in sol.items()}})
-    zeroed = [m for col, m in enumerate(monos) if col not in sol]
     # defining constraints re-verified on the solution
     for nv in rctx.n_vars:
         if extend_bracket(table, DiffPoly.variable(nv), W):
             raise NoSolution(f"constraint violated after solve for {a}")
-    return W, zeroed
+    return W
 
 
 def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
-    solutions, pinned = {}, {}
-    for g in rctx.cdata.gens:
-        W, zeroed = solve_generator(rctx, g)
-        solutions[g] = W
-        pinned[g] = zeroed
-    return GeneratorSolution(solutions, pinned)
+    return GeneratorSolution({g: solve_generator(rctx, g) for g in rctx.cdata.gens})
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +375,7 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         sol = system.solve()
         if sol is None:
             return ReconcileReport(
-                False, corrections, GeneratorSolution(W, base.pinned),
+                False, corrections, GeneratorSolution(W),
                 failure={"stage": w, "reason": "correction system inconsistent"},
                 deferred=deferred,
             )
@@ -423,7 +386,7 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
             if corrections[g]:
                 W[g] = W[g] + substitute(corrections[g], W)
 
-    corrected = GeneratorSolution(W, base.pinned)
+    corrected = GeneratorSolution(W)
     # full verification: every ordered pair, every slot
     for a in gens_all:
         for b in gens_all:

@@ -33,8 +33,9 @@ _F1 = F(1)
 class GenIndex(NamedTuple):
     """Index of a centralizer basis element: weight t, block pair (i, j).
 
-    The parity tag is determined by the block pair within a fixed algebra and
-    participates in equality only vacuously; always build these through
+    The parity tag is determined by the block pair within a fixed algebra,
+    but it is part of the tuple and so of equality and hashing: an index
+    built with the wrong tag is a different key.  Always build these through
     AlgebraCtx.gen so the tag is set consistently.
     """
 
@@ -156,12 +157,6 @@ class SuperMatrix:
                 out.pop(k, None)
         return SuperMatrix(self.shape, out)
 
-    def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "SuperMatrix":
-        return self.scale(-1)
-
     def scale(self, s) -> "SuperMatrix":
         s = F(s)
         if not s:
@@ -196,20 +191,12 @@ class SuperMatrix:
                 return None
         return 0 if p is None else p
 
-    def parity_part(self, p: int) -> "SuperMatrix":
-        sh = self.shape
-        want = {k: v for k, v in self.entries.items()
-                if (0 if sh.eps[k[0]] == sh.eps[k[1]] else 1) == p}
-        return SuperMatrix(sh, want)
-
     def comm(self, other: "SuperMatrix") -> "SuperMatrix":
-        """Supercommutator [a, b] = ab - (-1)^{p(a)p(b)} ba, extended
-        bilinearly over parity components when either side is mixed."""
+        """Supercommutator [a, b] = ab - (-1)^{p(a)p(b)} ba of two matrices
+        of one parity each; WAlgebraError on a mixed-parity argument."""
         pa, pb = self.parity(), other.parity()
-        if pa is None:
-            return self.parity_part(0).comm(other) + self.parity_part(1).comm(other)
-        if pb is None:
-            return self.comm(other.parity_part(0)) + self.comm(other.parity_part(1))
+        if pa is None or pb is None:
+            raise WAlgebraError("supercommutator of a mixed-parity matrix")
         ab = self.mul(other)
         ba = other.mul(self)
         return ab + ba.scale(-1 if not (pa and pb) else 1)
@@ -242,9 +229,8 @@ class CentralizerData:
     adFPowers[g][n]   -- the matching downward family through q_g obtained by
                          scaled ad-e powers, biorthonormal to dualFamily
     delta[g]      -- half-length of the sl2-string through q_g (= t - 1)
-    dual_at[(r, c)]   -- [(rank of g, w)]: entry (r, c) of z contributes
-                         z[r, c] * w to (q*_g | z), for every g with
-                         q*_g[c, r] != 0
+    dual_at       -- pairing_index over the duals q*_g in generator order:
+                     pairings(dual_at, z) maps the rank of g to (q*_g | z)
     """
 
     gens: list[GenIndex]
@@ -483,10 +469,6 @@ def dual_bases(ctx: AlgebraCtx, cdata: CentralizerData) -> CentralizerData:
         if ctx.e.comm(qs) or ctx.pair(qs, q) != 1:
             raise SingularPairing(f"dual candidate failed its defining relations for {g}")
         cdata.basisE[g] = qs
-        rank = cdata.col[g]
-        for (r, c), v in qs.entries.items():
-            cdata.dual_at.setdefault((c, r), []).append(
-                (rank, v * sh.eps[r] * ctx.form_scale))
 
         two_delta = int(2 * dlt)
         ups = [qs]
@@ -502,24 +484,42 @@ def dual_bases(ctx: AlgebraCtx, cdata: CentralizerData) -> CentralizerData:
             denom = F(factorial(n) ** 2) * comb(two_delta, n)
             downs.append(cur.scale(F((-1) ** n) / denom))
         cdata.adFPowers[g] = downs
+    cdata.dual_at = pairing_index(ctx, [cdata.basisE[g] for g in cdata.gens])
     return cdata
 
 
-def sharp_coords(ctx: AlgebraCtx, cdata: CentralizerData, z: SuperMatrix) -> dict[GenIndex, Fraction]:
-    """Coordinates of the centralizer component of z: g -> (q*_g | z), in
-    generator order, zeros dropped.  One pass over z's entries through
-    cdata.dual_at; no pairing is formed per generator."""
+def pairing_index(ctx: AlgebraCtx, duals: list[SuperMatrix]) -> dict[tuple, list]:
+    """Position (r, c) -> [(i, w)]: entry (r, c) of z contributes z[r, c] * w
+    to (duals[i] | z), for every i with duals[i][c, r] != 0."""
+    eps, scale = ctx.shape.eps, ctx.form_scale
+    index: dict[tuple, list] = {}
+    for i, d in enumerate(duals):
+        for (r, c), v in d.entries.items():
+            index.setdefault((c, r), []).append((i, v * eps[r] * scale))
+    return index
+
+
+def pairings(index: dict[tuple, list], z: SuperMatrix) -> dict[int, Fraction]:
+    """{i: (duals[i] | z)} for the duals the index was built from, in index
+    order, zeros dropped: one pass over z's entries, no pairing formed per
+    dual."""
     coords: dict[int, Fraction] = {}
     for pos, w in z.entries.items():
-        for rank, v in cdata.dual_at.get(pos, ()):
-            coords[rank] = coords.get(rank, _F0) + v * w
+        for i, v in index.get(pos, ()):
+            coords[i] = coords.get(i, _F0) + v * w
+    return {i: v for i, v in sorted(coords.items()) if v}
+
+
+def sharp_coords(cdata: CentralizerData, z: SuperMatrix) -> dict[GenIndex, Fraction]:
+    """Coordinates of the centralizer component of z: g -> (q*_g | z), in
+    generator order, zeros dropped."""
     gens = cdata.gens
-    return {gens[r]: v for r, v in sorted(coords.items()) if v}
+    return {gens[r]: v for r, v in pairings(cdata.dual_at, z).items()}
 
 
 def sharp_project(ctx: AlgebraCtx, cdata: CentralizerData, z: SuperMatrix) -> SuperMatrix:
     """Project z onto the ad-f kernel along the rest of each sl2-string."""
     m = SuperMatrix(ctx.shape)
-    for g, v in sharp_coords(ctx, cdata, z).items():
+    for g, v in sharp_coords(cdata, z).items():
         m += cdata.basisF[g].scale(v)
     return m

@@ -253,9 +253,6 @@ class LambdaPoly:
     def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "LambdaPoly":
-        return self.scale(-1)
-
     def scale(self, c) -> "LambdaPoly":
         c = Coeff.of(c)
         if not c:

@@ -51,7 +51,7 @@ from math import lcm
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .coeffs import Coeff, paccum, pneg, pscale
-from .liestruct import AlgebraCtx, CentralizerData, GenIndex, sharp_coords
+from .liestruct import AlgebraCtx, CentralizerData, GenIndex, pairings, sharp_coords
 from .linalg import solve
 from .pvacore import BracketTable, DiffPoly, LambdaPoly, VarSpace, apply_partial, frozen
 
@@ -188,11 +188,10 @@ class MasterEngine:
             if x is None:
                 hit = _NO_FACTOR
             else:
-                col = self.cdata.col
-                coords = sharp_coords(self.ctx, self.cdata, x.comm(y))
+                coords = pairings(self.cdata.dual_at, x.comm(y))
                 pairing = self.ctx.pair(x, y)
                 if coords or pairing:
-                    hit = (tuple((col[g], v) for g, v in coords.items()), pairing)
+                    hit = (tuple(coords.items()), pairing)
                 else:
                     hit = _NO_FACTOR
             self._constants[key] = hit
@@ -473,7 +472,7 @@ def conformal_vector(ctx: AlgebraCtx) -> DiffPoly:
     q_j q'_j, with {q'_j} the form-dual basis of that grade-zero subspace."""
     cdata = ctx.centralizer()
     L = DiffPoly(
-        {((g, 0),): Coeff.of(v) for g, v in sharp_coords(ctx, cdata, ctx.f).items()}
+        {((g, 0),): Coeff.of(v) for g, v in sharp_coords(cdata, ctx.f).items()}
     )
     zero_gens = [g for g in cdata.gens if cdata.delta[g] == 0]
     if zero_gens:

@@ -100,12 +100,19 @@ def test_closure_codes(capsys):
     assert code == 3 and "INCOMPLETE" in out
 
 
-def test_closure_caps_flags(capsys):
+def test_closure_caps_flags(tmp_path, capsys):
     code, out, _ = run(capsys, "closure", "--seed", "big", "--partition", "2,2",
                        "--max-n", "1", "--max-weight", "3/2")
     assert code == 3
     code, _, err = run(capsys, "closure", "--partition", "2,1", "--max-weight", "abc")
     assert code == 2 and err.count("\n") == 1 and "max_weight" in err
+    # a non-positive cap is bad input, from a flag or from a config file
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"max_weight": 0}))
+    for flags in (["--max-weight", "0"], ["--max-n", "0"], ["--max-elements", "-3"],
+                  ["--config", str(cfg)]):
+        code, _, err = run(capsys, "closure", "--partition", "2,1", *flags)
+        assert code == 2 and err.count("\n") == 1 and "positive" in err, flags
 
 
 def test_axioms_clean(capsys):

@@ -2,9 +2,10 @@
 master formula.
 
 This engine derives generator realizations and brackets from nothing but the
-affine bracket and the constraint projection, sharing no code path with the
-chain formula — which is what makes the bit-exact agreement below count as
-independent certification."""
+affine bracket and the constraint projection.  It shares with the chain
+formula only the ladder families and the pairing reader, which a test below
+checks against the matrices themselves; that is what makes the bit-exact
+agreement below count as independent certification."""
 
 import hashlib
 from fractions import Fraction
@@ -17,8 +18,10 @@ from conftest import ctx_of, gen, table_of
 from walgebra.coeffs import Coeff
 from walgebra.dsreduction import (ReductionCtx, reconcile, reduced_bracket,
                                   reexpress, solve_all, weight_monomials)
-from walgebra.errors import WAlgebraError
-from walgebra.liestruct import GenIndex
+from walgebra.errors import NoSolution, WAlgebraError
+from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
+                                pairing_index, pairings)
+from walgebra.linalg import solve
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, extend_bracket,
                               substitute)
 
@@ -96,6 +99,65 @@ def test_reconcile_results_are_pinned():
         assert rep.ok and _reconcile_digest(rep) == digest, (kind, p1, p2)
 
 
+# criterion 2's fast shapes and (3,2)
+TABLE_SHAPES = [*RECONCILE_DIGESTS, ('sl_super', (3,), (2,)), ('sl', (3, 2), ())]
+
+# sha256 of the affine table's entries, recorded when each entry's linear
+# part came from a per-slice elimination and a substitute pass for rho
+AFFINE_TABLE_DIGESTS = {
+    ('sl', (3,), ()):
+        "6172e752c3c7486d2fc7da52a24d76c7ef37f59de36f5399f11ff11b8e2f662c",
+    ('sl', (2, 1), ()):
+        "5d3fb2fa0ce99e8c42ee01a0c3e0ad067d18e35ec047242d49ffd5f171fe89fd",
+    ('sl', (2, 2), ()):
+        "cc290848e760ac146c7f1522e190950260bc8e318ef6e2162856916ffad6bed0",
+    ('sl', (3, 1), ()):
+        "bbe16ec9ed205aee4461636d8afaa04c1a943eb7c5994324cb9423d2acac2808",
+    ('sl', (4,), ()):
+        "e55fb49e9fc3fa6b89880b04fd83e84b27f116d649cb4991a1d30622f4b1da8a",
+    ('sl_super', (2,), (1,)):
+        "3acf331b564f75bc7df4094878868aecf5539df2d4be8ec6f1b518dbc2aa61b9",
+    ('sl_super', (3,), (1,)):
+        "c99f5623ddafd46eb4b516025027c32c26d316e31dac88c83a864a2b6f3de47a",
+    ('sl_super', (3,), (2,)):
+        "5cfed8106ba09c71b285a74ac772373b4a52e97b3c92013a60ef7df1d262baee",
+    ('sl', (3, 2), ()):
+        "74f6c5ac45ff600dfe67bb726772d760abe7202b1d024e90b57e934f3a1e24bd",
+}
+
+
+def test_affine_tables_are_pinned():
+    assert set(AFFINE_TABLE_DIGESTS) == set(TABLE_SHAPES)
+    for (kind, p1, p2), digest in AFFINE_TABLE_DIGESTS.items():
+        entries = ReductionCtx(ctx_of(kind, p1, p2)).affine_table().entries
+        pairs = sorted(entries, key=lambda uv: (uv[0].sort_key(), uv[1].sort_key()))
+        text = "\n".join(f"{u} {v} {entries[(u, v)]!r}" for u, v in pairs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, p1, p2)
+
+
+def test_pairing_coordinates_rebuild_every_commutator():
+    for kind, p1, p2 in TABLE_SHAPES:
+        ctx = ctx_of(kind, p1, p2)
+        rctx = ReductionCtx(ctx)
+        cd = rctx.cdata
+        index = pairing_index(ctx, [cd.dualFamily[v.g][v.n] for v in rctx.variables])
+        for u in rctx.variables:
+            for v in rctx.variables:
+                br = rctx.matrix[u].comm(rctx.matrix[v])
+                rebuilt = SuperMatrix(ctx.shape)
+                for i, c in pairings(index, br).items():
+                    rebuilt += rctx.matrix[rctx.variables[i]].scale(c)
+                assert rebuilt == br, (kind, p1, p2, u, v)
+
+
+def test_reduction_refuses_a_ladder_that_cannot_span():
+    ctx = build_algebra(PartitionSpec("sl", (2, 1)))
+    cd = ctx.centralizer()
+    cd.gens.remove(cd.gens[-1])
+    with pytest.raises(NoSolution, match="cannot span"):
+        ReductionCtx(ctx)
+
+
 def _brute_force_monomials(letters, target):
     """Every multiset of factors (letter, dpower) of total weight target
     with no repeated odd factor, each in normalized order."""
@@ -137,11 +199,29 @@ def test_reconcile_corrections_stay_lower_weight():
             assert g not in letters
 
 
+def _dense_expand(rctx):
+    """Coordinates over the ladder variables by one dense solve over the
+    flattened matrices, every one of the N^2 positions a row."""
+    n_pos = rctx.ctx.shape.N ** 2
+    rows = [{} for _ in range(n_pos)]
+    for j, v in enumerate(rctx.variables):
+        for pos, val in rctx.matrix[v].flatten().items():
+            rows[pos][j] = val
+
+    def expand(z):
+        flat = z.flatten()
+        sol = solve(rows, [flat.get(pos, 0) for pos in range(n_pos)])
+        assert sol is not None, z
+        return {rctx.variables[j]: c for j, c in sol.items()}
+    return expand
+
+
 def _projected_after(rctx):
     """The reference path: bracket in the full affine table, {u lambda v} =
     [u, v] + k lambda (u|v), then replace every letter of weight <= 0 by its
     constant (f|q)."""
     ctx = rctx.ctx
+    expand = _dense_expand(rctx)
     entries = {}
     for u in rctx.variables:
         for v in rctx.variables:
@@ -150,7 +230,7 @@ def _projected_after(rctx):
             br = mu.comm(mv)
             if br:
                 coeffs[0] = DiffPoly({((w, 0),): Coeff.of(c)
-                                      for w, c in rctx.expand(br).items()})
+                                      for w, c in expand(br).items()})
             pairing = ctx.pair(mu, mv)
             if pairing:
                 coeffs[1] = DiffPoly.constant(Coeff.level(1, pairing))

@@ -158,3 +158,14 @@ def test_gen_lookup_weight_bounds():
     assert gen(ctx, "5/2", 2, 1) in cdata.delta
     assert gen(ctx, 3, 1, 1) in cdata.delta
     assert gen(ctx, 3, 2, 2) not in cdata.delta
+
+
+def test_supercommutator_refuses_a_mixed_parity_matrix():
+    ctx = ctx_of("sl_super", (2,), (1,))
+    even = ctx.unit(1, 1, 1, 2)
+    mixed = even + ctx.unit(1, 2, 1, 1)
+    assert mixed.parity() is None
+    with pytest.raises(WAlgebraError, match="mixed-parity"):
+        mixed.comm(even)
+    with pytest.raises(WAlgebraError, match="mixed-parity"):
+        even.comm(mixed)

@@ -23,3 +23,10 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, outside
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; newer syntax such as
+    # except* is a SyntaxError under this feature version
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -120,7 +120,7 @@ def test_structure_constants_match_the_matrix_path():
             z = x.comm(y)
             coords = {g: product_pair(cdata.basisE[g], z) for g in gens}
             coords = {g: v for g, v in coords.items() if v}
-            assert sharp_coords(ctx, cdata, z) == coords
+            assert sharp_coords(cdata, z) == coords
             return coords, product_pair(x, y)
 
         def got(factor):
