@@ -61,6 +61,8 @@ class RunConfig:
 def _parse_partition(text) -> tuple:
     try:
         if isinstance(text, (list, tuple)):
+            if any(isinstance(x, (bool, float)) for x in text):
+                raise ValueError(text)
             return tuple(int(x) for x in text)
         return tuple(int(p) for p in str(text).split(",") if p.strip())
     except (TypeError, ValueError):

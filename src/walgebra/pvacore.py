@@ -21,7 +21,9 @@ int tuple in the canonical factor order and parity is an array lookup.  The
 space codes DiffPoly monomials (sign and int tuple; a derivative power of
 stride or more is refused with WAlgebraError, an unknown variable raises
 MissingTableEntry), differentiates int monomials, and converts them back to
-(variable, dpow) factors at the edge, memoizing each.
+(variable, dpow) factors at the edge, memoizing each; diff_poly turns a map
+of interned monomials to int k-polynomials, divided by a scale, into the
+DiffPoly it stands for.
 
 The engine.  Each table builds one on first use and keeps it for its
 lifetime, in a VarSpace of stride 64 over the table's variables.  The engine
@@ -464,6 +466,13 @@ class VarSpace:
             gm = self._edge[m] = tuple(fs)
         return gm
 
+    def diff_poly(self, p: dict, scale: int) -> DiffPoly:
+        """{interned monomial: int k-polynomial} divided by scale, as a
+        DiffPoly."""
+        edge = self.edge
+        return DiffPoly({edge(m): Coeff(tuple([Fraction(x, scale) for x in cp]), _normalized=True)
+                         for m, cp in p.items()})
+
 
 # ---------------------------------------------------------------------------
 # the Leibniz engine
@@ -643,14 +652,6 @@ class _Leibniz:
             self._mm[key] = hit
         return hit
 
-    # -- the edge ---------------------------------------------------------------
-
-    def _edge_poly(self, p: dict, scale: int) -> DiffPoly:
-        """{monomial: int k-polynomial} divided by scale, as a DiffPoly."""
-        edge = self.space.edge
-        return DiffPoly({edge(m): Coeff(tuple(Fraction(x, scale) for x in cp))
-                         for m, cp in p.items()})
-
     def _groups(self, P: DiffPoly) -> dict:
         """P's non-constant terms grouped by coefficient denominator:
         {den: (M, [(interned monomial, int numerator)])}, where a term's
@@ -754,7 +755,7 @@ class _Leibniz:
     def two_var(self, diff: dict) -> "TwoVar":
         """A jacobi() result as the TwoVar it stands for."""
         L2 = self.L * self.L
-        return TwoVar({ij: self._edge_poly(p, L2) for ij, p in diff.items()})
+        return TwoVar({ij: self.space.diff_poly(p, L2) for ij, p in diff.items()})
 
 
 def extend_bracket(table: BracketTable, A: DiffPoly, B: DiffPoly) -> LambdaPoly:

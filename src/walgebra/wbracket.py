@@ -7,6 +7,13 @@ factor being a linear generator term minus a scalar multiple of k(lambda+d)
 (a bare k*lambda on the rightmost factor); the (lambda+d) operators act on
 everything to their right.
 
+Signs.  One rule covers sl(N) and sl(N1|N2): the chain sum enters with the
+sign -(-1)^(p(a)p(b)) for the bracket {a lambda b}, and each chain node
+(j, n) contributes (-1)^p(j).  On plain sl every parity is 0 and both signs
+are +1.  The sweep folds a node's sign into its tail and successor
+constants once; the chain-by-chain evaluator multiplies the signs out per
+chain.
+
 Structure constants.  Every factor is read off one supercommutator of ladder
 elements: the centralizer coordinates of [x, y] (trace pairings against the
 dual basis) and the pairing (x|y).  MasterEngine computes each once, keyed
@@ -31,8 +38,8 @@ for a tail, S^(H-1-h(u)) for an opener, S^(H-1) for a head term).  So a
 finished row holds every entry at the one scale S^H.
 
 The edge.  A finished row is converted once to DiffPoly/LambdaPoly with
-GenIndex factors through VarSpace.edge, and every int coefficient is divided
-by S^H, the only division of the sweep, into a Coeff.  The chain-by-chain
+GenIndex factors through VarSpace.diff_poly, and every int coefficient is
+divided by S^H, the only division of the sweep, into a Coeff.  The chain-by-chain
 evaluator over enumerate_chains works on DiffPoly/LambdaPoly and the
 Fraction constants throughout and is the reference the test suite checks
 every row against.
@@ -45,10 +52,9 @@ rational level is exactly the symbolic table evaluated there.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Union
 
 from .coeffs import Coeff, paccum, pneg, pscale
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, pairings, sharp_coords
@@ -67,41 +73,6 @@ class ChainIndex(NamedTuple):
 Chain = tuple  # tuple[ChainIndex, ...]
 
 
-@dataclass(frozen=True)
-class SignConvention:
-    """The two sign characters of the chain sum.
-
-    sAB takes the parities of the two bracketed generators; sJ takes the
-    parity of a chain element's generator.  The plain algebra forces both
-    to 1; the super case is pinned by the axiom/reduction cross-checks."""
-
-    name: str
-    sAB: Callable[[int, int], int]
-    sJ: Callable[[int], int]
-
-
-PLAIN_SIGNS = SignConvention("all_plus", lambda pa, pb: 1, lambda pj: 1)
-
-SIGN_CONVENTIONS: dict[str, SignConvention] = {
-    "all_plus": PLAIN_SIGNS,
-    "sab_parity": SignConvention("sab_parity", lambda pa, pb: (-1) ** (pa * pb), lambda pj: 1),
-    "sj_parity": SignConvention("sj_parity", lambda pa, pb: 1, lambda pj: (-1) ** pj),
-    "both_parity": SignConvention(
-        "both_parity", lambda pa, pb: (-1) ** (pa * pb), lambda pj: (-1) ** pj
-    ),
-}
-
-
-def default_signs(ctx: AlgebraCtx) -> SignConvention:
-    """The convention the cross-checks selected: argument-parity product on
-    the whole chain sum, one parity sign per chain element (the unique
-    candidate passing skew, Jacobi, and the reduction oracle; see the
-    selection test)."""
-    if ctx.spec.kind == "sl":
-        return PLAIN_SIGNS
-    return SIGN_CONVENTIONS["both_parity"]
-
-
 def ladder_nodes(cdata: CentralizerData) -> list[ChainIndex]:
     """All ladder positions (j, n), 0 <= n <= 2*delta(j), with their grades."""
     out = []
@@ -112,9 +83,7 @@ def ladder_nodes(cdata: CentralizerData) -> list[ChainIndex]:
     return out
 
 
-def enumerate_chains(
-    cdata: CentralizerData, t1: Fraction, t2: Fraction, max_len: Optional[int] = None
-) -> Iterator[Chain]:
+def enumerate_chains(cdata: CentralizerData, t1: Fraction, t2: Fraction) -> Iterator[Chain]:
     """All chains for a bracket with first-slot string half-length t1 and
     second-slot t2: the empty chain, then every sequence with grades rising
     by at least 1 per step, starting at grade >= -t2, ending <= t1 - 1."""
@@ -124,8 +93,6 @@ def enumerate_chains(
 
     def extend(prefix: list) -> Iterator[Chain]:
         yield tuple(prefix)
-        if max_len is not None and len(prefix) >= max_len:
-            return
         last = prefix[-1].alpha
         for c in nodes:
             if c.alpha >= last + 1:
@@ -151,24 +118,21 @@ _NO_FACTOR: Factor = ((), _F0)
 
 
 class MasterEngine:
-    """Evaluates generator brackets, symbolic in the level, for one algebra
-    and sign convention.
+    """Evaluates generator brackets, symbolic in the level, for one algebra.
 
     Generators are named by their rank in cdata.gens and ladder positions by
     their index in self.nodes.  Every structure constant is computed once and
     kept for the engine's lifetime; the first row computes all that a full
     table uses."""
 
-    def __init__(self, ctx: AlgebraCtx, signs: Optional[SignConvention] = None):
+    def __init__(self, ctx: AlgebraCtx):
         self.ctx = ctx
         self.cdata = cdata = ctx.centralizer()
-        self.signs = signs or default_signs(ctx)
         self.nodes = nodes = ladder_nodes(cdata)
         # a chain applies at most one d per node, so every dpow is below the
         # stride; cdata.gens is in sort_key order, so ranks are cdata.col
         self.space = VarSpace(cdata.gens, len(nodes) + 1)
         self._alpha = [c.alpha for c in nodes]
-        self._sj = [self.signs.sJ(c.j.parity) for c in nodes]
         # string tops never contribute: every factor to their right vanishes;
         # descending grade, so a node's successors come before it
         live = [i for i, c in enumerate(nodes) if c.n < 2 * cdata.delta[c.j]]
@@ -229,7 +193,9 @@ class MasterEngine:
     def _prepare(self) -> None:
         """Every structure constant a full table uses, as an int at the scale
         the sweep needs (see the module docstring); zero mid and head
-        factors are dropped."""
+        factors are dropped.  The tail and successor factors of a node on an
+        odd string carry its sign -1 (the sign rule in the module
+        docstring)."""
         cdata, live, alpha = self.cdata, self._live, self._alpha
         ranks = range(len(cdata.gens))
         succ = {u: [(v, fac) for v in live
@@ -248,9 +214,9 @@ class MasterEngine:
         used += [f for fs in (*tails.values(), *tops) for f in fs]
         S = lcm(*{x.denominator for P, c in used for x in (c, *(v for _, v in P))})
 
-        def scaled(fac: Factor, e: int) -> Factor:
-            """S^(e+1) * fac, as ints."""
-            m = S ** e
+        def scaled(fac: Factor, e: int, odd: int = 0) -> Factor:
+            """(-1)^odd S^(e+1) * fac, as ints."""
+            m = -S ** e if odd else S ** e
             P, c = fac
             return (tuple((r, v.numerator * (S // v.denominator) * m) for r, v in P),
                     c.numerator * (S // c.denominator) * m)
@@ -259,10 +225,11 @@ class MasterEngine:
         for u in live:  # successors come first
             h[u] = 1 + max((h[v] for v, _ in succ[u]), default=0)
         H = 1 + max(h.values(), default=0)
-        self._succ = {u: [(v, scaled(f, h[u] - 1 - h[v])) for v, f in vs]
+        odd = {u: self.nodes[u].j.parity for u in live}
+        self._succ = {u: [(v, scaled(f, h[u] - 1 - h[v], odd[u])) for v, f in vs]
                       for u, vs in succ.items()}
         self._opens = [[(u, scaled(f, H - 1 - h[u])) for u, f in us] for us in opens]
-        self._tails = {u: [scaled(f, h[u] - 1) for f in fs] for u, fs in tails.items()}
+        self._tails = {u: [scaled(f, h[u] - 1, odd[u]) for f in fs] for u, fs in tails.items()}
         self._tops = [[scaled(f, H - 1) for f in fs] for fs in tops]
         self._scale = S ** H
 
@@ -319,22 +286,13 @@ class MasterEngine:
                     for dm in deriv(m):
                         paccum(dst, dm, term)
 
-    def _to_lambda_poly(self, X: dict, scale: int) -> LambdaPoly:
-        """The edge: interned monomials back to (GenIndex, dpow) factors, and
-        int coefficients divided by scale."""
-        edge = self.space.edge
-        return LambdaPoly({
-            n: DiffPoly({edge(m): Coeff(tuple([F(x, scale) for x in cp]), _normalized=True)
-                         for m, cp in p.items()})
-            for n, p in X.items()})
-
     # -- rows of brackets ------------------------------------------------------
 
     def row(self, a: GenIndex) -> dict[GenIndex, LambdaPoly]:
         """{omega(a) lambda omega(b)} for every generator b."""
         if not self._scale:
             self._prepare()
-        cdata = self.cdata
+        cdata, scale, to_poly = self.cdata, self._scale, self.space.diff_poly
         ra = cdata.col[a]
         max_grade = cdata.delta[a] - 1
         # suffix sums over the chains starting at each node, V[u] at scale S^h(u)
@@ -349,8 +307,6 @@ class MasterEngine:
                     self._apply_into(acc, factor, Sv)
             acc = {n: p for n, p in acc.items() if p}
             if acc:
-                if self._sj[u] < 0:
-                    acc = {n: {m: pneg(cp) for m, cp in p.items()} for n, p in acc.items()}
                 V[u] = acc
 
         # every entry at scale S^H
@@ -362,16 +318,13 @@ class MasterEngine:
                 if Vu is not None:
                     self._apply_into(chain_sum, factor, Vu)
             val = self._value(self._tops[ra][rb], 1)
-            neg = self.signs.sAB(a.parity, b.parity) > 0
+            neg = not (a.parity and b.parity)
             for n, p in chain_sum.items():
                 dst = val.setdefault(n, {})
                 for m, cp in p.items():
                     paccum(dst, m, pneg(cp) if neg else cp)
-            out[b] = self._to_lambda_poly(val, self._scale)
+            out[b] = LambdaPoly({n: to_poly(p, scale) for n, p in val.items()})
         return out
-
-    def bracket(self, a: GenIndex, b: GenIndex) -> LambdaPoly:
-        return self.row(a)[b]
 
     # -- the chain-by-chain oracle, on DiffPoly/LambdaPoly ---------------------
 
@@ -413,49 +366,34 @@ class MasterEngine:
             val = self._apply(self.head_factor(rb, us[0]), val)
             s = 1
             for u in chain:
-                s *= self.signs.sJ(u.j.parity)
+                s *= (-1) ** u.j.parity
             chain_sum = chain_sum + (val.scale(s) if s < 0 else val)
-        sab = self.signs.sAB(a.parity, b.parity)
+        sab = (-1) ** (a.parity * b.parity)
         return self._lambda_value(self.head_term(ra, rb), 1) - chain_sum.scale(sab)
-
-
-def master_bracket(
-    ctx: AlgebraCtx,
-    a: GenIndex,
-    b: GenIndex,
-    signs: Optional[SignConvention] = None,
-) -> LambdaPoly:
-    """One generator bracket, evaluated through the chain formula."""
-    return MasterEngine(ctx, signs).bracket(a, b)
 
 
 _TABLE_CACHE: dict = {}
 
 
-def bracket_table(
-    ctx: AlgebraCtx,
-    signs: Optional[SignConvention] = None,
-    ktilde: KTilde = "symbolic",
-) -> BracketTable:
+def bracket_table(ctx: AlgebraCtx, ktilde: KTilde = "symbolic") -> BracketTable:
     """All ordered generator-pair brackets, memoized per algebra/level.
 
     Only the symbolic table is built; a rational ktilde gives that table
     with every entry evaluated at the level ktilde."""
-    signs = signs or default_signs(ctx)
     spec = ctx.spec
-    key = (spec.kind, spec.parts1, spec.parts2, signs.name, str(ktilde))
+    key = (spec.kind, spec.parts1, spec.parts2, str(ktilde))
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
     if ktilde == "symbolic":
-        engine = MasterEngine(ctx, signs)
+        engine = MasterEngine(ctx)
         entries = {}
         for a in engine.cdata.gens:
             for b, val in engine.row(a).items():
                 entries[(a, b)] = frozen(val)
         table = BracketTable(engine.cdata.gens, entries)
     else:
-        sym = bracket_table(ctx, signs)
+        sym = bracket_table(ctx)
         level = F(ktilde)
         table = BracketTable(sym.variables,
                              {ab: frozen(val.at_level(level)) for ab, val in sym.entries.items()})

@@ -865,7 +865,9 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
     generator with coefficient nonzero at level 1 marks that generator
     recovered, and the product's linear part joins the pool (one new
     representative per revelation, which bounds the pool by |seeds| plus the
-    generator count).  Deterministic; stops at a fixpoint or at the caps."""
+    generator count).  A seed's zero coefficients are dropped, and a seed
+    left empty is skipped.  Deterministic; stops at a fixpoint or at the
+    caps."""
     if caps is None:
         caps = default_caps(ctx)
     recovered: dict = {}
@@ -886,11 +888,12 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
 
     for k, s in enumerate(seeds):
         coords = {s: _F1} if isinstance(s, GenIndex) else {gi: F(c) for gi, c in s.items()}
-        if not coords:
-            continue
         for gi in coords:
             if gi not in cdata.delta:
                 raise UnknownGenerator(f"closure seed mentions {gi}, which this shape lacks")
+        coords = {gi: c for gi, c in coords.items() if c}
+        if not coords:
+            continue
         wt = next(iter(coords)).weight
         if any(gi.weight != wt for gi in coords):
             raise UnknownGenerator("closure seeds must be weight-homogeneous")

@@ -186,6 +186,8 @@ def test_config_file_merging(tmp_path, capsys):
     for command, bad in [("closure", {"partition": [3, 2], "max_n": "3"}),
                          ("closure", [3, 2]),
                          ("closure", {"partition": [2, "x"]}),
+                         ("verify", {"partition": [3, 2.5]}),
+                         ("verify", {"partition": [2, True]}),
                          ("verify", {"partition": [3, 2], "flavor": "x"}),
                          ("verify", {"kind": 3}),
                          ("verify", {"ktilde": "two"}),

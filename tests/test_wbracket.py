@@ -2,29 +2,34 @@
 
 The sl2 principal bracket is small enough to freeze term by term; it was
 cross-checked bit-exactly against the independent reduction engine (see
-test_dsreduction).  The super sign convention is pinned by elimination: of
-the four parity characters, only one clears skew + Jacobi.  The suffix-sum
-rows are checked against the chain-by-chain evaluator, and the fixed-level
-tables against digests recorded when each level had its own engine build.
-Both evaluators read the engine's precomputed structure constants, so those
-are checked against the matrix computation they replace."""
+test_dsreduction).  One sign rule covers both kinds: (-1)^(p(a)p(b)) on the
+chain sum and (-1)^p(j) per chain node, all +1 on plain sl.  The symbolic
+digests of sl(3|2) and sl(4|2), the fixed-level digests of sl(2|1) and the
+skew/Jacobi sweeps on super shapes pin it here; criterion 2 reconciles super
+shapes against the reduction oracle.  The suffix-sum rows, which fold each
+node's sign into its constants, are checked against the chain-by-chain
+evaluator, which multiplies the signs out per chain, on fixed and on random
+shapes; the fixed-level tables against digests recorded when each level had
+its own engine build.  Both evaluators read the engine's precomputed
+structure constants, so those are checked against the matrix computation
+they replace."""
 
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ctx_of, gen, table_of
 from walgebra import serialize, wbracket
 from walgebra.coeffs import Coeff
-from walgebra.errors import MissingTableEntry
+from walgebra.errors import MissingTableEntry, WAlgebraError
 from walgebra.liestruct import sharp_coords
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, check_jacobi, check_skew,
                               linear_term, monomial_weight, nth_product)
-from walgebra.wbracket import (SIGN_CONVENTIONS, MasterEngine, bracket_table,
-                               conformal_check, conformal_vector,
-                               default_signs, master_bracket)
+from walgebra.wbracket import (MasterEngine, bracket_table, conformal_check,
+                               conformal_vector)
 
 F = Fraction
 K = Coeff.level()
@@ -73,7 +78,7 @@ def _digest(table) -> str:
 def test_sl2_master_bracket_frozen():
     ctx = ctx_of("sl", (2,))
     q = gen(ctx, 2, 1, 1)
-    br = master_bracket(ctx, q, q)
+    br = MasterEngine(ctx).row(q)[q]
     v = DiffPoly.variable(q)
     assert br.get(0) == v.d().scale(K)
     assert br.get(1) == v.scale(K * Coeff.of(2))
@@ -85,8 +90,11 @@ def test_sl2_master_bracket_frozen():
 def test_master_matches_table():
     ctx = ctx_of("sl", (2, 1))
     tab = table_of("sl", (2, 1))
-    for (a, b), entry in tab.entries.items():
-        assert master_bracket(ctx, a, b) == entry
+    engine = MasterEngine(ctx)
+    for a in engine.cdata.gens:
+        row = engine.row(a)
+        for b in engine.cdata.gens:
+            assert row[b] == tab.lookup(a, b)
 
 
 def test_rows_match_chain_by_chain_evaluation():
@@ -99,6 +107,39 @@ def test_rows_match_chain_by_chain_evaluation():
             row = engine.row(a)
             for b in gens:
                 assert row[b] == engine.bracket_by_chains(a, b), (kind, p1, p2, a, b)
+
+
+def _partitions(n, top=3):
+    """The partitions of n with no part above top."""
+    if not n:
+        yield ()
+    for first in range(min(n, top), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+# every shape of either kind with at most 5 boxes and no part above 3
+SMALL_SHAPES = [("sl", p, ()) for n in range(1, 6) for p in _partitions(n)] + [
+    ("sl_super", p1, p2) for n in range(2, 6) for m in range(1, n)
+    for p1 in _partitions(m) for p2 in _partitions(n - m)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.data())
+def test_random_rows_match_chain_by_chain_evaluation(shape, data):
+    # one random row per shape: the engine folds each odd node's sign into
+    # its constants, the oracle multiplies the signs out chain by chain
+    kind, p1, p2 = shape
+    try:
+        engine = MasterEngine(ctx_of(kind, p1, p2))
+    except WAlgebraError:
+        assume(False)
+    gens = engine.cdata.gens
+    assume(gens)
+    a = data.draw(st.sampled_from(gens))
+    row = engine.row(a)
+    for b in gens:
+        assert row[b] == engine.bracket_by_chains(a, b), (shape, a, b)
 
 
 def test_structure_constants_match_the_matrix_path():
@@ -166,8 +207,9 @@ def test_interned_operator_matches_the_diffpoly_operator():
     out: dict = {}
     engine._apply_into(out, fi, Xi)
     assert {type(c) for p in out.values() for cp in p.values() for c in cp} == {int}
-    want = engine._apply(factor, engine._to_lambda_poly(Xi, sx))
-    assert engine._to_lambda_poly(out, sx * sf) == want
+    to_poly = engine.space.diff_poly
+    want = engine._apply(factor, LambdaPoly({n: to_poly(p, sx) for n, p in Xi.items()}))
+    assert LambdaPoly({n: to_poly(p, sx * sf) for n, p in out.items()}) == want
     assert want
 
 
@@ -204,7 +246,7 @@ def test_cached_tables_are_read_only():
         del entry.get(0).terms
     assert _digest(table_of("sl", (3, 2))) == SYMBOLIC_DIGESTS[("sl", (3, 2), ())]
     # a fixed-level view built afterwards is still the evaluation
-    for key in [k for k in wbracket._TABLE_CACHE if k[:3] == ("sl", (3, 2), ()) and k[4] == "1"]:
+    for key in [k for k in wbracket._TABLE_CACHE if k[:3] == ("sl", (3, 2), ()) and k[3] == "1"]:
         del wbracket._TABLE_CACHE[key]
     k1 = bracket_table(ctx, ktilde=1)
     assert k1.entries == {ab: v.at_level(1) for ab, v in tab.entries.items()}
@@ -250,25 +292,6 @@ def test_missing_entry_raises():
     ctx = ctx_of("sl", (3,))
     with pytest.raises(MissingTableEntry):
         tab.lookup(gen(ctx, 2, 1, 1), gen(ctx, 3, 1, 1))
-
-
-def test_default_signs():
-    assert default_signs(ctx_of("sl", (3, 2))).name == "all_plus"
-    assert default_signs(ctx_of("sl_super", (2,), (1,))).name == "both_parity"
-
-
-def test_super_sign_convention_selected_by_elimination():
-    # on sl(2|1) principal exactly one of the four parity characters clears
-    # both skew and Jacobi
-    ctx = ctx_of("sl_super", (2,), (1,))
-    gens = ctx.centralizer().gens
-    triples = [(a, b, c) for a in gens for b in gens for c in gens]
-    survivors = []
-    for name, signs in SIGN_CONVENTIONS.items():
-        tab = bracket_table(ctx, signs=signs)
-        if not check_skew(tab) and not check_jacobi(tab, triples):
-            survivors.append(name)
-    assert survivors == ["both_parity"]
 
 
 def test_axiom_sweep_small_specs():

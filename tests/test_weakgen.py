@@ -276,6 +276,17 @@ def test_closure_seed_validation():
     with pytest.raises(UnknownGenerator):
         weakgen.closure_search(ctx, cd, tab,
                                [{gen(ctx, 2, 1, 1): F(1), gen(ctx, 1, 2, 2): F(1)}])
+    # a zero coefficient still has to name a generator of the shape
+    with pytest.raises(UnknownGenerator):
+        weakgen.closure_search(ctx, cd, tab, [{gen(ctx, 2, 1, 1): F(1), gen(ctx, 7, 1, 1): 0}])
+    # but is dropped before the weight check
+    rep = weakgen.closure_search(ctx, cd, tab, [{gen(ctx, 2, 1, 1): F(1), gen(ctx, 1, 2, 2): 0}])
+    assert rep.seeds == [{gen(ctx, 2, 1, 1): F(1)}]
+    # the zero element recovers nothing: its seed is skipped like an empty one
+    ctx3 = ctx_of("sl", (3,))
+    rep = weakgen.closure_search(ctx3, ctx3.centralizer(), table_of("sl", (3,)),
+                                 [{gen(ctx3, 3, 1, 1): 0}])
+    assert rep.seeds == [] and not rep.recovered and rep.products_tried == 0
 
 
 def test_closure_seeding_everything_is_immediate():
