@@ -1,11 +1,12 @@
 """Exact scalar arithmetic for bracket coefficients.
 
-Every structure constant produced by the workbench lives in the field Q(k)
-of rational functions in the level parameter k.  Almost all values that
-actually appear are polynomials in k of tiny degree (bracket tables) or
-plain rationals (structure constants at a fixed level), so Coeff keeps a
-normalized numerator/denominator pair of Q-polynomials and fast-paths the
-constant and polynomial cases.
+Every structure constant produced by the workbench lives in the ring Q[k]
+of polynomials in the level parameter k.  The level is a grading (k of
+degree 1, lambda and d of degree -1), so the values the engines produce are
+single powers c*k^m, with m fixed by where the value sits; the engines that
+use this solve and sweep over Q or Z and attach k^m at their edges (see
+wbracket and dsreduction).  Sums of different powers still arise, for
+instance in weakgen's recovery coefficients, so Coeff is a polynomial.
 
 Polynomials are tuples of Fraction, index = power of k, with no trailing
 zeros; the empty tuple is the zero polynomial.
@@ -43,16 +44,6 @@ def padd(a: tuple, b: tuple) -> tuple:
     for i, x in enumerate(b):
         out[i] += x
     return ptrim(tuple(out))
-
-
-def pneg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
-
-
-def pscale(a: tuple, s: Fraction) -> tuple:
-    if not s:
-        return ()
-    return tuple(x * s for x in a)
 
 
 def pmul(a: tuple, b: tuple) -> tuple:
@@ -98,33 +89,6 @@ def paccum(dst: dict, key, term: tuple) -> None:
             del dst[key]
 
 
-def pdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    """Exact polynomial long division; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_F0] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    inv = 1 / b[-1]
-    while len(r) >= len(b):
-        lead = r[-1]
-        if lead:
-            c = lead * inv
-            q[len(r) - len(b)] = c
-            for i, y in enumerate(b):
-                r[len(r) - len(b) + i] -= c * y
-        r.pop()
-    return ptrim(tuple(q)), ptrim(tuple(r))
-
-
-def pgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd via Euclid; gcd((), b) = monic b."""
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return pscale(a, 1 / a[-1])
-
-
 def peval(a: tuple, x: Fraction) -> Fraction:
     """The exact value of the k-polynomial a at x.
 
@@ -149,33 +113,14 @@ def _as_poly(v) -> tuple:
     raise TypeError(f"cannot coerce {type(v).__name__} to a k-polynomial")
 
 
-_DEN1 = (_F1,)
-
-
 class Coeff:
-    """A rational function num/den in the level parameter k, normalized so the
-    denominator is monic and coprime to the numerator."""
+    """A polynomial in the level parameter k."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num",)
 
-    def __init__(self, num: tuple, den: tuple = _DEN1, _normalized: bool = False):
-        if not _normalized:
-            if not den:
-                raise ZeroDivisionError("zero denominator")
-            if not num:
-                den = _DEN1
-            else:
-                if len(den) > 1 or den != _DEN1:
-                    g = pgcd(num, den)
-                    if len(g) > 1:
-                        num = pdivmod(num, g)[0]
-                        den = pdivmod(den, g)[0]
-                    lead = den[-1]
-                    if lead != _F1:
-                        num = pscale(num, 1 / lead)
-                        den = pscale(den, 1 / lead)
-        self.num = num
-        self.den = den
+    def __init__(self, num: tuple):
+        # trailing zeros trimmed; ptrim returns num itself when there are none
+        self.num = ptrim(num)
 
     # -- constructors ------------------------------------------------------
 
@@ -183,40 +128,34 @@ class Coeff:
     def of(v: Scalar) -> "Coeff":
         if isinstance(v, Coeff):
             return v
-        p = _as_poly(v if isinstance(v, Fraction) else Fraction(v))
-        return Coeff(p, _DEN1, _normalized=True)
+        return Coeff(_as_poly(v if isinstance(v, Fraction) else Fraction(v)))
 
     @staticmethod
     def level(power: int = 1, scale: Scalar = 1) -> "Coeff":
-        """scale * k**power."""
+        """scale * k**power, for a power of at least 0."""
+        if power < 0:
+            raise ValueError(f"negative power {power} of the level")
         s = scale if isinstance(scale, Fraction) else Fraction(scale)
         if not s:
             return _C0
-        return Coeff((_F0,) * power + (s,), _DEN1, _normalized=True)
+        return Coeff((_F0,) * power + (s,))
 
     # -- predicates --------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == _DEN1
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Coeff":
         if not isinstance(other, Coeff):
             other = Coeff.of(other)
-        if self.den == _DEN1 and other.den == _DEN1:
-            return Coeff(padd(self.num, other.num), _DEN1, _normalized=True)
-        n = padd(pmul(self.num, other.den), pmul(other.num, self.den))
-        return Coeff(n, pmul(self.den, other.den))
+        return Coeff(padd(self.num, other.num))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Coeff":
-        return Coeff(pneg(self.num), self.den, _normalized=True)
+        return Coeff(tuple(-x for x in self.num))
 
     def __sub__(self, other) -> "Coeff":
         if not isinstance(other, Coeff):
@@ -229,47 +168,25 @@ class Coeff:
     def __mul__(self, other) -> "Coeff":
         if not isinstance(other, Coeff):
             other = Coeff.of(other)
-        if not self.num or not other.num:
-            return _C0
-        if self.den == _DEN1 and other.den == _DEN1:
-            return Coeff(pmul(self.num, other.num), _DEN1, _normalized=True)
-        return Coeff(pmul(self.num, other.num), pmul(self.den, other.den))
+        return Coeff(pmul(self.num, other.num))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Coeff":
-        if not isinstance(other, Coeff):
-            other = Coeff.of(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero coefficient")
-        if not self.num:
-            return _C0
-        return Coeff(pmul(self.num, other.den), pmul(self.den, other.num))
-
-    def __rtruediv__(self, other) -> "Coeff":
-        return Coeff.of(other) / self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Coeff.of(other)
         if not isinstance(other, Coeff):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.num)
 
     # -- evaluation / display ----------------------------------------------
 
     def eval(self, k: Scalar) -> Fraction:
-        """Value at a rational level k; the denominator must not vanish there."""
-        kk = k if isinstance(k, Fraction) else Fraction(k)
-        if self.den == _DEN1:
-            return peval(self.num, kk)
-        d = peval(self.den, kk)
-        if not d:
-            raise ZeroDivisionError(f"denominator vanishes at k={kk}")
-        return peval(self.num, kk) / d
+        """Value at a rational level k."""
+        return peval(self.num, k if isinstance(k, Fraction) else Fraction(k))
 
     def at_one(self) -> Fraction:
         return self.eval(_F1)
@@ -278,9 +195,7 @@ class Coeff:
         return f"Coeff({self})"
 
     def __str__(self) -> str:
-        if self.den == _DEN1:
-            return poly_str(self.num)
-        return f"({poly_str(self.num)})/({poly_str(self.den)})"
+        return poly_str(self.num)
 
 
 def poly_str(p: tuple, sym: str = "k") -> str:
@@ -308,8 +223,8 @@ def poly_str(p: tuple, sym: str = "k") -> str:
     return out
 
 
-_C0 = Coeff((), _DEN1, _normalized=True)
-_C1 = Coeff((_F1,), _DEN1, _normalized=True)
+_C0 = Coeff(())
+_C1 = Coeff((_F1,))
 
 ZERO = _C0
 ONE = _C1

@@ -29,6 +29,18 @@ fixes every letter of the arguments.  reduced_bracket therefore takes only
 arguments over the positive-weight letters (p_vars); the constraint brackets
 {nv lambda W} qualify too, since a single first-slot letter is never
 multiplied into the result.
+
+Solving.  The level is a grading: give k degree 1, lambda and d degree -1
+and every letter degree 0.  The affine table is then homogeneous of degree
+0, the Leibniz rules preserve degree, and so is every realization W_a and
+every closed-form table entry.  The unknown coefficient of a monomial m with
+D derivatives is therefore x*k^D, and a linear system for these unknowns is
+graded: M(k) = diag(k^r) M(1) diag(k^-c), with the same for its right-hand
+side.  Its pivots, free columns and particular solution over Q(k) are those
+of M(1), so solve_generator and reconcile assemble every system at k=1,
+solve it over Q, and lift each solved x to x*k^D.  The constraints of each
+realization and every bracket of the corrected realizations are then
+re-verified exactly, symbolic in k.
 """
 
 from __future__ import annotations
@@ -54,6 +66,8 @@ from .pvacore import (
 
 # A differential polynomial over the ladder-position variables.
 VpPoly = DiffPoly
+
+_F1 = Fraction(1)
 
 
 class AffVar(NamedTuple):
@@ -203,9 +217,17 @@ def weight_monomials(letters: list, weight_of, target: Fraction) -> list[tuple]:
 
 def _add_poly(system: System, tag, col: Optional[int], poly: DiffPoly,
               sign: int = 1) -> None:
-    """sign * every coefficient of poly into the row keyed (tag, monomial)."""
+    """sign * every coefficient of poly at k=1 into the row keyed (tag,
+    monomial)."""
     for m, c in poly.terms.items():
-        system.add((tag, m), col, c if sign > 0 else -c)
+        x = c.at_one()
+        system.add((tag, m), col, x if sign > 0 else -x)
+
+
+def _lifted(mono: tuple, x: Fraction) -> Coeff:
+    """The solved k=1 value x of the unknown of mono, times k^(derivative
+    count of mono)."""
+    return Coeff.level(sum(d for _, d in mono), x)
 
 
 def _add_lambda(system: System, tag, col: Optional[int], lp: LambdaPoly) -> None:
@@ -241,12 +263,13 @@ def solve_generator(rctx: ReductionCtx, a: GenIndex) -> VpPoly:
     # pin every other bare variable of this weight to zero
     for col, m in enumerate(monos):
         if len(m) == 1 and m[0][1] == 0:
-            system.add(("pin", m), col, ONE)
+            system.add(("pin", m), col, _F1)
 
     sol = system.solve()
     if sol is None:
         raise NoSolution(f"constraint system inconsistent for {a}")
-    W = DiffPoly({((avar, 0),): ONE, **{monos[col]: c for col, c in sol.items()}})
+    W = DiffPoly({((avar, 0),): ONE, **{monos[col]: _lifted(monos[col], x)
+                                        for col, x in sol.items()}})
     # defining constraints re-verified on the solution
     for nv in rctx.n_vars:
         if extend_bracket(table, DiffPoly.variable(nv), W):
@@ -381,8 +404,8 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
             )
         for g in stage:
             col = first_col[g]
-            corrections[g] = DiffPoly({mu: sol[col + mi] for mi, mu in enumerate(lowmonos)
-                                       if col + mi in sol})
+            corrections[g] = DiffPoly({mu: _lifted(mu, sol[col + mi])
+                                       for mi, mu in enumerate(lowmonos) if col + mi in sol})
             if corrections[g]:
                 W[g] = W[g] + substitute(corrections[g], W)
 

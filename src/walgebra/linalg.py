@@ -1,7 +1,6 @@
-"""Exact sparse linear algebra over Q or Q(k).
+"""Exact sparse linear algebra over Q.
 
-Rows are dicts {column index: value} holding only nonzero entries; values may
-be Fraction or Coeff (anything with field arithmetic and falsy zero).  Column
+Rows are dicts {column index: Fraction} holding only nonzero entries.  Column
 indices are ints; elimination always walks columns in increasing order, and
 pivot rows are chosen first-come, so every result is deterministic.
 """

@@ -28,20 +28,22 @@ DiffPoly it stands for.
 The engine.  Each table builds one on first use and keeps it for its
 lifetime, in a VarSpace of stride 64 over the table's variables.  The engine
 holds the table's read-only entries, not the table, so it dies with the
-table.  Every entry coefficient must be a polynomial in k (WAlgebraError
-names the pair otherwise); L is the lcm of their coefficient denominators,
-and each entry is interned lazily as int k-polynomials equal to L times its
-value.  The Leibniz rules only add and multiply by integers (binomials,
-signs, multiplicities), so every memoized {variable lambda monomial} and
+table.  L is the lcm of the entries' coefficient denominators, and each
+entry is interned lazily as int k-polynomials equal to L times its value.
+The Leibniz rules only add and multiply by integers (binomials, signs,
+multiplicities), so every memoized {variable lambda monomial} and
 {monomial lambda monomial} is an int value at scale L, and a Jacobi term, a
 product of two of them, is at scale L^2.
 
 The edge.  extend_bracket codes its inputs' monomials, multiplies by their
-Coeff coefficients (grouped by denominator, so rational ones in k work too),
-divides by L once and converts each output monomial once through
-VarSpace.edge.  check_jacobi accumulates lhs - rhs in place at scale L^2; a
-triple passes exactly when that sum is empty, and only a failing triple's
-diff is converted back, to a TwoVar.
+Coeff coefficients as int k-polynomials (each input scaled by the lcm of its
+coefficient denominators), and converts the sum once through
+VarSpace.diff_poly, dividing by L and the two input scales.  check_jacobi
+accumulates lhs - rhs in place at scale L^2; a triple passes exactly when
+that sum is empty, and only a failing triple's diff is converted back, to a
+TwoVar.  The engine keeps k-polynomials rather than one power of k per
+value: it also serves tables that are not graded in the level, such as
+hand-built ones.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from math import comb, factorial, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional
 
-from .coeffs import Coeff, ONE, paccum, padd, pmul, pmul_int
+from .coeffs import Coeff, ONE, paccum, padd, pmul_int
 from .errors import MissingTableEntry, WAlgebraError
 
 Factor = tuple  # (var, dpow)
@@ -470,7 +472,7 @@ class VarSpace:
         """{interned monomial: int k-polynomial} divided by scale, as a
         DiffPoly."""
         edge = self.edge
-        return DiffPoly({edge(m): Coeff(tuple([Fraction(x, scale) for x in cp]), _normalized=True)
+        return DiffPoly({edge(m): Coeff(tuple([Fraction(x, scale) for x in cp]))
                          for m, cp in p.items()})
 
 
@@ -497,13 +499,9 @@ class _Leibniz:
         self.space = VarSpace(variables, _STRIDE)
         self.entries = entries
         L = 1
-        for (u, v), lp in entries.items():
+        for lp in entries.values():
             for p in lp.coeffs.values():
                 for c in p.terms.values():
-                    if not c.is_polynomial:
-                        raise WAlgebraError(
-                            f"bracket ({u}, {v}) has a coefficient {c} that is not a "
-                            "polynomial in k")
                     for x in c.num:
                         if L % x.denominator:
                             L = lcm(L, x.denominator)
@@ -652,65 +650,43 @@ class _Leibniz:
             self._mm[key] = hit
         return hit
 
-    def _groups(self, P: DiffPoly) -> dict:
-        """P's non-constant terms grouped by coefficient denominator:
-        {den: (M, [(interned monomial, int numerator)])}, where a term's
-        coefficient is its int numerator / (M * den)."""
-        groups: dict = {}
+    def _terms(self, P: DiffPoly) -> tuple:
+        """P's non-constant terms as (M, [(interned monomial, int
+        k-polynomial)]), a term's coefficient being its int polynomial / M."""
+        terms = []
         code = self.space.code
         for m, c in P.terms.items():
             if m:
                 cm = code(m)
                 if cm is not None:
-                    groups.setdefault(c.den, []).append((cm, c.num))
-        out = {}
-        for den, terms in groups.items():
-            M = 1
-            for _, num in terms:
-                for f in num:
-                    if M % f.denominator:
-                        M = lcm(M, f.denominator)
-            out[den] = (M, [(x, tuple(s * f.numerator * (M // f.denominator) for f in num))
-                            for (s, x), num in terms])
-        return out
+                    terms.append((cm, c.num))
+        M = 1
+        for _, num in terms:
+            for f in num:
+                if M % f.denominator:
+                    M = lcm(M, f.denominator)
+        return M, [(x, tuple(s * f.numerator * (M // f.denominator) for f in num))
+                   for (s, x), num in terms]
 
     # -- entry points -------------------------------------------------------------
 
     def bracket(self, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
-        """{A lambda B}: int sums per pair of coefficient denominators, divided
-        by L and converted once per output monomial."""
+        """{A lambda B}: one int sum over the pairs of terms, divided by L
+        and the two input scales at the edge."""
         if not any(A.terms) or not any(B.terms):
             return LambdaPoly()
-        out: dict = {}
-        edge = self.space.edge
-        groups_b = self._groups(B)
-        for da, (Ma, ta) in self._groups(A).items():
-            for db, (Mb, tb) in groups_b.items():
-                acc: dict = {}
-                for ma, na in ta:
-                    for mb, nb in tb:
-                        w = pmul_int(na, nb)
-                        for n, p in self._mono_mono(ma, mb).items():
-                            dst = acc.setdefault(n, {})
-                            for m, cp in p.items():
-                                paccum(dst, m, pmul_int(cp, w))
-                scale = self.L * Ma * Mb
-                den = pmul(da, db)
-                for n, p in acc.items():
-                    dst = out.setdefault(n, {})
+        Ma, ta = self._terms(A)
+        Mb, tb = self._terms(B)
+        acc: dict = {}
+        for ma, na in ta:
+            for mb, nb in tb:
+                w = pmul_int(na, nb)
+                for n, p in self._mono_mono(ma, mb).items():
+                    dst = acc.setdefault(n, {})
                     for m, cp in p.items():
-                        c = Coeff(tuple(Fraction(x, scale) for x in cp), den)
-                        gm = edge(m)
-                        cur = dst.get(gm)
-                        if cur is None:
-                            dst[gm] = c
-                        else:
-                            s = cur + c
-                            if s:
-                                dst[gm] = s
-                            else:
-                                del dst[gm]
-        return LambdaPoly({n: DiffPoly(p) for n, p in out.items()})
+                        paccum(dst, m, pmul_int(cp, w))
+        scale = self.L * Ma * Mb
+        return LambdaPoly({n: self.space.diff_poly(p, scale) for n, p in acc.items()})
 
     def jacobi(self, a, b, c) -> dict:
         """{a lambda {b mu c}} - {{a lambda b}_{lambda+mu} c}

@@ -52,22 +52,17 @@ def _poly_from_terms(terms: list) -> tuple:
 
 def coeff_to_json(c: Coeff):
     """Constant -> {"num","den"}; polynomial in the level -> ascending term
-    list; a genuine ratio of polynomials -> {"num": terms, "den": terms}."""
-    num, den = c.num, c.den
-    if len(den) == 1 and den[0] == 1:
-        if len(num) <= 1:
-            val = num[0] if num else F(0)
-            return fraction_to_json(val)
-        return _poly_terms(num)
-    return {"num": _poly_terms(num), "den": _poly_terms(den)}
+    list."""
+    num = c.num
+    if len(num) <= 1:
+        return fraction_to_json(num[0] if num else F(0))
+    return _poly_terms(num)
 
 
 def coeff_from_json(obj) -> Coeff:
     if isinstance(obj, list):
-        return Coeff(_poly_from_terms(obj), (F(1),))
-    if isinstance(obj["num"], str):
-        return Coeff.of(fraction_from_json(obj))
-    return Coeff(_poly_from_terms(obj["num"]), _poly_from_terms(obj["den"]))
+        return Coeff(_poly_from_terms(obj))
+    return Coeff.of(fraction_from_json(obj))
 
 
 # ---------------------------------------------------------------------------

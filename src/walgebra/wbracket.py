@@ -27,8 +27,11 @@ The sweep.  Evaluation runs right-to-left with memoized suffix sums: V(u)
 collects the value of all chain tails starting at node u, so a full row of
 brackets {a, -} reuses one suffix sweep.  Inside it monomials are interned
 in a pvacore.VarSpace over cdata.gens, with stride one more than the number
-of ladder nodes, and coefficients are int k-polynomials accumulated in
-place.  S is the lcm of the denominators of all the structure constants.  A
+of ladder nodes, and coefficients are ints accumulated in place.  The level
+is a grading: give k degree 1 and lambda and d degree -1; every factor is of
+degree 0, and so is every value, so the coefficient of lambda^n times a
+monomial with D derivatives is c*k^(n+D).  The sweep keeps only c.
+S is the lcm of the denominators of all the structure constants.  A
 live node u has the exponent h(u) = 1 + the largest h over the nodes a chain
 may step to from u (1 if there are none), and H = 1 + max h.  The sweep
 keeps S^h(u) V(u), which is integral: each constant is stored once as an
@@ -38,15 +41,16 @@ for a tail, S^(H-1-h(u)) for an opener, S^(H-1) for a head term).  So a
 finished row holds every entry at the one scale S^H.
 
 The edge.  A finished row is converted once to DiffPoly/LambdaPoly with
-GenIndex factors through VarSpace.diff_poly, and every int coefficient is
-divided by S^H, the only division of the sweep, into a Coeff.  The chain-by-chain
-evaluator over enumerate_chains works on DiffPoly/LambdaPoly and the
-Fraction constants throughout and is the reference the test suite checks
-every row against.
+GenIndex factors through VarSpace.edge, and every int c of lambda^n and a
+monomial with D derivatives becomes the Coeff c/S^H * k^(n+D); the division
+by S^H is the only one of the sweep.  The chain-by-chain evaluator over
+enumerate_chains works on DiffPoly/LambdaPoly and Coeff values throughout,
+with k kept formal, and is the reference the test suite checks every row
+against.
 
-Brackets are built once, with the level k kept formal.  The engine only adds
-and multiplies, so every entry is a polynomial in k, and a table at a fixed
-rational level is exactly the symbolic table evaluated there.
+Brackets are built once, with the level k kept formal: every entry
+coefficient is a single power of k, and a table at a fixed rational level is
+exactly the symbolic table evaluated there.
 """
 
 from __future__ import annotations
@@ -56,10 +60,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, NamedTuple, Union
 
-from .coeffs import Coeff, paccum, pneg, pscale
+from .coeffs import Coeff
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, pairings, sharp_coords
 from .linalg import solve
-from .pvacore import BracketTable, DiffPoly, LambdaPoly, VarSpace, apply_partial, frozen
+from .pvacore import (BracketTable, DiffPoly, LambdaPoly, VarSpace, _accum, apply_partial,
+                      frozen)
 
 F = Fraction
 
@@ -236,8 +241,8 @@ class MasterEngine:
     # -- the interned sweep ---------------------------------------------------
     #
     # Monomials are interned in self.space; values are
-    # {lambda power: {monomial: int k-polynomial}}, at the scale of their
-    # factors.
+    # {lambda power: {monomial: int}}, at the scale of their factors, each
+    # int standing for itself times k^(lambda power + derivative count).
 
     def _value(self, factor: Factor, ksign: int) -> dict:
         """{0: P, 1: ksign * c k} for an int factor (P, c), interned."""
@@ -245,9 +250,9 @@ class MasterEngine:
         D = self.space.stride
         out = {}
         if P:
-            out[0] = {(r * D,): (v,) for r, v in P}
+            out[0] = {(r * D,): v for r, v in P}
         if c:
-            out[1] = {(): (0, c if ksign > 0 else -c)}
+            out[1] = {(): c if ksign > 0 else -c}
         return out
 
     def _apply_into(self, out: dict, factor: Factor, X: dict) -> None:
@@ -272,7 +277,7 @@ class MasterEngine:
                             for y in m[:pos]:
                                 if odd[y]:
                                     s = -s
-                        paccum(dst, m[:pos] + (x,) + m[pos:], pscale(cp, s))
+                        _accum(dst, m[:pos] + (x,) + m[pos:], s * cp)
             if c:
                 dst = out.get(n)
                 if dst is None:
@@ -281,10 +286,10 @@ class MasterEngine:
                 if up is None:
                     up = out[n + 1] = {}
                 for m, cp in p.items():
-                    term = (0,) + pscale(cp, -c)
-                    paccum(up, m, term)
+                    term = -c * cp
+                    _accum(up, m, term)
                     for dm in deriv(m):
-                        paccum(dst, dm, term)
+                        _accum(dst, dm, term)
 
     # -- rows of brackets ------------------------------------------------------
 
@@ -292,7 +297,7 @@ class MasterEngine:
         """{omega(a) lambda omega(b)} for every generator b."""
         if not self._scale:
             self._prepare()
-        cdata, scale, to_poly = self.cdata, self._scale, self.space.diff_poly
+        cdata, scale = self.cdata, self._scale
         ra = cdata.col[a]
         max_grade = cdata.delta[a] - 1
         # suffix sums over the chains starting at each node, V[u] at scale S^h(u)
@@ -318,13 +323,22 @@ class MasterEngine:
                 if Vu is not None:
                     self._apply_into(chain_sum, factor, Vu)
             val = self._value(self._tops[ra][rb], 1)
-            neg = not (a.parity and b.parity)
+            sign = 1 if a.parity and b.parity else -1
             for n, p in chain_sum.items():
                 dst = val.setdefault(n, {})
                 for m, cp in p.items():
-                    paccum(dst, m, pneg(cp) if neg else cp)
-            out[b] = LambdaPoly({n: to_poly(p, scale) for n, p in val.items()})
+                    _accum(dst, m, sign * cp)
+            out[b] = self._lambda_poly(val, scale)
         return out
+
+    def _lambda_poly(self, val: dict, scale: int) -> LambdaPoly:
+        """A sweep value divided by scale, each int c of monomial m at lambda^n
+        lifted to c/scale * k^(n + derivative count of m)."""
+        edge, stride = self.space.edge, self.space.stride
+        return LambdaPoly({n: DiffPoly({edge(m): Coeff.level(n + sum(x % stride for x in m),
+                                                             F(c, scale))
+                                        for m, c in p.items()})
+                           for n, p in val.items()})
 
     # -- the chain-by-chain oracle, on DiffPoly/LambdaPoly ---------------------
 

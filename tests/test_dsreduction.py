@@ -24,6 +24,7 @@ from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_alge
 from walgebra.linalg import solve
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, extend_bracket,
                               substitute)
+from walgebra.wbracket import MasterEngine
 
 F = Fraction
 K = Coeff.level()
@@ -148,6 +149,41 @@ def test_pairing_coordinates_rebuild_every_commutator():
                 for i, c in pairings(index, br).items():
                     rebuilt += rctx.matrix[rctx.variables[i]].scale(c)
                 assert rebuilt == br, (kind, p1, p2, u, v)
+
+
+def _off_grading(lp: LambdaPoly) -> list:
+    """The terms of lp whose coefficient is not c*k^(n + D), for lambda power
+    n and a monomial with D derivatives: the level grading (k of degree 1,
+    lambda and d of degree -1) on a value of degree 0."""
+    return [(n, m, c) for n, p in lp.coeffs.items() for m, c in p.terms.items()
+            if c != Coeff.level(n + sum(d for _, d in m), c.num[-1])]
+
+
+def test_values_are_graded_in_the_level():
+    # computed with k formal throughout, so the grading that lets the
+    # engines work at k=1 is checked here, not assumed: the chain-by-chain
+    # brackets, the affine tables, and the brackets of the reconciled
+    # realizations (and the realizations themselves) on criterion 2's fast
+    # shapes
+    for kind, p1, p2 in RECONCILE_DIGESTS:
+        ctx = ctx_of(kind, p1, p2)
+        engine = MasterEngine(ctx)
+        gens = engine.cdata.gens
+        for a in gens:
+            for b in gens:
+                assert not _off_grading(engine.bracket_by_chains(a, b)), (kind, p1, p2, a, b)
+        rctx = ReductionCtx(ctx)
+        for uv, entry in rctx.affine_table().entries.items():
+            assert not _off_grading(entry), (kind, p1, p2, uv)
+        rep = reconcile(rctx, table_of(kind, p1, p2))
+        assert rep.ok
+        W = rep.corrected.solutions
+        for poly in (*W.values(), *rep.corrections.values()):
+            assert not _off_grading(LambdaPoly({0: poly})), (kind, p1, p2, poly)
+        for a in gens:
+            for b in gens:
+                br = reduced_bracket(rctx, W[a], W[b])
+                assert not _off_grading(br), (kind, p1, p2, a, b)
 
 
 def test_reduction_refuses_a_ladder_that_cannot_span():

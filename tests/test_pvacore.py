@@ -360,7 +360,7 @@ def reference_jacobi(table, a, b, c) -> TwoVar:
 # the engine against the reference
 
 _K_COEFFS = [Coeff.of(1), Coeff.of(-2), Coeff.of(F(3, 4)), Coeff.level(1, F(-1, 3)),
-             Coeff((F(1), F(2)), (F(1),)), Coeff((F(2),), (F(1), F(1)))]  # last: 2/(k+1)
+             Coeff((F(1), F(2)))]
 
 
 def _composite(draw, gens):
@@ -409,14 +409,6 @@ def test_jacobi_names_corrupted_triples_with_reference_diffs():
     want = [(t, d) for t, d in want if d]
     got = check_jacobi(tab, triples)
     assert want and [(v["triple"], v["diff"]) for v in got] == want
-
-
-def test_rational_entry_coefficient_is_refused():
-    a = DiffPoly.variable(A_EVEN)
-    over = Coeff((F(1),), (F(1), F(1)))  # 1/(k+1)
-    tab = BracketTable([A_EVEN], {(A_EVEN, A_EVEN): LambdaPoly({1: DiffPoly.constant(over)})})
-    with pytest.raises(WAlgebraError, match=r"\(a, a\)"):
-        extend_bracket(tab, a, a)
 
 
 def test_fixed_level_table_with_denominators_matches_reference():

@@ -4,14 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import ctx_of, gen, table_of
 from walgebra import serialize as ser
 from walgebra import weakgen
 from walgebra.coeffs import Coeff
 from walgebra.errors import UnknownGenerator
-from walgebra.pvacore import DiffPoly, LambdaPoly, apply_partial
+from walgebra.pvacore import DiffPoly, LambdaPoly, apply_partial, poly_normalize
 
 F = Fraction
 K = Coeff.level()
@@ -31,8 +31,12 @@ def test_coeff_forms():
     # level polynomials use the ascending term list
     j = ser.coeff_to_json(K * Coeff.of(2) - Coeff.of(1))
     assert j == [{"pow": 0, "num": "-1", "den": "1"}, {"pow": 1, "num": "2", "den": "1"}]
-    for c in (Coeff.of(5), K * K * K, K / (K + Coeff.of(1))):
+    for c in (Coeff.of(5), K * K * K):
         assert ser.coeff_from_json(ser.coeff_to_json(c)) == c
+    # a term list whose top term is zero parses to the canonical value
+    terms = [{"pow": 0, "num": "2", "den": "1"}, {"pow": 3, "num": "0", "den": "1"}]
+    assert ser.coeff_from_json(terms).num == (F(2),)
+    assert ser.coeff_from_json(terms) == Coeff.of(2)
 
 
 def test_gen_roundtrip():
@@ -60,6 +64,35 @@ def test_composite_poly_roundtrip():
     b = DiffPoly.variable(gen(ctx, 1, 2, 2))
     p = a * apply_partial(b) + b.scale(K) + DiffPoly.constant(F(-1, 3))
     assert ser.diff_poly_from_json(ctx, ser.diff_poly_to_json(p)) == p
+
+
+FRACS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+# constants (at most one term) and polynomials in the level, interior zeros
+# included
+COEFFS = st.lists(st.one_of(st.just(F(0)), FRACS), max_size=4).map(
+    lambda xs: Coeff(tuple(xs)))
+SUPER_GENS = ctx_of("sl_super", (3,), (2,)).centralizer().gens
+
+
+@st.composite
+def diff_polys(draw):
+    """Up to four terms of up to three factors over sl(3|2)'s generators,
+    odd and even, derivative powers up to 3."""
+    factors = st.lists(st.tuples(st.sampled_from(SUPER_GENS), st.integers(0, 3)),
+                       max_size=3)
+    return poly_normalize(draw(st.lists(st.tuples(factors, COEFFS), max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(COEFFS, diff_polys(), st.dictionaries(st.integers(0, 4), diff_polys(), max_size=3))
+def test_random_values_roundtrip_through_json(c, p, lp):
+    ctx = ctx_of("sl_super", (3,), (2,))
+    assert ser.coeff_from_json(json.loads(json.dumps(ser.coeff_to_json(c)))) == c
+    blob = json.dumps(ser.diff_poly_to_json(p))
+    assert ser.diff_poly_from_json(ctx, json.loads(blob)) == p
+    lam = LambdaPoly(lp)
+    blob = json.dumps(ser.lambda_poly_to_json(lam))
+    assert ser.lambda_poly_from_json(ctx, json.loads(blob)) == lam
 
 
 def test_dump_determinism():

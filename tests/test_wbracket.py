@@ -186,30 +186,33 @@ def test_structure_constants_match_the_matrix_path():
 
 
 def test_interned_operator_matches_the_diffpoly_operator():
-    # the sweep's in-place (P - c*k(lambda+d)) on int values scaled by sx and
-    # an int factor scaled by sf, divided by sx*sf at the edge, against the
-    # oracle's operator on the same Fraction values.  The monomials are ones
-    # the chain sums of small shapes never produce: an odd factor beside its
-    # own derivative, a repeated even factor, and odd factors the inserted
-    # odd one has to move past
+    # the sweep's in-place (P - c*k(lambda+d)) on graded int values scaled by
+    # sx and an int factor scaled by sf, lifted by k^(n+D) (lambda power n,
+    # derivative count D) and divided by sx*sf at the edge, against the
+    # oracle's operator on the lifted values.  The monomials are ones the
+    # chain sums of small shapes never produce: an odd factor beside its own
+    # derivative, a repeated even factor, and odd factors the inserted odd
+    # one has to move past
     engine = MasterEngine(ctx_of("sl_super", (3,), (2,)))
     gens, D = engine.cdata.gens, engine.space.stride
     odd, odd2 = [r for r, g in enumerate(gens) if g.parity][:2]
     even = next(r for r, g in enumerate(gens) if not g.parity)
-    X = {0: {(odd * D, odd * D + 1): (F(1),),
-             (even * D, even * D): (F(2), F(3))},
-         1: {tuple(sorted((even * D + 1, odd * D + 1))): (F(-1),),
-             tuple(sorted((odd * D, even * D, odd * D + 2))): (F(0), F(1, 2))}}
+    deep = tuple(sorted((odd * D, even * D, odd * D + 2)))
+    X = {0: {(odd * D, odd * D + 1): F(1),
+             (even * D, even * D): F(3, 2)},
+         1: {tuple(sorted((even * D + 1, odd * D + 1))): F(-1),
+             deep: F(1, 2)}}
     factor = (((odd, F(2)), (odd2, F(-1)), (even, F(1, 3))), F(5))
     sx, sf = 4, 6
-    Xi = {n: {m: tuple(int(c * sx) for c in cp) for m, cp in p.items()} for n, p in X.items()}
+    Xi = {n: {m: int(c * sx) for m, c in p.items()} for n, p in X.items()}
     fi = (tuple((r, int(v * sf)) for r, v in factor[0]), int(factor[1] * sf))
     out: dict = {}
     engine._apply_into(out, fi, Xi)
-    assert {type(c) for p in out.values() for cp in p.values() for c in cp} == {int}
-    to_poly = engine.space.diff_poly
-    want = engine._apply(factor, LambdaPoly({n: to_poly(p, sx) for n, p in Xi.items()}))
-    assert LambdaPoly({n: to_poly(p, sx * sf) for n, p in out.items()}) == want
+    assert {type(c) for p in out.values() for c in p.values()} == {int}
+    lift = engine._lambda_poly
+    assert lift(Xi, sx).get(1).terms[engine.space.edge(deep)] == Coeff.level(3, F(1, 2))
+    want = engine._apply(factor, lift(Xi, sx))
+    assert lift(out, sx * sf) == want
     assert want
 
 
