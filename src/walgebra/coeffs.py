@@ -5,8 +5,9 @@ of polynomials in the level parameter k.  The level is a grading (k of
 degree 1, lambda and d of degree -1), so the values the engines produce are
 single powers c*k^m, with m fixed by where the value sits; the engines that
 use this solve and sweep over Q or Z and attach k^m at their edges (see
-wbracket and dsreduction).  Sums of different powers still arise, for
-instance in weakgen's recovery coefficients, so Coeff is a polynomial.
+wbracket, pvacore and dsreduction), and weakgen's recovery coefficients are
+single powers too.  Coeff stays a polynomial because a DiffPoly handed to
+extend_bracket may carry any coefficients in Q[k].
 
 Polynomials are tuples of Fraction, index = power of k, with no trailing
 zeros; the empty tuple is the zero polynomial.
@@ -56,37 +57,6 @@ def pmul(a: tuple, b: tuple) -> tuple:
                 if y:
                     out[i + j] += x * y
     return ptrim(tuple(out))
-
-
-def pmul_int(a: tuple, b: tuple) -> tuple:
-    """pmul for polynomials with int coefficients, which stay ints; a
-    product of nonzero ones is nonzero, so nothing is trimmed."""
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        x = a[0]
-        return tuple([x * y for y in b])
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def paccum(dst: dict, key, term: tuple) -> None:
-    """dst[key] += term for k-polynomials, dropping a sum that cancels."""
-    cur = dst.get(key)
-    if cur is None:
-        dst[key] = term
-    else:
-        s = padd(cur, term)
-        if s:
-            dst[key] = s
-        else:
-            del dst[key]
 
 
 def peval(a: tuple, x: Fraction) -> Fraction:
@@ -180,7 +150,11 @@ class Coeff:
         return self.num == other.num
 
     def __hash__(self):
-        return hash(self.num)
+        # a constant hashes as the Fraction it equals, zero as 0
+        num = self.num
+        if len(num) > 1:
+            return hash(num)
+        return hash(num[0]) if num else 0
 
     # -- evaluation / display ----------------------------------------------
 

@@ -21,29 +21,33 @@ int tuple in the canonical factor order and parity is an array lookup.  The
 space codes DiffPoly monomials (sign and int tuple; a derivative power of
 stride or more is refused with WAlgebraError, an unknown variable raises
 MissingTableEntry), differentiates int monomials, and converts them back to
-(variable, dpow) factors at the edge, memoizing each; diff_poly turns a map
-of interned monomials to int k-polynomials, divided by a scale, into the
-DiffPoly it stands for.
+(variable, dpow) factors at the edge, memoizing each.  diff_poly is the one
+conversion of int values to DiffPoly: each int c of an interned monomial
+with D derivatives becomes c/scale * k^(power + g*D).
+
+The grading.  Give k degree 1 and lambda and d degree -1.  A symbolic or
+affine table is homogeneous of degree 0: its coefficient of lambda^n times a
+monomial with D derivatives is c*k^(n+D).  A fixed-level table has constant
+coefficients.  The Leibniz rules preserve degree, so the engine carries c.
 
 The engine.  Each table builds one on first use and keeps it for its
-lifetime, in a VarSpace of stride 64 over the table's variables.  The engine
-holds the table's read-only entries, not the table, so it dies with the
-table.  L is the lcm of the entries' coefficient denominators, and each
-entry is interned lazily as int k-polynomials equal to L times its value.
-The Leibniz rules only add and multiply by integers (binomials, signs,
-multiplicities), so every memoized {variable lambda monomial} and
-{monomial lambda monomial} is an int value at scale L, and a Jacobi term, a
-product of two of them, is at scale L^2.
+lifetime, in a VarSpace of stride 64 over the table's variables; it holds
+the table's read-only entries, not the table, so it dies with the table.
+One scan of the entries computes L, the lcm of their denominators, and the
+grading flag g: 1 when some coefficient has a positive power of k, else 0.
+A term whose coefficient is not c*k^(g*(n+D)) is refused there with a
+WAlgebraError naming its pair.  Entries are interned lazily as L*c.  The
+Leibniz rules only add and multiply by integers (binomials, signs,
+multiplicities), so every memoized {variable lambda monomial} and {monomial
+lambda monomial} is an int value at scale L, and a Jacobi term at L^2.
 
-The edge.  extend_bracket codes its inputs' monomials, multiplies by their
-Coeff coefficients as int k-polynomials (each input scaled by the lcm of its
-coefficient denominators), and converts the sum once through
-VarSpace.diff_poly, dividing by L and the two input scales.  check_jacobi
-accumulates lhs - rhs in place at scale L^2; a triple passes exactly when
-that sum is empty, and only a failing triple's diff is converted back, to a
-TwoVar.  The engine keeps k-polynomials rather than one power of k per
-value: it also serves tables that are not graded in the level, such as
-hand-built ones.
+The edge.  extend_bracket takes any Q[k] coefficients: it splits each input
+by degree s = (power of k) - g*D, scales it to ints, sums the products per
+s_A + s_B, and lifts an int c of lambda^n times m to c/scale *
+k^(s_A + s_B + g*(n + D(m))); the package's callers pass one degree per
+input.  check_jacobi accumulates lhs - rhs in place at scale L^2; a triple
+passes exactly when that sum is empty, and only a failing triple's diff is
+converted back, to a TwoVar, with k^(g*(i+j+D)) at lambda^i mu^j.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from math import comb, factorial, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional
 
-from .coeffs import Coeff, ONE, paccum, padd, pmul_int
+from .coeffs import Coeff, ONE
 from .errors import MissingTableEntry, WAlgebraError
 
 Factor = tuple  # (var, dpow)
@@ -468,44 +472,55 @@ class VarSpace:
             gm = self._edge[m] = tuple(fs)
         return gm
 
-    def diff_poly(self, p: dict, scale: int) -> DiffPoly:
-        """{interned monomial: int k-polynomial} divided by scale, as a
-        DiffPoly."""
-        edge = self.edge
-        return DiffPoly({edge(m): Coeff(tuple([Fraction(x, scale) for x in cp]))
-                         for m, cp in p.items()})
+    def diff_poly(self, p: dict, scale: int, g: int, power: int) -> DiffPoly:
+        """{interned monomial: int} as a DiffPoly, each int c of monomial m
+        lifted to c/scale * k^(power + g*(derivative count of m))."""
+        edge, stride = self.edge, self.stride
+        return DiffPoly({edge(m): Coeff.level(power + g * sum(x % stride for x in m),
+                                              Fraction(c, scale))
+                         for m, c in p.items()})
 
 
 # ---------------------------------------------------------------------------
 # the Leibniz engine
 #
-# Values are {lambda power: {interned monomial: int k-polynomial}}, meaning
-# value / L.
+# Values are {lambda power: {interned monomial: int}}: the int c of monomial m
+# at lambda^n in {X lambda Y} stands for c/L * k^(g*(n + D(m) - D(X) - D(Y))),
+# D counting derivatives.
 
 _STRIDE = 64
 
 
-def _scaled(poly: tuple, s: int) -> tuple:
-    return poly if s == 1 else tuple(x * s for x in poly)
-
-
 class _Leibniz:
     """{mono lambda mono} and the Jacobi sums of one table, on interned
-    monomials with integer k-polynomial coefficients scaled by L.  It keeps
-    the table's read-only entries, not the table, so a dropped table takes
-    its engine with it."""
+    monomials with int coefficients at scale L, graded by g.  It keeps the
+    table's read-only entries, not the table, so a dropped table takes its
+    engine with it."""
 
     def __init__(self, variables: list, entries):
         self.space = VarSpace(variables, _STRIDE)
         self.entries = entries
-        L = 1
-        for lp in entries.values():
-            for p in lp.coeffs.values():
-                for c in p.terms.values():
-                    for x in c.num:
-                        if L % x.denominator:
-                            L = lcm(L, x.denominator)
-        self.L = L
+        # one scan: L, g, and the first term that is not c*k^(n+D)
+        L, g, off = 1, 0, None
+        for ab, lp in entries.items():
+            for n, p in lp.coeffs.items():
+                for m, c in p.terms.items():
+                    num = c.num
+                    if not num:
+                        continue
+                    if len(num) > 1:
+                        g = 1
+                    if off is None and (len(num) != 1 + n + sum(d for _, d in m)
+                                        or any(num[:-1])):
+                        off = (ab, n, c)
+                    d = num[-1].denominator
+                    if L % d:
+                        L = lcm(L, d)
+        if g and off is not None:
+            (a, b), n, c = off
+            raise WAlgebraError(f"the bracket ({a}, {b}) is not graded in the level:"
+                                f" coefficient {c} at lambda^{n}")
+        self.L, self.g = L, g
         self._interned: dict = {}
         self._vm: dict = {}
         self._mm: dict = {}
@@ -529,11 +544,11 @@ class _Leibniz:
             for n, p in lp.coeffs.items():
                 dst: dict = {}
                 for m, c in p.terms.items():
-                    cm = space.code(m)
+                    cm = space.code(m) if c else None
                     if cm is not None:
                         s, x = cm
-                        paccum(dst, x, tuple(s * f.numerator * (L // f.denominator)
-                                             for f in c.num))
+                        f = c.num[-1]
+                        _accum(dst, x, s * f.numerator * (L // f.denominator))
                 if dst:
                     hit[n] = dst
             self._interned[key] = hit
@@ -583,7 +598,7 @@ class _Leibniz:
                         mult = comb(l, k)
                         for y, cp in p.items():
                             for dy, cy in self._dpow(y, l - k).items():
-                                paccum(dst, dy, _scaled(cp, mult * cy))
+                                _accum(dst, dy, mult * cy * cp)
             elif m:
                 # {u lambda h r} = {u lambda h} r + (-1)^{p(u)p(h)} h {u lambda r}
                 head, rest = m[:1], m[1:]
@@ -602,7 +617,7 @@ class _Leibniz:
             for m, cp in p.items():
                 r = self._mul(m, y) if right else self._mul(y, m)
                 if r is not None:
-                    paccum(dst, r[1], _scaled(cp, sign * r[0]))
+                    _accum(dst, r[1], sign * r[0] * cp)
 
     def _arrow_into(self, out: dict, br: dict, y: tuple, sign: int) -> None:
         """out += sign * {X_{lambda+d} B}_-> y: each lambda^n of br becomes
@@ -616,7 +631,7 @@ class _Leibniz:
                     for z, cz in dy.items():
                         r = self._mul(m, z)
                         if r is not None:
-                            paccum(dst, r[1], _scaled(cp, mult * cz * r[0]))
+                            _accum(dst, r[1], mult * cz * r[0] * cp)
 
     def _mono_mono(self, m: tuple, o: tuple) -> dict:
         """{m lambda o}, peeling the first slot by the left Leibniz rule and
@@ -631,7 +646,7 @@ class _Leibniz:
                 if not k:
                     hit = base
                 elif k % 2:
-                    hit = {n + k: {y: tuple(-x for x in cp) for y, cp in p.items()}
+                    hit = {n + k: {y: -cp for y, cp in p.items()}
                            for n, p in base.items()}
                 else:
                     hit = {n + k: p for n, p in base.items()}
@@ -651,47 +666,48 @@ class _Leibniz:
         return hit
 
     def _terms(self, P: DiffPoly) -> tuple:
-        """P's non-constant terms as (M, [(interned monomial, int
-        k-polynomial)]), a term's coefficient being its int polynomial / M."""
-        terms = []
-        code = self.space.code
+        """P's non-constant terms split by degree, as (M, [(s, interned
+        monomial, int)]): one triple per power k^p in a coefficient, of degree
+        s = p - g*D, the int being M times that power's Fraction."""
+        g, code = self.g, self.space.code
+        raw = []
         for m, c in P.terms.items():
-            if m:
-                cm = code(m)
-                if cm is not None:
-                    terms.append((cm, c.num))
-        M = 1
-        for _, num in terms:
-            for f in num:
-                if M % f.denominator:
-                    M = lcm(M, f.denominator)
-        return M, [(x, tuple(s * f.numerator * (M // f.denominator) for f in num))
-                   for (s, x), num in terms]
+            cm = code(m) if m else None
+            if cm is not None:
+                sign, x = cm
+                D = g * sum(d for _, d in m)
+                raw += [(p - D, x, sign * f) for p, f in enumerate(c.num) if f]
+        M = lcm(*{f.denominator for _, _, f in raw})
+        return M, [(s, x, f.numerator * (M // f.denominator)) for s, x, f in raw]
 
     # -- entry points -------------------------------------------------------------
 
     def bracket(self, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
-        """{A lambda B}: one int sum over the pairs of terms, divided by L
-        and the two input scales at the edge."""
+        """{A lambda B}: one int sum per degree s_A + s_B and lambda power
+        over the pairs of terms, each divided by L and the two input scales
+        and lifted by its power of k at the edge."""
         if not any(A.terms) or not any(B.terms):
             return LambdaPoly()
         Ma, ta = self._terms(A)
         Mb, tb = self._terms(B)
-        acc: dict = {}
-        for ma, na in ta:
-            for mb, nb in tb:
-                w = pmul_int(na, nb)
-                for n, p in self._mono_mono(ma, mb).items():
-                    dst = acc.setdefault(n, {})
+        acc: dict = {}  # (degree, lambda power) -> {monomial: int}
+        for sa, xa, ia in ta:
+            for sb, xb, ib in tb:
+                w = ia * ib
+                for n, p in self._mono_mono(xa, xb).items():
+                    dst = acc.setdefault((sa + sb, n), {})
                     for m, cp in p.items():
-                        paccum(dst, m, pmul_int(cp, w))
-        scale = self.L * Ma * Mb
-        return LambdaPoly({n: self.space.diff_poly(p, scale) for n, p in acc.items()})
+                        _accum(dst, m, w * cp)
+        scale, g, diff_poly = self.L * Ma * Mb, self.g, self.space.diff_poly
+        out: dict = {}
+        for (s, n), p in acc.items():
+            _accum(out, n, diff_poly(p, scale, g, s + g * n))
+        return LambdaPoly(out)
 
     def jacobi(self, a, b, c) -> dict:
         """{a lambda {b mu c}} - {{a lambda b}_{lambda+mu} c}
         - (-1)^{p(a)p(b)} {b mu {a lambda c}} for variables a, b, c, as
-        {(lambda power, mu power): {monomial: int k-polynomial}} at scale L^2."""
+        {(lambda power, mu power): {monomial: int}} at scale L^2."""
         space = self.space
         ra, rb, rc = space.rank_of(a), space.rank_of(b), space.rank_of(c)
         terms = []  # (ij, w, X): diff[ij] += w * X
@@ -705,33 +721,30 @@ class _Leibniz:
                 for l, q in self._mono_mono(y, cc).items():
                     # (lambda + mu)^l expanded on top of lambda^n
                     for k in range(l + 1):
-                        terms.append(((n + k, l - k), _scaled(cy, -comb(l, k)), q))
+                        terms.append(((n + k, l - k), -comb(l, k) * cy, q))
         sign = 1 if a.parity and b.parity else -1
         for i, p in self._entry(ra, rc).items():
             for y, cy in p.items():
-                w = _scaled(cy, sign)
+                w = sign * cy
                 for j, q in self._var_mono(rb, y).items():
                     terms.append(((i, j), w, q))
         diff: dict = {}
         for ij, w, q in terms:
             dst = diff.setdefault(ij, {})
             for m, cq in q.items():
-                t = pmul_int(w, cq)
-                cur = dst.get(m)
-                if cur is None:
+                t = dst.get(m, 0) + w * cq
+                if t:
                     dst[m] = t
                 else:
-                    t = padd(cur, t)
-                    if t:
-                        dst[m] = t
-                    else:
-                        del dst[m]
+                    del dst[m]
         return {ij: p for ij, p in diff.items() if p}
 
     def two_var(self, diff: dict) -> "TwoVar":
-        """A jacobi() result as the TwoVar it stands for."""
-        L2 = self.L * self.L
-        return TwoVar({ij: self.space.diff_poly(p, L2) for ij, p in diff.items()})
+        """A jacobi() result as the TwoVar it stands for: the int c of
+        monomial m at lambda^i mu^j is c/L^2 * k^(g*(i + j + D(m)))."""
+        L2, g = self.L * self.L, self.g
+        return TwoVar({(i, j): self.space.diff_poly(p, L2, g, g * (i + j))
+                       for (i, j), p in diff.items()})
 
 
 def extend_bracket(table: BracketTable, A: DiffPoly, B: DiffPoly) -> LambdaPoly:

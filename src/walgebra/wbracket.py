@@ -41,7 +41,8 @@ for a tail, S^(H-1-h(u)) for an opener, S^(H-1) for a head term).  So a
 finished row holds every entry at the one scale S^H.
 
 The edge.  A finished row is converted once to DiffPoly/LambdaPoly with
-GenIndex factors through VarSpace.edge, and every int c of lambda^n and a
+GenIndex factors through VarSpace.diff_poly, the conversion the Leibniz
+engine uses too, with the grading flag 1: every int c of lambda^n and a
 monomial with D derivatives becomes the Coeff c/S^H * k^(n+D); the division
 by S^H is the only one of the sweep.  The chain-by-chain evaluator over
 enumerate_chains works on DiffPoly/LambdaPoly and Coeff values throughout,
@@ -334,11 +335,8 @@ class MasterEngine:
     def _lambda_poly(self, val: dict, scale: int) -> LambdaPoly:
         """A sweep value divided by scale, each int c of monomial m at lambda^n
         lifted to c/scale * k^(n + derivative count of m)."""
-        edge, stride = self.space.edge, self.space.stride
-        return LambdaPoly({n: DiffPoly({edge(m): Coeff.level(n + sum(x % stride for x in m),
-                                                             F(c, scale))
-                                        for m, c in p.items()})
-                           for n, p in val.items()})
+        diff_poly = self.space.diff_poly
+        return LambdaPoly({n: diff_poly(p, scale, 1, n) for n, p in val.items()})
 
     # -- the chain-by-chain oracle, on DiffPoly/LambdaPoly ---------------------
 

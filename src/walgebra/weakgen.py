@@ -219,13 +219,15 @@ class DerivationReport:
 class _Vec:
     """A derived homogeneous element, tracked through its linear term."""
 
-    __slots__ = ("label", "ltK", "lt1", "weight")
+    __slots__ = ("label", "ltK", "lt1", "weight", "power")
 
     def __init__(self, label, ltK, lt1, weight):
         self.label = label
         self.ltK = ltK  # GenIndex -> Coeff (symbolic in the level)
         self.lt1 = lt1  # GenIndex -> Fraction (values at level 1)
         self.weight = weight
+        # the level is a grading, so ltK is k^power times its values at k=1
+        self.power = max(len(c.num) for c in ltK.values()) - 1
 
 
 def _product(table: BracketTable, ca: dict, cb: dict, n: int):
@@ -359,7 +361,10 @@ class _Run:
     def solve_slice(self, weight):
         """Separate every still-missing generator of one weight slice that is
         an exact rational combination (at k=1) of the pooled vectors there,
-        allowing already-recovered generators to be subtracted freely."""
+        allowing already-recovered generators to be subtracted freely.  Each
+        multiplier x of a vector k^p * (its k=1 values) is lifted to
+        x*k^(P-p), P the largest p, so the combination is k^P times the
+        target at every level."""
         weight = F(weight)
         vecs = self.pool.get(weight, [])
         if not vecs:
@@ -378,9 +383,11 @@ class _Run:
                 continue
             coeff = ZERO
             parts = []
+            top = max((vecs[i].power for i in sol), default=0)
             for i, x in sorted(sol.items()):
-                coeff = coeff + Coeff.of(x) * vecs[i].ltK.get(target, ZERO)
-                parts.append(f"({x})*{vecs[i].label}")
+                xk = Coeff.level(top - vecs[i].power, x)
+                coeff = coeff + xk * vecs[i].ltK.get(target, ZERO)
+                parts.append(f"({xk})*{vecs[i].label}")
             self.bank(target, " + ".join(parts) if parts else "0", coeff)
 
     def claim_slice(self, label, weight):

@@ -79,7 +79,7 @@ def test_criterion_02_reconcile_3_2():
 
 def test_criterion_03_axiom_suite():
     specs = [("sl", (2, 1), ()), ("sl", (3,), ()), ("sl", (2, 2), ()),
-             ("sl", (2, 1, 1), ()), ("sl", (3, 2), ()),
+             ("sl", (2, 1, 1), ()), ("sl", (3, 2), ()), ("sl", (4, 3), ()),
              ("sl_super", (2,), (1,)), ("sl_super", (3,), (2,))]
     t0 = time.perf_counter()
     total_triples = 0
@@ -93,7 +93,8 @@ def test_criterion_03_axiom_suite():
         total_triples += len(triples)
     dt = time.perf_counter() - t0
     assert dt < 600.0, f"took {dt:.1f}s"
-    _report(3, f"0 violations over 7 tables, {total_triples} Jacobi triples, {dt:.1f}s")
+    _report(3, f"0 violations over {len(specs)} tables, {total_triples} Jacobi triples,"
+               f" {dt:.1f}s")
 
 
 def test_criterion_04_leading_coefficient_ratios():

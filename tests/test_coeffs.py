@@ -95,3 +95,14 @@ def test_constructor_matches_the_arithmetic(fracs):
     assert c == _coeff(fracs) and hash(c) == hash(_coeff(fracs))
     assert bool(c) == any(fracs)
     assert not c.num or c.num[-1]
+
+
+def test_constants_hash_like_the_numbers_they_equal():
+    # equal values must find each other as dict keys and set members
+    for c, x in ((Coeff.of(1), 1), (Coeff.of(0), 0), (Coeff(()), 0),
+                 (Coeff.of(F(3, 4)), F(3, 4)), (Coeff.of(-2), F(-2))):
+        assert c == x and hash(c) == hash(x)
+    assert {1: "a"}.get(Coeff.of(1)) == "a"
+    assert {Coeff.of(F(1, 2)): "h"}.get(F(1, 2)) == "h"
+    assert len({0, Coeff.of(0), F(0)}) == 1
+    assert {K: "k"}.get(1) is None and {K: "k"}.get(Coeff.level(1)) == "k"

@@ -6,13 +6,15 @@ then property-tested with composite (non-variable) arguments in both slots,
 on a genuinely super algebra, since several sign errors are invisible at the
 variable level.
 
-The Leibniz engine (interned monomials, integer coefficients at scale L) is
-checked against the reference below: the recursion on DiffPoly/LambdaPoly
-with Coeff values that the engine replaced."""
+The Leibniz engine (interned monomials, integer coefficients at scale L,
+powers of k attached by the grading) is checked against the reference
+below: the recursion on DiffPoly/LambdaPoly with Coeff values, k kept
+formal, on symbolic, affine and fixed-level tables."""
 
 import gc
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import corrupted_table, ctx_of, table_of
 from walgebra.coeffs import Coeff, ONE
+from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import MissingTableEntry, WAlgebraError
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, TwoVar,
                               VarSpace, apply_partial, check_jacobi,
@@ -373,11 +376,17 @@ def _composite(draw, gens):
     return total
 
 
+@lru_cache(maxsize=None)
+def _affine_sl21():
+    return ReductionCtx(ctx_of("sl_super", (2,), (1,))).affine_table()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_engine_matches_reference_on_random_composites(data):
-    shape = data.draw(st.sampled_from([("sl_super", (2,), (1,)), ("sl", (3, 1), ())]))
-    tab = table_of(*shape)
+    # symbolic tables, and an affine table over the reduction's ladder basis
+    tab = data.draw(st.sampled_from([("sl_super", (2,), (1,)), ("sl", (3, 1), ()), "affine"]))
+    tab = _affine_sl21() if tab == "affine" else table_of(*tab)
     gens = tab.variables
     A, B = _composite(data.draw, gens), _composite(data.draw, gens)
     assert extend_bracket(tab, A, B) == reference_bracket(tab, A, B)
@@ -457,6 +466,25 @@ def test_var_space_matches_the_diffpoly_format(data):
     for y in space.deriv(x):
         derived[space.edge(y)] = derived.get(space.edge(y), 0) + 1
     assert DiffPoly({m: Coeff.of(c) for m, c in derived.items()}) == DiffPoly({mono: ONE}).d()
+
+
+def test_a_table_off_the_grading_is_refused_on_first_use():
+    # {a lambda a} = k: a positive power of k makes the table graded, and k at
+    # lambda^0 on a constant is off the grading (it should be k^0)
+    entries = {(A_EVEN, A_EVEN): LambdaPoly({0: DiffPoly.constant(Coeff.level(1))})}
+    a = _dp(A_EVEN)
+    uses = [lambda tab: extend_bracket(tab, a, a * a),
+            lambda tab: check_jacobi(tab, [(A_EVEN, A_EVEN, A_EVEN)])]
+    for use in uses:
+        tab = BracketTable([A_EVEN], entries)
+        for _ in range(2):
+            with pytest.raises(WAlgebraError, match=r"bracket \(a, a\) is not graded"):
+                use(tab)
+    # k*lambda is on the grading: {a lambda a.a} = 2k lambda a
+    tab = BracketTable([A_EVEN], {(A_EVEN, A_EVEN): LambdaPoly(
+        {1: DiffPoly.constant(Coeff.level(1))})})
+    assert extend_bracket(tab, a, a * a) == LambdaPoly({1: a.scale(Coeff.level(1, 2))})
+    assert tab._leibniz().g == 1 and _boson_table()._leibniz().g == 0
 
 
 def test_engines_die_with_their_tables():

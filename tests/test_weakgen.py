@@ -134,6 +134,22 @@ def test_scripted_recovers_everything():
                 assert rec.genericity.kind != "identicallyZero"
 
 
+def test_recovery_coefficients_are_single_powers_of_the_level():
+    # every pooled vector is k^p times its values at k=1, so a slice
+    # solution lifted per vector is one power of k times the target: it
+    # vanishes at k=0 at most
+    for shape in [("sl", (2, 2), ()), ("sl", (3, 3), ()), ("sl", (3, 2), ()),
+                  ("sl", (4, 3), ()), ("sl_super", (3,), (2,))]:
+        for flavor in ("big", "small"):
+            _, rep = _run(*shape, flavor)
+            for gi, rec in rep.recovered.items():
+                num = rec.coeff.num
+                assert num and not any(num[:-1]), (shape, flavor, gi, rec.coeff)
+                assert rec.genericity.roots in ((), (F(0),)), (shape, flavor, gi)
+    _, rep = _run("sl", (2, 2), (), "big")
+    assert {r for rec in rep.recovered.values() for r in rec.genericity.roots} == {F(0)}
+
+
 def test_scripted_3_2_big_details():
     ctx, rep = _run("sl", (3, 2), (), "big")
     assert rep.branch == "descending leading pair"
