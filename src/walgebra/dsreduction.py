@@ -41,6 +41,17 @@ of M(1), so solve_generator and reconcile assemble every system at k=1,
 solve it over Q, and lift each solved x to x*k^D.  The constraints of each
 realization and every bracket of the corrected realizations are then
 re-verified exactly, symbolic in k.
+
+Substitution.  reconcile evaluates generator-side polynomials (table
+targets, correction monomials, corrections) at the realizations through
+pvacore.Substitution, on the affine table's interned monomials and its
+Leibniz engine's product memo.  Each term carries its degree s = (power of
+k) - (derivative count) and is lifted to k^(s + D) only at the edge, so an
+input such as a correction monomial with derivatives and coefficient 1 (of
+degree -D) is carried exactly.  One Substitution serves one mapping: a
+stage of the weight ladder, with one more per override of a stage letter by
+a correction monomial's image, and the final verification; the images of
+d^n(letter) and of whole monomials are memoized for that lifetime.
 """
 
 from __future__ import annotations
@@ -58,10 +69,10 @@ from .pvacore import (
     BracketTable,
     DiffPoly,
     LambdaPoly,
+    Substitution,
     apply_partial,
     extend_bracket,
     normalize_factors,
-    substitute,
 )
 
 # A differential polynomial over the ladder-position variables.
@@ -345,6 +356,7 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
     weight not yet corrected are deferred (the final verification still
     covers them).  Free correction coefficients are zeroed."""
     gens_all = rctx.cdata.gens
+    affine = rctx.affine_table()
     base = solve_all(rctx)
     W: dict = dict(base.solutions)
     corrections: dict = {g: DiffPoly() for g in gens_all}
@@ -360,7 +372,12 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         lowmonos = weight_monomials(lower, lambda g: g.t, w)
         if not lowmonos:
             continue
-        mono_eval = [substitute(DiffPoly({mu: ONE}), W) for mu in lowmonos]
+        # W is fixed until the stage's solve: one substitution for the stage,
+        # and one per (stage letter, correction monomial) override
+        stage_W = dict(W)
+        sub = Substitution(affine, stage_W)
+        overrides: dict = {}
+        mono_eval = [sub(DiffPoly({mu: ONE})) for mu in lowmonos]
         first_col = {g: si * len(lowmonos) for si, g in enumerate(stage)}
         # one row per pair (u, v), lambda power and monomial, reading
         # bracket(W + x) - target(W + x), which is linear in x
@@ -380,7 +397,7 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                                    else reduced_bracket(rctx, W[u], mu_W))
                         _add_lambda(system, (u, v), first_col[a] + mi, contrib)
                     for slot, poly in target.coeffs.items():
-                        _add_poly(system, ((u, v), slot), None, substitute(poly, W), -1)
+                        _add_poly(system, ((u, v), slot), None, sub(poly), -1)
                         # a target monomial holds at most one stage letter (two
                         # would outweigh the bracket), so target(W + x) is
                         # linear in x: substitute each correction monomial for it
@@ -392,8 +409,12 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                         for l, terms in through.items():
                             part = DiffPoly(terms)
                             for mi, mu_W in enumerate(mono_eval):
+                                over = overrides.get((l, mi))
+                                if over is None:
+                                    over = overrides[(l, mi)] = Substitution(
+                                        affine, ChainMap({l: mu_W}, stage_W))
                                 _add_poly(system, ((u, v), slot), first_col[l] + mi,
-                                          substitute(part, ChainMap({l: mu_W}, W)), -1)
+                                          over(part), -1)
 
         sol = system.solve()
         if sol is None:
@@ -407,16 +428,17 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
             corrections[g] = DiffPoly({mu: _lifted(mu, sol[col + mi])
                                        for mi, mu in enumerate(lowmonos) if col + mi in sol})
             if corrections[g]:
-                W[g] = W[g] + substitute(corrections[g], W)
+                W[g] = W[g] + sub(corrections[g])
 
     corrected = GeneratorSolution(W)
     # full verification: every ordered pair, every slot
+    sub = Substitution(affine, W)
     for a in gens_all:
         for b in gens_all:
             got = reduced_bracket(rctx, W[a], W[b])
             want_src = table.lookup(a, b)
             want = LambdaPoly(
-                {n: substitute(p, W) for n, p in want_src.coeffs.items()}
+                {n: sub(p) for n, p in want_src.coeffs.items()}
             )
             if got != want:
                 return ReconcileReport(

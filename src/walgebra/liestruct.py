@@ -30,13 +30,42 @@ _F0 = F(0)
 _F1 = F(1)
 
 
+class Weight(Fraction):
+    """A Fraction that computes its hash once, at construction.
+
+    Fraction.__hash__ is pure Python and runs on every call, and the
+    engines' dict keys are monomial tuples whose factors are GenIndex or
+    AffVar tuples holding a weight: without the cache every dict operation on
+    a monomial rehashes each factor's weight.  The hash, equality, str and
+    repr are a Fraction's, so a Weight and the Fraction it equals are the
+    same dict key; arithmetic returns plain Fractions."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, *args, **kwargs):
+        # copy, deepcopy and pickle call the class as (numerator, denominator)
+        self = super().__new__(cls, *args, **kwargs)
+        self._hash = Fraction.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Fraction({self.numerator}, {self.denominator})"
+
+
 class GenIndex(NamedTuple):
     """Index of a centralizer basis element: weight t, block pair (i, j).
 
     The parity tag is determined by the block pair within a fixed algebra,
     but it is part of the tuple and so of equality and hashing: an index
     built with the wrong tag is a different key.  Always build these through
-    AlgebraCtx.gen so the tag is set consistently.
+    AlgebraCtx.gen so the tag is set consistently.  AlgebraCtx.gen stores t
+    as a Weight, which hashes like the Fraction it equals but computes that
+    hash once: a GenIndex built from a plain Fraction is the same key, and
+    the monomials over GenIndex and AffVar factors hash without rehashing a
+    Fraction.
     """
 
     t: Fraction
@@ -322,7 +351,7 @@ class AlgebraCtx:
 
     def gen(self, t, i: int, j: int) -> GenIndex:
         """Build a GenIndex with the parity tag this algebra assigns."""
-        return GenIndex(F(t), i, j, self.shape.pair_parity(i, j))
+        return GenIndex(Weight(t), i, j, self.shape.pair_parity(i, j))
 
     def sl_basis(self) -> list[SuperMatrix]:
         """Deterministic basis of sl: off-diagonal units then supertraceless

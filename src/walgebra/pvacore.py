@@ -23,7 +23,8 @@ stride or more is refused with WAlgebraError, an unknown variable raises
 MissingTableEntry), differentiates int monomials, and converts them back to
 (variable, dpow) factors at the edge, memoizing each.  diff_poly is the one
 conversion of int values to DiffPoly: each int c of an interned monomial
-with D derivatives becomes c/scale * k^(power + g*D).
+with D derivatives becomes c/scale * k^(power + g*D); graded is the one
+conversion the other way, splitting each coefficient by degree.
 
 The grading.  Give k degree 1 and lambda and d degree -1.  A symbolic or
 affine table is homogeneous of degree 0: its coefficient of lambda^n times a
@@ -42,12 +43,19 @@ multiplicities), so every memoized {variable lambda monomial} and {monomial
 lambda monomial} is an int value at scale L, and a Jacobi term at L^2.
 
 The edge.  extend_bracket takes any Q[k] coefficients: it splits each input
-by degree s = (power of k) - g*D, scales it to ints, sums the products per
-s_A + s_B, and lifts an int c of lambda^n times m to c/scale *
-k^(s_A + s_B + g*(n + D(m))); the package's callers pass one degree per
-input.  check_jacobi accumulates lhs - rhs in place at scale L^2; a triple
+by degree s = (power of k) - g*D (VarSpace.graded), scales it to ints, sums
+the products per s_A + s_B, and lifts an int c of lambda^n times m to
+c/scale * k^(s_A + s_B + g*(n + D(m))); the package's callers pass one
+degree per input.  check_jacobi accumulates lhs - rhs in place at scale L^2; a triple
 passes exactly when that sum is empty, and only a failing triple's diff is
 converted back, to a TwoVar, with k^(g*(i+j+D)) at lambda^i mu^j.
+
+Substitution.  The differential-algebra morphism that replaces letters by
+DiffPolys over a table's variables runs on the same interned monomials and
+the engine's product memo.  It splits every coefficient by degree s = (power
+of k) - D, always with g = 1, so any Q[k] coefficients pass exactly; d
+lowers s by one and products add it, and each int sum is lifted to
+k^(s + D(m)) at the edge.
 """
 
 from __future__ import annotations
@@ -480,6 +488,20 @@ class VarSpace:
                                               Fraction(c, scale))
                          for m, c in p.items()})
 
+    def graded(self, P: DiffPoly, g: int) -> tuple:
+        """P's terms split by degree, as (M, [(s, interned monomial, int)]):
+        one triple per power k^p in a coefficient, of degree s = p - g*D, the
+        int being M times that power's Fraction; constants are kept."""
+        raw = []
+        for m, c in P.terms.items():
+            cm = self.code(m)
+            if cm is not None:
+                sign, x = cm
+                D = g * sum(d for _, d in m)
+                raw += [(p - D, x, sign * f) for p, f in enumerate(c.num) if f]
+        M = lcm(*{f.denominator for _, _, f in raw})
+        return M, [(s, x, f.numerator * (M // f.denominator)) for s, x, f in raw]
+
 
 # ---------------------------------------------------------------------------
 # the Leibniz engine
@@ -665,21 +687,6 @@ class _Leibniz:
             self._mm[key] = hit
         return hit
 
-    def _terms(self, P: DiffPoly) -> tuple:
-        """P's non-constant terms split by degree, as (M, [(s, interned
-        monomial, int)]): one triple per power k^p in a coefficient, of degree
-        s = p - g*D, the int being M times that power's Fraction."""
-        g, code = self.g, self.space.code
-        raw = []
-        for m, c in P.terms.items():
-            cm = code(m) if m else None
-            if cm is not None:
-                sign, x = cm
-                D = g * sum(d for _, d in m)
-                raw += [(p - D, x, sign * f) for p, f in enumerate(c.num) if f]
-        M = lcm(*{f.denominator for _, _, f in raw})
-        return M, [(s, x, f.numerator * (M // f.denominator)) for s, x, f in raw]
-
     # -- entry points -------------------------------------------------------------
 
     def bracket(self, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
@@ -688,8 +695,8 @@ class _Leibniz:
         and lifted by its power of k at the edge."""
         if not any(A.terms) or not any(B.terms):
             return LambdaPoly()
-        Ma, ta = self._terms(A)
-        Mb, tb = self._terms(B)
+        Ma, ta = self.space.graded(A, self.g)
+        Mb, tb = self.space.graded(B, self.g)
         acc: dict = {}  # (degree, lambda power) -> {monomial: int}
         for sa, xa, ia in ta:
             for sb, xb, ib in tb:
@@ -824,28 +831,96 @@ def check_jacobi(table: BracketTable, triples) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# substitution (used by the reduction engine and report replay)
+# substitution (used by the reduction engine)
 
 
-def substitute(poly: DiffPoly, mapping: dict) -> DiffPoly:
-    """Replace variables by differential polynomials (a differential-algebra
-    morphism: derivative powers push onto the image).  Variables absent from
-    the mapping stay themselves; images may be DiffPoly or plain scalars."""
-    out: dict = {}
-    for m, c in poly.terms.items():
-        acc = DiffPoly.constant(c)
-        for v, k in m:
-            img = mapping.get(v)
-            if img is None:
-                fac = DiffPoly({((v, k),): ONE})
-            elif isinstance(img, DiffPoly):
-                fac = apply_partial(img, k)
-            else:  # scalar image: derivative kills it
-                fac = DiffPoly.constant(img) if k == 0 else DiffPoly()
-            if not fac:
-                break
-            acc = acc * fac
-        else:
-            for mm, cc in acc.terms.items():
-                _accum(out, mm, cc)
-    return DiffPoly(out)
+class Substitution:
+    """The differential-algebra morphism that replaces each letter v of
+    `mapping` by its image mapping[v], a DiffPoly over the table's variables,
+    and d^n(v) by d^n of the image; letters absent from the mapping stay
+    themselves and must be variables of the table.  It runs on the table's
+    interned monomials and shares its Leibniz engine's product memo.
+
+    A value is (M, {s: {interned monomial: int}}): the int c of monomial m at
+    degree s stands for c/M * k^(s + D(m)), D counting derivatives.  So s is
+    the power of k minus the derivative count: d lowers it by one, products
+    add it, and the images of homogeneous letters keep one dict per degree.
+    The images of d^n(letter) and of whole monomials are memoized for the
+    object's lifetime, so the mapping must not change while it is in use."""
+
+    def __init__(self, table: BracketTable, mapping):
+        self._engine = table._leibniz()
+        self._mapping = mapping
+        self._letters: dict = {}  # (letter, n) -> value of d^n(image)
+        self._monos: dict = {_EMPTY: (1, {0: {_EMPTY: 1}})}  # monomial -> value
+
+    def _letter(self, v, n: int) -> tuple:
+        key = (v, n)
+        hit = self._letters.get(key)
+        if hit is None:
+            space = self._engine.space
+            if n:
+                M, prev = self._letter(v, n - 1)
+                out: dict = {}
+                for s, p in prev.items():
+                    dst: dict = {}
+                    for x, c in p.items():
+                        for y in space.deriv(x):
+                            _accum(dst, y, c)
+                    if dst:
+                        out[s - 1] = dst
+                hit = (M, out)
+            else:
+                img = self._mapping.get(v)
+                if img is None:
+                    img = DiffPoly.variable(v)
+                M, terms = space.graded(img, 1)
+                out = {}
+                for s, x, c in terms:
+                    _accum(out.setdefault(s, {}), x, c)
+                hit = (M, {s: p for s, p in out.items() if p})
+            self._letters[key] = hit
+        return hit
+
+    def _mono(self, m: Monomial) -> tuple:
+        """The value of a monomial's image: its prefix's times its last
+        factor's, in factor order."""
+        hit = self._monos.get(m)
+        if hit is None:
+            Ma, a = self._mono(m[:-1])
+            Mb, b = self._letter(*m[-1])
+            mul = self._engine._mul
+            out: dict = {}
+            for sa, pa in a.items():
+                for sb, pb in b.items():
+                    dst = out.setdefault(sa + sb, {})
+                    for xa, ca in pa.items():
+                        for xb, cb in pb.items():
+                            r = mul(xa, xb)
+                            if r is not None:
+                                _accum(dst, r[1], r[0] * ca * cb)
+            hit = self._monos[m] = (Ma * Mb, {s: p for s, p in out.items() if p})
+        return hit
+
+    def __call__(self, poly: DiffPoly) -> DiffPoly:
+        """poly with every letter replaced by its image; the int sums are
+        put on one scale and lifted to Q[k] coefficients at the edge."""
+        parts = []  # (power of k, numerator, scale, monomial value)
+        for m, c in poly.terms.items():
+            M, val = self._mono(m)
+            if val:
+                parts += [(p, f.numerator, f.denominator * M, val)
+                          for p, f in enumerate(c.num) if f]
+        S = lcm(*{d for _, _, d, _ in parts})
+        acc: dict = {}
+        for p, num, d, val in parts:
+            w = num * (S // d)
+            for s, q in val.items():
+                dst = acc.setdefault(s + p, {})
+                for x, c in q.items():
+                    _accum(dst, x, w * c)
+        diff_poly = self._engine.space.diff_poly
+        out = DiffPoly()
+        for s, q in acc.items():
+            out += diff_poly(q, S, 1, s)
+        return out

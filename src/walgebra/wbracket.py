@@ -62,6 +62,7 @@ from math import lcm
 from typing import Iterator, NamedTuple, Union
 
 from .coeffs import Coeff
+from .errors import WAlgebraError
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, pairings, sharp_coords
 from .linalg import solve
 from .pvacore import (BracketTable, DiffPoly, LambdaPoly, VarSpace, _accum, apply_partial,
@@ -390,10 +391,22 @@ _TABLE_CACHE: dict = {}
 def bracket_table(ctx: AlgebraCtx, ktilde: KTilde = "symbolic") -> BracketTable:
     """All ordered generator-pair brackets, memoized per algebra/level.
 
-    Only the symbolic table is built; a rational ktilde gives that table
-    with every entry evaluated at the level ktilde."""
+    Only the symbolic table is built; a rational ktilde (an int, a Fraction
+    or a string Fraction reads) gives that table with every entry evaluated
+    at the level ktilde, cached under the normalised Fraction.  A float or a
+    bool level is refused with WAlgebraError: Fraction(0.1) is the float's
+    binary value, not 1/10, and True would run as level 1; so is anything
+    else Fraction cannot read as a rational."""
+    if ktilde != "symbolic":
+        if isinstance(ktilde, (float, bool)):
+            raise WAlgebraError(f"level {ktilde!r} is a {type(ktilde).__name__};"
+                                f" give an int, a Fraction or a string such as '1/10'")
+        try:
+            ktilde = F(ktilde)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise WAlgebraError(f"level {ktilde!r} is not a rational number") from None
     spec = ctx.spec
-    key = (spec.kind, spec.parts1, spec.parts2, str(ktilde))
+    key = (spec.kind, spec.parts1, spec.parts2, ktilde)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
@@ -406,9 +419,8 @@ def bracket_table(ctx: AlgebraCtx, ktilde: KTilde = "symbolic") -> BracketTable:
         table = BracketTable(engine.cdata.gens, entries)
     else:
         sym = bracket_table(ctx)
-        level = F(ktilde)
         table = BracketTable(sym.variables,
-                             {ab: frozen(val.at_level(level)) for ab, val in sym.entries.items()})
+                             {ab: frozen(val.at_level(ktilde)) for ab, val in sym.entries.items()})
     _TABLE_CACHE[key] = table
     return table
 

@@ -10,7 +10,9 @@ sign rule for both kinds, so a table is named by its shape alone.
 from fractions import Fraction
 from functools import lru_cache
 
+from walgebra.coeffs import ONE
 from walgebra.liestruct import PartitionSpec, build_algebra
+from walgebra.pvacore import DiffPoly, apply_partial
 from walgebra.wbracket import bracket_table
 
 F = Fraction
@@ -27,6 +29,27 @@ def table_of(kind, parts1, parts2=(), ktilde="symbolic"):
 
 def gen(ctx, t, i, j):
     return ctx.gen(F(t), i, j)
+
+
+def substitute(poly, mapping):
+    """Reference for pvacore.Substitution on DiffPoly arithmetic: replace
+    letters by differential polynomials (a differential-algebra morphism:
+    derivative powers push onto the image).  Variables absent from the
+    mapping stay themselves; images may be DiffPoly or plain scalars."""
+    out = DiffPoly()
+    for m, c in poly.terms.items():
+        acc = DiffPoly.constant(c)
+        for v, k in m:
+            img = mapping.get(v)
+            if img is None:
+                fac = DiffPoly({((v, k),): ONE})
+            elif isinstance(img, DiffPoly):
+                fac = apply_partial(img, k)
+            else:  # scalar image: derivative kills it
+                fac = DiffPoly.constant(img) if k == 0 else DiffPoly()
+            acc = acc * fac
+        out = out + acc
+    return out
 
 
 def corrupted_table():

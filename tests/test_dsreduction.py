@@ -8,22 +8,24 @@ checks against the matrices themselves; that is what makes the bit-exact
 agreement below count as independent certification."""
 
 import hashlib
+from collections import ChainMap
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ctx_of, gen, table_of
-from walgebra.coeffs import Coeff
+from conftest import ctx_of, gen, substitute, table_of
+from walgebra.coeffs import ONE, Coeff
 from walgebra.dsreduction import (ReductionCtx, reconcile, reduced_bracket,
                                   reexpress, solve_all, weight_monomials)
 from walgebra.errors import NoSolution, WAlgebraError
 from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
                                 pairing_index, pairings)
 from walgebra.linalg import solve
-from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, extend_bracket,
-                              substitute)
+from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution,
+                              extend_bracket, normalize_factors, poly_normalize)
 from walgebra.wbracket import MasterEngine
 
 F = Fraction
@@ -220,6 +222,55 @@ def test_weight_monomials_are_the_canonical_monomials_once(specs, twice_target):
     got = weight_monomials(letters, lambda v: v.t, target)
     assert len(got) == len(set(got))
     assert set(got) == _brute_force_monomials(letters, target)
+
+
+@lru_cache(maxsize=None)
+def _realized(kind, p1, p2=()):
+    rctx = ReductionCtx(ctx_of(kind, p1, p2))
+    W = solve_all(rctx).solutions
+    return rctx, sorted(W, key=lambda g: g.sort_key()), W
+
+
+SUBSTITUTION_COEFFS = [ONE, Coeff.of(F(-2, 3)), 1 + K, K * K - F(1, 2) * K, F(3, 4) * K]
+
+
+def _random_poly(data, letters, max_terms=4):
+    terms = []
+    for _ in range(data.draw(st.integers(0, max_terms))):
+        n = data.draw(st.integers(0, 2))
+        factors = [(data.draw(st.sampled_from(letters)), data.draw(st.integers(0, 2)))
+                   for _ in range(n)]
+        terms.append((factors, data.draw(st.sampled_from(SUBSTITUTION_COEFFS))))
+    return poly_normalize(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("sl_super", (2,), (1,)), ("sl", (2, 2))]), st.data())
+def test_interned_substitution_matches_the_diffpoly_reference(shape, data):
+    # random polynomials over the generators (mapped to their realizations)
+    # and a few ladder letters (absent from the mapping, so they stay), with
+    # coefficients of mixed degree in k, odd letters on sl(2|1), and ONE on
+    # monomials that carry derivatives, as reconcile feeds them
+    rctx, gens, W = _realized(*shape)
+    affine = rctx.affine_table()
+    letters = gens + rctx.p_vars[:3]
+    sub = Substitution(affine, W)
+    polys = [_random_poly(data, letters) for _ in range(3)]
+    _, mu = normalize_factors([(data.draw(st.sampled_from(gens)), data.draw(st.integers(1, 2)))
+                               for _ in range(data.draw(st.integers(1, 2)))])
+    if mu is not None:
+        polys.append(DiffPoly({mu: ONE}))
+    want = [substitute(poly, W) for poly in polys]
+    for poly, w in zip(polys + polys, want + want):  # the second pass reads the memos
+        assert sub(poly) == w, poly
+    # an override of one letter by a monomial's image, as reconcile's linear
+    # correction terms use it
+    l = data.draw(st.sampled_from(gens))
+    image = substitute(_random_poly(data, gens, 2), W)
+    over = ChainMap({l: image}, W)
+    over_sub = Substitution(affine, over)
+    for poly in polys + [_random_poly(data, [l] + letters)]:
+        assert over_sub(poly) == substitute(poly, over), poly
 
 
 def test_reconcile_corrections_stay_lower_weight():

@@ -4,13 +4,18 @@ The centralizer basis is cross-checked against an independent nullspace
 computation, and the dual ladder families against the full biorthonormality
 relation; both are exact."""
 
+import copy
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from conftest import ctx_of, gen
+from walgebra import serialize
+from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import SuperEqualParts, WAlgebraError
-from walgebra.liestruct import PartitionSpec, centralizer_oracle, sharp_project
+from walgebra.liestruct import GenIndex, PartitionSpec, centralizer_oracle, sharp_project
 
 F = Fraction
 
@@ -169,3 +174,45 @@ def test_supercommutator_refuses_a_mixed_parity_matrix():
         mixed.comm(even)
     with pytest.raises(WAlgebraError, match="mixed-parity"):
         even.comm(mixed)
+
+
+def test_generator_keys_hash_once(monkeypatch):
+    for shape in [("sl", (3, 2), ()), ("sl_super", (3,), (2,))]:
+        ctx = ctx_of(*shape)
+        gens = ctx.centralizer().gens
+        for g in gens:
+            plain = GenIndex(F(g.t), g.i, g.j, g.parity)
+            assert type(plain.t) is Fraction
+            assert hash(g) == hash(plain) and hash(g.t) == hash(F(g.t))
+            assert g == plain and plain == g and g.t == plain.t
+            assert str(g) == str(plain) == f"q[{F(g.t)}]({g.i},{g.j})"
+            assert repr(g) == repr(plain) and repr(g.t) == repr(F(g.t))
+            assert {plain: 1}[g] == 1 and {g: 1}[plain] == 1
+            # copy, deepcopy and pickle rebuild the weight as (num, den)
+            for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+                assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+            for t in (copy.copy(g.t), copy.deepcopy(g.t), pickle.loads(pickle.dumps(g.t))):
+                assert t == g.t and hash(t) == hash(g.t) and repr(t) == repr(g.t)
+            back = serialize.gen_from_json(ctx, json.loads(json.dumps(serialize.gen_to_json(g))))
+            assert back == g and hash(back) == hash(g) and repr(back) == repr(g)
+        assert repr(ctx.gen(F(3, 2), 1, 2)) == (
+            "GenIndex(t=Fraction(3, 2), i=1, j=2, parity=%d)" % ctx.gen(F(3, 2), 1, 2).parity)
+        # monomials over GenIndex and AffVar factors hash without a Fraction hash
+        rvars = ReductionCtx(ctx).variables
+        monos = [((a, 0), (b, 2)) for a in gens for b in gens]
+        monos += [((u, 1),) for u in rvars] + [((u, 0), (v, 0)) for u in rvars for v in rvars]
+        calls = []
+        real = Fraction.__hash__
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        assert hash(F(1, 3)) == real(F(1, 3)) and len(calls) == 1  # the patch counts
+        calls.clear()
+        index = {m: i for i, m in enumerate(monos)}
+        assert all(index[m] == i for i, m in enumerate(monos))
+        assert len({hash(m) for m in monos}) > 1
+        assert not calls
+        monkeypatch.undo()

@@ -16,6 +16,7 @@ they replace."""
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -249,7 +250,7 @@ def test_cached_tables_are_read_only():
         del entry.get(0).terms
     assert _digest(table_of("sl", (3, 2))) == SYMBOLIC_DIGESTS[("sl", (3, 2), ())]
     # a fixed-level view built afterwards is still the evaluation
-    for key in [k for k in wbracket._TABLE_CACHE if k[:3] == ("sl", (3, 2), ()) and k[3] == "1"]:
+    for key in [k for k in wbracket._TABLE_CACHE if k[:3] == ("sl", (3, 2), ()) and k[3] == 1]:
         del wbracket._TABLE_CACHE[key]
     k1 = bracket_table(ctx, ktilde=1)
     assert k1.entries == {ab: v.at_level(1) for ab, v in tab.entries.items()}
@@ -275,6 +276,28 @@ def test_fixed_level_tables_are_evaluations():
         sym = bracket_table(ctx)
         assert tab.entries == {ab: v.at_level(level) for ab, v in sym.entries.items()}
     assert bracket_table(ctx_of("sl", (3, 2)), ktilde=1) is table_of("sl", (3, 2), ktilde=1)
+
+
+def test_float_and_bool_levels_are_refused():
+    ctx = ctx_of("sl", (2, 1))
+    for bad in (0.1, 1.0, True, False):
+        with pytest.raises(WAlgebraError, match=re.escape(f"level {bad!r} is a")):
+            bracket_table(ctx, ktilde=bad)
+    for bad in ("one", "1/0", None):
+        with pytest.raises(WAlgebraError, match=re.escape(f"level {bad!r} is not")):
+            bracket_table(ctx, ktilde=bad)
+    # one cache entry per level, keyed by the normalised Fraction
+    tenth = bracket_table(ctx, ktilde=F(1, 10))
+    assert bracket_table(ctx, ktilde="1/10") is tenth
+    assert bracket_table(ctx, ktilde="0.1") is tenth
+    assert bracket_table(ctx, ktilde=1) is bracket_table(ctx, ktilde="1") \
+        is bracket_table(ctx, ktilde=F(2, 2))
+    sym = bracket_table(ctx)
+    assert tenth.entries == {ab: v.at_level(F(1, 10)) for ab, v in sym.entries.items()}
+    levels = [k[3] for k in wbracket._TABLE_CACHE if k[:3] == ("sl", (2, 1), ())]
+    assert len(levels) == len(set(levels))
+    assert all(k == "symbolic" or type(k) is Fraction for k in levels)
+    assert F(1, 10) in levels and F(1) in levels
 
 
 def test_table_is_complete_and_weight_graded():
