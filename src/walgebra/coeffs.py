@@ -3,11 +3,12 @@
 Every structure constant produced by the workbench lives in the ring Q[k]
 of polynomials in the level parameter k.  The level is a grading (k of
 degree 1, lambda and d of degree -1), so the values the engines produce are
-single powers c*k^m, with m fixed by where the value sits; the engines that
-use this solve and sweep over Q or Z and attach k^m at their edges (see
-wbracket, pvacore and dsreduction), and weakgen's recovery coefficients are
-single powers too.  Coeff stays a polynomial because a DiffPoly handed to
-extend_bracket may carry any coefficients in Q[k].
+single powers c*k^m, with m fixed by where the value sits.  The engines
+solve and sweep over Q or Z and attach k^m at their edges (see wbracket and
+pvacore); weakgen and dsreduction decide on the engines' values at k=1 and
+build a Coeff only where they record a result.  Coeff stays a polynomial
+because a DiffPoly handed to extend_bracket may carry any coefficients in
+Q[k].
 
 Polynomials are tuples of Fraction, index = power of k, with no trailing
 zeros; the empty tuple is the zero polynomial.
@@ -198,7 +199,4 @@ def poly_str(p: tuple, sym: str = "k") -> str:
 
 
 _C0 = Coeff(())
-_C1 = Coeff((_F1,))
-
-ZERO = _C0
-ONE = _C1
+ONE = Coeff((_F1,))

@@ -38,17 +38,21 @@ D derivatives is therefore x*k^D, and a linear system for these unknowns is
 graded: M(k) = diag(k^r) M(1) diag(k^-c), with the same for its right-hand
 side.  Its pivots, free columns and particular solution over Q(k) are those
 of M(1), so solve_generator and reconcile assemble every system at k=1,
-solve it over Q, and lift each solved x to x*k^D.  The constraints of each
-realization and every bracket of the corrected realizations are then
-re-verified exactly, symbolic in k.
+solve it over Q, and lift each solved x to x*k^D.  The systems are built
+straight from the affine engine's graded values (pvacore): a row is keyed by
+tag, lambda power and interned monomial, and an int c at scale S enters it
+as Fraction(c, S).  The constraints of each realization and every bracket of
+the corrected realizations are then re-verified exactly, symbolic in k, on
+DiffPoly.
 
 Substitution.  reconcile evaluates generator-side polynomials (table
 targets, correction monomials, corrections) at the realizations through
 pvacore.Substitution, on the affine table's interned monomials and its
 Leibniz engine's product memo.  Each term carries its degree s = (power of
-k) - (derivative count) and is lifted to k^(s + D) only at the edge, so an
-input such as a correction monomial with derivatives and coefficient 1 (of
-degree -D) is carried exactly.  One Substitution serves one mapping: a
+k) - (derivative count), so an input such as a correction monomial with
+derivatives and coefficient 1 (of degree -D) is carried exactly; the systems
+read its graded values at k=1, and only the applied corrections and the
+final verification lift them to k^(s + D).  One Substitution serves one mapping: a
 stage of the weight ladder, with one more per override of a stage letter by
 a correction monomial's image, and the final verification; the images of
 d^n(letter) and of whole monomials are memoized for that lifetime.
@@ -70,13 +74,9 @@ from .pvacore import (
     DiffPoly,
     LambdaPoly,
     Substitution,
-    apply_partial,
     extend_bracket,
     normalize_factors,
 )
-
-# A differential polynomial over the ladder-position variables.
-VpPoly = DiffPoly
 
 _F1 = Fraction(1)
 
@@ -106,7 +106,7 @@ class AffVar(NamedTuple):
 class GeneratorSolution:
     """Pinned realizations W_a of every generator."""
 
-    solutions: dict  # GenIndex -> VpPoly
+    solutions: dict  # GenIndex -> DiffPoly
 
 
 class ReductionCtx:
@@ -176,7 +176,7 @@ def _letters_of(poly: DiffPoly):
             yield v
 
 
-def reduced_bracket(rctx: ReductionCtx, A: VpPoly, B: VpPoly) -> LambdaPoly:
+def reduced_bracket(rctx: ReductionCtx, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
     """rho of the affine bracket of two generator-side elements.  Every
     letter of A and B must be of positive weight (in p_vars), where rho is
     the identity; WAlgebraError otherwise."""
@@ -226,13 +226,15 @@ def weight_monomials(letters: list, weight_of, target: Fraction) -> list[tuple]:
     return list(found)
 
 
-def _add_poly(system: System, tag, col: Optional[int], poly: DiffPoly,
+def _add_rows(system: System, tag, col: Optional[int], scale: int, slots: dict,
               sign: int = 1) -> None:
-    """sign * every coefficient of poly at k=1 into the row keyed (tag,
-    monomial)."""
-    for m, c in poly.terms.items():
-        x = c.at_one()
-        system.add((tag, m), col, x if sign > 0 else -x)
+    """sign * the k=1 value of the engine's ints {lambda power: {degree:
+    {interned monomial: int}}} at `scale` into the rows keyed (tag, lambda
+    power, monomial): an int c adds Fraction(c, scale)."""
+    for n, parts in slots.items():
+        for p in parts.values():
+            for m, c in p.items():
+                system.add((tag, n, m), col, Fraction(sign * c, scale))
 
 
 def _lifted(mono: tuple, x: Fraction) -> Coeff:
@@ -241,18 +243,11 @@ def _lifted(mono: tuple, x: Fraction) -> Coeff:
     return Coeff.level(sum(d for _, d in mono), x)
 
 
-def _add_lambda(system: System, tag, col: Optional[int], lp: LambdaPoly) -> None:
-    """Every coefficient of lp into the row keyed ((tag, lambda power),
-    monomial)."""
-    for slot, poly in lp.coeffs.items():
-        _add_poly(system, (tag, slot), col, poly)
-
-
 # ---------------------------------------------------------------------------
 # generator construction
 
 
-def solve_generator(rctx: ReductionCtx, a: GenIndex) -> VpPoly:
+def solve_generator(rctx: ReductionCtx, a: GenIndex) -> DiffPoly:
     """Realize one generator: W_a = a + (weight-homogeneous correction over
     the positive-weight variables) annihilated by every constraint bracket,
     every free coefficient pinned to zero."""
@@ -264,13 +259,15 @@ def solve_generator(rctx: ReductionCtx, a: GenIndex) -> VpPoly:
     ]
 
     table = rctx.affine_table()
+    engine = table._leibniz()
     system = System()
-    base = DiffPoly.variable(avar)
+    base = engine.graded(DiffPoly.variable(avar))
+    unknowns = [engine.graded(DiffPoly({m: ONE})) for m in monos]
     for nv in rctx.n_vars:
-        nv_poly = DiffPoly.variable(nv)
-        _add_lambda(system, nv, None, extend_bracket(table, nv_poly, base))
-        for col, m in enumerate(monos):
-            _add_lambda(system, nv, col, extend_bracket(table, nv_poly, DiffPoly({m: ONE})))
+        nv_val = engine.graded(DiffPoly.variable(nv))
+        _add_rows(system, nv, None, *engine.graded_bracket(nv_val, base))
+        for col, val in enumerate(unknowns):
+            _add_rows(system, nv, col, *engine.graded_bracket(nv_val, val))
     # pin every other bare variable of this weight to zero
     for col, m in enumerate(monos):
         if len(m) == 1 and m[0][1] == 0:
@@ -290,48 +287,6 @@ def solve_generator(rctx: ReductionCtx, a: GenIndex) -> VpPoly:
 
 def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
     return GeneratorSolution({g: solve_generator(rctx, g) for g in rctx.cdata.gens})
-
-
-# ---------------------------------------------------------------------------
-# re-expression in the generators
-
-
-def _mono_order_key(mono: tuple):
-    letters = len(mono)
-    depth = sum(v.n + d for v, d in mono)
-    lex = tuple((v.sort_key(), d) for v, d in mono)
-    return (letters, depth, lex)
-
-
-def reexpress(gens: GeneratorSolution, P: VpPoly) -> tuple[DiffPoly, VpPoly]:
-    """Write P as a differential polynomial in the generators.
-
-    Returns (Q, residual): P = Q(W) + residual, residual zero exactly when P
-    lies in the subalgebra the W_a generate.  Elimination peels the minimal
-    monomial (fewest letters, then shallowest, then lexicographic); a minimal
-    monomial using any non-generator letter is unremovable and goes to the
-    residual."""
-    Q = DiffPoly()
-    residual = DiffPoly()
-    P = DiffPoly(dict(P.terms))
-    guard = 0
-    while P:
-        guard += 1
-        if guard > 100000:
-            raise NoSolution("re-expression failed to terminate")
-        mono = min(P.terms, key=_mono_order_key)
-        c = P.terms[mono]
-        if mono and all(v.n == 0 for v, _ in mono):
-            gen_mono = tuple((v.g, d) for v, d in mono)
-            image = DiffPoly.constant(c)
-            for v, d in mono:
-                image = image * apply_partial(gens.solutions[v.g], d)
-            P = P - image
-            Q = Q + DiffPoly({gen_mono: c})
-        else:
-            P = P - DiffPoly({mono: c})
-            residual = residual + DiffPoly({mono: c})
-    return Q, residual
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +312,7 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
     covers them).  Free correction coefficients are zeroed."""
     gens_all = rctx.cdata.gens
     affine = rctx.affine_table()
+    engine = affine._leibniz()
     base = solve_all(rctx)
     W: dict = dict(base.solutions)
     corrections: dict = {g: DiffPoly() for g in gens_all}
@@ -378,6 +334,8 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         sub = Substitution(affine, stage_W)
         overrides: dict = {}
         mono_eval = [sub(DiffPoly({mu: ONE})) for mu in lowmonos]
+        mono_vals = [engine.graded(p) for p in mono_eval]
+        vals = {g: engine.graded(W[g]) for g in stage + lower}
         first_col = {g: si * len(lowmonos) for si, g in enumerate(stage)}
         # one row per pair (u, v), lambda power and monomial, reading
         # bracket(W + x) - target(W + x), which is linear in x
@@ -391,13 +349,14 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                            for l in _letters_of(poly)):
                         deferred.append((u, v))
                         continue
-                    _add_lambda(system, (u, v), None, reduced_bracket(rctx, W[u], W[v]))
-                    for mi, mu_W in enumerate(mono_eval):
-                        contrib = (reduced_bracket(rctx, mu_W, W[v]) if u == a
-                                   else reduced_bracket(rctx, W[u], mu_W))
-                        _add_lambda(system, (u, v), first_col[a] + mi, contrib)
+                    _add_rows(system, (u, v), None, *engine.graded_bracket(vals[u], vals[v]))
+                    for mi, mu_val in enumerate(mono_vals):
+                        contrib = (engine.graded_bracket(mu_val, vals[v]) if u == a
+                                   else engine.graded_bracket(vals[u], mu_val))
+                        _add_rows(system, (u, v), first_col[a] + mi, *contrib)
                     for slot, poly in target.coeffs.items():
-                        _add_poly(system, ((u, v), slot), None, sub(poly), -1)
+                        S, parts = sub.graded(poly)
+                        _add_rows(system, (u, v), None, S, {slot: parts}, -1)
                         # a target monomial holds at most one stage letter (two
                         # would outweigh the bracket), so target(W + x) is
                         # linear in x: substitute each correction monomial for it
@@ -413,8 +372,9 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                                 if over is None:
                                     over = overrides[(l, mi)] = Substitution(
                                         affine, ChainMap({l: mu_W}, stage_W))
-                                _add_poly(system, ((u, v), slot), first_col[l] + mi,
-                                          over(part), -1)
+                                S, parts = over.graded(part)
+                                _add_rows(system, (u, v), first_col[l] + mi, S,
+                                          {slot: parts}, -1)
 
         sol = system.solve()
         if sol is None:

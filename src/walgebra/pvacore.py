@@ -21,10 +21,7 @@ int tuple in the canonical factor order and parity is an array lookup.  The
 space codes DiffPoly monomials (sign and int tuple; a derivative power of
 stride or more is refused with WAlgebraError, an unknown variable raises
 MissingTableEntry), differentiates int monomials, and converts them back to
-(variable, dpow) factors at the edge, memoizing each.  diff_poly is the one
-conversion of int values to DiffPoly: each int c of an interned monomial
-with D derivatives becomes c/scale * k^(power + g*D); graded is the one
-conversion the other way, splitting each coefficient by degree.
+(variable, dpow) factors at the edge, memoizing each.
 
 The grading.  Give k degree 1 and lambda and d degree -1.  A symbolic or
 affine table is homogeneous of degree 0: its coefficient of lambda^n times a
@@ -42,20 +39,25 @@ Leibniz rules only add and multiply by integers (binomials, signs,
 multiplicities), so every memoized {variable lambda monomial} and {monomial
 lambda monomial} is an int value at scale L, and a Jacobi term at L^2.
 
-The edge.  extend_bracket takes any Q[k] coefficients: it splits each input
-by degree s = (power of k) - g*D (VarSpace.graded), scales it to ints, sums
-the products per s_A + s_B, and lifts an int c of lambda^n times m to
-c/scale * k^(s_A + s_B + g*(n + D(m))); the package's callers pass one
-degree per input.  check_jacobi accumulates lhs - rhs in place at scale L^2; a triple
-passes exactly when that sum is empty, and only a failing triple's diff is
-converted back, to a TwoVar, with k^(g*(i+j+D)) at lambda^i mu^j.
+The edge: graded values, the one int format of inputs and results.  (M,
+{s: {interned monomial: int}}) holds an int c of a monomial with D
+derivatives at degree s for c/M * k^(s + g*D).  VarSpace.graded splits a
+DiffPoly's coefficients into one (s = power of k - g*D), and lift turns one
+back through diff_poly, the one conversion of ints to Coeffs.  The engine's
+graded_bracket returns one per power of lambda at scale L*M_A*M_B, degrees
+s_A, s_B landing at lambda^n in degree s_A + s_B + g*n; extend_bracket is
+that entry point between graded and lift, and the reduction oracle reads
+its ints at k=1.  linear_product reads a table's linear terms at k=1 beside
+their power of k, without the engine.  check_jacobi accumulates lhs - rhs
+in place at scale L^2; a triple passes exactly when that sum is empty, and
+only a failing triple's diff is converted back, to a TwoVar, with
+k^(g*(i+j+D)) at lambda^i mu^j.
 
 Substitution.  The differential-algebra morphism that replaces letters by
 DiffPolys over a table's variables runs on the same interned monomials and
-the engine's product memo.  It splits every coefficient by degree s = (power
-of k) - D, always with g = 1, so any Q[k] coefficients pass exactly; d
-lowers s by one and products add it, and each int sum is lifted to
-k^(s + D(m)) at the edge.
+the engine's product memo, on graded values with g = 1, so any Q[k]
+coefficients pass exactly: d lowers s by one and products add it.  Its
+entry point returns a graded value; calling it lifts that at the edge.
 """
 
 from __future__ import annotations
@@ -363,24 +365,33 @@ class BracketTable:
             self._engine = _Leibniz(self.variables, self.entries)
         return self._engine
 
-    def linear_product(self, ca: dict, cb: dict, n: int) -> dict:
+    def linear_product(self, ca: dict, cb: dict, n: int) -> tuple:
         """Linear term of the n-th product of two linear combinations
-        {variable: scalar}: n! * sum of va*vb * linear_term({ga lambda gb}
-        at lambda^n), zero sums dropped.  Each pair's term is memoized."""
+        {variable: Fraction}, n! * sum of va*vb * linear_term({ga lambda gb}
+        at lambda^n), as (m, {variable: nonzero value at k=1}) in variable
+        order, the term being k^m times those values.  The memo holds each
+        pair's term as {variable: (power of k, or -1 off a single power; n! *
+        value at k=1)}; a power off the one all share raises WAlgebraError."""
         out: dict = {}
+        m = None
         for ga, va in ca.items():
             for gb, vb in cb.items():
                 key = ("lin", ga, gb, n)
                 lin = self._cache.get(key)
                 if lin is None:
-                    lin = {v: c * factorial(n)
-                           for v, c in linear_term(self.lookup(ga, gb).get(n)).items()}
-                    self._cache[key] = lin
+                    lin = self._cache[key] = {
+                        v: (-1 if any(c.num[:-1]) else len(c.num) - 1, c.num[-1] * factorial(n))
+                        for v, c in linear_term(self.lookup(ga, gb).get(n)).items()}
                 s = va * vb
-                for v, c in lin.items():
+                for v, (p, c) in lin.items():
+                    if p != m:
+                        if p < 0 or m is not None:
+                            raise WAlgebraError(f"the bracket ({ga}, {gb}) is not graded in the"
+                                                f" level: linear coefficient of {v} at lambda^{n}")
+                        m = p
                     cur = out.get(v)
                     out[v] = c * s if cur is None else cur + c * s
-        return {v: c for v, c in out.items() if c}
+        return m or 0, {v: out[v] for v in sorted(out, key=lambda v: v.sort_key()) if out[v]}
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +500,10 @@ class VarSpace:
                          for m, c in p.items()})
 
     def graded(self, P: DiffPoly, g: int) -> tuple:
-        """P's terms split by degree, as (M, [(s, interned monomial, int)]):
-        one triple per power k^p in a coefficient, of degree s = p - g*D, the
-        int being M times that power's Fraction; constants are kept."""
+        """P as a graded value (M, {s: {interned monomial: int}}): each power
+        k^p of the coefficient of a monomial with D derivatives goes to
+        degree s = p - g*D as M times that power's Fraction; constants are
+        kept.  lift is the inverse."""
         raw = []
         for m, c in P.terms.items():
             cm = self.code(m)
@@ -500,7 +512,16 @@ class VarSpace:
                 D = g * sum(d for _, d in m)
                 raw += [(p - D, x, sign * f) for p, f in enumerate(c.num) if f]
         M = lcm(*{f.denominator for _, _, f in raw})
-        return M, [(s, x, f.numerator * (M // f.denominator)) for s, x, f in raw]
+        out: dict = {}
+        for s, x, f in raw:
+            _accum(out.setdefault(s, {}), x, f.numerator * (M // f.denominator))
+        return M, out
+
+    def lift(self, scale: int, parts: dict, g: int) -> DiffPoly:
+        """The graded value (scale, parts) as a DiffPoly: the int c of
+        monomial m at degree s becomes c/scale * k^(s + g*D(m))."""
+        polys = [self.diff_poly(p, scale, g, s) for s, p in parts.items()]
+        return sum(polys[1:], polys[0]) if polys else DiffPoly()
 
 
 # ---------------------------------------------------------------------------
@@ -689,27 +710,30 @@ class _Leibniz:
 
     # -- entry points -------------------------------------------------------------
 
-    def bracket(self, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
-        """{A lambda B}: one int sum per degree s_A + s_B and lambda power
-        over the pairs of terms, each divided by L and the two input scales
-        and lifted by its power of k at the edge."""
-        if not any(A.terms) or not any(B.terms):
-            return LambdaPoly()
-        Ma, ta = self.space.graded(A, self.g)
-        Mb, tb = self.space.graded(B, self.g)
-        acc: dict = {}  # (degree, lambda power) -> {monomial: int}
-        for sa, xa, ia in ta:
-            for sb, xb, ib in tb:
-                w = ia * ib
-                for n, p in self._mono_mono(xa, xb).items():
-                    dst = acc.setdefault((sa + sb, n), {})
-                    for m, cp in p.items():
-                        _accum(dst, m, w * cp)
-        scale, g, diff_poly = self.L * Ma * Mb, self.g, self.space.diff_poly
-        out: dict = {}
-        for (s, n), p in acc.items():
-            _accum(out, n, diff_poly(p, scale, g, s + g * n))
-        return LambdaPoly(out)
+    def graded(self, P: DiffPoly) -> tuple:
+        """P as a graded value in this engine's grading."""
+        return self.space.graded(P, self.g)
+
+    def graded_bracket(self, A: tuple, B: tuple) -> tuple:
+        """{A lambda B} of two graded values, as (scale, {lambda power n:
+        {degree: {monomial: int}}}) with scale = L*M_A*M_B: one int sum per
+        lambda power and degree s_A + s_B + g*n over the pairs of terms, so
+        each lambda^n part is a graded value."""
+        Ma, ta = A
+        Mb, tb = B
+        g = self.g
+        acc: dict = {}
+        for sa, pa in ta.items():
+            for sb, pb in tb.items():
+                s = sa + sb
+                for xa, ia in pa.items():
+                    for xb, ib in pb.items():
+                        w = ia * ib
+                        for n, p in self._mono_mono(xa, xb).items():
+                            dst = acc.setdefault(n, {}).setdefault(s + g * n, {})
+                            for m, cp in p.items():
+                                _accum(dst, m, w * cp)
+        return self.L * Ma * Mb, acc
 
     def jacobi(self, a, b, c) -> dict:
         """{a lambda {b mu c}} - {{a lambda b}_{lambda+mu} c}
@@ -757,7 +781,12 @@ class _Leibniz:
 def extend_bracket(table: BracketTable, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
     """{A lambda B} for arbitrary differential polynomials over the table's
     variables.  Coefficients multiply through; constants bracket to zero."""
-    return table._leibniz().bracket(A, B)
+    if not any(A.terms) or not any(B.terms):
+        return LambdaPoly()
+    engine = table._leibniz()
+    scale, slots = engine.graded_bracket(engine.graded(A), engine.graded(B))
+    return LambdaPoly({n: engine.space.lift(scale, parts, engine.g)
+                       for n, parts in slots.items()})
 
 
 def nth_product(table: BracketTable, A: DiffPoly, B: DiffPoly, n: int) -> DiffPoly:
@@ -872,13 +901,7 @@ class Substitution:
                 hit = (M, out)
             else:
                 img = self._mapping.get(v)
-                if img is None:
-                    img = DiffPoly.variable(v)
-                M, terms = space.graded(img, 1)
-                out = {}
-                for s, x, c in terms:
-                    _accum(out.setdefault(s, {}), x, c)
-                hit = (M, {s: p for s, p in out.items() if p})
+                hit = space.graded(DiffPoly.variable(v) if img is None else img, 1)
             self._letters[key] = hit
         return hit
 
@@ -902,9 +925,10 @@ class Substitution:
             hit = self._monos[m] = (Ma * Mb, {s: p for s, p in out.items() if p})
         return hit
 
-    def __call__(self, poly: DiffPoly) -> DiffPoly:
-        """poly with every letter replaced by its image; the int sums are
-        put on one scale and lifted to Q[k] coefficients at the edge."""
+    def graded(self, poly: DiffPoly) -> tuple:
+        """poly with every letter replaced by its image, as a graded value
+        (S, {s: {interned monomial: int}}) in the grading g = 1: the int sums
+        put on one scale."""
         parts = []  # (power of k, numerator, scale, monomial value)
         for m, c in poly.terms.items():
             M, val = self._mono(m)
@@ -919,8 +943,9 @@ class Substitution:
                 dst = acc.setdefault(s + p, {})
                 for x, c in q.items():
                     _accum(dst, x, w * c)
-        diff_poly = self._engine.space.diff_poly
-        out = DiffPoly()
-        for s, q in acc.items():
-            out += diff_poly(q, S, 1, s)
-        return out
+        return S, acc
+
+    def __call__(self, poly: DiffPoly) -> DiffPoly:
+        """poly with every letter replaced by its image, lifted to Q[k]
+        coefficients at the edge."""
+        return self._engine.space.lift(*self.graded(poly), 1)

@@ -13,24 +13,25 @@ elements.  This module
     (scripted_verify);
   * runs a generic breadth-first closure search from arbitrary seed
     elements (closure_search);
-  * classifies recovery coefficients as polynomials in the level k
-    (coefficient_genericity).
+  * classifies recovery coefficients c*k^m by their dependence on the level
+    k (coefficient_genericity).
 
 Bookkeeping convention: after each product only the *linear* part of the
 result is kept.  A generator counts as recovered once some derived element
 carries it in its linear term with a coefficient that does not vanish at
 level k = 1; from then on the pure generator itself is available as an input
-to later products.  All linear-algebra decisions (separating diagonal
-combinations, and the pass/fail checks) are made exactly, over rationals, at
-k = 1, while the full level-polynomial of every recovery coefficient is kept
-for genericity reporting.
+to later products.  The level is a grading, so a linear term is k^m times its
+values at k = 1, m fixed by the product (BracketTable.linear_product).  All
+linear-algebra decisions (separating diagonal combinations, and the
+pass/fail checks) are made exactly, over rationals, on those k = 1 values;
+a Coeff c*k^m is built only where a result is recorded.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from typing import NamedTuple
 
-from .coeffs import ONE, ZERO, Coeff, peval
+from .coeffs import ONE, Coeff
 from .errors import ScheduleInapplicable, UnknownGenerator
 from .linalg import System
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex
@@ -51,62 +52,26 @@ FLAVORS = (BIG, SMALL)
 
 @dataclass(frozen=True)
 class GenericityReport:
-    """How a recovery coefficient depends on the level k.
+    """How a recovery coefficient c*k^m depends on the level k.
 
-    kind is one of "identicallyZero", "nonzeroAtOne", "vanishingSet"; roots
-    lists the rational levels where the coefficient vanishes (always computed
-    for nonzero coefficients, even when the kind is nonzeroAtOne)."""
+    kind is "identicallyZero" or "nonzeroAtOne"; roots lists the levels where
+    it vanishes, (0,) when m > 0.  The report schema keeps the kind
+    "vanishingSet" (nonzero, zero at k=1), which no single power has."""
 
     kind: str
     roots: tuple = ()
 
 
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _rational_roots(num) -> tuple:
-    """All rational roots of the polynomial with ascending coefficients num."""
-    coeffs = list(num)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if len(coeffs) <= 1:
-        return ()
-    roots = []
-    if not coeffs[0]:
-        roots.append(_F0)
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-    if len(coeffs) <= 1:
-        return tuple(roots)
-    mult = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * mult) for c in coeffs]
-    for p in _divisors(abs(ints[0])):
-        for q in _divisors(abs(ints[-1])):
-            for cand in (F(p, q), F(-p, q)):
-                if cand not in roots and not peval(coeffs, cand):
-                    roots.append(cand)
-    roots.sort()
-    return tuple(roots)
-
-
 def coefficient_genericity(c: Coeff) -> GenericityReport:
-    """Classify a level-coefficient: identically zero, nonzero at k=1, or
-    vanishing at k=1; rational roots of the numerator are always reported."""
+    """Classify a recovery coefficient c*k^m: identically zero, or nonzero at
+    k=1 with the root k=0 when m > 0.  ValueError for a coefficient with more
+    than one term, which the grading rules out."""
     c = Coeff.of(c)
     if not c:
         return GenericityReport("identicallyZero")
-    roots = _rational_roots(c.num)
-    kind = "nonzeroAtOne" if c.at_one() else "vanishingSet"
-    return GenericityReport(kind, roots)
+    if any(c.num[:-1]):
+        raise ValueError(f"recovery coefficient {c} is not a single power of the level")
+    return GenericityReport("nonzeroAtOne", (_F0,) if len(c.num) > 1 else ())
 
 
 # ---------------------------------------------------------------------------
@@ -216,30 +181,14 @@ class DerivationReport:
         return head
 
 
-class _Vec:
-    """A derived homogeneous element, tracked through its linear term."""
+class _Vec(NamedTuple):
+    """A derived homogeneous element, tracked through its linear term: k^power
+    times its values lt1 (GenIndex -> Fraction) at k=1."""
 
-    __slots__ = ("label", "ltK", "lt1", "weight", "power")
-
-    def __init__(self, label, ltK, lt1, weight):
-        self.label = label
-        self.ltK = ltK  # GenIndex -> Coeff (symbolic in the level)
-        self.lt1 = lt1  # GenIndex -> Fraction (values at level 1)
-        self.weight = weight
-        # the level is a grading, so ltK is k^power times its values at k=1
-        self.power = max(len(c.num) for c in ltK.values()) - 1
-
-
-def _product(table: BracketTable, ca: dict, cb: dict, n: int):
-    """Linear term of the n-th product of two linear elements: symbolic in
-    the level, and its nonzero values at k=1 in generator order."""
-    ltK = table.linear_product(ca, cb, n)
-    lt1 = {}
-    for gi in sorted(ltK, key=lambda g: g.sort_key()):
-        v = ltK[gi].at_one()
-        if v:
-            lt1[gi] = v
-    return ltK, lt1
+    label: str
+    lt1: dict
+    weight: Fraction
+    power: int
 
 
 class _Run:
@@ -269,6 +218,9 @@ class _Run:
             self.recovered[gi] = Recovery(gi, expression, coeff, coefficient_genericity(coeff))
 
     def seed(self, gi: GenIndex):
+        if gi not in self.cdata.delta:
+            raise ScheduleInapplicable(
+                f"the {self.flavor} weak set names {gi}, which this shape lacks")
         self.bank(gi, f"seed {gi}", ONE)
 
     def have(self, gi) -> bool:
@@ -279,8 +231,10 @@ class _Run:
 
     # -- checked steps ------------------------------------------------------
 
-    def _record(self, label, expr, n, expected, passed, note, ltK):
-        self.identities.append(IdentityCheck(label, expr, n, expected, bool(passed), note, dict(ltK)))
+    def _record(self, label, expr, n, expected, passed, note, m=0, lt1=()):
+        """Record one identity; its linear term is k^m times the values lt1."""
+        linear = {gi: Coeff.level(m, lt1[gi]) for gi in lt1}
+        self.identities.append(IdentityCheck(label, expr, n, expected, bool(passed), note, linear))
         return bool(passed)
 
     def single(self, label, aname, ca, bname, cb, n, target) -> bool:
@@ -288,8 +242,8 @@ class _Run:
         expr = f"({aname})_({n})({bname})"
         if target is None:
             return self._record(label, expr, n, "target generator absent", False,
-                                "target index does not exist for this shape", {})
-        ltK, lt1 = _product(self.table, ca, cb, n)
+                                "target index does not exist for this shape")
+        m, lt1 = self.table.linear_product(ca, cb, n)
         stray = [gi for gi in lt1 if gi != target]
         ok = target in lt1 and not stray
         note = ""
@@ -298,8 +252,8 @@ class _Run:
         elif target not in lt1:
             note = "target coefficient vanishes at k=1"
         if ok:
-            self.bank(target, expr, ltK[target])
-        return self._record(label, expr, n, f"~ {target}", ok, note, ltK)
+            self.bank(target, expr, Coeff.level(m, lt1[target]))
+        return self._record(label, expr, n, f"~ {target}", ok, note, m, lt1)
 
     def combo(self, label, aname, ca, bname, cb, n, weight, ratio=None, ratio_blocks=None,
               magnitude_only=False, collect_only=False):
@@ -311,7 +265,7 @@ class _Run:
         products gathered merely as slice-separation material: a vanishing
         linear term is then recorded but not counted as a failure."""
         expr = f"({aname})_({n})({bname})"
-        ltK, lt1 = _product(self.table, ca, cb, n)
+        m, lt1 = self.table.linear_product(ca, cb, n)
         weight = F(weight)
         note = ""
         ok = bool(lt1)
@@ -321,7 +275,7 @@ class _Run:
             ok = False
             note = "linear support off the expected weight slice"
             self._record(label, expr, n, f"element of the weight-{weight} slice",
-                         False, note, ltK)
+                         False, note, m, lt1)
             return None
         if ok and ratio is not None and ratio_blocks is not None:
             bj, bl = ratio_blocks
@@ -350,12 +304,12 @@ class _Run:
         vec = None
         if lt1 and ok:
             self._nv += 1
-            vec = _Vec(f"V{self._nv}", ltK, lt1, weight)
+            vec = _Vec(f"V{self._nv}", lt1, weight, m)
             self.pool.setdefault(weight, []).append(vec)
             expr = f"{vec.label} := {expr}"
         expected = (f"separation material for the weight-{weight} slice"
                     if collect_only else f"combination in the weight-{weight} slice")
-        self._record(label, expr, n, expected, ok or collect_only, note, ltK)
+        self._record(label, expr, n, expected, ok or collect_only, note, m, lt1)
         return vec
 
     def solve_slice(self, weight):
@@ -364,7 +318,8 @@ class _Run:
         allowing already-recovered generators to be subtracted freely.  Each
         multiplier x of a vector k^p * (its k=1 values) is lifted to
         x*k^(P-p), P the largest p, so the combination is k^P times the
-        target at every level."""
+        target at every level: its coefficient is exactly k^P, since the
+        x times the vectors' k=1 values of the target sum to 1."""
         weight = F(weight)
         vecs = self.pool.get(weight, [])
         if not vecs:
@@ -381,14 +336,10 @@ class _Run:
             sol = system.solve()
             if sol is None:
                 continue
-            coeff = ZERO
-            parts = []
             top = max((vecs[i].power for i in sol), default=0)
-            for i, x in sorted(sol.items()):
-                xk = Coeff.level(top - vecs[i].power, x)
-                coeff = coeff + xk * vecs[i].ltK.get(target, ZERO)
-                parts.append(f"({xk})*{vecs[i].label}")
-            self.bank(target, " + ".join(parts) if parts else "0", coeff)
+            parts = [f"({Coeff.level(top - vecs[i].power, x)})*{vecs[i].label}"
+                     for i, x in sorted(sol.items())]
+            self.bank(target, " + ".join(parts) if parts else "0", Coeff.level(top))
 
     def claim_slice(self, label, weight):
         """Record the claim that the diagonal part of a weight slice is now
@@ -398,7 +349,7 @@ class _Run:
                    if gi.weight == weight and gi.i == gi.j and gi not in self.recovered]
         note = "" if not missing else "unresolved: " + ", ".join(str(g) for g in missing)
         self._record(label, f"linear algebra over the pooled weight-{weight} vectors", -1,
-                     f"diagonal weight-{weight} generators all separated", not missing, note, {})
+                     f"diagonal weight-{weight} generators all separated", not missing, note)
 
     def finish(self, branch: str) -> DerivationReport:
         ws = weak_set(self.ctx, self.flavor)
@@ -852,13 +803,10 @@ class ClosureReport:
                 f"{self.products_tried} products tried)")
 
 
-class _Node:
-    __slots__ = ("label", "coords", "weight")
-
-    def __init__(self, label, coords, weight):
-        self.label = label
-        self.coords = coords
-        self.weight = weight
+class _Node(NamedTuple):
+    label: str
+    coords: dict  # GenIndex -> Fraction at k=1
+    weight: Fraction
 
 
 def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
@@ -884,11 +832,11 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
     weights_present = {gi.weight for gi in cdata.gens}
     gens_order = {gi: k for k, gi in enumerate(cdata.gens)}
 
-    def reveal(ltK, lt1, expr):
+    def reveal(m, lt1, expr):
         news = []
         for gi in lt1:
             if gi not in recovered:
-                ck = ltK[gi]
+                ck = Coeff.level(m, lt1[gi])
                 recovered[gi] = Recovery(gi, expr, ck, coefficient_genericity(ck))
                 news.append(gi)
         return news
@@ -906,7 +854,7 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
             raise UnknownGenerator("closure seeds must be weight-homogeneous")
         label = f"S{k}"
         coords = {gi: coords[gi] for gi in sorted(coords, key=lambda g: gens_order[g])}
-        news = reveal({gi: Coeff.of(c) for gi, c in coords.items()}, coords, label)
+        news = reveal(0, coords, label)
         seed_coords.append(dict(coords))
         nodes.append(_Node(label, coords, wt))
         dag.append(ClosureStep(label, "seed", -1, news, dict(coords), True))
@@ -930,10 +878,10 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
                         n += 1
                         continue
                     tried += 1
-                    ltK, lt1 = _product(table, A.coords, B.coords, n)
+                    m, lt1 = table.linear_product(A.coords, B.coords, n)
                     if lt1:
                         expr = f"({A.label})_({n})({B.label})"
-                        news = reveal(ltK, lt1, expr)
+                        news = reveal(m, lt1, expr)
                         if news:
                             counter += 1
                             label = f"E{counter}"

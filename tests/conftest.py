@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from walgebra.coeffs import ONE
+from walgebra.errors import NoSolution
 from walgebra.liestruct import PartitionSpec, build_algebra
 from walgebra.pvacore import DiffPoly, apply_partial
 from walgebra.wbracket import bracket_table
@@ -50,6 +51,46 @@ def substitute(poly, mapping):
             acc = acc * fac
         out = out + acc
     return out
+
+
+def _mono_order_key(mono: tuple):
+    letters = len(mono)
+    depth = sum(v.n + d for v, d in mono)
+    lex = tuple((v.sort_key(), d) for v, d in mono)
+    return (letters, depth, lex)
+
+
+def reexpress(gens, P):
+    """Write P, a DiffPoly over the reduction oracle's ladder variables, as a
+    differential polynomial in the generators realized by gens (a
+    dsreduction.GeneratorSolution).
+
+    Returns (Q, residual): P = Q(W) + residual, residual zero exactly when P
+    lies in the subalgebra the W_a generate.  Elimination peels the minimal
+    monomial (fewest letters, then shallowest, then lexicographic); a minimal
+    monomial using any non-generator letter is unremovable and goes to the
+    residual."""
+    Q = DiffPoly()
+    residual = DiffPoly()
+    P = DiffPoly(dict(P.terms))
+    guard = 0
+    while P:
+        guard += 1
+        if guard > 100000:
+            raise NoSolution("re-expression failed to terminate")
+        mono = min(P.terms, key=_mono_order_key)
+        c = P.terms[mono]
+        if mono and all(v.n == 0 for v, _ in mono):
+            gen_mono = tuple((v.g, d) for v, d in mono)
+            image = DiffPoly.constant(c)
+            for v, d in mono:
+                image = image * apply_partial(gens.solutions[v.g], d)
+            P = P - image
+            Q = Q + DiffPoly({gen_mono: c})
+        else:
+            P = P - DiffPoly({mono: c})
+            residual = residual + DiffPoly({mono: c})
+    return Q, residual
 
 
 def corrupted_table():

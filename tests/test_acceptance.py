@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ctx_of, gen, table_of
+from conftest import ctx_of, gen, reexpress, table_of
 from walgebra.coeffs import Coeff
 from walgebra.dsreduction import ReductionCtx, reconcile, reduced_bracket, \
-    reexpress, solve_all
+    solve_all
 from walgebra.errors import SuperEqualParts
 from walgebra.liestruct import PartitionSpec, build_algebra, \
     centralizer_oracle, sharp_project

@@ -16,10 +16,10 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ctx_of, gen, substitute, table_of
+from conftest import ctx_of, gen, reexpress, substitute, table_of
 from walgebra.coeffs import ONE, Coeff
 from walgebra.dsreduction import (ReductionCtx, reconcile, reduced_bracket,
-                                  reexpress, solve_all, weight_monomials)
+                                  solve_all, weight_monomials)
 from walgebra.errors import NoSolution, WAlgebraError
 from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
                                 pairing_index, pairings)

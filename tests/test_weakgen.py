@@ -6,16 +6,22 @@ rule); the scripted schedules must recover every strong generator with all
 claimed identities passing; the closure search must reach the same fixpoint
 from the weak sets alone."""
 
+import hashlib
+import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import ctx_of, gen, table_of
 from walgebra.coeffs import Coeff
-from walgebra.errors import ScheduleInapplicable, UnknownGenerator
-from walgebra.pvacore import BracketTable, DiffPoly, LambdaPoly, check_skew
+from walgebra.errors import (NormalizationImpossible, ScheduleInapplicable, UnknownGenerator,
+                             WAlgebraError)
+from walgebra.pvacore import BracketTable, DiffPoly, LambdaPoly, check_skew, linear_term
 from walgebra import weakgen
+from walgebra.serialize import closure_report_to_json, derivation_report_to_json
 
 F = Fraction
 K = Coeff.level()
@@ -102,16 +108,17 @@ def test_weak_set_sizes():
 
 
 def test_genericity_classification():
+    # a recovery coefficient is c*k^m: its only possible root is k=0
     assert weakgen.coefficient_genericity(Coeff.of(0)).kind == "identicallyZero"
     r = weakgen.coefficient_genericity(K)
     assert r.kind == "nonzeroAtOne" and r.roots == (F(0),)
-    r = weakgen.coefficient_genericity(K - Coeff.of(1))
-    assert r.kind == "vanishingSet" and r.roots == (F(1),)
-    r = weakgen.coefficient_genericity(K * (K - Coeff.of(1)))
-    assert r.kind == "vanishingSet" and r.roots == (F(0), F(1))
-    r = weakgen.coefficient_genericity(K * K + Coeff.of(1))
+    r = weakgen.coefficient_genericity(Coeff.level(3, F(-2, 5)))
+    assert r.kind == "nonzeroAtOne" and r.roots == (F(0),)
+    r = weakgen.coefficient_genericity(Coeff.of(F(3, 7)))
     assert r.kind == "nonzeroAtOne" and r.roots == ()
-    assert weakgen.coefficient_genericity(Coeff.of(F(3, 7))).kind == "nonzeroAtOne"
+    for off in (K - Coeff.of(1), K * (K - Coeff.of(1)), K * K + Coeff.of(1)):
+        with pytest.raises(ValueError, match="not a single power"):
+            weakgen.coefficient_genericity(off)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +198,95 @@ def test_scripted_rejects_principal():
         weakgen.scripted_verify(ctx, ctx.centralizer(), table_of("sl", (4,)), "big")
 
 
+def _at(text: str, q: Fraction) -> Fraction:
+    """The value at k = q of a single power of k as Coeff prints it: c,
+    c*k^i, k^i, -k (i = 1 when omitted)."""
+    if "k" not in text:
+        return F(text)
+    head, _, tail = text.partition("k")
+    c = {"": F(1), "-": F(-1)}.get(head) or F(head.rstrip("*"))
+    return c * q ** (int(tail[1:]) if tail else 1)
+
+
+def _partitions(n, top=None):
+    """Every partition of n, parts non-increasing."""
+    if not n:
+        yield ()
+    for k in range(min(n, top or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+# every shape of both kinds with at most 6 boxes (sl(n|n) is excluded)
+SMALL_SHAPES = [("sl", p, ()) for n in range(2, 7) for p in _partitions(n)] + [
+    ("sl_super", p1, p2) for n1 in range(1, 6) for n2 in range(1, 7 - n1) if n1 != n2
+    for p1 in _partitions(n1) for p2 in _partitions(n2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES),
+       st.builds(lambda n, d, sign: F(sign * n, d), st.integers(1, 40), st.integers(1, 40),
+                 st.sampled_from((1, -1))))
+def test_slice_recoveries_hold_at_generic_levels(shape, q):
+    # each solve_slice recovery was found at k=1; rebuilt from its expression
+    # and the symbolic linear terms of the pooled vectors, it is q^P times the
+    # target plus generators recovered earlier at every nonzero level q
+    kind, p1, p2 = shape
+    try:
+        ctx = ctx_of(kind, p1, p2)
+    except NormalizationImpossible:
+        reject()  # str(ef) = 0: not an algebra of the workbench
+    for flavor in ("big", "small"):
+        try:
+            rep = weakgen.scripted_verify(ctx, ctx.centralizer(), table_of(kind, p1, p2), flavor)
+        except ScheduleInapplicable:
+            continue
+        pooled = {c.expression.partition(" := ")[0]: c.linear
+                  for c in rep.identities if " := " in c.expression}
+        earlier: set = set()
+        for gi, rec in rep.recovered.items():
+            if "*V" in rec.expression:
+                total: dict = {}
+                for term in rec.expression.split(" + "):
+                    x, label = term[1:].split(")*")
+                    for g, c in pooled[label].items():
+                        total[g] = total.get(g, 0) + _at(x, q) * c.eval(q)
+                P = len(rec.coeff.num) - 1
+                assert rec.coeff == Coeff.level(P), (kind, p1, p2, flavor, gi)
+                assert total.pop(gi) == q ** P, (kind, p1, p2, flavor, gi)
+                assert {g for g, c in total.items() if c} <= earlier, (kind, p1, p2, flavor, gi)
+            earlier.add(gi)
+
+
+def test_a_linear_term_off_the_grading_is_refused():
+    # (1+k) g at lambda^1 of {q[3/2](1,2) lambda q[3/2](2,1)}, which both the
+    # small schedule (the weight-1 combination) and the closure search from
+    # the small weak set read: its power of k cannot be read off
+    ctx = ctx_of("sl", (3, 2))
+    cd = ctx.centralizer()
+    u, v = gen(ctx, "3/2", 1, 2), gen(ctx, "3/2", 2, 1)
+    entries = dict(table_of("sl", (3, 2)).entries)
+    lam1 = entries[(u, v)].get(1)
+    (g,) = linear_term(lam1)
+    entries[(u, v)] = LambdaPoly({**entries[(u, v)].coeffs,
+                                  1: DiffPoly({**lam1.terms, ((g, 0),): 1 + K})})
+    named = re.escape(f"bracket ({u}, {v}) is not graded")
+    with pytest.raises(WAlgebraError, match=named):
+        weakgen.scripted_verify(ctx, cd, BracketTable(cd.gens, entries), "small")
+    with pytest.raises(WAlgebraError, match=named):
+        weakgen.closure_search(ctx, cd, BracketTable(cd.gens, entries),
+                               weakgen.weak_set(ctx, "small"))
+
+
+def test_a_weak_set_naming_an_absent_generator_is_inapplicable():
+    # sl(2|3) of f-type [1,1]|[3]: the small set's equal leading pair of
+    # size-1 blocks names q[2](2,1), which the shape lacks
+    ctx = ctx_of("sl_super", (1, 1), (3,))
+    with pytest.raises(ScheduleInapplicable, match="lacks"):
+        weakgen.scripted_verify(ctx, ctx.centralizer(), table_of("sl_super", (1, 1), (3,)),
+                                "small")
+
+
 @pytest.mark.slow
 @pytest.mark.skipif(os.environ.get("WALGEBRA_RUN_SLOW") != "1",
                     reason="extended (6,4,3) replay; set WALGEBRA_RUN_SLOW=1")
@@ -199,6 +295,68 @@ def test_scripted_6_4_3_extended():
         ctx, rep = _run("sl", (6, 4, 3), (), flavor)
         assert rep.ok and rep.all_identities_passed
         assert len(ctx.centralizer().gens) == 32
+
+
+# sha256 of the JSON reports (big and small scripted derivations, then the
+# closure search from the small weak set), symbolic and at k=1: recovery
+# coefficients, identity linear terms, expressions and genericity all show here
+REPORT_DIGESTS = {
+    ('sl', (2, 1), (), 'symbolic'): (
+        "3b7472cbe907709d6ad27d2e4672ed03c3685d33ff9aa775b40b09c489bb045b",
+        "b01ab0ed13686404a8c0abb3315460725b39e6ca01d5826a2520b0e55ad2488f",
+        "b548bc376c8c6e7488d4ba39548bead62b0abeafe6350202412d8a09b6292afc"),
+    ('sl', (2, 1), (), 1): (
+        "a173c7c1481d9b2b5885cb275b1fb88e612167d87b14decada0281d7567c9e2f",
+        "24a93a994da3cd1975dee34d09b791f68c7b1a9269e4e2ac5d90a9f0ed4c83c4",
+        "f05f25f6c4e6afffd3760ec13efcd10ca75e240f551dd8794eaa9d99dab72e8a"),
+    ('sl', (2, 2), (), 'symbolic'): (
+        "bdf526320f366969ef1045f82043ce36bc1f25cfc0ceeb35d8b8fcccd572f638",
+        "b81e3ff747d504e259fbf129a2bf3922e930c33b775a5455f701040aaae83510",
+        "066c0ff793c7bcf7e83317e4fdd14a1cd31897ea477b946c51666c4e9adccedc"),
+    ('sl', (2, 2), (), 1): (
+        "562e591e57feaa8c44c0c2361c9495a1b4c76128f204a887a090c557dea10bbf",
+        "e87a699d4a677f24a1ff307396dc1cf13a640b9c205ef4c23f39be0ef1dc2a07",
+        "e9c9e0b718ac17459118b268e1e4ef3995e34cd0b4520193264d17652f1c3902"),
+    ('sl', (3, 2), (), 'symbolic'): (
+        "931ecd134e9af7e1f83cea00d0773a6fcbccfc1b42bf483c25554be6600cd3ac",
+        "82246b400c7bea9a48d01784a28db56ee2c5898855cacca2ee3fdd0ff938f573",
+        "c242f29b75079a2b10acebce896538d0bd726db57e424dcb9d1d4804109017e8"),
+    ('sl', (3, 2), (), 1): (
+        "6da8f8a179e1e444b7fc6d9b2270778d480ab6c299ffe413d108cbdbe79fa6c6",
+        "8963e55a0a28c9738943cf87afe49f542cbf8b9a7bc708ff0b95dc6b25a39e4e",
+        "1106550b23be4826a7716bdb12643afe641b6f21cf25dd37246bbca53c7d4806"),
+    ('sl', (4, 3), (), 'symbolic'): (
+        "babf3db82fb87daed7f5d4951632f7fa3dde2ad4a7f08fb7cd31033189333114",
+        "9e4511582efef9ec11f22058a14bf155f277d9bef6c736c2c53db86315da33bc",
+        "6253cb5e187483edcb66eb0633d62d28604a1158bb3647d09c82a17bb2121cc0"),
+    ('sl', (4, 3), (), 1): (
+        "e6a81da6e91fda02d78b95ea334cb1d93d8fb5a80eebed2114e772da2f245139",
+        "f360a6550af8258bd9d1ce9ae5ca02b883ff098d91677ef01b18dadd4404b0e6",
+        "416e1ceaf24f7fcd3af1355b344e3b13e8be5e455546b797a09fa9a5fa8d57f7"),
+    ('sl_super', (3,), (2,), 'symbolic'): (
+        "dfde986dc29c2e828b8c4891a41e460d081351afd1c429bdc1fcdc5aaf8658d9",
+        "493e5075f2803bc6d3db0188483fdecc818c33f9bdc2e30fb5456c00ec576b74",
+        "e5b57fede3a3187158f22d5cf7d14b5ca68bda68ccb7ea3b798a583ada738771"),
+    ('sl_super', (3,), (2,), 1): (
+        "92082e6bed1a90fa8c916ce46916767a8a61626e01bed33e718d4a5eda1e8baf",
+        "cffa4c7f2c422bc04b1ffeb3da9f79b206943ba63fd33f5084b6e6708b500ad9",
+        "a92bf1e0828da326b857eb9d33c901e383b8ff03e2c28eae92fd14a5923e3d28"),
+}
+
+
+def _json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_reports_are_pinned():
+    for (kind, p1, p2, level), digests in REPORT_DIGESTS.items():
+        ctx = ctx_of(kind, p1, p2)
+        cd, tab = ctx.centralizer(), table_of(kind, p1, p2, ktilde=level)
+        got = tuple(_json_digest(derivation_report_to_json(
+            weakgen.scripted_verify(ctx, cd, tab, flavor))) for flavor in ("big", "small"))
+        got += (_json_digest(closure_report_to_json(
+            weakgen.closure_search(ctx, cd, tab, weakgen.weak_set(ctx, "small")))),)
+        assert got == digests, (kind, p1, p2, level)
 
 
 # ---------------------------------------------------------------------------
