@@ -59,12 +59,16 @@ class RunConfig:
 
 
 def _parse_partition(text) -> tuple:
+    """A config-file list, or digit runs between commas ('1_0', '+3' refused)."""
     try:
         if isinstance(text, (list, tuple)):
             if any(isinstance(x, (bool, float)) for x in text):
                 raise ValueError(text)
             return tuple(int(x) for x in text)
-        return tuple(int(p) for p in str(text).split(",") if p.strip())
+        parts = [p.strip() for p in str(text).split(",")] if str(text).strip() else []
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError(text)
+        return tuple(int(p) for p in parts)
     except (TypeError, ValueError):
         raise WAlgebraError(f"partition must be comma-separated integers: {text!r}")
 

@@ -85,13 +85,22 @@ def _as_poly(v) -> tuple:
 
 
 class Coeff:
-    """A polynomial in the level parameter k."""
+    """A polynomial in the level parameter k, immutable: one object backs
+    many table terms, so rebinding or deleting num raises AttributeError."""
 
     __slots__ = ("num",)
 
     def __init__(self, num: tuple):
         # trailing zeros trimmed; ptrim returns num itself when there are none
-        self.num = ptrim(num)
+        object.__setattr__(self, "num", ptrim(num))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{name} of a Coeff is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Coeff, (self.num,)
 
     # -- constructors ------------------------------------------------------
 

@@ -67,7 +67,7 @@ from typing import NamedTuple, Optional
 
 from .coeffs import Coeff, ONE
 from .errors import NoSolution, WAlgebraError
-from .liestruct import AlgebraCtx, GenIndex, SuperMatrix, pairing_index, pairings
+from .liestruct import AlgebraCtx, GenIndex, StructureKernel, SuperMatrix, pairing_index
 from .linalg import System
 from .pvacore import (
     BracketTable,
@@ -135,8 +135,6 @@ class ReductionCtx:
         if len(self.variables) != ctx.shape.N ** 2 - 1:
             raise NoSolution(f"{len(self.variables)} ladder variables cannot span "
                              f"sl of dimension {ctx.shape.N ** 2 - 1}")
-        self._p_index = pairing_index(
-            ctx, [cd.dualFamily[v.g][v.n] for v in self.p_vars])
         self._affine: Optional[BracketTable] = None
 
     # -- affine structure ------------------------------------------------------
@@ -144,25 +142,23 @@ class ReductionCtx:
     def affine_table(self) -> BracketTable:
         """{u lambda v} = rho([u, v]) + k*lambda*(u|v) over the ladder basis,
         rho([u, v]) read off as the pairings of [u, v] with the dual rungs of
-        p_vars plus the constant (f | [u, v])."""
+        p_vars plus the constant (f | [u, v]): one StructureKernel over the
+        dual rungs with f as one more row gives all three."""
         if self._affine is not None:
             return self._affine
-        ctx, p_vars = self.ctx, self.p_vars
+        ctx, p_vars, cd = self.ctx, self.p_vars, self.cdata
+        kernel = StructureKernel(ctx, pairing_index(
+            ctx, [cd.dualFamily[v.g][v.n] for v in p_vars] + [ctx.f]))
+        f_row = len(p_vars)  # the index of f
         entries = {}
         for u in self.variables:
             mu = self.matrix[u]
             for v in self.variables:
-                mv = self.matrix[v]
-                br = mu.comm(mv)
+                coords, pairing = kernel(mu, self.matrix[v])
                 coeffs: dict[int, DiffPoly] = {}
-                if br:
-                    terms = {((p_vars[i], 0),): Coeff.of(c)
-                             for i, c in pairings(self._p_index, br).items()}
-                    constant = ctx.pair(ctx.f, br)
-                    if constant:
-                        terms[()] = Coeff.of(constant)
-                    coeffs[0] = DiffPoly(terms)
-                pairing = ctx.pair(mu, mv)
+                if coords:
+                    coeffs[0] = DiffPoly({((p_vars[i], 0),) if i < f_row else (): Coeff.of(c)
+                                          for i, c in coords})
                 if pairing:
                     coeffs[1] = DiffPoly.constant(Coeff.level(1, pairing))
                 entries[(u, v)] = LambdaPoly(coeffs)

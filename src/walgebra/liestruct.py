@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import NamedTuple, Optional
 
 from .errors import NormalizationImpossible, SingularPairing, SuperEqualParts, WAlgebraError
@@ -537,6 +537,51 @@ def pairings(index: dict[tuple, list], z: SuperMatrix) -> dict[int, Fraction]:
         for i, v in index.get(pos, ()):
             coords[i] = coords.get(i, _F0) + v * w
     return {i: v for i, v in sorted(coords.items()) if v}
+
+
+class StructureKernel:
+    """kernel(x, y) = (coordinates of [x, y] against one pairing index, (x|y)),
+    exactly (tuple(pairings(index, x.comm(y)).items()), ctx.pair(x, y)), in one
+    pass on ints: each matrix (kept alive, its id the key) and the index held
+    over one denominator, a Fraction built only for a nonzero result.  A
+    mixed-parity matrix raises the WAlgebraError of SuperMatrix.comm."""
+
+    def __init__(self, ctx: AlgebraCtx, index: dict[tuple, list]):
+        self._eps, self._fs = ctx.shape.eps, ctx.form_scale
+        self._den = den = lcm(*(w.denominator for ws in index.values() for _, w in ws))
+        self._index = {pos: [(i, w.numerator * (den // w.denominator)) for i, w in ws]
+                       for pos, ws in index.items()}
+        self._ints: dict[int, tuple] = {}
+
+    def _int(self, m: SuperMatrix) -> tuple:
+        """(m, d, {(r, c): d*m[r, c]}, {r: [(c, d*m[r, c])]}, parity), d = lcm."""
+        hit = self._ints.get(id(m))
+        if hit is None:
+            d = lcm(*(v.denominator for v in m.entries.values()))
+            at = {pos: v.numerator * (d // v.denominator) for pos, v in m.entries.items()}
+            rows: dict[int, list] = {}
+            for (r, c), v in at.items():
+                rows.setdefault(r, []).append((c, v))
+            hit = self._ints[id(m)] = (m, d, at, rows, m.parity())
+        return hit
+
+    def __call__(self, x: SuperMatrix, y: SuperMatrix) -> tuple:
+        _, dx, ax, rx, px = self._int(x)
+        _, dy, ay, ry, py = self._int(y)
+        if px is None or py is None:
+            raise WAlgebraError("supercommutator of a mixed-parity matrix")
+        z: dict[tuple, int] = {}  # dx*dy*[x, y] = xy -+ yx
+        for a, rb, s in ((ax, ry, 1), (ay, rx, 1 if px and py else -1)):
+            for (r, c), v in a.items():
+                for c2, w in rb.get(c, ()):
+                    z[r, c2] = z.get((r, c2), 0) + s * v * w
+        coords: dict[int, int] = {}
+        for pos, v in z.items():
+            for i, w in self._index.get(pos, ()):
+                coords[i] = coords.get(i, 0) + v * w
+        tot = sum(v * ay.get((c, r), 0) * self._eps[r] for (r, c), v in ax.items())
+        return (tuple((i, F(v, dx * dy * self._den)) for i, v in sorted(coords.items()) if v),
+                F(tot, dx * dy) * self._fs if tot else _F0)
 
 
 def sharp_coords(cdata: CentralizerData, z: SuperMatrix) -> dict[GenIndex, Fraction]:

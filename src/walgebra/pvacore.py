@@ -404,7 +404,8 @@ class VarSpace:
     Variables are ranked by sort_key(); a factor (rank r, derivative power n)
     is the int r*stride + n, so a monomial is a sorted int tuple in the
     canonical factor order, and odd[x] is the parity of factor x.  Codes,
-    derivatives and edge monomials are memoized for the space's lifetime."""
+    derivatives, edge monomials and edge coefficients are memoized for the
+    space's lifetime."""
 
     def __init__(self, variables, stride: int):
         self.vars = sorted(variables, key=lambda v: v.sort_key())
@@ -415,6 +416,8 @@ class VarSpace:
         self._derivs: dict = {}
         self._edge: dict = {}
         self._factors: dict = {}
+        self._lifted: dict = {}
+        self._coeffs: dict = {}
 
     def rank_of(self, v) -> int:
         r = self.rank.get(v)
@@ -493,11 +496,18 @@ class VarSpace:
 
     def diff_poly(self, p: dict, scale: int, g: int, power: int) -> DiffPoly:
         """{interned monomial: int} as a DiffPoly, each int c of monomial m
-        lifted to c/scale * k^(power + g*(derivative count of m))."""
-        edge, stride = self.edge, self.stride
-        return DiffPoly({edge(m): Coeff.level(power + g * sum(x % stride for x in m),
-                                              Fraction(c, scale))
-                         for m, c in p.items()})
+        lifted to c/scale * k^(power + g*(derivative count of m)).  Edge
+        monomials with their derivative counts, and one Coeff per (c, power)
+        at each scale, are memoized: equal coefficients are one object."""
+        lifted, edge, stride = self._lifted, self.edge, self.stride
+        coeffs = self._coeffs.setdefault(scale, {})
+        out = {}
+        for m, c in p.items():
+            gm, D = lifted.get(m) or lifted.setdefault(m, (edge(m), sum(x % stride for x in m)))
+            key = (c, power + g * D)
+            cf = coeffs.get(key) or coeffs.setdefault(key, Coeff.level(key[1], Fraction(c, scale)))
+            out[gm] = cf
+        return DiffPoly(out)
 
     def graded(self, P: DiffPoly, g: int) -> tuple:
         """P as a graded value (M, {s: {interned monomial: int}}): each power

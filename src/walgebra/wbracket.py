@@ -11,14 +11,15 @@ Signs.  One rule covers sl(N) and sl(N1|N2): the chain sum enters with the
 sign -(-1)^(p(a)p(b)) for the bracket {a lambda b}, and each chain node
 (j, n) contributes (-1)^p(j).  On plain sl every parity is 0 and both signs
 are +1.  The sweep folds a node's sign into its tail and successor
-constants once; the chain-by-chain evaluator multiplies the signs out per
-chain.
+constants once; the test suite's chain-by-chain oracle multiplies the signs
+out per chain.
 
 Structure constants.  Every factor is read off one supercommutator of ladder
 elements: the centralizer coordinates of [x, y] (trace pairings against the
-dual basis) and the pairing (x|y).  MasterEngine computes each once, keyed
-by ints (generator ranks in cdata.gens, node indices in ladder_nodes): mid
-factors by (u, v), head factors by (b, u), tail factors by (u, a) and the
+dual basis) and the pairing (x|y), both read on ints by one
+liestruct.StructureKernel.  MasterEngine computes each once, keyed by ints
+(generator ranks in cdata.gens, node indices in ladder_nodes): mid factors
+by (u, v), head factors by (b, u), tail factors by (u, a) and the
 chain-free head terms by (a, b).  Each is stored as (tuple of (rank,
 coordinate) pairs, pairing) of Fractions and lives as long as the engine.
 The first row computes every constant a full table uses, at once.
@@ -44,10 +45,10 @@ The edge.  A finished row is converted once to DiffPoly/LambdaPoly with
 GenIndex factors through VarSpace.diff_poly, the conversion the Leibniz
 engine uses too, with the grading flag 1: every int c of lambda^n and a
 monomial with D derivatives becomes the Coeff c/S^H * k^(n+D); the division
-by S^H is the only one of the sweep.  The chain-by-chain evaluator over
-enumerate_chains works on DiffPoly/LambdaPoly and Coeff values throughout,
-with k kept formal, and is the reference the test suite checks every row
-against.
+by S^H is the only one of the sweep.  The space memoizes one Coeff per
+distinct (c, power of k), so equal coefficients across the table are one
+shared object, and Coeff is immutable.  A fixed-level table evaluates each
+distinct coefficient object of the symbolic table once.
 
 Brackets are built once, with the level k kept formal: every entry
 coefficient is a single power of k, and a table at a fixed rational level is
@@ -59,11 +60,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .coeffs import Coeff
 from .errors import WAlgebraError
-from .liestruct import AlgebraCtx, CentralizerData, GenIndex, pairings, sharp_coords
+from .liestruct import AlgebraCtx, CentralizerData, GenIndex, StructureKernel, sharp_coords
 from .linalg import solve
 from .pvacore import (BracketTable, DiffPoly, LambdaPoly, VarSpace, _accum, apply_partial,
                       frozen)
@@ -90,31 +91,8 @@ def ladder_nodes(cdata: CentralizerData) -> list[ChainIndex]:
     return out
 
 
-def enumerate_chains(cdata: CentralizerData, t1: Fraction, t2: Fraction) -> Iterator[Chain]:
-    """All chains for a bracket with first-slot string half-length t1 and
-    second-slot t2: the empty chain, then every sequence with grades rising
-    by at least 1 per step, starting at grade >= -t2, ending <= t1 - 1."""
-    nodes = [c for c in ladder_nodes(cdata) if c.alpha <= t1 - 1]
-    nodes.sort(key=lambda c: (c.alpha, c.j.sort_key(), c.n))
-    yield ()
-
-    def extend(prefix: list) -> Iterator[Chain]:
-        yield tuple(prefix)
-        last = prefix[-1].alpha
-        for c in nodes:
-            if c.alpha >= last + 1:
-                prefix.append(c)
-                yield from extend(prefix)
-                prefix.pop()
-
-    for c in nodes:
-        if c.alpha >= -t2:
-            yield from extend([c])
-
-
 KTilde = Union[str, int, Fraction]
 
-K = Coeff.level(1)
 _F0 = F(0)
 
 # A structure constant of the chain sum: the centralizer coordinates of a
@@ -139,13 +117,14 @@ class MasterEngine:
         # a chain applies at most one d per node, so every dpow is below the
         # stride; cdata.gens is in sort_key order, so ranks are cdata.col
         self.space = VarSpace(cdata.gens, len(nodes) + 1)
-        self._alpha = [c.alpha for c in nodes]
+        self._alpha2 = [int(2 * c.alpha) for c in nodes]  # twice each grade, an int
         # string tops never contribute: every factor to their right vanishes;
         # descending grade, so a node's successors come before it
         live = [i for i, c in enumerate(nodes) if c.n < 2 * cdata.delta[c.j]]
         live.sort(key=lambda i: (nodes[i].alpha, nodes[i].j.sort_key(), nodes[i].n),
                   reverse=True)
         self._live = live
+        self._kernel = StructureKernel(ctx, cdata.dual_at)
         self._constants: dict = {}
         self._scale = 0  # S^H once _prepare has run
 
@@ -156,15 +135,7 @@ class MasterEngine:
         past a string top, where the factor vanishes."""
         hit = self._constants.get(key)
         if hit is None:
-            if x is None:
-                hit = _NO_FACTOR
-            else:
-                coords = pairings(self.cdata.dual_at, x.comm(y))
-                pairing = self.ctx.pair(x, y)
-                if coords or pairing:
-                    hit = (tuple(coords.items()), pairing)
-                else:
-                    hit = _NO_FACTOR
+            hit = _NO_FACTOR if x is None else self._kernel(x, y)
             self._constants[key] = hit
         return hit
 
@@ -203,17 +174,17 @@ class MasterEngine:
         factors are dropped.  The tail and successor factors of a node on an
         odd string carry its sign -1 (the sign rule in the module
         docstring)."""
-        cdata, live, alpha = self.cdata, self._live, self._alpha
+        cdata, live, alpha2 = self.cdata, self._live, self._alpha2
         ranks = range(len(cdata.gens))
         succ = {u: [(v, fac) for v in live
-                    if alpha[v] >= alpha[u] + 1 and any(fac := self.mid_factor(u, v))]
+                    if alpha2[v] >= alpha2[u] + 2 and any(fac := self.mid_factor(u, v))]
                 for u in live}
-        delta = [cdata.delta[g] for g in cdata.gens]
+        delta2 = [int(2 * cdata.delta[g]) for g in cdata.gens]
         opens = [[(u, fac) for u in live
-                  if alpha[u] >= -delta[rb] and any(fac := self.head_factor(rb, u))]
+                  if alpha2[u] >= -delta2[rb] and any(fac := self.head_factor(rb, u))]
                  for rb in ranks]
         # a row skips the nodes above its generator's top grade
-        tails = {u: [self.tail_factor(u, ra) if alpha[u] <= delta[ra] - 1 else _NO_FACTOR
+        tails = {u: [self.tail_factor(u, ra) if alpha2[u] <= delta2[ra] - 2 else _NO_FACTOR
                      for ra in ranks] for u in live}
         tops = [[self.head_term(ra, rb) for rb in ranks] for ra in ranks]
 
@@ -301,11 +272,11 @@ class MasterEngine:
             self._prepare()
         cdata, scale = self.cdata, self._scale
         ra = cdata.col[a]
-        max_grade = cdata.delta[a] - 1
+        top2 = int(2 * cdata.delta[a]) - 2  # twice the top grade of a chain node
         # suffix sums over the chains starting at each node, V[u] at scale S^h(u)
         V: dict[int, dict] = {}
         for u in self._live:
-            if self._alpha[u] > max_grade:
+            if self._alpha2[u] > top2:
                 continue
             acc = self._value(self._tails[u][ra], -1)
             for v, factor in self._succ[u]:
@@ -338,51 +309,6 @@ class MasterEngine:
         lifted to c/scale * k^(n + derivative count of m)."""
         diff_poly = self.space.diff_poly
         return LambdaPoly({n: diff_poly(p, scale, 1, n) for n, p in val.items()})
-
-    # -- the chain-by-chain oracle, on DiffPoly/LambdaPoly ---------------------
-
-    def _lin(self, factor: Factor):
-        """factor as (the DiffPoly linear term P, pairing c)."""
-        gens = self.cdata.gens
-        P, c = factor
-        return DiffPoly({((gens[r], 0),): Coeff.of(v) for r, v in P}), c
-
-    def _apply(self, factor, X: LambdaPoly) -> LambdaPoly:
-        """(P - c*k(lambda+d)) applied to X, the operator acting on X."""
-        P, c = self._lin(factor)
-        out = LambdaPoly({n: P * p for n, p in X.coeffs.items()})
-        ck = Coeff.of(c) * K
-        if ck:
-            dX = LambdaPoly({n: apply_partial(p) for n, p in X.coeffs.items()})
-            lX = LambdaPoly({n + 1: p for n, p in X.coeffs.items()})
-            out = out - (dX + lX).scale(ck)
-        return out
-
-    def _lambda_value(self, factor, ksign: int) -> LambdaPoly:
-        """P + ksign * c k lambda for factor (P, c)."""
-        P, c = self._lin(factor)
-        return LambdaPoly({0: P, 1: DiffPoly.constant(K * Coeff.of(ksign * c))})
-
-    def bracket_by_chains(self, a: GenIndex, b: GenIndex) -> LambdaPoly:
-        """Independent evaluation summing over enumerate_chains directly."""
-        cdata = self.cdata
-        ra, rb = cdata.col[a], cdata.col[b]
-        index = {c: i for i, c in enumerate(self.nodes)}
-        chain_sum = LambdaPoly()
-        for chain in enumerate_chains(cdata, cdata.delta[a], cdata.delta[b]):
-            if not chain:
-                continue
-            us = [index[c] for c in chain]
-            val = self._lambda_value(self.tail_factor(us[-1], ra), -1)
-            for u, v in zip(reversed(us[:-1]), reversed(us[1:])):
-                val = self._apply(self.mid_factor(u, v), val)
-            val = self._apply(self.head_factor(rb, us[0]), val)
-            s = 1
-            for u in chain:
-                s *= (-1) ** u.j.parity
-            chain_sum = chain_sum + (val.scale(s) if s < 0 else val)
-        sab = (-1) ** (a.parity * b.parity)
-        return self._lambda_value(self.head_term(ra, rb), 1) - chain_sum.scale(sab)
 
 
 _TABLE_CACHE: dict = {}
@@ -418,9 +344,21 @@ def bracket_table(ctx: AlgebraCtx, ktilde: KTilde = "symbolic") -> BracketTable:
                 entries[(a, b)] = frozen(val)
         table = BracketTable(engine.cdata.gens, entries)
     else:
-        sym = bracket_table(ctx)
-        table = BracketTable(sym.variables,
-                             {ab: frozen(val.at_level(ktilde)) for ab, val in sym.entries.items()})
+        # val.at_level(ktilde) for every entry, evaluating each distinct
+        # coefficient object once (sym keeps them all alive, so id is a key;
+        # None marks a zero); freezing drops the emptied DiffPolys
+        sym, at, entries = bracket_table(ctx), {}, {}
+        for ab, val in sym.entries.items():
+            lp = entries[ab] = LambdaPoly()
+            for n, p in val.coeffs.items():
+                dp = lp.coeffs[n] = DiffPoly()
+                for m, c in p.terms.items():
+                    v = at.get(id(c), at)
+                    if v is at:
+                        v = at[id(c)] = Coeff.of(c.eval(ktilde)) or None
+                    if v is not None:
+                        dp.terms[m] = v
+        table = BracketTable(sym.variables, entries)
     _TABLE_CACHE[key] = table
     return table
 

@@ -10,11 +10,11 @@ sign rule for both kinds, so a table is named by its shape alone.
 from fractions import Fraction
 from functools import lru_cache
 
-from walgebra.coeffs import ONE
+from walgebra.coeffs import ONE, Coeff
 from walgebra.errors import NoSolution
 from walgebra.liestruct import PartitionSpec, build_algebra
-from walgebra.pvacore import DiffPoly, apply_partial
-from walgebra.wbracket import bracket_table
+from walgebra.pvacore import DiffPoly, LambdaPoly, apply_partial
+from walgebra.wbracket import bracket_table, ladder_nodes
 
 F = Fraction
 
@@ -106,3 +106,80 @@ def corrupted_table():
     entries[(a, b)] = entries[(a, b)] + extra
     entries[(b, a)] = entries[(b, a)] - extra
     return BracketTable(ctx.centralizer().gens, entries)
+
+
+# ---------------------------------------------------------------------------
+# the chain-by-chain oracle for wbracket.MasterEngine, on DiffPoly/LambdaPoly
+# with k kept formal: it reads the engine's structure constants (Fractions)
+# and sums over enumerate_chains directly, multiplying the signs out chain by
+# chain where the engine's sweep folds them into its constants
+
+
+def enumerate_chains(cdata, t1, t2):
+    """All chains for a bracket with first-slot string half-length t1 and
+    second-slot t2: the empty chain, then every sequence with grades rising
+    by at least 1 per step, starting at grade >= -t2, ending <= t1 - 1."""
+    nodes = [c for c in ladder_nodes(cdata) if c.alpha <= t1 - 1]
+    nodes.sort(key=lambda c: (c.alpha, c.j.sort_key(), c.n))
+    yield ()
+
+    def extend(prefix):
+        yield tuple(prefix)
+        last = prefix[-1].alpha
+        for c in nodes:
+            if c.alpha >= last + 1:
+                prefix.append(c)
+                yield from extend(prefix)
+                prefix.pop()
+
+    for c in nodes:
+        if c.alpha >= -t2:
+            yield from extend([c])
+
+
+def _linear_part(engine, factor):
+    """factor as (the DiffPoly linear term P, pairing c)."""
+    gens = engine.cdata.gens
+    P, c = factor
+    return DiffPoly({((gens[r], 0),): Coeff.of(v) for r, v in P}), c
+
+
+def apply_factor(engine, factor, X):
+    """(P - c*k(lambda+d)) applied to the LambdaPoly X, the operator acting
+    on X."""
+    P, c = _linear_part(engine, factor)
+    out = LambdaPoly({n: P * p for n, p in X.coeffs.items()})
+    ck = Coeff.level(1, c)
+    if ck:
+        dX = LambdaPoly({n: apply_partial(p) for n, p in X.coeffs.items()})
+        lX = LambdaPoly({n + 1: p for n, p in X.coeffs.items()})
+        out = out - (dX + lX).scale(ck)
+    return out
+
+
+def _lambda_value(engine, factor, ksign):
+    """P + ksign * c k lambda for factor (P, c)."""
+    P, c = _linear_part(engine, factor)
+    return LambdaPoly({0: P, 1: DiffPoly.constant(Coeff.level(1, ksign * c))})
+
+
+def bracket_by_chains(engine, a, b):
+    """{a lambda b} summed over enumerate_chains directly."""
+    cdata = engine.cdata
+    ra, rb = cdata.col[a], cdata.col[b]
+    index = {c: i for i, c in enumerate(engine.nodes)}
+    chain_sum = LambdaPoly()
+    for chain in enumerate_chains(cdata, cdata.delta[a], cdata.delta[b]):
+        if not chain:
+            continue
+        us = [index[c] for c in chain]
+        val = _lambda_value(engine, engine.tail_factor(us[-1], ra), -1)
+        for u, v in zip(reversed(us[:-1]), reversed(us[1:])):
+            val = apply_factor(engine, engine.mid_factor(u, v), val)
+        val = apply_factor(engine, engine.head_factor(rb, us[0]), val)
+        s = 1
+        for u in chain:
+            s *= (-1) ** u.j.parity
+        chain_sum = chain_sum + (val.scale(s) if s < 0 else val)
+    sab = (-1) ** (a.parity * b.parity)
+    return _lambda_value(engine, engine.head_term(ra, rb), 1) - chain_sum.scale(sab)

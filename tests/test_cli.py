@@ -215,6 +215,15 @@ def test_bad_partition_is_input_error(capsys):
     assert code == 2
 
 
+def test_partition_parts_are_digit_strings(capsys):
+    # int() would read '1_0' as 10 and '+3' as 3, and empty parts were
+    # dropped: these ran as (3,2), (3,2), sl(10) and (3,2)
+    for bad in ("3,,2", "3,2,", "1_0", "+3,2"):
+        code, out, err = run(capsys, "algebra", "--partition", bad)
+        assert code == 2 and out == "" and err.count("\n") == 1, (bad, err)
+        assert repr(bad) in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "walgebra.cli", "algebra", "--partition", "2"],

@@ -1,11 +1,14 @@
 """Scalar arithmetic in Q[k]: exactness, canonical form, evaluation."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from walgebra.coeffs import Coeff, peval
+from conftest import table_of
+from walgebra.coeffs import ONE, Coeff, peval
 
 F = Fraction
 
@@ -106,3 +109,19 @@ def test_constants_hash_like_the_numbers_they_equal():
     assert {Coeff.of(F(1, 2)): "h"}.get(F(1, 2)) == "h"
     assert len({0, Coeff.of(0), F(0)}) == 1
     assert {K: "k"}.get(1) is None and {K: "k"}.get(Coeff.level(1)) == "k"
+
+
+def test_coefficients_are_immutable():
+    # one Coeff object backs many table terms, and ONE is shared everywhere
+    tab = table_of("sl", (3, 2))
+    shared = next(c for val in tab.entries.values() for p in val.coeffs.values()
+                  for c in p.terms.values())
+    for c in (shared, ONE):
+        before = c.num
+        with pytest.raises(AttributeError):
+            c.num = (F(7),)
+        with pytest.raises(AttributeError):
+            del c.num
+        assert c.num == before
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert twin == c and twin.num == before

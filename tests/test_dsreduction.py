@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ctx_of, gen, reexpress, substitute, table_of
+from conftest import bracket_by_chains, ctx_of, gen, reexpress, substitute, table_of
 from walgebra.coeffs import ONE, Coeff
 from walgebra.dsreduction import (ReductionCtx, reconcile, reduced_bracket,
                                   solve_all, weight_monomials)
@@ -173,7 +173,7 @@ def test_values_are_graded_in_the_level():
         gens = engine.cdata.gens
         for a in gens:
             for b in gens:
-                assert not _off_grading(engine.bracket_by_chains(a, b)), (kind, p1, p2, a, b)
+                assert not _off_grading(bracket_by_chains(engine, a, b)), (kind, p1, p2, a, b)
         rctx = ReductionCtx(ctx)
         for uv, entry in rctx.affine_table().entries.items():
             assert not _off_grading(entry), (kind, p1, p2, uv)

@@ -10,12 +10,14 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import ctx_of, gen
 from walgebra import serialize
 from walgebra.dsreduction import ReductionCtx
-from walgebra.errors import SuperEqualParts, WAlgebraError
-from walgebra.liestruct import GenIndex, PartitionSpec, centralizer_oracle, sharp_project
+from walgebra.errors import NoSolution, NormalizationImpossible, SuperEqualParts, WAlgebraError
+from walgebra.liestruct import (GenIndex, PartitionSpec, StructureKernel, centralizer_oracle,
+                                pairing_index, pairings, sharp_project)
 
 F = Fraction
 
@@ -216,3 +218,66 @@ def test_generator_keys_hash_once(monkeypatch):
         assert len({hash(m) for m in monos}) > 1
         assert not calls
         monkeypatch.undo()
+
+
+def _partitions(n, top=None):
+    """Every partition of n, parts non-increasing."""
+    if not n:
+        yield ()
+    for k in range(min(n, top or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+# every shape of both kinds with at most 6 boxes (sl(n|n) is excluded)
+SMALL_SHAPES = [("sl", p, ()) for n in range(2, 7) for p in _partitions(n)] + [
+    ("sl_super", p1, p2) for n1 in range(1, 6) for n2 in range(1, 7 - n1) if n1 != n2
+    for p1 in _partitions(n1) for p2 in _partitions(n2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES))
+def test_structure_kernel_matches_the_matrix_path(shape):
+    # the int kernel against SuperMatrix.comm, pairings and ctx.pair: on the
+    # ladder pairs of the chain sweep's constants (mid, tail, head and top)
+    # over the dual basis, and on every affine-table pair over the dual rungs
+    # of p_vars with f as one more row, whose coordinate is (f | [u, v])
+    try:
+        ctx = ctx_of(*shape)
+    except NormalizationImpossible:
+        reject()  # str(ef) = 0: not an algebra of the workbench
+    cdata = ctx.centralizer()
+    raised = [m for g in cdata.gens for m in cdata.adFPowers[g][1:]]
+    dual = [m for g in cdata.gens for m in cdata.dualFamily[g]]
+    basis = [cdata.basisF[g] for g in cdata.gens]
+    kernel = StructureKernel(ctx, cdata.dual_at)
+    for xs, ys in [(raised, dual), (raised, basis), (basis, dual), (basis, basis)]:
+        for x in xs:
+            for y in ys:
+                want = tuple(pairings(cdata.dual_at, x.comm(y)).items()), ctx.pair(x, y)
+                assert kernel(x, y) == want, shape
+    try:
+        rctx = ReductionCtx(ctx)
+    except NoSolution:
+        return
+    p_duals = [cdata.dualFamily[v.g][v.n] for v in rctx.p_vars]
+    affine = StructureKernel(ctx, pairing_index(ctx, p_duals + [ctx.f]))
+    p_index = pairing_index(ctx, p_duals)
+    for u in rctx.variables:
+        for v in rctx.variables:
+            x, y = rctx.matrix[u], rctx.matrix[v]
+            z = x.comm(y)
+            coords = tuple(pairings(p_index, z).items())
+            if ctx.pair(ctx.f, z):
+                coords += ((len(p_duals), ctx.pair(ctx.f, z)),)
+            assert affine(x, y) == (coords, ctx.pair(x, y)), (shape, u, v)
+
+
+def test_structure_kernel_refuses_a_mixed_parity_matrix():
+    ctx = ctx_of("sl_super", (2,), (1,))
+    kernel = StructureKernel(ctx, ctx.centralizer().dual_at)
+    even = ctx.unit(1, 1, 1, 2)
+    mixed = even + ctx.unit(1, 2, 1, 1)
+    for x, y in [(mixed, even), (even, mixed)]:
+        with pytest.raises(WAlgebraError, match="mixed-parity"):
+            kernel(x, y)

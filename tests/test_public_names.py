@@ -12,3 +12,14 @@ def test_all_names_exist_once():
     namespace: dict = {}
     exec("from walgebra import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_test_oracles_stay_out_of_the_package():
+    # the chain-by-chain oracle and reexpress serve only the tests and live
+    # in tests/conftest.py; the package neither exports nor defines them
+    from walgebra import dsreduction, wbracket
+
+    assert "enumerate_chains" not in walgebra.__all__
+    for owner, name in [(wbracket, "enumerate_chains"), (wbracket.MasterEngine, "_apply"),
+                        (wbracket.MasterEngine, "bracket_by_chains"), (dsreduction, "reexpress")]:
+        assert not hasattr(owner, name), name

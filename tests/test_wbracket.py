@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ctx_of, gen, table_of
+from conftest import apply_factor, bracket_by_chains, ctx_of, gen, table_of
 from walgebra import serialize, wbracket
 from walgebra.coeffs import Coeff
 from walgebra.errors import MissingTableEntry, WAlgebraError
@@ -107,7 +107,7 @@ def test_rows_match_chain_by_chain_evaluation():
         for a in gens:
             row = engine.row(a)
             for b in gens:
-                assert row[b] == engine.bracket_by_chains(a, b), (kind, p1, p2, a, b)
+                assert row[b] == bracket_by_chains(engine, a, b), (kind, p1, p2, a, b)
 
 
 def _partitions(n, top=3):
@@ -140,7 +140,7 @@ def test_random_rows_match_chain_by_chain_evaluation(shape, data):
     a = data.draw(st.sampled_from(gens))
     row = engine.row(a)
     for b in gens:
-        assert row[b] == engine.bracket_by_chains(a, b), (shape, a, b)
+        assert row[b] == bracket_by_chains(engine, a, b), (shape, a, b)
 
 
 def test_structure_constants_match_the_matrix_path():
@@ -212,9 +212,18 @@ def test_interned_operator_matches_the_diffpoly_operator():
     assert {type(c) for p in out.values() for c in p.values()} == {int}
     lift = engine._lambda_poly
     assert lift(Xi, sx).get(1).terms[engine.space.edge(deep)] == Coeff.level(3, F(1, 2))
-    want = engine._apply(factor, lift(Xi, sx))
+    want = apply_factor(engine, factor, lift(Xi, sx))
     assert lift(out, sx * sf) == want
     assert want
+
+
+def test_table_coefficients_are_shared():
+    # the edge keeps one Coeff per distinct value and power of k: counted by
+    # id, the (4,3) table's terms hold no more objects than distinct values
+    cs = [c for val in table_of("sl", (4, 3)).entries.values()
+          for p in val.coeffs.values() for c in p.terms.values()]
+    distinct = {(c.num[-1], len(c.num)) for c in cs}
+    assert len({id(c) for c in cs}) <= len(distinct) < len(cs)
 
 
 def test_symbolic_tables_are_pinned():
