@@ -23,7 +23,7 @@ from math import comb, factorial, lcm
 from typing import NamedTuple, Optional
 
 from .errors import NormalizationImpossible, SingularPairing, SuperEqualParts, WAlgebraError
-from .linalg import System, kernel_basis
+from .linalg import System
 
 F = Fraction
 _F0 = F(0)
@@ -435,19 +435,6 @@ def centralizer_basis(ctx: AlgebraCtx) -> CentralizerData:
     return CentralizerData(gens=gens, basisF=basisF, delta=delta)
 
 
-def centralizer_oracle(ctx: AlgebraCtx) -> list[SuperMatrix]:
-    """Independent computation of ker(ad f) inside sl by raw nullspace."""
-    basis = ctx.sl_basis()
-    cols = [ctx.f.comm(b).flatten() for b in basis]
-    out = []
-    for coeffs in kernel_basis(cols):
-        m = SuperMatrix(ctx.shape)
-        for j, v in coeffs.items():
-            m += basis[j].scale(v)
-        out.append(m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dual basis and the two ladder families
 
@@ -589,11 +576,3 @@ def sharp_coords(cdata: CentralizerData, z: SuperMatrix) -> dict[GenIndex, Fract
     generator order, zeros dropped."""
     gens = cdata.gens
     return {gens[r]: v for r, v in pairings(cdata.dual_at, z).items()}
-
-
-def sharp_project(ctx: AlgebraCtx, cdata: CentralizerData, z: SuperMatrix) -> SuperMatrix:
-    """Project z onto the ad-f kernel along the rest of each sl2-string."""
-    m = SuperMatrix(ctx.shape)
-    for g, v in sharp_coords(cdata, z).items():
-        m += cdata.basisF[g].scale(v)
-    return m

@@ -28,16 +28,21 @@ affine table is homogeneous of degree 0: its coefficient of lambda^n times a
 monomial with D derivatives is c*k^(n+D).  A fixed-level table has constant
 coefficients.  The Leibniz rules preserve degree, so the engine carries c.
 
-The engine.  Each table builds one on first use and keeps it for its
-lifetime, in a VarSpace of stride 64 over the table's variables; it holds
-the table's read-only entries, not the table, so it dies with the table.
-One scan of the entries computes L, the lcm of their denominators, and the
-grading flag g: 1 when some coefficient has a positive power of k, else 0.
-A term whose coefficient is not c*k^(g*(n+D)) is refused there with a
-WAlgebraError naming its pair.  Entries are interned lazily as L*c.  The
-Leibniz rules only add and multiply by integers (binomials, signs,
-multiplicities), so every memoized {variable lambda monomial} and {monomial
-lambda monomial} is an int value at scale L, and a Jacobi term at L^2.
+The store.  A GradedStore holds a table as ints: a VarSpace, a scale L, the
+grading flag g and {(rank a, rank b): {n: {interned monomial: int}}}, an int
+c standing for c/L * k^(g*(n+D)).  The chain sweep builds one (g = 1) per
+algebra and its table keeps it as it is; the k=1 view is the same ints with
+g = 0, another level's a rescaled copy.  Its entries lift through diff_poly
+on every read, and nothing lifted is kept.  A table of DiffPoly entries
+(hand-built, affine, corrupted) keeps them, and its engine interns them into
+a store over a VarSpace of stride 64 after one scan: L is the lcm of their
+denominators, g is 1 when some coefficient has a positive power of k, and a
+term off c*k^(g*(n+D)) is refused with a WAlgebraError naming its pair.
+
+The engine.  Each table builds one on first use and keeps it; it holds the
+store, not the table, so it dies with the table.  The Leibniz rules only add
+and multiply by integers (binomials, signs, multiplicities), so every
+memoized bracket is an int value at scale L, and a Jacobi term at L^2.
 
 The edge: graded values, the one int format of inputs and results.  (M,
 {s: {interned monomial: int}}) holds an int c of a monomial with D
@@ -45,13 +50,11 @@ derivatives at degree s for c/M * k^(s + g*D).  VarSpace.graded splits a
 DiffPoly's coefficients into one (s = power of k - g*D), and lift turns one
 back through diff_poly, the one conversion of ints to Coeffs.  The engine's
 graded_bracket returns one per power of lambda at scale L*M_A*M_B, degrees
-s_A, s_B landing at lambda^n in degree s_A + s_B + g*n; extend_bracket is
-that entry point between graded and lift, and the reduction oracle reads
-its ints at k=1.  linear_product reads a table's linear terms at k=1 beside
-their power of k, without the engine.  check_jacobi accumulates lhs - rhs
-in place at scale L^2; a triple passes exactly when that sum is empty, and
-only a failing triple's diff is converted back, to a TwoVar, with
-k^(g*(i+j+D)) at lambda^i mu^j.
+s_A, s_B landing at lambda^n in degree s_A + s_B + g*n; extend_bracket wraps
+it, and the reduction oracle reads its ints at k=1.  linear_product reads
+the store's ints at k=1 beside their power g*n; check_skew and check_jacobi
+accumulate lhs - rhs on ints, and only a failing pair's or triple's diff is
+lifted, a Jacobi diff to a TwoVar with k^(g*(i+j+D)) at lambda^i mu^j.
 
 Substitution.  The differential-algebra morphism that replaces letters by
 DiffPolys over a table's variables runs on the same interned monomials and
@@ -62,10 +65,11 @@ entry point returns a graded value; calling it lifts that at the edge.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, lcm
 from types import MappingProxyType
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .coeffs import Coeff, ONE
 from .errors import MissingTableEntry, WAlgebraError
@@ -112,10 +116,6 @@ def _accum(out: dict, key, c) -> None:
 
 def monomial_weight(m: Monomial) -> Fraction:
     return sum((v.weight + k for v, k in m), Fraction(0))
-
-
-def monomial_parity(m: Monomial) -> int:
-    return sum(v.parity for v, _ in m) % 2
 
 
 def monomial_key(m: Monomial):
@@ -187,17 +187,6 @@ class DiffPoly:
                     _accum(out, mono, c if sign > 0 else -c)
         return DiffPoly(out)
 
-    def weight(self) -> Optional[Fraction]:
-        """Common conformal weight of all monomials; None if mixed or zero."""
-        w = None
-        for m in self.terms:
-            mw = monomial_weight(m)
-            if w is None:
-                w = mw
-            elif w != mw:
-                return None
-        return w
-
     def at_level(self, k) -> "DiffPoly":
         """Every coefficient evaluated at the rational level k."""
         out = {}
@@ -220,17 +209,6 @@ class DiffPoly:
             ) or "1"
             bits.append(f"({c})*{fac}")
         return " + ".join(bits)
-
-
-def poly_normalize(raw_terms: Iterable[tuple[Iterable[Factor], Coeff]]) -> DiffPoly:
-    """Build a DiffPoly from arbitrarily ordered factor lists."""
-    out: dict = {}
-    for factors, coeff in raw_terms:
-        sign, m = normalize_factors(factors)
-        if m is not None:
-            c = Coeff.of(coeff)
-            _accum(out, m, c if sign > 0 else -c)
-    return DiffPoly(out)
 
 
 def apply_partial(poly: DiffPoly, times: int = 1) -> DiffPoly:
@@ -283,15 +261,6 @@ class LambdaPoly:
     def degree(self) -> int:
         return max(self.coeffs) if self.coeffs else -1
 
-    def subst_neg_lambda_partial(self) -> "LambdaPoly":
-        """lambda -> -lambda - d: returns sum_n (-lambda-d)^n . coeff_n."""
-        out = LambdaPoly()
-        for n, p in self.coeffs.items():
-            for m in range(n + 1):
-                term = apply_partial(p, n - m).scale(Coeff.of((-1) ** n * comb(n, m)))
-                out += LambdaPoly({m: term})
-        return out
-
     def at_level(self, k) -> "LambdaPoly":
         return LambdaPoly({n: p.at_level(k) for n, p in self.coeffs.items()})
 
@@ -343,15 +312,23 @@ def frozen(lp: LambdaPoly) -> LambdaPoly:
 
 
 class BracketTable:
-    """All ordered generator-pair lambda-brackets of one algebra."""
+    """All ordered generator-pair lambda-brackets of one algebra: the DiffPoly
+    entries it is given, or a graded store (BracketTable.of_store)."""
 
     def __init__(self, variables: list, entries: dict):
         self.variables = list(variables)
         # (u, v) -> LambdaPoly, read-only through and through: tables are
-        # shared through caches, and the Leibniz engine interns entries lazily
+        # shared through caches, and the Leibniz engine interns these entries
         self.entries = MappingProxyType({uv: frozen(lp) for uv, lp in entries.items()})
-        self._cache: dict = {}
+        self.store: Optional[GradedStore] = None
         self._engine: Optional[_Leibniz] = None
+
+    @classmethod
+    def of_store(cls, store: "GradedStore") -> "BracketTable":
+        """The table over a graded store; its entries lift on read."""
+        table = cls(store.space.vars, {})
+        table.entries, table.store = _LiftedEntries(store), store
+        return table
 
     def lookup(self, u, v) -> LambdaPoly:
         try:
@@ -362,36 +339,82 @@ class BracketTable:
     def _leibniz(self) -> "_Leibniz":
         """The table's Leibniz engine, built on first use."""
         if self._engine is None:
-            self._engine = _Leibniz(self.variables, self.entries)
+            self._engine = _Leibniz(self.store or _intern(self.variables, self.entries))
         return self._engine
 
     def linear_product(self, ca: dict, cb: dict, n: int) -> tuple:
         """Linear term of the n-th product of two linear combinations
         {variable: Fraction}, n! * sum of va*vb * linear_term({ga lambda gb}
-        at lambda^n), as (m, {variable: nonzero value at k=1}) in variable
-        order, the term being k^m times those values.  The memo holds each
-        pair's term as {variable: (power of k, or -1 off a single power; n! *
-        value at k=1)}; a power off the one all share raises WAlgebraError."""
+        at lambda^n), as (g*n, {variable: nonzero value at k=1}) in variable
+        order, read off the engine's ints: the term is k^(g*n) times them."""
+        engine = self._leibniz()
+        space = engine.space
         out: dict = {}
-        m = None
         for ga, va in ca.items():
+            ra = space.rank_of(ga)
             for gb, vb in cb.items():
-                key = ("lin", ga, gb, n)
-                lin = self._cache.get(key)
-                if lin is None:
-                    lin = self._cache[key] = {
-                        v: (-1 if any(c.num[:-1]) else len(c.num) - 1, c.num[-1] * factorial(n))
-                        for v, c in linear_term(self.lookup(ga, gb).get(n)).items()}
                 s = va * vb
-                for v, (p, c) in lin.items():
-                    if p != m:
-                        if p < 0 or m is not None:
-                            raise WAlgebraError(f"the bracket ({ga}, {gb}) is not graded in the"
-                                                f" level: linear coefficient of {v} at lambda^{n}")
-                        m = p
-                    cur = out.get(v)
-                    out[v] = c * s if cur is None else cur + c * s
-        return m or 0, {v: out[v] for v in sorted(out, key=lambda v: v.sort_key()) if out[v]}
+                for x, c in engine.linear(ra, space.rank_of(gb), n):
+                    cur = out.get(x)
+                    out[x] = c * s if cur is None else cur + c * s
+        vs, stride = space.vars, space.stride
+        return engine.g * n, {vs[x // stride]: v for x, v in sorted(out.items()) if v}
+
+
+class GradedStore(NamedTuple):
+    """A table's brackets as ints: the int c of lambda^n and interned
+    monomial m in ints[(rank a, rank b)][n] stands for c/scale *
+    k^(g*(n + D(m))) in {a lambda b}, D counting derivatives."""
+
+    space: VarSpace
+    scale: int
+    g: int
+    ints: dict
+
+    def lift(self, val: dict) -> LambdaPoly:
+        """{lambda power: {interned monomial: int}} lifted to a LambdaPoly."""
+        diff_poly, scale, g = self.space.diff_poly, self.scale, self.g
+        return LambdaPoly({n: diff_poly(p, scale, g, g * n) for n, p in val.items()})
+
+    def at_level(self, q: Fraction) -> "GradedStore":
+        """A graded (g = 1) store read at the rational level q, so g = 0: the
+        same ints at q = 1; else, for q = a/b and E the largest n + D, each c
+        of degree e = n + D becomes c * a^e * b^(E-e) at scale * b^E."""
+        if q == 1:
+            return self._replace(g=0)
+        stride, a, b = self.space.stride, q.numerator, q.denominator
+        terms = [(ab, n, m, n + sum(x % stride for x in m), c)
+                 for ab, val in self.ints.items() for n, p in val.items() for m, c in p.items()]
+        E = max((e for _, _, _, e, _ in terms), default=0)
+        power = [a ** e * b ** (E - e) for e in range(E + 1)]
+        ints: dict = {ab: {} for ab in self.ints}
+        for ab, n, m, e, c in terms:
+            if a or not e:  # at q = 0 only degree 0 survives
+                ints[ab].setdefault(n, {})[m] = c * power[e]
+        return GradedStore(self.space, self.scale * b ** E, 0, ints)
+
+
+class _LiftedEntries(Mapping):
+    """A graded store's entries, {(a, b): frozen LambdaPoly}, read-only:
+    every read lifts its entry afresh, so nothing lifted is kept."""
+
+    def __init__(self, store: GradedStore):
+        self._store = store
+
+    def __getitem__(self, ab) -> LambdaPoly:
+        store, (a, b) = self._store, ab
+        return frozen(store.lift(store.ints[(store.space.rank[a], store.space.rank[b])]))
+
+    def __contains__(self, ab) -> bool:
+        rank = self._store.space.rank
+        return len(ab) == 2 and (rank.get(ab[0]), rank.get(ab[1])) in self._store.ints
+
+    def __iter__(self):
+        vs = self._store.space.vars
+        return ((vs[u], vs[v]) for u, v in self._store.ints)
+
+    def __len__(self) -> int:
+        return len(self._store.ints)
 
 
 # ---------------------------------------------------------------------------
@@ -544,67 +567,80 @@ class VarSpace:
 _STRIDE = 64
 
 
-class _Leibniz:
-    """{mono lambda mono} and the Jacobi sums of one table, on interned
-    monomials with int coefficients at scale L, graded by g.  It keeps the
-    table's read-only entries, not the table, so a dropped table takes its
-    engine with it."""
+def _intern(variables: list, entries) -> GradedStore:
+    """The store of a table of DiffPoly entries.  One scan computes L, the
+    lcm of the coefficients' denominators, and g (1 when some coefficient
+    has a positive power of k), and refuses a graded table with a term off
+    c*k^(n+D); then every entry is interned as L*c."""
+    L, g, off = 1, 0, None
+    for ab, lp in entries.items():
+        for n, p in lp.coeffs.items():
+            for m, c in p.terms.items():
+                num = c.num
+                if not num:
+                    continue
+                if len(num) > 1:
+                    g = 1
+                if off is None and (len(num) != 1 + n + sum(d for _, d in m)
+                                    or any(num[:-1])):
+                    off = (ab, n, c)
+                d = num[-1].denominator
+                if L % d:
+                    L = lcm(L, d)
+    if g and off is not None:
+        (a, b), n, c = off
+        raise WAlgebraError(f"the bracket ({a}, {b}) is not graded in the level:"
+                            f" coefficient {c} at lambda^{n}")
+    space = VarSpace(variables, _STRIDE)
+    ints: dict = {}
+    for (a, b), lp in entries.items():
+        val = ints[(space.rank_of(a), space.rank_of(b))] = {}
+        for n, p in lp.coeffs.items():
+            dst: dict = {}
+            for m, c in p.terms.items():
+                cm = space.code(m) if c else None
+                if cm is not None:
+                    f = c.num[-1]
+                    _accum(dst, cm[1], cm[0] * f.numerator * (L // f.denominator))
+            if dst:
+                val[n] = dst
+    return GradedStore(space, L, g, ints)
 
-    def __init__(self, variables: list, entries):
-        self.space = VarSpace(variables, _STRIDE)
-        self.entries = entries
-        # one scan: L, g, and the first term that is not c*k^(n+D)
-        L, g, off = 1, 0, None
-        for ab, lp in entries.items():
-            for n, p in lp.coeffs.items():
-                for m, c in p.terms.items():
-                    num = c.num
-                    if not num:
-                        continue
-                    if len(num) > 1:
-                        g = 1
-                    if off is None and (len(num) != 1 + n + sum(d for _, d in m)
-                                        or any(num[:-1])):
-                        off = (ab, n, c)
-                    d = num[-1].denominator
-                    if L % d:
-                        L = lcm(L, d)
-        if g and off is not None:
-            (a, b), n, c = off
-            raise WAlgebraError(f"the bracket ({a}, {b}) is not graded in the level:"
-                                f" coefficient {c} at lambda^{n}")
-        self.L, self.g = L, g
-        self._interned: dict = {}
+
+class _Leibniz:
+    """{mono lambda mono} and the Jacobi sums of one table, on its store's
+    interned monomials and ints at scale L, graded by g.  It keeps the
+    store, not the table, so a dropped table takes its engine with it."""
+
+    def __init__(self, store: GradedStore):
+        self.store = store
+        self.space, self.L, self.g = store.space, store.scale, store.g
         self._vm: dict = {}
         self._mm: dict = {}
         self._products: dict = {}
         self._dpows: dict = {}
+        self._lin: dict = {}
 
     # -- interning ---------------------------------------------------------
 
     def _entry(self, u: int, v: int) -> dict:
         """{u lambda v} for ranks u, v, at scale L."""
-        key = (u, v)
-        hit = self._interned.get(key)
+        hit = self.store.ints.get((u, v))
         if hit is None:
-            space = self.space
-            a, b = space.vars[u], space.vars[v]
-            lp = self.entries.get((a, b))
-            if lp is None:
-                raise MissingTableEntry(f"no bracket stored for ({a}, {b})")
-            L = self.L
-            hit = {}
-            for n, p in lp.coeffs.items():
-                dst: dict = {}
-                for m, c in p.terms.items():
-                    cm = space.code(m) if c else None
-                    if cm is not None:
-                        s, x = cm
-                        f = c.num[-1]
-                        _accum(dst, x, s * f.numerator * (L // f.denominator))
-                if dst:
-                    hit[n] = dst
-            self._interned[key] = hit
+            vs = self.space.vars
+            raise MissingTableEntry(f"no bracket stored for ({vs[u]}, {vs[v]})")
+        return hit
+
+    def linear(self, u: int, v: int, n: int) -> tuple:
+        """The bare variables (interned, no derivative) of {u lambda v} at
+        lambda^n, with n! times their values c/L."""
+        key = (u, v, n)
+        hit = self._lin.get(key)
+        if hit is None:
+            stride, f, L = self.space.stride, factorial(n), self.L
+            hit = self._lin[key] = tuple(
+                (m[0], Fraction(c * f, L)) for m, c in self._entry(u, v).get(n, {}).items()
+                if len(m) == 1 and not m[0] % stride)
         return hit
 
     def _mul(self, m1: tuple, m2: tuple) -> Optional[tuple]:
@@ -809,17 +845,28 @@ def nth_product(table: BracketTable, A: DiffPoly, B: DiffPoly, n: int) -> DiffPo
 
 
 def check_skew(table: BracketTable, pairs=None) -> list[dict]:
-    """Violations of {a lambda b} = -(-1)^{p(a)p(b)} {b_{-lambda-d} a}."""
+    """Violations of {a lambda b} = -(-1)^{p(a)p(b)} {b_{-lambda-d} a},
+    compared on the engine's ints; only a violating pair's diff is lifted."""
+    engine = table._leibniz()
+    rank = engine.space.rank_of
     out = []
     if pairs is None:
         pairs = list(table.entries.keys())
     for (a, b) in pairs:
-        lhs = table.lookup(a, b)
-        rhs = table.lookup(b, a).subst_neg_lambda_partial().scale(
-            -((-1) ** (a.parity * b.parity))
-        )
-        if lhs != rhs:
-            out.append({"kind": "skew", "pair": (a, b), "diff": lhs - rhs})
+        ra, rb = rank(a), rank(b)
+        # lhs - rhs = {a lambda b} + (-1)^{p(a)p(b)} sum_n (-lambda-d)^n {b lambda a}_n
+        diff = {n: dict(p) for n, p in engine._entry(ra, rb).items()}
+        sign = -1 if a.parity and b.parity else 1
+        for n, p in engine._entry(rb, ra).items():
+            for j in range(n + 1):
+                dst = diff.setdefault(j, {})
+                w = (-sign if n % 2 else sign) * comb(n, j)
+                for y, c in p.items():
+                    for dy, cy in engine._dpow(y, n - j).items():
+                        _accum(dst, dy, w * cy * c)
+        diff = {n: p for n, p in diff.items() if p}
+        if diff:
+            out.append({"kind": "skew", "pair": (a, b), "diff": engine.store.lift(diff)})
     return out
 
 

@@ -41,33 +41,28 @@ builds to its node's scale (S^(h(u)-1-h(v)) for a step u -> v, S^(h(u)-1)
 for a tail, S^(H-1-h(u)) for an opener, S^(H-1) for a head term).  So a
 finished row holds every entry at the one scale S^H.
 
-The edge.  A finished row is converted once to DiffPoly/LambdaPoly with
-GenIndex factors through VarSpace.diff_poly, the conversion the Leibniz
-engine uses too, with the grading flag 1: every int c of lambda^n and a
-monomial with D derivatives becomes the Coeff c/S^H * k^(n+D); the division
-by S^H is the only one of the sweep.  The space memoizes one Coeff per
-distinct (c, power of k), so equal coefficients across the table are one
-shared object, and Coeff is immutable.  A fixed-level table evaluates each
-distinct coefficient object of the symbolic table once.
-
-Brackets are built once, with the level k kept formal: every entry
-coefficient is a single power of k, and a table at a fixed rational level is
-exactly the symbolic table evaluated there.
+The store.  bracket_table keeps the finished rows as they are, in a
+pvacore.GradedStore over the sweep's VarSpace (its stride at least the
+Leibniz engine's), with g = 1: the int c of lambda^n and a monomial with D
+derivatives stands for c/S^H * k^(n+D).  One pass divides S^H and every int
+by their gcd, so the table's scale is the lcm of the reduced denominators.
+No Coeff is built: an entry is lifted to a LambdaPoly only when read.  The
+table at k = 1 is the same store with g = 0, and at another rational level q
+a copy of it with every c*k^e rescaled to an int at one scale.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Union
 
 from .coeffs import Coeff
 from .errors import WAlgebraError
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, StructureKernel, sharp_coords
 from .linalg import solve
-from .pvacore import (BracketTable, DiffPoly, LambdaPoly, VarSpace, _accum, apply_partial,
-                      frozen)
+from .pvacore import _STRIDE, BracketTable, DiffPoly, GradedStore, VarSpace, _accum, apply_partial
 
 F = Fraction
 
@@ -114,9 +109,9 @@ class MasterEngine:
         self.ctx = ctx
         self.cdata = cdata = ctx.centralizer()
         self.nodes = nodes = ladder_nodes(cdata)
-        # a chain applies at most one d per node, so every dpow is below the
-        # stride; cdata.gens is in sort_key order, so ranks are cdata.col
-        self.space = VarSpace(cdata.gens, len(nodes) + 1)
+        # the table keeps this space: a chain applies at most one d per node,
+        # and the Leibniz engine needs 64; ranks are cdata.col (sort_key order)
+        self.space = VarSpace(cdata.gens, max(_STRIDE, len(nodes) + 1))
         self._alpha2 = [int(2 * c.alpha) for c in nodes]  # twice each grade, an int
         # string tops never contribute: every factor to their right vanishes;
         # descending grade, so a node's successors come before it
@@ -266,11 +261,12 @@ class MasterEngine:
 
     # -- rows of brackets ------------------------------------------------------
 
-    def row(self, a: GenIndex) -> dict[GenIndex, LambdaPoly]:
-        """{omega(a) lambda omega(b)} for every generator b."""
+    def row(self, a: GenIndex) -> list[dict]:
+        """{omega(a) lambda omega(b)} for every generator b in generator
+        order, as {lambda power: {monomial: int}} at the scale self._scale."""
         if not self._scale:
             self._prepare()
-        cdata, scale = self.cdata, self._scale
+        cdata = self.cdata
         ra = cdata.col[a]
         top2 = int(2 * cdata.delta[a]) - 2  # twice the top grade of a chain node
         # suffix sums over the chains starting at each node, V[u] at scale S^h(u)
@@ -288,7 +284,7 @@ class MasterEngine:
                 V[u] = acc
 
         # every entry at scale S^H
-        out: dict[GenIndex, LambdaPoly] = {}
+        out = []
         for rb, b in enumerate(cdata.gens):
             chain_sum: dict = {}
             for u, factor in self._opens[rb]:
@@ -301,14 +297,8 @@ class MasterEngine:
                 dst = val.setdefault(n, {})
                 for m, cp in p.items():
                     _accum(dst, m, sign * cp)
-            out[b] = self._lambda_poly(val, scale)
+            out.append({n: p for n, p in val.items() if p})
         return out
-
-    def _lambda_poly(self, val: dict, scale: int) -> LambdaPoly:
-        """A sweep value divided by scale, each int c of monomial m at lambda^n
-        lifted to c/scale * k^(n + derivative count of m)."""
-        diff_poly = self.space.diff_poly
-        return LambdaPoly({n: diff_poly(p, scale, 1, n) for n, p in val.items()})
 
 
 _TABLE_CACHE: dict = {}
@@ -318,11 +308,11 @@ def bracket_table(ctx: AlgebraCtx, ktilde: KTilde = "symbolic") -> BracketTable:
     """All ordered generator-pair brackets, memoized per algebra/level.
 
     Only the symbolic table is built; a rational ktilde (an int, a Fraction
-    or a string Fraction reads) gives that table with every entry evaluated
-    at the level ktilde, cached under the normalised Fraction.  A float or a
-    bool level is refused with WAlgebraError: Fraction(0.1) is the float's
-    binary value, not 1/10, and True would run as level 1; so is anything
-    else Fraction cannot read as a rational."""
+    or a string Fraction reads) gives its store read at the level ktilde,
+    cached under the normalised Fraction.  A float or a bool level is
+    refused with WAlgebraError: Fraction(0.1) is the float's binary value,
+    not 1/10, and True would run as level 1; so is anything else Fraction
+    cannot read as a rational."""
     if ktilde != "symbolic":
         if isinstance(ktilde, (float, bool)):
             raise WAlgebraError(f"level {ktilde!r} is a {type(ktilde).__name__};"
@@ -338,27 +328,17 @@ def bracket_table(ctx: AlgebraCtx, ktilde: KTilde = "symbolic") -> BracketTable:
         return hit
     if ktilde == "symbolic":
         engine = MasterEngine(ctx)
-        entries = {}
-        for a in engine.cdata.gens:
-            for b, val in engine.row(a).items():
-                entries[(a, b)] = frozen(val)
-        table = BracketTable(engine.cdata.gens, entries)
+        ints = {(ra, rb): val for ra, a in enumerate(engine.cdata.gens)
+                for rb, val in enumerate(engine.row(a))}
+        # the store's scale: S^H over the gcd of S^H and every int
+        parts = [p for val in ints.values() for p in val.values()]
+        G = gcd(engine._scale, *(gcd(*p.values()) for p in parts))
+        for p in parts:
+            for m, c in p.items():
+                p[m] = c // G
+        table = BracketTable.of_store(GradedStore(engine.space, engine._scale // G, 1, ints))
     else:
-        # val.at_level(ktilde) for every entry, evaluating each distinct
-        # coefficient object once (sym keeps them all alive, so id is a key;
-        # None marks a zero); freezing drops the emptied DiffPolys
-        sym, at, entries = bracket_table(ctx), {}, {}
-        for ab, val in sym.entries.items():
-            lp = entries[ab] = LambdaPoly()
-            for n, p in val.coeffs.items():
-                dp = lp.coeffs[n] = DiffPoly()
-                for m, c in p.terms.items():
-                    v = at.get(id(c), at)
-                    if v is at:
-                        v = at[id(c)] = Coeff.of(c.eval(ktilde)) or None
-                    if v is not None:
-                        dp.terms[m] = v
-        table = BracketTable(sym.variables, entries)
+        table = BracketTable.of_store(bracket_table(ctx).store.at_level(ktilde))
     _TABLE_CACHE[key] = table
     return table
 

@@ -9,11 +9,14 @@ sign rule for both kinds, so a table is named by its shape alone.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from walgebra.coeffs import ONE, Coeff
 from walgebra.errors import NoSolution
-from walgebra.liestruct import PartitionSpec, build_algebra
-from walgebra.pvacore import DiffPoly, LambdaPoly, apply_partial
+from walgebra.linalg import kernel_basis
+from walgebra.liestruct import PartitionSpec, SuperMatrix, build_algebra, sharp_coords
+from walgebra.pvacore import (DiffPoly, GradedStore, LambdaPoly, _accum, apply_partial,
+                              monomial_weight, normalize_factors)
 from walgebra.wbracket import bracket_table, ladder_nodes
 
 F = Fraction
@@ -30,6 +33,59 @@ def table_of(kind, parts1, parts2=(), ktilde="symbolic"):
 
 def gen(ctx, t, i, j):
     return ctx.gen(F(t), i, j)
+
+
+def poly_normalize(raw_terms):
+    """Build a DiffPoly from arbitrarily ordered factor lists."""
+    out: dict = {}
+    for factors, coeff in raw_terms:
+        sign, m = normalize_factors(factors)
+        if m is not None:
+            c = Coeff.of(coeff)
+            _accum(out, m, c if sign > 0 else -c)
+    return DiffPoly(out)
+
+
+def monomial_parity(m):
+    return sum(v.parity for v, _ in m) % 2
+
+
+def poly_weight(p):
+    """The common conformal weight of a DiffPoly's monomials; None if they
+    differ or p is zero."""
+    weights = {monomial_weight(m) for m in p.terms}
+    return weights.pop() if len(weights) == 1 else None
+
+
+def subst_neg_lambda_partial(lp):
+    """lambda -> -lambda - d on a LambdaPoly: sum_n (-lambda-d)^n . coeff_n."""
+    out = LambdaPoly()
+    for n, p in lp.coeffs.items():
+        for m in range(n + 1):
+            term = apply_partial(p, n - m).scale(Coeff.of((-1) ** n * comb(n, m)))
+            out += LambdaPoly({m: term})
+    return out
+
+
+def centralizer_oracle(ctx):
+    """Independent computation of ker(ad f) inside sl by raw nullspace."""
+    basis = ctx.sl_basis()
+    cols = [ctx.f.comm(b).flatten() for b in basis]
+    out = []
+    for coeffs in kernel_basis(cols):
+        m = SuperMatrix(ctx.shape)
+        for j, v in coeffs.items():
+            m += basis[j].scale(v)
+        out.append(m)
+    return out
+
+
+def sharp_project(ctx, cdata, z):
+    """Project z onto the ad-f kernel along the rest of each sl2-string."""
+    m = SuperMatrix(ctx.shape)
+    for g, v in sharp_coords(cdata, z).items():
+        m += cdata.basisF[g].scale(v)
+    return m
 
 
 def substitute(poly, mapping):
@@ -161,6 +217,13 @@ def _lambda_value(engine, factor, ksign):
     """P + ksign * c k lambda for factor (P, c)."""
     P, c = _linear_part(engine, factor)
     return LambdaPoly({0: P, 1: DiffPoly.constant(Coeff.level(1, ksign * c))})
+
+
+def lifted_row(engine, a):
+    """engine.row(a) as {b: LambdaPoly}, every int lifted at the sweep's scale."""
+    row = engine.row(a)
+    store = GradedStore(engine.space, engine._scale, 1, {})
+    return {b: store.lift(val) for b, val in zip(engine.cdata.gens, row)}
 
 
 def bracket_by_chains(engine, a, b):

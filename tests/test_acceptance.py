@@ -12,13 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ctx_of, gen, reexpress, table_of
+from conftest import centralizer_oracle, ctx_of, gen, reexpress, sharp_project, table_of
 from walgebra.coeffs import Coeff
 from walgebra.dsreduction import ReductionCtx, reconcile, reduced_bracket, \
     solve_all
 from walgebra.errors import SuperEqualParts
-from walgebra.liestruct import PartitionSpec, build_algebra, \
-    centralizer_oracle, sharp_project
+from walgebra.liestruct import PartitionSpec, build_algebra
 from walgebra.pvacore import BracketTable, DiffPoly, LambdaPoly, \
     apply_partial, check_jacobi, check_skew, extend_bracket, linear_term, \
     nth_product

@@ -16,7 +16,8 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bracket_by_chains, ctx_of, gen, reexpress, substitute, table_of
+from conftest import (bracket_by_chains, ctx_of, gen, poly_normalize, poly_weight, reexpress,
+                      substitute, table_of)
 from walgebra.coeffs import ONE, Coeff
 from walgebra.dsreduction import (ReductionCtx, reconcile, reduced_bracket,
                                   solve_all, weight_monomials)
@@ -25,7 +26,7 @@ from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_alge
                                 pairing_index, pairings)
 from walgebra.linalg import solve
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution,
-                              extend_bracket, normalize_factors, poly_normalize)
+                              extend_bracket, normalize_factors)
 from walgebra.wbracket import MasterEngine
 
 F = Fraction
@@ -55,7 +56,7 @@ def test_sl2_solution_shape():
     q = gen(ctx, 2, 1, 1)
     W = sol.solutions[q]
     # weight-2 realization: the generator letter plus lower-string corrections
-    assert W.weight() == 2
+    assert poly_weight(W) == 2
     letters = {v.g for m in W.terms for v, _ in m}
     assert q in letters
 
@@ -281,7 +282,7 @@ def test_reconcile_corrections_stay_lower_weight():
     assert rep.ok
     for g, corr in rep.corrections.items():
         if corr:
-            assert corr.weight() == g.t
+            assert poly_weight(corr) == g.t
             letters = {v.g for m in corr.terms for v, _ in m}
             assert g not in letters
 

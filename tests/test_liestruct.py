@@ -12,12 +12,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import ctx_of, gen
+from conftest import centralizer_oracle, ctx_of, gen, sharp_project
 from walgebra import serialize
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import NoSolution, NormalizationImpossible, SuperEqualParts, WAlgebraError
-from walgebra.liestruct import (GenIndex, PartitionSpec, StructureKernel, centralizer_oracle,
-                                pairing_index, pairings, sharp_project)
+from walgebra.liestruct import GenIndex, PartitionSpec, StructureKernel, pairing_index, pairings
 
 F = Fraction
 

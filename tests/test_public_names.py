@@ -15,11 +15,15 @@ def test_all_names_exist_once():
 
 
 def test_test_oracles_stay_out_of_the_package():
-    # the chain-by-chain oracle and reexpress serve only the tests and live
-    # in tests/conftest.py; the package neither exports nor defines them
-    from walgebra import dsreduction, wbracket
+    # the chain-by-chain oracle, reexpress, the nullspace centralizer, the
+    # sharp projection and poly_normalize serve only the tests and live in
+    # tests/conftest.py; the package neither exports nor defines them
+    from walgebra import dsreduction, liestruct, pvacore, wbracket
 
-    assert "enumerate_chains" not in walgebra.__all__
+    for name in ("enumerate_chains", "centralizer_oracle", "sharp_project", "poly_normalize"):
+        assert name not in walgebra.__all__ and not hasattr(walgebra, name), name
     for owner, name in [(wbracket, "enumerate_chains"), (wbracket.MasterEngine, "_apply"),
-                        (wbracket.MasterEngine, "bracket_by_chains"), (dsreduction, "reexpress")]:
+                        (wbracket.MasterEngine, "bracket_by_chains"), (dsreduction, "reexpress"),
+                        (liestruct, "centralizer_oracle"), (liestruct, "sharp_project"),
+                        (pvacore, "poly_normalize")]:
         assert not hasattr(owner, name), name

@@ -21,14 +21,15 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corrupted_table, ctx_of, table_of
+from conftest import (corrupted_table, ctx_of, monomial_parity, poly_normalize,
+                      subst_neg_lambda_partial, table_of)
 from walgebra.coeffs import Coeff, ONE
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import MissingTableEntry, WAlgebraError
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, TwoVar,
                               VarSpace, apply_partial, check_jacobi,
-                              extend_bracket, linear_term, monomial_parity,
-                              normalize_factors, nth_product, poly_normalize)
+                              extend_bracket, linear_term,
+                              normalize_factors, nth_product)
 
 F = Fraction
 
@@ -204,7 +205,7 @@ def test_skew_symmetry_on_composites(data):
         return
     pa, pb = _parity(A), _parity(B)
     lhs = extend_bracket(tab, A, B)
-    rhs = extend_bracket(tab, B, A).subst_neg_lambda_partial().scale(
+    rhs = subst_neg_lambda_partial(extend_bracket(tab, B, A)).scale(
         -((-1) ** (pa * pb)))
     assert lhs == rhs
 

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ctx_of, gen, table_of
+from conftest import ctx_of, gen, poly_normalize, table_of
 from walgebra import serialize as ser
 from walgebra import weakgen
 from walgebra.coeffs import Coeff
 from walgebra.errors import UnknownGenerator
-from walgebra.pvacore import DiffPoly, LambdaPoly, apply_partial, poly_normalize
+from walgebra.pvacore import DiffPoly, LambdaPoly, apply_partial
 
 F = Fraction
 K = Coeff.level()

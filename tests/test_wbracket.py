@@ -22,13 +22,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import apply_factor, bracket_by_chains, ctx_of, gen, table_of
+from conftest import (apply_factor, bracket_by_chains, ctx_of, gen, lifted_row, poly_weight,
+                      table_of)
 from walgebra import serialize, wbracket
 from walgebra.coeffs import Coeff
 from walgebra.errors import MissingTableEntry, WAlgebraError
 from walgebra.liestruct import sharp_coords
-from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, check_jacobi, check_skew,
-                              linear_term, monomial_weight, nth_product)
+from walgebra.pvacore import (BracketTable, DiffPoly, GradedStore, LambdaPoly, VarSpace,
+                              check_jacobi, check_skew, extend_bracket, linear_term,
+                              monomial_weight, normalize_factors, nth_product)
 from walgebra.wbracket import (MasterEngine, bracket_table, conformal_check,
                                conformal_vector)
 
@@ -79,7 +81,7 @@ def _digest(table) -> str:
 def test_sl2_master_bracket_frozen():
     ctx = ctx_of("sl", (2,))
     q = gen(ctx, 2, 1, 1)
-    br = MasterEngine(ctx).row(q)[q]
+    br = lifted_row(MasterEngine(ctx), q)[q]
     v = DiffPoly.variable(q)
     assert br.get(0) == v.d().scale(K)
     assert br.get(1) == v.scale(K * Coeff.of(2))
@@ -93,7 +95,7 @@ def test_master_matches_table():
     tab = table_of("sl", (2, 1))
     engine = MasterEngine(ctx)
     for a in engine.cdata.gens:
-        row = engine.row(a)
+        row = lifted_row(engine, a)
         for b in engine.cdata.gens:
             assert row[b] == tab.lookup(a, b)
 
@@ -105,7 +107,7 @@ def test_rows_match_chain_by_chain_evaluation():
         engine = MasterEngine(ctx_of(kind, p1, p2))
         gens = engine.cdata.gens
         for a in gens:
-            row = engine.row(a)
+            row = lifted_row(engine, a)
             for b in gens:
                 assert row[b] == bracket_by_chains(engine, a, b), (kind, p1, p2, a, b)
 
@@ -138,7 +140,7 @@ def test_random_rows_match_chain_by_chain_evaluation(shape, data):
     gens = engine.cdata.gens
     assume(gens)
     a = data.draw(st.sampled_from(gens))
-    row = engine.row(a)
+    row = lifted_row(engine, a)
     for b in gens:
         assert row[b] == bracket_by_chains(engine, a, b), (shape, a, b)
 
@@ -210,7 +212,9 @@ def test_interned_operator_matches_the_diffpoly_operator():
     out: dict = {}
     engine._apply_into(out, fi, Xi)
     assert {type(c) for p in out.values() for c in p.values()} == {int}
-    lift = engine._lambda_poly
+    def lift(X, scale):
+        return GradedStore(engine.space, scale, 1, {}).lift(X)
+
     assert lift(Xi, sx).get(1).terms[engine.space.edge(deep)] == Coeff.level(3, F(1, 2))
     want = apply_factor(engine, factor, lift(Xi, sx))
     assert lift(out, sx * sf) == want
@@ -287,6 +291,74 @@ def test_fixed_level_tables_are_evaluations():
     assert bracket_table(ctx_of("sl", (3, 2)), ktilde=1) is table_of("sl", (3, 2), ktilde=1)
 
 
+# every shape of either kind with at most 5 boxes
+SHAPES_UP_TO_5 = [("sl", p, ()) for n in range(1, 6) for p in _partitions(n, n)] + [
+    ("sl_super", p1, p2) for n in range(2, 6) for m in range(1, n)
+    for p1 in _partitions(m, m) for p2 in _partitions(n - m, n - m)]
+LEVELS = st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(bool)
+
+
+def _generator_monomial(draw, gens):
+    """DiffPoly of one monomial of one or two generators with derivatives."""
+    factors = draw(st.lists(st.tuples(st.sampled_from(gens), st.integers(0, 2)),
+                            min_size=1, max_size=2))
+    sign, mono = normalize_factors(factors)
+    return DiffPoly({mono: Coeff.of(sign)} if mono else {((factors[0][0], 0),): Coeff.of(1)})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SHAPES_UP_TO_5), LEVELS, st.data())
+def test_fixed_level_views_scale_each_term_by_its_degree(shape, q, data):
+    # c*k^(n+D) read at a nonzero rational level q, possibly negative and
+    # with a denominator: the view's entries against the symbolic entries
+    # evaluated at q, and the view's Leibniz engine against the symbolic
+    # engine's result evaluated at q
+    try:
+        ctx = ctx_of(*shape)
+        sym = bracket_table(ctx)
+    except WAlgebraError:
+        assume(False)
+    assume(sym.variables)
+    view = bracket_table(ctx, ktilde=q)
+    assert set(view.entries) == set(sym.entries)
+    for ab, entry in sym.entries.items():
+        assert view.entries[ab] == entry.at_level(q), (shape, q, ab)
+    A = _generator_monomial(data.draw, sym.variables)
+    B = _generator_monomial(data.draw, sym.variables)
+    assert extend_bracket(view, A, B) == extend_bracket(sym, A, B).at_level(q), (shape, q, A, B)
+
+
+def test_table_build_k1_view_and_linear_products_lift_nothing(monkeypatch):
+    # the symbolic build, its k=1 view and linear_product over every pair at
+    # n = 0 and 1 construct no Coeff and lift no entry, and conformal_check
+    # on the view lifts no entry either; the view shares the symbolic store
+    ctx = ctx_of("sl", (3, 2))
+    ctx.centralizer()
+    monkeypatch.setattr(wbracket, "_TABLE_CACHE", {})
+    counts = {"Coeff": 0, "diff_poly": 0, "entry lifts": 0}
+
+    def counting(name, method):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Coeff, "__init__", counting("Coeff", Coeff.__init__))
+    monkeypatch.setattr(VarSpace, "diff_poly", counting("diff_poly", VarSpace.diff_poly))
+    monkeypatch.setattr(GradedStore, "lift", counting("entry lifts", GradedStore.lift))
+    sym = bracket_table(ctx)
+    k1 = bracket_table(ctx, ktilde=1)
+    gens = sym.variables
+    products = [tab.linear_product({a: F(1)}, {b: F(1)}, n)
+                for tab in (sym, k1) for a in gens for b in gens for n in (0, 1)]
+    assert any(lt for _, lt in products)
+    assert counts == {"Coeff": 0, "diff_poly": 0, "entry lifts": 0}
+    assert k1.store.ints is sym.store.ints and k1.store.space is sym.store.space
+    assert (sym.store.g, k1.store.g) == (1, 0)
+    assert conformal_check(ctx, k1)["ok"]
+    assert counts["entry lifts"] == 0
+
+
 def test_float_and_bool_levels_are_refused():
     ctx = ctx_of("sl", (2, 1))
     for bad in (0.1, 1.0, True, False):
@@ -353,7 +425,7 @@ def test_conformal_action_and_central_term():
 def test_conformal_vector_weight():
     ctx = ctx_of("sl", (2, 1))
     L = conformal_vector(ctx)
-    assert L.weight() == 2
+    assert poly_weight(L) == 2
 
 
 def test_step1_ratio_3_2():
