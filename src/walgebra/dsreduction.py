@@ -41,9 +41,19 @@ of M(1), so solve_generator and reconcile assemble every system at k=1,
 solve it over Q, and lift each solved x to x*k^D.  The systems are built
 straight from the affine engine's graded values (pvacore): a row is keyed by
 tag, lambda power and interned monomial, and an int c at scale S enters it
-as Fraction(c, S).  The constraints of each realization and every bracket of
-the corrected realizations are then re-verified exactly, symbolic in k, on
-DiffPoly.
+as Fraction(c, S).  The realizations' constraints and the corrected brackets
+are then re-verified exactly on graded ints, which determine a value over
+Q(k), compared at the product of the two scales.
+
+Skew symmetry.  reconcile first checks both tables, the closed-form and the
+affine one, for {a lambda b} = S{b lambda a}, S taking lambda^n P to
+-(-1)^{p(a)p(b)} (-lambda-d)^n P; the Leibniz rules keep it, and substitution
+commutes with d.  So a stage's (b, a) equation is S of its (a, b) equation;
+S is invertible and free of k, so at k=1 the (b, a) rows add nothing to the
+row space, and the unique reduced row echelon form, its pivots and the
+zeroed-free solution are those of the (a, b) rows alone.  S keeps letters,
+so both orientations are deferred together; and the final verification over
+unordered pairs, (b, a) following from (a, b), is the full one.
 
 Substitution.  reconcile evaluates generator-side polynomials (table
 targets, correction monomials, corrections) at the realizations through
@@ -74,6 +84,7 @@ from .pvacore import (
     DiffPoly,
     LambdaPoly,
     Substitution,
+    check_skew,
     extend_bracket,
     normalize_factors,
 )
@@ -136,6 +147,7 @@ class ReductionCtx:
             raise NoSolution(f"{len(self.variables)} ladder variables cannot span "
                              f"sl of dimension {ctx.shape.N ** 2 - 1}")
         self._affine: Optional[BracketTable] = None
+        self._unknowns: dict = {}
 
     # -- affine structure ------------------------------------------------------
 
@@ -164,6 +176,15 @@ class ReductionCtx:
                 entries[(u, v)] = LambdaPoly(coeffs)
         self._affine = BracketTable(self.variables, entries)
         return self._affine
+
+    def unknowns(self, t: Fraction) -> list:
+        """The weight-t monomials over p_vars with their graded values in the
+        affine engine, enumerated once per weight."""
+        if t not in self._unknowns:
+            graded = self.affine_table()._leibniz().graded
+            self._unknowns[t] = [(m, graded(DiffPoly({m: ONE})))
+                                 for m in weight_monomials(self.p_vars, lambda v: v.weight, t)]
+        return self._unknowns[t]
 
 
 def _letters_of(poly: DiffPoly):
@@ -233,6 +254,19 @@ def _add_rows(system: System, tag, col: Optional[int], scale: int, slots: dict,
                 system.add((tag, n, m), col, Fraction(sign * c, scale))
 
 
+def _agrees(got: tuple, want: dict) -> bool:
+    """Whether a graded bracket (scale, {n: {degree: {monomial: int}}})
+    equals want, {n: graded value (scale, {degree: {monomial: int}})}: each
+    lambda power n compared on ints at the product of the two scales."""
+    S, slots = got
+    for n in slots.keys() | want.keys():
+        Sw, parts = want.get(n, (1, {}))
+        if ({(s, m): c * Sw for s, p in slots.get(n, {}).items() for m, c in p.items()}
+                != {(s, m): c * S for s, p in parts.items() for m, c in p.items()}):
+            return False
+    return True
+
+
 def _lifted(mono: tuple, x: Fraction) -> Coeff:
     """The solved k=1 value x of the unknown of mono, times k^(derivative
     count of mono)."""
@@ -248,35 +282,30 @@ def solve_generator(rctx: ReductionCtx, a: GenIndex) -> DiffPoly:
     the positive-weight variables) annihilated by every constraint bracket,
     every free coefficient pinned to zero."""
     avar = AffVar(a, 0)
-    monos = [
-        m
-        for m in weight_monomials(rctx.p_vars, lambda v: v.weight, a.t)
-        if m != ((avar, 0),)
-    ]
+    unknowns = [u for u in rctx.unknowns(a.t) if u[0] != ((avar, 0),)]
 
-    table = rctx.affine_table()
-    engine = table._leibniz()
+    engine = rctx.affine_table()._leibniz()
     system = System()
     base = engine.graded(DiffPoly.variable(avar))
-    unknowns = [engine.graded(DiffPoly({m: ONE})) for m in monos]
-    for nv in rctx.n_vars:
-        nv_val = engine.graded(DiffPoly.variable(nv))
+    nv_vals = [(nv, engine.graded(DiffPoly.variable(nv))) for nv in rctx.n_vars]
+    for nv, nv_val in nv_vals:
         _add_rows(system, nv, None, *engine.graded_bracket(nv_val, base))
-        for col, val in enumerate(unknowns):
+        for col, (_, val) in enumerate(unknowns):
             _add_rows(system, nv, col, *engine.graded_bracket(nv_val, val))
     # pin every other bare variable of this weight to zero
-    for col, m in enumerate(monos):
+    for col, (m, _) in enumerate(unknowns):
         if len(m) == 1 and m[0][1] == 0:
             system.add(("pin", m), col, _F1)
 
     sol = system.solve()
     if sol is None:
         raise NoSolution(f"constraint system inconsistent for {a}")
-    W = DiffPoly({((avar, 0),): ONE, **{monos[col]: _lifted(monos[col], x)
+    W = DiffPoly({((avar, 0),): ONE, **{unknowns[col][0]: _lifted(unknowns[col][0], x)
                                         for col, x in sol.items()}})
     # defining constraints re-verified on the solution
-    for nv in rctx.n_vars:
-        if extend_bracket(table, DiffPoly.variable(nv), W):
+    W_val = engine.graded(W)
+    for _, nv_val in nv_vals:
+        if not _agrees(engine.graded_bracket(nv_val, W_val), {}):
             raise NoSolution(f"constraint violated after solve for {a}")
     return W
 
@@ -302,12 +331,20 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
     """Adjust the pinned generators by lower-weight corrections until their
     reduced brackets reproduce the closed-form table exactly.
 
-    Works up the weight ladder.  At each weight the corrections enter every
-    usable equation linearly; equations whose target references letters of
-    weight not yet corrected are deferred (the final verification still
-    covers them).  Free correction coefficients are zeroed."""
+    Both tables are first checked for skew symmetry (failure stage "skew").
+    Then, up the weight ladder, the corrections enter each usable equation
+    {a lambda b}, a of the stage and b lower, linearly; one whose target has
+    letters of weight not yet corrected is deferred with its (b, a) twin (the
+    final verification covers both).  Free correction coefficients are zeroed."""
     gens_all = rctx.cdata.gens
     affine = rctx.affine_table()
+    for name, tab in (("closed-form", table), ("affine", affine)):
+        vs = tab.variables
+        bad = check_skew(tab, [(u, v) for i, u in enumerate(vs) for v in vs[:i + 1]])
+        if bad:
+            failure = {"stage": "skew", "table": name, "pair": bad[0]["pair"]}
+            return ReconcileReport(False, {g: DiffPoly() for g in gens_all},
+                                   GeneratorSolution({}), failure=failure)
     engine = affine._leibniz()
     base = solve_all(rctx)
     W: dict = dict(base.solutions)
@@ -333,44 +370,42 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         mono_vals = [engine.graded(p) for p in mono_eval]
         vals = {g: engine.graded(W[g]) for g in stage + lower}
         first_col = {g: si * len(lowmonos) for si, g in enumerate(stage)}
-        # one row per pair (u, v), lambda power and monomial, reading
-        # bracket(W + x) - target(W + x), which is linear in x
+        # one row per pair (a, b), lambda power and monomial, reading
+        # bracket(W + x) - target(W + x), linear in x; (b, a) adds no row
         system = System()
 
         for a in stage:
             for b in lower:
-                for u, v in ((a, b), (b, a)):
-                    target = table.lookup(u, v)
-                    if any(l.t > w for poly in target.coeffs.values()
-                           for l in _letters_of(poly)):
-                        deferred.append((u, v))
-                        continue
-                    _add_rows(system, (u, v), None, *engine.graded_bracket(vals[u], vals[v]))
-                    for mi, mu_val in enumerate(mono_vals):
-                        contrib = (engine.graded_bracket(mu_val, vals[v]) if u == a
-                                   else engine.graded_bracket(vals[u], mu_val))
-                        _add_rows(system, (u, v), first_col[a] + mi, *contrib)
-                    for slot, poly in target.coeffs.items():
-                        S, parts = sub.graded(poly)
-                        _add_rows(system, (u, v), None, S, {slot: parts}, -1)
-                        # a target monomial holds at most one stage letter (two
-                        # would outweigh the bracket), so target(W + x) is
-                        # linear in x: substitute each correction monomial for it
-                        through: dict = {}
-                        for m, c in poly.terms.items():
-                            l = next((l for l, _ in m if l.t == w), None)
-                            if l is not None:
-                                through.setdefault(l, {})[m] = c
-                        for l, terms in through.items():
-                            part = DiffPoly(terms)
-                            for mi, mu_W in enumerate(mono_eval):
-                                over = overrides.get((l, mi))
-                                if over is None:
-                                    over = overrides[(l, mi)] = Substitution(
-                                        affine, ChainMap({l: mu_W}, stage_W))
-                                S, parts = over.graded(part)
-                                _add_rows(system, (u, v), first_col[l] + mi, S,
-                                          {slot: parts}, -1)
+                target = table.lookup(a, b)
+                if any(l.t > w for poly in target.coeffs.values()
+                       for l in _letters_of(poly)):
+                    deferred += [(a, b), (b, a)]
+                    continue
+                _add_rows(system, (a, b), None, *engine.graded_bracket(vals[a], vals[b]))
+                for mi, mu_val in enumerate(mono_vals):
+                    _add_rows(system, (a, b), first_col[a] + mi,
+                              *engine.graded_bracket(mu_val, vals[b]))
+                for slot, poly in target.coeffs.items():
+                    S, parts = sub.graded(poly)
+                    _add_rows(system, (a, b), None, S, {slot: parts}, -1)
+                    # a target monomial holds at most one stage letter (two
+                    # would outweigh the bracket), so target(W + x) is
+                    # linear in x: substitute each correction monomial for it
+                    through: dict = {}
+                    for m, c in poly.terms.items():
+                        l = next((l for l, _ in m if l.t == w), None)
+                        if l is not None:
+                            through.setdefault(l, {})[m] = c
+                    for l, terms in through.items():
+                        part = DiffPoly(terms)
+                        for mi, mu_W in enumerate(mono_eval):
+                            over = overrides.get((l, mi))
+                            if over is None:
+                                over = overrides[(l, mi)] = Substitution(
+                                    affine, ChainMap({l: mu_W}, stage_W))
+                            S, parts = over.graded(part)
+                            _add_rows(system, (a, b), first_col[l] + mi, S,
+                                      {slot: parts}, -1)
 
         sol = system.solve()
         if sol is None:
@@ -387,19 +422,16 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                 W[g] = W[g] + sub(corrections[g])
 
     corrected = GeneratorSolution(W)
-    # full verification: every ordered pair, every slot
+    # full verification on graded ints, each unordered pair once, in the
+    # stages' orientation (the later generator first)
     sub = Substitution(affine, W)
-    for a in gens_all:
-        for b in gens_all:
-            got = reduced_bracket(rctx, W[a], W[b])
-            want_src = table.lookup(a, b)
-            want = LambdaPoly(
-                {n: sub(p) for n, p in want_src.coeffs.items()}
-            )
-            if got != want:
-                return ReconcileReport(
-                    False, corrections, corrected,
-                    failure={"pair": (a, b), "got": got, "want": want},
-                    deferred=deferred,
-                )
+    vals = {g: engine.graded(W[g]) for g in gens_all}
+    for i, a in enumerate(gens_all):
+        for b in gens_all[:i + 1]:
+            target = table.lookup(a, b)
+            want = {n: sub.graded(p) for n, p in target.coeffs.items()}
+            if not _agrees(engine.graded_bracket(vals[a], vals[b]), want):
+                want = LambdaPoly({n: sub(p) for n, p in target.coeffs.items()})
+                return ReconcileReport(False, corrections, corrected, deferred=deferred, failure={
+                    "pair": (a, b), "got": reduced_bracket(rctx, W[a], W[b]), "want": want})
     return ReconcileReport(True, corrections, corrected, deferred=deferred)

@@ -237,11 +237,6 @@ class SuperMatrix:
                 tot += v * self.shape.eps[r]
         return tot
 
-    def flatten(self) -> dict[int, Fraction]:
-        """Vectorize for span comparisons: column index = r*N + c."""
-        N = self.shape.N
-        return {r * N + c: v for (r, c), v in self.entries.items()}
-
     def __repr__(self) -> str:
         items = sorted(self.entries.items())
         body = ", ".join(f"({r},{c}):{v}" for (r, c), v in items)
@@ -352,19 +347,6 @@ class AlgebraCtx:
     def gen(self, t, i: int, j: int) -> GenIndex:
         """Build a GenIndex with the parity tag this algebra assigns."""
         return GenIndex(Weight(t), i, j, self.shape.pair_parity(i, j))
-
-    def sl_basis(self) -> list[SuperMatrix]:
-        """Deterministic basis of sl: off-diagonal units then supertraceless
-        diagonal differences."""
-        sh = self.shape
-        out = []
-        for r in range(sh.N):
-            for c in range(sh.N):
-                if r != c:
-                    out.append(SuperMatrix(sh, {(r, c): _F1}))
-        for r in range(sh.N - 1):
-            out.append(SuperMatrix(sh, {(r, r): F(sh.eps[r]), (r + 1, r + 1): F(-sh.eps[r + 1])}))
-        return out
 
     def centralizer(self) -> CentralizerData:
         if self._cdata is None:

@@ -58,29 +58,6 @@ def rref(rows: Iterable[dict]) -> tuple[list[dict], dict[int, int]]:
     return reduced, pivots
 
 
-def kernel_basis(columns: list[dict]) -> list[dict]:
-    """Kernel of the linear map sending basis vector j to the sparse column
-    vector columns[j].  Returns a list of coefficient dicts {j: value}, one
-    per free column, each normalized so its free coordinate is 1."""
-    # equations: one per output coordinate r: sum_j columns[j][r] * x_j = 0
-    system = System()
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            system.add(r, j, v)
-    reduced, pivots = rref(system.rows.values())
-    basis = []
-    for j in range(len(columns)):
-        if j in pivots:
-            continue
-        vec = {j: 1}
-        for col, ridx in pivots.items():
-            v = reduced[ridx].get(j)
-            if v:
-                vec[col] = -v
-        basis.append(vec)
-    return basis
-
-
 def solve(rows: list[dict], rhs: list) -> Optional[dict]:
     """Solve the sparse system rows[i] . x = rhs[i] (a falsy rhs entry is 0).
 

@@ -245,7 +245,10 @@ class MasterEngine:
                             for y in m[:pos]:
                                 if odd[y]:
                                     s = -s
-                        _accum(dst, m[:pos] + (x,) + m[pos:], s * cp)
+                        key = m[:pos] + (x,) + m[pos:]
+                        t = dst[key] = dst.get(key, 0) + s * cp
+                        if not t:  # _accum inlined: this loop is the sweep's hot spot
+                            del dst[key]
             if c:
                 dst = out.get(n)
                 if dst is None:
@@ -255,9 +258,13 @@ class MasterEngine:
                     up = out[n + 1] = {}
                 for m, cp in p.items():
                     term = -c * cp
-                    _accum(up, m, term)
+                    t = up[m] = up.get(m, 0) + term
+                    if not t:
+                        del up[m]
                     for dm in deriv(m):
-                        _accum(dst, dm, term)
+                        t = dst[dm] = dst.get(dm, 0) + term
+                        if not t:
+                            del dst[dm]
 
     # -- rows of brackets ------------------------------------------------------
 

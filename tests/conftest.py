@@ -13,7 +13,7 @@ from math import comb
 
 from walgebra.coeffs import ONE, Coeff
 from walgebra.errors import NoSolution
-from walgebra.linalg import kernel_basis
+from walgebra.linalg import System, rref
 from walgebra.liestruct import PartitionSpec, SuperMatrix, build_algebra, sharp_coords
 from walgebra.pvacore import (DiffPoly, GradedStore, LambdaPoly, _accum, apply_partial,
                               monomial_weight, normalize_factors)
@@ -67,10 +67,53 @@ def subst_neg_lambda_partial(lp):
     return out
 
 
+def kernel_basis(columns: list[dict]) -> list[dict]:
+    """Kernel of the linear map sending basis vector j to the sparse column
+    vector columns[j].  Returns a list of coefficient dicts {j: value}, one
+    per free column, each normalized so its free coordinate is 1."""
+    # equations: one per output coordinate r: sum_j columns[j][r] * x_j = 0
+    system = System()
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            system.add(r, j, v)
+    reduced, pivots = rref(system.rows.values())
+    basis = []
+    for j in range(len(columns)):
+        if j in pivots:
+            continue
+        vec = {j: 1}
+        for col, ridx in pivots.items():
+            v = reduced[ridx].get(j)
+            if v:
+                vec[col] = -v
+        basis.append(vec)
+    return basis
+
+
+def sl_basis(ctx):
+    """Deterministic basis of sl: off-diagonal units then supertraceless
+    diagonal differences."""
+    sh = ctx.shape
+    out = []
+    for r in range(sh.N):
+        for c in range(sh.N):
+            if r != c:
+                out.append(SuperMatrix(sh, {(r, c): F(1)}))
+    for r in range(sh.N - 1):
+        out.append(SuperMatrix(sh, {(r, r): F(sh.eps[r]), (r + 1, r + 1): F(-sh.eps[r + 1])}))
+    return out
+
+
+def flatten(m):
+    """A SuperMatrix vectorized for span comparisons: column index = r*N + c."""
+    N = m.shape.N
+    return {r * N + c: v for (r, c), v in m.entries.items()}
+
+
 def centralizer_oracle(ctx):
     """Independent computation of ker(ad f) inside sl by raw nullspace."""
-    basis = ctx.sl_basis()
-    cols = [ctx.f.comm(b).flatten() for b in basis]
+    basis = sl_basis(ctx)
+    cols = [flatten(ctx.f.comm(b)) for b in basis]
     out = []
     for coeffs in kernel_basis(cols):
         m = SuperMatrix(ctx.shape)
@@ -107,6 +150,39 @@ def substitute(poly, mapping):
             acc = acc * fac
         out = out + acc
     return out
+
+
+def verify_every_ordered_pair(rctx, table, W):
+    """The ordered pairs (a, b) of generators whose reduced bracket
+    {W_a lambda W_b} differs from table's {a lambda b} with W substituted,
+    both computed on DiffPoly: the full verification, in both orientations,
+    with no appeal to skew symmetry."""
+    from walgebra.dsreduction import reduced_bracket
+
+    bad = []
+    for a in W:
+        for b in W:
+            want = LambdaPoly({n: substitute(p, W) for n, p in table.lookup(a, b).coeffs.items()})
+            if reduced_bracket(rctx, W[a], W[b]) != want:
+                bad.append((a, b))
+    return bad
+
+
+def partitions(n, top=None):
+    """Every partition of n, parts non-increasing."""
+    if not n:
+        yield ()
+    for k in range(min(n, top or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def small_shapes(boxes):
+    """Every shape of both kinds with at most `boxes` boxes, sl(n|n)
+    excluded."""
+    return [("sl", p, ()) for n in range(2, boxes + 1) for p in partitions(n)] + [
+        ("sl_super", p1, p2) for n1 in range(1, boxes) for n2 in range(1, boxes + 1 - n1)
+        if n1 != n2 for p1 in partitions(n1) for p2 in partitions(n2)]
 
 
 def _mono_order_key(mono: tuple):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import centralizer_oracle, ctx_of, gen, sharp_project
+from conftest import centralizer_oracle, ctx_of, gen, sharp_project, sl_basis
 from walgebra import serialize
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import NoSolution, NormalizationImpossible, SuperEqualParts, WAlgebraError
@@ -126,7 +126,7 @@ def test_full_biorthonormality():
 
 def test_trace_pairing_equals_product_supertrace():
     ctx = ctx_of("sl_super", (3,), (2,))
-    basis = ctx.sl_basis()
+    basis = sl_basis(ctx)
     for a in basis:
         for b in basis:
             assert ctx.pair(a, b) == a.mul(b).supertrace() * ctx.form_scale
@@ -136,7 +136,7 @@ def test_sharp_projection_idempotent():
     for kind, p1, p2 in SWEEP:
         ctx = ctx_of(kind, p1, p2)
         cdata = ctx.centralizer()
-        for b in ctx.sl_basis():
+        for b in sl_basis(ctx):
             once = sharp_project(ctx, cdata, b)
             assert sharp_project(ctx, cdata, once) == once
 

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from walgebra.linalg import System, kernel_basis, solve
+from conftest import kernel_basis
+from walgebra.linalg import System, solve
 
 F = Fraction
 

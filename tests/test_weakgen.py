@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import ctx_of, gen, table_of
+from conftest import ctx_of, gen, small_shapes, table_of
 from walgebra.coeffs import Coeff
 from walgebra.errors import (NormalizationImpossible, ScheduleInapplicable, UnknownGenerator,
                              WAlgebraError)
@@ -208,19 +208,7 @@ def _at(text: str, q: Fraction) -> Fraction:
     return c * q ** (int(tail[1:]) if tail else 1)
 
 
-def _partitions(n, top=None):
-    """Every partition of n, parts non-increasing."""
-    if not n:
-        yield ()
-    for k in range(min(n, top or n), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
-
-
-# every shape of both kinds with at most 6 boxes (sl(n|n) is excluded)
-SMALL_SHAPES = [("sl", p, ()) for n in range(2, 7) for p in _partitions(n)] + [
-    ("sl_super", p1, p2) for n1 in range(1, 6) for n2 in range(1, 7 - n1) if n1 != n2
-    for p1 in _partitions(n1) for p2 in _partitions(n2)]
+SMALL_SHAPES = small_shapes(6)
 
 
 @settings(max_examples=80, deadline=None)
