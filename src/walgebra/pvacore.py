@@ -52,9 +52,11 @@ back through diff_poly, the one conversion of ints to Coeffs.  The engine's
 graded_bracket returns one per power of lambda at scale L*M_A*M_B, degrees
 s_A, s_B landing at lambda^n in degree s_A + s_B + g*n; extend_bracket wraps
 it, and the reduction oracle reads its ints at k=1.  linear_product reads
-the store's ints at k=1 beside their power g*n; check_skew and check_jacobi
-accumulate lhs - rhs on ints, and only a failing pair's or triple's diff is
-lifted, a Jacobi diff to a TwoVar with k^(g*(i+j+D)) at lambda^i mu^j.
+the store's ints at k=1 beside their power g*n: it sums them on ints at L
+times the combinations' cleared denominators and builds one Fraction per
+variable it returns.  check_skew and check_jacobi accumulate lhs - rhs on
+ints, and only a failing pair's or triple's diff is lifted, a Jacobi diff to
+a TwoVar with k^(g*(i+j+D)) at lambda^i mu^j.
 
 Substitution.  The differential-algebra morphism that replaces letters by
 DiffPolys over a table's variables runs on the same interned monomials and
@@ -344,21 +346,26 @@ class BracketTable:
 
     def linear_product(self, ca: dict, cb: dict, n: int) -> tuple:
         """Linear term of the n-th product of two linear combinations
-        {variable: Fraction}, n! * sum of va*vb * linear_term({ga lambda gb}
-        at lambda^n), as (g*n, {variable: nonzero value at k=1}) in variable
-        order, read off the engine's ints: the term is k^(g*n) times them."""
+        {variable: int or Fraction}, n! * sum of va*vb * linear_term({ga
+        lambda gb} at lambda^n), as (g*n, {variable: nonzero value at k=1})
+        in variable order, read off the engine's ints: the term is k^(g*n)
+        times them.  Each combination is cleared of its denominators once,
+        the sum runs on ints at scale L*da*db, and each nonzero value is
+        the one Fraction built."""
         engine = self._leibniz()
         space = engine.space
+        da = lcm(*(v.denominator for v in ca.values()))
+        db = lcm(*(v.denominator for v in cb.values()))
+        ib = [(space.rank_of(gb), vb.numerator * (db // vb.denominator)) for gb, vb in cb.items()]
         out: dict = {}
         for ga, va in ca.items():
-            ra = space.rank_of(ga)
-            for gb, vb in cb.items():
-                s = va * vb
-                for x, c in engine.linear(ra, space.rank_of(gb), n):
-                    cur = out.get(x)
-                    out[x] = c * s if cur is None else cur + c * s
-        vs, stride = space.vars, space.stride
-        return engine.g * n, {vs[x // stride]: v for x, v in sorted(out.items()) if v}
+            ra, ia = space.rank_of(ga), va.numerator * (da // va.denominator)
+            for rb, vb in ib:
+                s = ia * vb
+                for x, c in engine.linear(ra, rb, n):
+                    out[x] = out.get(x, 0) + c * s
+        vs, stride, d = space.vars, space.stride, engine.L * da * db
+        return engine.g * n, {vs[x // stride]: Fraction(v, d) for x, v in sorted(out.items()) if v}
 
 
 class GradedStore(NamedTuple):
@@ -633,13 +640,13 @@ class _Leibniz:
 
     def linear(self, u: int, v: int, n: int) -> tuple:
         """The bare variables (interned, no derivative) of {u lambda v} at
-        lambda^n, with n! times their values c/L."""
+        lambda^n, with the ints n!*c: n! times their values, at scale L."""
         key = (u, v, n)
         hit = self._lin.get(key)
         if hit is None:
-            stride, f, L = self.space.stride, factorial(n), self.L
+            stride, f = self.space.stride, factorial(n)
             hit = self._lin[key] = tuple(
-                (m[0], Fraction(c * f, L)) for m, c in self._entry(u, v).get(n, {}).items()
+                (m[0], c * f) for m, c in self._entry(u, v).get(n, {}).items()
                 if len(m) == 1 and not m[0] % stride)
         return hit
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coeffs import ONE, Coeff
-from .errors import ScheduleInapplicable, UnknownGenerator
+from .errors import ScheduleInapplicable, UnknownGenerator, WAlgebraError
 from .linalg import System
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex
 from .pvacore import BracketTable
@@ -806,7 +806,7 @@ class ClosureReport:
 class _Node(NamedTuple):
     label: str
     coords: dict  # GenIndex -> Fraction at k=1
-    weight: Fraction
+    twice: int    # twice the weight, an int: weights are half-integers
 
 
 def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
@@ -820,17 +820,30 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
     generator with coefficient nonzero at level 1 marks that generator
     recovered, and the product's linear part joins the pool (one new
     representative per revelation, which bounds the pool by |seeds| plus the
-    generator count).  A seed's zero coefficients are dropped, and a seed
-    left empty is skipped.  Deterministic; stops at a fixpoint or at the
-    caps."""
+    generator count).  The products are enumerated per weight sum: the
+    (n, product weight) pairs of a sum are listed once per search, n
+    ascending.  A seed coefficient must be an int or a Fraction (else
+    WAlgebraError: a float or a string would run inexactly, True as 1); its
+    zero coefficients are dropped, and a seed left empty is skipped.
+    Deterministic; stops at a fixpoint or at the caps."""
     if caps is None:
         caps = default_caps(ctx)
     recovered: dict = {}
     dag: list = []
     nodes: list = []
     seed_coords: list = []
-    weights_present = {gi.weight for gi in cdata.gens}
+    targets = {int(2 * gi.weight) for gi in cdata.gens if 1 <= gi.weight <= caps.max_weight}
     gens_order = {gi: k for k, gi in enumerate(cdata.gens)}
+    walks: dict = {}
+
+    def walk(t2):
+        """(n, twice the product's weight) for the products of two elements
+        whose weights sum to t2/2: n < t2/2 within max_n, n ascending."""
+        hit = walks.get(t2)
+        if hit is None:
+            ns = range(min(caps.max_n + 1, (t2 + 1) // 2))
+            hit = walks[t2] = [(n, t2 - 2 * n - 2) for n in ns if t2 - 2 * n - 2 in targets]
+        return hit
 
     def reveal(m, lt1, expr):
         news = []
@@ -842,11 +855,14 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
         return news
 
     for k, s in enumerate(seeds):
-        coords = {s: _F1} if isinstance(s, GenIndex) else {gi: F(c) for gi, c in s.items()}
-        for gi in coords:
+        coords = {s: _F1} if isinstance(s, GenIndex) else dict(s)
+        for gi, c in coords.items():
             if gi not in cdata.delta:
                 raise UnknownGenerator(f"closure seed mentions {gi}, which this shape lacks")
-        coords = {gi: c for gi, c in coords.items() if c}
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise WAlgebraError(f"closure seed coefficient {c!r} of {gi} is a"
+                                    f" {type(c).__name__}; give an int or a Fraction")
+        coords = {gi: F(c) for gi, c in coords.items() if c}
         if not coords:
             continue
         wt = next(iter(coords)).weight
@@ -856,7 +872,7 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
         coords = {gi: coords[gi] for gi in sorted(coords, key=lambda g: gens_order[g])}
         news = reveal(0, coords, label)
         seed_coords.append(dict(coords))
-        nodes.append(_Node(label, coords, wt))
+        nodes.append(_Node(label, coords, int(2 * wt)))
         dag.append(ClosureStep(label, "seed", -1, news, dict(coords), True))
 
     tried = 0
@@ -870,13 +886,7 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
                 if max(i, k) < lo or len(nodes) >= caps.max_elements:
                     continue
                 A, B = nodes[i], nodes[k]
-                top = A.weight + B.weight
-                n = 0
-                while n < top and n <= caps.max_n:
-                    rw = top - n - 1
-                    if rw < 1 or rw > caps.max_weight or rw not in weights_present:
-                        n += 1
-                        continue
+                for n, rw2 in walk(A.twice + B.twice):
                     tried += 1
                     m, lt1 = table.linear_product(A.coords, B.coords, n)
                     if lt1:
@@ -885,9 +895,8 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
                         if news:
                             counter += 1
                             label = f"E{counter}"
-                            nodes.append(_Node(label, lt1, rw))
+                            nodes.append(_Node(label, lt1, rw2))
                             dag.append(ClosureStep(label, expr, n, news, lt1, True))
-                    n += 1
 
     missing = [gi for gi in cdata.gens if gi not in recovered]
     return ClosureReport(seed_coords, caps, recovered, missing, dag, tried)

@@ -10,14 +10,17 @@ sign rule for both kinds, so a table is named by its shape alone.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from walgebra.coeffs import ONE, Coeff
-from walgebra.errors import NoSolution
+from walgebra.errors import NoSolution, UnknownGenerator
 from walgebra.linalg import System, rref
-from walgebra.liestruct import PartitionSpec, SuperMatrix, build_algebra, sharp_coords
+from walgebra.liestruct import GenIndex, PartitionSpec, SuperMatrix, build_algebra, sharp_coords
 from walgebra.pvacore import (DiffPoly, GradedStore, LambdaPoly, _accum, apply_partial,
-                              monomial_weight, normalize_factors)
+                              linear_term, monomial_weight, normalize_factors, nth_product)
 from walgebra.wbracket import bracket_table, ladder_nodes
+from walgebra.weakgen import (ClosureReport, ClosureStep, Recovery, coefficient_genericity,
+                              default_caps)
 
 F = Fraction
 
@@ -238,6 +241,108 @@ def corrupted_table():
     entries[(a, b)] = entries[(a, b)] + extra
     entries[(b, a)] = entries[(b, a)] - extra
     return BracketTable(ctx.centralizer().gens, entries)
+
+
+# ---------------------------------------------------------------------------
+# the closure search as it was before it ran on ints: a Fraction `while n <
+# top` walk over every candidate n of every pool pair, with each product's
+# linear term read off nth_product (extend_bracket on DiffPolys) instead of
+# BracketTable.linear_product
+
+
+class _ClosureNode(NamedTuple):
+    label: str
+    coords: dict  # GenIndex -> Fraction at k=1
+    weight: Fraction
+
+
+def nth_linear(table, ca: dict, cb: dict, n: int) -> dict:
+    """{variable: Coeff}, the linear term of the n-th product of two linear
+    combinations {variable: coefficient}, through nth_product."""
+    def poly(coords):
+        return sum((DiffPoly.variable(g).scale(c) for g, c in coords.items()), DiffPoly())
+
+    return linear_term(nth_product(table, poly(ca), poly(cb), n))
+
+
+def _linear_at_one(table, A: dict, B: dict, n: int) -> tuple:
+    """(power m of k, {generator: value at k=1}) of nth_linear."""
+    lt = nth_linear(table, A, B, n)
+    m = max((len(c.num) - 1 for c in lt.values()), default=0)
+    return m, {g: lt[g].at_one() for g in sorted(lt, key=lambda g: g.sort_key())
+               if lt[g].at_one()}
+
+
+def closure_reference(ctx, cdata, table, seeds, caps=None):
+    """weakgen.closure_search on the reference walk: the same ClosureReport."""
+    if caps is None:
+        caps = default_caps(ctx)
+    recovered: dict = {}
+    dag: list = []
+    nodes: list = []
+    seed_coords: list = []
+    weights_present = {gi.weight for gi in cdata.gens}
+    gens_order = {gi: k for k, gi in enumerate(cdata.gens)}
+
+    def reveal(m, lt1, expr):
+        news = []
+        for gi in lt1:
+            if gi not in recovered:
+                ck = Coeff.level(m, lt1[gi])
+                recovered[gi] = Recovery(gi, expr, ck, coefficient_genericity(ck))
+                news.append(gi)
+        return news
+
+    for k, s in enumerate(seeds):
+        coords = {s: F(1)} if isinstance(s, GenIndex) else {gi: F(c) for gi, c in s.items()}
+        for gi in coords:
+            if gi not in cdata.delta:
+                raise UnknownGenerator(f"closure seed mentions {gi}, which this shape lacks")
+        coords = {gi: c for gi, c in coords.items() if c}
+        if not coords:
+            continue
+        wt = next(iter(coords)).weight
+        if any(gi.weight != wt for gi in coords):
+            raise UnknownGenerator("closure seeds must be weight-homogeneous")
+        label = f"S{k}"
+        coords = {gi: coords[gi] for gi in sorted(coords, key=lambda g: gens_order[g])}
+        news = reveal(0, coords, label)
+        seed_coords.append(dict(coords))
+        nodes.append(_ClosureNode(label, coords, wt))
+        dag.append(ClosureStep(label, "seed", -1, news, dict(coords), True))
+
+    tried = 0
+    fresh_from = 0
+    counter = 0
+    while fresh_from < len(nodes) and len(recovered) < len(cdata.gens):
+        lo = fresh_from
+        fresh_from = len(nodes)
+        for i in range(fresh_from):
+            for k in range(fresh_from):
+                if max(i, k) < lo or len(nodes) >= caps.max_elements:
+                    continue
+                A, B = nodes[i], nodes[k]
+                top = A.weight + B.weight
+                n = 0
+                while n < top and n <= caps.max_n:
+                    rw = top - n - 1
+                    if rw < 1 or rw > caps.max_weight or rw not in weights_present:
+                        n += 1
+                        continue
+                    tried += 1
+                    m, lt1 = _linear_at_one(table, A.coords, B.coords, n)
+                    if lt1:
+                        expr = f"({A.label})_({n})({B.label})"
+                        news = reveal(m, lt1, expr)
+                        if news:
+                            counter += 1
+                            label = f"E{counter}"
+                            nodes.append(_ClosureNode(label, lt1, rw))
+                            dag.append(ClosureStep(label, expr, n, news, lt1, True))
+                    n += 1
+
+    missing = [gi for gi in cdata.gens if gi not in recovered]
+    return ClosureReport(seed_coords, caps, recovered, missing, dag, tried)
 
 
 # ---------------------------------------------------------------------------

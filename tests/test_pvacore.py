@@ -19,13 +19,13 @@ from math import comb
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from conftest import (corrupted_table, ctx_of, monomial_parity, poly_normalize,
-                      subst_neg_lambda_partial, table_of)
+from conftest import (corrupted_table, ctx_of, monomial_parity, nth_linear, poly_normalize,
+                      small_shapes, subst_neg_lambda_partial, table_of)
 from walgebra.coeffs import Coeff, ONE
 from walgebra.dsreduction import ReductionCtx
-from walgebra.errors import MissingTableEntry, WAlgebraError
+from walgebra.errors import MissingTableEntry, NormalizationImpossible, WAlgebraError
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, TwoVar,
                               VarSpace, apply_partial, check_jacobi,
                               extend_bracket, linear_term,
@@ -161,6 +161,50 @@ def test_linear_product_matches_nth_product():
                 m, lt1 = tab.linear_product(ca, cb, n)
                 got = {v: Coeff.level(m, x) for v, x in lt1.items()}
                 assert got == want, (ca, cb, n)
+
+
+SHAPES_5 = small_shapes(5)
+_COEFFS = st.one_of(st.integers(-4, 4),
+                    st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def _linear_product_inputs(draw):
+    """A table of a shape of either kind with at most 5 boxes (symbolic, the
+    k=1 view or the level 2/3), two combinations {generator: int or
+    Fraction}, and n; with a cancelling pair, cb = {b1: y2, b2: -y1} for
+    generators whose products with a single a share a variable at values
+    y1, y2, so that the variable's sum cancels."""
+    kind, p1, p2 = draw(st.sampled_from(SHAPES_5))
+    try:
+        ctx = ctx_of(kind, p1, p2)
+    except NormalizationImpossible:
+        reject()  # str(ef) = 0: not an algebra of the workbench
+    tab = table_of(kind, p1, p2, ktilde=draw(st.sampled_from(("symbolic", 1, F(2, 3)))))
+    gens = ctx.centralizer().gens
+    combination = st.dictionaries(st.sampled_from(gens), _COEFFS, min_size=1, max_size=3)
+    ca, cb = draw(combination), draw(combination)
+    n = draw(st.integers(0, max(tab.lookup(a, b).degree() for a in ca for b in cb) + 1))
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(gens))
+        y = {b: nth_linear(tab, {a: 1}, {b: 1}, n) for b in gens}
+        shares = [(b1, b2, x) for b1 in gens for b2 in gens if b1 != b2
+                  for x in y[b1] if x in y[b2]]
+        if shares:
+            b1, b2, x = draw(st.sampled_from(shares))
+            ca, cb = {a: draw(_COEFFS.filter(bool))}, {b1: y[b2][x].eval(1), b2: -y[b1][x].eval(1)}
+    return tab, ca, cb, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(_linear_product_inputs())
+def test_linear_product_with_rational_coefficients(inputs):
+    # one int sum at scale L*da*db and one Fraction per output give the linear
+    # term nth_product gives, on every view of the store
+    tab, ca, cb, n = inputs
+    m, lt1 = tab.linear_product(ca, cb, n)
+    assert {v: Coeff.level(m, x) for v, x in lt1.items()} == nth_linear(tab, ca, cb, n)
+    assert all(type(x) is Fraction and x for x in lt1.values())
 
 
 def test_poly_normalize_collects():

@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (apply_factor, bracket_by_chains, ctx_of, gen, lifted_row, poly_weight,
                       table_of)
-from walgebra import serialize, wbracket
+from walgebra import pvacore, serialize, wbracket
 from walgebra.coeffs import Coeff
 from walgebra.errors import MissingTableEntry, WAlgebraError
 from walgebra.liestruct import sharp_coords
@@ -331,7 +331,9 @@ def test_fixed_level_views_scale_each_term_by_its_degree(shape, q, data):
 def test_table_build_k1_view_and_linear_products_lift_nothing(monkeypatch):
     # the symbolic build, its k=1 view and linear_product over every pair at
     # n = 0 and 1 construct no Coeff and lift no entry, and conformal_check
-    # on the view lifts no entry either; the view shares the symbolic store
+    # on the view lifts no entry either; the view shares the symbolic store.
+    # linear_product builds at most one Fraction per variable it returns,
+    # also on rational combinations, and the engines' memos hold ints
     ctx = ctx_of("sl", (3, 2))
     ctx.centralizer()
     monkeypatch.setattr(wbracket, "_TABLE_CACHE", {})
@@ -349,10 +351,23 @@ def test_table_build_k1_view_and_linear_products_lift_nothing(monkeypatch):
     sym = bracket_table(ctx)
     k1 = bracket_table(ctx, ktilde=1)
     gens = sym.variables
-    products = [tab.linear_product({a: F(1)}, {b: F(1)}, n)
-                for tab in (sym, k1) for a in gens for b in gens for n in (0, 1)]
+    fractions = []
+
+    def counting_fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(pvacore, "Fraction", counting_fraction)
+    combos = [{a: F(1)} for a in gens]
+    combos += [{a: F(-1, 2), b: F(2, 3)} for a, b in zip(gens, gens[1:])]
+    products = [tab.linear_product(ca, cb, n)
+                for tab in (sym, k1) for ca in combos for cb in combos for n in (0, 1)]
+    monkeypatch.setattr(pvacore, "Fraction", Fraction)
     assert any(lt for _, lt in products)
+    assert 0 < len(fractions) <= sum(len(lt) for _, lt in products)
     assert counts == {"Coeff": 0, "diff_poly": 0, "entry lifts": 0}
+    assert all(type(c) is int for tab in (sym, k1) for hit in tab._leibniz()._lin.values()
+               for _, c in hit)
     assert k1.store.ints is sym.store.ints and k1.store.space is sym.store.space
     assert (sym.store.g, k1.store.g) == (1, 0)
     assert conformal_check(ctx, k1)["ok"]

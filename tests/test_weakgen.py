@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import ctx_of, gen, small_shapes, table_of
+from conftest import closure_reference, ctx_of, gen, small_shapes, table_of
 from walgebra.coeffs import Coeff
 from walgebra.errors import (NormalizationImpossible, ScheduleInapplicable, UnknownGenerator,
                              WAlgebraError)
@@ -449,6 +449,59 @@ def test_closure_seed_validation():
     rep = weakgen.closure_search(ctx3, ctx3.centralizer(), table_of("sl", (3,)),
                                  [{gen(ctx3, 3, 1, 1): 0}])
     assert rep.seeds == [] and not rep.recovered and rep.products_tried == 0
+
+
+def test_closure_seed_coefficients_must_be_exact():
+    # a float runs as its binary value, True as 1 and "1/2" as 1/2: refused,
+    # naming the generator and the value; ints and Fractions run exactly
+    ctx = ctx_of("sl", (2, 2))
+    cd, tab = ctx.centralizer(), table_of("sl", (2, 2))
+    g = gen(ctx, 2, 2, 2)
+    for bad in (0.1, 1.0, True, False, "1/2"):
+        with pytest.raises(WAlgebraError, match=re.escape(f"coefficient {bad!r} of {g} is a")):
+            weakgen.closure_search(ctx, cd, tab, [{g: bad}])
+    with pytest.raises(WAlgebraError, match=re.escape(f"0.5 of {g}")):
+        weakgen.closure_search(ctx, cd, tab, [{gen(ctx, 2, 1, 1): 1, g: 0.5}])
+    rep = weakgen.closure_search(ctx, cd, tab, [{gen(ctx, 2, 1, 1): 1, g: F(-3, 2)}])
+    assert rep.seeds == [{gen(ctx, 2, 1, 1): F(1), g: F(-3, 2)}]
+    assert all(type(c) is Fraction for c in rep.seeds[0].values())
+
+
+SHAPES_5 = small_shapes(5)
+
+
+@st.composite
+def _closure_inputs(draw):
+    """A shape of either kind with at most 5 boxes, a level, and 1-3 seed
+    elements: generators, or two-term combinations g1 + c*g2 of one weight."""
+    kind, p1, p2 = draw(st.sampled_from(SHAPES_5))
+    try:
+        ctx = ctx_of(kind, p1, p2)
+    except NormalizationImpossible:
+        reject()  # str(ef) = 0: not an algebra of the workbench
+    gens = ctx.centralizer().gens
+    pairs = [(a, b) for a in gens for b in gens if a != b and a.weight == b.weight]
+    seeds = []
+    for _ in range(draw(st.integers(1, 3))):
+        if pairs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(pairs))
+            seeds.append({a: F(1), b: draw(st.sampled_from((1, -1, 2, F(1, 2), F(-3, 2))))})
+        else:
+            seeds.append(draw(st.sampled_from(gens)))
+    return (kind, p1, p2), draw(st.sampled_from(("symbolic", 1))), seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closure_inputs())
+def test_closure_search_matches_the_reference_walk(inputs):
+    # the per-weight-sum product lists and the int linear products give the
+    # report of the Fraction walk over every n with nth_product's linear terms
+    (kind, p1, p2), level, seeds = inputs
+    ctx = ctx_of(kind, p1, p2)
+    cd, tab = ctx.centralizer(), table_of(kind, p1, p2, ktilde=level)
+    got = weakgen.closure_search(ctx, cd, tab, seeds)
+    want = closure_reference(ctx, cd, tab, seeds)
+    assert closure_report_to_json(got) == closure_report_to_json(want)
 
 
 def test_closure_seeding_everything_is_immediate():
