@@ -41,9 +41,14 @@ of M(1), so solve_generator and reconcile assemble every system at k=1,
 solve it over Q, and lift each solved x to x*k^D.  The systems are built
 straight from the affine engine's graded values (pvacore): a row is keyed by
 tag, lambda power and interned monomial, and an int c at scale S enters it
-as Fraction(c, S).  The realizations' constraints and the corrected brackets
-are then re-verified exactly on graded ints, which determine a value over
-Q(k), compared at the product of the two scales.
+as Fraction(c, S).  linalg solves them fraction-free: each row is cleared to
+primitive ints once, eliminated on ints, and a solved x is the one Fraction
+built per column.  Within a stage, the brackets {mu lambda W_b} of the
+correction monomials do not depend on the stage generator a, so each lower
+b's list is computed once, on its first pair that is not deferred.  The
+realizations' constraints and the corrected brackets are then re-verified
+exactly on graded ints, which determine a value over Q(k), compared at the
+product of the two scales.
 
 Skew symmetry.  reconcile first checks both tables, the closed-form and the
 affine one, for {a lambda b} = S{b lambda a}, S taking lambda^n P to
@@ -53,7 +58,10 @@ S is invertible and free of k, so at k=1 the (b, a) rows add nothing to the
 row space, and the unique reduced row echelon form, its pivots and the
 zeroed-free solution are those of the (a, b) rows alone.  S keeps letters,
 so both orientations are deferred together; and the final verification over
-unordered pairs, (b, a) following from (a, b), is the full one.
+unordered pairs, (b, a) following from (a, b), is the full one.  Its
+self-brackets {W_a lambda W_a} go through the engine's graded_self_bracket,
+which brackets each unordered pair of terms once and takes the other
+orientation by S: valid because the affine table passed the skew check.
 
 Substitution.  reconcile evaluates generator-side polynomials (table
 targets, correction monomials, corrections) at the realizations through
@@ -370,6 +378,9 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         mono_vals = [engine.graded(p) for p in mono_eval]
         vals = {g: engine.graded(W[g]) for g in stage + lower}
         first_col = {g: si * len(lowmonos) for si, g in enumerate(stage)}
+        # {mu lambda W_b} for every correction monomial mu, the same for
+        # every a of the stage: bracketed on the first pair (a, b) not deferred
+        mono_brackets: dict = {}
         # one row per pair (a, b), lambda power and monomial, reading
         # bracket(W + x) - target(W + x), linear in x; (b, a) adds no row
         system = System()
@@ -382,9 +393,12 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                     deferred += [(a, b), (b, a)]
                     continue
                 _add_rows(system, (a, b), None, *engine.graded_bracket(vals[a], vals[b]))
-                for mi, mu_val in enumerate(mono_vals):
-                    _add_rows(system, (a, b), first_col[a] + mi,
-                              *engine.graded_bracket(mu_val, vals[b]))
+                brs = mono_brackets.get(b)
+                if brs is None:
+                    brs = mono_brackets[b] = [engine.graded_bracket(mu_val, vals[b])
+                                              for mu_val in mono_vals]
+                for mi, br in enumerate(brs):
+                    _add_rows(system, (a, b), first_col[a] + mi, *br)
                 for slot, poly in target.coeffs.items():
                     S, parts = sub.graded(poly)
                     _add_rows(system, (a, b), None, S, {slot: parts}, -1)
@@ -423,14 +437,17 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
 
     corrected = GeneratorSolution(W)
     # full verification on graded ints, each unordered pair once, in the
-    # stages' orientation (the later generator first)
+    # stages' orientation (the later generator first); the affine table is
+    # skew, so a self-bracket takes half its pairs of terms
     sub = Substitution(affine, W)
     vals = {g: engine.graded(W[g]) for g in gens_all}
     for i, a in enumerate(gens_all):
         for b in gens_all[:i + 1]:
             target = table.lookup(a, b)
             want = {n: sub.graded(p) for n, p in target.coeffs.items()}
-            if not _agrees(engine.graded_bracket(vals[a], vals[b]), want):
+            got = (engine.graded_self_bracket(vals[a]) if b == a
+                   else engine.graded_bracket(vals[a], vals[b]))
+            if not _agrees(got, want):
                 want = LambdaPoly({n: sub(p) for n, p in target.coeffs.items()})
                 return ReconcileReport(False, corrections, corrected, deferred=deferred, failure={
                     "pair": (a, b), "got": reduced_bracket(rctx, W[a], W[b]), "want": want})

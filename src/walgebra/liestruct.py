@@ -38,7 +38,10 @@ class Weight(Fraction):
     AffVar tuples holding a weight: without the cache every dict operation on
     a monomial rehashes each factor's weight.  The hash, equality, str and
     repr are a Fraction's, so a Weight and the Fraction it equals are the
-    same dict key; arithmetic returns plain Fractions."""
+    same dict key; arithmetic returns plain Fractions.  Two Weights compare
+    (== and <, which sort keys use) on their numerators and denominators
+    directly, without Fraction's checks of the other operand against the
+    numbers ABCs."""
 
     __slots__ = ("_hash",)
 
@@ -50,6 +53,16 @@ class Weight(Fraction):
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if type(other) is Weight:
+            return self._numerator == other._numerator and self._denominator == other._denominator
+        return Fraction.__eq__(self, other)
+
+    def __lt__(self, other):
+        if type(other) is Weight:
+            return self._numerator * other._denominator < other._numerator * self._denominator
+        return Fraction.__lt__(self, other)
 
     def __repr__(self):
         return f"Fraction({self.numerator}, {self.denominator})"
@@ -288,6 +301,7 @@ class AlgebraCtx:
         self.form_scale = 1 / s
         self._xdiag = [self.x.entries.get((r, r), _F0) for r in range(sh.N)]
         self._cdata: Optional[CentralizerData] = None
+        self._weights: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -346,7 +360,10 @@ class AlgebraCtx:
 
     def gen(self, t, i: int, j: int) -> GenIndex:
         """Build a GenIndex with the parity tag this algebra assigns."""
-        return GenIndex(Weight(t), i, j, self.shape.pair_parity(i, j))
+        w = self._weights.get(t)
+        if w is None:
+            w = self._weights[t] = Weight(t)
+        return GenIndex(w, i, j, self.shape.pair_parity(i, j))
 
     def centralizer(self) -> CentralizerData:
         if self._cdata is None:

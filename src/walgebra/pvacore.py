@@ -51,7 +51,9 @@ DiffPoly's coefficients into one (s = power of k - g*D), and lift turns one
 back through diff_poly, the one conversion of ints to Coeffs.  The engine's
 graded_bracket returns one per power of lambda at scale L*M_A*M_B, degrees
 s_A, s_B landing at lambda^n in degree s_A + s_B + g*n; extend_bracket wraps
-it, and the reduction oracle reads its ints at k=1.  linear_product reads
+it, and the reduction oracle reads its ints at k=1.  On a skew-symmetric
+table graded_self_bracket gives graded_bracket(A, A) from half the pairs of
+terms, the other half by skew symmetry.  linear_product reads
 the store's ints at k=1 beside their power g*n: it sums them on ints at L
 times the combinations' cleared denominators and builds one Fraction per
 variable it returns.  check_skew and check_jacobi accumulate lhs - rhs on
@@ -84,22 +86,19 @@ _EMPTY: Monomial = ()
 def normalize_factors(factors: Iterable[Factor]) -> tuple[int, Optional[Monomial]]:
     """Canonically order factors, returning (sign, monomial).
 
-    The sign counts odd-odd transpositions; a repeated odd factor returns
-    (+1, None) meaning the monomial vanishes."""
+    One stable sort on keys computed once per factor; the sign is the parity
+    of the inversions among odd factors, the odd-odd transpositions of that
+    sort.  A repeated odd factor returns (+1, None) meaning the monomial
+    vanishes."""
     fs = list(factors)
-    sign = 1
-    # insertion sort, counting transpositions of odd pairs
-    for i in range(1, len(fs)):
-        j = i
-        while j > 0 and _factor_key(fs[j - 1]) > _factor_key(fs[j]):
-            if fs[j - 1][0].parity and fs[j][0].parity:
-                sign = -sign
-            fs[j - 1], fs[j] = fs[j], fs[j - 1]
-            j -= 1
-    for a, b in zip(fs, fs[1:]):
-        if a == b and a[0].parity:
+    keys = [_factor_key(f) for f in fs]
+    order = sorted(range(len(fs)), key=keys.__getitem__)
+    odd = [i for i in order if fs[i][0].parity]
+    inversions = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+    for i, j in zip(order, order[1:]):
+        if keys[i] == keys[j] and fs[i][0].parity:
             return 1, None
-    return sign, tuple(fs)
+    return -1 if inversions % 2 else 1, tuple([fs[i] for i in order])
 
 
 def _factor_key(f: Factor):
@@ -787,6 +786,47 @@ class _Leibniz:
                             for m, cp in p.items():
                                 _accum(dst, m, w * cp)
         return self.L * Ma * Mb, acc
+
+    def graded_self_bracket(self, A: tuple) -> tuple:
+        """graded_bracket(A, A) from half the pairs of terms, valid only on a
+        skew-symmetric table.  With x_i the terms of A, told apart by index
+        (one monomial at two degrees is two terms) and w_ij the product of
+        their ints, {A lambda A} = D + O + S(O): D = sum_i w_ii {x_i lambda
+        x_i}, O = sum_{i<j} w_ij {x_i lambda x_j}, and S the skew map
+        lambda^n P -> -(-1)^{p p'} (-lambda-d)^n P.  O is accumulated in two
+        classes by p p', whether both terms are odd, and S is applied once per
+        class to its ints: the int of lambda^n at degree e goes to lambda^j
+        at degree e - g*(n - j), times d^(n-j) of its monomial."""
+        M, parts = A
+        g, mono_mono, parity = self.g, self._mono_mono, self._parity
+        terms = [(s, x, c, parity(x)) for s, p in parts.items() for x, c in p.items()]
+        acc: dict = {}
+        cross: tuple = ({}, {})  # O by p p'
+        for i, (si, xi, ci, pi) in enumerate(terms):
+            s, w = si + si, ci * ci
+            for n, p in mono_mono(xi, xi).items():
+                dst = acc.setdefault(n, {}).setdefault(s + g * n, {})
+                for m, cp in p.items():
+                    _accum(dst, m, w * cp)
+            for sj, xj, cj, pj in terms[i + 1:]:
+                s, w, out = si + sj, ci * cj, cross[pi & pj]
+                for n, p in mono_mono(xi, xj).items():
+                    dst = out.setdefault(n, {}).setdefault(s + g * n, {})
+                    for m, cp in p.items():
+                        _accum(dst, m, w * cp)
+        for sign, out in zip((-1, 1), cross):
+            for n, slots in out.items():
+                for e, p in slots.items():
+                    dst = acc.setdefault(n, {}).setdefault(e, {})
+                    for m, c in p.items():
+                        _accum(dst, m, c)
+                    for j in range(n + 1):
+                        mult = (-sign if n % 2 else sign) * comb(n, j)
+                        dst = acc.setdefault(j, {}).setdefault(e - g * (n - j), {})
+                        for m, c in p.items():
+                            for dy, cy in self._dpow(m, n - j).items():
+                                _accum(dst, dy, mult * cy * c)
+        return self.L * M * M, acc
 
     def jacobi(self, a, b, c) -> dict:
         """{a lambda {b mu c}} - {{a lambda b}_{lambda+mu} c}

@@ -88,9 +88,54 @@ def kernel_basis(columns: list[dict]) -> list[dict]:
         for col, ridx in pivots.items():
             v = reduced[ridx].get(j)
             if v:
-                vec[col] = -v
+                vec[col] = -F(v, reduced[ridx][col])
         basis.append(vec)
     return basis
+
+
+def row_axpy(target: dict, factor, source: dict) -> None:
+    """target += factor * source, dropping entries that cancel to zero."""
+    if not factor:
+        return
+    for c, v in source.items():
+        w = target.get(c)
+        if w is None:
+            target[c] = factor * v
+        else:
+            w = w + factor * v
+            if w:
+                target[c] = w
+            else:
+                del target[c]
+
+
+def fraction_rref(rows):
+    """Reference for linalg.rref on Fraction arithmetic: the reduced row
+    echelon form with leading entries 1, pivot rows chosen first-come, as
+    (reduced_rows, pivots) with pivots mapping column -> row index."""
+    reduced: list[dict] = []
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = {c: F(v) for c, v in row.items()}
+        # eliminate against existing pivots
+        for col in sorted(c for c in row if c in pivots):
+            v = row.get(col)
+            if v:
+                row_axpy(row, -v, reduced[pivots[col]])
+        if not row:
+            continue
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {c: v * inv for c, v in row.items()}
+        # back-substitute into earlier rows
+        for r in reduced:
+            v = r.get(lead)
+            if v is not None:
+                row_axpy(r, -v, row)
+                r.pop(lead, None)
+        pivots[lead] = len(reduced)
+        reduced.append(row)
+    return reduced, pivots
 
 
 def sl_basis(ctx):

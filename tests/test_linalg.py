@@ -1,15 +1,19 @@
 """Sparse exact elimination over Q.
 
-The reference here is a dense rank computation written out in the test, so
-the pivot columns and the consistency of a system are decided without
-linalg's own elimination."""
+The references here are a dense rank computation written out in the test,
+so the pivot columns and the consistency of a system are decided without
+linalg's own elimination, and the reduced row echelon form on Fraction
+arithmetic (conftest.fraction_rref) for the fraction-free one."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import kernel_basis
-from walgebra.linalg import System, solve
+from conftest import fraction_rref, kernel_basis
+from walgebra import linalg
+from walgebra.linalg import System, rref, solve
 
 F = Fraction
 
@@ -105,3 +109,85 @@ def test_system_keeps_rows_in_first_use_order():
     assert system.solve() == {1: F(-3, 2)}
     system.add("c", None, F(1))  # 1 = 0
     assert system.solve() is None
+
+
+def _reference_solve(rows: list, rhs: list):
+    """solve on fraction_rref: the augmented column's entries of the reduced
+    rows, None when it leads one."""
+    b_col = 1 + max((c for row in rows for c in row), default=-1)
+    reduced, pivots = fraction_rref([{**row, b_col: b} if b else row
+                                     for row, b in zip(rows, rhs)])
+    if b_col in pivots:
+        return None
+    return {col: reduced[r][b_col] for col, r in pivots.items() if b_col in reduced[r]}
+
+
+@st.composite
+def scaled_systems(draw):
+    """Rows as the reduction oracle feeds them: ints over scales S up to
+    10^6, several scales in one row, every entry Fraction(c, S); some rows
+    combine earlier ones, and a right-hand side either in the column span or
+    drawn freely."""
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(1, 6))
+    scales = draw(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=3))
+    entry = st.one_of(st.just(0), st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                                             st.sampled_from(scales)))
+    rows: list = []
+    for _ in range(nrows):
+        if len(rows) > 1 and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = draw(entry), draw(entry)
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(r, x)), F(0)) for r in rows]
+    else:
+        rhs = [draw(entry) for _ in range(nrows)]
+    return [_sparse(r) for r in rows], rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_systems())
+def test_fraction_free_elimination_matches_the_fraction_reference(system):
+    rows, rhs = system
+    reduced, pivots = rref(rows)
+    want, want_pivots = fraction_rref(rows)
+    assert pivots == want_pivots
+    for r, w in zip(reduced, want):
+        lead = r[min(r)]
+        assert all(type(v) is int for v in r.values())
+        assert lead > 0 and gcd(*r.values()) == 1
+        assert {c: F(v, lead) for c, v in r.items()} == w
+    sol = solve(rows, rhs)
+    assert sol == _reference_solve(rows, rhs)
+    assert sol is None or all(type(v) is Fraction for v in sol.values())
+
+
+def test_system_solve_builds_one_fraction_per_solved_column(monkeypatch):
+    # rows over mixed scales up to 10^6 with a consistent right-hand side:
+    # the elimination runs on ints and divides once per returned column
+    rnd = random.Random(7)
+    scales = [1, 90, 720720, 999983]
+    x = {j: F(rnd.randint(-9, 9), rnd.choice(scales)) for j in range(24)}
+    system = System()
+    for i in range(40):
+        cols = rnd.sample(range(24), 6)
+        row = {j: F(rnd.randint(-10 ** 6, 10 ** 6), rnd.choice(scales)) for j in cols}
+        for j, v in row.items():
+            system.add(i, j, v)
+        system.add(i, None, -sum(v * x[j] for j, v in row.items()))
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counting_fraction)
+    sol = system.solve()
+    monkeypatch.setattr(linalg, "Fraction", Fraction)
+    assert sol and 0 < len(made) <= len(sol)
+    for i, row in system.rows.items():
+        assert sum(v * sol.get(j, 0) for j, v in row.items()) == system.rhs[i]

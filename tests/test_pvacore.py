@@ -457,6 +457,44 @@ def test_engine_matches_reference_on_every_generator_pair():
                         (shape, a, b)
 
 
+def _pruned(bracket: tuple) -> tuple:
+    """A graded bracket (scale, {n: {degree: {monomial: int}}}) without the
+    parts that cancelled to nothing."""
+    scale, slots = bracket
+    return scale, {n: {s: p for s, p in parts.items() if p} for n, parts in slots.items()
+                   if any(parts.values())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHAPES_5), st.sampled_from(["symbolic", "k=1", "affine"]), st.data())
+def test_self_bracket_matches_the_pairwise_sum(shape, which, data):
+    # the skew-halved self-bracket against all pairs of terms, on every kind
+    # of table reconcile can meet; odd letters are drawn often on the super
+    # shapes, and one monomial always sits at two degrees (coefficient a + b*k)
+    try:
+        ctx = ctx_of(*shape)
+    except NormalizationImpossible:
+        reject()
+    if which == "affine":
+        tab = ReductionCtx(ctx).affine_table()
+    else:
+        tab = table_of(*shape, ktilde="symbolic" if which == "symbolic" else 1)
+    letters = tab.variables
+    odd = [v for v in letters if v.parity]
+    nonzero = st.sampled_from([1, -1, 2, F(-3, 2)])
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        pool = odd if odd and data.draw(st.booleans()) else letters
+        factors = [(data.draw(st.sampled_from(pool)), data.draw(st.integers(0, 2)))
+                   for _ in range(data.draw(st.integers(1, 2)))]
+        terms.append((factors, data.draw(st.sampled_from(_K_COEFFS))))
+    twice = [(data.draw(st.sampled_from(odd or letters)), data.draw(st.integers(0, 1)))]
+    terms.append((twice, Coeff((F(data.draw(nonzero)), F(data.draw(nonzero))))))
+    engine = tab._leibniz()
+    A = engine.graded(poly_normalize(terms))
+    assert _pruned(engine.graded_self_bracket(A)) == _pruned(engine.graded_bracket(A, A))
+
+
 def test_jacobi_names_corrupted_triples_with_reference_diffs():
     tab = corrupted_table()
     gens = tab.variables
