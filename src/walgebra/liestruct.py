@@ -347,17 +347,6 @@ class AlgebraCtx:
                 tot += v * w * eps[r]
         return tot * self.form_scale
 
-    def grade_of(self, m: SuperMatrix) -> Optional[Fraction]:
-        """Common ad-x eigenvalue of all entries, or None if mixed/zero."""
-        g = None
-        for (r, c) in m.entries:
-            val = self._xdiag[r] - self._xdiag[c]
-            if g is None:
-                g = val
-            elif g != val:
-                return None
-        return g
-
     def gen(self, t, i: int, j: int) -> GenIndex:
         """Build a GenIndex with the parity tag this algebra assigns."""
         w = self._weights.get(t)

@@ -8,11 +8,11 @@ variables anticommute, so reordering tracks a sign and a repeated odd factor
 kills the monomial.  Polynomials map monomials to Coeff scalars.
 
 Lambda-polynomials collect differential polynomials by power of lambda.  A
-BracketTable holds the generator-pair brackets of one algebra, read-only
-down to every entry's terms and attributes; its Leibniz engine extends them
-to arbitrary differential polynomials by sesquilinearity and both Leibniz
-rules of a Poisson vertex algebra (the Master Formula of Barakat-De
-Sole-Kac), and checks the Jacobi identity.
+BracketTable holds the generator-pair brackets of one algebra as a graded
+store, and every read of an entry is a fresh LambdaPoly; its Leibniz engine
+extends them to arbitrary differential polynomials by sesquilinearity and
+both Leibniz rules of a Poisson vertex algebra (the Master Formula of
+Barakat-De Sole-Kac), and checks the Jacobi identity.
 
 VarSpace.  The interned monomial format both engines run on (this one and
 wbracket's chain sweep).  Variables are ranked by sort_key(); a factor (rank
@@ -32,14 +32,16 @@ The store.  A GradedStore holds a table as ints: a VarSpace, a scale L, the
 grading flag g and {(rank a, rank b): {n: {interned monomial: int}}}, an int
 c standing for c/L * k^(g*(n+D)).  The chain sweep builds one (g = 1) per
 algebra and its table keeps it as it is; the k=1 view is the same ints with
-g = 0, another level's a rescaled copy.  Its entries lift through diff_poly
-on every read, and nothing lifted is kept.  A table of DiffPoly entries
-(hand-built, affine, corrupted) keeps them, and its engine interns them into
-a store over a VarSpace of stride 64 after one scan: L is the lcm of their
-denominators, g is 1 when some coefficient has a positive power of k, and a
-term off c*k^(g*(n+D)) is refused with a WAlgebraError naming its pair.
+g = 0, another level's a rescaled copy.  A table built from DiffPoly entries
+(hand-built, affine, corrupted) interns them on construction into a store
+over a VarSpace of stride 64: g is 1 when some coefficient has a positive
+power of k, each lambda^n part is read by VarSpace.graded, a part off
+c*k^(g*(n+D)) is refused with a WAlgebraError naming its pair, and L is the
+lcm of the parts' scales.  Every table's entries lift through diff_poly on
+every read, and nothing lifted is kept: a read shares only immutable Coeffs
+and monomial tuples with the store, so no caller can corrupt it.
 
-The engine.  Each table builds one on first use and keeps it; it holds the
+The engine.  Each table builds one with its store and keeps it; it holds the
 store, not the table, so it dies with the table.  The Leibniz rules only add
 and multiply by integers (binomials, signs, multiplicities), so every
 memoized bracket is an int value at scale L, and a Jacobi term at L^2.
@@ -72,7 +74,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, lcm
-from types import MappingProxyType
 from typing import Iterable, NamedTuple, Optional
 
 from .coeffs import Coeff, ONE
@@ -276,60 +277,27 @@ class LambdaPoly:
         )
 
 
-class _ReadOnly:
-    """Refuses to rebind or delete an attribute."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{name} of a frozen table entry is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{name} of a frozen table entry is read-only")
-
-
-class _FrozenDiffPoly(_ReadOnly, DiffPoly):
-    __slots__ = ()
-
-
-class _FrozenLambdaPoly(_ReadOnly, LambdaPoly):
-    __slots__ = ()
-
-
-def frozen(lp: LambdaPoly) -> LambdaPoly:
-    """lp read-only: a copy whose coefficient map and every DiffPoly's terms
-    are MappingProxyType views over fresh dicts, and whose attributes cannot
-    be rebound; lp itself if it already is."""
-    if type(lp) is _FrozenLambdaPoly:
-        return lp
-    coeffs = {}
-    for n, p in lp.coeffs.items():
-        if p:
-            q = coeffs[n] = object.__new__(_FrozenDiffPoly)
-            object.__setattr__(q, "terms", MappingProxyType(dict(p.terms)))
-    out = object.__new__(_FrozenLambdaPoly)
-    object.__setattr__(out, "coeffs", MappingProxyType(coeffs))
-    return out
-
-
 class BracketTable:
-    """All ordered generator-pair lambda-brackets of one algebra: the DiffPoly
-    entries it is given, or a graded store (BracketTable.of_store)."""
+    """All ordered generator-pair lambda-brackets of one algebra, kept as a
+    graded store: the entries it is given are interned on construction
+    (BracketTable.of_store takes a store as it is).  Its variables are in
+    rank order, and every read of an entry is a fresh LambdaPoly."""
 
     def __init__(self, variables: list, entries: dict):
-        self.variables = list(variables)
-        # (u, v) -> LambdaPoly, read-only through and through: tables are
-        # shared through caches, and the Leibniz engine interns these entries
-        self.entries = MappingProxyType({uv: frozen(lp) for uv, lp in entries.items()})
-        self.store: Optional[GradedStore] = None
-        self._engine: Optional[_Leibniz] = None
+        self._init(_intern(variables, entries))
 
     @classmethod
     def of_store(cls, store: "GradedStore") -> "BracketTable":
-        """The table over a graded store; its entries lift on read."""
-        table = cls(store.space.vars, {})
-        table.entries, table.store = _LiftedEntries(store), store
+        """The table over a graded store."""
+        table = cls.__new__(cls)
+        table._init(store)
         return table
+
+    def _init(self, store: "GradedStore") -> None:
+        self.store = store
+        self.variables = list(store.space.vars)
+        self.entries = _LiftedEntries(store)
+        self._engine = _Leibniz(store)
 
     def lookup(self, u, v) -> LambdaPoly:
         try:
@@ -338,9 +306,7 @@ class BracketTable:
             raise MissingTableEntry(f"no bracket stored for ({u}, {v})") from None
 
     def _leibniz(self) -> "_Leibniz":
-        """The table's Leibniz engine, built on first use."""
-        if self._engine is None:
-            self._engine = _Leibniz(self.store or _intern(self.variables, self.entries))
+        """The table's Leibniz engine."""
         return self._engine
 
     def linear_product(self, ca: dict, cb: dict, n: int) -> tuple:
@@ -401,15 +367,16 @@ class GradedStore(NamedTuple):
 
 
 class _LiftedEntries(Mapping):
-    """A graded store's entries, {(a, b): frozen LambdaPoly}, read-only:
-    every read lifts its entry afresh, so nothing lifted is kept."""
+    """A graded store's entries, {(a, b): LambdaPoly}, a read-only mapping:
+    every read lifts its entry afresh, so nothing lifted is kept, and a
+    lifted entry shares only immutable Coeffs and monomials with the store."""
 
     def __init__(self, store: GradedStore):
         self._store = store
 
     def __getitem__(self, ab) -> LambdaPoly:
         store, (a, b) = self._store, ab
-        return frozen(store.lift(store.ints[(store.space.rank[a], store.space.rank[b])]))
+        return store.lift(store.ints[(store.space.rank[a], store.space.rank[b])])
 
     def __contains__(self, ab) -> bool:
         rank = self._store.space.rank
@@ -574,42 +541,28 @@ _STRIDE = 64
 
 
 def _intern(variables: list, entries) -> GradedStore:
-    """The store of a table of DiffPoly entries.  One scan computes L, the
-    lcm of the coefficients' denominators, and g (1 when some coefficient
-    has a positive power of k), and refuses a graded table with a term off
-    c*k^(n+D); then every entry is interned as L*c."""
-    L, g, off = 1, 0, None
-    for ab, lp in entries.items():
-        for n, p in lp.coeffs.items():
-            for m, c in p.terms.items():
-                num = c.num
-                if not num:
-                    continue
-                if len(num) > 1:
-                    g = 1
-                if off is None and (len(num) != 1 + n + sum(d for _, d in m)
-                                    or any(num[:-1])):
-                    off = (ab, n, c)
-                d = num[-1].denominator
-                if L % d:
-                    L = lcm(L, d)
-    if g and off is not None:
-        (a, b), n, c = off
-        raise WAlgebraError(f"the bracket ({a}, {b}) is not graded in the level:"
-                            f" coefficient {c} at lambda^{n}")
+    """The store of a table of DiffPoly entries.  g is 1 when some
+    coefficient has a positive power of k; each lambda^n part is read by
+    VarSpace.graded, and a part with a degree other than g*n is off the
+    grading c*k^(g*(n+D)) and refused; L is the lcm of the parts' scales."""
+    g = int(any(len(c.num) > 1 for lp in entries.values()
+                for p in lp.coeffs.values() for c in p.terms.values()))
     space = VarSpace(variables, _STRIDE)
     ints: dict = {}
+    parts = []  # (the entry's ints, n, scale, {interned monomial: int})
     for (a, b), lp in entries.items():
         val = ints[(space.rank_of(a), space.rank_of(b))] = {}
         for n, p in lp.coeffs.items():
-            dst: dict = {}
-            for m, c in p.terms.items():
-                cm = space.code(m) if c else None
-                if cm is not None:
-                    f = c.num[-1]
-                    _accum(dst, cm[1], cm[0] * f.numerator * (L // f.denominator))
-            if dst:
-                val[n] = dst
+            M, slots = space.graded(p, g)
+            for s, q in slots.items():
+                if q and s != g * n:
+                    raise WAlgebraError(f"the bracket ({a}, {b}) is not graded in the level:"
+                                        f" a term of degree {s - n} at lambda^{n}")
+            if slots.get(g * n):
+                parts.append((val, n, M, slots[g * n]))
+    L = lcm(*(M for _, _, M, _ in parts))
+    for val, n, M, q in parts:
+        val[n] = {x: c * (L // M) for x, c in q.items()}
     return GradedStore(space, L, g, ints)
 
 

@@ -171,6 +171,18 @@ def centralizer_oracle(ctx):
     return out
 
 
+def grade_of(ctx, m):
+    """Common ad-x eigenvalue of all entries of m, or None if mixed/zero."""
+    g = None
+    for (r, c) in m.entries:
+        val = ctx._xdiag[r] - ctx._xdiag[c]
+        if g is None:
+            g = val
+        elif g != val:
+            return None
+    return g
+
+
 def sharp_project(ctx, cdata, z):
     """Project z onto the ad-f kernel along the rest of each sl2-string."""
     m = SuperMatrix(ctx.shape)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import centralizer_oracle, ctx_of, gen, sharp_project, sl_basis
+from conftest import centralizer_oracle, ctx_of, gen, grade_of, sharp_project, sl_basis
 from walgebra import serialize
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import NoSolution, NormalizationImpossible, SuperEqualParts, WAlgebraError
@@ -108,7 +108,7 @@ def test_basis_elements_are_graded_eigenvectors():
         cdata = ctx.centralizer()
         for g in cdata.gens:
             q = cdata.basisF[g]
-            assert ctx.grade_of(q) == -cdata.delta[g]
+            assert grade_of(ctx, q) == -cdata.delta[g]
             assert cdata.delta[g] == g.t - 1
 
 

@@ -16,7 +16,7 @@ def test_all_names_exist_once():
 
 def test_test_oracles_stay_out_of_the_package():
     # the chain-by-chain oracle, reexpress, the nullspace centralizer (with
-    # kernel_basis, sl_basis and flatten), the sharp projection,
+    # kernel_basis, sl_basis and flatten), the sharp projection, grade_of,
     # poly_normalize and the Fraction elimination (fraction_rref, row_axpy)
     # serve only the tests and live in tests/conftest.py; the package neither
     # exports nor defines them
@@ -30,5 +30,6 @@ def test_test_oracles_stay_out_of_the_package():
                         (liestruct, "centralizer_oracle"), (liestruct, "sharp_project"),
                         (pvacore, "poly_normalize"), (linalg, "kernel_basis"),
                         (linalg, "fraction_rref"), (linalg, "row_axpy"),
-                        (liestruct.AlgebraCtx, "sl_basis"), (liestruct.SuperMatrix, "flatten")]:
+                        (liestruct.AlgebraCtx, "sl_basis"), (liestruct.SuperMatrix, "flatten"),
+                        (liestruct.AlgebraCtx, "grade_of")]:
         assert not hasattr(owner, name), name

@@ -26,6 +26,7 @@ from conftest import (apply_factor, bracket_by_chains, ctx_of, gen, lifted_row, 
                       table_of)
 from walgebra import pvacore, serialize, wbracket
 from walgebra.coeffs import Coeff
+from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import MissingTableEntry, WAlgebraError
 from walgebra.liestruct import sharp_coords
 from walgebra.pvacore import (BracketTable, DiffPoly, GradedStore, LambdaPoly, VarSpace,
@@ -235,7 +236,7 @@ def test_symbolic_tables_are_pinned():
         assert _digest(table_of(*shape)) == want, shape
 
 
-def test_cached_tables_are_read_only():
+def test_tables_cannot_be_corrupted_through_their_entries():
     ctx = ctx_of("sl", (3, 2))
     tab = table_of("sl", (3, 2))
     a, b = tab.variables[0], tab.variables[1]
@@ -243,24 +244,22 @@ def test_cached_tables_are_read_only():
         tab.entries[(a, b)] = LambdaPoly()
     with pytest.raises(TypeError):
         del tab.entries[(a, b)]
-    # the entries themselves are frozen down to their terms
-    entry = next(v for v in tab.entries.values() if v.get(0))
-    with pytest.raises(AttributeError):
-        entry.coeffs.clear()
-    with pytest.raises(TypeError):
-        entry.coeffs[0] = DiffPoly()
-    mono = next(iter(entry.get(0).terms))
-    with pytest.raises(TypeError):
-        entry.get(0).terms[mono] = Coeff.of(7)
-    # and their attributes cannot be rebound or deleted
-    with pytest.raises(AttributeError):
-        entry.coeffs = {}
-    with pytest.raises(AttributeError):
-        del entry.coeffs
-    with pytest.raises(AttributeError):
-        entry.get(0).terms = {}
-    with pytest.raises(AttributeError):
-        del entry.get(0).terms
+    # every read is a fresh lift: mutating what a read returns, down to its
+    # terms and attributes, leaves the table as it was
+    ab = next(ab for ab, v in tab.entries.items() if v.get(0))
+    pristine = tab.lookup(*ab)
+    mono = next(iter(pristine.get(0).terms))
+    mutations = [lambda e: e.coeffs.clear(),
+                 lambda e: e.coeffs.__setitem__(0, DiffPoly()),
+                 lambda e: e.get(0).terms.__setitem__(mono, Coeff.of(7)),
+                 lambda e: setattr(e, "coeffs", {}),
+                 lambda e: delattr(e, "coeffs"),
+                 lambda e: setattr(e.get(0), "terms", {}),
+                 lambda e: delattr(e.get(0), "terms")]
+    for mutate in mutations:
+        mutate(tab.entries[ab])
+        mutate(tab.lookup(*ab))
+        assert tab.lookup(*ab) == pristine
     assert _digest(table_of("sl", (3, 2))) == SYMBOLIC_DIGESTS[("sl", (3, 2), ())]
     # a fixed-level view built afterwards is still the evaluation
     for key in [k for k in wbracket._TABLE_CACHE if k[:3] == ("sl", (3, 2), ()) and k[3] == 1]:
@@ -271,14 +270,32 @@ def test_cached_tables_are_read_only():
 
 
 def test_tables_copy_what_they_are_given():
+    x = ctx_of("sl", (2,)).centralizer().gens[0]
     val = LambdaPoly({0: DiffPoly.constant(1)})
-    tab = BracketTable(["x"], {("x", "x"): val})
+    tab = BracketTable([x], {(x, x): val})
     assert type(val.coeffs) is dict and type(val.get(0).terms) is dict
     val.coeffs.clear()
-    assert tab.lookup("x", "x") == LambdaPoly({0: DiffPoly.constant(1)})
-    # frozen entries are shared, not copied again
-    again = BracketTable(["x"], tab.entries)
-    assert again.lookup("x", "x") is tab.lookup("x", "x")
+    assert tab.lookup(x, x) == LambdaPoly({0: DiffPoly.constant(1)})
+
+
+def test_both_constructors_give_one_table():
+    # a table rebuilt from its own entries interns them into the same store:
+    # symbolic tables, their fixed-level views and an affine table
+    def digest(table):
+        pairs = sorted(table.entries, key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
+        text = "\n".join(f"{a} {b} {table.entries[(a, b)]!r}" for a, b in pairs)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    tables = [table_of(*shape, ktilde=level)
+              for shape in [("sl", (2, 1)), ("sl", (3, 2)), ("sl_super", (2,), (1,))]
+              for level in ("symbolic", 1, F(1, 2))]
+    tables.append(ReductionCtx(ctx_of("sl", (2, 1))).affine_table())
+    for t in tables:
+        again = BracketTable(t.variables, dict(t.entries))
+        assert again.entries == t.entries
+        assert digest(again) == digest(t)
+        assert again.store.g == t.store.g
+        assert check_skew(again) == []
 
 
 def test_fixed_level_tables_are_evaluations():
