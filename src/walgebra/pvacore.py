@@ -55,12 +55,17 @@ graded_bracket returns one per power of lambda at scale L*M_A*M_B, degrees
 s_A, s_B landing at lambda^n in degree s_A + s_B + g*n; extend_bracket wraps
 it, and the reduction oracle reads its ints at k=1.  On a skew-symmetric
 table graded_self_bracket gives graded_bracket(A, A) from half the pairs of
-terms, the other half by skew symmetry.  linear_product reads
-the store's ints at k=1 beside their power g*n: it sums them on ints at L
-times the combinations' cleared denominators and builds one Fraction per
-variable it returns.  check_skew and check_jacobi accumulate lhs - rhs on
-ints, and only a failing pair's or triple's diff is lifted, a Jacobi diff to
-a TwoVar with k^(g*(i+j+D)) at lambda^i mu^j.
+terms, the other half by skew symmetry.  The linear term of an n-th
+product of two linear combinations has one summation, linear_ints: it
+takes both combinations cleared by clear (a common denominator and one
+int per variable rank), reads the store's ints at k=1 beside their power
+g*n, and returns the sum as ints at L times the two denominators, with no
+Fraction built.  linear_product, which the scripted schedules call, clears,
+sums and lifts to one Fraction per nonzero variable; the closure search
+keeps its pool cleared and lifts only the products it keeps.  check_skew
+and check_jacobi accumulate lhs - rhs on ints, and only a failing pair's or
+triple's diff is lifted, a Jacobi diff to a TwoVar with k^(g*(i+j+D)) at
+lambda^i mu^j.
 
 Substitution.  The differential-algebra morphism that replaces letters by
 DiffPolys over a table's variables runs on the same interned monomials and
@@ -309,28 +314,42 @@ class BracketTable:
         """The table's Leibniz engine."""
         return self._engine
 
-    def linear_product(self, ca: dict, cb: dict, n: int) -> tuple:
-        """Linear term of the n-th product of two linear combinations
-        {variable: int or Fraction}, n! * sum of va*vb * linear_term({ga
-        lambda gb} at lambda^n), as (g*n, {variable: nonzero value at k=1})
-        in variable order, read off the engine's ints: the term is k^(g*n)
-        times them.  Each combination is cleared of its denominators once,
-        the sum runs on ints at scale L*da*db, and each nonzero value is
-        the one Fraction built."""
-        engine = self._leibniz()
-        space = engine.space
-        da = lcm(*(v.denominator for v in ca.values()))
-        db = lcm(*(v.denominator for v in cb.values()))
-        ib = [(space.rank_of(gb), vb.numerator * (db // vb.denominator)) for gb, vb in cb.items()]
+    def clear(self, combo: dict) -> tuple:
+        """A linear combination {variable: int or Fraction} cleared of its
+        denominators: (d, ((rank, int), ...)), each variable's value its int
+        over d, the lcm of the denominators."""
+        rank_of = self._engine.space.rank_of
+        d = lcm(*(v.denominator for v in combo.values()))
+        return d, tuple((rank_of(x), v.numerator * (d // v.denominator)) for x, v in combo.items())
+
+    def linear_ints(self, A: tuple, B: tuple, n: int) -> tuple:
+        """The linear term of the n-th product of two cleared combinations,
+        n! * sum of va*vb * linear_term({ga lambda gb} at lambda^n), as (g*n,
+        scale, {rank: int}): k^(g*n) times each int over scale = L*da*db at
+        k=1.  A sum that cancels stays as a 0.  No Fraction is built."""
+        engine = self._engine
+        (da, ia), (db, ib) = A, B
+        linear = engine.linear
         out: dict = {}
-        for ga, va in ca.items():
-            ra, ia = space.rank_of(ga), va.numerator * (da // va.denominator)
+        for ra, va in ia:
             for rb, vb in ib:
-                s = ia * vb
-                for x, c in engine.linear(ra, rb, n):
-                    out[x] = out.get(x, 0) + c * s
-        vs, stride, d = space.vars, space.stride, engine.L * da * db
-        return engine.g * n, {vs[x // stride]: Fraction(v, d) for x, v in sorted(out.items()) if v}
+                s = va * vb
+                for r, c in linear(ra, rb, n):
+                    out[r] = out.get(r, 0) + c * s
+        return engine.g * n, engine.L * da * db, out
+
+    def lift_linear(self, scale: int, ints: dict) -> dict:
+        """{rank: int} at scale as {variable: nonzero Fraction}, in variable
+        order: the one place a linear product builds Fractions."""
+        vs = self.variables
+        return {vs[r]: Fraction(v, scale) for r, v in sorted(ints.items()) if v}
+
+    def linear_product(self, ca: dict, cb: dict, n: int) -> tuple:
+        """linear_ints on two combinations {variable: int or Fraction}, lifted:
+        (g*n, {variable: nonzero value at k=1}) in variable order, the term
+        k^(g*n) times them."""
+        m, scale, ints = self.linear_ints(self.clear(ca), self.clear(cb), n)
+        return m, self.lift_linear(scale, ints)
 
 
 class GradedStore(NamedTuple):
@@ -579,6 +598,7 @@ class _Leibniz:
         self._products: dict = {}
         self._dpows: dict = {}
         self._lin: dict = {}
+        self._parities: dict = {}
 
     # -- interning ---------------------------------------------------------
 
@@ -591,14 +611,14 @@ class _Leibniz:
         return hit
 
     def linear(self, u: int, v: int, n: int) -> tuple:
-        """The bare variables (interned, no derivative) of {u lambda v} at
+        """The bare variables (ranks, no derivative) of {u lambda v} at
         lambda^n, with the ints n!*c: n! times their values, at scale L."""
         key = (u, v, n)
         hit = self._lin.get(key)
         if hit is None:
             stride, f = self.space.stride, factorial(n)
             hit = self._lin[key] = tuple(
-                (m[0], c * f) for m, c in self._entry(u, v).get(n, {}).items()
+                (m[0] // stride, c * f) for m, c in self._entry(u, v).get(n, {}).items()
                 if len(m) == 1 and not m[0] % stride)
         return hit
 
@@ -626,8 +646,12 @@ class _Leibniz:
         return hit
 
     def _parity(self, m: tuple) -> int:
-        odd = self.space.odd
-        return sum(odd[x] for x in m) & 1
+        """The parity of a monomial, summed once per monomial."""
+        hit = self._parities.get(m)
+        if hit is None:
+            odd = self.space.odd
+            hit = self._parities[m] = sum(odd[x] for x in m) & 1
+        return hit
 
     # -- the Leibniz rules ----------------------------------------------------
 

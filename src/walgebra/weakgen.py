@@ -25,6 +25,15 @@ values at k = 1, m fixed by the product (BracketTable.linear_product).  All
 linear-algebra decisions (separating diagonal combinations, and the
 pass/fail checks) are made exactly, over rationals, on those k = 1 values;
 a Coeff c*k^m is built only where a result is recorded.
+
+The closure search decides on ints.  Its pool elements carry their k = 1
+values cleared once (BracketTable.clear), and a product is the ints of
+BracketTable.linear_ints, the summation linear_product wraps; it is lifted
+to Fractions only when its support holds an unrecovered generator, the
+case in which it joins the pool.  A candidate (n, product weight) whose
+weight slice has nothing left to recover is counted in products_tried but
+not formed: by the conformal grading the product's linear part lies in
+that slice.
 """
 
 from dataclasses import dataclass, field
@@ -805,8 +814,13 @@ class ClosureReport:
 
 class _Node(NamedTuple):
     label: str
-    coords: dict  # GenIndex -> Fraction at k=1
-    twice: int    # twice the weight, an int: weights are half-integers
+    cleared: tuple  # BracketTable.clear of its k=1 values
+    twice: int      # twice the weight, an int: weights are half-integers
+
+
+def _twice(w) -> int:
+    """Twice a weight, rounded down, on ints (exact on half-integers)."""
+    return 2 * w.numerator // w.denominator
 
 
 def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
@@ -814,25 +828,43 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
     """Breadth-first weak-generation search.
 
     Starting from the seed elements (generator indices, or mappings from
-    generator index to rational coefficient for combination seeds), form all
+    generator index to rational coefficient for combination seeds), walk all
     n-th products of pool elements for 0 <= n < weight(A)+weight(B) within
     the caps.  Any product whose linear term carries a not-yet-recovered
     generator with coefficient nonzero at level 1 marks that generator
     recovered, and the product's linear part joins the pool (one new
     representative per revelation, which bounds the pool by |seeds| plus the
-    generator count).  The products are enumerated per weight sum: the
+    generator count).  The candidates are enumerated per weight sum: the
     (n, product weight) pairs of a sum are listed once per search, n
-    ascending.  A seed coefficient must be an int or a Fraction (else
-    WAlgebraError: a float or a string would run inexactly, True as 1); its
-    zero coefficients are dropped, and a seed left empty is skipped.
-    Deterministic; stops at a fixpoint or at the caps."""
+    ascending, and products_tried counts every candidate walked.
+
+    The pool runs on ints: each element carries its k=1 values cleared once
+    (BracketTable.clear), when its seed is admitted or its product kept, and
+    a product is BracketTable.linear_ints of two of them; it is lifted to
+    Fractions only when its int support holds an unrecovered generator.  A
+    candidate whose weight slice has no unrecovered generator left is not
+    formed: by the conformal grading the linear part of A_(n)B lies in
+    weight w_A + w_B - n - 1, so it could reveal nothing.
+
+    A seed coefficient must be an int or a Fraction (else WAlgebraError: a
+    float or a string would run inexactly, True as 1); its zero coefficients
+    are dropped, and a seed left empty is skipped.  Deterministic; stops at
+    a fixpoint or at the caps."""
     if caps is None:
         caps = default_caps(ctx)
+    clear, linear_ints, lift = table.clear, table.linear_ints, table.lift_linear
+    rank = table.store.space.rank
     recovered: dict = {}
     dag: list = []
     nodes: list = []
     seed_coords: list = []
-    targets = {int(2 * gi.weight) for gi in cdata.gens if 1 <= gi.weight <= caps.max_weight}
+    top2 = _twice(caps.max_weight)
+    targets = {t2 for t2 in (_twice(gi.weight) for gi in cdata.gens) if 2 <= t2 <= top2}
+    todo = set(range(len(table.variables)))  # ranks not yet recovered
+    left: dict = {}  # twice a weight -> its variables not yet recovered
+    for v in table.variables:
+        t2 = _twice(v.weight)
+        left[t2] = left.get(t2, 0) + 1
     gens_order = {gi: k for k, gi in enumerate(cdata.gens)}
     walks: dict = {}
 
@@ -846,12 +878,12 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
         return hit
 
     def reveal(m, lt1, expr):
-        news = []
-        for gi in lt1:
-            if gi not in recovered:
-                ck = Coeff.level(m, lt1[gi])
-                recovered[gi] = Recovery(gi, expr, ck, coefficient_genericity(ck))
-                news.append(gi)
+        news = [gi for gi in lt1 if gi not in recovered]
+        for gi in news:
+            ck = Coeff.level(m, lt1[gi])
+            recovered[gi] = Recovery(gi, expr, ck, coefficient_genericity(ck))
+            todo.discard(rank[gi])
+            left[_twice(gi.weight)] -= 1
         return news
 
     for k, s in enumerate(seeds):
@@ -870,9 +902,10 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
             raise UnknownGenerator("closure seeds must be weight-homogeneous")
         label = f"S{k}"
         coords = {gi: coords[gi] for gi in sorted(coords, key=lambda g: gens_order[g])}
+        cleared = clear(coords)
         news = reveal(0, coords, label)
         seed_coords.append(dict(coords))
-        nodes.append(_Node(label, coords, int(2 * wt)))
+        nodes.append(_Node(label, cleared, _twice(wt)))
         dag.append(ClosureStep(label, "seed", -1, news, dict(coords), True))
 
     tried = 0
@@ -888,15 +921,17 @@ def closure_search(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable,
                 A, B = nodes[i], nodes[k]
                 for n, rw2 in walk(A.twice + B.twice):
                     tried += 1
-                    m, lt1 = table.linear_product(A.coords, B.coords, n)
-                    if lt1:
+                    if not left.get(rw2):
+                        continue  # a full slice: nothing to reveal there
+                    m, scale, ints = linear_ints(A.cleared, B.cleared, n)
+                    if any(v and r in todo for r, v in ints.items()):
+                        lt1 = lift(scale, ints)
                         expr = f"({A.label})_({n})({B.label})"
                         news = reveal(m, lt1, expr)
-                        if news:
-                            counter += 1
-                            label = f"E{counter}"
-                            nodes.append(_Node(label, lt1, rw2))
-                            dag.append(ClosureStep(label, expr, n, news, lt1, True))
+                        counter += 1
+                        label = f"E{counter}"
+                        nodes.append(_Node(label, clear(lt1), rw2))
+                        dag.append(ClosureStep(label, expr, n, news, lt1, True))
 
     missing = [gi for gi in cdata.gens if gi not in recovered]
     return ClosureReport(seed_coords, caps, recovered, missing, dag, tried)

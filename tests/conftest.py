@@ -195,20 +195,34 @@ def substitute(poly, mapping):
     """Reference for pvacore.Substitution on DiffPoly arithmetic: replace
     letters by differential polynomials (a differential-algebra morphism:
     derivative powers push onto the image).  Variables absent from the
-    mapping stay themselves; images may be DiffPoly or plain scalars."""
-    out = DiffPoly()
-    for m, c in poly.terms.items():
-        acc = DiffPoly.constant(c)
-        for v, k in m:
+    mapping stay themselves; images may be DiffPoly or plain scalars.
+    Within a call, the image of each d^k(letter) is computed once, from
+    that of d^(k-1)(letter), and so is the image of each monomial prefix."""
+    letters: dict = {}  # (letter, k) -> image of d^k(letter)
+    prefixes: dict = {(): DiffPoly.constant(1)}  # monomial prefix -> its image
+
+    def letter(v, k):
+        fac = letters.get((v, k))
+        if fac is None:
             img = mapping.get(v)
             if img is None:
                 fac = DiffPoly({((v, k),): ONE})
-            elif isinstance(img, DiffPoly):
-                fac = apply_partial(img, k)
-            else:  # scalar image: derivative kills it
+            elif not isinstance(img, DiffPoly):  # scalar image: derivative kills it
                 fac = DiffPoly.constant(img) if k == 0 else DiffPoly()
-            acc = acc * fac
-        out = out + acc
+            else:
+                fac = img if k == 0 else apply_partial(letter(v, k - 1))
+            letters[(v, k)] = fac
+        return fac
+
+    def image(m):
+        img = prefixes.get(m)
+        if img is None:
+            img = prefixes[m] = image(m[:-1]) * letter(*m[-1])
+        return img
+
+    out = DiffPoly()
+    for m, c in poly.terms.items():
+        out = out + image(m).scale(c)
     return out
 
 

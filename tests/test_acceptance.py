@@ -3,9 +3,8 @@
 Each test prints `criterion N: PASS ...` on success (visible with -s; the
 per-test PASSED/FAILED line of `pytest -v` mirrors it) and asserts both the
 mathematical content and the runtime budget.  Criterion 8 is the extended
-(6,4,3) replay: non-blocking, opt in with WALGEBRA_RUN_SLOW=1."""
+(6,4,3) replay, run by default like the others."""
 
-import os
 import time
 from fractions import Fraction
 
@@ -158,9 +157,6 @@ def test_criterion_07_principal_closures():
     _report(7, f"sl4 from q3 and sl5 from q5 complete in {dt:.1f}s")
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(os.environ.get("WALGEBRA_RUN_SLOW") != "1",
-                    reason="extended (6,4,3) replay; set WALGEBRA_RUN_SLOW=1")
 def test_criterion_08_extended_6_4_3():
     t0 = time.perf_counter()
     ctx = ctx_of("sl", (6, 4, 3))

@@ -8,7 +8,6 @@ from the weak sets alone."""
 
 import hashlib
 import json
-import os
 import re
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from walgebra.coeffs import Coeff
 from walgebra.errors import (NormalizationImpossible, ScheduleInapplicable, UnknownGenerator,
                              WAlgebraError)
 from walgebra.pvacore import BracketTable, DiffPoly, LambdaPoly, check_skew, linear_term
-from walgebra import weakgen
+from walgebra import pvacore, weakgen
 from walgebra.serialize import closure_report_to_json, derivation_report_to_json
 
 F = Fraction
@@ -275,9 +274,6 @@ def test_a_weak_set_naming_an_absent_generator_is_inapplicable():
                                 "small")
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(os.environ.get("WALGEBRA_RUN_SLOW") != "1",
-                    reason="extended (6,4,3) replay; set WALGEBRA_RUN_SLOW=1")
 def test_scripted_6_4_3_extended():
     for flavor in ("big", "small"):
         ctx, rep = _run("sl", (6, 4, 3), (), flavor)
@@ -502,6 +498,52 @@ def test_closure_search_matches_the_reference_walk(inputs):
     got = weakgen.closure_search(ctx, cd, tab, seeds)
     want = closure_reference(ctx, cd, tab, seeds)
     assert closure_report_to_json(got) == closure_report_to_json(want)
+
+
+@pytest.mark.parametrize("level", ["symbolic", 1])
+@pytest.mark.parametrize("shape", [("sl", (4, 3), ()), ("sl_super", (3,), (2,))])
+def test_closure_search_forms_and_lifts_only_what_can_reveal(monkeypatch, shape, level):
+    # the walk builds Fractions only for the seeds' coefficients and the kept
+    # products' linear entries, and forms fewer products than it tries:
+    # replaying its int products in order, from the seeds' recovery state,
+    # every formed product's weight slice still had an unrecovered generator,
+    # and the products that reveal one lift to the kept steps' linear terms
+    kind, p1, p2 = shape
+    ctx = ctx_of(kind, p1, p2)
+    cd, tab = ctx.centralizer(), table_of(kind, p1, p2, ktilde=level)
+    seeds, caps = weakgen.weak_set(ctx, "small"), weakgen.default_caps(ctx)
+    fractions, calls = [], []
+    linear_ints = BracketTable.linear_ints
+
+    def counting_fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
+    def recording(self, A, B, n):
+        out = linear_ints(self, A, B, n)
+        calls.append((A, B, n, out))
+        return out
+
+    monkeypatch.setattr(BracketTable, "linear_ints", recording)
+    monkeypatch.setattr(pvacore, "Fraction", counting_fraction)
+    monkeypatch.setattr(weakgen, "F", counting_fraction)
+    rep = weakgen.closure_search(ctx, cd, tab, seeds, caps)
+    monkeypatch.undo()
+    assert rep.complete
+    assert 0 < len(fractions) <= sum(len(step.linear) for step in rep.dag)
+    assert 0 < len(calls) < rep.products_tried
+    twice = [int(2 * v.weight) for v in tab.variables]
+    rank = tab.store.space.rank
+    recovered = {rank[gi] for seed in rep.seeds for gi in seed}
+    kept = []
+    for (_, ia), (_, ib), n, (_, scale, ints) in calls:
+        rw2 = twice[ia[0][0]] + twice[ib[0][0]] - 2 * n - 2
+        assert any(t == rw2 and r not in recovered for r, t in enumerate(twice))
+        news = {r for r, v in ints.items() if v and r not in recovered}
+        if news:
+            recovered |= news
+            kept.append(tab.lift_linear(scale, ints))
+    assert kept == [step.linear for step in rep.dag if step.n >= 0]
 
 
 def test_closure_seeding_everything_is_immediate():
