@@ -29,6 +29,12 @@ F = Fraction
 _F0 = F(0)
 _F1 = F(1)
 
+# The largest total matrix size N = N1 + N2 a PartitionSpec accepts, well
+# above (6,4,3), N = 13, the largest shape the tests and the benchmark build.
+# Far above it the construction runs out of memory; the bound makes that an
+# input error.
+MAX_MATRIX_SIZE = 64
+
 
 class Weight(Fraction):
     """A Fraction that computes its hash once, at construction.
@@ -113,6 +119,9 @@ class PartitionSpec:
                 raise WAlgebraError(f"partition parts must be positive integers: {parts}")
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
                 raise WAlgebraError(f"partition must be non-increasing: {parts}")
+        size = sum(self.sizes)
+        if size > MAX_MATRIX_SIZE:
+            raise WAlgebraError(f"matrix size {size} is above the bound N <= {MAX_MATRIX_SIZE}")
         if not self.parts1:
             raise WAlgebraError("empty partition")
         if self.kind == "sl" and self.parts2:

@@ -46,6 +46,18 @@ store, not the table, so it dies with the table.  The Leibniz rules only add
 and multiply by integers (binomials, signs, multiplicities), so every
 memoized bracket is an int value at scale L, and a Jacobi term at L^2.
 
+The Jacobi orbit rule.  When a table's generator brackets are skew-symmetric
+and each {a lambda b} has the parity p(a) + p(b), their extension to all
+differential polynomials is skew-symmetric too (Barakat-De Sole-Kac), and the
+Jacobi identity holds at a triple exactly when it holds at every permutation
+of it.  The engine settles that precondition once (symmetric(): all n^2
+ordered entries stored, every monomial of the right parity, the skew sweep
+clean; a missing entry makes it False, it never raises) and keeps the sorted
+rank triples it has seen hold, at most C(n+2, 3) of them; check_jacobi skips
+a triple whose orbit is kept.  A violation is never kept, so each violating
+triple is computed and reported with its own diff, and on a table that fails
+the precondition every triple is computed.
+
 The edge: graded values, the one int format of inputs and results.  (M,
 {s: {interned monomial: int}}) holds an int c of a monomial with D
 derivatives at degree s for c/M * k^(s + g*D).  VarSpace.graded splits a
@@ -599,6 +611,8 @@ class _Leibniz:
         self._dpows: dict = {}
         self._lin: dict = {}
         self._parities: dict = {}
+        self._symmetric: Optional[bool] = None
+        self.held: set = set()  # sorted rank triples whose Jacobi identity holds
 
     # -- interning ---------------------------------------------------------
 
@@ -805,6 +819,52 @@ class _Leibniz:
                                 _accum(dst, dy, mult * cy * c)
         return self.L * M * M, acc
 
+    def skew_diffs(self, pairs=None) -> list:
+        """[(a, b, diff)] for the pairs of variables (every stored pair when
+        None) that violate {a lambda b} = -(-1)^{p(a)p(b)} {b_{-lambda-d} a},
+        diff = lhs - rhs as {lambda power: {monomial: int}} at scale L.  A
+        sweep of a store that holds all n^2 ordered pairs settles
+        symmetric()."""
+        vs, ints = self.space.vars, self.store.ints
+        whole = pairs is None
+        if whole:
+            pairs = [(vs[u], vs[v]) for u, v in ints]
+        rank = self.space.rank_of
+        out = []
+        for (a, b) in pairs:
+            ra, rb = rank(a), rank(b)
+            # lhs - rhs = {a lambda b} + (-1)^{p(a)p(b)} sum_n (-lambda-d)^n {b lambda a}_n
+            diff = {n: dict(p) for n, p in self._entry(ra, rb).items()}
+            sign = -1 if a.parity and b.parity else 1
+            for n, p in self._entry(rb, ra).items():
+                for j in range(n + 1):
+                    dst = diff.setdefault(j, {})
+                    w = (-sign if n % 2 else sign) * comb(n, j)
+                    for y, c in p.items():
+                        for dy, cy in self._dpow(y, n - j).items():
+                            _accum(dst, dy, w * cy * c)
+            diff = {n: p for n, p in diff.items() if p}
+            if diff:
+                out.append((a, b, diff))
+        if whole and len(ints) == len(vs) ** 2:
+            parity = self._parity
+            self._symmetric = not out and all(
+                parity(m) == vs[u].parity ^ vs[v].parity
+                for (u, v), e in ints.items() for p in e.values() for m in p)
+        return out
+
+    def symmetric(self) -> bool:
+        """Whether the store holds all n^2 ordered pairs, every monomial of
+        {a lambda b} has the parity p(a) + p(b), and no pair violates skew
+        symmetry: the table's extension to all differential polynomials is
+        then skew-symmetric.  Settled once; completeness is checked first, so
+        a missing entry makes it False instead of raising."""
+        if self._symmetric is None:
+            self._symmetric = False
+            if len(self.store.ints) == len(self.space.vars) ** 2:
+                self.skew_diffs()
+        return self._symmetric
+
     def jacobi(self, a, b, c) -> dict:
         """{a lambda {b mu c}} - {{a lambda b}_{lambda+mu} c}
         - (-1)^{p(a)p(b)} {b mu {a lambda c}} for variables a, b, c, as
@@ -869,29 +929,12 @@ def nth_product(table: BracketTable, A: DiffPoly, B: DiffPoly, n: int) -> DiffPo
 
 
 def check_skew(table: BracketTable, pairs=None) -> list[dict]:
-    """Violations of {a lambda b} = -(-1)^{p(a)p(b)} {b_{-lambda-d} a},
-    compared on the engine's ints; only a violating pair's diff is lifted."""
+    """Violations of {a lambda b} = -(-1)^{p(a)p(b)} {b_{-lambda-d} a}
+    over the pairs (every stored pair when None), compared on the engine's
+    ints; only a violating pair's diff is lifted."""
     engine = table._leibniz()
-    rank = engine.space.rank_of
-    out = []
-    if pairs is None:
-        pairs = list(table.entries.keys())
-    for (a, b) in pairs:
-        ra, rb = rank(a), rank(b)
-        # lhs - rhs = {a lambda b} + (-1)^{p(a)p(b)} sum_n (-lambda-d)^n {b lambda a}_n
-        diff = {n: dict(p) for n, p in engine._entry(ra, rb).items()}
-        sign = -1 if a.parity and b.parity else 1
-        for n, p in engine._entry(rb, ra).items():
-            for j in range(n + 1):
-                dst = diff.setdefault(j, {})
-                w = (-sign if n % 2 else sign) * comb(n, j)
-                for y, c in p.items():
-                    for dy, cy in engine._dpow(y, n - j).items():
-                        _accum(dst, dy, w * cy * c)
-        diff = {n: p for n, p in diff.items() if p}
-        if diff:
-            out.append({"kind": "skew", "pair": (a, b), "diff": engine.store.lift(diff)})
-    return out
+    return [{"kind": "skew", "pair": (a, b), "diff": engine.store.lift(diff)}
+            for a, b, diff in engine.skew_diffs(pairs)]
 
 
 class TwoVar:
@@ -930,13 +973,32 @@ class TwoVar:
 def check_jacobi(table: BracketTable, triples) -> list[dict]:
     """Violations of {a lambda {b mu c}} = {{a lambda b}_{lambda+mu} c}
     + (-1)^{p(a)p(b)} {b mu {a lambda c}}; a violation's diff is lhs - rhs,
-    keyed by (lambda power, mu power)."""
+    keyed by (lambda power, mu power).
+
+    On a table whose extension is skew-symmetric the identity holds at a
+    triple exactly when it holds at each permutation of it: swapping a and b
+    maps the diff at lambda^i mu^j to -(-1)^{p(a)p(b)} times the diff at
+    lambda^j mu^i, and swapping b and c is the invertible substitution
+    mu -> -lambda-mu-d.  So once the engine has computed a zero diff on a
+    table that holds all n^2 ordered entries, each of the parity
+    p(a) + p(b), and passes the skew check (engine.symmetric()), it keeps
+    the sorted rank triple, at most C(n+2, 3) of them, and skips every later
+    triple of that orbit, in this call or a later one.  A violation is never
+    kept: each violating triple is computed and reported with its own diff,
+    and a table that fails the precondition has every triple computed, so
+    the result is the same for any list of triples in any order."""
     engine = table._leibniz()
+    rank, held = engine.space.rank_of, engine.held
     out = []
     for (a, b, c) in triples:
+        key = tuple(sorted((rank(a), rank(b), rank(c))))
+        if key in held:
+            continue
         diff = engine.jacobi(a, b, c)
         if diff:
             out.append({"kind": "jacobi", "triple": (a, b, c), "diff": engine.two_var(diff)})
+        elif engine.symmetric():
+            held.add(key)
     return out
 
 

@@ -11,6 +11,7 @@ the value parsers invert the emitters losslessly (the round trip
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 from .coeffs import Coeff
 from .errors import UnknownGenerator
@@ -23,8 +24,15 @@ F = Fraction
 # scalars
 
 
+def _rational(x) -> Rational:
+    """x as itself when it is already a Rational (int, Fraction, Weight),
+    else as a Fraction: its numerator and denominator are then read
+    directly."""
+    return x if isinstance(x, Rational) else F(x)
+
+
 def fraction_to_json(x) -> dict:
-    x = F(x)
+    x = _rational(x)
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
@@ -70,7 +78,7 @@ def coeff_from_json(obj) -> Coeff:
 
 
 def gen_to_json(g: GenIndex) -> list:
-    t = F(g.t)
+    t = _rational(g.t)
     return [t.numerator, t.denominator, g.i, g.j]
 
 

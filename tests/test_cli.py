@@ -11,6 +11,7 @@ from fractions import Fraction
 from conftest import corrupted_table, ctx_of, table_of
 from walgebra import cli, serialize as ser
 from walgebra.cli import main
+from walgebra.liestruct import MAX_MATRIX_SIZE, PartitionSpec
 from walgebra.pvacore import BracketTable, DiffPoly, LambdaPoly, check_jacobi, check_skew
 
 F = Fraction
@@ -213,6 +214,16 @@ def test_bad_partition_is_input_error(capsys):
     assert code == 2
     code, _, err = run(capsys, "algebra", "--partition", "a,b")
     assert code == 2
+
+
+def test_matrix_size_above_the_bound_is_input_error(capsys):
+    # a huge N raised MemoryError from the construction; the bound is named
+    for argv in (["--partition", "99999999999"],
+                 ["--kind", "sl-super", "--partition", "40", "--partition2", "25"]):
+        code, out, err = run(capsys, "algebra", *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)
+        assert f"N <= {MAX_MATRIX_SIZE}" in err
+    assert sum(PartitionSpec("sl", (MAX_MATRIX_SIZE,)).sizes) == MAX_MATRIX_SIZE  # accepted
 
 
 def test_partition_parts_are_digit_strings(capsys):

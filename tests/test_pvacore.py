@@ -12,6 +12,7 @@ below: the recursion on DiffPoly/LambdaPoly with Coeff values, k kept
 formal, on symbolic, affine and fixed-level tables."""
 
 import gc
+import itertools
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -21,13 +22,13 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import (corrupted_table, ctx_of, monomial_parity, nth_linear, poly_normalize,
-                      small_shapes, subst_neg_lambda_partial, table_of)
+from conftest import (corrupted_table, ctx_of, gen, monomial_parity, nth_linear,
+                      poly_normalize, small_shapes, subst_neg_lambda_partial, table_of)
 from walgebra.coeffs import Coeff, ONE
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import MissingTableEntry, NormalizationImpossible, WAlgebraError
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, TwoVar,
-                              VarSpace, apply_partial, check_jacobi,
+                              VarSpace, _Leibniz, apply_partial, check_jacobi,
                               extend_bracket, linear_term,
                               normalize_factors, nth_product)
 
@@ -503,6 +504,147 @@ def test_jacobi_names_corrupted_triples_with_reference_diffs():
     want = [(t, d) for t, d in want if d]
     got = check_jacobi(tab, triples)
     assert want and [(v["triple"], v["diff"]) for v in got] == want
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi sweep's orbit rule: each table is built afresh, so no engine's
+# memos or orbit set carry over from the shared table cache or another test
+
+
+def _fresh(tab):
+    return BracketTable(tab.variables, dict(tab.entries))
+
+
+def _triples(tab):
+    return list(itertools.product(tab.variables, repeat=3))
+
+
+def _skew_corrupted(tab, a, b, w, c=1):
+    """tab with c*w added to {a lambda b} at lambda^0 and -(-1)^{p(a)p(b)} c*w
+    to {b lambda a}: skew symmetry still holds (for a = b even the two
+    cancel)."""
+    entries = dict(tab.entries)
+    extra = LambdaPoly({0: DiffPoly.variable(w).scale(c)})
+    entries[(a, b)] = entries[(a, b)] + extra
+    entries[(b, a)] = entries[(b, a)] - extra.scale(-1 if a.parity and b.parity else 1)
+    return BracketTable(tab.variables, entries)
+
+
+def _one_orientation_broken():
+    """The symbolic (2,1) table with q[2](1,1) added to {q[3/2](1,2) lambda
+    q[3/2](2,1)} only: not skew-symmetric."""
+    ctx = ctx_of("sl", (2, 1))
+    a, b, w = gen(ctx, "3/2", 1, 2), gen(ctx, "3/2", 2, 1), gen(ctx, 2, 1, 1)
+    entries = dict(table_of("sl", (2, 1)).entries)
+    entries[(a, b)] = entries[(a, b)] + LambdaPoly({0: DiffPoly.variable(w)})
+    return BracketTable(ctx.centralizer().gens, entries)
+
+
+def _wrong_parity():
+    """The symbolic sl(2|1) table with the even q[1](2,2) added to the odd
+    bracket {q[1](2,2) lambda q[3/2](1,2)} and the reverse: skew-symmetric,
+    but its extension is not."""
+    ctx = ctx_of("sl_super", (2,), (1,))
+    a, b = gen(ctx, 1, 2, 2), gen(ctx, "3/2", 1, 2)
+    return _skew_corrupted(table_of("sl_super", (2,), (1,)), a, b, a)
+
+
+def _reference_violations(tab, triples) -> dict:
+    return {t: d for t in triples for d in [reference_jacobi(tab, *t)] if d}
+
+
+def _in_order(want: dict, order) -> list:
+    return [(t, want[t]) for t in order if t in want]
+
+
+def _reported(violations) -> list:
+    return [(v["triple"], v["diff"]) for v in violations]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(small_shapes(4)), st.data())
+def test_orbit_rule_matches_the_reference_on_skew_corruptions(shape, data):
+    # per-triple calls in a shuffled order and one call over every triple
+    # report the reference's violations, triple for triple; w has the parity
+    # of {a lambda b}, so the corrupted table stays one the rule serves
+    try:
+        tab = table_of(*shape)
+    except NormalizationImpossible:
+        reject()
+    gens = tab.variables
+    a, b = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
+    w = data.draw(st.sampled_from([v for v in gens if v.parity == a.parity ^ b.parity]))
+    tab = _skew_corrupted(tab, a, b, w, data.draw(st.sampled_from([1, -2, F(3, 2)])))
+    triples = _triples(tab)
+    want = _reference_violations(tab, triples)
+    order = data.draw(st.permutations(triples))
+    one = _fresh(tab)
+    assert _reported([v for t in order for v in check_jacobi(one, [t])]) == _in_order(want, order)
+    assert one._leibniz().symmetric()
+    assert _reported(check_jacobi(_fresh(tab), triples)) == _in_order(want, triples)
+
+
+def test_swapping_a_and_b_transposes_the_jacobi_diff():
+    # diff(b, a, c) at lambda^j mu^i is -(-1)^{p(a)p(b)} diff(a, b, c) at
+    # lambda^i mu^j on a skew-symmetric table, with odd-odd pairs violating
+    ctx = ctx_of("sl_super", (2,), (1,))
+    odd = _skew_corrupted(table_of("sl_super", (2,), (1,)), gen(ctx, "3/2", 1, 2),
+                          gen(ctx, "3/2", 2, 1), gen(ctx, 2, 1, 1), F(-3, 2))
+    for tab in (corrupted_table(), odd):
+        engine = _fresh(tab)._leibniz()
+        assert engine.symmetric()
+        violated = set()
+        for a, b, c in _triples(tab):
+            diff = engine.jacobi(a, b, c)
+            sign = 1 if a.parity and b.parity else -1
+            assert engine.jacobi(b, a, c) == {
+                (j, i): {m: sign * x for m, x in p.items()} for (i, j), p in diff.items()}
+            if diff:
+                violated.add((a.parity, b.parity))
+        assert (1, 1) in violated if tab is odd else violated == {(0, 0)}
+
+
+@pytest.mark.parametrize("broken", [_one_orientation_broken, _wrong_parity])
+def test_the_rule_is_off_where_its_precondition_fails(broken):
+    # one bracket broken on one orientation, or a skew-symmetric table whose
+    # entry has the wrong parity: some orbit holds at one triple and fails at
+    # another, so, in the order given or reversed, a build that carried a
+    # holding triple to its orbit would drop a violation
+    tab = broken()
+    triples = _triples(tab)
+    want = _reference_violations(tab, triples)
+    assert any(set(itertools.permutations(t)) - want.keys() for t in want)
+    assert not _fresh(tab)._leibniz().symmetric()
+    for order in (triples, triples[::-1]):
+        assert _reported(check_jacobi(_fresh(tab), order)) == _in_order(want, order)
+
+
+def test_each_orbit_is_computed_once_on_a_sound_table(monkeypatch):
+    calls = []
+    jacobi = _Leibniz.jacobi
+
+    def counting(self, a, b, c):
+        calls.append((a, b, c))
+        return jacobi(self, a, b, c)
+
+    monkeypatch.setattr(_Leibniz, "jacobi", counting)
+    for shape in [("sl", (2, 1)), ("sl_super", (2,), (1,)), ("sl", (3, 1, 1))]:
+        tab = _fresh(table_of(*shape))
+        n = len(tab.variables)
+        calls.clear()
+        assert all(check_jacobi(tab, [t]) == [] for t in _triples(tab))
+        assert len(calls) == comb(n + 2, 3) and len(tab._leibniz().held) == comb(n + 2, 3)
+    # a table that is not skew-symmetric, or not complete, has every triple
+    # computed
+    tab = _one_orientation_broken()
+    calls.clear()
+    for t in _triples(tab):
+        check_jacobi(tab, [t])
+    assert len(calls) == len(tab.variables) ** 3 and not tab._leibniz().held
+    tab = BracketTable([A_EVEN, B_ODD], {(A_EVEN, A_EVEN): LambdaPoly({1: DiffPoly.constant(1)})})
+    calls.clear()
+    assert check_jacobi(tab, [(A_EVEN, A_EVEN, A_EVEN)] * 3) == []
+    assert len(calls) == 3 and not tab._leibniz().symmetric()
 
 
 def test_fixed_level_table_with_denominators_matches_reference():
