@@ -336,15 +336,18 @@ def cmd_axioms(cfg: RunConfig) -> int:
     triples = [(a, b, c) for a in gens for b in gens for c in gens]
     jac = check_jacobi(table, triples)
     conf = conformal_check(ctx, bracket_table(ctx, ktilde=1))
+    parity = sum(v["kind"] == "parity" for v in skew)
     rep = {
         "skew_violations": len(skew),
+        "parity_violations": parity,
         "jacobi_violations": len(jac),
         "pairs_checked": len(table.entries),
         "triples_checked": len(triples),
         "conformal_ok": conf["ok"],
         "central_coeff": conf["central"],
     }
-    text = (f"skew: {len(skew)} violations over {rep['pairs_checked']} pairs\n"
+    text = (f"skew: {len(skew)} violations over {rep['pairs_checked']} pairs"
+            f"{f' ({parity} of parity)' if parity else ''}\n"
             f"jacobi: {len(jac)} violations over {len(triples)} triples\n"
             f"conformal action: {'ok' if conf['ok'] else 'FAILED'} "
             f"(central lambda^3 coefficient {conf['central']})")
@@ -352,8 +355,8 @@ def cmd_axioms(cfg: RunConfig) -> int:
     if first:
         rep["first_failures"] = first
         for v in first:
-            where = v["pair"] if v["kind"] == "skew" else v["triple"]
-            text += f"\n{v['kind']} violation at ({', '.join(map(str, where))}): {v['diff']!r}"
+            where, what = v.get("pair") or v["triple"], v.get("terms") or v["diff"]
+            text += f"\n{v['kind']} violation at ({', '.join(map(str, where))}): {what!r}"
     _emit(cfg, text, ser.axiom_report_to_json(rep))
     return 0 if not skew and not jac and conf["ok"] else 4
 

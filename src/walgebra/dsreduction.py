@@ -37,43 +37,59 @@ every closed-form table entry.  The unknown coefficient of a monomial m with
 D derivatives is therefore x*k^D, and a linear system for these unknowns is
 graded: M(k) = diag(k^r) M(1) diag(k^-c), with the same for its right-hand
 side.  Its pivots, free columns and particular solution over Q(k) are those
-of M(1), so solve_generator and reconcile assemble every system at k=1,
-solve it over Q, and lift each solved x to x*k^D.  The systems are built
-straight from the affine engine's graded values (pvacore): a row is keyed by
-tag, lambda power and interned monomial, and an int c at scale S enters it
-as Fraction(c, S).  linalg solves them fraction-free: each row is cleared to
+of M(1), so solve_all and reconcile assemble every system at k=1, solve it
+over Q, and lift each solved x to x*k^D.  The systems are built straight
+from the affine engine's graded values (pvacore): a row is keyed by tag,
+lambda power and interned monomial, and an int c at scale S enters it as
+Fraction(c, S).  linalg solves them fraction-free: each row is cleared to
 primitive ints once, eliminated on ints, and a solved x is the one Fraction
-built per column.  Within a stage, the brackets {mu lambda W_b} of the
-correction monomials do not depend on the stage generator a, so each lower
-b's list is computed once, on its first pair that is not deferred.  The
-realizations' constraints and the corrected brackets are then re-verified
-exactly on graded ints, which determine a value over Q(k), compared at the
-product of the two scales.
+built per column.  solve_all eliminates once per weight: the columns are
+every unknown of that weight, each generator's letter among them, the rows
+its constraint brackets and a pin per bare variable, and each generator has
+a right-hand side of its own whose pin of its letter reads 1.  That pin
+makes the letter's column a pivot no other column leans on, so every other
+pivot and the zeroed-free solution are those of the generator's system
+alone.  Within a stage, the brackets {mu lambda W_b} of the correction
+monomials do not depend on the stage generator a, so each lower b's list is
+computed once, on its first pair that is not deferred, and through mu's
+factors (Substitution.bracket_images): {W_c lambda W_b} once per pair of
+lower generators in the stage, (-lambda)^j of it for d^j W_c, and the
+left Leibniz rule for products, so mu(W) is never expanded to be
+bracketed.  The realizations' constraints and the corrected brackets are
+then re-verified exactly on graded ints, which determine a value over Q(k),
+compared at the product of the two scales.
 
 Skew symmetry.  reconcile first checks both tables, the closed-form and the
 affine one, for {a lambda b} = S{b lambda a}, S taking lambda^n P to
--(-1)^{p(a)p(b)} (-lambda-d)^n P; the Leibniz rules keep it, and substitution
-commutes with d.  So a stage's (b, a) equation is S of its (a, b) equation;
-S is invertible and free of k, so at k=1 the (b, a) rows add nothing to the
-row space, and the unique reduced row echelon form, its pivots and the
-zeroed-free solution are those of the (a, b) rows alone.  S keeps letters,
-so both orientations are deferred together; and the final verification over
-unordered pairs, (b, a) following from (a, b), is the full one.  Its
-self-brackets {W_a lambda W_a} go through the engine's graded_self_bracket,
-which brackets each unordered pair of terms once and takes the other
-orientation by S: valid because the affine table passed the skew check.
+-(-1)^{p(a)p(b)} (-lambda-d)^n P, and for parity: every monomial of {a
+lambda b} has the parity p(a) + p(b).  The Leibniz rules keep skew symmetry,
+and substitution commutes with d.  So a stage's (b, a) equation is S of its
+(a, b) equation; S is invertible and free of k, so at k=1 the (b, a) rows
+add nothing to the row space, and the unique reduced row echelon form, its
+pivots and the zeroed-free solution are those of the (a, b) rows alone.  S
+keeps letters, so both orientations are deferred together; and the final
+verification over unordered pairs, (b, a) following from (a, b), is the full
+one.  Parity keeps every realization homogeneous, which the factor-wise
+brackets read their signs from.  The final verification's self-brackets
+{W_a lambda W_a} go through the engine's graded_self_bracket, the sum over
+the terms x of W_a of {x lambda W_a} through x's factors, which holds on any
+table; its cross pairs go through graded_bracket, the direct path that
+checks the factor-wise one.
 
 Substitution.  reconcile evaluates generator-side polynomials (table
-targets, correction monomials, corrections) at the realizations through
-pvacore.Substitution, on the affine table's interned monomials and its
-Leibniz engine's product memo.  Each term carries its degree s = (power of
-k) - (derivative count), so an input such as a correction monomial with
+targets, corrections) at the realizations through pvacore.Substitution, on
+the affine table's interned monomials and its Leibniz engine's product memo,
+and reads from it the images d^k of factors and products that the
+factor-wise brackets multiply by.  Each term carries its degree s = (power
+of k) - (derivative count), so an input such as a correction monomial with
 derivatives and coefficient 1 (of degree -D) is carried exactly; the systems
 read its graded values at k=1, and only the applied corrections and the
-final verification lift them to k^(s + D).  One Substitution serves one mapping: a
-stage of the weight ladder, with one more per override of a stage letter by
-a correction monomial's image, and the final verification; the images of
-d^n(letter) and of whole monomials are memoized for that lifetime.
+final verification lift them to k^(s + D).  One Substitution serves one
+mapping: a stage of the weight ladder, with one more per override of a stage
+letter by a correction monomial's image, and the final verification; the
+images of d^n(letter), of whole monomials and of their derivatives are
+memoized for that lifetime.  The affine engine's bracket memos are dropped
+when reconcile returns; its skew verdict and Jacobi orbits stay.
 """
 
 from __future__ import annotations
@@ -81,6 +97,7 @@ from __future__ import annotations
 from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .coeffs import Coeff, ONE
@@ -94,7 +111,6 @@ from .pvacore import (
     Substitution,
     check_skew,
     extend_bracket,
-    normalize_factors,
 )
 
 _F1 = Fraction(1)
@@ -219,36 +235,38 @@ def reduced_bracket(rctx: ReductionCtx, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
 def weight_monomials(letters: list, weight_of, target: Fraction) -> list[tuple]:
     """All canonical monomials (tuples of (letter, dpower) in normalized
     order, no repeated odd factor) over the given letters with total weight
-    (letter weight + dpower summed) equal to target, each once, in order of
-    first appearance in the search.  Letters of non-positive weight are
-    rejected (enumeration would not terminate)."""
+    (letter weight + dpower summed) equal to target, each once, in
+    lexicographic order of their factor sequences.  Letters of non-positive
+    weight are rejected (enumeration would not terminate)."""
     letters = sorted(letters, key=lambda v: v.sort_key())
-    for v in letters:
-        if weight_of(v) <= 0:
-            raise ValueError("letters must carry positive weight")
-    out: list[tuple] = []
+    weights = [Fraction(weight_of(v)) for v in letters]
+    if any(w <= 0 for w in weights):
+        raise ValueError("letters must carry positive weight")
+    target = Fraction(target)
+    D = lcm(target.denominator, *(w.denominator for w in weights))
+    return [tuple((letters[i], d) for i, d in seq) for seq in _weight_search(
+        [int(w * D) for w in weights], [v.parity for v in letters], D, int(target * D))]
 
-    def rec(idx: int, remaining: Fraction, current: list):
-        if not remaining:
-            if current:
-                out.append(tuple(current))
-            return
-        for i in range(idx, len(letters)):
-            v = letters[i]
-            w = weight_of(v)
-            d = 0
-            while w + d <= remaining:
-                current.append((v, d))
-                rec(i, remaining - w - d, current)
-                current.pop()
-                d += 1
 
-    rec(0, target, [])
-    # the search reaches a monomial once per ordering of its factors;
-    # normalize_factors returns None for one that vanishes
-    found = dict.fromkeys(normalize_factors(m)[1] for m in out)
-    found.pop(None, None)
-    return list(found)
+def _weight_search(weights: list, odd: list, D: int, remaining: int, seq: tuple = ()):
+    """The factor sequences ((letter index, dpower), ...) extending seq by
+    total weight remaining, on ints over the common denominator D (a dpower
+    adds D), in lexicographic order: factors non-decreasing in (index,
+    dpower) and an odd factor never twice, so each monomial is one leaf of
+    the search."""
+    if not remaining:
+        yield seq
+        return
+    i, d = seq[-1] if seq else (0, 0)
+    for j in range(i, len(weights)):
+        e = d if j == i else 0
+        if odd[j] and seq and seq[-1] == (j, e):
+            e += 1  # an odd factor does not repeat
+        cost = weights[j] + e * D
+        while cost <= remaining:
+            yield from _weight_search(weights, odd, D, remaining - cost, seq + ((j, e),))
+            e += 1
+            cost += D
 
 
 def _add_rows(system: System, tag, col: Optional[int], scale: int, slots: dict,
@@ -285,41 +303,50 @@ def _lifted(mono: tuple, x: Fraction) -> Coeff:
 # generator construction
 
 
-def solve_generator(rctx: ReductionCtx, a: GenIndex) -> DiffPoly:
-    """Realize one generator: W_a = a + (weight-homogeneous correction over
-    the positive-weight variables) annihilated by every constraint bracket,
-    every free coefficient pinned to zero."""
-    avar = AffVar(a, 0)
-    unknowns = [u for u in rctx.unknowns(a.t) if u[0] != ((avar, 0),)]
-
-    engine = rctx.affine_table()._leibniz()
-    system = System()
-    base = engine.graded(DiffPoly.variable(avar))
-    nv_vals = [(nv, engine.graded(DiffPoly.variable(nv))) for nv in rctx.n_vars]
-    for nv, nv_val in nv_vals:
-        _add_rows(system, nv, None, *engine.graded_bracket(nv_val, base))
-        for col, (_, val) in enumerate(unknowns):
-            _add_rows(system, nv, col, *engine.graded_bracket(nv_val, val))
-    # pin every other bare variable of this weight to zero
-    for col, (m, _) in enumerate(unknowns):
-        if len(m) == 1 and m[0][1] == 0:
-            system.add(("pin", m), col, _F1)
-
-    sol = system.solve()
-    if sol is None:
-        raise NoSolution(f"constraint system inconsistent for {a}")
-    W = DiffPoly({((avar, 0),): ONE, **{unknowns[col][0]: _lifted(unknowns[col][0], x)
-                                        for col, x in sol.items()}})
-    # defining constraints re-verified on the solution
-    W_val = engine.graded(W)
-    for _, nv_val in nv_vals:
-        if not _agrees(engine.graded_bracket(nv_val, W_val), {}):
-            raise NoSolution(f"constraint violated after solve for {a}")
-    return W
-
-
 def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
-    return GeneratorSolution({g: solve_generator(rctx, g) for g in rctx.cdata.gens})
+    """Realize every generator: W_a = a + (weight-homogeneous correction over
+    the positive-weight variables) annihilated by every constraint bracket,
+    every free coefficient pinned to zero.  One elimination per weight t: its
+    columns are all the weight-t unknowns, its rows the constraint brackets
+    and a pin of each bare variable, and each generator a of weight t has a
+    right-hand side of its own, whose pin of a reads 1 and every other 0.
+    The pin makes a's column a pivot that no other column depends on, so the
+    other pivots and the zeroed-free solution are those of a's system alone.
+    The realizations' constraints are then re-verified one by one, in
+    generator order, and the first failure raises NoSolution."""
+    engine = rctx.affine_table()._leibniz()
+    gens = rctx.cdata.gens
+    nv_vals = [(nv, engine.graded(DiffPoly.variable(nv))) for nv in rctx.n_vars]
+    solved: dict = {}
+    for t in dict.fromkeys(g.t for g in gens):
+        stage = [g for g in gens if g.t == t]
+        unknowns = rctx.unknowns(t)
+        system = System()
+        for nv, nv_val in nv_vals:
+            for col, (_, val) in enumerate(unknowns):
+                _add_rows(system, nv, col, *engine.graded_bracket(nv_val, val))
+        side = {((AffVar(a, 0), 0),): j for j, a in enumerate(stage)}
+        for col, (m, _) in enumerate(unknowns):
+            if len(m) == 1 and m[0][1] == 0:
+                system.add(("pin", m), col, _F1)
+                if m in side:
+                    system.add(("pin", m), None, -_F1, side[m])
+        for a, sol in zip(stage, system.solve_each(len(stage))):
+            solved[a] = (unknowns, sol)
+    out: dict = {}
+    for a in gens:
+        unknowns, sol = solved[a]
+        if sol is None:
+            raise NoSolution(f"constraint system inconsistent for {a}")
+        own = ((AffVar(a, 0), 0),)
+        W = out[a] = DiffPoly({own: ONE, **{unknowns[col][0]: _lifted(unknowns[col][0], x)
+                                            for col, x in sol.items() if unknowns[col][0] != own}})
+        # defining constraints re-verified on the solution
+        W_val = engine.graded(W)
+        for _, nv_val in nv_vals:
+            if not _agrees(engine.graded_bracket(nv_val, W_val), {}):
+                raise NoSolution(f"constraint violated after solve for {a}")
+    return GeneratorSolution(out)
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +366,29 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
     """Adjust the pinned generators by lower-weight corrections until their
     reduced brackets reproduce the closed-form table exactly.
 
-    Both tables are first checked for skew symmetry (failure stage "skew").
-    Then, up the weight ladder, the corrections enter each usable equation
-    {a lambda b}, a of the stage and b lower, linearly; one whose target has
-    letters of weight not yet corrected is deferred with its (b, a) twin (the
-    final verification covers both).  Free correction coefficients are zeroed."""
+    Both tables are first checked for skew symmetry and parity (failure
+    stage "skew").  Then, up the weight ladder, the corrections enter each
+    usable equation {a lambda b}, a of the stage and b lower, linearly; one
+    whose target has letters of weight not yet corrected is deferred with its
+    (b, a) twin (the final verification covers both).  Free correction
+    coefficients are zeroed.  The affine engine's bracket memos are dropped
+    before the call returns."""
+    engine = rctx.affine_table()._leibniz()
+    try:
+        return _reconcile(rctx, table)
+    finally:
+        engine.drop_memos()
+
+
+def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
     gens_all = rctx.cdata.gens
     affine = rctx.affine_table()
     for name, tab in (("closed-form", table), ("affine", affine)):
         vs = tab.variables
         bad = check_skew(tab, [(u, v) for i, u in enumerate(vs) for v in vs[:i + 1]])
         if bad:
-            failure = {"stage": "skew", "table": name, "pair": bad[0]["pair"]}
+            failure = {"stage": "skew", "table": name, "kind": bad[0]["kind"],
+                       "pair": bad[0]["pair"]}
             return ReconcileReport(False, {g: DiffPoly() for g in gens_all},
                                    GeneratorSolution({}), failure=failure)
     engine = affine._leibniz()
@@ -359,7 +397,6 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
     corrections: dict = {g: DiffPoly() for g in gens_all}
     deferred: list = []
     weights = sorted({g.t for g in gens_all})
-
     for w in weights:
         stage = [g for g in gens_all if g.t == w]
         lower = [g for g in gens_all if g.t < w]
@@ -374,12 +411,12 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         stage_W = dict(W)
         sub = Substitution(affine, stage_W)
         overrides: dict = {}
-        mono_eval = [sub(DiffPoly({mu: ONE})) for mu in lowmonos]
-        mono_vals = [engine.graded(p) for p in mono_eval]
+        images: dict = {}  # mi -> the image of lowmonos[mi], lifted for an override
         vals = {g: engine.graded(W[g]) for g in stage + lower}
         first_col = {g: si * len(lowmonos) for si, g in enumerate(stage)}
         # {mu lambda W_b} for every correction monomial mu, the same for
-        # every a of the stage: bracketed on the first pair (a, b) not deferred
+        # every a of the stage: bracketed through mu's factors on the first
+        # pair (a, b) not deferred
         mono_brackets: dict = {}
         # one row per pair (a, b), lambda power and monomial, reading
         # bracket(W + x) - target(W + x), linear in x; (b, a) adds no row
@@ -395,8 +432,8 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                 _add_rows(system, (a, b), None, *engine.graded_bracket(vals[a], vals[b]))
                 brs = mono_brackets.get(b)
                 if brs is None:
-                    brs = mono_brackets[b] = [engine.graded_bracket(mu_val, vals[b])
-                                              for mu_val in mono_vals]
+                    brs = mono_brackets[b] = sub.bracket_images(
+                        lowmonos, vals[b], lambda c, b=b: engine.graded_bracket(vals[c], vals[b]))
                 for mi, br in enumerate(brs):
                     _add_rows(system, (a, b), first_col[a] + mi, *br)
                 for slot, poly in target.coeffs.items():
@@ -412,9 +449,12 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                             through.setdefault(l, {})[m] = c
                     for l, terms in through.items():
                         part = DiffPoly(terms)
-                        for mi, mu_W in enumerate(mono_eval):
+                        for mi, mu in enumerate(lowmonos):
                             over = overrides.get((l, mi))
                             if over is None:
+                                mu_W = images.get(mi)
+                                if mu_W is None:
+                                    mu_W = images[mi] = sub(DiffPoly({mu: ONE}))
                                 over = overrides[(l, mi)] = Substitution(
                                     affine, ChainMap({l: mu_W}, stage_W))
                             S, parts = over.graded(part)
@@ -437,8 +477,8 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
 
     corrected = GeneratorSolution(W)
     # full verification on graded ints, each unordered pair once, in the
-    # stages' orientation (the later generator first); the affine table is
-    # skew, so a self-bracket takes half its pairs of terms
+    # stages' orientation (the later generator first): a cross pair by
+    # graded_bracket, a self-bracket through its terms' factors
     sub = Substitution(affine, W)
     vals = {g: engine.graded(W[g]) for g in gens_all}
     for i, a in enumerate(gens_all):

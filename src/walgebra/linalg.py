@@ -58,8 +58,18 @@ def rref(rows: Iterable[dict]) -> tuple[list[dict], dict[int, int]]:
     rows are primitive ints with a positive leading entry and are fully
     reduced against each other: row i of the echelon form over Q is
     reduced_rows[i] divided by its leading int."""
+    reduced, pivots, _ = _reduce(rows, None)
+    return reduced, pivots
+
+
+def _reduce(rows: Iterable[dict], stop: Optional[int]) -> tuple[list[dict], dict[int, int], list]:
+    """rref, except that no column at or past stop (when given) leads: a row
+    that reduces to one leading there is set aside as a witness, zero on
+    every earlier column, and is not eliminated into the others.  Returns
+    (reduced_rows, pivots, witnesses)."""
     reduced: list[dict] = []
     pivots: dict[int, int] = {}
+    witnesses: list[dict] = []
     for row in rows:
         if not row:
             continue
@@ -72,6 +82,9 @@ def rref(rows: Iterable[dict]) -> tuple[list[dict], dict[int, int]]:
         if not row:
             continue
         lead = min(row)
+        if stop is not None and lead >= stop:
+            witnesses.append(row)
+            continue
         p = row[lead]
         if p < 0:
             row = {c: -x for c, x in row.items()}
@@ -83,54 +96,76 @@ def rref(rows: Iterable[dict]) -> tuple[list[dict], dict[int, int]]:
                 reduced[i] = _eliminate(r, v, row, p)
         pivots[lead] = len(reduced)
         reduced.append(row)
-    return reduced, pivots
+    return reduced, pivots, witnesses
 
 
 def solve(rows: list[dict], rhs: list) -> Optional[dict]:
     """Solve the sparse system rows[i] . x = rhs[i] (a falsy rhs entry is 0).
 
     Returns the particular solution {col: Fraction} with every free variable
-    set to zero, or None if the system is inconsistent.  The right-hand side
-    is one more column past every unknown; it leads a reduced row exactly
-    when that row reads 0 = 1."""
+    set to zero, or None if the system is inconsistent."""
+    return solve_each(rows, [{0: b} if b else {} for b in rhs], 1)[0]
+
+
+def solve_each(rows: list[dict], rhs: list[dict], count: int) -> list[Optional[dict]]:
+    """Solve rows[i] . x = rhs[i].get(j, 0) for each right-hand side j <
+    count by one elimination: [solution or None per j].
+
+    The right-hand sides are columns past every unknown, and none of them
+    leads: a row that reduces to zero on every unknown is a witness, and
+    side j is inconsistent exactly when some witness is nonzero in its
+    column (the witnesses span every combination of rows that vanishes on
+    the unknowns).  The pivot rows are those of the unknowns alone, so a
+    consistent side's zeroed-free solution is its column divided by each
+    pivot row's leading int, the one Fraction built per solved column, the
+    same as solving that side alone."""
     b_col = 1 + max((c for row in rows for c in row), default=-1)
     augmented = []
     for row, b in zip(rows, rhs):
         if b:
             row = dict(row)
-            row[b_col] = b
+            for j, v in b.items():
+                if v:
+                    row[b_col + j] = v
         augmented.append(row)
-    reduced, pivots = rref(augmented)
-    if b_col in pivots:
-        return None
-    out = {}
-    for col, ridx in pivots.items():
-        r = reduced[ridx]
-        b = r.get(b_col)
-        if b is not None:
-            out[col] = Fraction(b, r[col])
+    reduced, pivots, witnesses = _reduce(augmented, b_col)
+    inconsistent = {c for w in witnesses for c in w}
+    out: list[Optional[dict]] = []
+    for col in range(b_col, b_col + count):
+        if col in inconsistent:
+            out.append(None)
+            continue
+        sol = {}
+        for c, ridx in pivots.items():
+            r = reduced[ridx]
+            b = r.get(col)
+            if b is not None:
+                sol[c] = Fraction(b, r[c])
+        out.append(sol)
     return out
 
 
 class System:
     """A sparse linear system assembled term by term: one row per key, rows
-    in order of first use, rhs holding minus the constant terms."""
+    in order of first use, each right-hand side holding minus the constant
+    terms of its equations."""
 
     def __init__(self):
         self.rows: dict = {}
-        self.rhs: dict = {}
+        self.rhs: dict = {}  # key -> {right-hand side: value}
 
     def __contains__(self, key) -> bool:
         return key in self.rows
 
-    def add(self, key, col: Optional[int], c) -> None:
-        """c * x[col], or the constant c if col is None, into key's row."""
+    def add(self, key, col: Optional[int], c, side: int = 0) -> None:
+        """c * x[col], or the constant c of right-hand side `side` if col is
+        None, into key's row."""
         row = self.rows.get(key)
         if row is None:
             row = self.rows[key] = {}
         if col is None:
-            b = self.rhs.get(key)
-            self.rhs[key] = -c if b is None else b - c
+            b = self.rhs.setdefault(key, {})
+            b[side] = b.get(side, 0) - c
             return
         cur = row.get(col)
         s = c if cur is None else cur + c
@@ -140,4 +175,9 @@ class System:
             row.pop(col, None)
 
     def solve(self) -> Optional[dict]:
-        return solve(list(self.rows.values()), [self.rhs.get(k) for k in self.rows])
+        """The solution for right-hand side 0."""
+        return self.solve_each(1)[0]
+
+    def solve_each(self, count: int) -> list[Optional[dict]]:
+        """solve_each over right-hand sides 0 .. count-1."""
+        return solve_each(list(self.rows.values()), [self.rhs.get(k) for k in self.rows], count)

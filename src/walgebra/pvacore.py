@@ -44,7 +44,20 @@ and monomial tuples with the store, so no caller can corrupt it.
 The engine.  Each table builds one with its store and keeps it; it holds the
 store, not the table, so it dies with the table.  The Leibniz rules only add
 and multiply by integers (binomials, signs, multiplicities), so every
-memoized bracket is an int value at scale L, and a Jacobi term at L^2.
+memoized bracket is an int value at scale L, and a Jacobi term at L^2.  Its
+bracket memos ({var lambda mono}, {mono lambda mono}, products,
+derivatives) grow with every call and are dropped by drop_memos, which the
+reduction oracle calls when reconcile returns.
+
+Products.  A product of polynomials is bracketed through its factors by one
+routine, ProductBracket, against one fixed right operand B: the left
+Leibniz rule {f r lambda B} = (-1)^{p(r)p(B)} {f lambda+d B}-> r +
+(-1)^{p(f)(p(r)+p(B))} {r lambda+d B}-> f, peeling the first factor, with a
+memo of {suffix lambda B} that lives as long as the object, one call.  The
+caller gives the bracket of one factor with B and d^k of a product.  It
+serves graded_self_bracket, whose factors are interned letters, and
+Substitution.bracket_images, whose factors are the images of generator
+letters under a substitution.
 
 The Jacobi orbit rule.  When a table's generator brackets are skew-symmetric
 and each {a lambda b} has the parity p(a) + p(b), their extension to all
@@ -65,9 +78,10 @@ DiffPoly's coefficients into one (s = power of k - g*D), and lift turns one
 back through diff_poly, the one conversion of ints to Coeffs.  The engine's
 graded_bracket returns one per power of lambda at scale L*M_A*M_B, degrees
 s_A, s_B landing at lambda^n in degree s_A + s_B + g*n; extend_bracket wraps
-it, and the reduction oracle reads its ints at k=1.  On a skew-symmetric
-table graded_self_bracket gives graded_bracket(A, A) from half the pairs of
-terms, the other half by skew symmetry.  The linear term of an n-th
+it, and the reduction oracle reads its ints at k=1.  graded_self_bracket
+gives graded_bracket(A, A) as the sum over the terms x of A of {x lambda A}
+through x's factors, {v lambda A} summed once per letter v; it holds on any
+table.  The linear term of an n-th
 product of two linear combinations has one summation, linear_ints: it
 takes both combinations cleared by clear (a common denominator and one
 int per variable rank), reads the store's ints at k=1 beside their power
@@ -77,20 +91,25 @@ sums and lifts to one Fraction per nonzero variable; the closure search
 keeps its pool cleared and lifts only the products it keeps.  check_skew
 and check_jacobi accumulate lhs - rhs on ints, and only a failing pair's or
 triple's diff is lifted, a Jacobi diff to a TwoVar with k^(g*(i+j+D)) at
-lambda^i mu^j.
+lambda^i mu^j.  check_skew also reports each pair whose {a lambda b} holds
+a monomial of parity other than p(a) + p(b), kind "parity", with those
+terms lifted.
 
 Substitution.  The differential-algebra morphism that replaces letters by
 DiffPolys over a table's variables runs on the same interned monomials and
 the engine's product memo, on graded values with g = 1, so any Q[k]
 coefficients pass exactly: d lowers s by one and products add it.  Its
-entry point returns a graded value; calling it lifts that at the edge.
+entry point returns a graded value; calling it lifts that at the edge.  It
+memoizes d^k of the images of letters and monomials, and bracket_images
+brackets the images of monomials with a fixed graded value through their
+factors by a ProductBracket.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Iterable, NamedTuple, Optional
 
 from .coeffs import Coeff, ONE
@@ -131,6 +150,18 @@ def _accum(out: dict, key, c) -> None:
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def _add_scaled(out: dict, p: dict, w: int) -> None:
+    """out += w * p on {monomial: int}, dropping sums that cancel; w and
+    the ints of p are nonzero."""
+    get = out.get
+    for m, c in p.items():
+        t = get(m, 0) + w * c
+        if t:
+            out[m] = t
+        else:
+            del out[m]
 
 
 def monomial_weight(m: Monomial) -> Fraction:
@@ -705,6 +736,24 @@ class _Leibniz:
                 if r is not None:
                     _accum(dst, r[1], sign * r[0] * cp)
 
+    def _add_times(self, out: dict, p: dict, z: tuple, w: int) -> None:
+        """out += w * p*z, each monomial of p times the monomial z on the
+        right through the product memo, read inline; w nonzero."""
+        products, canonical = self._products, self.space.canonical
+        get = out.get
+        for m, c in p.items():
+            key = (m, z)
+            r = products.get(key, False)
+            if r is False:
+                r = products[key] = canonical(m + z)
+            if r is not None:
+                x = r[1]
+                t = get(x, 0) + (w * c if r[0] > 0 else -w * c)
+                if t:
+                    out[x] = t
+                else:
+                    del out[x]
+
     def _arrow_into(self, out: dict, br: dict, y: tuple, sign: int) -> None:
         """out += sign * {X_{lambda+d} B}_-> y: each lambda^n of br becomes
         sum C(n,k) lambda^{n-k} (coefficient) * d^k(y)."""
@@ -712,12 +761,8 @@ class _Leibniz:
             for k in range(n + 1):
                 dst = out.setdefault(n - k, {})
                 mult = sign * comb(n, k)
-                dy = self._dpow(y, k)
-                for m, cp in p.items():
-                    for z, cz in dy.items():
-                        r = self._mul(m, z)
-                        if r is not None:
-                            _accum(dst, r[1], mult * cz * r[0] * cp)
+                for z, cz in self._dpow(y, k).items():
+                    self._add_times(dst, p, z, mult * cz)
 
     def _mono_mono(self, m: tuple, o: tuple) -> dict:
         """{m lambda o}, peeling the first slot by the left Leibniz rule and
@@ -773,51 +818,51 @@ class _Leibniz:
                     for xb, ib in pb.items():
                         w = ia * ib
                         for n, p in self._mono_mono(xa, xb).items():
-                            dst = acc.setdefault(n, {}).setdefault(s + g * n, {})
-                            for m, cp in p.items():
-                                _accum(dst, m, w * cp)
+                            _add_scaled(acc.setdefault(n, {}).setdefault(s + g * n, {}), p, w)
         return self.L * Ma * Mb, acc
 
     def graded_self_bracket(self, A: tuple) -> tuple:
-        """graded_bracket(A, A) from half the pairs of terms, valid only on a
-        skew-symmetric table.  With x_i the terms of A, told apart by index
-        (one monomial at two degrees is two terms) and w_ij the product of
-        their ints, {A lambda A} = D + O + S(O): D = sum_i w_ii {x_i lambda
-        x_i}, O = sum_{i<j} w_ij {x_i lambda x_j}, and S the skew map
-        lambda^n P -> -(-1)^{p p'} (-lambda-d)^n P.  O is accumulated in two
-        classes by p p', whether both terms are odd, and S is applied once per
-        class to its ints: the int of lambda^n at degree e goes to lambda^j
-        at degree e - g*(n - j), times d^(n-j) of its monomial."""
+        """graded_bracket(A, A) as the sum over the terms c_x x of A of c_x
+        {x lambda A}, on any table.  A is split by parity class B, and each
+        {x lambda B} runs through x's factors by ProductBracket: its base
+        {d^j v lambda B} = (-lambda)^j {v lambda B}, with {v lambda B} = sum
+        over the terms c_y y of B of c_y {v lambda y} summed once per letter
+        v, and its arrows multiply by d^k of interned monomials.  The int of
+        lambda^n at B's degree s_y in {x lambda B} lands at degree s_x + s_y
+        + g*n."""
         M, parts = A
-        g, mono_mono, parity = self.g, self._mono_mono, self._parity
-        terms = [(s, x, c, parity(x)) for s, p in parts.items() for x, c in p.items()]
+        g, parity = self.g, self._parity
+        classes: tuple = ({}, {})  # A's terms by parity: {degree: {monomial: int}}
+        for s, p in parts.items():
+            for x, c in p.items():
+                classes[parity(x)].setdefault(s, {})[x] = c
         acc: dict = {}
-        cross: tuple = ({}, {})  # O by p p'
-        for i, (si, xi, ci, pi) in enumerate(terms):
-            s, w = si + si, ci * ci
-            for n, p in mono_mono(xi, xi).items():
-                dst = acc.setdefault(n, {}).setdefault(s + g * n, {})
-                for m, cp in p.items():
-                    _accum(dst, m, w * cp)
-            for sj, xj, cj, pj in terms[i + 1:]:
-                s, w, out = si + sj, ci * cj, cross[pi & pj]
-                for n, p in mono_mono(xi, xj).items():
-                    dst = out.setdefault(n, {}).setdefault(s + g * n, {})
-                    for m, cp in p.items():
-                        _accum(dst, m, w * cp)
-        for sign, out in zip((-1, 1), cross):
-            for n, slots in out.items():
-                for e, p in slots.items():
-                    dst = acc.setdefault(n, {}).setdefault(e, {})
-                    for m, c in p.items():
-                        _accum(dst, m, c)
-                    for j in range(n + 1):
-                        mult = (-sign if n % 2 else sign) * comb(n, j)
-                        dst = acc.setdefault(j, {}).setdefault(e - g * (n - j), {})
-                        for m, c in p.items():
-                            for dy, cy in self._dpow(m, n - j).items():
-                                _accum(dst, dy, mult * cy * c)
+        for pB, B in enumerate(classes):
+            if not B:
+                continue
+            product = ProductBracket(self, _LetterBase(self, B), self._power, parity, pB)
+            for sx, p in parts.items():
+                for x, cx in p.items():
+                    if not x:
+                        continue  # a constant brackets to zero
+                    for n, slots in product(x).items():
+                        row = acc.setdefault(n, {})
+                        for sy, q in slots.items():
+                            _add_scaled(row.setdefault(sx + sy + g * n, {}), q, cx)
         return self.L * M * M, acc
+
+    def _power(self, y: tuple, k: int) -> dict:
+        """d^k of an interned monomial as {degree shift 0: {monomial:
+        multiplicity}}: in the engine's values a derivative's k lives in the
+        monomial's derivative count."""
+        return {0: self._dpow(y, k)}
+
+    def drop_memos(self) -> None:
+        """Empty the bracket memos ({var lambda mono}, {mono lambda mono},
+        products, derivatives); the symmetric() verdict and the held orbits
+        stay."""
+        for memo in (self._vm, self._mm, self._products, self._dpows):
+            memo.clear()
 
     def skew_diffs(self, pairs=None) -> list:
         """[(a, b, diff)] for the pairs of variables (every stored pair when
@@ -847,10 +892,25 @@ class _Leibniz:
             if diff:
                 out.append((a, b, diff))
         if whole and len(ints) == len(vs) ** 2:
-            parity = self._parity
-            self._symmetric = not out and all(
-                parity(m) == vs[u].parity ^ vs[v].parity
-                for (u, v), e in ints.items() for p in e.values() for m in p)
+            self._symmetric = not out and not self.parity_faults()
+        return out
+
+    def parity_faults(self, pairs=None) -> list:
+        """[(a, b, terms)] for the pairs of variables (every stored pair when
+        None) whose {a lambda b} holds monomials of a parity other than p(a)
+        + p(b), terms those monomials' part of it as {lambda power:
+        {monomial: int}} at scale L."""
+        vs, parity = self.space.vars, self._parity
+        rank = self.space.rank_of
+        if pairs is None:
+            pairs = [(vs[u], vs[v]) for u, v in self.store.ints]
+        out = []
+        for (a, b) in pairs:
+            want = a.parity ^ b.parity
+            terms = {n: q for n, p in self._entry(rank(a), rank(b)).items()
+                     for q in [{m: c for m, c in p.items() if parity(m) != want}] if q}
+            if terms:
+                out.append((a, b, terms))
         return out
 
     def symmetric(self) -> bool:
@@ -908,6 +968,110 @@ class _Leibniz:
                        for (i, j), p in diff.items()})
 
 
+def _minus_lambda_power(val: dict, j: int) -> dict:
+    """(-lambda)^j times a value {n: {degree: {monomial: int}}}: lambda^n goes
+    to lambda^(n+j), negated for odd j.  The degree stays in both gradings a
+    ProductBracket meets: in the engine's, the k^j of d^j(factor) rides on
+    the factor's derivative count; in a Substitution's (g = 1), d^j(image)
+    sits j degrees lower and lambda^j adds the j back."""
+    if not j:
+        return val
+    if j % 2:
+        return {n + j: {e: {m: -c for m, c in p.items()} for e, p in slots.items()}
+                for n, slots in val.items()}
+    return {n + j: slots for n, slots in val.items()}
+
+
+def _parity_class(engine: _Leibniz, parts: dict, what) -> Optional[int]:
+    """The one parity of the monomials of {degree: {monomial: int}}, None
+    when there are none; WAlgebraError naming `what` when they differ."""
+    parity = engine._parity
+    found = {parity(x) for p in parts.values() for x in p}
+    if len(found) > 1:
+        raise WAlgebraError(f"{what} mixes parities")
+    return found.pop() if found else None
+
+
+class ProductBracket:
+    """{m lambda B} for products m, tuples of factors, against one fixed right
+    operand B of parity pB, by the left Leibniz rule on the first factor
+    (factors and B homogeneous):
+
+        {f r lambda B} = (-1)^{p(r)p(B)} {f lambda+d B}-> r
+                       + (-1)^{p(f)(p(r)+p(B))} {r lambda+d B}-> f.
+
+    A value is {lambda power: {degree: {interned monomial: int}}}.  The
+    caller gives base(f) = {f lambda B} for one factor, power(y, k) = d^k of
+    the product y as {degree: {interned monomial: int}}, and parity(y).  An
+    arrow takes lambda^n of the bracket to sum_k C(n, k) lambda^(n-k) times
+    its coefficient times d^k(y), the degrees of the two terms added, on the
+    engine's product memo.  The value of every product and suffix met is
+    memoized in the object: it lives as long as its caller keeps it, one
+    call, and holds no reference back to itself."""
+
+    __slots__ = ("_add_times", "_base", "_power", "_parity", "_pB", "_memo")
+
+    def __init__(self, engine: _Leibniz, base, power, parity, pB: int):
+        self._add_times = engine._add_times
+        self._base, self._power, self._parity, self._pB = base, power, parity, pB
+        self._memo: dict = {}
+
+    def __call__(self, m: tuple) -> dict:
+        hit = self._memo.get(m)
+        if hit is None:
+            if len(m) == 1:
+                hit = self._base(m[0])
+            else:
+                head, rest = m[:1], m[1:]
+                parity, pB = self._parity, self._pB
+                pr = parity(rest)
+                hit = {}
+                self._arrow(hit, self(head), rest, -1 if pr and pB else 1)
+                self._arrow(hit, self(rest), head, -1 if parity(head) and pr != pB else 1)
+            self._memo[m] = hit
+        return hit
+
+    def _arrow(self, out: dict, br: dict, y: tuple, sign: int) -> None:
+        """out += sign * {X_{lambda+d} B}_-> y for br = {X lambda B}."""
+        add_times, power = self._add_times, self._power
+        for n, slots in br.items():
+            for k in range(n + 1):
+                row = out.setdefault(n - k, {})
+                mult = sign * comb(n, k)
+                for s, dy in power(y, k).items():
+                    for e, p in slots.items():
+                        dst = row.setdefault(e + s, {})
+                        for z, cz in dy.items():
+                            add_times(dst, p, z, mult * cz)
+
+
+class _LetterBase:
+    """The base of a self-bracket's ProductBracket against B, {degree:
+    {interned monomial: int}} of one parity: for an interned factor x =
+    d^j(v), (-lambda)^j {v lambda B}, where {v lambda B} = sum over the
+    terms c_y y of B of c_y {v lambda y}, at y's degree, is summed once per
+    letter v."""
+
+    __slots__ = ("_engine", "_B", "_letters")
+
+    def __init__(self, engine: _Leibniz, B: dict):
+        self._engine, self._B = engine, B
+        self._letters: dict = {}
+
+    def __call__(self, x: int) -> dict:
+        engine = self._engine
+        v, j = divmod(x, engine.space.stride)
+        val = self._letters.get(v)
+        if val is None:
+            val = self._letters[v] = {}
+            var_mono = engine._var_mono
+            for sy, q in self._B.items():
+                for y, cy in q.items():
+                    for n, p in var_mono(v, y).items():
+                        _add_scaled(val.setdefault(n, {}).setdefault(sy, {}), p, cy)
+        return _minus_lambda_power(val, j)
+
+
 def extend_bracket(table: BracketTable, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
     """{A lambda B} for arbitrary differential polynomials over the table's
     variables.  Coefficients multiply through; constants bracket to zero."""
@@ -931,10 +1095,15 @@ def nth_product(table: BracketTable, A: DiffPoly, B: DiffPoly, n: int) -> DiffPo
 def check_skew(table: BracketTable, pairs=None) -> list[dict]:
     """Violations of {a lambda b} = -(-1)^{p(a)p(b)} {b_{-lambda-d} a}
     over the pairs (every stored pair when None), compared on the engine's
-    ints; only a violating pair's diff is lifted."""
+    ints, only a violating pair's diff lifted; then those of parity, kind
+    "parity": a pair whose {a lambda b} holds monomials of a parity other
+    than p(a) + p(b), with those terms lifted."""
     engine = table._leibniz()
-    return [{"kind": "skew", "pair": (a, b), "diff": engine.store.lift(diff)}
-            for a, b, diff in engine.skew_diffs(pairs)]
+    lift = engine.store.lift
+    return ([{"kind": "skew", "pair": (a, b), "diff": lift(diff)}
+             for a, b, diff in engine.skew_diffs(pairs)]
+            + [{"kind": "parity", "pair": (a, b), "terms": lift(terms)}
+               for a, b, terms in engine.parity_faults(pairs)])
 
 
 class TwoVar:
@@ -1025,27 +1194,47 @@ class Substitution:
         self._mapping = mapping
         self._letters: dict = {}  # (letter, n) -> value of d^n(image)
         self._monos: dict = {_EMPTY: (1, {0: {_EMPTY: 1}})}  # monomial -> value
+        self._dpows: dict = {}  # (monomial, k) -> value of d^k(image), k > 0
+
+    def _derived(self, value: tuple) -> tuple:
+        """d of a value: each monomial's derivative, one degree lower."""
+        deriv = self._engine.space.deriv
+        M, parts = value
+        out: dict = {}
+        for s, p in parts.items():
+            dst: dict = {}
+            for x, c in p.items():
+                for y in deriv(x):
+                    _accum(dst, y, c)
+            if dst:
+                out[s - 1] = dst
+        return M, out
 
     def _letter(self, v, n: int) -> tuple:
         key = (v, n)
         hit = self._letters.get(key)
         if hit is None:
-            space = self._engine.space
             if n:
-                M, prev = self._letter(v, n - 1)
-                out: dict = {}
-                for s, p in prev.items():
-                    dst: dict = {}
-                    for x, c in p.items():
-                        for y in space.deriv(x):
-                            _accum(dst, y, c)
-                    if dst:
-                        out[s - 1] = dst
-                hit = (M, out)
+                hit = self._derived(self._letter(v, n - 1))
             else:
                 img = self._mapping.get(v)
-                hit = space.graded(DiffPoly.variable(v) if img is None else img, 1)
+                hit = self._engine.space.graded(DiffPoly.variable(v) if img is None else img, 1)
             self._letters[key] = hit
+        return hit
+
+    def dpow(self, m: Monomial, k: int) -> tuple:
+        """The value of d^k of a monomial's image: a letter's d^(n+k) from the
+        letter memo, a longer monomial's image differentiated k times,
+        memoized likewise."""
+        if len(m) == 1:
+            v, n = m[0]
+            return self._letter(v, n + k)
+        if not k:
+            return self._mono(m)
+        key = (m, k)
+        hit = self._dpows.get(key)
+        if hit is None:
+            hit = self._dpows[key] = self._derived(self.dpow(m, k - 1))
         return hit
 
     def _mono(self, m: Monomial) -> tuple:
@@ -1055,18 +1244,45 @@ class Substitution:
         if hit is None:
             Ma, a = self._mono(m[:-1])
             Mb, b = self._letter(*m[-1])
-            mul = self._engine._mul
+            add_times = self._engine._add_times
             out: dict = {}
             for sa, pa in a.items():
                 for sb, pb in b.items():
                     dst = out.setdefault(sa + sb, {})
-                    for xa, ca in pa.items():
-                        for xb, cb in pb.items():
-                            r = mul(xa, xb)
-                            if r is not None:
-                                _accum(dst, r[1], r[0] * ca * cb)
+                    for xb, cb in pb.items():
+                        add_times(dst, pa, xb, cb)
             hit = self._monos[m] = (Ma * Mb, {s: p for s, p in out.items() if p})
         return hit
+
+    def bracket_images(self, monos: list, B: tuple, letter_bracket) -> list:
+        """[{image(mu) lambda B}] for monomials mu over letters of the
+        mapping, B a graded value of the engine (g = 1), as graded brackets
+        (scale, {n: {degree: {monomial: int}}}) at scale L*M_B*(the product
+        of the scales of mu's letter images).  Each runs through mu's
+        factors by one ProductBracket: {d^j image(v) lambda B} =
+        (-lambda)^j letter_bracket(v), letter_bracket(v) the graded bracket
+        {image(v) lambda B}, asked once per letter; the arrows multiply by
+        d^k of factor images from this object's memos.  A letter's image
+        must have the letter's parity and B one parity (WAlgebraError)."""
+        engine = self._engine
+        M_B, parts = B
+        pB = _parity_class(engine, parts, "the right operand") or 0
+        bases: dict = {}
+
+        def base(f):
+            v, j = f
+            val = bases.get(v)
+            if val is None:
+                if _parity_class(engine, self._letter(v, 0)[1], v) not in (None, v.parity):
+                    raise WAlgebraError(f"the image of {v} does not have its parity")
+                val = bases[v] = letter_bracket(v)[1]
+            return _minus_lambda_power(val, j)
+
+        product = ProductBracket(engine, base, lambda y, k: self.dpow(y, k)[1],
+                                 lambda y: sum(v.parity for v, _ in y) & 1, pB)
+        L = engine.L * M_B
+        return [(prod((self._letter(v, 0)[0] for v, _ in mu), start=L), product(mu))
+                for mu in monos]
 
     def graded(self, poly: DiffPoly) -> tuple:
         """poly with every letter replaced by its image, as a graded value

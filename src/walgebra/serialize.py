@@ -227,6 +227,7 @@ def closure_report_to_json(rep) -> dict:
 def axiom_report_to_json(rep: dict) -> dict:
     out = {
         "skew_violations": rep["skew_violations"],
+        **({"parity_violations": rep["parity_violations"]} if "parity_violations" in rep else {}),
         "jacobi_violations": rep["jacobi_violations"],
         "pairs_checked": rep["pairs_checked"],
         "triples_checked": rep["triples_checked"],
@@ -241,10 +242,14 @@ def axiom_report_to_json(rep: dict) -> dict:
 
 def violation_to_json(v: dict) -> dict:
     """A check_skew or check_jacobi violation with its exact diff: a lambda
-    polynomial for a pair, {lpow, mupow, poly} terms for a triple."""
+    polynomial for a pair, {lpow, mupow, poly} terms for a triple; a parity
+    violation with the wrong-parity terms of its pair's bracket."""
     if v["kind"] == "skew":
         return {"kind": "skew", "pair": [gen_to_json(g) for g in v["pair"]],
                 "diff": lambda_poly_to_json(v["diff"])}
+    if v["kind"] == "parity":
+        return {"kind": "parity", "pair": [gen_to_json(g) for g in v["pair"]],
+                "terms": lambda_poly_to_json(v["terms"])}
     diff = v["diff"].coeffs
     return {"kind": "jacobi", "triple": [gen_to_json(g) for g in v["triple"]],
             "diff": [{"lpow": i, "mupow": j, "poly": diff_poly_to_json(diff[(i, j)])}

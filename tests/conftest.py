@@ -9,7 +9,7 @@ sign rule for both kinds, so a table is named by its shape alone.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple
 
 from walgebra.coeffs import ONE, Coeff
@@ -23,6 +23,7 @@ from walgebra.weakgen import (ClosureReport, ClosureStep, Recovery, coefficient_
                               default_caps)
 
 F = Fraction
+_F0 = F(0)
 
 
 @lru_cache(maxsize=None)
@@ -191,15 +192,19 @@ def sharp_project(ctx, cdata, z):
     return m
 
 
-def substitute(poly, mapping):
+def substitute(poly, mapping, memo=None):
     """Reference for pvacore.Substitution on DiffPoly arithmetic: replace
     letters by differential polynomials (a differential-algebra morphism:
     derivative powers push onto the image).  Variables absent from the
     mapping stay themselves; images may be DiffPoly or plain scalars.
-    Within a call, the image of each d^k(letter) is computed once, from
-    that of d^(k-1)(letter), and so is the image of each monomial prefix."""
-    letters: dict = {}  # (letter, k) -> image of d^k(letter)
-    prefixes: dict = {(): DiffPoly.constant(1)}  # monomial prefix -> its image
+    The image of each d^k(letter) is computed once, from that of
+    d^(k-1)(letter), and so is the image of each monomial prefix: within a
+    call, or across calls that pass the same memo dict, which the caller
+    keeps for one unchanging mapping."""
+    if memo is None:
+        memo = {}
+    letters = memo.setdefault("letters", {})  # (letter, k) -> image of d^k(letter)
+    prefixes = memo.setdefault("prefixes", {(): DiffPoly.constant(1)})  # prefix -> image
 
     def letter(v, k):
         fac = letters.get((v, k))
@@ -217,13 +222,70 @@ def substitute(poly, mapping):
     def image(m):
         img = prefixes.get(m)
         if img is None:
-            img = prefixes[m] = image(m[:-1]) * letter(*m[-1])
+            img = prefixes[m] = _times(image(m[:-1]), letter(*m[-1]))
         return img
 
     out = DiffPoly()
     for m, c in poly.terms.items():
         out = out + image(m).scale(c)
     return out
+
+
+def _times(P, Q):
+    """P*Q on DiffPolys with canonical monomials.  The factors of both are
+    ranked in factor order, and each pair of monomials is merged on the
+    ranks: each odd factor of Q's monomial that moves ahead of odd factors
+    of P's flips the sign once per factor passed, and an odd factor met in
+    both kills the product.  Coefficients are summed per power of k on
+    ints over the product of the two common denominators and made Coeffs
+    once per monomial."""
+    factors = sorted({f for poly in (P, Q) for m in poly.terms for f in m},
+                     key=lambda f: (f[0].sort_key(), f[1]))
+    rank = {f: r for r, f in enumerate(factors)}
+    odd = [f[0].parity for f in factors]
+
+    def ranked(poly):
+        """(D, [(ranked monomial, odd factors, coefficient ints over D)])."""
+        D = lcm(*(x.denominator for c in poly.terms.values() for x in c.num))
+        return D, [(tuple(rank[f] for f in m), sum(f[0].parity for f in m),
+                    [x.numerator * (D // x.denominator) for x in c.num])
+                   for m, c in poly.terms.items()]
+
+    acc: dict = {}  # ranked monomial -> {power of k: int over DP*DQ}
+    DQ, right = ranked(Q)
+    DP, left_terms = ranked(P)
+    for r1, odd1, c1 in left_terms:
+        n1 = len(r1)
+        for r2, _, c2 in right:
+            out, sign, i, j, left = [], 1, 0, 0, odd1
+            while i < n1 and j < len(r2):
+                x, y = r1[i], r2[j]
+                if y < x:
+                    if odd[y] and left % 2:
+                        sign = -sign
+                    out.append(y)
+                    j += 1
+                elif x == y and odd[x]:
+                    break
+                else:
+                    left -= odd[x]
+                    out.append(x)
+                    i += 1
+            else:
+                powers = acc.setdefault(tuple(out) + r1[i:] + r2[j:], {})
+                for a, x in enumerate(c1):
+                    if x:
+                        x = x if sign > 0 else -x
+                        for b, y in enumerate(c2):
+                            if y:
+                                powers[a + b] = powers.get(a + b, 0) + x * y
+    out = {}
+    for r, powers in acc.items():
+        c = Coeff(tuple(F(v, DP * DQ) if v else _F0 for v in
+                        (powers.get(i, 0) for i in range(max(powers, default=-1) + 1))))
+        if c:
+            out[tuple(factors[x] for x in r)] = c
+    return DiffPoly(out)
 
 
 def verify_every_ordered_pair(rctx, table, W):
@@ -234,9 +296,11 @@ def verify_every_ordered_pair(rctx, table, W):
     from walgebra.dsreduction import reduced_bracket
 
     bad = []
+    memo: dict = {}
     for a in W:
         for b in W:
-            want = LambdaPoly({n: substitute(p, W) for n, p in table.lookup(a, b).coeffs.items()})
+            want = LambdaPoly({n: substitute(p, W, memo)
+                               for n, p in table.lookup(a, b).coeffs.items()})
             if reduced_bracket(rctx, W[a], W[b]) != want:
                 bad.append((a, b))
     return bad
@@ -312,6 +376,60 @@ def corrupted_table():
     entries[(a, b)] = entries[(a, b)] + extra
     entries[(b, a)] = entries[(b, a)] - extra
     return BracketTable(ctx.centralizer().gens, entries)
+
+
+def skew_corrupted(tab, a, b, w, c=1):
+    """tab with c*w added to {a lambda b} at lambda^0 and -(-1)^{p(a)p(b)} c*w
+    to {b lambda a}: skew symmetry still holds (for a = b even the two
+    cancel)."""
+    from walgebra.pvacore import BracketTable
+
+    entries = dict(tab.entries)
+    extra = LambdaPoly({0: DiffPoly.variable(w).scale(c)})
+    entries[(a, b)] = entries[(a, b)] + extra
+    entries[(b, a)] = entries[(b, a)] - extra.scale(-1 if a.parity and b.parity else 1)
+    return BracketTable(tab.variables, entries)
+
+
+def wrong_parity_table():
+    """The symbolic sl(2|1) table with the even q[1](2,2) added to the odd
+    bracket {q[1](2,2) lambda q[3/2](1,2)} and the reverse: skew-symmetric,
+    but its extension is not."""
+    ctx = ctx_of("sl_super", (2,), (1,))
+    a, b = gen(ctx, 1, 2, 2), gen(ctx, "3/2", 1, 2)
+    return skew_corrupted(table_of("sl_super", (2,), (1,)), a, b, a)
+
+
+def solve_generator_reference(rctx, a):
+    """The realization W_a solved on its own, as dsreduction did before one
+    elimination per weight: the columns are the weight-t unknowns other
+    than a's letter, a's constraint brackets the right-hand side, and every
+    other bare variable of the weight pinned to zero."""
+    from walgebra.dsreduction import AffVar, _add_rows, _agrees, _lifted
+
+    avar = AffVar(a, 0)
+    unknowns = [u for u in rctx.unknowns(a.t) if u[0] != ((avar, 0),)]
+    engine = rctx.affine_table()._leibniz()
+    system = System()
+    base = engine.graded(DiffPoly.variable(avar))
+    nv_vals = [engine.graded(DiffPoly.variable(nv)) for nv in rctx.n_vars]
+    for nv, nv_val in zip(rctx.n_vars, nv_vals):
+        _add_rows(system, nv, None, *engine.graded_bracket(nv_val, base))
+        for col, (_, val) in enumerate(unknowns):
+            _add_rows(system, nv, col, *engine.graded_bracket(nv_val, val))
+    for col, (m, _) in enumerate(unknowns):
+        if len(m) == 1 and m[0][1] == 0:
+            system.add(("pin", m), col, F(1))
+    sol = system.solve()
+    if sol is None:
+        raise NoSolution(f"constraint system inconsistent for {a}")
+    W = DiffPoly({((avar, 0),): ONE, **{unknowns[col][0]: _lifted(unknowns[col][0], x)
+                                        for col, x in sol.items()}})
+    W_val = engine.graded(W)
+    for nv_val in nv_vals:
+        if not _agrees(engine.graded_bracket(nv_val, W_val), {}):
+            raise NoSolution(f"constraint violated after solve for {a}")
+    return W
 
 
 # ---------------------------------------------------------------------------

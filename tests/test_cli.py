@@ -8,7 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from conftest import corrupted_table, ctx_of, table_of
+from conftest import corrupted_table, ctx_of, table_of, wrong_parity_table
 from walgebra import cli, serialize as ser
 from walgebra.cli import main
 from walgebra.liestruct import MAX_MATRIX_SIZE, PartitionSpec
@@ -270,3 +270,27 @@ def test_axioms_names_a_failing_pair(capsys, monkeypatch):
         {"kind": "skew", "pair": [ser.gen_to_json(g) for g in v["pair"]],
          "diff": ser.lambda_poly_to_json(v["diff"])} for v in (first, second)]
     assert doc["first_failures"][2]["kind"] == "jacobi"
+
+
+def test_axioms_names_entries_of_the_wrong_parity(capsys, monkeypatch):
+    # a skew-symmetric table whose odd bracket holds an even monomial: the
+    # skew check reports it with kind "parity", in the text, the JSON and
+    # the exit code
+    tab = wrong_parity_table()
+    monkeypatch.setattr(cli, "_table", lambda ctx, cfg: tab)
+    parity = check_skew(tab)
+    assert [v["kind"] for v in parity] == ["parity", "parity"]
+    code, out, _ = run(capsys, "axioms", "--kind", "sl-super", "--partition", "2",
+                       "--partition2", "1")
+    assert code == 4
+    assert out.splitlines()[0] == "skew: 2 violations over 16 pairs (2 of parity)"
+    assert (f"parity violation at ({', '.join(map(str, parity[0]['pair']))}): "
+            f"{parity[0]['terms']!r}") in out
+    code, out, _ = run(capsys, "axioms", "--kind", "sl-super", "--partition", "2",
+                       "--partition2", "1", "--format", "json")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["skew_violations"] == 2 and doc["parity_violations"] == 2
+    assert doc["first_failures"][:2] == [
+        {"kind": "parity", "pair": [ser.gen_to_json(g) for g in v["pair"]],
+         "terms": ser.lambda_poly_to_json(v["terms"])} for v in parity]

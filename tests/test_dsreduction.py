@@ -7,20 +7,22 @@ formula only the ladder families and the pairing reader, which a test below
 checks against the matrices themselves; that is what makes the bit-exact
 agreement below count as independent certification."""
 
+import gc
 import hashlib
+import weakref
 from collections import ChainMap
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import (bracket_by_chains, corrupted_table, ctx_of, flatten, gen, poly_normalize,
-                      poly_weight, reexpress, small_shapes, substitute, table_of,
-                      verify_every_ordered_pair)
+                      poly_weight, reexpress, small_shapes, solve_generator_reference,
+                      substitute, table_of, verify_every_ordered_pair, wrong_parity_table)
 from walgebra.coeffs import ONE, Coeff
-from walgebra.dsreduction import (ReductionCtx, reconcile, reduced_bracket,
+from walgebra.dsreduction import (ReductionCtx, _weight_search, reconcile, reduced_bracket,
                                   solve_all, weight_monomials)
 from walgebra.errors import NoSolution, NormalizationImpossible, WAlgebraError
 from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
@@ -222,15 +224,27 @@ def test_weight_monomials_are_the_canonical_monomials_once(specs, twice_target):
     letters = [GenIndex(F(t, 2), i, 1, parity) for i, (t, parity) in enumerate(specs)]
     target = F(twice_target, 2)
     got = weight_monomials(letters, lambda v: v.t, target)
-    assert len(got) == len(set(got))
-    assert set(got) == _brute_force_monomials(letters, target)
+    # in lexicographic order of their factor sequences, the order of first
+    # appearance in a search over every ordering of the factors
+    factors = sorted({f for m in got for f in m}, key=lambda f: (f[0].sort_key(), f[1]))
+    rank = {f: r for r, f in enumerate(factors)}
+    assert got == sorted(_brute_force_monomials(letters, target),
+                         key=lambda m: [rank[f] for f in m])
+    # the search reaches each monomial once: as many leaves as outputs
+    ordered = sorted(letters, key=lambda v: v.sort_key())
+    leaves = list(_weight_search([int(2 * v.t) for v in ordered], [v.parity for v in ordered],
+                                 2, twice_target))
+    assert len(leaves) == len(got)
 
 
 @lru_cache(maxsize=None)
 def _realized(kind, p1, p2=()):
+    """The shape's reduction context, its generators in order, their pinned
+    realizations W, and a memo of substitute's images under W kept across
+    the examples that use the shape."""
     rctx = ReductionCtx(ctx_of(kind, p1, p2))
     W = solve_all(rctx).solutions
-    return rctx, sorted(W, key=lambda g: g.sort_key()), W
+    return rctx, sorted(W, key=lambda g: g.sort_key()), W, {}
 
 
 SUBSTITUTION_COEFFS = [ONE, Coeff.of(F(-2, 3)), 1 + K, K * K - F(1, 2) * K, F(3, 4) * K]
@@ -253,7 +267,7 @@ def test_interned_substitution_matches_the_diffpoly_reference(shape, data):
     # and a few ladder letters (absent from the mapping, so they stay), with
     # coefficients of mixed degree in k, odd letters on sl(2|1), and ONE on
     # monomials that carry derivatives, as reconcile feeds them
-    rctx, gens, W = _realized(*shape)
+    rctx, gens, W, memo = _realized(*shape)
     affine = rctx.affine_table()
     letters = gens + rctx.p_vars[:3]
     sub = Substitution(affine, W)
@@ -262,17 +276,22 @@ def test_interned_substitution_matches_the_diffpoly_reference(shape, data):
                                for _ in range(data.draw(st.integers(1, 2)))])
     if mu is not None:
         polys.append(DiffPoly({mu: ONE}))
-    want = [substitute(poly, W) for poly in polys]
+    want = [substitute(poly, W, memo) for poly in polys]
     for poly, w in zip(polys + polys, want + want):  # the second pass reads the memos
         assert sub(poly) == w, poly
     # an override of one letter by a monomial's image, as reconcile's linear
     # correction terms use it
     l = data.draw(st.sampled_from(gens))
-    image = substitute(_random_poly(data, gens, 2), W)
+    image = substitute(_random_poly(data, gens, 2), W, memo)
     over = ChainMap({l: image}, W)
     over_sub = Substitution(affine, over)
+    # the reference's images under W that do not involve l hold under the
+    # override too
+    over_memo = {"letters": {vk: p for vk, p in memo["letters"].items() if vk[0] != l},
+                 "prefixes": {m: p for m, p in memo["prefixes"].items()
+                              if all(v != l for v, _ in m)}}
     for poly in polys + [_random_poly(data, [l] + letters)]:
-        assert over_sub(poly) == substitute(poly, over), poly
+        assert over_sub(poly) == substitute(poly, over, over_memo), poly
 
 
 # every shape of both kinds with at most 4 boxes that the workbench builds
@@ -300,6 +319,91 @@ def test_reconcile_agrees_with_the_reference_on_every_ordered_pair(shape):
 
 def test_reconcile_shapes_at_most_4_boxes():
     assert len(RECONCILE_SMALL) == 13
+
+
+# every shape of both kinds with at most 5 boxes that the workbench builds
+SHAPES_5 = []
+for _shape in small_shapes(5):
+    try:
+        ctx_of(*_shape)
+    except NormalizationImpossible:
+        continue
+    SHAPES_5.append(_shape)
+
+
+@pytest.mark.parametrize("shape", SHAPES_5, ids=str)
+def test_one_elimination_per_weight_matches_each_generator_alone(shape):
+    # the same pivots and zeroed-free solution as solving each generator's
+    # own system, whose right-hand side is its letter's constraint brackets
+    rctx, gens, W, _ = _realized(*shape)
+    assert W == {a: solve_generator_reference(rctx, a) for a in gens}
+
+
+def _lifted_bracket(engine, bracket) -> LambdaPoly:
+    scale, slots = bracket
+    return LambdaPoly({n: engine.space.lift(scale, parts, engine.g) for n, parts in slots.items()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SHAPES_5), st.data())
+def test_correction_monomials_bracket_through_their_factors(shape, data):
+    # {mu(W) lambda W_b} through mu's factors, from {W_c lambda W_b} and the
+    # substitution's images of the factors, against the bracket of the
+    # expanded image mu(W); the two sit at different scales, so they are
+    # compared over Q(k).  mu is a correction monomial of a stage: weight w
+    # over the lower generators, here with 1-3 factors and derivative
+    # powers 0-2
+    rctx, gens, W, _ = _realized(*shape)
+    weights = sorted({g.t for g in gens})
+    if len(weights) < 2:
+        reject()
+    w = data.draw(st.sampled_from(weights[1:]))
+    lower = [g for g in gens if g.t < w]
+    pool = [mu for mu in weight_monomials(lower, lambda g: g.t, w)
+            if len(mu) <= 3 and all(d <= 2 for _, d in mu)]
+    if not pool:
+        reject()
+    monos = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    affine = rctx.affine_table()
+    engine = affine._leibniz()
+    sub = Substitution(affine, W)
+    vals = {g: engine.graded(W[g]) for g in lower}
+    for b in lower:
+        got = sub.bracket_images(monos, vals[b],
+                                 lambda c: engine.graded_bracket(vals[c], vals[b]))
+        for mu, bracket in zip(monos, got):
+            want = extend_bracket(affine, sub(DiffPoly({mu: ONE})), W[b])
+            assert _lifted_bracket(engine, bracket) == want, (mu, b)
+
+
+def test_reconcile_drops_the_engine_memos():
+    # the bracket memos are emptied before reconcile returns, the skew
+    # verdict and the held orbits stay, and a dropped context takes its
+    # engine with it without the cyclic collector
+    gc.disable()
+    try:
+        rctx = ReductionCtx(ctx_of("sl", (3, 1)))
+        engine = rctx.affine_table()._leibniz()
+        assert engine.symmetric()
+        held = engine.held
+        assert reconcile(rctx, table_of("sl", (3, 1))).ok
+        assert not (engine._mm or engine._vm or engine._products or engine._dpows)
+        assert engine._symmetric is True and engine.held is held
+        dead = weakref.ref(engine)
+        del rctx, engine
+        assert dead() is None
+    finally:
+        gc.enable()
+
+
+def test_reconcile_refuses_a_table_of_the_wrong_parity():
+    # skew-symmetric, so only the parity check sees it
+    ctx = ctx_of("sl_super", (2,), (1,))
+    rep = reconcile(ReductionCtx(ctx), wrong_parity_table())
+    assert not rep.ok
+    assert rep.failure["stage"] == "skew" and rep.failure["table"] == "closed-form"
+    assert rep.failure["kind"] == "parity"
+    assert set(rep.failure["pair"]) == {gen(ctx, 1, 2, 2), gen(ctx, "3/2", 1, 2)}
 
 
 def _broken_on_one_orientation(entries, a, b, extra):

@@ -190,4 +190,4 @@ def test_system_solve_builds_one_fraction_per_solved_column(monkeypatch):
     monkeypatch.setattr(linalg, "Fraction", Fraction)
     assert sol and 0 < len(made) <= len(sol)
     for i, row in system.rows.items():
-        assert sum(v * sol.get(j, 0) for j, v in row.items()) == system.rhs[i]
+        assert sum(v * sol.get(j, 0) for j, v in row.items()) == system.rhs[i][0]

@@ -23,13 +23,14 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from conftest import (corrupted_table, ctx_of, gen, monomial_parity, nth_linear,
-                      poly_normalize, small_shapes, subst_neg_lambda_partial, table_of)
+                      poly_normalize, skew_corrupted, small_shapes, subst_neg_lambda_partial,
+                      table_of, wrong_parity_table)
 from walgebra.coeffs import Coeff, ONE
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import MissingTableEntry, NormalizationImpossible, WAlgebraError
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, TwoVar,
                               VarSpace, _Leibniz, apply_partial, check_jacobi,
-                              extend_bracket, linear_term,
+                              check_skew, extend_bracket, linear_term,
                               normalize_factors, nth_product)
 
 F = Fraction
@@ -466,21 +467,10 @@ def _pruned(bracket: tuple) -> tuple:
                    if any(parts.values())}
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SHAPES_5), st.sampled_from(["symbolic", "k=1", "affine"]), st.data())
-def test_self_bracket_matches_the_pairwise_sum(shape, which, data):
-    # the skew-halved self-bracket against all pairs of terms, on every kind
-    # of table reconcile can meet; odd letters are drawn often on the super
-    # shapes, and one monomial always sits at two degrees (coefficient a + b*k)
-    try:
-        ctx = ctx_of(*shape)
-    except NormalizationImpossible:
-        reject()
-    if which == "affine":
-        tab = ReductionCtx(ctx).affine_table()
-    else:
-        tab = table_of(*shape, ktilde="symbolic" if which == "symbolic" else 1)
-    letters = tab.variables
+def _self_bracket_operand(data, letters):
+    """A random polynomial for the self-bracket tests: odd letters drawn
+    often where there are any, and one monomial always at two degrees
+    (coefficient a + b*k)."""
     odd = [v for v in letters if v.parity]
     nonzero = st.sampled_from([1, -1, 2, F(-3, 2)])
     terms = []
@@ -491,8 +481,52 @@ def test_self_bracket_matches_the_pairwise_sum(shape, which, data):
         terms.append((factors, data.draw(st.sampled_from(_K_COEFFS))))
     twice = [(data.draw(st.sampled_from(odd or letters)), data.draw(st.integers(0, 1)))]
     terms.append((twice, Coeff((F(data.draw(nonzero)), F(data.draw(nonzero))))))
+    return poly_normalize(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHAPES_5), st.sampled_from(["symbolic", "k=1", "affine"]), st.data())
+def test_self_bracket_matches_the_pairwise_sum(shape, which, data):
+    # the self-bracket through its terms' factors against all pairs of
+    # terms, on every kind of table reconcile can meet
+    try:
+        ctx = ctx_of(*shape)
+    except NormalizationImpossible:
+        reject()
+    if which == "affine":
+        tab = ReductionCtx(ctx).affine_table()
+    else:
+        tab = table_of(*shape, ktilde="symbolic" if which == "symbolic" else 1)
     engine = tab._leibniz()
-    A = engine.graded(poly_normalize(terms))
+    A = engine.graded(_self_bracket_operand(data, tab.variables))
+    assert _pruned(engine.graded_self_bracket(A)) == _pruned(engine.graded_bracket(A, A))
+
+
+def test_check_skew_reports_entries_of_the_wrong_parity():
+    # the even q[1](2,2) in the odd {q[1](2,2) lambda q[3/2](1,2)} and its
+    # reverse: skew symmetry holds, parity does not, and each pair is named
+    # with its wrong-parity terms; the sound table has none
+    ctx = ctx_of("sl_super", (2,), (1,))
+    a, b = gen(ctx, 1, 2, 2), gen(ctx, "3/2", 1, 2)
+    tab = wrong_parity_table()
+    got = check_skew(tab)
+    assert [(v["kind"], set(v["pair"])) for v in got] == [("parity", {a, b})] * 2
+    want = {(a, b): LambdaPoly({0: DiffPoly.variable(a)}),
+            (b, a): LambdaPoly({0: DiffPoly.variable(a).scale(-1)})}
+    assert {v["pair"]: v["terms"] for v in got} == want
+    assert check_skew(tab, [(a, b)]) == [got[0] if got[0]["pair"] == (a, b) else got[1]]
+    assert check_skew(table_of("sl_super", (2,), (1,))) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["one orientation", "wrong parity"]), st.data())
+def test_self_bracket_needs_no_skew_symmetry(which, data):
+    # the left Leibniz rule holds for any table, so the self-bracket agrees
+    # with all pairs of terms on tables that fail check_skew too
+    tab = _one_orientation_broken() if which == "one orientation" else wrong_parity_table()
+    assert check_skew(tab)
+    engine = tab._leibniz()
+    A = engine.graded(_self_bracket_operand(data, tab.variables))
     assert _pruned(engine.graded_self_bracket(A)) == _pruned(engine.graded_bracket(A, A))
 
 
@@ -519,17 +553,6 @@ def _triples(tab):
     return list(itertools.product(tab.variables, repeat=3))
 
 
-def _skew_corrupted(tab, a, b, w, c=1):
-    """tab with c*w added to {a lambda b} at lambda^0 and -(-1)^{p(a)p(b)} c*w
-    to {b lambda a}: skew symmetry still holds (for a = b even the two
-    cancel)."""
-    entries = dict(tab.entries)
-    extra = LambdaPoly({0: DiffPoly.variable(w).scale(c)})
-    entries[(a, b)] = entries[(a, b)] + extra
-    entries[(b, a)] = entries[(b, a)] - extra.scale(-1 if a.parity and b.parity else 1)
-    return BracketTable(tab.variables, entries)
-
-
 def _one_orientation_broken():
     """The symbolic (2,1) table with q[2](1,1) added to {q[3/2](1,2) lambda
     q[3/2](2,1)} only: not skew-symmetric."""
@@ -538,15 +561,6 @@ def _one_orientation_broken():
     entries = dict(table_of("sl", (2, 1)).entries)
     entries[(a, b)] = entries[(a, b)] + LambdaPoly({0: DiffPoly.variable(w)})
     return BracketTable(ctx.centralizer().gens, entries)
-
-
-def _wrong_parity():
-    """The symbolic sl(2|1) table with the even q[1](2,2) added to the odd
-    bracket {q[1](2,2) lambda q[3/2](1,2)} and the reverse: skew-symmetric,
-    but its extension is not."""
-    ctx = ctx_of("sl_super", (2,), (1,))
-    a, b = gen(ctx, 1, 2, 2), gen(ctx, "3/2", 1, 2)
-    return _skew_corrupted(table_of("sl_super", (2,), (1,)), a, b, a)
 
 
 def _reference_violations(tab, triples) -> dict:
@@ -574,7 +588,7 @@ def test_orbit_rule_matches_the_reference_on_skew_corruptions(shape, data):
     gens = tab.variables
     a, b = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
     w = data.draw(st.sampled_from([v for v in gens if v.parity == a.parity ^ b.parity]))
-    tab = _skew_corrupted(tab, a, b, w, data.draw(st.sampled_from([1, -2, F(3, 2)])))
+    tab = skew_corrupted(tab, a, b, w, data.draw(st.sampled_from([1, -2, F(3, 2)])))
     triples = _triples(tab)
     want = _reference_violations(tab, triples)
     order = data.draw(st.permutations(triples))
@@ -588,7 +602,7 @@ def test_swapping_a_and_b_transposes_the_jacobi_diff():
     # diff(b, a, c) at lambda^j mu^i is -(-1)^{p(a)p(b)} diff(a, b, c) at
     # lambda^i mu^j on a skew-symmetric table, with odd-odd pairs violating
     ctx = ctx_of("sl_super", (2,), (1,))
-    odd = _skew_corrupted(table_of("sl_super", (2,), (1,)), gen(ctx, "3/2", 1, 2),
+    odd = skew_corrupted(table_of("sl_super", (2,), (1,)), gen(ctx, "3/2", 1, 2),
                           gen(ctx, "3/2", 2, 1), gen(ctx, 2, 1, 1), F(-3, 2))
     for tab in (corrupted_table(), odd):
         engine = _fresh(tab)._leibniz()
@@ -604,7 +618,7 @@ def test_swapping_a_and_b_transposes_the_jacobi_diff():
         assert (1, 1) in violated if tab is odd else violated == {(0, 0)}
 
 
-@pytest.mark.parametrize("broken", [_one_orientation_broken, _wrong_parity])
+@pytest.mark.parametrize("broken", [_one_orientation_broken, wrong_parity_table])
 def test_the_rule_is_off_where_its_precondition_fails(broken):
     # one bracket broken on one orientation, or a skew-symmetric table whose
     # entry has the wrong parity: some orbit holds at one triple and fails at
