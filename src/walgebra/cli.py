@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from . import serialize as ser
 from .errors import WAlgebraError
@@ -32,30 +31,39 @@ from .weakgen import (ClosureCaps, closure_search, default_caps,
 F = Fraction
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, after flag/config-file merging."""
+# every field of a RunConfig after `command`, with its default
+_RUN_DEFAULTS = {
+    "kind": "sl",
+    "partition": (),
+    "partition2": (),
+    "flavor": "big",
+    "seed": "big",
+    "ktilde": "one",       # "one" | "symbolic"
+    "format": "text",      # "text" | "json"
+    "output": None,
+    "max_weight": None,
+    "max_n": None,
+    "max_elements": None,
+    "gens": (),            # bracket command: the two generator specs
+}
 
-    command: str
-    kind: str = "sl"
-    partition: tuple = ()
-    partition2: tuple = ()
-    flavor: str = "big"
-    seed: str = "big"
-    ktilde: str = "one"            # "one" | "symbolic"
-    format: str = "text"           # "text" | "json"
-    output: Optional[str] = None
-    max_weight: Optional[Fraction] = None
-    max_n: Optional[int] = None
-    max_elements: Optional[int] = None
-    gens: tuple = ()               # bracket command: the two generator specs
 
-    def __post_init__(self):
+class RunConfig(namedtuple("RunConfig", ["command", *_RUN_DEFAULTS],
+                           defaults=tuple(_RUN_DEFAULTS.values()))):
+    """Everything one invocation needs, after flag/config-file merging; the
+    caps max_weight (a Fraction), max_n and max_elements are None or
+    positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for cap in (self.max_n, self.max_elements):
             if cap is not None and cap <= 0:
                 raise WAlgebraError("caps must be positive")
         if self.max_weight is not None and self.max_weight <= 0:
             raise WAlgebraError("caps must be positive")
+        return self
 
 
 def _parse_partition(text) -> tuple:
@@ -73,13 +81,13 @@ def _parse_partition(text) -> tuple:
         raise WAlgebraError(f"partition must be comma-separated integers: {text!r}")
 
 
-def _parse_cap(name: str, val) -> Optional[int]:
+def _parse_cap(name: str, val) -> int | None:
     if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
         raise WAlgebraError(f"{name} must be a positive integer: {val!r}")
     return val
 
 
-def _parse_weight(val) -> Optional[Fraction]:
+def _parse_weight(val) -> Fraction | None:
     if val is None:
         return None
     try:
@@ -217,7 +225,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         return val
 
     kind = pick("kind", "sl").replace("-", "_")
-    cfg = RunConfig(
+    return RunConfig(
         command=args.command,
         kind=kind,
         partition=_parse_partition(pick("partition", "")),
@@ -230,10 +238,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         max_weight=_parse_weight(pick("max_weight", None)),
         max_n=_parse_cap("max_n", pick("max_n", None)),
         max_elements=_parse_cap("max_elements", pick("max_elements", None)),
+        gens=((_parse_gen_spec(args.left), _parse_gen_spec(args.right))
+              if args.command == "bracket" else ()),
     )
-    if args.command == "bracket":
-        cfg.gens = (_parse_gen_spec(args.left), _parse_gen_spec(args.right))
-    return cfg
 
 
 def _context(cfg: RunConfig) -> AlgebraCtx:

@@ -17,9 +17,6 @@ zeros; the empty tuple is the zero polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-Scalar = Union[int, Fraction, "Coeff"]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -105,13 +102,13 @@ class Coeff:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def of(v: Scalar) -> "Coeff":
+    def of(v: int | Fraction | Coeff) -> "Coeff":
         if isinstance(v, Coeff):
             return v
         return Coeff(_as_poly(v if isinstance(v, Fraction) else Fraction(v)))
 
     @staticmethod
-    def level(power: int = 1, scale: Scalar = 1) -> "Coeff":
+    def level(power: int = 1, scale: int | Fraction | Coeff = 1) -> "Coeff":
         """scale * k**power, for a power of at least 0."""
         if power < 0:
             raise ValueError(f"negative power {power} of the level")
@@ -168,7 +165,7 @@ class Coeff:
 
     # -- evaluation / display ----------------------------------------------
 
-    def eval(self, k: Scalar) -> Fraction:
+    def eval(self, k: int | Fraction | Coeff) -> Fraction:
         """Value at a rational level k."""
         return peval(self.num, k if isinstance(k, Fraction) else Fraction(k))
 

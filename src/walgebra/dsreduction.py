@@ -94,11 +94,9 @@ when reconcile returns; its skew verdict and Jacobi orbits stay.
 
 from __future__ import annotations
 
-from collections import ChainMap
-from dataclasses import dataclass, field
+from collections import ChainMap, namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional
 
 from .coeffs import Coeff, ONE
 from .errors import NoSolution, WAlgebraError
@@ -116,11 +114,11 @@ from .pvacore import (
 _F1 = Fraction(1)
 
 
-class AffVar(NamedTuple):
-    """Ladder position q_g[n] viewed as an affine variable."""
+class AffVar(namedtuple("AffVar", "g n")):
+    """Ladder position q_g[n] (g a GenIndex, n an int) viewed as an affine
+    variable."""
 
-    g: GenIndex
-    n: int
+    __slots__ = ()
 
     @property
     def weight(self) -> Fraction:
@@ -137,11 +135,11 @@ class AffVar(NamedTuple):
         return f"{self.g}[{self.n}]" if self.n else str(self.g)
 
 
-@dataclass
 class GeneratorSolution:
     """Pinned realizations W_a of every generator."""
 
-    solutions: dict  # GenIndex -> DiffPoly
+    def __init__(self, solutions: dict):
+        self.solutions = solutions  # GenIndex -> DiffPoly
 
 
 class ReductionCtx:
@@ -170,7 +168,7 @@ class ReductionCtx:
         if len(self.variables) != ctx.shape.N ** 2 - 1:
             raise NoSolution(f"{len(self.variables)} ladder variables cannot span "
                              f"sl of dimension {ctx.shape.N ** 2 - 1}")
-        self._affine: Optional[BracketTable] = None
+        self._affine: BracketTable | None = None
         self._unknowns: dict = {}
 
     # -- affine structure ------------------------------------------------------
@@ -269,7 +267,7 @@ def _weight_search(weights: list, odd: list, D: int, remaining: int, seq: tuple 
             cost += D
 
 
-def _add_rows(system: System, tag, col: Optional[int], scale: int, slots: dict,
+def _add_rows(system: System, tag, col: int | None, scale: int, slots: dict,
               sign: int = 1) -> None:
     """sign * the k=1 value of the engine's ints {lambda power: {degree:
     {interned monomial: int}}} at `scale` into the rows keyed (tag, lambda
@@ -353,13 +351,17 @@ def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
 # reconciliation against the closed-form table
 
 
-@dataclass
 class ReconcileReport:
-    ok: bool
-    corrections: dict  # GenIndex -> DiffPoly over generator letters
-    corrected: GeneratorSolution
-    failure: Optional[dict] = None
-    deferred: list = field(default_factory=list)
+    """The verdict of reconcile: the corrections found, the corrected
+    generators, the failure (None when ok) and the deferred equations."""
+
+    def __init__(self, ok: bool, corrections: dict, corrected: GeneratorSolution,
+                 failure: dict | None = None, deferred: list | None = None):
+        self.ok = ok
+        self.corrections = corrections  # GenIndex -> DiffPoly over generator letters
+        self.corrected = corrected
+        self.failure = failure
+        self.deferred = [] if deferred is None else deferred
 
 
 def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:

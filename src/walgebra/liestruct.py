@@ -10,6 +10,10 @@ Everything here is exact linear algebra over Q on sparse block matrices:
   by walking each sl2-string up from the centralizer and down from its dual,
 * the projection onto the centralizer along the other ad-f string spaces.
 
+Matrices hold Fractions; the ladder walks of dual_bases and the structure
+constants of StructureKernel run on ints over one denominator per matrix and
+build a Fraction only for an entry they return.
+
 Indices follow the block conventions used throughout the package: blocks are
 1-based, and entry (r, c) of block (bi, bj) means row r of block bi, column c
 of block bj, both 1-based.
@@ -17,17 +21,15 @@ of block bj, both 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import NamedTuple, Optional
 
 from .errors import NormalizationImpossible, SingularPairing, SuperEqualParts, WAlgebraError
 from .linalg import System
 
 F = Fraction
 _F0 = F(0)
-_F1 = F(1)
 
 # The largest total matrix size N = N1 + N2 a PartitionSpec accepts, well
 # above (6,4,3), N = 13, the largest shape the tests and the benchmark build.
@@ -74,8 +76,9 @@ class Weight(Fraction):
         return f"Fraction({self.numerator}, {self.denominator})"
 
 
-class GenIndex(NamedTuple):
-    """Index of a centralizer basis element: weight t, block pair (i, j).
+class GenIndex(namedtuple("GenIndex", "t i j parity", defaults=(0,))):
+    """Index of a centralizer basis element: weight t (a Fraction), block pair
+    (i, j) of ints, and the parity tag, 0 by default.
 
     The parity tag is determined by the block pair within a fixed algebra,
     but it is part of the tuple and so of equality and hashing: an index
@@ -87,10 +90,7 @@ class GenIndex(NamedTuple):
     Fraction.
     """
 
-    t: Fraction
-    i: int
-    j: int
-    parity: int = 0
+    __slots__ = ()
 
     @property
     def weight(self) -> Fraction:
@@ -103,15 +103,16 @@ class GenIndex(NamedTuple):
         return f"q[{self.t}]({self.i},{self.j})"
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Which algebra: 'sl' with one partition, or 'sl_super' with two."""
+class PartitionSpec(namedtuple("PartitionSpec", "kind parts1 parts2", defaults=((),))):
+    """Which algebra: 'sl' with one partition, or 'sl_super' with two.
 
-    kind: str
-    parts1: tuple[int, ...]
-    parts2: tuple[int, ...] = ()
+    kind is a str and the partitions tuples of ints; the spec is validated
+    when it is built and is immutable and hashable."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, parts1: tuple[int, ...], parts2: tuple[int, ...] = ()):
+        self = super().__new__(cls, kind, parts1, parts2)
         if self.kind not in ("sl", "sl_super"):
             raise WAlgebraError(f"unknown algebra kind {self.kind!r}")
         for parts in (self.parts1, self.parts2):
@@ -133,6 +134,7 @@ class PartitionSpec:
                 raise SuperEqualParts(
                     f"sl({sum(self.parts1)}|{sum(self.parts2)}) with equal parts is excluded"
                 )
+        return self
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -188,7 +190,7 @@ class SuperMatrix:
 
     __slots__ = ("shape", "entries")
 
-    def __init__(self, shape: BlockShape, entries: Optional[dict] = None):
+    def __init__(self, shape: BlockShape, entries: dict | None = None):
         self.shape = shape
         self.entries = entries or {}
 
@@ -230,7 +232,7 @@ class SuperMatrix:
                     out.pop(k, None)
         return SuperMatrix(self.shape, out)
 
-    def parity(self) -> Optional[int]:
+    def parity(self) -> int | None:
         """0 or 1 if all entries sit in blocks of one parity, else None."""
         p = None
         sh = self.shape
@@ -265,31 +267,33 @@ class SuperMatrix:
         return f"SuperMatrix({body})"
 
 
-@dataclass
 class CentralizerData:
     """The centralizer basis with its dual and ladder families.
 
+    gens          -- the GenIndex of every basis element, in generator order
     basisF[g]     -- q_g, the ad-f-kernel basis element for GenIndex g
     basisE[g]     -- q*_g, its dual in the ad-e-kernel, (q*_g | q_g) = 1
     dualFamily[g][n]  -- (ad f)^n q*_g, defined for 0 <= n <= 2 delta(g)
     adFPowers[g][n]   -- the matching downward family through q_g obtained by
                          scaled ad-e powers, biorthonormal to dualFamily
     delta[g]      -- half-length of the sl2-string through q_g (= t - 1)
+    col[g]        -- the rank of g in gens
     dual_at       -- pairing_index over the duals q*_g in generator order:
                      pairings(dual_at, z) maps the rank of g to (q*_g | z)
+
+    dual_bases fills in basisE, dualFamily, adFPowers and dual_at.
     """
 
-    gens: list[GenIndex]
-    basisF: dict[GenIndex, SuperMatrix]
-    delta: dict[GenIndex, Fraction]
-    basisE: dict[GenIndex, SuperMatrix] = field(default_factory=dict)
-    dualFamily: dict[GenIndex, list[SuperMatrix]] = field(default_factory=dict)
-    adFPowers: dict[GenIndex, list[SuperMatrix]] = field(default_factory=dict)
-    col: dict[GenIndex, int] = field(default_factory=dict)
-    dual_at: dict[tuple, list] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.col = {g: i for i, g in enumerate(self.gens)}
+    def __init__(self, gens: list[GenIndex], basisF: dict[GenIndex, SuperMatrix],
+                 delta: dict[GenIndex, Fraction]):
+        self.gens = gens
+        self.basisF = basisF
+        self.delta = delta
+        self.basisE: dict[GenIndex, SuperMatrix] = {}
+        self.dualFamily: dict[GenIndex, list[SuperMatrix]] = {}
+        self.adFPowers: dict[GenIndex, list[SuperMatrix]] = {}
+        self.col = {g: i for i, g in enumerate(gens)}
+        self.dual_at: dict[tuple, list] = {}
 
 
 class AlgebraCtx:
@@ -309,7 +313,7 @@ class AlgebraCtx:
             )
         self.form_scale = 1 / s
         self._xdiag = [self.x.entries.get((r, r), _F0) for r in range(sh.N)]
-        self._cdata: Optional[CentralizerData] = None
+        self._cdata: CentralizerData | None = None
         self._weights: dict = {}
 
     # -- construction helpers ------------------------------------------------
@@ -436,16 +440,54 @@ def centralizer_basis(ctx: AlgebraCtx) -> CentralizerData:
 # dual basis and the two ladder families
 
 
-def _unit_pool(ctx: AlgebraCtx, bi: int, bj: int, grade: Fraction) -> list[tuple]:
-    """All unit positions in block (bi, bj) with the given ad-x grade."""
+def _unit_pool(ctx: AlgebraCtx, bi: int, bj: int, grade2: int) -> list[tuple]:
+    """All unit positions in block (bi, bj) with ad-x grade grade2/2, on
+    twice-grades: row r of a block of size m has x-eigenvalue (m+1)/2 - r."""
     sh = ctx.shape
-    out = []
-    for r in range(1, sh.sizes[bi - 1] + 1):
-        for c in range(1, sh.sizes[bj - 1] + 1):
-            gr = sh.glob(bi, r)
-            gc = sh.glob(bj, c)
-            if ctx._xdiag[gr] - ctx._xdiag[gc] == grade:
-                out.append((gr, gc))
+    mi, mj = sh.sizes[bi - 1], sh.sizes[bj - 1]
+    return [(sh.glob(bi, r), sh.glob(bj, c))
+            for r in range(1, mi + 1) for c in range(1, mj + 1)
+            if (mi - 2 * r) - (mj - 2 * c) == grade2]
+
+
+def _clear(m: SuperMatrix) -> tuple[dict, int]:
+    """(d*m as {position: int}, d), d the lcm of m's denominators."""
+    d = lcm(*(v.denominator for v in m.entries.values()))
+    return {pos: v.numerator * (d // v.denominator) for pos, v in m.entries.items()}, d
+
+
+def _by_row(a: dict) -> dict[int, list]:
+    """{row: [(column, value)]} of a matrix's entries dict."""
+    rows: dict[int, list] = {}
+    for (r, c), v in a.items():
+        rows.setdefault(r, []).append((c, v))
+    return rows
+
+
+def _mul(a: dict, b_rows: dict) -> dict:
+    """SuperMatrix.mul on int entries dicts, b given by rows."""
+    out: dict = {}
+    for (r, c), v in a.items():
+        for c2, w in b_rows.get(c, ()):
+            k = (r, c2)
+            s = out.get(k, 0) + v * w
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def _ad(x: dict, x_rows: dict, y: dict) -> dict:
+    """[x, y] = xy - yx for an even x on int entries dicts, in the order
+    SuperMatrix.comm gives them."""
+    out = _mul(x, _by_row(y))
+    for k, v in _mul(y, x_rows).items():
+        s = out.get(k, 0) - v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
     return out
 
 
@@ -455,47 +497,59 @@ def dual_bases(ctx: AlgebraCtx, cdata: CentralizerData) -> CentralizerData:
     q*_g is the unique ad-e-invariant element of the transposed block pair at
     grade delta(g) with (q*_g | q_g) = 1.  The upward family through q*_g is
     (ad f)^n; the downward family through q_g is the rescaled (ad e)^n that
-    makes the two families biorthonormal."""
+    makes the two families biorthonormal.
+
+    The commutators run on ints: e, f, q_g and q*_g are cleared to ints over
+    one denominator each (1 for e and f), once.  A stored entry is the one
+    Fraction built from its int, the (ad e)^n scale applied there."""
+    sh = ctx.shape
+    eps = sh.eps
+    e, de = _clear(ctx.e)
+    f, df = _clear(ctx.f)
+    e_rows, f_rows = _by_row(e), _by_row(f)
+    norm_rhs = 1 / ctx.form_scale  # (Q|q) = 1, times 1/form_scale
     for g in cdata.gens:
         q = cdata.basisF[g]
         dlt = cdata.delta[g]
-        pool = _unit_pool(ctx, g.j, g.i, dlt)
+        two_delta = int(2 * dlt)
+        pool = _unit_pool(ctx, g.j, g.i, two_delta)
         if not pool:
             raise SingularPairing(f"no candidate slots for the dual of {g}")
-        sh = ctx.shape
-        # unknowns: coefficients over pool; equations: [e, Q] = 0 plus (Q|q)=1
-        units = [SuperMatrix(sh, {pos: _F1}) for pos in pool]
+        qi, dq = _clear(q)
+        # unknowns: coefficients over pool; equations: [e, Q] = 0 plus (Q|q)=1,
+        # the latter times dq/form_scale
         system = System()
-        for jcol, u in enumerate(units):
-            for pos, v in ctx.e.comm(u).entries.items():
+        for jcol, (r, c) in enumerate(pool):
+            for pos, v in _ad(e, e_rows, {(r, c): 1}).items():
                 system.add(pos, jcol, v)
-            pairing = ctx.pair(u, q)
+            pairing = qi.get((c, r))
             if pairing:
-                system.add("norm", jcol, pairing)
-        system.add("norm", None, -_F1)
+                system.add("norm", jcol, pairing * eps[r])
+        system.add("norm", None, -dq * norm_rhs)
         sol = system.solve()
         if sol is None:
             raise SingularPairing(f"dual system inconsistent for {g}")
-        qs = SuperMatrix(sh)
-        for jcol, v in sol.items():
-            qs += units[jcol].scale(v)
-        if ctx.e.comm(qs) or ctx.pair(qs, q) != 1:
+        qs = SuperMatrix(sh, {pool[jcol]: v for jcol, v in sol.items() if v})
+        qsi, ds = _clear(qs)
+        paired = sum(v * qi.get((c, r), 0) * eps[r] for (r, c), v in qsi.items())
+        if _ad(e, e_rows, qsi) or paired != ds * dq * norm_rhs:
             raise SingularPairing(f"dual candidate failed its defining relations for {g}")
         cdata.basisE[g] = qs
 
-        two_delta = int(2 * dlt)
         ups = [qs]
+        cur, d = qsi, ds
         for _ in range(two_delta):
-            ups.append(ctx.f.comm(ups[-1]))
+            cur, d = _ad(f, f_rows, cur), d * df
+            ups.append(SuperMatrix(sh, {pos: F(v, d) for pos, v in cur.items()}))
         cdata.dualFamily[g] = ups
 
         # q_g[n] = (-1)^n / (n!^2 * C(2 delta, n)) (ad e)^n q_g
         downs = [q]
-        cur = q
+        cur = qi
         for n in range(1, two_delta + 1):
-            cur = ctx.e.comm(cur)
-            denom = F(factorial(n) ** 2) * comb(two_delta, n)
-            downs.append(cur.scale(F((-1) ** n) / denom))
+            cur = _ad(e, e_rows, cur)
+            denom = (-1) ** n * dq * de ** n * factorial(n) ** 2 * comb(two_delta, n)
+            downs.append(SuperMatrix(sh, {pos: F(v, denom) for pos, v in cur.items()}))
         cdata.adFPowers[g] = downs
     cdata.dual_at = pairing_index(ctx, [cdata.basisE[g] for g in cdata.gens])
     return cdata
@@ -541,12 +595,8 @@ class StructureKernel:
         """(m, d, {(r, c): d*m[r, c]}, {r: [(c, d*m[r, c])]}, parity), d = lcm."""
         hit = self._ints.get(id(m))
         if hit is None:
-            d = lcm(*(v.denominator for v in m.entries.values()))
-            at = {pos: v.numerator * (d // v.denominator) for pos, v in m.entries.items()}
-            rows: dict[int, list] = {}
-            for (r, c), v in at.items():
-                rows.setdefault(r, []).append((c, v))
-            hit = self._ints[id(m)] = (m, d, at, rows, m.parity())
+            at, d = _clear(m)
+            hit = self._ints[id(m)] = (m, d, at, _by_row(at), m.parity())
         return hit
 
     def __call__(self, x: SuperMatrix, y: SuperMatrix) -> tuple:

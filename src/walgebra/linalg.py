@@ -17,9 +17,9 @@ Fraction built per solved column.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
 
 
 def _over_content(row: dict) -> dict:
@@ -62,7 +62,7 @@ def rref(rows: Iterable[dict]) -> tuple[list[dict], dict[int, int]]:
     return reduced, pivots
 
 
-def _reduce(rows: Iterable[dict], stop: Optional[int]) -> tuple[list[dict], dict[int, int], list]:
+def _reduce(rows: Iterable[dict], stop: int | None) -> tuple[list[dict], dict[int, int], list]:
     """rref, except that no column at or past stop (when given) leads: a row
     that reduces to one leading there is set aside as a witness, zero on
     every earlier column, and is not eliminated into the others.  Returns
@@ -99,7 +99,7 @@ def _reduce(rows: Iterable[dict], stop: Optional[int]) -> tuple[list[dict], dict
     return reduced, pivots, witnesses
 
 
-def solve(rows: list[dict], rhs: list) -> Optional[dict]:
+def solve(rows: list[dict], rhs: list) -> dict | None:
     """Solve the sparse system rows[i] . x = rhs[i] (a falsy rhs entry is 0).
 
     Returns the particular solution {col: Fraction} with every free variable
@@ -107,7 +107,7 @@ def solve(rows: list[dict], rhs: list) -> Optional[dict]:
     return solve_each(rows, [{0: b} if b else {} for b in rhs], 1)[0]
 
 
-def solve_each(rows: list[dict], rhs: list[dict], count: int) -> list[Optional[dict]]:
+def solve_each(rows: list[dict], rhs: list[dict], count: int) -> list[dict | None]:
     """Solve rows[i] . x = rhs[i].get(j, 0) for each right-hand side j <
     count by one elimination: [solution or None per j].
 
@@ -130,7 +130,7 @@ def solve_each(rows: list[dict], rhs: list[dict], count: int) -> list[Optional[d
         augmented.append(row)
     reduced, pivots, witnesses = _reduce(augmented, b_col)
     inconsistent = {c for w in witnesses for c in w}
-    out: list[Optional[dict]] = []
+    out: list[dict | None] = []
     for col in range(b_col, b_col + count):
         if col in inconsistent:
             out.append(None)
@@ -157,7 +157,7 @@ class System:
     def __contains__(self, key) -> bool:
         return key in self.rows
 
-    def add(self, key, col: Optional[int], c, side: int = 0) -> None:
+    def add(self, key, col: int | None, c, side: int = 0) -> None:
         """c * x[col], or the constant c of right-hand side `side` if col is
         None, into key's row."""
         row = self.rows.get(key)
@@ -174,10 +174,10 @@ class System:
         else:
             row.pop(col, None)
 
-    def solve(self) -> Optional[dict]:
+    def solve(self) -> dict | None:
         """The solution for right-hand side 0."""
         return self.solve_each(1)[0]
 
-    def solve_each(self, count: int) -> list[Optional[dict]]:
+    def solve_each(self, count: int) -> list[dict | None]:
         """solve_each over right-hand sides 0 .. count-1."""
         return solve_each(list(self.rows.values()), [self.rhs.get(k) for k in self.rows], count)

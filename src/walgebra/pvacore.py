@@ -107,10 +107,10 @@ factors by a ProductBracket.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
-from typing import Iterable, NamedTuple, Optional
 
 from .coeffs import Coeff, ONE
 from .errors import MissingTableEntry, WAlgebraError
@@ -120,7 +120,7 @@ Monomial = tuple  # tuple of factors, canonically ordered
 _EMPTY: Monomial = ()
 
 
-def normalize_factors(factors: Iterable[Factor]) -> tuple[int, Optional[Monomial]]:
+def normalize_factors(factors: Iterable[Factor]) -> tuple[int, Monomial | None]:
     """Canonically order factors, returning (sign, monomial).
 
     One stable sort on keys computed once per factor; the sign is the parity
@@ -178,7 +178,7 @@ class DiffPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[dict] = None):
+    def __init__(self, terms: dict | None = None):
         self.terms = terms or {}
 
     @staticmethod
@@ -281,7 +281,7 @@ class LambdaPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[dict] = None):
+    def __init__(self, coeffs: dict | None = None):
         self.coeffs = {n: p for n, p in (coeffs or {}).items() if p}
 
     def __bool__(self) -> bool:
@@ -395,15 +395,13 @@ class BracketTable:
         return m, self.lift_linear(scale, ints)
 
 
-class GradedStore(NamedTuple):
-    """A table's brackets as ints: the int c of lambda^n and interned
-    monomial m in ints[(rank a, rank b)][n] stands for c/scale *
-    k^(g*(n + D(m))) in {a lambda b}, D counting derivatives."""
+class GradedStore(namedtuple("GradedStore", "space scale g ints")):
+    """A table's brackets as ints over a VarSpace: the int c of lambda^n and
+    interned monomial m in ints[(rank a, rank b)][n] stands for c/scale *
+    k^(g*(n + D(m))) in {a lambda b}, D counting derivatives; scale and g
+    are ints."""
 
-    space: VarSpace
-    scale: int
-    g: int
-    ints: dict
+    __slots__ = ()
 
     def lift(self, val: dict) -> LambdaPoly:
         """{lambda power: {interned monomial: int}} lifted to a LambdaPoly."""
@@ -483,7 +481,7 @@ class VarSpace:
             raise MissingTableEntry(f"{v} is not a variable of the bracket table")
         return r
 
-    def canonical(self, xs) -> Optional[tuple]:
+    def canonical(self, xs) -> tuple | None:
         """(sign, sorted int tuple) of a factor sequence, counting odd-odd
         transpositions; None when an odd factor repeats."""
         fs = list(xs)
@@ -501,7 +499,7 @@ class VarSpace:
                 return None
         return sign, tuple(fs)
 
-    def code(self, mono: Monomial) -> Optional[tuple]:
+    def code(self, mono: Monomial) -> tuple | None:
         """(sign, interned monomial) of a DiffPoly monomial; None if it
         vanishes.  A derivative power of stride or more is refused."""
         hit = self._codes.get(mono, False)
@@ -642,7 +640,7 @@ class _Leibniz:
         self._dpows: dict = {}
         self._lin: dict = {}
         self._parities: dict = {}
-        self._symmetric: Optional[bool] = None
+        self._symmetric: bool | None = None
         self.held: set = set()  # sorted rank triples whose Jacobi identity holds
 
     # -- interning ---------------------------------------------------------
@@ -667,7 +665,7 @@ class _Leibniz:
                 if len(m) == 1 and not m[0] % stride)
         return hit
 
-    def _mul(self, m1: tuple, m2: tuple) -> Optional[tuple]:
+    def _mul(self, m1: tuple, m2: tuple) -> tuple | None:
         """(sign, m1*m2), or None when the product vanishes."""
         key = (m1, m2)
         hit = self._products.get(key, False)
@@ -982,7 +980,7 @@ def _minus_lambda_power(val: dict, j: int) -> dict:
     return {n + j: slots for n, slots in val.items()}
 
 
-def _parity_class(engine: _Leibniz, parts: dict, what) -> Optional[int]:
+def _parity_class(engine: _Leibniz, parts: dict, what) -> int | None:
     """The one parity of the monomials of {degree: {monomial: int}}, None
     when there are none; WAlgebraError naming `what` when they differ."""
     parity = engine._parity
@@ -1112,7 +1110,7 @@ class TwoVar:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[dict] = None):
+    def __init__(self, coeffs: dict | None = None):
         self.coeffs = {ij: p for ij, p in (coeffs or {}).items() if p}
 
     def __add__(self, other: "TwoVar") -> "TwoVar":

@@ -54,9 +54,9 @@ a copy of it with every c*k^e rescaled to an int at one scale.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Union
 
 from .coeffs import Coeff
 from .errors import WAlgebraError
@@ -67,10 +67,11 @@ from .pvacore import _STRIDE, BracketTable, DiffPoly, GradedStore, VarSpace, _ac
 F = Fraction
 
 
-class ChainIndex(NamedTuple):
-    j: GenIndex
-    n: int
-    alpha: Fraction
+class ChainIndex(namedtuple("ChainIndex", "j n alpha")):
+    """A ladder position: generator j (a GenIndex), rung n and its grade
+    alpha = n - delta(j), a Fraction."""
+
+    __slots__ = ()
 
 
 Chain = tuple  # tuple[ChainIndex, ...]
@@ -85,8 +86,6 @@ def ladder_nodes(cdata: CentralizerData) -> list[ChainIndex]:
             out.append(ChainIndex(g, n, n - dlt))
     return out
 
-
-KTilde = Union[str, int, Fraction]
 
 _F0 = F(0)
 
@@ -311,7 +310,7 @@ class MasterEngine:
 _TABLE_CACHE: dict = {}
 
 
-def bracket_table(ctx: AlgebraCtx, ktilde: KTilde = "symbolic") -> BracketTable:
+def bracket_table(ctx: AlgebraCtx, ktilde: str | int | Fraction = "symbolic") -> BracketTable:
     """All ordered generator-pair brackets, memoized per algebra/level.
 
     Only the symbolic table is built; a rational ktilde (an int, a Fraction

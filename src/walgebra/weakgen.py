@@ -36,9 +36,11 @@ not formed: by the conformal grading the product's linear part lies in
 that slice.
 """
 
-from dataclasses import dataclass, field
+from __future__ import annotations
+
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .coeffs import ONE, Coeff
 from .errors import ScheduleInapplicable, UnknownGenerator, WAlgebraError
@@ -59,16 +61,14 @@ FLAVORS = (BIG, SMALL)
 # genericity of recovery coefficients
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(namedtuple("GenericityReport", "kind roots", defaults=((),))):
     """How a recovery coefficient c*k^m depends on the level k.
 
     kind is "identicallyZero" or "nonzeroAtOne"; roots lists the levels where
     it vanishes, (0,) when m > 0.  The report schema keeps the kind
     "vanishingSet" (nonzero, zero at k=1), which no single power has."""
 
-    kind: str
-    roots: tuple = ()
+    __slots__ = ()
 
 
 def coefficient_genericity(c: Coeff) -> GenericityReport:
@@ -109,6 +109,9 @@ def weak_set(ctx: AlgebraCtx, flavor: str) -> list:
            off-diagonal elements of weight |m_i-m_{i+1}|/2 + 1; when the
            first two blocks have equal size the (2,1)-side element of the
            first pair is raised to weight 2.
+
+    ScheduleInapplicable when the set names a generator this shape lacks:
+    the small set's raised element on a leading pair of size-1 blocks.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown weak-set flavor {flavor!r}")
@@ -135,42 +138,51 @@ def weak_set(ctx: AlgebraCtx, flavor: str) -> list:
         out.extend(pair)
     # weight-0 indices can only arise from the equal-size replacement on a
     # degenerate shape; drop them rather than emit a nonexistent generator
-    return [g for g in out if g.t >= 1]
+    out = [g for g in out if g.t >= 1]
+    have = ctx.centralizer().delta
+    for g in out:
+        if g not in have:
+            raise ScheduleInapplicable(f"the {flavor} weak set names {g}, which this shape lacks")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # derivation records
 
 
-@dataclass
 class IdentityCheck:
     """One step of the schedule together with its claimed outcome."""
 
-    label: str
-    expression: str
-    n: int
-    expected: str
-    passed: bool
-    note: str = ""
-    linear: dict = field(default_factory=dict)  # GenIndex -> Coeff
+    def __init__(self, label: str, expression: str, n: int, expected: str, passed: bool,
+                 note: str = "", linear: dict | None = None):
+        self.label = label
+        self.expression = expression
+        self.n = n
+        self.expected = expected
+        self.passed = passed
+        self.note = note
+        self.linear = {} if linear is None else linear  # GenIndex -> Coeff
 
 
-@dataclass
-class Recovery:
-    gen: GenIndex
-    expression: str
-    coeff: Coeff
-    genericity: GenericityReport
+class Recovery(namedtuple("Recovery", "gen expression coeff genericity")):
+    """How a generator was recovered: its GenIndex, the expression, the Coeff
+    it came with and that coefficient's GenericityReport."""
+
+    __slots__ = ()
 
 
-@dataclass
 class DerivationReport:
-    flavor: str
-    branch: str
-    weak_set: list
-    identities: list
-    recovered: dict  # GenIndex -> Recovery, in recovery order
-    missing: list
+    """A scripted schedule's run: its identities, what it recovered and what
+    it missed."""
+
+    def __init__(self, flavor: str, branch: str, weak_set: list, identities: list,
+                 recovered: dict, missing: list):
+        self.flavor = flavor
+        self.branch = branch
+        self.weak_set = weak_set
+        self.identities = identities
+        self.recovered = recovered  # GenIndex -> Recovery, in recovery order
+        self.missing = missing
 
     @property
     def ok(self) -> bool:
@@ -190,14 +202,11 @@ class DerivationReport:
         return head
 
 
-class _Vec(NamedTuple):
-    """A derived homogeneous element, tracked through its linear term: k^power
-    times its values lt1 (GenIndex -> Fraction) at k=1."""
+class _Vec(namedtuple("_Vec", "label lt1 weight power")):
+    """A derived homogeneous element of the given weight, tracked through its
+    linear term: k^power times its values lt1 (GenIndex -> Fraction) at k=1."""
 
-    label: str
-    lt1: dict
-    weight: Fraction
-    power: int
+    __slots__ = ()
 
 
 class _Run:
@@ -227,9 +236,6 @@ class _Run:
             self.recovered[gi] = Recovery(gi, expression, coeff, coefficient_genericity(coeff))
 
     def seed(self, gi: GenIndex):
-        if gi not in self.cdata.delta:
-            raise ScheduleInapplicable(
-                f"the {self.flavor} weak set names {gi}, which this shape lacks")
         self.bank(gi, f"seed {gi}", ONE)
 
     def have(self, gi) -> bool:
@@ -767,11 +773,11 @@ def scripted_verify(ctx: AlgebraCtx, cdata: CentralizerData, table: BracketTable
 # generic closure search
 
 
-@dataclass(frozen=True)
-class ClosureCaps:
-    max_weight: Fraction
-    max_n: int
-    max_elements: int
+class ClosureCaps(namedtuple("ClosureCaps", "max_weight max_n max_elements")):
+    """The closure search's bounds: the largest element weight (a Fraction),
+    the largest n of a product and the most pool elements."""
+
+    __slots__ = ()
 
 
 def default_caps(ctx: AlgebraCtx) -> ClosureCaps:
@@ -812,10 +818,11 @@ class ClosureReport:
                 f"{self.products_tried} products tried)")
 
 
-class _Node(NamedTuple):
-    label: str
-    cleared: tuple  # BracketTable.clear of its k=1 values
-    twice: int      # twice the weight, an int: weights are half-integers
+class _Node(namedtuple("_Node", "label cleared twice")):
+    """A pool element: its label, BracketTable.clear of its k=1 values, and
+    twice its weight, an int (weights are half-integers)."""
+
+    __slots__ = ()
 
 
 def _twice(w) -> int:

@@ -63,7 +63,7 @@ def test_criterion_02_reconcile_zero_residual():
               ("sl", (3, 1), ()), ("sl", (4,), ()),
               ("sl_super", (2,), (1,)), ("sl_super", (3,), (1,)),
               ("sl_super", (3,), (2,)), ("sl", (3, 2), ()), ("sl", (3, 3), ()),
-              ("sl", (2, 2, 1), ())]
+              ("sl", (2, 2, 1), ()), ("sl_super", (4,), (2,))]
     times = [_reconcile_within(kind, p1, p2, 60.0) for kind, p1, p2 in shapes]
     _report(2, f"{len(shapes)} reconciliations, slowest {max(times):.2f}s")
 

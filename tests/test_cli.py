@@ -8,7 +8,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from conftest import corrupted_table, ctx_of, table_of, wrong_parity_table
+import pytest
+
+from conftest import (ABSENT_SMALL_SEED_SHAPES, corrupted_table, ctx_of, table_of,
+                      wrong_parity_table)
 from walgebra import cli, serialize as ser
 from walgebra.cli import main
 from walgebra.liestruct import MAX_MATRIX_SIZE, PartitionSpec
@@ -99,6 +102,22 @@ def test_closure_codes(capsys):
     assert code == 0 and "COMPLETE" in out
     code, out, _ = run(capsys, "closure", "--seed", "none", "--partition", "2,2")
     assert code == 3 and "INCOMPLETE" in out
+
+
+@pytest.mark.parametrize("shape", ABSENT_SMALL_SEED_SHAPES)
+def test_a_small_weak_set_naming_an_absent_generator_fails_alike(capsys, shape):
+    # closure from the small weak set and the small schedule refuse the set
+    # with the same one-line ScheduleInapplicable, naming q[2](2,1)
+    _, p1, p2 = shape
+    flags = ["--kind", "sl-super", "--partition", ",".join(map(str, p1)),
+             "--partition2", ",".join(map(str, p2))]
+    errs = []
+    for argv in (["closure", "--seed", "small"], ["verify", "--flavor", "small"]):
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error ScheduleInapplicable: ") and "q[2](2,1)" in errs[0]
 
 
 def test_closure_caps_flags(tmp_path, capsys):

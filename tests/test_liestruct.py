@@ -12,11 +12,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import centralizer_oracle, ctx_of, gen, grade_of, sharp_project, sl_basis
+from conftest import (centralizer_oracle, ctx_of, dual_bases_reference, gen, grade_of,
+                      sharp_project, sl_basis)
+from test_wbracket import SMALL_SHAPES
 from walgebra import serialize
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import NoSolution, NormalizationImpossible, SuperEqualParts, WAlgebraError
-from walgebra.liestruct import GenIndex, PartitionSpec, StructureKernel, pairing_index, pairings
+from walgebra.liestruct import (GenIndex, PartitionSpec, StructureKernel, centralizer_basis,
+                                dual_bases, pairing_index, pairings)
 
 F = Fraction
 
@@ -155,6 +158,38 @@ def test_ladder_families_end_in_the_kernels():
                 # a genuine commutator is supertraceless, so it lies in sl and
                 # the sharp projection fixes it
                 assert sharp_project(ctx, cdata, bottom) == bottom
+
+
+def _buildable(shape) -> bool:
+    try:
+        ctx_of(*shape)
+    except WAlgebraError:
+        return False
+    return True
+
+
+def _entries(m):
+    items = list(m.entries.items())
+    assert all(type(v) is Fraction for _, v in items)
+    return items
+
+
+@pytest.mark.parametrize("shape", [s for s in SMALL_SHAPES if _buildable(s)]
+                         + [("sl", (5, 3, 2), ()), ("sl_super", (4,), (2,))])
+def test_dual_bases_on_ints_match_the_fraction_reference(shape):
+    # the int commutator walks store the Fraction walks' matrices, entry by
+    # entry and in the same order, and the same pairing index
+    ctx = ctx_of(*shape)
+    got, want = centralizer_basis(ctx), centralizer_basis(ctx)
+    dual_bases(ctx, got)
+    dual_bases_reference(ctx, want)
+    for g in want.gens:
+        assert _entries(got.basisE[g]) == _entries(want.basisE[g]), (shape, g)
+        for fam in ("dualFamily", "adFPowers"):
+            mats, refs = getattr(got, fam)[g], getattr(want, fam)[g]
+            assert [_entries(m) for m in mats] == [_entries(m) for m in refs], (shape, g, fam)
+    assert got.dual_at == want.dual_at
+    assert all(type(w) is Fraction for ws in got.dual_at.values() for _, w in ws)
 
 
 def test_gen_lookup_weight_bounds():

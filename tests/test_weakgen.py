@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import closure_reference, ctx_of, gen, small_shapes, table_of
+from conftest import (ABSENT_SMALL_SEED_SHAPES, closure_reference, ctx_of, gen, small_shapes,
+                      table_of)
 from walgebra.coeffs import Coeff
 from walgebra.errors import (NormalizationImpossible, ScheduleInapplicable, UnknownGenerator,
                              WAlgebraError)
@@ -265,13 +266,17 @@ def test_a_linear_term_off_the_grading_is_refused():
                                weakgen.weak_set(ctx, "small"))
 
 
-def test_a_weak_set_naming_an_absent_generator_is_inapplicable():
-    # sl(2|3) of f-type [1,1]|[3]: the small set's equal leading pair of
-    # size-1 blocks names q[2](2,1), which the shape lacks
-    ctx = ctx_of("sl_super", (1, 1), (3,))
-    with pytest.raises(ScheduleInapplicable, match="lacks"):
-        weakgen.scripted_verify(ctx, ctx.centralizer(), table_of("sl_super", (1, 1), (3,)),
-                                "small")
+@pytest.mark.parametrize("shape", ABSENT_SMALL_SEED_SHAPES)
+def test_a_weak_set_naming_an_absent_generator_is_inapplicable(shape):
+    # the small set's equal leading pair of size-1 blocks names q[2](2,1),
+    # which the shape lacks: weak_set itself refuses it, so the schedule and
+    # a closure search from it fail alike
+    ctx = ctx_of(*shape)
+    named = re.escape(f"the small weak set names {gen(ctx, 2, 2, 1)}, which this shape lacks")
+    with pytest.raises(ScheduleInapplicable, match=named):
+        weakgen.weak_set(ctx, "small")
+    with pytest.raises(ScheduleInapplicable, match=named):
+        weakgen.scripted_verify(ctx, ctx.centralizer(), table_of(*shape), "small")
 
 
 def test_scripted_6_4_3_extended():
