@@ -788,6 +788,8 @@ def default_caps(ctx: AlgebraCtx) -> ClosureCaps:
     return ClosureCaps(F(top), 2 * top, 4 * ngen + 16)
 
 
+# ClosureStep and ClosureReport are dataclasses because the benchmark's gate
+# tests build tampered copies of them with dataclasses.replace
 @dataclass
 class ClosureStep:
     element: str
