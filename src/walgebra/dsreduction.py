@@ -70,11 +70,10 @@ pivots and the zeroed-free solution are those of the (a, b) rows alone.  S
 keeps letters, so both orientations are deferred together; and the final
 verification over unordered pairs, (b, a) following from (a, b), is the full
 one.  Parity keeps every realization homogeneous, which the factor-wise
-brackets read their signs from.  The final verification's self-brackets
-{W_a lambda W_a} go through the engine's graded_self_bracket, the sum over
-the terms x of W_a of {x lambda W_a} through x's factors, which holds on any
-table; its cross pairs go through graded_bracket, the direct path that
-checks the factor-wise one.
+brackets read their signs from.  The final verification brackets every
+pair, {W_a lambda W_a} included, by the engine's graded_bracket, the sum
+over the terms x of W_a of {x lambda W_b} through x's factors, which holds
+on any table.
 
 Substitution.  reconcile evaluates generator-side polynomials (table
 targets, corrections) at the realizations through pvacore.Substitution, on
@@ -479,17 +478,14 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
 
     corrected = GeneratorSolution(W)
     # full verification on graded ints, each unordered pair once, in the
-    # stages' orientation (the later generator first): a cross pair by
-    # graded_bracket, a self-bracket through its terms' factors
+    # stages' orientation (the later generator first)
     sub = Substitution(affine, W)
     vals = {g: engine.graded(W[g]) for g in gens_all}
     for i, a in enumerate(gens_all):
         for b in gens_all[:i + 1]:
             target = table.lookup(a, b)
             want = {n: sub.graded(p) for n, p in target.coeffs.items()}
-            got = (engine.graded_self_bracket(vals[a]) if b == a
-                   else engine.graded_bracket(vals[a], vals[b]))
-            if not _agrees(got, want):
+            if not _agrees(engine.graded_bracket(vals[a], vals[b]), want):
                 want = LambdaPoly({n: sub(p) for n, p in target.coeffs.items()})
                 return ReconcileReport(False, corrections, corrected, deferred=deferred, failure={
                     "pair": (a, b), "got": reduced_bracket(rctx, W[a], W[b]), "want": want})

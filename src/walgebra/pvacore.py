@@ -44,20 +44,23 @@ and monomial tuples with the store, so no caller can corrupt it.
 The engine.  Each table builds one with its store and keeps it; it holds the
 store, not the table, so it dies with the table.  The Leibniz rules only add
 and multiply by integers (binomials, signs, multiplicities), so every
-memoized bracket is an int value at scale L, and a Jacobi term at L^2.  Its
-bracket memos ({var lambda mono}, {mono lambda mono}, products,
-derivatives) grow with every call and are dropped by drop_memos, which the
+memoized bracket is an int value at scale L, and a Jacobi term at L^2.  The
+right Leibniz rule has one routine, {var lambda mono}, and the left one
+another, ProductBracket, whose base it is.  The bracket memos ({var lambda
+mono}, products, derivatives, and the Jacobi sweep's ProductBracket per
+third letter) grow with every call and are dropped by drop_memos, which the
 reduction oracle calls when reconcile returns.
 
-Products.  A product of polynomials is bracketed through its factors by one
-routine, ProductBracket, against one fixed right operand B: the left
+Products.  A product is bracketed through its factors by one routine,
+ProductBracket, against one fixed right operand B of one parity: the left
 Leibniz rule {f r lambda B} = (-1)^{p(r)p(B)} {f lambda+d B}-> r +
 (-1)^{p(f)(p(r)+p(B))} {r lambda+d B}-> f, peeling the first factor, with a
-memo of {suffix lambda B} that lives as long as the object, one call.  The
-caller gives the bracket of one factor with B and d^k of a product.  It
-serves graded_self_bracket, whose factors are interned letters, and
-Substitution.bracket_images, whose factors are the images of generator
-letters under a substitution.
+memo of {suffix lambda B}.  The caller gives the bracket of one factor with
+B and d^k of a product.  It serves graded_bracket, whose factors are
+interned letters, one object per parity class of B for one call; the
+Jacobi sweep's middle term {y lambda c}, one object per letter c kept until
+drop_memos; and Substitution.bracket_images, whose factors are the images
+of generator letters under a substitution, one object for one call.
 
 The Jacobi orbit rule.  When a table's generator brackets are skew-symmetric
 and each {a lambda b} has the parity p(a) + p(b), their extension to all
@@ -78,15 +81,14 @@ DiffPoly's coefficients into one (s = power of k - g*D), and lift turns one
 back through diff_poly, the one conversion of ints to Coeffs.  The engine's
 graded_bracket returns one per power of lambda at scale L*M_A*M_B, degrees
 s_A, s_B landing at lambda^n in degree s_A + s_B + g*n; extend_bracket wraps
-it, and the reduction oracle reads its ints at k=1.  graded_self_bracket
-gives graded_bracket(A, A) as the sum over the terms x of A of {x lambda A}
-through x's factors, {v lambda A} summed once per letter v; it holds on any
-table.  The linear term of an n-th
-product of two linear combinations has one summation, linear_ints: it
-takes both combinations cleared by clear (a common denominator and one
-int per variable rank), reads the store's ints at k=1 beside their power
-g*n, and returns the sum as ints at L times the two denominators, with no
-Fraction built.  linear_product, which the scripted schedules call, clears,
+it, and the reduction oracle reads its ints at k=1.  graded_bracket sums
+{x lambda B} over the terms x of A through x's factors, {v lambda B} summed
+once per letter v, and holds on any table.  The linear term of an n-th product
+of two linear combinations has one summation, linear_ints: it takes both
+combinations cleared by clear (a common denominator and one int per
+variable rank), reads the store's ints at k=1 beside their power g*n, and
+returns the sum as ints at L times the two denominators, with no Fraction
+built.  linear_product, which the scripted schedules call, clears,
 sums and lifts to one Fraction per nonzero variable; the closure search
 keeps its pool cleared and lifts only the products it keeps.  check_skew
 and check_jacobi accumulate lhs - rhs on ints, and only a failing pair's or
@@ -627,15 +629,17 @@ def _intern(variables: list, entries) -> GradedStore:
 
 
 class _Leibniz:
-    """{mono lambda mono} and the Jacobi sums of one table, on its store's
-    interned monomials and ints at scale L, graded by g.  It keeps the
-    store, not the table, so a dropped table takes its engine with it."""
+    """The brackets and Jacobi sums of one table, on its store's interned
+    monomials and ints at scale L, graded by g.  It keeps the store, not the
+    table, so a dropped table takes its engine with it; the Jacobi sweep's
+    per-letter products refer back to the engine, so until drop_memos
+    empties them that takes the cyclic collector."""
 
     def __init__(self, store: GradedStore):
         self.store = store
         self.space, self.L, self.g = store.space, store.scale, store.g
         self._vm: dict = {}
-        self._mm: dict = {}
+        self._jacobi_products: dict = {}  # rank c -> ProductBracket against c
         self._products: dict = {}
         self._dpows: dict = {}
         self._lin: dict = {}
@@ -717,22 +721,19 @@ class _Leibniz:
             elif m:
                 # {u lambda h r} = {u lambda h} r + (-1)^{p(u)p(h)} h {u lambda r}
                 head, rest = m[:1], m[1:]
-                self._times_into(hit, self._var_mono(u, head), rest, 1, True)
-                odd = self.space.odd
+                for n, p in self._var_mono(u, head).items():
+                    self._add_times(hit.setdefault(n, {}), p, rest, 1)
+                odd, mul = self.space.odd, self._mul
                 sign = -1 if odd[u * self.space.stride] and odd[m[0]] else 1
-                self._times_into(hit, self._var_mono(u, rest), head, sign, False)
+                for n, p in self._var_mono(u, rest).items():
+                    dst = hit.setdefault(n, {})
+                    for y, cp in p.items():
+                        r = mul(head, y)
+                        if r is not None:
+                            _accum(dst, r[1], sign * r[0] * cp)
             hit = {n: p for n, p in hit.items() if p}
             self._vm[key] = hit
         return hit
-
-    def _times_into(self, out: dict, X: dict, y: tuple, sign: int, right: bool) -> None:
-        """out += sign * X*y (right) or sign * y*X, y a monomial."""
-        for n, p in X.items():
-            dst = out.setdefault(n, {})
-            for m, cp in p.items():
-                r = self._mul(m, y) if right else self._mul(y, m)
-                if r is not None:
-                    _accum(dst, r[1], sign * r[0] * cp)
 
     def _add_times(self, out: dict, p: dict, z: tuple, w: int) -> None:
         """out += w * p*z, each monomial of p times the monomial z on the
@@ -752,48 +753,6 @@ class _Leibniz:
                 else:
                     del out[x]
 
-    def _arrow_into(self, out: dict, br: dict, y: tuple, sign: int) -> None:
-        """out += sign * {X_{lambda+d} B}_-> y: each lambda^n of br becomes
-        sum C(n,k) lambda^{n-k} (coefficient) * d^k(y)."""
-        for n, p in br.items():
-            for k in range(n + 1):
-                dst = out.setdefault(n - k, {})
-                mult = sign * comb(n, k)
-                for z, cz in self._dpow(y, k).items():
-                    self._add_times(dst, p, z, mult * cz)
-
-    def _mono_mono(self, m: tuple, o: tuple) -> dict:
-        """{m lambda o}, peeling the first slot by the left Leibniz rule and
-        first-slot sesquilinearity."""
-        key = (m, o)
-        hit = self._mm.get(key)
-        if hit is None:
-            if len(m) == 1:
-                v, k = divmod(m[0], self.space.stride)
-                base = self._var_mono(v, o)
-                # {d^k v lambda B} = (-lambda)^k {v lambda B}
-                if not k:
-                    hit = base
-                elif k % 2:
-                    hit = {n + k: {y: -cp for y, cp in p.items()}
-                           for n, p in base.items()}
-                else:
-                    hit = {n + k: p for n, p in base.items()}
-            else:
-                # {h r lambda c} = (-1)^{p(r)p(c)} {h lambda+d c}-> r
-                #                + (-1)^{p(h)(p(r)+p(c))} {r lambda+d c}-> h
-                hit = {}
-                if m:
-                    head, rest = m[:1], m[1:]
-                    pr, pc = self._parity(rest), self._parity(o)
-                    self._arrow_into(hit, self._mono_mono(head, o), rest,
-                                     -1 if pr and pc else 1)
-                    self._arrow_into(hit, self._mono_mono(rest, o), head,
-                                     -1 if self.space.odd[m[0]] and pr != pc else 1)
-                    hit = {n: p for n, p in hit.items() if p}
-            self._mm[key] = hit
-        return hit
-
     # -- entry points -------------------------------------------------------------
 
     def graded(self, P: DiffPoly) -> tuple:
@@ -802,44 +761,28 @@ class _Leibniz:
 
     def graded_bracket(self, A: tuple, B: tuple) -> tuple:
         """{A lambda B} of two graded values, as (scale, {lambda power n:
-        {degree: {monomial: int}}}) with scale = L*M_A*M_B: one int sum per
-        lambda power and degree s_A + s_B + g*n over the pairs of terms, so
-        each lambda^n part is a graded value."""
+        {degree: {monomial: int}}}) with scale = L*M_A*M_B: the sum over the
+        terms c_x x of A of c_x {x lambda B}, a constant x skipped, on any
+        table.  B is split by parity class, and each {x lambda B} runs through
+        x's factors by one ProductBracket per class: its base {d^j v lambda B}
+        = (-lambda)^j {v lambda B}, with {v lambda B} = sum over the terms c_y
+        y of B of c_y {v lambda y} summed once per letter v, and its arrows
+        multiply by d^k of interned monomials.  The int of lambda^n at B's
+        degree s_y in {x lambda B} lands at degree s_x + s_y + g*n, so each
+        lambda^n part is a graded value."""
         Ma, ta = A
         Mb, tb = B
-        g = self.g
-        acc: dict = {}
-        for sa, pa in ta.items():
-            for sb, pb in tb.items():
-                s = sa + sb
-                for xa, ia in pa.items():
-                    for xb, ib in pb.items():
-                        w = ia * ib
-                        for n, p in self._mono_mono(xa, xb).items():
-                            _add_scaled(acc.setdefault(n, {}).setdefault(s + g * n, {}), p, w)
-        return self.L * Ma * Mb, acc
-
-    def graded_self_bracket(self, A: tuple) -> tuple:
-        """graded_bracket(A, A) as the sum over the terms c_x x of A of c_x
-        {x lambda A}, on any table.  A is split by parity class B, and each
-        {x lambda B} runs through x's factors by ProductBracket: its base
-        {d^j v lambda B} = (-lambda)^j {v lambda B}, with {v lambda B} = sum
-        over the terms c_y y of B of c_y {v lambda y} summed once per letter
-        v, and its arrows multiply by d^k of interned monomials.  The int of
-        lambda^n at B's degree s_y in {x lambda B} lands at degree s_x + s_y
-        + g*n."""
-        M, parts = A
         g, parity = self.g, self._parity
-        classes: tuple = ({}, {})  # A's terms by parity: {degree: {monomial: int}}
-        for s, p in parts.items():
-            for x, c in p.items():
-                classes[parity(x)].setdefault(s, {})[x] = c
+        classes: tuple = ({}, {})  # B's terms by parity: {degree: {monomial: int}}
+        for s, p in tb.items():
+            for y, c in p.items():
+                classes[parity(y)].setdefault(s, {})[y] = c
         acc: dict = {}
-        for pB, B in enumerate(classes):
-            if not B:
+        for pB, part in enumerate(classes):
+            if not part:
                 continue
-            product = ProductBracket(self, _LetterBase(self, B), self._power, parity, pB)
-            for sx, p in parts.items():
+            product = ProductBracket(self, _LetterBase(self, part), self._power, parity, pB)
+            for sx, p in ta.items():
                 for x, cx in p.items():
                     if not x:
                         continue  # a constant brackets to zero
@@ -847,7 +790,7 @@ class _Leibniz:
                         row = acc.setdefault(n, {})
                         for sy, q in slots.items():
                             _add_scaled(row.setdefault(sx + sy + g * n, {}), q, cx)
-        return self.L * M * M, acc
+        return self.L * Ma * Mb, acc
 
     def _power(self, y: tuple, k: int) -> dict:
         """d^k of an interned monomial as {degree shift 0: {monomial:
@@ -856,10 +799,10 @@ class _Leibniz:
         return {0: self._dpow(y, k)}
 
     def drop_memos(self) -> None:
-        """Empty the bracket memos ({var lambda mono}, {mono lambda mono},
-        products, derivatives); the symmetric() verdict and the held orbits
-        stay."""
-        for memo in (self._vm, self._mm, self._products, self._dpows):
+        """Empty the bracket memos ({var lambda mono}, products, derivatives,
+        the Jacobi sweep's per-letter products); the symmetric() verdict and
+        the held orbits stay."""
+        for memo in (self._vm, self._products, self._dpows, self._jacobi_products):
             memo.clear()
 
     def skew_diffs(self, pairs=None) -> list:
@@ -934,13 +877,20 @@ class _Leibniz:
             for y, cy in p.items():
                 for i, q in self._var_mono(ra, y).items():
                     terms.append(((i, j), cy, q))
-        cc = (rc * space.stride,)
+        product = self._jacobi_products.get(rc)
+        if product is None:
+            cc = rc * space.stride
+            product = self._jacobi_products[rc] = ProductBracket(
+                self, _LetterBase(self, {0: {(cc,): 1}}), self._power, self._parity, space.odd[cc])
         for n, p in self._entry(ra, rb).items():
             for y, cy in p.items():
-                for l, q in self._mono_mono(y, cc).items():
-                    # (lambda + mu)^l expanded on top of lambda^n
-                    for k in range(l + 1):
-                        terms.append(((n + k, l - k), -comb(l, k) * cy, q))
+                if not y:
+                    continue  # a constant brackets to zero
+                for l, slots in product(y).items():
+                    for q in slots.values():  # the one degree, 0
+                        # (lambda + mu)^l expanded on top of lambda^n
+                        for k in range(l + 1):
+                            terms.append(((n + k, l - k), -comb(l, k) * cy, q))
         sign = 1 if a.parity and b.parity else -1
         for i, p in self._entry(ra, rc).items():
             for y, cy in p.items():
@@ -1004,8 +954,9 @@ class ProductBracket:
     arrow takes lambda^n of the bracket to sum_k C(n, k) lambda^(n-k) times
     its coefficient times d^k(y), the degrees of the two terms added, on the
     engine's product memo.  The value of every product and suffix met is
-    memoized in the object: it lives as long as its caller keeps it, one
-    call, and holds no reference back to itself."""
+    memoized in the object, which lives as long as its caller keeps it: one
+    call, except the Jacobi sweep's, one per letter, which the engine keeps
+    until drop_memos."""
 
     __slots__ = ("_add_times", "_base", "_power", "_parity", "_pB", "_memo")
 
@@ -1044,7 +995,7 @@ class ProductBracket:
 
 
 class _LetterBase:
-    """The base of a self-bracket's ProductBracket against B, {degree:
+    """The base of the engine's ProductBracket against B, {degree:
     {interned monomial: int}} of one parity: for an interned factor x =
     d^j(v), (-lambda)^j {v lambda B}, where {v lambda B} = sum over the
     terms c_y y of B of c_y {v lambda y}, at y's degree, is summed once per

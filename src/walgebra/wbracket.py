@@ -62,7 +62,8 @@ from .coeffs import Coeff
 from .errors import WAlgebraError
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, StructureKernel, sharp_coords
 from .linalg import solve
-from .pvacore import _STRIDE, BracketTable, DiffPoly, GradedStore, VarSpace, _accum, apply_partial
+from .pvacore import (_STRIDE, BracketTable, DiffPoly, GradedStore, VarSpace, _accum, apply_partial,
+                      extend_bracket)
 
 F = Fraction
 
@@ -387,8 +388,6 @@ def conformal_check(ctx: AlgebraCtx, table: BracketTable) -> dict:
 
     Returns {'ok': bool, 'failures': [...], 'central': Coeff} where central
     is the coefficient of lambda^3 in {L lambda L}."""
-    from .pvacore import extend_bracket
-
     cdata = ctx.centralizer()
     L = conformal_vector(ctx)
     failures = []

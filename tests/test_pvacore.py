@@ -425,6 +425,23 @@ def _composite(draw, gens):
     return total
 
 
+def _self_bracket_operand(data, letters):
+    """A random polynomial for the self-bracket tests: odd letters drawn
+    often where there are any, and one monomial always at two degrees
+    (coefficient a + b*k)."""
+    odd = [v for v in letters if v.parity]
+    nonzero = st.sampled_from([1, -1, 2, F(-3, 2)])
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        pool = odd if odd and data.draw(st.booleans()) else letters
+        factors = [(data.draw(st.sampled_from(pool)), data.draw(st.integers(0, 2)))
+                   for _ in range(data.draw(st.integers(1, 2)))]
+        terms.append((factors, data.draw(st.sampled_from(_K_COEFFS))))
+    twice = [(data.draw(st.sampled_from(odd or letters)), data.draw(st.integers(0, 1)))]
+    terms.append((twice, Coeff((F(data.draw(nonzero)), F(data.draw(nonzero))))))
+    return poly_normalize(terms)
+
+
 @lru_cache(maxsize=None)
 def _affine_sl21():
     return ReductionCtx(ctx_of("sl_super", (2,), (1,))).affine_table()
@@ -433,12 +450,18 @@ def _affine_sl21():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_engine_matches_reference_on_random_composites(data):
-    # symbolic tables, and an affine table over the reduction's ladder basis
-    tab = data.draw(st.sampled_from([("sl_super", (2,), (1,)), ("sl", (3, 1), ()), "affine"]))
+    # symbolic tables, a k=1 view, and an affine table over the reduction's
+    # ladder basis
+    tab = data.draw(st.sampled_from([("sl_super", (2,), (1,)), ("sl", (3, 1), ()),
+                                     ("sl_super", (2,), (1,), 1), "affine"]))
     tab = _affine_sl21() if tab == "affine" else table_of(*tab)
     gens = tab.variables
     A, B = _composite(data.draw, gens), _composite(data.draw, gens)
     assert extend_bracket(tab, A, B) == reference_bracket(tab, A, B)
+    # a self-bracket, whose operand is split by parity on the right and
+    # bracketed through its own factors on the left
+    S = _self_bracket_operand(data, gens)
+    assert extend_bracket(tab, S, S) == reference_bracket(tab, S, S)
 
 
 def _pair_composites(a, b):
@@ -457,49 +480,6 @@ def test_engine_matches_reference_on_every_generator_pair():
                 for A, B in _pair_composites(a, b):
                     assert extend_bracket(tab, A, B) == reference_bracket(tab, A, B), \
                         (shape, a, b)
-
-
-def _pruned(bracket: tuple) -> tuple:
-    """A graded bracket (scale, {n: {degree: {monomial: int}}}) without the
-    parts that cancelled to nothing."""
-    scale, slots = bracket
-    return scale, {n: {s: p for s, p in parts.items() if p} for n, parts in slots.items()
-                   if any(parts.values())}
-
-
-def _self_bracket_operand(data, letters):
-    """A random polynomial for the self-bracket tests: odd letters drawn
-    often where there are any, and one monomial always at two degrees
-    (coefficient a + b*k)."""
-    odd = [v for v in letters if v.parity]
-    nonzero = st.sampled_from([1, -1, 2, F(-3, 2)])
-    terms = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        pool = odd if odd and data.draw(st.booleans()) else letters
-        factors = [(data.draw(st.sampled_from(pool)), data.draw(st.integers(0, 2)))
-                   for _ in range(data.draw(st.integers(1, 2)))]
-        terms.append((factors, data.draw(st.sampled_from(_K_COEFFS))))
-    twice = [(data.draw(st.sampled_from(odd or letters)), data.draw(st.integers(0, 1)))]
-    terms.append((twice, Coeff((F(data.draw(nonzero)), F(data.draw(nonzero))))))
-    return poly_normalize(terms)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SHAPES_5), st.sampled_from(["symbolic", "k=1", "affine"]), st.data())
-def test_self_bracket_matches_the_pairwise_sum(shape, which, data):
-    # the self-bracket through its terms' factors against all pairs of
-    # terms, on every kind of table reconcile can meet
-    try:
-        ctx = ctx_of(*shape)
-    except NormalizationImpossible:
-        reject()
-    if which == "affine":
-        tab = ReductionCtx(ctx).affine_table()
-    else:
-        tab = table_of(*shape, ktilde="symbolic" if which == "symbolic" else 1)
-    engine = tab._leibniz()
-    A = engine.graded(_self_bracket_operand(data, tab.variables))
-    assert _pruned(engine.graded_self_bracket(A)) == _pruned(engine.graded_bracket(A, A))
 
 
 def test_check_skew_reports_entries_of_the_wrong_parity():
@@ -521,13 +501,15 @@ def test_check_skew_reports_entries_of_the_wrong_parity():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["one orientation", "wrong parity"]), st.data())
 def test_self_bracket_needs_no_skew_symmetry(which, data):
-    # the left Leibniz rule holds for any table, so the self-bracket agrees
-    # with all pairs of terms on tables that fail check_skew too
+    # the left Leibniz rule holds for any table, so graded_bracket (lifted by
+    # extend_bracket) agrees with the k-formal reference on tables that fail
+    # check_skew too, on a self-bracket and on a pair
     tab = _one_orientation_broken() if which == "one orientation" else wrong_parity_table()
     assert check_skew(tab)
-    engine = tab._leibniz()
-    A = engine.graded(_self_bracket_operand(data, tab.variables))
-    assert _pruned(engine.graded_self_bracket(A)) == _pruned(engine.graded_bracket(A, A))
+    A = _self_bracket_operand(data, tab.variables)
+    B = _self_bracket_operand(data, tab.variables)
+    assert extend_bracket(tab, A, A) == reference_bracket(tab, A, A)
+    assert extend_bracket(tab, A, B) == reference_bracket(tab, A, B)
 
 
 def test_jacobi_names_corrupted_triples_with_reference_diffs():
