@@ -79,16 +79,20 @@ Substitution.  reconcile evaluates generator-side polynomials (table
 targets, corrections) at the realizations through pvacore.Substitution, on
 the affine table's interned monomials and its Leibniz engine's product memo,
 and reads from it the images d^k of factors and products that the
-factor-wise brackets multiply by.  Each term carries its degree s = (power
-of k) - (derivative count), so an input such as a correction monomial with
-derivatives and coefficient 1 (of degree -D) is carried exactly; the systems
-read its graded values at k=1, and only the applied corrections and the
-final verification lift them to k^(s + D).  One Substitution serves one
-mapping: a stage of the weight ladder, with one more per override of a stage
-letter by a correction monomial's image, and the final verification; the
-images of d^n(letter), of whole monomials and of their derivatives are
-memoized for that lifetime.  The affine engine's bracket memos are dropped
-when reconcile returns; its skew verdict and Jacobi orbits stay.
+factor-wise brackets multiply by.  Every image is homogeneous, of degree s =
+(power of k) - (derivative count): a realization has degree 0, a correction
+monomial with D derivatives and coefficient 1 degree -D, and a target's
+lambda^n part degree n.  A letter's image of two degrees is refused, and
+none arises: an override maps a stage letter to one correction monomial's
+image.  The systems read every value at k=1, where all degrees coincide, so
+their rows ignore the degree; the final verification compares ints and
+degree, exact over Q(k), and only the applied corrections and a failure lift
+values to k^(s + D).  One Substitution serves one mapping: a stage of the
+weight ladder, with one more per override of a stage letter by a correction
+monomial's image, and the final verification; the images of d^n(letter), of
+whole monomials and of their derivatives are memoized for that lifetime.
+The affine engine's bracket memos are dropped when reconcile returns; its
+skew verdict and Jacobi orbits stay.
 """
 
 from __future__ import annotations
@@ -202,7 +206,7 @@ class ReductionCtx:
         """The weight-t monomials over p_vars with their graded values in the
         affine engine, enumerated once per weight."""
         if t not in self._unknowns:
-            graded = self.affine_table()._leibniz().graded
+            graded = self.affine_table().engine.graded
             self._unknowns[t] = [(m, graded(DiffPoly({m: ONE})))
                                  for m in weight_monomials(self.p_vars, lambda v: v.weight, t)]
         return self._unknowns[t]
@@ -266,26 +270,26 @@ def _weight_search(weights: list, odd: list, D: int, remaining: int, seq: tuple 
             cost += D
 
 
-def _add_rows(system: System, tag, col: int | None, scale: int, slots: dict,
-              sign: int = 1) -> None:
-    """sign * the k=1 value of the engine's ints {lambda power: {degree:
-    {interned monomial: int}}} at `scale` into the rows keyed (tag, lambda
-    power, monomial): an int c adds Fraction(c, scale)."""
-    for n, parts in slots.items():
-        for p in parts.values():
-            for m, c in p.items():
-                system.add((tag, n, m), col, Fraction(sign * c, scale))
+def _add_rows(system: System, tag, col: int | None, bracket: tuple, sign: int = 1) -> None:
+    """sign * the k=1 value of a graded bracket (scale, s, {lambda power:
+    {monomial: int}}) into the rows keyed (tag, lambda power, monomial): an
+    int c adds Fraction(c, scale); s is not read, all degrees agree at k=1."""
+    scale, _, slots = bracket
+    for n, p in slots.items():
+        for m, c in p.items():
+            system.add((tag, n, m), col, Fraction(sign * c, scale))
 
 
 def _agrees(got: tuple, want: dict) -> bool:
-    """Whether a graded bracket (scale, {n: {degree: {monomial: int}}})
-    equals want, {n: graded value (scale, {degree: {monomial: int}})}: each
-    lambda power n compared on ints at the product of the two scales."""
-    S, slots = got
+    """Whether a graded bracket (scale, s, {n: {monomial: int}}) of the
+    affine engine (g = 1, so lambda^n sits at degree s + n) equals want, {n:
+    edge value (scale, {degree: {monomial: int}})}: each lambda power n
+    compared on ints and degree at the product of the two scales."""
+    S, s, slots = got
     for n in slots.keys() | want.keys():
         Sw, parts = want.get(n, (1, {}))
-        if ({(s, m): c * Sw for s, p in slots.get(n, {}).items() for m, c in p.items()}
-                != {(s, m): c * S for s, p in parts.items() for m, c in p.items()}):
+        if ({(s + n, m): c * Sw for m, c in slots.get(n, {}).items()}
+                != {(e, m): c * S for e, p in parts.items() for m, c in p.items()}):
             return False
     return True
 
@@ -311,7 +315,7 @@ def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
     other pivots and the zeroed-free solution are those of a's system alone.
     The realizations' constraints are then re-verified one by one, in
     generator order, and the first failure raises NoSolution."""
-    engine = rctx.affine_table()._leibniz()
+    engine = rctx.affine_table().engine
     gens = rctx.cdata.gens
     nv_vals = [(nv, engine.graded(DiffPoly.variable(nv))) for nv in rctx.n_vars]
     solved: dict = {}
@@ -321,7 +325,7 @@ def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
         system = System()
         for nv, nv_val in nv_vals:
             for col, (_, val) in enumerate(unknowns):
-                _add_rows(system, nv, col, *engine.graded_bracket(nv_val, val))
+                _add_rows(system, nv, col, engine.graded_bracket(nv_val, val))
         side = {((AffVar(a, 0), 0),): j for j, a in enumerate(stage)}
         for col, (m, _) in enumerate(unknowns):
             if len(m) == 1 and m[0][1] == 0:
@@ -374,7 +378,7 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
     (b, a) twin (the final verification covers both).  Free correction
     coefficients are zeroed.  The affine engine's bracket memos are dropped
     before the call returns."""
-    engine = rctx.affine_table()._leibniz()
+    engine = rctx.affine_table().engine
     try:
         return _reconcile(rctx, table)
     finally:
@@ -392,7 +396,7 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                        "pair": bad[0]["pair"]}
             return ReconcileReport(False, {g: DiffPoly() for g in gens_all},
                                    GeneratorSolution({}), failure=failure)
-    engine = affine._leibniz()
+    engine = affine.engine
     base = solve_all(rctx)
     W: dict = dict(base.solutions)
     corrections: dict = {g: DiffPoly() for g in gens_all}
@@ -430,16 +434,17 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                        for l in _letters_of(poly)):
                     deferred += [(a, b), (b, a)]
                     continue
-                _add_rows(system, (a, b), None, *engine.graded_bracket(vals[a], vals[b]))
+                _add_rows(system, (a, b), None, engine.graded_bracket(vals[a], vals[b]))
                 brs = mono_brackets.get(b)
                 if brs is None:
                     brs = mono_brackets[b] = sub.bracket_images(
                         lowmonos, vals[b], lambda c, b=b: engine.graded_bracket(vals[c], vals[b]))
                 for mi, br in enumerate(brs):
-                    _add_rows(system, (a, b), first_col[a] + mi, *br)
+                    _add_rows(system, (a, b), first_col[a] + mi, br)
                 for slot, poly in target.coeffs.items():
                     S, parts = sub.graded(poly)
-                    _add_rows(system, (a, b), None, S, {slot: parts}, -1)
+                    for s, p in parts.items():
+                        _add_rows(system, (a, b), None, (S, s, {slot: p}), -1)
                     # a target monomial holds at most one stage letter (two
                     # would outweigh the bracket), so target(W + x) is
                     # linear in x: substitute each correction monomial for it
@@ -459,8 +464,8 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                                 over = overrides[(l, mi)] = Substitution(
                                     affine, ChainMap({l: mu_W}, stage_W))
                             S, parts = over.graded(part)
-                            _add_rows(system, (a, b), first_col[l] + mi, S,
-                                      {slot: parts}, -1)
+                            for s, p in parts.items():
+                                _add_rows(system, (a, b), first_col[l] + mi, (S, s, {slot: p}), -1)
 
         sol = system.solve()
         if sol is None:

@@ -37,8 +37,8 @@ g = 0, another level's a rescaled copy.  A table built from DiffPoly entries
 over a VarSpace of stride 64: g is 1 when some coefficient has a positive
 power of k, each lambda^n part is read by VarSpace.graded, a part off
 c*k^(g*(n+D)) is refused with a WAlgebraError naming its pair, and L is the
-lcm of the parts' scales.  Every table's entries lift through diff_poly on
-every read, and nothing lifted is kept: a read shares only immutable Coeffs
+lcm of the parts' scales.  Every table's entries lift through VarSpace.lift
+on every read, and nothing lifted is kept: a read shares only immutable Coeffs
 and monomial tuples with the store, so no caller can corrupt it.
 
 The engine.  Each table builds one with its store and keeps it; it holds the
@@ -55,12 +55,14 @@ Products.  A product is bracketed through its factors by one routine,
 ProductBracket, against one fixed right operand B of one parity: the left
 Leibniz rule {f r lambda B} = (-1)^{p(r)p(B)} {f lambda+d B}-> r +
 (-1)^{p(f)(p(r)+p(B))} {r lambda+d B}-> f, peeling the first factor, with a
-memo of {suffix lambda B}.  The caller gives the bracket of one factor with
-B and d^k of a product.  It serves graded_bracket, whose factors are
-interned letters, one object per parity class of B for one call; the
-Jacobi sweep's middle term {y lambda c}, one object per letter c kept until
-drop_memos; and Substitution.bracket_images, whose factors are the images
-of generator letters under a substitution, one object for one call.
+memo of {suffix lambda B}.  Its values are {lambda power: {interned
+monomial: int}}, of the one degree its caller's grading fixes.  The caller
+gives the bracket of one factor with B and d^k of a product.  It serves
+graded_bracket, whose factors are interned letters, one object per parity
+class of B for one call; the Jacobi sweep's middle term {y lambda c}, one
+object per letter c kept until drop_memos; and Substitution.bracket_images,
+whose factors are the images of generator letters under a substitution, one
+object for one call.
 
 The Jacobi orbit rule.  When a table's generator brackets are skew-symmetric
 and each {a lambda b} has the parity p(a) + p(b), their extension to all
@@ -74,37 +76,40 @@ a triple whose orbit is kept.  A violation is never kept, so each violating
 triple is computed and reported with its own diff, and on a table that fails
 the precondition every triple is computed.
 
-The edge: graded values, the one int format of inputs and results.  (M,
-{s: {interned monomial: int}}) holds an int c of a monomial with D
-derivatives at degree s for c/M * k^(s + g*D).  VarSpace.graded splits a
-DiffPoly's coefficients into one (s = power of k - g*D), and lift turns one
-back through diff_poly, the one conversion of ints to Coeffs.  The engine's
-graded_bracket returns one per power of lambda at scale L*M_A*M_B, degrees
-s_A, s_B landing at lambda^n in degree s_A + s_B + g*n; extend_bracket wraps
-it, and the reduction oracle reads its ints at k=1.  graded_bracket sums
-{x lambda B} over the terms x of A through x's factors, {v lambda B} summed
-once per letter v, and holds on any table.  The linear term of an n-th product
-of two linear combinations has one summation, linear_ints: it takes both
-combinations cleared by clear (a common denominator and one int per
-variable rank), reads the store's ints at k=1 beside their power g*n, and
-returns the sum as ints at L times the two denominators, with no Fraction
-built.  linear_product, which the scripted schedules call, clears,
-sums and lifts to one Fraction per nonzero variable; the closure search
-keeps its pool cleared and lifts only the products it keeps.  check_skew
-and check_jacobi accumulate lhs - rhs on ints, and only a failing pair's or
-triple's diff is lifted, a Jacobi diff to a TwoVar with k^(g*(i+j+D)) at
-lambda^i mu^j.  check_skew also reports each pair whose {a lambda b} holds
-a monomial of parity other than p(a) + p(b), kind "parity", with those
-terms lifted.
+The edge.  Inside the engine every value is homogeneous, (M, s, {interned
+monomial: int}), an int c of a monomial with D derivatives standing for c/M
+* k^(s + g*D).  Degrees are split and joined only at the edge, on edge
+values (M, {s: {interned monomial: int}}): VarSpace.graded splits a
+DiffPoly's coefficients into one (s = power of k - g*D), and VarSpace.lift,
+the one conversion of ints to Coeffs, turns one back with one Coeff per
+monomial.  The engine's graded refuses an operand of two degrees; its
+graded_bracket returns (L*M_A*M_B, s_A + s_B, {n: {monomial: int}}),
+lambda^n at degree s_A + s_B + g*n, which extend_bracket sums over its
+operands' degree pairs and the reduction oracle reads at k=1.
+graded_bracket sums {x lambda B} over the terms x of A through x's factors,
+{v lambda B} summed once per letter v, and holds on any table.  The linear
+term of an n-th product of two linear combinations has one summation,
+linear_ints: it takes both combinations cleared by clear (a common
+denominator and one int per variable rank), reads the store's ints at k=1
+beside their power g*n, and returns the sum as ints at L times the two
+denominators, with no Fraction built.  linear_product, which the scripted
+schedules call, clears, sums and lifts to one Fraction per nonzero variable;
+the closure search keeps its pool cleared and lifts only the products it
+keeps.  check_skew and check_jacobi accumulate lhs - rhs on ints, and only a
+failing pair's or triple's diff is lifted, a Jacobi diff to a TwoVar with
+k^(g*(i+j+D)) at lambda^i mu^j.  check_skew also reports each pair whose {a
+lambda b} holds a monomial of parity other than p(a) + p(b), kind "parity",
+with those terms lifted.
 
 Substitution.  The differential-algebra morphism that replaces letters by
 DiffPolys over a table's variables runs on the same interned monomials and
-the engine's product memo, on graded values with g = 1, so any Q[k]
-coefficients pass exactly: d lowers s by one and products add it.  Its
-entry point returns a graded value; calling it lifts that at the edge.  It
-memoizes d^k of the images of letters and monomials, and bracket_images
-brackets the images of monomials with a fixed graded value through their
-factors by a ProductBracket.
+the engine's product memo, on homogeneous values in the grading g = 1: d
+lowers s by one and products add it, and a letter's image of two degrees is
+refused with a WAlgebraError naming the letter.  Its entry point graded
+takes any Q[k] coefficients and returns an edge value; calling it lifts
+that.  It memoizes d^k of the images of letters and monomials, and
+bracket_images brackets the images of monomials with a fixed homogeneous
+value through their factors by a ProductBracket.
 """
 
 from __future__ import annotations
@@ -347,7 +352,7 @@ class BracketTable:
         self.store = store
         self.variables = list(store.space.vars)
         self.entries = _LiftedEntries(store)
-        self._engine = _Leibniz(store)
+        self.engine = _Leibniz(store)  # the table's Leibniz engine
 
     def lookup(self, u, v) -> LambdaPoly:
         try:
@@ -355,15 +360,11 @@ class BracketTable:
         except KeyError:
             raise MissingTableEntry(f"no bracket stored for ({u}, {v})") from None
 
-    def _leibniz(self) -> "_Leibniz":
-        """The table's Leibniz engine."""
-        return self._engine
-
     def clear(self, combo: dict) -> tuple:
         """A linear combination {variable: int or Fraction} cleared of its
         denominators: (d, ((rank, int), ...)), each variable's value its int
         over d, the lcm of the denominators."""
-        rank_of = self._engine.space.rank_of
+        rank_of = self.engine.space.rank_of
         d = lcm(*(v.denominator for v in combo.values()))
         return d, tuple((rank_of(x), v.numerator * (d // v.denominator)) for x, v in combo.items())
 
@@ -372,7 +373,7 @@ class BracketTable:
         n! * sum of va*vb * linear_term({ga lambda gb} at lambda^n), as (g*n,
         scale, {rank: int}): k^(g*n) times each int over scale = L*da*db at
         k=1.  A sum that cancels stays as a 0.  No Fraction is built."""
-        engine = self._engine
+        engine = self.engine
         (da, ia), (db, ib) = A, B
         linear = engine.linear
         out: dict = {}
@@ -407,8 +408,8 @@ class GradedStore(namedtuple("GradedStore", "space scale g ints")):
 
     def lift(self, val: dict) -> LambdaPoly:
         """{lambda power: {interned monomial: int}} lifted to a LambdaPoly."""
-        diff_poly, scale, g = self.space.diff_poly, self.scale, self.g
-        return LambdaPoly({n: diff_poly(p, scale, g, g * n) for n, p in val.items()})
+        lift, scale, g = self.space.lift, self.scale, self.g
+        return LambdaPoly({n: lift(scale, {g * n: p}, g) for n, p in val.items()})
 
     def at_level(self, q: Fraction) -> "GradedStore":
         """A graded (g = 1) store read at the rational level q, so g = 0: the
@@ -436,13 +437,24 @@ class _LiftedEntries(Mapping):
     def __init__(self, store: GradedStore):
         self._store = store
 
+    def _ints(self, ab) -> dict | None:
+        """ab's ints when it is a stored pair of variables, else None: any
+        other key, an unhashable one included, is absent."""
+        rank, ints = self._store.space.rank, self._store.ints
+        pair = isinstance(ab, tuple) and len(ab) == 2
+        try:
+            return ints.get((rank[ab[0]], rank[ab[1]])) if pair else None
+        except (KeyError, TypeError):
+            return None
+
     def __getitem__(self, ab) -> LambdaPoly:
-        store, (a, b) = self._store, ab
-        return store.lift(store.ints[(store.space.rank[a], store.space.rank[b])])
+        val = self._ints(ab)
+        if val is None:
+            raise KeyError(ab)
+        return self._store.lift(val)
 
     def __contains__(self, ab) -> bool:
-        rank = self._store.space.rank
-        return len(ab) == 2 and (rank.get(ab[0]), rank.get(ab[1])) in self._store.ints
+        return self._ints(ab) is not None
 
     def __iter__(self):
         vs = self._store.space.vars
@@ -474,7 +486,6 @@ class VarSpace:
         self._derivs: dict = {}
         self._edge: dict = {}
         self._factors: dict = {}
-        self._lifted: dict = {}
         self._coeffs: dict = {}
 
     def rank_of(self, v) -> int:
@@ -537,11 +548,12 @@ class VarSpace:
             self._derivs[m] = hit
         return hit
 
-    def edge(self, m: tuple) -> Monomial:
-        """An interned monomial as (variable, dpow) factors, one shared factor
-        tuple per int and one monomial tuple per monomial."""
-        gm = self._edge.get(m)
-        if gm is None:
+    def edge(self, m: tuple) -> tuple:
+        """(an interned monomial as (variable, dpow) factors, its derivative
+        count), memoized: one shared factor tuple per int and one monomial
+        tuple per monomial."""
+        hit = self._edge.get(m)
+        if hit is None:
             fs = []
             for x in m:
                 f = self._factors.get(x)
@@ -549,26 +561,11 @@ class VarSpace:
                     r, n = divmod(x, self.stride)
                     f = self._factors[x] = (self.vars[r], n)
                 fs.append(f)
-            gm = self._edge[m] = tuple(fs)
-        return gm
-
-    def diff_poly(self, p: dict, scale: int, g: int, power: int) -> DiffPoly:
-        """{interned monomial: int} as a DiffPoly, each int c of monomial m
-        lifted to c/scale * k^(power + g*(derivative count of m)).  Edge
-        monomials with their derivative counts, and one Coeff per (c, power)
-        at each scale, are memoized: equal coefficients are one object."""
-        lifted, edge, stride = self._lifted, self.edge, self.stride
-        coeffs = self._coeffs.setdefault(scale, {})
-        out = {}
-        for m, c in p.items():
-            gm, D = lifted.get(m) or lifted.setdefault(m, (edge(m), sum(x % stride for x in m)))
-            key = (c, power + g * D)
-            cf = coeffs.get(key) or coeffs.setdefault(key, Coeff.level(key[1], Fraction(c, scale)))
-            out[gm] = cf
-        return DiffPoly(out)
+            hit = self._edge[m] = (tuple(fs), sum(x % self.stride for x in m))
+        return hit
 
     def graded(self, P: DiffPoly, g: int) -> tuple:
-        """P as a graded value (M, {s: {interned monomial: int}}): each power
+        """P as an edge value (M, {s: {interned monomial: int}}): each power
         k^p of the coefficient of a monomial with D derivatives goes to
         degree s = p - g*D as M times that power's Fraction; constants are
         kept.  lift is the inverse."""
@@ -583,13 +580,32 @@ class VarSpace:
         out: dict = {}
         for s, x, f in raw:
             _accum(out.setdefault(s, {}), x, f.numerator * (M // f.denominator))
-        return M, out
+        return M, {s: p for s, p in out.items() if p}
+
+    def homogeneous(self, P: DiffPoly, g: int, what) -> tuple:
+        """P graded as one homogeneous value (M, s, {interned monomial: int}),
+        s = 0 when P is 0; WAlgebraError naming `what` when P mixes degrees."""
+        M, parts = self.graded(P, g)
+        if len(parts) > 1:
+            raise WAlgebraError(f"{what} mixes degrees in the level")
+        return (M, *next(iter(parts.items()), (0, {})))
 
     def lift(self, scale: int, parts: dict, g: int) -> DiffPoly:
-        """The graded value (scale, parts) as a DiffPoly: the int c of
-        monomial m at degree s becomes c/scale * k^(s + g*D(m))."""
-        polys = [self.diff_poly(p, scale, g, s) for s, p in parts.items()]
-        return sum(polys[1:], polys[0]) if polys else DiffPoly()
+        """The edge value (scale, {s: {interned monomial: int}}) as a DiffPoly
+        with one Coeff per monomial, the int c of m at degree s standing for
+        c/scale * k^(s + g*D(m)): the one conversion of ints to Coeffs.  One
+        Coeff per (c, power) at each scale is memoized."""
+        edges, level = self._edge, Coeff.level
+        coeffs = self._coeffs.setdefault(scale, {})
+        out: dict = {}
+        for s, p in parts.items():
+            for m, c in p.items():
+                gm, D = edges.get(m) or self.edge(m)
+                key = (c, s + g * D)
+                cf = coeffs.get(key) or coeffs.setdefault(key, level(key[1], Fraction(c, scale)))
+                other = out.get(gm)
+                out[gm] = cf if other is None else other + cf  # m at another degree
+        return DiffPoly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +632,10 @@ def _intern(variables: list, entries) -> GradedStore:
         val = ints[(space.rank_of(a), space.rank_of(b))] = {}
         for n, p in lp.coeffs.items():
             M, slots = space.graded(p, g)
-            for s, q in slots.items():
-                if q and s != g * n:
-                    raise WAlgebraError(f"the bracket ({a}, {b}) is not graded in the level:"
-                                        f" a term of degree {s - n} at lambda^{n}")
-            if slots.get(g * n):
+            for s in slots.keys() - {g * n}:  # a part off the grading
+                raise WAlgebraError(f"the bracket ({a}, {b}) is not graded in the level:"
+                                    f" a term of degree {s - n} at lambda^{n}")
+            if slots:
                 parts.append((val, n, M, slots[g * n]))
     L = lcm(*(M for _, _, M, _ in parts))
     for val, n, M, q in parts:
@@ -756,47 +771,35 @@ class _Leibniz:
     # -- entry points -------------------------------------------------------------
 
     def graded(self, P: DiffPoly) -> tuple:
-        """P as a graded value in this engine's grading."""
-        return self.space.graded(P, self.g)
+        """P as one homogeneous value (M, s, {interned monomial: int}) in this
+        engine's grading; WAlgebraError naming P when it mixes degrees."""
+        return self.space.homogeneous(P, self.g, P)
 
     def graded_bracket(self, A: tuple, B: tuple) -> tuple:
-        """{A lambda B} of two graded values, as (scale, {lambda power n:
-        {degree: {monomial: int}}}) with scale = L*M_A*M_B: the sum over the
-        terms c_x x of A of c_x {x lambda B}, a constant x skipped, on any
-        table.  B is split by parity class, and each {x lambda B} runs through
-        x's factors by one ProductBracket per class: its base {d^j v lambda B}
-        = (-lambda)^j {v lambda B}, with {v lambda B} = sum over the terms c_y
-        y of B of c_y {v lambda y} summed once per letter v, and its arrows
-        multiply by d^k of interned monomials.  The int of lambda^n at B's
-        degree s_y in {x lambda B} lands at degree s_x + s_y + g*n, so each
-        lambda^n part is a graded value."""
-        Ma, ta = A
-        Mb, tb = B
-        g, parity = self.g, self._parity
-        classes: tuple = ({}, {})  # B's terms by parity: {degree: {monomial: int}}
-        for s, p in tb.items():
-            for y, c in p.items():
-                classes[parity(y)].setdefault(s, {})[y] = c
+        """{A lambda B} of two homogeneous values, as (L*M_A*M_B, s_A + s_B,
+        {lambda power n: {monomial: int}}), lambda^n at degree s_A + s_B + g*n:
+        the sum over the terms c_x x of A of c_x {x lambda B}, a constant x
+        skipped, on any table.  B is split by parity class, and each {x lambda
+        B} runs through x's factors by one ProductBracket per class: its base
+        {d^j v lambda B} = (-lambda)^j {v lambda B}, with {v lambda B} = sum
+        over the terms c_y y of B of c_y {v lambda y} summed once per letter
+        v, and its arrows multiply by d^k of interned monomials."""
+        (Ma, sa, ta), (Mb, sb, tb) = A, B
+        parity = self._parity
+        classes: tuple = ({}, {})  # B's terms by parity
+        for y, c in tb.items():
+            classes[parity(y)][y] = c
         acc: dict = {}
         for pB, part in enumerate(classes):
             if not part:
                 continue
-            product = ProductBracket(self, _LetterBase(self, part), self._power, parity, pB)
-            for sx, p in ta.items():
-                for x, cx in p.items():
-                    if not x:
-                        continue  # a constant brackets to zero
-                    for n, slots in product(x).items():
-                        row = acc.setdefault(n, {})
-                        for sy, q in slots.items():
-                            _add_scaled(row.setdefault(sx + sy + g * n, {}), q, cx)
-        return self.L * Ma * Mb, acc
-
-    def _power(self, y: tuple, k: int) -> dict:
-        """d^k of an interned monomial as {degree shift 0: {monomial:
-        multiplicity}}: in the engine's values a derivative's k lives in the
-        monomial's derivative count."""
-        return {0: self._dpow(y, k)}
+            product = ProductBracket(self, _LetterBase(self, part), self._dpow, parity, pB)
+            for x, cx in ta.items():
+                if not x:
+                    continue  # a constant brackets to zero
+                for n, q in product(x).items():
+                    _add_scaled(acc.setdefault(n, {}), q, cx)
+        return self.L * Ma * Mb, sa + sb, {n: p for n, p in acc.items() if p}
 
     def drop_memos(self) -> None:
         """Empty the bracket memos ({var lambda mono}, products, derivatives,
@@ -881,16 +884,15 @@ class _Leibniz:
         if product is None:
             cc = rc * space.stride
             product = self._jacobi_products[rc] = ProductBracket(
-                self, _LetterBase(self, {0: {(cc,): 1}}), self._power, self._parity, space.odd[cc])
+                self, _LetterBase(self, {(cc,): 1}), self._dpow, self._parity, space.odd[cc])
         for n, p in self._entry(ra, rb).items():
             for y, cy in p.items():
                 if not y:
                     continue  # a constant brackets to zero
-                for l, slots in product(y).items():
-                    for q in slots.values():  # the one degree, 0
-                        # (lambda + mu)^l expanded on top of lambda^n
-                        for k in range(l + 1):
-                            terms.append(((n + k, l - k), -comb(l, k) * cy, q))
+                for l, q in product(y).items():
+                    # (lambda + mu)^l expanded on top of lambda^n
+                    for k in range(l + 1):
+                        terms.append(((n + k, l - k), -comb(l, k) * cy, q))
         sign = 1 if a.parity and b.parity else -1
         for i, p in self._entry(ra, rc).items():
             for y, cy in p.items():
@@ -912,29 +914,26 @@ class _Leibniz:
         """A jacobi() result as the TwoVar it stands for: the int c of
         monomial m at lambda^i mu^j is c/L^2 * k^(g*(i + j + D(m)))."""
         L2, g = self.L * self.L, self.g
-        return TwoVar({(i, j): self.space.diff_poly(p, L2, g, g * (i + j))
+        return TwoVar({(i, j): self.space.lift(L2, {g * (i + j): p}, g)
                        for (i, j), p in diff.items()})
 
 
 def _minus_lambda_power(val: dict, j: int) -> dict:
-    """(-lambda)^j times a value {n: {degree: {monomial: int}}}: lambda^n goes
-    to lambda^(n+j), negated for odd j.  The degree stays in both gradings a
-    ProductBracket meets: in the engine's, the k^j of d^j(factor) rides on
-    the factor's derivative count; in a Substitution's (g = 1), d^j(image)
-    sits j degrees lower and lambda^j adds the j back."""
-    if not j:
-        return val
+    """(-lambda)^j times a value {n: {monomial: int}}: lambda^n goes to
+    lambda^(n+j), negated for odd j.  The value stays homogeneous in both
+    gradings a ProductBracket meets: in the engine's, the k^j of d^j(factor)
+    rides on the factor's derivative count; in a Substitution's (g = 1),
+    d^j(image) sits j degrees lower and lambda^j adds the j back."""
     if j % 2:
-        return {n + j: {e: {m: -c for m, c in p.items()} for e, p in slots.items()}
-                for n, slots in val.items()}
-    return {n + j: slots for n, slots in val.items()}
+        return {n + j: {m: -c for m, c in p.items()} for n, p in val.items()}
+    return {n + j: p for n, p in val.items()} if j else val
 
 
-def _parity_class(engine: _Leibniz, parts: dict, what) -> int | None:
-    """The one parity of the monomials of {degree: {monomial: int}}, None
-    when there are none; WAlgebraError naming `what` when they differ."""
+def _parity_class(engine: _Leibniz, p: dict, what) -> int | None:
+    """The one parity of the monomials of {monomial: int}, None when there
+    are none; WAlgebraError naming `what` when they differ."""
     parity = engine._parity
-    found = {parity(x) for p in parts.values() for x in p}
+    found = {parity(x) for x in p}
     if len(found) > 1:
         raise WAlgebraError(f"{what} mixes parities")
     return found.pop() if found else None
@@ -948,11 +947,11 @@ class ProductBracket:
         {f r lambda B} = (-1)^{p(r)p(B)} {f lambda+d B}-> r
                        + (-1)^{p(f)(p(r)+p(B))} {r lambda+d B}-> f.
 
-    A value is {lambda power: {degree: {interned monomial: int}}}.  The
-    caller gives base(f) = {f lambda B} for one factor, power(y, k) = d^k of
-    the product y as {degree: {interned monomial: int}}, and parity(y).  An
-    arrow takes lambda^n of the bracket to sum_k C(n, k) lambda^(n-k) times
-    its coefficient times d^k(y), the degrees of the two terms added, on the
+    A value is {lambda power: {interned monomial: int}}, of one degree fixed
+    by the caller's grading.  The caller gives base(f) = {f lambda B} for
+    one factor, power(y, k) = d^k of the product y as {interned monomial:
+    int}, and parity(y).  An arrow takes lambda^n of the bracket to sum_k
+    C(n, k) lambda^(n-k) times its coefficient times d^k(y), on the
     engine's product memo.  The value of every product and suffix met is
     memoized in the object, which lives as long as its caller keeps it: one
     call, except the Jacobi sweep's, one per letter, which the engine keeps
@@ -983,23 +982,19 @@ class ProductBracket:
     def _arrow(self, out: dict, br: dict, y: tuple, sign: int) -> None:
         """out += sign * {X_{lambda+d} B}_-> y for br = {X lambda B}."""
         add_times, power = self._add_times, self._power
-        for n, slots in br.items():
+        for n, p in br.items():
             for k in range(n + 1):
-                row = out.setdefault(n - k, {})
+                dst = out.setdefault(n - k, {})
                 mult = sign * comb(n, k)
-                for s, dy in power(y, k).items():
-                    for e, p in slots.items():
-                        dst = row.setdefault(e + s, {})
-                        for z, cz in dy.items():
-                            add_times(dst, p, z, mult * cz)
+                for z, cz in power(y, k).items():
+                    add_times(dst, p, z, mult * cz)
 
 
 class _LetterBase:
-    """The base of the engine's ProductBracket against B, {degree:
-    {interned monomial: int}} of one parity: for an interned factor x =
-    d^j(v), (-lambda)^j {v lambda B}, where {v lambda B} = sum over the
-    terms c_y y of B of c_y {v lambda y}, at y's degree, is summed once per
-    letter v."""
+    """The base of the engine's ProductBracket against B, {interned
+    monomial: int} of one parity: for an interned factor x = d^j(v),
+    (-lambda)^j {v lambda B}, where {v lambda B} = sum over the terms c_y y
+    of B of c_y {v lambda y} is summed once per letter v."""
 
     __slots__ = ("_engine", "_B", "_letters")
 
@@ -1014,22 +1009,27 @@ class _LetterBase:
         if val is None:
             val = self._letters[v] = {}
             var_mono = engine._var_mono
-            for sy, q in self._B.items():
-                for y, cy in q.items():
-                    for n, p in var_mono(v, y).items():
-                        _add_scaled(val.setdefault(n, {}).setdefault(sy, {}), p, cy)
+            for y, cy in self._B.items():
+                for n, p in var_mono(v, y).items():
+                    _add_scaled(val.setdefault(n, {}), p, cy)
         return _minus_lambda_power(val, j)
 
 
 def extend_bracket(table: BracketTable, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
     """{A lambda B} for arbitrary differential polynomials over the table's
-    variables.  Coefficients multiply through; constants bracket to zero."""
-    if not any(A.terms) or not any(B.terms):
-        return LambdaPoly()
-    engine = table._leibniz()
-    scale, slots = engine.graded_bracket(engine.graded(A), engine.graded(B))
-    return LambdaPoly({n: engine.space.lift(scale, parts, engine.g)
-                       for n, parts in slots.items()})
+    variables: graded_bracket summed over the pairs of degrees of A and B,
+    lifted at the edge.  Coefficients multiply through; constants bracket
+    to zero."""
+    engine = table.engine
+    space, g = engine.space, engine.g
+    (Ma, pa), (Mb, pb) = space.graded(A, g), space.graded(B, g)
+    out: dict = {}  # lambda power -> {degree: {monomial: int}}
+    for sa, ta in pa.items():
+        for sb, tb in pb.items():
+            _, s, rows = engine.graded_bracket((Ma, sa, ta), (Mb, sb, tb))
+            for n, p in rows.items():
+                _add_scaled(out.setdefault(n, {}).setdefault(s + g * n, {}), p, 1)
+    return LambdaPoly({n: space.lift(engine.L * Ma * Mb, parts, g) for n, parts in out.items()})
 
 
 def nth_product(table: BracketTable, A: DiffPoly, B: DiffPoly, n: int) -> DiffPoly:
@@ -1047,7 +1047,7 @@ def check_skew(table: BracketTable, pairs=None) -> list[dict]:
     ints, only a violating pair's diff lifted; then those of parity, kind
     "parity": a pair whose {a lambda b} holds monomials of a parity other
     than p(a) + p(b), with those terms lifted."""
-    engine = table._leibniz()
+    engine = table.engine
     lift = engine.store.lift
     return ([{"kind": "skew", "pair": (a, b), "diff": lift(diff)}
              for a, b, diff in engine.skew_diffs(pairs)]
@@ -1105,7 +1105,7 @@ def check_jacobi(table: BracketTable, triples) -> list[dict]:
     kept: each violating triple is computed and reported with its own diff,
     and a table that fails the precondition has every triple computed, so
     the result is the same for any list of triples in any order."""
-    engine = table._leibniz()
+    engine = table.engine
     rank, held = engine.space.rank_of, engine.held
     out = []
     for (a, b, c) in triples:
@@ -1131,33 +1131,30 @@ class Substitution:
     themselves and must be variables of the table.  It runs on the table's
     interned monomials and shares its Leibniz engine's product memo.
 
-    A value is (M, {s: {interned monomial: int}}): the int c of monomial m at
-    degree s stands for c/M * k^(s + D(m)), D counting derivatives.  So s is
-    the power of k minus the derivative count: d lowers it by one, products
-    add it, and the images of homogeneous letters keep one dict per degree.
-    The images of d^n(letter) and of whole monomials are memoized for the
+    A value is homogeneous, (M, s, {interned monomial: int}): the int c of
+    monomial m stands for c/M * k^(s + D(m)), D counting derivatives.  So s
+    is the power of k minus the derivative count: d lowers it by one and
+    products add it.  A letter's image must be of one degree: one that
+    mixes degrees is refused with a WAlgebraError naming the letter.  The
+    images of d^n(letter) and of whole monomials are memoized for the
     object's lifetime, so the mapping must not change while it is in use."""
 
     def __init__(self, table: BracketTable, mapping):
-        self._engine = table._leibniz()
+        self._engine = table.engine
         self._mapping = mapping
         self._letters: dict = {}  # (letter, n) -> value of d^n(image)
-        self._monos: dict = {_EMPTY: (1, {0: {_EMPTY: 1}})}  # monomial -> value
+        self._monos: dict = {_EMPTY: (1, 0, {_EMPTY: 1})}  # monomial -> value
         self._dpows: dict = {}  # (monomial, k) -> value of d^k(image), k > 0
 
     def _derived(self, value: tuple) -> tuple:
         """d of a value: each monomial's derivative, one degree lower."""
         deriv = self._engine.space.deriv
-        M, parts = value
+        M, s, p = value
         out: dict = {}
-        for s, p in parts.items():
-            dst: dict = {}
-            for x, c in p.items():
-                for y in deriv(x):
-                    _accum(dst, y, c)
-            if dst:
-                out[s - 1] = dst
-        return M, out
+        for x, c in p.items():
+            for y in deriv(x):
+                _accum(out, y, c)
+        return M, s - 1, out
 
     def _letter(self, v, n: int) -> tuple:
         key = (v, n)
@@ -1167,7 +1164,8 @@ class Substitution:
                 hit = self._derived(self._letter(v, n - 1))
             else:
                 img = self._mapping.get(v)
-                hit = self._engine.space.graded(DiffPoly.variable(v) if img is None else img, 1)
+                hit = self._engine.space.homogeneous(
+                    DiffPoly.variable(v) if img is None else img, 1, f"the image of {v}")
             self._letters[key] = hit
         return hit
 
@@ -1191,67 +1189,63 @@ class Substitution:
         factor's, in factor order."""
         hit = self._monos.get(m)
         if hit is None:
-            Ma, a = self._mono(m[:-1])
-            Mb, b = self._letter(*m[-1])
+            Ma, sa, pa = self._mono(m[:-1])
+            Mb, sb, pb = self._letter(*m[-1])
             add_times = self._engine._add_times
             out: dict = {}
-            for sa, pa in a.items():
-                for sb, pb in b.items():
-                    dst = out.setdefault(sa + sb, {})
-                    for xb, cb in pb.items():
-                        add_times(dst, pa, xb, cb)
-            hit = self._monos[m] = (Ma * Mb, {s: p for s, p in out.items() if p})
+            for xb, cb in pb.items():
+                add_times(out, pa, xb, cb)
+            hit = self._monos[m] = (Ma * Mb, sa + sb, out)
         return hit
 
     def bracket_images(self, monos: list, B: tuple, letter_bracket) -> list:
         """[{image(mu) lambda B}] for monomials mu over letters of the
-        mapping, B a graded value of the engine (g = 1), as graded brackets
-        (scale, {n: {degree: {monomial: int}}}) at scale L*M_B*(the product
-        of the scales of mu's letter images).  Each runs through mu's
-        factors by one ProductBracket: {d^j image(v) lambda B} =
-        (-lambda)^j letter_bracket(v), letter_bracket(v) the graded bracket
-        {image(v) lambda B}, asked once per letter; the arrows multiply by
-        d^k of factor images from this object's memos.  A letter's image
-        must have the letter's parity and B one parity (WAlgebraError)."""
+        mapping, B a homogeneous value of the engine (g = 1), as graded
+        brackets (scale, s, {n: {monomial: int}}) at scale L*M_B*(the product
+        of the scales of mu's letter images), s the degrees of B and of
+        image(mu) added.  Each runs through mu's factors by one
+        ProductBracket: {d^j image(v) lambda B} = (-lambda)^j
+        letter_bracket(v), letter_bracket(v) the graded bracket {image(v)
+        lambda B}, asked once per letter; the arrows multiply by d^k of
+        factor images from this object's memos.  A letter's image must have
+        the letter's parity and B one parity (WAlgebraError)."""
         engine = self._engine
-        M_B, parts = B
-        pB = _parity_class(engine, parts, "the right operand") or 0
+        M_B, s_B, p_B = B
+        pB = _parity_class(engine, p_B, "the right operand") or 0
         bases: dict = {}
 
         def base(f):
             v, j = f
             val = bases.get(v)
             if val is None:
-                if _parity_class(engine, self._letter(v, 0)[1], v) not in (None, v.parity):
+                if _parity_class(engine, self._letter(v, 0)[2], v) not in (None, v.parity):
                     raise WAlgebraError(f"the image of {v} does not have its parity")
-                val = bases[v] = letter_bracket(v)[1]
+                val = bases[v] = letter_bracket(v)[2]
             return _minus_lambda_power(val, j)
 
-        product = ProductBracket(engine, base, lambda y, k: self.dpow(y, k)[1],
+        product = ProductBracket(engine, base, lambda y, k: self.dpow(y, k)[2],
                                  lambda y: sum(v.parity for v, _ in y) & 1, pB)
-        L = engine.L * M_B
-        return [(prod((self._letter(v, 0)[0] for v, _ in mu), start=L), product(mu))
+        return [(prod((self._letter(v, 0)[0] for v, _ in mu), start=engine.L * M_B),
+                 s_B + sum(self._letter(v, 0)[1] - n for v, n in mu), product(mu))
                 for mu in monos]
 
     def graded(self, poly: DiffPoly) -> tuple:
-        """poly with every letter replaced by its image, as a graded value
-        (S, {s: {interned monomial: int}}) in the grading g = 1: the int sums
-        put on one scale."""
-        parts = []  # (power of k, numerator, scale, monomial value)
+        """poly with every letter replaced by its image, as an edge value
+        (S, {s: {interned monomial: int}}) in the grading g = 1: poly may
+        have any Q[k] coefficients, so the power p of k on a monomial's image
+        of degree s lands at degree s + p, and the int sums are put on one
+        scale."""
+        parts = []  # (degree, numerator, scale, monomial's image)
         for m, c in poly.terms.items():
-            M, val = self._mono(m)
+            M, s, val = self._mono(m)
             if val:
-                parts += [(p, f.numerator, f.denominator * M, val)
+                parts += [(s + p, f.numerator, f.denominator * M, val)
                           for p, f in enumerate(c.num) if f]
         S = lcm(*{d for _, _, d, _ in parts})
         acc: dict = {}
-        for p, num, d, val in parts:
-            w = num * (S // d)
-            for s, q in val.items():
-                dst = acc.setdefault(s + p, {})
-                for x, c in q.items():
-                    _accum(dst, x, w * c)
-        return S, acc
+        for s, num, d, val in parts:
+            _add_scaled(acc.setdefault(s, {}), val, num * (S // d))
+        return S, {s: p for s, p in acc.items() if p}
 
     def __call__(self, poly: DiffPoly) -> DiffPoly:
         """poly with every letter replaced by its image, lifted to Q[k]

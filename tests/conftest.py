@@ -460,14 +460,14 @@ def solve_generator_reference(rctx, a):
 
     avar = AffVar(a, 0)
     unknowns = [u for u in rctx.unknowns(a.t) if u[0] != ((avar, 0),)]
-    engine = rctx.affine_table()._leibniz()
+    engine = rctx.affine_table().engine
     system = System()
     base = engine.graded(DiffPoly.variable(avar))
     nv_vals = [engine.graded(DiffPoly.variable(nv)) for nv in rctx.n_vars]
     for nv, nv_val in zip(rctx.n_vars, nv_vals):
-        _add_rows(system, nv, None, *engine.graded_bracket(nv_val, base))
+        _add_rows(system, nv, None, engine.graded_bracket(nv_val, base))
         for col, (_, val) in enumerate(unknowns):
-            _add_rows(system, nv, col, *engine.graded_bracket(nv_val, val))
+            _add_rows(system, nv, col, engine.graded_bracket(nv_val, val))
     for col, (m, _) in enumerate(unknowns):
         if len(m) == 1 and m[0][1] == 0:
             system.add(("pin", m), col, F(1))

@@ -9,6 +9,7 @@ agreement below count as independent certification."""
 
 import gc
 import hashlib
+import re
 import weakref
 from collections import ChainMap
 from fractions import Fraction
@@ -279,10 +280,13 @@ def test_interned_substitution_matches_the_diffpoly_reference(shape, data):
     want = [substitute(poly, W, memo) for poly in polys]
     for poly, w in zip(polys + polys, want + want):  # the second pass reads the memos
         assert sub(poly) == w, poly
-    # an override of one letter by a monomial's image, as reconcile's linear
-    # correction terms use it
+    # an override of one letter by the image of one correction monomial, as
+    # reconcile's linear correction terms use it: coefficient 1, derivatives
+    # allowed, so of one degree
     l = data.draw(st.sampled_from(gens))
-    image = substitute(_random_poly(data, gens, 2), W, memo)
+    _, nu = normalize_factors([(data.draw(st.sampled_from(gens)), data.draw(st.integers(0, 2)))
+                               for _ in range(data.draw(st.integers(1, 2)))])
+    image = substitute(DiffPoly({nu: ONE} if nu else {}), W, memo)
     over = ChainMap({l: image}, W)
     over_sub = Substitution(affine, over)
     # the reference's images under W that do not involve l hold under the
@@ -292,6 +296,10 @@ def test_interned_substitution_matches_the_diffpoly_reference(shape, data):
                               if all(v != l for v, _ in m)}}
     for poly in polys + [_random_poly(data, [l] + letters)]:
         assert over_sub(poly) == substitute(poly, over, over_memo), poly
+    # an image of two degrees is refused, naming its letter
+    mixed = Substitution(affine, ChainMap({l: W[l].scale(1 + K)}, W))
+    with pytest.raises(WAlgebraError, match=f"^the image of {re.escape(str(l))} mixes degrees"):
+        mixed(DiffPoly.variable(l))
 
 
 def _buildable(shapes) -> list:
@@ -346,8 +354,9 @@ def test_one_elimination_per_weight_matches_each_generator_alone(shape):
 
 
 def _lifted_bracket(engine, bracket) -> LambdaPoly:
-    scale, slots = bracket
-    return LambdaPoly({n: engine.space.lift(scale, parts, engine.g) for n, parts in slots.items()})
+    scale, s, rows = bracket
+    g = engine.g
+    return LambdaPoly({n: engine.space.lift(scale, {s + g * n: p}, g) for n, p in rows.items()})
 
 
 @settings(max_examples=25, deadline=None)
@@ -371,7 +380,7 @@ def test_correction_monomials_bracket_through_their_factors(shape, data):
         reject()
     monos = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
     affine = rctx.affine_table()
-    engine = affine._leibniz()
+    engine = affine.engine
     sub = Substitution(affine, W)
     vals = {g: engine.graded(W[g]) for g in lower}
     for b in lower:
@@ -391,7 +400,7 @@ def test_reconcile_drops_the_engine_memos():
     try:
         rctx = ReductionCtx(ctx_of("sl", (3, 1)))
         affine = rctx.affine_table()
-        engine = affine._leibniz()
+        engine = affine.engine
         assert engine.symmetric()
         held = engine.held
         vs = affine.variables
@@ -415,8 +424,8 @@ def test_reconcile_drops_the_engine_memos():
     gens = bad.variables
     triples = [(a, b, c) for a in gens for b in gens for c in gens]
     got = check_jacobi(bad, triples)
-    assert got and bad._leibniz()._jacobi_products
-    bad._leibniz().drop_memos()
+    assert got and bad.engine._jacobi_products
+    bad.engine.drop_memos()
     assert check_jacobi(bad, triples) == got
 
 

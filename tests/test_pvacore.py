@@ -28,7 +28,7 @@ from conftest import (corrupted_table, ctx_of, gen, monomial_parity, nth_linear,
 from walgebra.coeffs import Coeff, ONE
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import MissingTableEntry, NormalizationImpossible, WAlgebraError
-from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, TwoVar,
+from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution, TwoVar,
                               VarSpace, _Leibniz, apply_partial, check_jacobi,
                               check_skew, extend_bracket, linear_term,
                               normalize_factors, nth_product)
@@ -576,7 +576,7 @@ def test_orbit_rule_matches_the_reference_on_skew_corruptions(shape, data):
     order = data.draw(st.permutations(triples))
     one = _fresh(tab)
     assert _reported([v for t in order for v in check_jacobi(one, [t])]) == _in_order(want, order)
-    assert one._leibniz().symmetric()
+    assert one.engine.symmetric()
     assert _reported(check_jacobi(_fresh(tab), triples)) == _in_order(want, triples)
 
 
@@ -587,7 +587,7 @@ def test_swapping_a_and_b_transposes_the_jacobi_diff():
     odd = skew_corrupted(table_of("sl_super", (2,), (1,)), gen(ctx, "3/2", 1, 2),
                           gen(ctx, "3/2", 2, 1), gen(ctx, 2, 1, 1), F(-3, 2))
     for tab in (corrupted_table(), odd):
-        engine = _fresh(tab)._leibniz()
+        engine = _fresh(tab).engine
         assert engine.symmetric()
         violated = set()
         for a, b, c in _triples(tab):
@@ -610,7 +610,7 @@ def test_the_rule_is_off_where_its_precondition_fails(broken):
     triples = _triples(tab)
     want = _reference_violations(tab, triples)
     assert any(set(itertools.permutations(t)) - want.keys() for t in want)
-    assert not _fresh(tab)._leibniz().symmetric()
+    assert not _fresh(tab).engine.symmetric()
     for order in (triples, triples[::-1]):
         assert _reported(check_jacobi(_fresh(tab), order)) == _in_order(want, order)
 
@@ -629,24 +629,24 @@ def test_each_orbit_is_computed_once_on_a_sound_table(monkeypatch):
         n = len(tab.variables)
         calls.clear()
         assert all(check_jacobi(tab, [t]) == [] for t in _triples(tab))
-        assert len(calls) == comb(n + 2, 3) and len(tab._leibniz().held) == comb(n + 2, 3)
+        assert len(calls) == comb(n + 2, 3) and len(tab.engine.held) == comb(n + 2, 3)
     # a table that is not skew-symmetric, or not complete, has every triple
     # computed
     tab = _one_orientation_broken()
     calls.clear()
     for t in _triples(tab):
         check_jacobi(tab, [t])
-    assert len(calls) == len(tab.variables) ** 3 and not tab._leibniz().held
+    assert len(calls) == len(tab.variables) ** 3 and not tab.engine.held
     tab = BracketTable([A_EVEN, B_ODD], {(A_EVEN, A_EVEN): LambdaPoly({1: DiffPoly.constant(1)})})
     calls.clear()
     assert check_jacobi(tab, [(A_EVEN, A_EVEN, A_EVEN)] * 3) == []
-    assert len(calls) == 3 and not tab._leibniz().symmetric()
+    assert len(calls) == 3 and not tab.engine.symmetric()
 
 
 def test_fixed_level_table_with_denominators_matches_reference():
     tab = table_of("sl_super", (2,), (1,), ktilde=F(1, 2))
     gens = tab.variables
-    assert tab._leibniz().L > 1
+    assert tab.engine.L > 1
     for a in gens:
         for b in gens:
             for A, B in _pair_composites(a, b):
@@ -684,10 +684,10 @@ def test_var_space_matches_the_diffpoly_format(data):
         assert got is None
         return
     s, x = got
-    assert (s, space.edge(x)) == (sign, mono)
+    assert (s, space.edge(x)[0]) == (sign, mono)
     derived: dict = {}
     for y in space.deriv(x):
-        derived[space.edge(y)] = derived.get(space.edge(y), 0) + 1
+        derived[space.edge(y)[0]] = derived.get(space.edge(y)[0], 0) + 1
     assert DiffPoly({m: Coeff.of(c) for m, c in derived.items()}) == DiffPoly({mono: ONE}).d()
 
 
@@ -702,7 +702,25 @@ def test_a_table_off_the_grading_is_refused_on_construction():
     tab = BracketTable([A_EVEN], {(A_EVEN, A_EVEN): LambdaPoly(
         {1: DiffPoly.constant(Coeff.level(1))})})
     assert extend_bracket(tab, a, a * a) == LambdaPoly({1: a.scale(Coeff.level(1, 2))})
-    assert tab._leibniz().g == 1 and _boson_table()._leibniz().g == 0
+    assert tab.engine.g == 1 and _boson_table().engine.g == 0
+
+
+def test_mixed_degree_operands_and_images_are_refused():
+    # every engine value is of one degree: the engine's graded and a
+    # Substitution refuse an operand or a letter's image of two degrees, in k
+    # or in derivatives (g = 1), with one line naming it; extend_bracket
+    # splits its operands by degree at the edge
+    k = Coeff.level(1)
+    tab = BracketTable([A_EVEN], {(A_EVEN, A_EVEN): LambdaPoly({1: DiffPoly.constant(k)})})
+    a = _dp(A_EVEN)
+    for mixed in (a.scale(1 + k), a + apply_partial(a)):
+        with pytest.raises(WAlgebraError) as err:
+            tab.engine.graded(mixed)
+        assert str(err.value) == f"{mixed} mixes degrees in the level"
+        with pytest.raises(WAlgebraError) as err:
+            Substitution(tab, {A_EVEN: mixed})(a * a)
+        assert str(err.value) == "the image of a mixes degrees in the level"
+    assert extend_bracket(tab, a.scale(1 + k), a) == LambdaPoly({1: DiffPoly.constant(k + k * k)})
 
 
 def test_engines_die_with_their_tables():
@@ -713,7 +731,7 @@ def test_engines_die_with_their_tables():
         tab = _boson_table()
         a = _dp(A_EVEN)
         assert extend_bracket(tab, a * a, a)
-        engine = weakref.ref(tab._engine)
+        engine = weakref.ref(tab.engine)
         del tab
         assert engine() is None
     finally:

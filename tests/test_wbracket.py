@@ -216,7 +216,7 @@ def test_interned_operator_matches_the_diffpoly_operator():
     def lift(X, scale):
         return GradedStore(engine.space, scale, 1, {}).lift(X)
 
-    assert lift(Xi, sx).get(1).terms[engine.space.edge(deep)] == Coeff.level(3, F(1, 2))
+    assert lift(Xi, sx).get(1).terms[engine.space.edge(deep)[0]] == Coeff.level(3, F(1, 2))
     want = apply_factor(engine, factor, lift(Xi, sx))
     assert lift(out, sx * sf) == want
     assert want
@@ -244,6 +244,13 @@ def test_tables_cannot_be_corrupted_through_their_entries():
         tab.entries[(a, b)] = LambdaPoly()
     with pytest.raises(TypeError):
         del tab.entries[(a, b)]
+    # a key that is not a stored pair of variables, unhashable ones included,
+    # is absent, as from any Mapping
+    for key in (5, "ab", (a,), (a, b, a), (a, 5), (None, b), [a, b], ([a], b), (a, {})):
+        assert key not in tab.entries
+        assert tab.entries.get(key, "absent") == "absent"
+        with pytest.raises(KeyError):
+            tab.entries[key]
     # every read is a fresh lift: mutating what a read returns, down to its
     # terms and attributes, leaves the table as it was
     ab = next(ab for ab, v in tab.entries.items() if v.get(0))
@@ -354,7 +361,7 @@ def test_table_build_k1_view_and_linear_products_lift_nothing(monkeypatch):
     ctx = ctx_of("sl", (3, 2))
     ctx.centralizer()
     monkeypatch.setattr(wbracket, "_TABLE_CACHE", {})
-    counts = {"Coeff": 0, "diff_poly": 0, "entry lifts": 0}
+    counts = {"Coeff": 0, "lift": 0, "entry lifts": 0}
 
     def counting(name, method):
         def wrapped(*args, **kwargs):
@@ -363,7 +370,7 @@ def test_table_build_k1_view_and_linear_products_lift_nothing(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(Coeff, "__init__", counting("Coeff", Coeff.__init__))
-    monkeypatch.setattr(VarSpace, "diff_poly", counting("diff_poly", VarSpace.diff_poly))
+    monkeypatch.setattr(VarSpace, "lift", counting("lift", VarSpace.lift))
     monkeypatch.setattr(GradedStore, "lift", counting("entry lifts", GradedStore.lift))
     sym = bracket_table(ctx)
     k1 = bracket_table(ctx, ktilde=1)
@@ -382,8 +389,8 @@ def test_table_build_k1_view_and_linear_products_lift_nothing(monkeypatch):
     monkeypatch.setattr(pvacore, "Fraction", Fraction)
     assert any(lt for _, lt in products)
     assert 0 < len(fractions) <= sum(len(lt) for _, lt in products)
-    assert counts == {"Coeff": 0, "diff_poly": 0, "entry lifts": 0}
-    assert all(type(c) is int for tab in (sym, k1) for hit in tab._leibniz()._lin.values()
+    assert counts == {"Coeff": 0, "lift": 0, "entry lifts": 0}
+    assert all(type(c) is int for tab in (sym, k1) for hit in tab.engine._lin.values()
                for _, c in hit)
     assert k1.store.ints is sym.store.ints and k1.store.space is sym.store.space
     assert (sym.store.g, k1.store.g) == (1, 0)
