@@ -40,10 +40,10 @@ side.  Its pivots, free columns and particular solution over Q(k) are those
 of M(1), so solve_all and reconcile assemble every system at k=1, solve it
 over Q, and lift each solved x to x*k^D.  The systems are built straight
 from the affine engine's graded values (pvacore): a row is keyed by tag,
-lambda power and interned monomial, and an int c at scale S enters it as
-Fraction(c, S).  linalg solves them fraction-free: each row is cleared to
-primitive ints once, eliminated on ints, and a solved x is the one Fraction
-built per column.  solve_all eliminates once per weight: the columns are
+lambda power and interned monomial, and an int c at scale S enters it as c
+at S, each row kept on ints at one scale (linalg.System).  linalg solves
+them fraction-free, and a solved x is the one Fraction built per column.
+solve_all eliminates once per weight: the columns are
 every unknown of that weight, each generator's letter among them, the rows
 its constraint brackets and a pin per bare variable, and each generator has
 a right-hand side of its own whose pin of its letter reads 1.  That pin
@@ -105,16 +105,8 @@ from .coeffs import Coeff, ONE
 from .errors import NoSolution, WAlgebraError
 from .liestruct import AlgebraCtx, GenIndex, StructureKernel, SuperMatrix, pairing_index
 from .linalg import System
-from .pvacore import (
-    BracketTable,
-    DiffPoly,
-    LambdaPoly,
-    Substitution,
-    check_skew,
-    extend_bracket,
-)
-
-_F1 = Fraction(1)
+from .pvacore import (_STRIDE, BracketTable, DiffPoly, GradedStore, LambdaPoly, Substitution,
+                      VarSpace, check_skew, extend_bracket)
 
 
 class AffVar(namedtuple("AffVar", "g n")):
@@ -180,35 +172,43 @@ class ReductionCtx:
         """{u lambda v} = rho([u, v]) + k*lambda*(u|v) over the ladder basis,
         rho([u, v]) read off as the pairings of [u, v] with the dual rungs of
         p_vars plus the constant (f | [u, v]): one StructureKernel over the
-        dual rungs with f as one more row gives all three."""
+        dual rungs with f as one more row gives all three.  The store holds
+        them as ints at the lcm of their denominators, f's pairing and (u|v)
+        at the empty monomial, graded g = 1, with no DiffPoly entry built."""
         if self._affine is not None:
             return self._affine
         ctx, p_vars, cd = self.ctx, self.p_vars, self.cdata
         kernel = StructureKernel(ctx, pairing_index(
             ctx, [cd.dualFamily[v.g][v.n] for v in p_vars] + [ctx.f]))
-        f_row = len(p_vars)  # the index of f
-        entries = {}
+        space = VarSpace(self.variables, _STRIDE)
+        rank = space.rank
+        monos = [(rank[v] * _STRIDE,) for v in p_vars] + [()]  # the last for f
+        vals = {}
         for u in self.variables:
             mu = self.matrix[u]
             for v in self.variables:
                 coords, pairing = kernel(mu, self.matrix[v])
-                coeffs: dict[int, DiffPoly] = {}
+                val = vals[(rank[u], rank[v])] = {}
                 if coords:
-                    coeffs[0] = DiffPoly({((p_vars[i], 0),) if i < f_row else (): Coeff.of(c)
-                                          for i, c in coords})
+                    val[0] = {monos[i]: c for i, c in coords}
                 if pairing:
-                    coeffs[1] = DiffPoly.constant(Coeff.level(1, pairing))
-                entries[(u, v)] = LambdaPoly(coeffs)
-        self._affine = BracketTable(self.variables, entries)
+                    val[1] = {(): pairing}
+        L = lcm(*(c.denominator for val in vals.values() for p in val.values() for c in p.values()))
+        ints = {ab: {n: {m: c.numerator * (L // c.denominator) for m, c in p.items()}
+                     for n, p in val.items()} for ab, val in vals.items()}
+        self._affine = BracketTable.of_store(GradedStore(space, L, 1, ints))
         return self._affine
 
     def unknowns(self, t: Fraction) -> list:
-        """The weight-t monomials over p_vars with their graded values in the
-        affine engine, enumerated once per weight."""
+        """The weight-t monomials over p_vars with their values (1, -g*D,
+        {code: sign}) in the affine engine, enumerated once per weight."""
         if t not in self._unknowns:
-            graded = self.affine_table().engine.graded
-            self._unknowns[t] = [(m, graded(DiffPoly({m: ONE})))
-                                 for m in weight_monomials(self.p_vars, lambda v: v.weight, t)]
+            engine = self.affine_table().engine
+            code, g = engine.space.code, engine.g
+            out = self._unknowns[t] = []
+            for m in weight_monomials(self.p_vars, lambda v: v.weight, t):
+                sign, x = code(m)
+                out.append((m, (1, -g * sum(d for _, d in m), {x: sign})))
         return self._unknowns[t]
 
 
@@ -273,11 +273,13 @@ def _weight_search(weights: list, odd: list, D: int, remaining: int, seq: tuple 
 def _add_rows(system: System, tag, col: int | None, bracket: tuple, sign: int = 1) -> None:
     """sign * the k=1 value of a graded bracket (scale, s, {lambda power:
     {monomial: int}}) into the rows keyed (tag, lambda power, monomial): an
-    int c adds Fraction(c, scale); s is not read, all degrees agree at k=1."""
+    int c enters as sign * c at the bracket's scale, no Fraction built; s is
+    not read, all degrees agree at k=1."""
     scale, _, slots = bracket
+    add = system.add
     for n, p in slots.items():
         for m, c in p.items():
-            system.add((tag, n, m), col, Fraction(sign * c, scale))
+            add((tag, n, m), col, sign * c, 0, scale)
 
 
 def _agrees(got: tuple, want: dict) -> bool:
@@ -329,9 +331,9 @@ def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
         side = {((AffVar(a, 0), 0),): j for j, a in enumerate(stage)}
         for col, (m, _) in enumerate(unknowns):
             if len(m) == 1 and m[0][1] == 0:
-                system.add(("pin", m), col, _F1)
+                system.add(("pin", m), col, 1)
                 if m in side:
-                    system.add(("pin", m), None, -_F1, side[m])
+                    system.add(("pin", m), None, -1, side[m])
         for a, sol in zip(stage, system.solve_each(len(stage))):
             solved[a] = (unknowns, sol)
     out: dict = {}

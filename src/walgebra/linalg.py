@@ -13,6 +13,9 @@ row is a positive multiple of its row in the reduced row echelon form over
 Q: primitive, leading int positive, zero in every other pivot column.  A
 solution divides each right-hand side by its row's leading int, the one
 Fraction built per solved column.
+
+A System assembles its rows as ints, one scale per row shared by its
+right-hand sides, so no Fraction is built per entry.
 """
 
 from __future__ import annotations
@@ -148,27 +151,38 @@ def solve_each(rows: list[dict], rhs: list[dict], count: int) -> list[dict | Non
 class System:
     """A sparse linear system assembled term by term: one row per key, rows
     in order of first use, each right-hand side holding minus the constant
-    terms of its equations."""
+    terms of its equations.  A row and its right-hand sides are ints at the
+    scale scales[key], an int c standing for c/scale: the scale of the
+    row's first term, rescaled once, to the lcm, by a term whose scale does
+    not divide it."""
 
     def __init__(self):
-        self.rows: dict = {}
-        self.rhs: dict = {}  # key -> {right-hand side: value}
+        self.rows: dict = {}  # key -> {column: int}
+        self.rhs: dict = {}  # key -> {right-hand side: int}
+        self.scales: dict = {}
 
     def __contains__(self, key) -> bool:
         return key in self.rows
 
-    def add(self, key, col: int | None, c, side: int = 0) -> None:
-        """c * x[col], or the constant c of right-hand side `side` if col is
-        None, into key's row."""
-        row = self.rows.get(key)
-        if row is None:
-            row = self.rows[key] = {}
+    def add(self, key, col: int | None, c, side: int = 0, scale: int = 1) -> None:
+        """c/scale * x[col], or the constant c/scale of right-hand side
+        `side` if col is None, into key's row; a Fraction c is its numerator
+        at scale times its denominator."""
+        if type(c) is not int:
+            c, scale = c.numerator, scale * c.denominator
+        row = self.rows.setdefault(key, {})
+        R = self.scales.setdefault(key, scale)
+        if R % scale:
+            f = scale // gcd(R, scale)
+            for d in (row, self.rhs.get(key, {})):
+                for j in d:
+                    d[j] *= f
+            R = self.scales[key] = R * f
+        if R != scale:
+            c *= R // scale
         if col is None:
-            b = self.rhs.setdefault(key, {})
-            b[side] = b.get(side, 0) - c
-            return
-        cur = row.get(col)
-        s = c if cur is None else cur + c
+            row, col, c = self.rhs.setdefault(key, {}), side, -c
+        s = row.get(col, 0) + c
         if s:
             row[col] = s
         else:

@@ -49,7 +49,8 @@ right Leibniz rule has one routine, {var lambda mono}, and the left one
 another, ProductBracket, whose base it is.  The bracket memos ({var lambda
 mono}, products, derivatives, and the Jacobi sweep's ProductBracket per
 third letter) grow with every call and are dropped by drop_memos, which the
-reduction oracle calls when reconcile returns.
+reduction oracle calls when reconcile returns.  The product memo is keyed
+by the right factor first: a sum times z fetches z's memo once.
 
 Products.  A product is bracketed through its factors by one routine,
 ProductBracket, against one fixed right operand B of one parity: the left
@@ -482,6 +483,7 @@ class VarSpace:
         self.rank = {v: r for r, v in enumerate(self.vars)}
         self.stride = stride
         self.odd = [v.parity for v in self.vars for _ in range(stride)]
+        self._any_odd = any(self.odd)
         self._codes: dict = {}
         self._derivs: dict = {}
         self._edge: dict = {}
@@ -495,22 +497,20 @@ class VarSpace:
         return r
 
     def canonical(self, xs) -> tuple | None:
-        """(sign, sorted int tuple) of a factor sequence, counting odd-odd
-        transpositions; None when an odd factor repeats."""
-        fs = list(xs)
-        odd = self.odd
+        """(sign, sorted int tuple) of a factor sequence by one sort, the sign
+        the parity of the inversions among the odd factors (none in a space
+        with no odd variable); None when an odd factor repeats."""
         sign = 1
-        for i in range(1, len(fs)):
-            j = i
-            while j and fs[j - 1] > fs[j]:
-                if odd[fs[j - 1]] and odd[fs[j]]:
-                    sign = -sign
-                fs[j - 1], fs[j] = fs[j], fs[j - 1]
-                j -= 1
-        for x, y in zip(fs, fs[1:]):
-            if x == y and odd[x]:
-                return None
-        return sign, tuple(fs)
+        if self._any_odd:
+            odd = self.odd
+            odds = [x for x in xs if odd[x]]
+            for i, x in enumerate(odds):
+                for y in odds[i + 1:]:
+                    if x > y:
+                        sign = -sign
+                    elif x == y:
+                        return None
+        return sign, tuple(sorted(xs))
 
     def code(self, mono: Monomial) -> tuple | None:
         """(sign, interned monomial) of a DiffPoly monomial; None if it
@@ -655,7 +655,7 @@ class _Leibniz:
         self.space, self.L, self.g = store.space, store.scale, store.g
         self._vm: dict = {}
         self._jacobi_products: dict = {}  # rank c -> ProductBracket against c
-        self._products: dict = {}
+        self._products: dict = {}  # right factor -> {left factor: _mul's value}
         self._dpows: dict = {}
         self._lin: dict = {}
         self._parities: dict = {}
@@ -685,11 +685,12 @@ class _Leibniz:
         return hit
 
     def _mul(self, m1: tuple, m2: tuple) -> tuple | None:
-        """(sign, m1*m2), or None when the product vanishes."""
-        key = (m1, m2)
-        hit = self._products.get(key, False)
+        """(sign, m1*m2), or None when the product vanishes, from the
+        product memo."""
+        memo = self._products.get(m2) or self._products.setdefault(m2, {})
+        hit = memo.get(m1, False)
         if hit is False:
-            hit = self._products[key] = self.space.canonical(m1 + m2)
+            hit = memo[m1] = self.space.canonical(m1 + m2)
         return hit
 
     def _dpow(self, m: tuple, j: int) -> dict:
@@ -752,14 +753,14 @@ class _Leibniz:
 
     def _add_times(self, out: dict, p: dict, z: tuple, w: int) -> None:
         """out += w * p*z, each monomial of p times the monomial z on the
-        right through the product memo, read inline; w nonzero."""
-        products, canonical = self._products, self.space.canonical
-        get = out.get
+        right through the product memo, read inline: z's memo is fetched
+        once, then each monomial of p looked up in it; w nonzero."""
+        memo = self._products.get(z) or self._products.setdefault(z, {})
+        canonical, get = self.space.canonical, out.get
         for m, c in p.items():
-            key = (m, z)
-            r = products.get(key, False)
+            r = memo.get(m, False)
             if r is False:
-                r = products[key] = canonical(m + z)
+                r = memo[m] = canonical(m + z)
             if r is not None:
                 x = r[1]
                 t = get(x, 0) + (w * c if r[0] > 0 else -w * c)

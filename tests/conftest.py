@@ -15,10 +15,11 @@ from typing import NamedTuple
 from walgebra.coeffs import ONE, Coeff
 from walgebra.errors import NoSolution, UnknownGenerator
 from walgebra.linalg import System, rref
-from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra, pairing_index,
-                                sharp_coords)
-from walgebra.pvacore import (DiffPoly, GradedStore, LambdaPoly, _accum, apply_partial,
-                              linear_term, monomial_weight, normalize_factors, nth_product)
+from walgebra.liestruct import (GenIndex, PartitionSpec, StructureKernel, SuperMatrix,
+                                build_algebra, pairing_index, sharp_coords)
+from walgebra.pvacore import (BracketTable, DiffPoly, GradedStore, LambdaPoly, _accum,
+                              apply_partial, linear_term, monomial_weight, normalize_factors,
+                              nth_product)
 from walgebra.wbracket import bracket_table, ladder_nodes
 from walgebra.weakgen import (ClosureReport, ClosureStep, Recovery, coefficient_genericity,
                               default_caps)
@@ -76,6 +77,26 @@ def subst_neg_lambda_partial(lp):
             term = apply_partial(p, n - m).scale(Coeff.of((-1) ** n * comb(n, m)))
             out += LambdaPoly({m: term})
     return out
+
+
+def canonical_reference(space, xs):
+    """VarSpace.canonical by insertion sort: (sign, sorted int tuple), the
+    sign flipped at each transposition of two odd factors; None when an odd
+    factor repeats."""
+    fs = list(xs)
+    odd = space.odd
+    sign = 1
+    for i in range(1, len(fs)):
+        j = i
+        while j and fs[j - 1] > fs[j]:
+            if odd[fs[j - 1]] and odd[fs[j]]:
+                sign = -sign
+            fs[j - 1], fs[j] = fs[j], fs[j - 1]
+            j -= 1
+    for x, y in zip(fs, fs[1:]):
+        if x == y and odd[x]:
+            return None
+    return sign, tuple(fs)
 
 
 def kernel_basis(columns: list[dict]) -> list[dict]:
@@ -355,6 +376,29 @@ def verify_every_ordered_pair(rctx, table, W):
             if reduced_bracket(rctx, W[a], W[b]) != want:
                 bad.append((a, b))
     return bad
+
+
+def affine_table_reference(rctx):
+    """The rho-projected affine table built on DiffPoly entries, interned by
+    BracketTable: {u lambda v} = rho([u, v]) + k*lambda*(u|v), the pairings
+    of [u, v] with the dual rungs of p_vars at their letters, f's as a
+    constant and the level term (u|v) at lambda^1."""
+    ctx, p_vars, cd = rctx.ctx, rctx.p_vars, rctx.cdata
+    kernel = StructureKernel(ctx, pairing_index(
+        ctx, [cd.dualFamily[v.g][v.n] for v in p_vars] + [ctx.f]))
+    f_row = len(p_vars)
+    entries = {}
+    for u in rctx.variables:
+        for v in rctx.variables:
+            coords, pairing = kernel(rctx.matrix[u], rctx.matrix[v])
+            coeffs = {}
+            if coords:
+                coeffs[0] = DiffPoly({((p_vars[i], 0),) if i < f_row else (): Coeff.of(c)
+                                      for i, c in coords})
+            if pairing:
+                coeffs[1] = DiffPoly.constant(Coeff.level(1, pairing))
+            entries[(u, v)] = LambdaPoly(coeffs)
+    return BracketTable(rctx.variables, entries)
 
 
 def partitions(n, top=None):

@@ -19,9 +19,10 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import (bracket_by_chains, corrupted_table, ctx_of, flatten, gen, poly_normalize,
-                      poly_weight, reexpress, small_shapes, solve_generator_reference,
-                      substitute, table_of, verify_every_ordered_pair, wrong_parity_table)
+from conftest import (affine_table_reference, bracket_by_chains, corrupted_table, ctx_of, flatten,
+                      gen, poly_normalize, poly_weight, reexpress, small_shapes,
+                      solve_generator_reference, substitute, table_of, verify_every_ordered_pair,
+                      wrong_parity_table)
 from walgebra.coeffs import ONE, Coeff
 from walgebra.dsreduction import (ReductionCtx, _weight_search, reconcile, reduced_bracket,
                                   solve_all, weight_monomials)
@@ -317,9 +318,12 @@ def _buildable(shapes) -> list:
 # every shape of both kinds with at most 4 boxes that the workbench builds
 RECONCILE_SMALL = _buildable(small_shapes(4))
 # and the 5-box shapes with three or more blocks, counting both groups.  The
-# seven 5-box shapes with at most two blocks, (5), (4,1), (3,2), sl(1|4),
-# sl(2|3), sl(3|2) and sl(4|1), also reconcile and agree, but take about 65 s
-# together against these fifteen's 8 s, more than a Tier-1 run can spend
+# seven 5-box shapes with at most two blocks also reconcile and agree, but
+# reconcile + reference take (5) 3.2 + 6.3 s, (4,1) 2.0 + 2.9 s, (3,2)
+# 2.2 + 4.0 s, sl(1|4) 1.2 + 1.7 s, sl(2|3) 0.9 + 1.6 s, sl(3|2) 0.9 + 1.4 s
+# and sl(4|1) 1.2 + 1.7 s, about 31 s together (one fresh process each, the
+# closed-form table built beforehand) against these fifteen's 8 s, more
+# than a Tier-1 run can spend
 RECONCILE_5 = [s for s in _buildable(small_shapes(5))
                if sum(s[1]) + sum(s[2]) == 5 and len(s[1]) + len(s[2]) >= 3]
 
@@ -351,6 +355,21 @@ def test_one_elimination_per_weight_matches_each_generator_alone(shape):
     # own system, whose right-hand side is its letter's constraint brackets
     rctx, gens, W, _ = _realized(*shape)
     assert W == {a: solve_generator_reference(rctx, a) for a in gens}
+
+
+@pytest.mark.parametrize("shape", SHAPES_5, ids=str)
+def test_affine_store_built_on_ints_matches_the_diffpoly_route(shape):
+    # the store built from the structure kernel's output is the one that
+    # interning the DiffPoly entries gives: the same scale, grading and ints,
+    # so every ordered pair lifts to the same entry
+    rctx = ReductionCtx(ctx_of(*shape))
+    got, want = rctx.affine_table(), affine_table_reference(rctx)
+    assert (got.store.scale, got.store.g, got.store.ints) == (
+        want.store.scale, want.store.g, want.store.ints)
+    assert got.variables == want.variables == rctx.variables
+    for u in rctx.variables:
+        for v in rctx.variables:
+            assert got.lookup(u, v) == want.lookup(u, v), (u, v)
 
 
 def _lifted_bracket(engine, bracket) -> LambdaPoly:

@@ -191,3 +191,79 @@ def test_system_solve_builds_one_fraction_per_solved_column(monkeypatch):
     assert sol and 0 < len(made) <= len(sol)
     for i, row in system.rows.items():
         assert sum(v * sol.get(j, 0) for j, v in row.items()) == system.rhs[i][0]
+
+
+def _fraction_rows(terms) -> tuple[dict, dict]:
+    """The rows and right-hand sides of (key, col, c, side, scale) terms
+    accumulated on Fractions, sums that cancel dropped."""
+    rows: dict = {}
+    rhs: dict = {}
+    for key, col, c, side, scale in terms:
+        row = rows.setdefault(key, {})
+        v = F(c) / scale
+        if col is None:
+            row, col, v = rhs.setdefault(key, {}), side, -v
+        if row.get(col, 0) + v:
+            row[col] = row.get(col, 0) + v
+        else:
+            row.pop(col, None)
+    return rows, rhs
+
+
+def _int_system(terms) -> System:
+    system = System()
+    for key, col, c, side, scale in terms:
+        system.add(key, col, c, side, scale)
+    return system
+
+
+def _assert_same_system(system: System, terms, count: int) -> None:
+    """system's rows and right-hand sides over their scales are the
+    Fraction ones of terms, and each side solves as on the Fraction rows."""
+    rows, rhs = _fraction_rows(terms)
+    assert list(system.rows) == list(rows)
+    for key, row in system.rows.items():
+        S = system.scales[key]
+        assert all(type(v) is int for v in row.values())
+        assert {c: F(v, S) for c, v in row.items()} == rows[key]
+        assert {j: F(v, S) for j, v in system.rhs.get(key, {}).items()} == rhs.get(key, {})
+    want = linalg.solve_each(list(rows.values()), [rhs.get(k) for k in rows], count)
+    assert system.solve_each(count) == want
+    assert system.solve() == want[0]
+
+
+def test_int_terms_at_mixed_scales_solve_like_fractions():
+    # row "a" starts at scale 4; a term at 6 does not divide it and rescales
+    # the row to 12, then one at 9 to 36, with right-hand side entries added
+    # before and after each rescale; three sides, one inconsistent
+    terms = [("a", 0, 3, 0, 4), ("a", None, 1, 0, 4), ("a", 1, 5, 0, 6),
+             ("a", None, -7, 1, 6), ("b", 1, 2, 0, 3), ("a", 2, 1, 0, 9),
+             ("a", None, 2, 2, 2), ("b", None, 1, 2, 3), ("c", 0, 1, 0, 1),
+             ("c", 1, 5, 0, 2), ("c", None, 1, 1, 2), ("d", 0, 3, 0, 4),
+             ("d", 1, 5, 0, 6), ("d", None, 1, 0, 4), ("d", None, -7, 1, 6),
+             ("d", 2, 1, 0, 9), ("d", None, 5, 2, 12)]
+    system = _int_system(terms)
+    assert system.scales == {"a": 36, "b": 3, "c": 2, "d": 36}
+    _assert_same_system(system, terms, 3)
+    # rows a and d differ only on side 2
+    assert [sol is None for sol in system.solve_each(3)] == [False, False, True]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.one_of(st.none(), st.integers(0, 4)),
+                          st.integers(-6, 6), st.integers(0, 2),
+                          st.sampled_from([1, 2, 3, 4, 6, 9, 10, 12])), max_size=30))
+def test_int_systems_match_the_fraction_system(terms):
+    _assert_same_system(_int_system(terms), terms, 3)
+
+
+def test_fraction_terms_give_the_old_rows():
+    # a Fraction's denominator joins the scale: the rows over their scales
+    # are the Fraction rows, and an int row stays at scale 1
+    terms = [(0, 0, F(1, 2), 0, 1), (0, 1, F(-2, 3), 0, 1), (0, None, F(5, 6), 0, 1),
+             (1, 0, F(3), 0, 1), (1, 1, F(1, 4), 0, 1), (0, 0, F(1, 2), 0, 1),
+             (2, 1, F(2), 0, 1), (2, None, F(-4), 0, 1)]
+    system = _int_system(terms)
+    assert system.scales == {0: 6, 1: 4, 2: 1}
+    assert system.rows[2] == {1: F(2)} and system.rhs[2] == {0: 4}
+    _assert_same_system(system, terms, 1)

@@ -20,11 +20,11 @@ from math import comb
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from conftest import (corrupted_table, ctx_of, gen, monomial_parity, nth_linear,
-                      poly_normalize, skew_corrupted, small_shapes, subst_neg_lambda_partial,
-                      table_of, wrong_parity_table)
+from conftest import (canonical_reference, corrupted_table, ctx_of, gen, monomial_parity,
+                      nth_linear, poly_normalize, skew_corrupted, small_shapes,
+                      subst_neg_lambda_partial, table_of, wrong_parity_table)
 from walgebra.coeffs import Coeff, ONE
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import MissingTableEntry, NormalizationImpossible, WAlgebraError
@@ -689,6 +689,42 @@ def test_var_space_matches_the_diffpoly_format(data):
     for y in space.deriv(x):
         derived[space.edge(y)[0]] = derived.get(space.edge(y)[0], 0) + 1
     assert DiffPoly({m: Coeff.of(c) for m, c in derived.items()}) == DiffPoly({mono: ONE}).d()
+
+
+def _space(parities):
+    return VarSpace([Var(f"v{i}", F(1), p) for i, p in enumerate(parities)], 3)
+
+
+@st.composite
+def _factor_sequences(draw):
+    """A VarSpace of stride 3 over 1-4 variables of drawn parities, plain
+    (no odd variable) in about a third of the draws, and an unsorted factor
+    sequence over it, one of its factors drawn twice in about half."""
+    parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    if draw(st.integers(0, 2)) == 0:
+        parities = [0] * len(parities)
+    space = _space(parities)
+    xs = draw(st.lists(st.integers(0, 3 * len(parities) - 1), max_size=6))
+    if xs and draw(st.booleans()):
+        xs.insert(draw(st.integers(0, len(xs))), draw(st.sampled_from(xs)))
+    return space, xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_sequences())
+@example((_space([0, 0]), [4, 0, 4, 3]))  # a plain space, an even factor repeated
+@example((_space([1, 0]), [3, 1, 0, 3]))  # a super space, an even factor repeated
+@example((_space([0, 1]), [5, 3, 4, 0, 3]))  # an odd factor repeated
+@example((_space([1, 1, 1]), [8, 2, 5, 1, 0]))  # odd factors out of order
+def test_canonical_matches_the_insertion_sort(case):
+    # one sort and the odd-odd inversion count against the insertion sort
+    # that tracks each odd-odd transposition, on lists and tuples
+    space, xs = case
+    want = canonical_reference(space, xs)
+    assert space.canonical(xs) == want
+    assert space.canonical(tuple(xs)) == want
+    odd = [x for x in xs if space.odd[x]]
+    assert (want is None) == (len(set(odd)) < len(odd))
 
 
 def test_a_table_off_the_grading_is_refused_on_construction():
