@@ -388,7 +388,7 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
 
 
 def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
-    gens_all = rctx.cdata.gens
+    gens_all, rank = rctx.cdata.gens, rctx.cdata.col
     affine = rctx.affine_table()
     for name, tab in (("closed-form", table), ("affine", affine)):
         vs = tab.variables
@@ -426,7 +426,8 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         # pair (a, b) not deferred
         mono_brackets: dict = {}
         # one row per pair (a, b), lambda power and monomial, reading
-        # bracket(W + x) - target(W + x), linear in x; (b, a) adds no row
+        # bracket(W + x) - target(W + x), linear in x; (b, a) adds no row.
+        # The pair is tagged by its ranks, which hash without Weights
         system = System()
 
         for a in stage:
@@ -436,17 +437,18 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                        for l in _letters_of(poly)):
                     deferred += [(a, b), (b, a)]
                     continue
-                _add_rows(system, (a, b), None, engine.graded_bracket(vals[a], vals[b]))
+                tag = (rank[a], rank[b])
+                _add_rows(system, tag, None, engine.graded_bracket(vals[a], vals[b]))
                 brs = mono_brackets.get(b)
                 if brs is None:
                     brs = mono_brackets[b] = sub.bracket_images(
                         lowmonos, vals[b], lambda c, b=b: engine.graded_bracket(vals[c], vals[b]))
                 for mi, br in enumerate(brs):
-                    _add_rows(system, (a, b), first_col[a] + mi, br)
+                    _add_rows(system, tag, first_col[a] + mi, br)
                 for slot, poly in target.coeffs.items():
                     S, parts = sub.graded(poly)
                     for s, p in parts.items():
-                        _add_rows(system, (a, b), None, (S, s, {slot: p}), -1)
+                        _add_rows(system, tag, None, (S, s, {slot: p}), -1)
                     # a target monomial holds at most one stage letter (two
                     # would outweigh the bracket), so target(W + x) is
                     # linear in x: substitute each correction monomial for it
@@ -467,7 +469,7 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                                     affine, ChainMap({l: mu_W}, stage_W))
                             S, parts = over.graded(part)
                             for s, p in parts.items():
-                                _add_rows(system, (a, b), first_col[l] + mi, (S, s, {slot: p}), -1)
+                                _add_rows(system, tag, first_col[l] + mi, (S, s, {slot: p}), -1)
 
         sol = system.solve()
         if sol is None:

@@ -577,12 +577,18 @@ def pairings(index: dict[tuple, list], z: SuperMatrix) -> dict[int, Fraction]:
     return {i: v for i, v in sorted(coords.items()) if v}
 
 
+_NO_PRODUCT = ((), _F0)
+
+
 class StructureKernel:
     """kernel(x, y) = (coordinates of [x, y] against one pairing index, (x|y)),
     exactly (tuple(pairings(index, x.comm(y)).items()), ctx.pair(x, y)), in one
     pass on ints: each matrix (kept alive, its id the key) and the index held
-    over one denominator, a Fraction built only for a nonzero result.  A
-    mixed-parity matrix raises the WAlgebraError of SuperMatrix.comm."""
+    over one denominator, a Fraction built only for a nonzero result.  When
+    no column of either matrix is a row of the other, xy = yx = 0, so [x, y]
+    and (x|y) vanish and no product is formed; this reads supports only and
+    assumes no block structure.  A mixed-parity matrix raises the
+    WAlgebraError of SuperMatrix.comm."""
 
     def __init__(self, ctx: AlgebraCtx, index: dict[tuple, list]):
         self._eps, self._fs = ctx.shape.eps, ctx.form_scale
@@ -592,18 +598,27 @@ class StructureKernel:
         self._ints: dict[int, tuple] = {}
 
     def _int(self, m: SuperMatrix) -> tuple:
-        """(m, d, {(r, c): d*m[r, c]}, {r: [(c, d*m[r, c])]}, parity), d = lcm."""
+        """(m, d, {(r, c): d*m[r, c]}, {r: [(c, d*m[r, c])]}, parity, columns),
+        d = lcm; the row dict's keys are m's rows."""
         hit = self._ints.get(id(m))
         if hit is None:
             at, d = _clear(m)
-            hit = self._ints[id(m)] = (m, d, at, _by_row(at), m.parity())
+            hit = self._ints[id(m)] = (m, d, at, _by_row(at), m.parity(), {c for _, c in at})
         return hit
 
     def __call__(self, x: SuperMatrix, y: SuperMatrix) -> tuple:
-        _, dx, ax, rx, px = self._int(x)
-        _, dy, ay, ry, py = self._int(y)
+        _, _, _, rx, px, cx = ix = self._int(x)
+        _, _, _, ry, py, cy = iy = self._int(y)
         if px is None or py is None:
             raise WAlgebraError("supercommutator of a mixed-parity matrix")
+        if cx.isdisjoint(ry) and cy.isdisjoint(rx):
+            return _NO_PRODUCT
+        return self._product(ix, iy)
+
+    def _product(self, ix: tuple, iy: tuple) -> tuple:
+        """kernel(x, y) from the matrices' int forms."""
+        _, dx, ax, rx, px, _ = ix
+        _, dy, ay, ry, py, _ = iy
         z: dict[tuple, int] = {}  # dx*dy*[x, y] = xy -+ yx
         for a, rb, s in ((ax, ry, 1), (ay, rx, 1 if px and py else -1)):
             for (r, c), v in a.items():

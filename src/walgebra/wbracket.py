@@ -11,49 +11,61 @@ Signs.  One rule covers sl(N) and sl(N1|N2): the chain sum enters with the
 sign -(-1)^(p(a)p(b)) for the bracket {a lambda b}, and each chain node
 (j, n) contributes (-1)^p(j).  On plain sl every parity is 0 and both signs
 are +1.  The sweep folds a node's sign into its tail and successor
-constants once; the test suite's chain-by-chain oracle multiplies the signs
-out per chain.
+constants once, and the chain sum's sign into the constants that open a
+chain, one set for each parity of a; the test suite's chain-by-chain oracle
+multiplies the signs out per chain.
 
 Structure constants.  Every factor is read off one supercommutator of ladder
 elements: the centralizer coordinates of [x, y] (trace pairings against the
 dual basis) and the pairing (x|y), both read on ints by one
-liestruct.StructureKernel.  MasterEngine computes each once, keyed by ints
-(generator ranks in cdata.gens, node indices in ladder_nodes): mid factors
-by (u, v), head factors by (b, u), tail factors by (u, a) and the
-chain-free head terms by (a, b).  Each is stored as (tuple of (rank,
-coordinate) pairs, pairing) of Fractions and lives as long as the engine.
-The first row computes every constant a full table uses, at once.
+liestruct.StructureKernel, which answers zero without forming a product when
+the two matrices' supports do not meet (no column of either is a row of the
+other); about half the constants of a table are such pairs.  MasterEngine
+computes each once, keyed by ints (generator ranks in cdata.gens, node
+indices in ladder_nodes): mid factors by (u, v), head factors by (b, u),
+tail factors by (u, a) and the chain-free head terms by (a, b).  Each is
+stored as (tuple of (rank, coordinate) pairs, pairing) of Fractions and
+lives as long as the engine.  The first row computes every constant a full
+table uses, at once.
 
 The sweep.  Evaluation runs right-to-left with memoized suffix sums: V(u)
 collects the value of all chain tails starting at node u, so a full row of
-brackets {a, -} reuses one suffix sweep.  Inside it monomials are interned
-in a pvacore.VarSpace over cdata.gens, with stride one more than the number
-of ladder nodes, and coefficients are ints accumulated in place.  The level
-is a grading: give k degree 1 and lambda and d degree -1; every factor is of
-degree 0, and so is every value, so the coefficient of lambda^n times a
-monomial with D derivatives is c*k^(n+D).  The sweep keeps only c.
-S is the lcm of the denominators of all the structure constants.  A
-live node u has the exponent h(u) = 1 + the largest h over the nodes a chain
-may step to from u (1 if there are none), and H = 1 + max h.  The sweep
-keeps S^h(u) V(u), which is integral: each constant is stored once as an
-int, S times the Fraction times the power of S that brings the term it
-builds to its node's scale (S^(h(u)-1-h(v)) for a step u -> v, S^(h(u)-1)
-for a tail, S^(H-1-h(u)) for an opener, S^(H-1) for a head term).  So a
-finished row holds every entry at the one scale S^H.
+brackets {a, -} reuses one suffix sweep.  The level is a grading: give k
+degree 1 and lambda and d degree -1; every factor is of degree 0, and so is
+every value, so the coefficient of lambda^n times a monomial with D
+derivatives is c*k^(n+D).  The sweep keeps only c, an int, at a scale of
+its own per node.  With den(f) the lcm of the denominators of a constant f,
+a live node u has the scale sigma(u) = lcm of den(tail(u, a)) over the
+generators a and of den(mid(u, v))*sigma(v) over the nodes v a chain may
+step to from u, successors first; the top scale T is the lcm of
+den(head(b, u))*sigma(u) and den(top(a, b)).  The sweep keeps
+sigma(u) V(u), which is integral: each constant is stored once as an int,
+a mid factor as f*sigma(u)/sigma(v), a tail as f*sigma(u), an opener as
+f*T/sigma(u) and a head term as f*T.  So a finished row holds every entry
+at the one scale T, and T divides the power of the lcm of all denominators
+that a single scale for every node would need, so no int grows past it.
+Inside the sweep a monomial is an int id naming a monomial interned in a
+pvacore.VarSpace over cdata.gens, with stride one more than the number of
+ladder nodes; values are {lambda power: {id: int}}, accumulated in place.
+Each variable keeps a memo from an id to the signed id of its product with
+that monomial (0 for a repeated odd factor), and each id the ids of its
+derivative, so the inner loop does dict lookups on small ints only.  A
+finished row maps its ids back to VarSpace monomials once.
 
 The store.  bracket_table keeps the finished rows as they are, in a
 pvacore.GradedStore over the sweep's VarSpace (its stride at least the
 Leibniz engine's), with g = 1: the int c of lambda^n and a monomial with D
-derivatives stands for c/S^H * k^(n+D).  One pass divides S^H and every int
-by their gcd, so the table's scale is the lcm of the reduced denominators.
-No Coeff is built: an entry is lifted to a LambdaPoly only when read.  The
-table at k = 1 is the same store with g = 0, and at another rational level q
-a copy of it with every c*k^e rescaled to an int at one scale.
+derivatives stands for c/T * k^(n+D).  One pass divides T and every int by
+their gcd, so the table's scale is the lcm of the reduced denominators; a
+reduced (scale, ints) pair is unique, so the store does not depend on which
+common scale the sweep ran at.  No Coeff is built: an entry is lifted to a
+LambdaPoly only when read.  The table at k = 1 is the same store with g =
+0, and at another rational level q a copy of it with every c*k^e rescaled
+to an int at one scale.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -62,7 +74,7 @@ from .coeffs import Coeff
 from .errors import WAlgebraError
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, StructureKernel, sharp_coords
 from .linalg import solve
-from .pvacore import (_STRIDE, BracketTable, DiffPoly, GradedStore, VarSpace, _accum, apply_partial,
+from .pvacore import (_STRIDE, BracketTable, DiffPoly, GradedStore, VarSpace, apply_partial,
                       extend_bracket)
 
 F = Fraction
@@ -121,7 +133,15 @@ class MasterEngine:
         self._live = live
         self._kernel = StructureKernel(ctx, cdata.dual_at)
         self._constants: dict = {}
-        self._scale = 0  # S^H once _prepare has run
+        self._scale = 0  # T once _prepare has run
+        # the sweep's interned monomials, id 0 unused; per id the memoized
+        # derivative ids, per variable rank {id: signed id of the product}
+        self._monos: list = [None]
+        self._ids: dict = {}
+        self._dids: list = [None]
+        self._inserts = [{} for _ in cdata.gens]
+        self._unit = self._id(())
+        self._var_ids = [self._id((r * self.space.stride,)) for r in range(len(cdata.gens))]
 
     # -- structure constants, keyed by ranks and node indices ----------------
 
@@ -167,8 +187,9 @@ class MasterEngine:
         """Every structure constant a full table uses, as an int at the scale
         the sweep needs (see the module docstring); zero mid and head
         factors are dropped.  The tail and successor factors of a node on an
-        odd string carry its sign -1 (the sign rule in the module
-        docstring)."""
+        odd string carry its sign -1, and the openers the chain sum's sign
+        (the sign rule in the module docstring), one list per parity of the
+        row's generator."""
         cdata, live, alpha2 = self.cdata, self._live, self._alpha2
         ranks = range(len(cdata.gens))
         succ = {u: [(v, fac) for v in live
@@ -183,72 +204,88 @@ class MasterEngine:
                      for ra in ranks] for u in live}
         tops = [[self.head_term(ra, rb) for rb in ranks] for ra in ranks]
 
-        used = [f for vs in succ.values() for _, f in vs] + [f for us in opens for _, f in us]
-        used += [f for fs in (*tails.values(), *tops) for f in fs]
-        S = lcm(*{x.denominator for P, c in used for x in (c, *(v for _, v in P))})
-
-        def scaled(fac: Factor, e: int, odd: int = 0) -> Factor:
-            """(-1)^odd S^(e+1) * fac, as ints."""
-            m = -S ** e if odd else S ** e
-            P, c = fac
-            return (tuple((r, v.numerator * (S // v.denominator) * m) for r, v in P),
-                    c.numerator * (S // c.denominator) * m)
-
-        h: dict[int, int] = {}
+        sigma: dict[int, int] = {}
         for u in live:  # successors come first
-            h[u] = 1 + max((h[v] for v, _ in succ[u]), default=0)
-        H = 1 + max(h.values(), default=0)
+            sigma[u] = lcm(*map(_den, tails[u]), *(_den(f) * sigma[v] for v, f in succ[u]))
+        T = lcm(*(_den(f) * sigma[u] for us in opens for u, f in us),
+                *(_den(f) for fs in tops for f in fs))
         odd = {u: self.nodes[u].j.parity for u in live}
-        self._succ = {u: [(v, scaled(f, h[u] - 1 - h[v], odd[u])) for v, f in vs]
+        self._succ = {u: [(v, _scaled(f, sigma[u], sigma[v], odd[u])) for v, f in vs]
                       for u, vs in succ.items()}
-        self._opens = [[(u, scaled(f, H - 1 - h[u])) for u, f in us] for us in opens]
-        self._tails = {u: [scaled(f, h[u] - 1, odd[u]) for f in fs] for u, fs in tails.items()}
-        self._tops = [[scaled(f, H - 1) for f in fs] for fs in tops]
-        self._scale = S ** H
+        self._tails = {u: [_scaled(f, sigma[u], 1, odd[u]) for f in fs]
+                       for u, fs in tails.items()}
+        self._tops = [[_scaled(f, T) for f in fs] for fs in tops]
+        # the chain sum enters with -(-1)^(p(a)p(b)): -1 unless a and b are odd
+        even_a = [[(u, _scaled(f, T, sigma[u], 1)) for u, f in us] for us in opens]
+        odd_a = [[(u, _scaled(f, T, sigma[u])) for u, f in us] if cdata.gens[rb].parity
+                 else even_a[rb] for rb, us in enumerate(opens)]
+        self._opens = (even_a, odd_a)
+        self._scale = T
 
     # -- the interned sweep ---------------------------------------------------
     #
-    # Monomials are interned in self.space; values are
-    # {lambda power: {monomial: int}}, at the scale of their factors, each
-    # int standing for itself times k^(lambda power + derivative count).
+    # Values are {lambda power: {monomial id: int}}, at the scale of their
+    # node, each int standing for itself times k^(lambda power + derivative
+    # count).  Id i >= 1 names the VarSpace monomial self._monos[i].
+
+    def _id(self, m: tuple) -> int:
+        """The id of the interned monomial m, new ids counted up from 1."""
+        i = self._ids.get(m)
+        if i is None:
+            i = self._ids[m] = len(self._monos)
+            self._monos.append(m)
+            self._dids.append(None)
+        return i
+
+    def _insert(self, r: int, i: int) -> int:
+        """The memoized x*m for x the variable of rank r and m the monomial
+        of id i: the id of the product, negated when x moves past an odd
+        number of odd factors, 0 when x is odd and in m already."""
+        hit = self.space.canonical((r * self.space.stride, *self._monos[i]))
+        j = self._inserts[r][i] = 0 if hit is None else hit[0] * self._id(hit[1])
+        return j
+
+    def _deriv(self, i: int) -> list:
+        """The memoized ids of VarSpace.deriv of the monomial of id i."""
+        ds = self._dids[i] = [self._id(m) for m in self.space.deriv(self._monos[i])]
+        return ds
 
     def _value(self, factor: Factor, ksign: int) -> dict:
-        """{0: P, 1: ksign * c k} for an int factor (P, c), interned."""
+        """{0: P, 1: ksign * c k} for an int factor (P, c)."""
         P, c = factor
-        D = self.space.stride
         out = {}
         if P:
-            out[0] = {(r * D,): v for r, v in P}
+            out[0] = {self._var_ids[r]: v for r, v in P}
         if c:
-            out[1] = {(): c if ksign > 0 else -c}
+            out[1] = {self._unit: c if ksign > 0 else -c}
         return out
 
     def _apply_into(self, out: dict, factor: Factor, X: dict) -> None:
         """out += (P - c*k(lambda+d)) X, the operator acting on X; an int
-        factor keeps int values int."""
+        factor keeps int values int.  This loop is the sweep's hot spot: the
+        accumulation is inlined and zeros deleted as they arise."""
         P, c = factor
-        space = self.space
-        D, odd, deriv = space.stride, space.odd, space.deriv
+        inserts, dids = self._inserts, self._dids
         for n, p in X.items():
             if P:
                 dst = out.get(n)
                 if dst is None:
                     dst = out[n] = {}
                 for r, coord in P:
-                    x = r * D
-                    for m, cp in p.items():
-                        pos = bisect_left(m, x)
-                        s = coord
-                        if odd[x]:
-                            if pos < len(m) and m[pos] == x:
-                                continue  # a repeated odd factor
-                            for y in m[:pos]:
-                                if odd[y]:
-                                    s = -s
-                        key = m[:pos] + (x,) + m[pos:]
-                        t = dst[key] = dst.get(key, 0) + s * cp
-                        if not t:  # _accum inlined: this loop is the sweep's hot spot
-                            del dst[key]
+                    ins = inserts[r]
+                    for i, cp in p.items():
+                        j = ins.get(i)
+                        if j is None:
+                            j = self._insert(r, i)
+                        if j > 0:
+                            t = dst[j] = dst.get(j, 0) + coord * cp
+                        elif j:
+                            j = -j
+                            t = dst[j] = dst.get(j, 0) - coord * cp
+                        else:
+                            continue  # a repeated odd factor
+                        if not t:
+                            del dst[j]
             if c:
                 dst = out.get(n)
                 if dst is None:
@@ -256,15 +293,24 @@ class MasterEngine:
                 up = out.get(n + 1)
                 if up is None:
                     up = out[n + 1] = {}
-                for m, cp in p.items():
+                for i, cp in p.items():
                     term = -c * cp
-                    t = up[m] = up.get(m, 0) + term
+                    t = up[i] = up.get(i, 0) + term
                     if not t:
-                        del up[m]
-                    for dm in deriv(m):
-                        t = dst[dm] = dst.get(dm, 0) + term
+                        del up[i]
+                    ds = dids[i]
+                    if ds is None:
+                        ds = self._deriv(i)
+                    for j in ds:
+                        t = dst[j] = dst.get(j, 0) + term
                         if not t:
-                            del dst[dm]
+                            del dst[j]
+
+    def _tuples(self, val: dict) -> dict:
+        """val with its ids mapped back to VarSpace monomials, empty powers
+        dropped."""
+        monos = self._monos
+        return {n: {monos[i]: c for i, c in p.items()} for n, p in val.items() if p}
 
     # -- rows of brackets ------------------------------------------------------
 
@@ -276,7 +322,7 @@ class MasterEngine:
         cdata = self.cdata
         ra = cdata.col[a]
         top2 = int(2 * cdata.delta[a]) - 2  # twice the top grade of a chain node
-        # suffix sums over the chains starting at each node, V[u] at scale S^h(u)
+        # suffix sums over the chains starting at each node, V[u] at scale sigma(u)
         V: dict[int, dict] = {}
         for u in self._live:
             if self._alpha2[u] > top2:
@@ -290,22 +336,31 @@ class MasterEngine:
             if acc:
                 V[u] = acc
 
-        # every entry at scale S^H
+        # every entry at scale T, the openers carrying the chain sum's sign
+        opens = self._opens[1 if a.parity else 0]
         out = []
-        for rb, b in enumerate(cdata.gens):
-            chain_sum: dict = {}
-            for u, factor in self._opens[rb]:
+        for rb in range(len(cdata.gens)):
+            val = self._value(self._tops[ra][rb], 1)
+            for u, factor in opens[rb]:
                 Vu = V.get(u)
                 if Vu is not None:
-                    self._apply_into(chain_sum, factor, Vu)
-            val = self._value(self._tops[ra][rb], 1)
-            sign = 1 if a.parity and b.parity else -1
-            for n, p in chain_sum.items():
-                dst = val.setdefault(n, {})
-                for m, cp in p.items():
-                    _accum(dst, m, sign * cp)
-            out.append({n: p for n, p in val.items() if p})
+                    self._apply_into(val, factor, Vu)
+            out.append(self._tuples(val))
         return out
+
+
+def _den(factor: Factor) -> int:
+    """The lcm of the denominators of a Fraction factor."""
+    P, c = factor
+    return lcm(c.denominator, *(x.denominator for _, x in P))
+
+
+def _scaled(factor: Factor, num: int, den: int = 1, odd: int = 0) -> Factor:
+    """(-1)^odd * num/den * factor as ints, den * _den(factor) dividing num."""
+    P, c = factor
+    s = -1 if odd else 1
+    return (tuple((r, s * x.numerator * (num // (den * x.denominator))) for r, x in P),
+            s * c.numerator * (num // (den * c.denominator)))
 
 
 _TABLE_CACHE: dict = {}
@@ -337,12 +392,17 @@ def bracket_table(ctx: AlgebraCtx, ktilde: str | int | Fraction = "symbolic") ->
         engine = MasterEngine(ctx)
         ints = {(ra, rb): val for ra, a in enumerate(engine.cdata.gens)
                 for rb, val in enumerate(engine.row(a))}
-        # the store's scale: S^H over the gcd of S^H and every int
+        # the store's scale: T over the gcd of T and every int
         parts = [p for val in ints.values() for p in val.values()]
-        G = gcd(engine._scale, *(gcd(*p.values()) for p in parts))
+        G = engine._scale
         for p in parts:
-            for m, c in p.items():
-                p[m] = c // G
+            G = gcd(G, *p.values())
+            if G == 1:
+                break
+        if G > 1:
+            for p in parts:
+                for m, c in p.items():
+                    p[m] = c // G
         table = BracketTable.of_store(GradedStore(engine.space, engine._scale // G, 1, ints))
     else:
         table = BracketTable.of_store(bracket_table(ctx).store.at_level(ktilde))

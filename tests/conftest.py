@@ -711,3 +711,27 @@ def bracket_by_chains(engine, a, b):
         chain_sum = chain_sum + (val.scale(s) if s < 0 else val)
     sab = (-1) ** (a.parity * b.parity)
     return _lambda_value(engine, engine.head_term(ra, rb), 1) - chain_sum.scale(sab)
+
+
+def sweep_scale_reference(engine):
+    """S^H, the one scale the chain sweep used to keep every entry at: S the
+    lcm of the denominators of every structure constant a full table uses,
+    h(u) = 1 + the largest h over the nodes a chain may step to from the live
+    node u (1 if there are none), and H = 1 + max h.  The sweep's per-node
+    scales divide the powers of S, so its top scale divides S^H."""
+    cdata, live, alpha2 = engine.cdata, engine._live, engine._alpha2
+    ranks = range(len(cdata.gens))
+    delta2 = [int(2 * cdata.delta[g]) for g in cdata.gens]
+    succ = {u: [v for v in live if alpha2[v] >= alpha2[u] + 2 and any(engine.mid_factor(u, v))]
+            for u in live}
+    used = [engine.mid_factor(u, v) for u, vs in succ.items() for v in vs]
+    used += [engine.head_factor(rb, u) for rb in ranks for u in live
+             if alpha2[u] >= -delta2[rb]]
+    used += [engine.tail_factor(u, ra) for u in live for ra in ranks
+             if alpha2[u] <= delta2[ra] - 2]
+    used += [engine.head_term(ra, rb) for ra in ranks for rb in ranks]
+    S = lcm(*(x.denominator for P, c in used for x in (c, *(v for _, v in P))))
+    h: dict = {}
+    for u in live:  # successors come first
+        h[u] = 1 + max((h[v] for v in succ[u]), default=0)
+    return S ** (1 + max(h.values(), default=0))

@@ -18,17 +18,18 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (apply_factor, bracket_by_chains, ctx_of, gen, lifted_row, poly_weight,
-                      table_of)
+                      sweep_scale_reference, table_of)
 from walgebra import pvacore, serialize, wbracket
 from walgebra.coeffs import Coeff
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import MissingTableEntry, WAlgebraError
-from walgebra.liestruct import sharp_coords
+from walgebra.liestruct import StructureKernel, sharp_coords
 from walgebra.pvacore import (BracketTable, DiffPoly, GradedStore, LambdaPoly, VarSpace,
                               check_jacobi, check_skew, extend_bracket, linear_term,
                               monomial_weight, normalize_factors, nth_product)
@@ -146,57 +147,120 @@ def test_random_rows_match_chain_by_chain_evaluation(shape, data):
         assert row[b] == bracket_by_chains(engine, a, b), (shape, a, b)
 
 
-def test_structure_constants_match_the_matrix_path():
-    for kind, p1, p2 in [("sl", (3, 2), ()), ("sl", (2, 1, 1), ()),
-                         ("sl_super", (3,), (2,))]:
-        ctx = ctx_of(kind, p1, p2)
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES))
+@example(("sl", (3, 2), ()))
+@example(("sl", (2, 1, 1), ()))
+@example(("sl_super", (3,), (2,)))
+def test_structure_constants_match_the_matrix_path(shape):
+    # every constant the engine can ask for, those of disjoint supports
+    # answered by the kernel without a product included, on plain and super
+    # shapes
+    try:
+        ctx = ctx_of(*shape)
         engine = MasterEngine(ctx)
-        cdata = engine.cdata
-        gens = cdata.gens
-        for a in gens:
-            engine.row(a)
+    except WAlgebraError:
+        assume(False)
+    cdata = engine.cdata
+    gens = cdata.gens
+    for a in gens:
+        engine.row(a)
 
-        def product_pair(x, y):
-            return x.mul(y).supertrace() * ctx.form_scale
+    def product_pair(x, y):
+        return x.mul(y).supertrace() * ctx.form_scale
 
-        def want(x, y):
-            if x is None:
-                return {}, 0
-            z = x.comm(y)
-            coords = {g: product_pair(cdata.basisE[g], z) for g in gens}
-            coords = {g: v for g, v in coords.items() if v}
-            assert sharp_coords(cdata, z) == coords
-            return coords, product_pair(x, y)
+    def want(x, y):
+        if x is None:
+            return {}, 0
+        z = x.comm(y)
+        coords = {g: product_pair(cdata.basisE[g], z) for g in gens}
+        coords = {g: v for g, v in coords.items() if v}
+        assert sharp_coords(cdata, z) == coords
+        return coords, product_pair(x, y)
 
-        def got(factor):
-            coords, pairing = factor
-            return {gens[r]: v for r, v in coords}, pairing
+    def got(factor):
+        coords, pairing = factor
+        return {gens[r]: v for r, v in coords}, pairing
 
-        raised, dual = [], []
-        for c in engine.nodes:
-            fam = cdata.adFPowers[c.j]
-            raised.append(fam[c.n + 1] if c.n + 1 < len(fam) else None)
-            dual.append(cdata.dualFamily[c.j][c.n])
-        basis = [cdata.basisF[g] for g in gens]
-        for u in range(len(engine.nodes)):
-            for v in range(len(engine.nodes)):
-                assert got(engine.mid_factor(u, v)) == want(raised[u], dual[v]), (u, v)
-            for r in range(len(gens)):
-                assert got(engine.tail_factor(u, r)) == want(raised[u], basis[r]), (u, r)
-                assert got(engine.head_factor(r, u)) == want(basis[r], dual[u]), (r, u)
-        for ra in range(len(gens)):
-            for rb in range(len(gens)):
-                assert got(engine.head_term(ra, rb)) == want(basis[ra], basis[rb])
+    raised, dual = [], []
+    for c in engine.nodes:
+        fam = cdata.adFPowers[c.j]
+        raised.append(fam[c.n + 1] if c.n + 1 < len(fam) else None)
+        dual.append(cdata.dualFamily[c.j][c.n])
+    basis = [cdata.basisF[g] for g in gens]
+    for u in range(len(engine.nodes)):
+        for v in range(len(engine.nodes)):
+            assert got(engine.mid_factor(u, v)) == want(raised[u], dual[v]), (u, v)
+        for r in range(len(gens)):
+            assert got(engine.tail_factor(u, r)) == want(raised[u], basis[r]), (u, r)
+            assert got(engine.head_factor(r, u)) == want(basis[r], dual[u]), (r, u)
+    for ra in range(len(gens)):
+        for rb in range(len(gens)):
+            assert got(engine.head_term(ra, rb)) == want(basis[ra], basis[rb])
+
+
+def test_the_kernel_skips_the_products_of_disjoint_supports(monkeypatch):
+    # on (4,3) the kernel answers more constants than it computes products
+    # for, and each constant answered without a product is that of two
+    # matrices whose products vanish both ways
+    answered, products = [], []
+    call, product = StructureKernel.__call__, StructureKernel._product
+
+    def counting_call(kernel, x, y):
+        before = len(products)
+        val = call(kernel, x, y)
+        answered.append((x, y, len(products) > before))
+        return val
+
+    def counting_product(kernel, ix, iy):
+        products.append(1)
+        return product(kernel, ix, iy)
+
+    monkeypatch.setattr(StructureKernel, "__call__", counting_call)
+    monkeypatch.setattr(StructureKernel, "_product", counting_product)
+    engine = MasterEngine(ctx_of("sl", (4, 3)))
+    for a in engine.cdata.gens:
+        engine.row(a)
+    assert 0 < len(products) < len(answered)
+    for x, y, computed in answered:
+        if not computed:
+            assert not x.mul(y).entries and not y.mul(x).entries
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES))
+@example(("sl", (3, 2), ()))
+@example(("sl_super", (3,), (2,)))
+@example(("sl", (4, 3), ()))
+def test_sweep_scale_divides_the_single_scale_and_stores_are_reduced(shape):
+    # the top scale T of the per-node scales divides S^H, the one scale the
+    # sweep kept before; the built table's store is reduced: its scale
+    # divides T and is prime to all its ints together.  The small shapes
+    # come out of the sweep reduced already; on (4,3) T is 5 times the
+    # store's scale
+    try:
+        ctx = ctx_of(*shape)
+        table = bracket_table(ctx)
+    except WAlgebraError:
+        assume(False)
+    engine = MasterEngine(ctx)
+    engine._prepare()
+    assert sweep_scale_reference(engine) % engine._scale == 0
+    store = table.store
+    assert engine._scale % store.scale == 0
+    assert gcd(store.scale, *(c for val in store.ints.values() for p in val.values()
+                              for c in p.values())) == 1
 
 
 def test_interned_operator_matches_the_diffpoly_operator():
     # the sweep's in-place (P - c*k(lambda+d)) on graded int values scaled by
     # sx and an int factor scaled by sf, lifted by k^(n+D) (lambda power n,
     # derivative count D) and divided by sx*sf at the edge, against the
-    # oracle's operator on the lifted values.  The monomials are ones the
-    # chain sums of small shapes never produce: an odd factor beside its own
-    # derivative, a repeated even factor, and odd factors the inserted odd
-    # one has to move past
+    # oracle's operator on the lifted values.  The input monomials enter as
+    # the engine's ids and the output is mapped back to VarSpace monomials.
+    # The monomials are ones the chain sums of small shapes never produce:
+    # an odd factor beside its own derivative, a repeated even factor, and
+    # odd factors the inserted odd one has to move past
     engine = MasterEngine(ctx_of("sl_super", (3,), (2,)))
     gens, D = engine.cdata.gens, engine.space.stride
     odd, odd2 = [r for r, g in enumerate(gens) if g.parity][:2]
@@ -210,8 +274,11 @@ def test_interned_operator_matches_the_diffpoly_operator():
     sx, sf = 4, 6
     Xi = {n: {m: int(c * sx) for m, c in p.items()} for n, p in X.items()}
     fi = (tuple((r, int(v * sf)) for r, v in factor[0]), int(factor[1] * sf))
-    out: dict = {}
-    engine._apply_into(out, fi, Xi)
+    ids: dict = {}
+    engine._apply_into(ids, fi, {n: {engine._id(m): c for m, c in p.items()}
+                                 for n, p in Xi.items()})
+    assert all(type(i) is int and i > 0 for p in ids.values() for i in p)
+    out = engine._tuples(ids)
     assert {type(c) for p in out.values() for c in p.values()} == {int}
     def lift(X, scale):
         return GradedStore(engine.space, scale, 1, {}).lift(X)
