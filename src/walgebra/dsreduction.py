@@ -42,22 +42,23 @@ over Q, and lift each solved x to x*k^D.  The systems are built straight
 from the affine engine's graded values (pvacore): a row is keyed by tag,
 lambda power and interned monomial, and an int c at scale S enters it as c
 at S, each row kept on ints at one scale (linalg.System).  linalg solves
-them fraction-free, and a solved x is the one Fraction built per column.
-solve_all eliminates once per weight: the columns are
-every unknown of that weight, each generator's letter among them, the rows
-its constraint brackets and a pin per bare variable, and each generator has
-a right-hand side of its own whose pin of its letter reads 1.  That pin
-makes the letter's column a pivot no other column leans on, so every other
-pivot and the zeroed-free solution are those of the generator's system
-alone.  Within a stage, the brackets {mu lambda W_b} of the correction
-monomials do not depend on the stage generator a, so each lower b's list is
-computed once, on its first pair that is not deferred, and through mu's
-factors (Substitution.bracket_images): {W_c lambda W_b} once per pair of
-lower generators in the stage, (-lambda)^j of it for d^j W_c, and the
-left Leibniz rule for products, so mu(W) is never expanded to be
-bracketed.  The realizations' constraints and the corrected brackets are
-then re-verified exactly on graded ints, which determine a value over Q(k),
-compared at the product of the two scales.
+them fraction-free, and a solved x is the one Fraction built per column
+(once every unknown leads, a further row is checked by its residual).
+solve_all eliminates once per weight: the columns are every unknown of that
+weight, each generator's letter among them, the rows its constraint
+brackets {nv lambda m}, read from the engine's {var lambda mono} memo, and a
+pin per bare variable, and each generator has a right-hand side of its own
+whose pin of its letter reads 1.  That pin makes the letter's column a pivot
+no other column leans on, so every other pivot and the zeroed-free solution
+are those of the generator's system alone.  Within a stage, the brackets
+{mu lambda W_b} of the correction monomials do not depend on the stage
+generator a, so each lower b's list is computed once, on its first pair that
+is not deferred, and through mu's factors (Substitution.bracket_images):
+{W_c lambda W_b} once per pair of lower generators in the stage, (-lambda)^j
+of it for d^j W_c, and the left Leibniz rule for products, so mu(W) is never
+expanded to be bracketed.  The realizations' constraints and the corrected
+brackets are then re-verified exactly on graded ints, which determine a
+value over Q(k), compared at the product of the two scales.
 
 Skew symmetry.  reconcile first checks both tables, the closed-form and the
 affine one, for {a lambda b} = S{b lambda a}, S taking lambda^n P to
@@ -200,15 +201,12 @@ class ReductionCtx:
         return self._affine
 
     def unknowns(self, t: Fraction) -> list:
-        """The weight-t monomials over p_vars with their values (1, -g*D,
-        {code: sign}) in the affine engine, enumerated once per weight."""
+        """The weight-t monomials over p_vars with their (sign, interned
+        monomial) in the affine engine, enumerated once per weight."""
         if t not in self._unknowns:
-            engine = self.affine_table().engine
-            code, g = engine.space.code, engine.g
-            out = self._unknowns[t] = []
-            for m in weight_monomials(self.p_vars, lambda v: v.weight, t):
-                sign, x = code(m)
-                out.append((m, (1, -g * sum(d for _, d in m), {x: sign})))
+            code = self.affine_table().engine.space.code
+            self._unknowns[t] = [(m, code(m)) for m in weight_monomials(
+                self.p_vars, lambda v: v.weight, t)]
         return self._unknowns[t]
 
 
@@ -306,6 +304,27 @@ def _lifted(mono: tuple, x: Fraction) -> Coeff:
 # generator construction
 
 
+def _weight_system(rctx: ReductionCtx, stage: list) -> System:
+    """solve_all's system for one weight: each constraint row {nv lambda m}
+    read from the engine's {var lambda mono} memo at scale L, times m's sign,
+    and the pins."""
+    engine = rctx.affine_table().engine
+    rank, var_mono, L = engine.space.rank, engine._var_mono, engine.L
+    unknowns = rctx.unknowns(stage[0].t)
+    system = System()
+    for nv in rctx.n_vars:
+        u = rank[nv]
+        for col, (_, (sign, x)) in enumerate(unknowns):
+            _add_rows(system, nv, col, (L, 0, var_mono(u, x)), sign)
+    side = {((AffVar(a, 0), 0),): j for j, a in enumerate(stage)}
+    for col, (m, _) in enumerate(unknowns):
+        if len(m) == 1 and m[0][1] == 0:
+            system.add(("pin", m), col, 1)
+            if m in side:
+                system.add(("pin", m), None, -1, side[m])
+    return system
+
+
 def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
     """Realize every generator: W_a = a + (weight-homogeneous correction over
     the positive-weight variables) annihilated by every constraint bracket,
@@ -319,34 +338,23 @@ def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
     generator order, and the first failure raises NoSolution."""
     engine = rctx.affine_table().engine
     gens = rctx.cdata.gens
-    nv_vals = [(nv, engine.graded(DiffPoly.variable(nv))) for nv in rctx.n_vars]
     solved: dict = {}
     for t in dict.fromkeys(g.t for g in gens):
         stage = [g for g in gens if g.t == t]
-        unknowns = rctx.unknowns(t)
-        system = System()
-        for nv, nv_val in nv_vals:
-            for col, (_, val) in enumerate(unknowns):
-                _add_rows(system, nv, col, engine.graded_bracket(nv_val, val))
-        side = {((AffVar(a, 0), 0),): j for j, a in enumerate(stage)}
-        for col, (m, _) in enumerate(unknowns):
-            if len(m) == 1 and m[0][1] == 0:
-                system.add(("pin", m), col, 1)
-                if m in side:
-                    system.add(("pin", m), None, -1, side[m])
-        for a, sol in zip(stage, system.solve_each(len(stage))):
-            solved[a] = (unknowns, sol)
+        solved.update(zip(stage, _weight_system(rctx, stage).solve_each(len(stage))))
+    nv_vals = [engine.graded(DiffPoly.variable(nv)) for nv in rctx.n_vars]
     out: dict = {}
     for a in gens:
-        unknowns, sol = solved[a]
+        sol = solved[a]
         if sol is None:
             raise NoSolution(f"constraint system inconsistent for {a}")
+        unknowns = rctx.unknowns(a.t)
         own = ((AffVar(a, 0), 0),)
         W = out[a] = DiffPoly({own: ONE, **{unknowns[col][0]: _lifted(unknowns[col][0], x)
                                             for col, x in sol.items() if unknowns[col][0] != own}})
         # defining constraints re-verified on the solution
         W_val = engine.graded(W)
-        for _, nv_val in nv_vals:
+        for nv_val in nv_vals:
             if not _agrees(engine.graded_bracket(nv_val, W_val), {}):
                 raise NoSolution(f"constraint violated after solve for {a}")
     return GeneratorSolution(out)

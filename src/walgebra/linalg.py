@@ -14,6 +14,10 @@ Q: primitive, leading int positive, zero in every other pivot column.  A
 solution divides each right-hand side by its row's leading int, the one
 Fraction built per solved column.
 
+Once every unknown column leads, the pivot rows are final: each further row
+is checked by its residual, one pass over its entries, instead of being
+eliminated.  A rank-deficient system is eliminated row by row to the end.
+
 A System assembles its rows as ints, one scale per row shared by its
 right-hand sides, so no Fraction is built per entry.
 """
@@ -69,12 +73,38 @@ def _reduce(rows: Iterable[dict], stop: int | None) -> tuple[list[dict], dict[in
     """rref, except that no column at or past stop (when given) leads: a row
     that reduces to one leading there is set aside as a witness, zero on
     every earlier column, and is not eliminated into the others.  Returns
-    (reduced_rows, pivots, witnesses)."""
+    (reduced_rows, pivots, witnesses).  Once every unknown column that
+    occurs (before stop; any, when stop is None) leads, the pivot rows are
+    final, and a further row is checked by its residual over L = lcm of the
+    leading ints p_c: L*row - sum_c row[c]*(L/p_c)*P_c, P_c the pivot row of
+    column c, is zero on the unknowns, and where it is not zero past stop,
+    made primitive, it is the witness that elimination would set aside."""
+    rows = list(rows)
+    unknowns = sum(stop is None or c < stop for c in set().union(*rows))
     reduced: list[dict] = []
     pivots: dict[int, int] = {}
     witnesses: list[dict] = []
+    past = None  # pivot column -> its row's entries past stop, times L/p_c
     for row in rows:
         if not row:
+            continue
+        if len(pivots) == unknowns:
+            if stop is None:
+                break  # every further row reduces to zero
+            if past is None:
+                L = lcm(*(reduced[i][c] for c, i in pivots.items()))
+                past = {c: [(j, y * (L // reduced[i][c])) for j, y in reduced[i].items()
+                            if j >= stop] for c, i in pivots.items()}
+            res: dict = {}
+            for c, v in row.items():
+                if c >= stop:
+                    res[c] = res.get(c, 0) + L * v
+                else:
+                    for j, y in past[c]:
+                        res[j] = res.get(j, 0) - v * y
+            res = {j: x for j, x in res.items() if x}
+            if res:
+                witnesses.append(_primitive(res))
             continue
         row = _primitive(row)
         # eliminate against existing pivots; a reduced row is zero in every
@@ -121,7 +151,8 @@ def solve_each(rows: list[dict], rhs: list[dict], count: int) -> list[dict | Non
     the unknowns).  The pivot rows are those of the unknowns alone, so a
     consistent side's zeroed-free solution is its column divided by each
     pivot row's leading int, the one Fraction built per solved column, the
-    same as solving that side alone."""
+    same as solving that side alone.  A row past full rank is checked by its
+    residual (_reduce), nonzero in exactly the sides it makes inconsistent."""
     b_col = 1 + max((c for row in rows for c in row), default=-1)
     augmented = []
     for row, b in zip(rows, rhs):

@@ -526,11 +526,11 @@ class VarSpace:
             hit = self._codes[mono] = self.canonical(xs)
         return hit
 
-    def deriv(self, m: tuple) -> list:
+    def deriv(self, m: tuple, memo: bool = True) -> list:
         """The monomials of d(m), one per factor bumped, repeats kept.  A
         bumped factor only moves past equal even ones, so no sign arises; a
-        derivative power reaching stride is refused."""
-        hit = self._derivs.get(m)
+        derivative power reaching stride is refused; memo=False skips the memo."""
+        hit = self._derivs.get(m) if memo else None
         if hit is None:
             stride, odd = self.stride, self.odd
             hit = []
@@ -545,7 +545,8 @@ class VarSpace:
                 if j < n and m[j] == x1 and odd[x]:
                     continue  # a repeated odd factor
                 hit.append(m[:idx] + m[idx + 1:j] + (x1,) + m[j:])
-            self._derivs[m] = hit
+            if memo:
+                self._derivs[m] = hit
         return hit
 
     def edge(self, m: tuple) -> tuple:

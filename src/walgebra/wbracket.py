@@ -246,8 +246,8 @@ class MasterEngine:
         return j
 
     def _deriv(self, i: int) -> list:
-        """The memoized ids of VarSpace.deriv of the monomial of id i."""
-        ds = self._dids[i] = [self._id(m) for m in self.space.deriv(self._monos[i])]
+        """The memoized ids of VarSpace.deriv of the monomial of id i (not memoized there)."""
+        ds = self._dids[i] = [self._id(m) for m in self.space.deriv(self._monos[i], memo=False)]
         return ds
 
     def _value(self, factor: Factor, ksign: int) -> dict:

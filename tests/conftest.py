@@ -167,6 +167,53 @@ def fraction_rref(rows):
     return reduced, pivots
 
 
+def reduce_reference(rows, stop):
+    """linalg._reduce as it was before full-rank systems checked their
+    further rows by residual: every row eliminated against the pivots, one
+    by one, to the end.  Returns (reduced_rows, pivots, witnesses)."""
+    from walgebra.linalg import _eliminate, _primitive
+
+    reduced: list[dict] = []
+    pivots: dict[int, int] = {}
+    witnesses: list[dict] = []
+    for row in rows:
+        if not row:
+            continue
+        row = _primitive(row)
+        for col in sorted(c for c in row if c in pivots):
+            P = reduced[pivots[col]]
+            row = _eliminate(row, row[col], P, P[col])
+        if not row:
+            continue
+        lead = min(row)
+        if stop is not None and lead >= stop:
+            witnesses.append(row)
+            continue
+        p = row[lead]
+        if p < 0:
+            row = {c: -x for c, x in row.items()}
+            p = -p
+        for i, r in enumerate(reduced):
+            v = r.get(lead)
+            if v is not None:
+                reduced[i] = _eliminate(r, v, row, p)
+        pivots[lead] = len(reduced)
+        reduced.append(row)
+    return reduced, pivots, witnesses
+
+
+def solve_each_reference(rows, rhs, count):
+    """linalg.solve_each on reduce_reference."""
+    from walgebra import linalg
+
+    real = linalg._reduce
+    linalg._reduce = reduce_reference
+    try:
+        return linalg.solve_each(rows, rhs, count)
+    finally:
+        linalg._reduce = real
+
+
 def sl_basis(ctx):
     """Deterministic basis of sl: off-diagonal units then supertraceless
     diagonal differences."""
@@ -510,7 +557,8 @@ def solve_generator_reference(rctx, a):
     nv_vals = [engine.graded(DiffPoly.variable(nv)) for nv in rctx.n_vars]
     for nv, nv_val in zip(rctx.n_vars, nv_vals):
         _add_rows(system, nv, None, engine.graded_bracket(nv_val, base))
-        for col, (_, val) in enumerate(unknowns):
+        for col, (m, _) in enumerate(unknowns):
+            val = engine.graded(DiffPoly({m: ONE}))
             _add_rows(system, nv, col, engine.graded_bracket(nv_val, val))
     for col, (m, _) in enumerate(unknowns):
         if len(m) == 1 and m[0][1] == 0:
@@ -525,6 +573,29 @@ def solve_generator_reference(rctx, a):
         if not _agrees(engine.graded_bracket(nv_val, W_val), {}):
             raise NoSolution(f"constraint violated after solve for {a}")
     return W
+
+
+def weight_system_reference(rctx, stage):
+    """dsreduction._weight_system with each constraint row the engine's
+    graded_bracket of the constraint letter and the unknown's monomial, as
+    solve_all built them before it read the {var lambda mono} memo."""
+    from walgebra.dsreduction import AffVar, _add_rows
+
+    engine = rctx.affine_table().engine
+    unknowns = rctx.unknowns(stage[0].t)
+    system = System()
+    for nv in rctx.n_vars:
+        nv_val = engine.graded(DiffPoly.variable(nv))
+        for col, (m, _) in enumerate(unknowns):
+            val = engine.graded(DiffPoly({m: ONE}))
+            _add_rows(system, nv, col, engine.graded_bracket(nv_val, val))
+    side = {((AffVar(a, 0), 0),): j for j, a in enumerate(stage)}
+    for col, (m, _) in enumerate(unknowns):
+        if len(m) == 1 and m[0][1] == 0:
+            system.add(("pin", m), col, 1)
+            if m in side:
+                system.add(("pin", m), None, -1, side[m])
+    return system
 
 
 # ---------------------------------------------------------------------------

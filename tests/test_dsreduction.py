@@ -22,10 +22,10 @@ from hypothesis import given, reject, settings, strategies as st
 from conftest import (affine_table_reference, bracket_by_chains, corrupted_table, ctx_of, flatten,
                       gen, poly_normalize, poly_weight, reexpress, small_shapes,
                       solve_generator_reference, substitute, table_of, verify_every_ordered_pair,
-                      wrong_parity_table)
+                      weight_system_reference, wrong_parity_table)
 from walgebra.coeffs import ONE, Coeff
-from walgebra.dsreduction import (ReductionCtx, _weight_search, reconcile, reduced_bracket,
-                                  solve_all, weight_monomials)
+from walgebra.dsreduction import (ReductionCtx, _weight_search, _weight_system, reconcile,
+                                  reduced_bracket, solve_all, weight_monomials)
 from walgebra.errors import NoSolution, NormalizationImpossible, WAlgebraError
 from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
                                 pairing_index, pairings)
@@ -338,6 +338,19 @@ def test_reconcile_agrees_with_the_reference_on_every_ordered_pair(shape):
     rep = reconcile(rctx, table)
     assert rep.ok, rep.failure
     assert verify_every_ordered_pair(rctx, table, rep.corrected.solutions) == []
+
+
+@pytest.mark.parametrize("shape", RECONCILE_SMALL, ids=str)
+def test_constraint_rows_from_the_memo_match_the_graded_bracket_route(shape):
+    # each weight's system, its rows in order with their right-hand sides
+    # and scales, is the one graded_bracket builds
+    rctx = ReductionCtx(ctx_of(*shape))
+    gens = rctx.cdata.gens
+    for t in dict.fromkeys(g.t for g in gens):
+        stage = [g for g in gens if g.t == t]
+        got, want = _weight_system(rctx, stage), weight_system_reference(rctx, stage)
+        for d in ("rows", "rhs", "scales"):
+            assert list(getattr(got, d).items()) == list(getattr(want, d).items()), (t, d)
 
 
 def test_reconcile_shapes_at_most_4_boxes():

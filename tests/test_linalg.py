@@ -11,7 +11,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import fraction_rref, kernel_basis
+from conftest import fraction_rref, kernel_basis, reduce_reference, solve_each_reference
 from walgebra import linalg
 from walgebra.linalg import System, rref, solve
 
@@ -267,3 +267,73 @@ def test_fraction_terms_give_the_old_rows():
     assert system.scales == {0: 6, 1: 4, 2: 1}
     assert system.rows[2] == {1: F(2)} and system.rhs[2] == {0: 4}
     _assert_same_system(system, terms, 1)
+
+
+# entries of the residual tests: mostly small ints, zero often, some Fractions
+ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -4, 6, F(1, 2), F(-5, 3)])
+
+
+@st.composite
+def overdetermined(draw):
+    """(rows, rhs, count) with more rows than unknowns as often as not: rows
+    over a few of the columns 0..5 (the others never occur), some of them
+    zero, some combinations of earlier rows, so the rank falls short of the
+    columns at times and full column rank is reached early at others; each
+    of up to three right-hand sides either the same combination of the
+    earlier sides, so consistent, or drawn freely."""
+    cols = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(1, 3))
+    rows: list = []
+    rhs: list = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["free", "free", "combo", "zero"]))
+        if kind == "combo" and len(rows) > 1:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = draw(ENTRY), draw(ENTRY)
+            row = {c: a * rows[i].get(c, 0) + b * rows[j].get(c, 0) for c in cols}
+            side = {s: a * rhs[i].get(s, 0) + b * rhs[j].get(s, 0) for s in range(count)}
+            if draw(st.booleans()):
+                side[draw(st.integers(0, count - 1))] = draw(ENTRY)
+        elif kind == "zero":
+            row, side = {}, {s: draw(ENTRY) for s in range(count)}
+        else:
+            row = {c: draw(ENTRY) for c in cols}
+            side = {s: draw(ENTRY) for s in range(count)}
+        rows.append({c: v for c, v in row.items() if v})
+        rhs.append({s: v for s, v in side.items() if v})
+    return rows, rhs, count
+
+
+def _assert_reduces_like_the_reference(rows, rhs, count):
+    """solve_each, and _reduce on the rows with their sides as columns
+    6 + side, against the elimination of every row to the end."""
+    assert linalg.solve_each(rows, rhs, count) == solve_each_reference(rows, rhs, count)
+    augmented = [{**row, **{6 + s: v for s, v in b.items()}} for row, b in zip(rows, rhs)]
+    assert linalg._reduce(augmented, 6) == reduce_reference(augmented, 6)
+    assert linalg._reduce(rows, None)[:2] == reduce_reference(rows, None)[:2]
+    assert linalg._reduce(augmented, None) == reduce_reference(augmented, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(overdetermined())
+def test_residual_check_matches_elimination_to_the_end(system):
+    _assert_reduces_like_the_reference(*system)
+
+
+def test_a_surplus_row_inconsistent_in_one_side_only():
+    # 2 x0 and 3 x1 lead (L = 6), and 6 x0 + 6 x1 is past full rank: side 0
+    # has x = (3/2, 1/3) and the surplus row agrees; side 1 has x = (5/2,
+    # 2/3), where 6 x0 + 6 x1 is 19, and the surplus row asks for 18
+    rows = [{0: 2}, {1: 3}, {0: 6, 1: 6}]
+    rhs = [{0: 3, 1: 5}, {0: 1, 1: 2}, {0: 11, 1: 18}]
+    _assert_reduces_like_the_reference(rows, rhs, 2)
+    assert linalg.solve_each(rows, rhs, 2) == [{0: F(3, 2), 1: F(1, 3)}, None]
+
+
+def test_a_surplus_row_zero_on_the_unknowns():
+    # after full rank, a row with no unknown but a constant in side 1 only,
+    # and one with nothing at all
+    rows = [{0: F(1, 2)}, {}, {}]
+    rhs = [{0: 1, 1: 1}, {1: 5}, {}]
+    _assert_reduces_like_the_reference(rows, rhs, 3)
+    assert linalg.solve_each(rows, rhs, 3) == [{0: 2}, None, {}]

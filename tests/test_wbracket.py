@@ -560,3 +560,16 @@ def test_step1_ratio_2_2():
     c22 = lt[gen(ctx, 2, 2, 2)]
     assert c22 == -c11
     assert c11 == Coeff.of(1)
+
+
+@pytest.mark.parametrize("shape", [("sl", (4, 3), ()), ("sl_super", (3,), (2,))], ids=str)
+def test_the_sweep_leaves_the_space_derivative_memo_empty(shape, monkeypatch):
+    # the sweep keeps its derivatives by monomial id; the table's VarSpace
+    # memo is left to the table's Leibniz engine, and a fresh table's holds
+    # nothing, while its rows still carry derivatives
+    monkeypatch.setattr(wbracket, "_TABLE_CACHE", {})
+    table = bracket_table(ctx_of(*shape))
+    assert table.store.space._derivs == {}
+    stride = table.store.space.stride
+    assert any(x % stride for val in table.store.ints.values() for p in val.values()
+               for m in p for x in m)
