@@ -82,8 +82,9 @@ def _as_poly(v) -> tuple:
 
 
 class Coeff:
-    """A polynomial in the level parameter k, immutable: one object backs
-    many table terms, so rebinding or deleting num raises AttributeError."""
+    """A polynomial in the level parameter k, immutable: one object may back
+    the terms of many polynomials, so rebinding or deleting num raises
+    AttributeError."""
 
     __slots__ = ("num",)
 

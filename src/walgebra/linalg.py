@@ -57,30 +57,20 @@ def _eliminate(row: dict, v: int, P: dict, p: int) -> dict:
     return _over_content(out)
 
 
-def rref(rows: Iterable[dict]) -> tuple[list[dict], dict[int, int]]:
-    """Reduced row echelon form, up to a positive factor per row.
-
-    Returns (reduced_rows, pivots) where pivots maps column -> index of the
-    row (in reduced_rows) whose leading entry sits in that column.  Reduced
-    rows are primitive ints with a positive leading entry and are fully
-    reduced against each other: row i of the echelon form over Q is
-    reduced_rows[i] divided by its leading int."""
-    reduced, pivots, _ = _reduce(rows, None)
-    return reduced, pivots
-
-
-def _reduce(rows: Iterable[dict], stop: int | None) -> tuple[list[dict], dict[int, int], list]:
-    """rref, except that no column at or past stop (when given) leads: a row
+def _reduce(rows: Iterable[dict], stop: int) -> tuple[list[dict], dict[int, int], list]:
+    """The reduced row echelon form of the columns before stop, up to a
+    positive factor per row: no column at or past stop leads, and a row
     that reduces to one leading there is set aside as a witness, zero on
     every earlier column, and is not eliminated into the others.  Returns
-    (reduced_rows, pivots, witnesses).  Once every unknown column that
-    occurs (before stop; any, when stop is None) leads, the pivot rows are
+    (reduced_rows, pivots, witnesses), pivots mapping column -> index of the
+    row in reduced_rows whose leading int sits in that column.  Once every
+    unknown column (one before stop) that occurs leads, the pivot rows are
     final, and a further row is checked by its residual over L = lcm of the
     leading ints p_c: L*row - sum_c row[c]*(L/p_c)*P_c, P_c the pivot row of
     column c, is zero on the unknowns, and where it is not zero past stop,
     made primitive, it is the witness that elimination would set aside."""
     rows = list(rows)
-    unknowns = sum(stop is None or c < stop for c in set().union(*rows))
+    unknowns = sum(c < stop for c in set().union(*rows))
     reduced: list[dict] = []
     pivots: dict[int, int] = {}
     witnesses: list[dict] = []
@@ -89,8 +79,6 @@ def _reduce(rows: Iterable[dict], stop: int | None) -> tuple[list[dict], dict[in
         if not row:
             continue
         if len(pivots) == unknowns:
-            if stop is None:
-                break  # every further row reduces to zero
             if past is None:
                 L = lcm(*(reduced[i][c] for c, i in pivots.items()))
                 past = {c: [(j, y * (L // reduced[i][c])) for j, y in reduced[i].items()
@@ -115,7 +103,7 @@ def _reduce(rows: Iterable[dict], stop: int | None) -> tuple[list[dict], dict[in
         if not row:
             continue
         lead = min(row)
-        if stop is not None and lead >= stop:
+        if lead >= stop:
             witnesses.append(row)
             continue
         p = row[lead]
@@ -130,14 +118,6 @@ def _reduce(rows: Iterable[dict], stop: int | None) -> tuple[list[dict], dict[in
         pivots[lead] = len(reduced)
         reduced.append(row)
     return reduced, pivots, witnesses
-
-
-def solve(rows: list[dict], rhs: list) -> dict | None:
-    """Solve the sparse system rows[i] . x = rhs[i] (a falsy rhs entry is 0).
-
-    Returns the particular solution {col: Fraction} with every free variable
-    set to zero, or None if the system is inconsistent."""
-    return solve_each(rows, [{0: b} if b else {} for b in rhs], 1)[0]
 
 
 def solve_each(rows: list[dict], rhs: list[dict], count: int) -> list[dict | None]:
@@ -191,9 +171,6 @@ class System:
         self.rows: dict = {}  # key -> {column: int}
         self.rhs: dict = {}  # key -> {right-hand side: int}
         self.scales: dict = {}
-
-    def __contains__(self, key) -> bool:
-        return key in self.rows
 
     def add(self, key, col: int | None, c, side: int = 0, scale: int = 1) -> None:
         """c/scale * x[col], or the constant c/scale of right-hand side

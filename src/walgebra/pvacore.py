@@ -21,7 +21,9 @@ int tuple in the canonical factor order and parity is an array lookup.  The
 space codes DiffPoly monomials (sign and int tuple; a derivative power of
 stride or more is refused with WAlgebraError, an unknown variable raises
 MissingTableEntry), differentiates int monomials, and converts them back to
-(variable, dpow) factors at the edge, memoizing each.
+(variable, dpow) factors at the edge.  It is the format and nothing else: it
+keeps no memo, so a space never grows.  The engines memoize derivatives
+(the Leibniz engine's d^j memo, the sweep's by monomial id).
 
 The grading.  Give k degree 1 and lambda and d degree -1.  A symbolic or
 affine table is homogeneous of degree 0: its coefficient of lambda^n times a
@@ -38,8 +40,9 @@ over a VarSpace of stride 64: g is 1 when some coefficient has a positive
 power of k, each lambda^n part is read by VarSpace.graded, a part off
 c*k^(g*(n+D)) is refused with a WAlgebraError naming its pair, and L is the
 lcm of the parts' scales.  Every table's entries lift through VarSpace.lift
-on every read, and nothing lifted is kept: a read shares only immutable Coeffs
-and monomial tuples with the store, so no caller can corrupt it.
+on every read, which builds each Coeff and monomial tuple afresh: nothing
+lifted is kept anywhere, and a read shares nothing with the store but its
+variables, so no caller can corrupt it.
 
 The engine.  Each table builds one with its store and keeps it; it holds the
 store, not the table, so it dies with the table.  The Leibniz rules only add
@@ -47,10 +50,11 @@ and multiply by integers (binomials, signs, multiplicities), so every
 memoized bracket is an int value at scale L, and a Jacobi term at L^2.  The
 right Leibniz rule has one routine, {var lambda mono}, and the left one
 another, ProductBracket, whose base it is.  The bracket memos ({var lambda
-mono}, products, derivatives, and the Jacobi sweep's ProductBracket per
-third letter) grow with every call and are dropped by drop_memos, which the
-reduction oracle calls when reconcile returns.  The product memo is keyed
-by the right factor first: a sum times z fetches z's memo once.
+mono}, products, derivatives d^j of monomials, the table's one derivative
+memo, and the Jacobi sweep's ProductBracket per third letter) grow with
+every call and are dropped by drop_memos, which the reduction oracle calls
+when reconcile returns.  The product memo is keyed by the right factor
+first: a sum times z fetches z's memo once.
 
 Products.  A product is bracketed through its factors by one routine,
 ProductBracket, against one fixed right operand B of one parity: the left
@@ -82,7 +86,7 @@ monomial: int}), an int c of a monomial with D derivatives standing for c/M
 * k^(s + g*D).  Degrees are split and joined only at the edge, on edge
 values (M, {s: {interned monomial: int}}): VarSpace.graded splits a
 DiffPoly's coefficients into one (s = power of k - g*D), and VarSpace.lift,
-the one conversion of ints to Coeffs, turns one back with one Coeff per
+the one conversion of ints to Coeffs, turns one back with one new Coeff per
 monomial.  The engine's graded refuses an operand of two degrees; its
 graded_bracket returns (L*M_A*M_B, s_A + s_B, {n: {monomial: int}}),
 lambda^n at degree s_A + s_B + g*n, which extend_bracket sums over its
@@ -104,11 +108,11 @@ with those terms lifted.
 
 Substitution.  The differential-algebra morphism that replaces letters by
 DiffPolys over a table's variables runs on the same interned monomials and
-the engine's product memo, on homogeneous values in the grading g = 1: d
-lowers s by one and products add it, and a letter's image of two degrees is
-refused with a WAlgebraError naming the letter.  Its entry point graded
-takes any Q[k] coefficients and returns an edge value; calling it lifts
-that.  It memoizes d^k of the images of letters and monomials, and
+the engine's product and derivative memos, on homogeneous values in the
+grading g = 1: d lowers s by one and products add it, and a letter's image
+of two degrees is refused with a WAlgebraError naming the letter.  Its entry
+point graded takes any Q[k] coefficients and returns an edge value; calling
+it lifts that.  It memoizes d^k of the images of letters and monomials, and
 bracket_images brackets the images of monomials with a fixed homogeneous
 value through their factors by a ProductBracket.
 """
@@ -432,8 +436,9 @@ class GradedStore(namedtuple("GradedStore", "space scale g ints")):
 
 class _LiftedEntries(Mapping):
     """A graded store's entries, {(a, b): LambdaPoly}, a read-only mapping:
-    every read lifts its entry afresh, so nothing lifted is kept, and a
-    lifted entry shares only immutable Coeffs and monomials with the store."""
+    every read lifts its entry afresh, Coeffs and monomial tuples included,
+    so nothing lifted is kept and a lifted entry shares nothing with the
+    store but its variables."""
 
     def __init__(self, store: GradedStore):
         self._store = store
@@ -474,9 +479,9 @@ class VarSpace:
 
     Variables are ranked by sort_key(); a factor (rank r, derivative power n)
     is the int r*stride + n, so a monomial is a sorted int tuple in the
-    canonical factor order, and odd[x] is the parity of factor x.  Codes,
-    derivatives, edge monomials and edge coefficients are memoized for the
-    space's lifetime."""
+    canonical factor order, and odd[x] is the parity of factor x.  A space
+    is the format and nothing else: it keeps no memo, and every method
+    computes afresh."""
 
     def __init__(self, variables, stride: int):
         self.vars = sorted(variables, key=lambda v: v.sort_key())
@@ -484,11 +489,6 @@ class VarSpace:
         self.stride = stride
         self.odd = [v.parity for v in self.vars for _ in range(stride)]
         self._any_odd = any(self.odd)
-        self._codes: dict = {}
-        self._derivs: dict = {}
-        self._edge: dict = {}
-        self._factors: dict = {}
-        self._coeffs: dict = {}
 
     def rank_of(self, v) -> int:
         r = self.rank.get(v)
@@ -515,55 +515,38 @@ class VarSpace:
     def code(self, mono: Monomial) -> tuple | None:
         """(sign, interned monomial) of a DiffPoly monomial; None if it
         vanishes.  A derivative power of stride or more is refused."""
-        hit = self._codes.get(mono, False)
-        if hit is False:
-            stride = self.stride
-            xs = []
-            for v, n in mono:
-                if not 0 <= n < stride:
-                    raise WAlgebraError(f"derivative power {n} of {v} is out of range")
-                xs.append(self.rank_of(v) * stride + n)
-            hit = self._codes[mono] = self.canonical(xs)
-        return hit
+        stride = self.stride
+        xs = []
+        for v, n in mono:
+            if not 0 <= n < stride:
+                raise WAlgebraError(f"derivative power {n} of {v} is out of range")
+            xs.append(self.rank_of(v) * stride + n)
+        return self.canonical(xs)
 
-    def deriv(self, m: tuple, memo: bool = True) -> list:
+    def deriv(self, m: tuple) -> list:
         """The monomials of d(m), one per factor bumped, repeats kept.  A
         bumped factor only moves past equal even ones, so no sign arises; a
-        derivative power reaching stride is refused; memo=False skips the memo."""
-        hit = self._derivs.get(m) if memo else None
-        if hit is None:
-            stride, odd = self.stride, self.odd
-            hit = []
-            n = len(m)
-            for idx, x in enumerate(m):
-                x1 = x + 1
-                if not x1 % stride:
-                    raise WAlgebraError(f"derivative power {stride} is past the engine's range")
-                j = idx + 1
-                while j < n and m[j] < x1:  # equal even factors move left
-                    j += 1
-                if j < n and m[j] == x1 and odd[x]:
-                    continue  # a repeated odd factor
-                hit.append(m[:idx] + m[idx + 1:j] + (x1,) + m[j:])
-            if memo:
-                self._derivs[m] = hit
-        return hit
+        derivative power reaching stride is refused."""
+        stride, odd = self.stride, self.odd
+        out = []
+        n = len(m)
+        for idx, x in enumerate(m):
+            x1 = x + 1
+            if not x1 % stride:
+                raise WAlgebraError(f"derivative power {stride} is past the engine's range")
+            j = idx + 1
+            while j < n and m[j] < x1:  # equal even factors move left
+                j += 1
+            if j < n and m[j] == x1 and odd[x]:
+                continue  # a repeated odd factor
+            out.append(m[:idx] + m[idx + 1:j] + (x1,) + m[j:])
+        return out
 
     def edge(self, m: tuple) -> tuple:
         """(an interned monomial as (variable, dpow) factors, its derivative
-        count), memoized: one shared factor tuple per int and one monomial
-        tuple per monomial."""
-        hit = self._edge.get(m)
-        if hit is None:
-            fs = []
-            for x in m:
-                f = self._factors.get(x)
-                if f is None:
-                    r, n = divmod(x, self.stride)
-                    f = self._factors[x] = (self.vars[r], n)
-                fs.append(f)
-            hit = self._edge[m] = (tuple(fs), sum(x % self.stride for x in m))
-        return hit
+        count), a new tuple per call."""
+        vs, stride = self.vars, self.stride
+        return tuple([(vs[x // stride], x % stride) for x in m]), sum(x % stride for x in m)
 
     def graded(self, P: DiffPoly, g: int) -> tuple:
         """P as an edge value (M, {s: {interned monomial: int}}): each power
@@ -594,16 +577,15 @@ class VarSpace:
     def lift(self, scale: int, parts: dict, g: int) -> DiffPoly:
         """The edge value (scale, {s: {interned monomial: int}}) as a DiffPoly
         with one Coeff per monomial, the int c of m at degree s standing for
-        c/scale * k^(s + g*D(m)): the one conversion of ints to Coeffs.  One
-        Coeff per (c, power) at each scale is memoized."""
-        edges, level = self._edge, Coeff.level
-        coeffs = self._coeffs.setdefault(scale, {})
+        c/scale * k^(s + g*D(m)): the one conversion of ints to Coeffs.  Every
+        Coeff and monomial tuple is built for this call, so nothing lifted
+        outlives the DiffPoly."""
+        edge, level = self.edge, Coeff.level
         out: dict = {}
         for s, p in parts.items():
             for m, c in p.items():
-                gm, D = edges.get(m) or self.edge(m)
-                key = (c, s + g * D)
-                cf = coeffs.get(key) or coeffs.setdefault(key, level(key[1], Fraction(c, scale)))
+                gm, D = edge(m)
+                cf = level(s + g * D, Fraction(c, scale))
                 other = out.get(gm)
                 out[gm] = cf if other is None else other + cf  # m at another degree
         return DiffPoly(out)
@@ -695,17 +677,23 @@ class _Leibniz:
         return hit
 
     def _dpow(self, m: tuple, j: int) -> dict:
-        """d^j(m) as {monomial: multiplicity}."""
+        """d^j(m) as {monomial: multiplicity}, the one derivative memo: d(m)
+        counts VarSpace.deriv's monomials, and d^j(m) is d of each monomial
+        of d^(j-1)(m) from this memo, multiplicities multiplied."""
         if not j:
             return {m: 1}
         key = (m, j)
         hit = self._dpows.get(key)
         if hit is None:
             hit = {}
-            deriv = self.space.deriv
-            for y, cy in self._dpow(m, j - 1).items():
-                for dy in deriv(y):
-                    hit[dy] = hit.get(dy, 0) + cy
+            if j == 1:
+                for dy in self.space.deriv(m):
+                    hit[dy] = hit.get(dy, 0) + 1
+            else:
+                dpow = self._dpow
+                for y, cy in dpow(m, j - 1).items():
+                    for dy, c in dpow(y, 1).items():
+                        hit[dy] = hit.get(dy, 0) + cy * c
             self._dpows[key] = hit
         return hit
 
@@ -1131,7 +1119,8 @@ class Substitution:
     `mapping` by its image mapping[v], a DiffPoly over the table's variables,
     and d^n(v) by d^n of the image; letters absent from the mapping stay
     themselves and must be variables of the table.  It runs on the table's
-    interned monomials and shares its Leibniz engine's product memo.
+    interned monomials and shares its Leibniz engine's product and
+    derivative memos.
 
     A value is homogeneous, (M, s, {interned monomial: int}): the int c of
     monomial m stands for c/M * k^(s + D(m)), D counting derivatives.  So s
@@ -1149,13 +1138,14 @@ class Substitution:
         self._dpows: dict = {}  # (monomial, k) -> value of d^k(image), k > 0
 
     def _derived(self, value: tuple) -> tuple:
-        """d of a value: each monomial's derivative, one degree lower."""
-        deriv = self._engine.space.deriv
+        """d of a value: each monomial's derivative from the engine's
+        derivative memo, one degree lower."""
+        dpow = self._engine._dpow
         M, s, p = value
         out: dict = {}
         for x, c in p.items():
-            for y in deriv(x):
-                _accum(out, y, c)
+            for y, cy in dpow(x, 1).items():
+                _accum(out, y, c * cy)
         return M, s - 1, out
 
     def _letter(self, v, n: int) -> tuple:

@@ -73,7 +73,7 @@ from math import gcd, lcm
 from .coeffs import Coeff
 from .errors import WAlgebraError
 from .liestruct import AlgebraCtx, CentralizerData, GenIndex, StructureKernel, sharp_coords
-from .linalg import solve
+from .linalg import solve_each
 from .pvacore import (_STRIDE, BracketTable, DiffPoly, GradedStore, VarSpace, apply_partial,
                       extend_bracket)
 
@@ -246,8 +246,9 @@ class MasterEngine:
         return j
 
     def _deriv(self, i: int) -> list:
-        """The memoized ids of VarSpace.deriv of the monomial of id i (not memoized there)."""
-        ds = self._dids[i] = [self._id(m) for m in self.space.deriv(self._monos[i], memo=False)]
+        """The ids of VarSpace.deriv of the monomial of id i, memoized here
+        by id: the sweep's one derivative memo."""
+        ds = self._dids[i] = [self._id(m) for m in self.space.deriv(self._monos[i])]
         return ds
 
     def _value(self, factor: Factor, ksign: int) -> dict:
@@ -431,9 +432,9 @@ def conformal_vector(ctx: AlgebraCtx) -> DiffPoly:
                 if v:
                     row[jdx] = v
             gram_rows.append(row)
-        for jdx, gj in enumerate(zero_gens):
-            rhs = [F(1) if i == jdx else F(0) for i in range(len(zero_gens))]
-            sol = solve(gram_rows, rhs)
+        # the duals by one elimination, the right-hand side of q'_j being e_j
+        n = len(zero_gens)
+        for gj, sol in zip(zero_gens, solve_each(gram_rows, [{i: 1} for i in range(n)], n)):
             if sol is None:
                 raise ValueError("grade-zero pairing is singular")
             dual = DiffPoly(

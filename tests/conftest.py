@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from walgebra.coeffs import ONE, Coeff
 from walgebra.errors import NoSolution, UnknownGenerator
-from walgebra.linalg import System, rref
+from walgebra.linalg import System, _reduce
 from walgebra.liestruct import (GenIndex, PartitionSpec, StructureKernel, SuperMatrix,
                                 build_algebra, pairing_index, sharp_coords)
 from walgebra.pvacore import (BracketTable, DiffPoly, GradedStore, LambdaPoly, _accum,
@@ -108,7 +108,7 @@ def kernel_basis(columns: list[dict]) -> list[dict]:
     for j, col in enumerate(columns):
         for r, v in col.items():
             system.add(r, j, v)
-    reduced, pivots = rref(system.rows.values())
+    reduced, pivots, _ = _reduce(system.rows.values(), len(columns))
     basis = []
     for j in range(len(columns)):
         if j in pivots:
@@ -139,7 +139,7 @@ def row_axpy(target: dict, factor, source: dict) -> None:
 
 
 def fraction_rref(rows):
-    """Reference for linalg.rref on Fraction arithmetic: the reduced row
+    """Reference for linalg._reduce on Fraction arithmetic: the reduced row
     echelon form with leading entries 1, pivot rows chosen first-come, as
     (reduced_rows, pivots) with pivots mapping column -> row index."""
     reduced: list[dict] = []
@@ -186,7 +186,7 @@ def reduce_reference(rows, stop):
         if not row:
             continue
         lead = min(row)
-        if stop is not None and lead >= stop:
+        if lead >= stop:
             witnesses.append(row)
             continue
         p = row[lead]

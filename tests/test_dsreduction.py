@@ -29,7 +29,7 @@ from walgebra.dsreduction import (ReductionCtx, _weight_search, _weight_system, 
 from walgebra.errors import NoSolution, NormalizationImpossible, WAlgebraError
 from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
                                 pairing_index, pairings)
-from walgebra.linalg import solve
+from walgebra.linalg import solve_each
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution, check_jacobi,
                               extend_bracket, normalize_factors)
 from walgebra.wbracket import MasterEngine
@@ -541,7 +541,7 @@ def _dense_expand(rctx):
 
     def expand(z):
         flat = flatten(z)
-        sol = solve(rows, [flat.get(pos, 0) for pos in range(n_pos)])
+        sol = solve_each(rows, [{0: flat.get(pos, 0)} for pos in range(n_pos)], 1)[0]
         assert sol is not None, z
         return {rctx.variables[j]: c for j, c in sol.items()}
     return expand

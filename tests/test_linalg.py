@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fraction_rref, kernel_basis, reduce_reference, solve_each_reference
 from walgebra import linalg
-from walgebra.linalg import System, rref, solve
+from walgebra.linalg import System
 
 F = Fraction
 
@@ -43,6 +43,16 @@ def _sparse(dense_row: list) -> dict:
     return {j: v for j, v in enumerate(dense_row) if v}
 
 
+def _solve(rows: list, rhs: list):
+    """solve_each on the one right-hand side rhs (a falsy entry is 0)."""
+    return linalg.solve_each(rows, [{0: b} if b else {} for b in rhs], 1)[0]
+
+
+def _stop(rows: list) -> int:
+    """A column past every column of rows."""
+    return 1 + max((c for row in rows for c in row), default=-1)
+
+
 @st.composite
 def systems(draw):
     nrows = draw(st.integers(0, 5))
@@ -64,7 +74,7 @@ def test_solve_agrees_with_dense_ranks(system):
     dense, rhs, order = system
     ncols = len(dense[0]) if dense else 0
     rows = [_sparse(r) for r in dense]
-    sol = solve(rows, rhs)
+    sol = _solve(rows, rhs)
     consistent = _dense_rank(dense) == _dense_rank([r + [b] for r, b in zip(dense, rhs)])
     assert (sol is not None) == consistent
     if sol is None:
@@ -77,7 +87,7 @@ def test_solve_agrees_with_dense_ranks(system):
     assert set(sol) <= pivots
     assert all(sol.values())
     # the particular solution does not depend on the order of the rows
-    assert solve([rows[i] for i in order], [rhs[i] for i in order]) == sol
+    assert _solve([rows[i] for i in order], [rhs[i] for i in order]) == sol
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,7 +114,7 @@ def test_system_keeps_rows_in_first_use_order():
     system.add("a", 1, F(1))
     system.add("a", 1, F(-1))  # cancels: x0 = 0
     assert list(system.rows) == ["b", "a"]
-    assert "a" in system and "c" not in system
+    assert "a" in system.rows and "c" not in system.rows
     assert system.rows["a"] == {0: F(1)}
     assert system.solve() == {1: F(-3, 2)}
     system.add("c", None, F(1))  # 1 = 0
@@ -112,7 +122,7 @@ def test_system_keeps_rows_in_first_use_order():
 
 
 def _reference_solve(rows: list, rhs: list):
-    """solve on fraction_rref: the augmented column's entries of the reduced
+    """_solve on fraction_rref: the augmented column's entries of the reduced
     rows, None when it leads one."""
     b_col = 1 + max((c for row in rows for c in row), default=-1)
     reduced, pivots = fraction_rref([{**row, b_col: b} if b else row
@@ -153,15 +163,15 @@ def scaled_systems(draw):
 @given(scaled_systems())
 def test_fraction_free_elimination_matches_the_fraction_reference(system):
     rows, rhs = system
-    reduced, pivots = rref(rows)
+    reduced, pivots, witnesses = linalg._reduce(rows, _stop(rows))
     want, want_pivots = fraction_rref(rows)
-    assert pivots == want_pivots
+    assert pivots == want_pivots and witnesses == []
     for r, w in zip(reduced, want):
         lead = r[min(r)]
         assert all(type(v) is int for v in r.values())
         assert lead > 0 and gcd(*r.values()) == 1
         assert {c: F(v, lead) for c, v in r.items()} == w
-    sol = solve(rows, rhs)
+    sol = _solve(rows, rhs)
     assert sol == _reference_solve(rows, rhs)
     assert sol is None or all(type(v) is Fraction for v in sol.values())
 
@@ -310,8 +320,9 @@ def _assert_reduces_like_the_reference(rows, rhs, count):
     assert linalg.solve_each(rows, rhs, count) == solve_each_reference(rows, rhs, count)
     augmented = [{**row, **{6 + s: v for s, v in b.items()}} for row, b in zip(rows, rhs)]
     assert linalg._reduce(augmented, 6) == reduce_reference(augmented, 6)
-    assert linalg._reduce(rows, None)[:2] == reduce_reference(rows, None)[:2]
-    assert linalg._reduce(augmented, None) == reduce_reference(augmented, None)
+    assert linalg._reduce(rows, _stop(rows)) == reduce_reference(rows, _stop(rows))
+    stop = _stop(augmented)
+    assert linalg._reduce(augmented, stop) == reduce_reference(augmented, stop)
 
 
 @settings(max_examples=300, deadline=None)

@@ -691,6 +691,26 @@ def test_var_space_matches_the_diffpoly_format(data):
     assert DiffPoly({m: Coeff.of(c) for m, c in derived.items()}) == DiffPoly({mono: ONE}).d()
 
 
+@pytest.mark.parametrize("shape", [("sl", (3, 2)), ("sl_super", (3,), (2,))], ids=str)
+def test_the_engine_derivative_memo_matches_diffpoly_powers(shape):
+    # d^j(m) of the table's one derivative memo, built from d of each
+    # monomial of d^(j-1)(m) with multiplicities multiplied, is DiffPoly.d()
+    # applied j times; drop_memos empties it
+    tab = _fresh(table_of(*shape))
+    engine, space = tab.engine, tab.engine.space
+    monos = sorted({m for val in tab.store.ints.values() for p in val.values() for m in p})
+    assert any(len(m) > 1 for m in monos) and len(monos) > 10
+    for m in monos:
+        for j in range(4):
+            got = engine._dpow(m, j)
+            assert all(type(c) is int and c > 0 for c in got.values())
+            want = apply_partial(DiffPoly({space.edge(m)[0]: ONE}), j)
+            assert DiffPoly({space.edge(y)[0]: Coeff.of(c) for y, c in got.items()}) == want
+    assert engine._dpows and all(0 < j < 4 for _, j in engine._dpows)
+    engine.drop_memos()
+    assert not engine._dpows
+
+
 def _space(parities):
     return VarSpace([Var(f"v{i}", F(1), p) for i, p in enumerate(parities)], 3)
 

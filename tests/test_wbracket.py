@@ -27,11 +27,11 @@ from conftest import (apply_factor, bracket_by_chains, ctx_of, gen, lifted_row, 
                       sweep_scale_reference, table_of)
 from walgebra import pvacore, serialize, wbracket
 from walgebra.coeffs import Coeff
-from walgebra.dsreduction import ReductionCtx
+from walgebra.dsreduction import ReductionCtx, reconcile
 from walgebra.errors import MissingTableEntry, WAlgebraError
 from walgebra.liestruct import StructureKernel, sharp_coords
 from walgebra.pvacore import (BracketTable, DiffPoly, GradedStore, LambdaPoly, VarSpace,
-                              check_jacobi, check_skew, extend_bracket, linear_term,
+                              apply_partial, check_jacobi, check_skew, extend_bracket, linear_term,
                               monomial_weight, normalize_factors, nth_product)
 from walgebra.wbracket import (MasterEngine, bracket_table, conformal_check,
                                conformal_vector)
@@ -287,15 +287,6 @@ def test_interned_operator_matches_the_diffpoly_operator():
     want = apply_factor(engine, factor, lift(Xi, sx))
     assert lift(out, sx * sf) == want
     assert want
-
-
-def test_table_coefficients_are_shared():
-    # the edge keeps one Coeff per distinct value and power of k: counted by
-    # id, the (4,3) table's terms hold no more objects than distinct values
-    cs = [c for val in table_of("sl", (4, 3)).entries.values()
-          for p in val.coeffs.values() for c in p.terms.values()]
-    distinct = {(c.num[-1], len(c.num)) for c in cs}
-    assert len({id(c) for c in cs}) <= len(distinct) < len(cs)
 
 
 def test_symbolic_tables_are_pinned():
@@ -562,14 +553,42 @@ def test_step1_ratio_2_2():
     assert c11 == Coeff.of(1)
 
 
+# what a VarSpace holds: the format, and nothing that grows with use
+FORMAT_FIELDS = {"vars", "rank", "stride", "odd", "_any_odd"}
+
+
 @pytest.mark.parametrize("shape", [("sl", (4, 3), ()), ("sl_super", (3,), (2,))], ids=str)
-def test_the_sweep_leaves_the_space_derivative_memo_empty(shape, monkeypatch):
-    # the sweep keeps its derivatives by monomial id; the table's VarSpace
-    # memo is left to the table's Leibniz engine, and a fresh table's holds
-    # nothing, while its rows still carry derivatives
+def test_a_var_space_keeps_only_its_format(shape, monkeypatch):
+    # a fresh symbolic table, its k=1 view, every entry read, the skew
+    # check and a bracket of two composites; reconcile on sl(3|2), whose
+    # affine table is one more space ((4,3) does not reconcile in minutes):
+    # derivatives are memoized by the engines alone and nothing lifted is
+    # kept, so each space holds its format fields and no more
     monkeypatch.setattr(wbracket, "_TABLE_CACHE", {})
-    table = bracket_table(ctx_of(*shape))
-    assert table.store.space._derivs == {}
+    ctx = ctx_of(*shape)
+    table = bracket_table(ctx)
+    tables = [table, bracket_table(ctx, 1)]
+    for tab in tables:
+        assert any([tab.entries[ab] for ab in tab.entries])
+        assert check_skew(tab) == []
+    u, v, w = (DiffPoly.variable(x) for x in table.variables[:3])
+    assert extend_bracket(table, u * apply_partial(v) + w, apply_partial(w, 2) * u + v)
+    # two reads of one entry share no Coeff
+    ab = next(ab for ab in table.entries if table.entries[ab])
+    first, second = table.entries[ab], table.entries[ab]
+    assert first == second
+    assert not {id(c) for p in first.coeffs.values() for c in p.terms.values()} & {
+        id(c) for p in second.coeffs.values() for c in p.terms.values()}
+    spaces = [tab.store.space for tab in tables]
+    if shape[0] == "sl_super":
+        rctx = ReductionCtx(ctx)
+        assert reconcile(rctx, table).ok
+        spaces.append(rctx.affine_table().store.space)
+    for space in spaces:
+        assert vars(space).keys() == FORMAT_FIELDS
+        assert len(space.rank) == len(space.vars)
+        assert len(space.odd) == len(space.vars) * space.stride
+    # the stored rows still carry derivatives
     stride = table.store.space.stride
     assert any(x % stride for val in table.store.ints.values() for p in val.values()
                for m in p for x in m)
