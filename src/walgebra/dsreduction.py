@@ -53,12 +53,13 @@ no other column leans on, so every other pivot and the zeroed-free solution
 are those of the generator's system alone.  Within a stage, the brackets
 {mu lambda W_b} of the correction monomials do not depend on the stage
 generator a, so each lower b's list is computed once, on its first pair that
-is not deferred, and through mu's factors (Substitution.bracket_images):
-{W_c lambda W_b} once per pair of lower generators in the stage, (-lambda)^j
-of it for d^j W_c, and the left Leibniz rule for products, so mu(W) is never
-expanded to be bracketed.  The realizations' constraints and the corrected
-brackets are then re-verified exactly on graded ints, which determine a
-value over Q(k), compared at the product of the two scales.
+is not deferred, and through mu's factors (Substitution.bracket_images with
+the letter b): {W_c lambda W_b} once per pair of lower generators in the
+stage, (-lambda)^j of it for d^j W_c, and the left Leibniz rule for
+products, so mu(W) is never expanded to be bracketed.  The realizations'
+constraints and the corrected brackets are then re-verified exactly on
+graded ints, which determine a value over Q(k), compared at the product of
+the two scales.
 
 Skew symmetry.  reconcile first checks both tables, the closed-form and the
 affine one, for {a lambda b} = S{b lambda a}, S taking lambda^n P to
@@ -84,21 +85,24 @@ factor-wise brackets multiply by.  Every image is homogeneous, of degree s =
 (power of k) - (derivative count): a realization has degree 0, a correction
 monomial with D derivatives and coefficient 1 degree -D, and a target's
 lambda^n part degree n.  A letter's image of two degrees is refused, and
-none arises: an override maps a stage letter to one correction monomial's
-image.  The systems read every value at k=1, where all degrees coincide, so
-their rows ignore the degree; the final verification compares ints and
-degree, exact over Q(k), and only the applied corrections and a failure lift
-values to k^(s + D).  One Substitution serves one mapping: a stage of the
-weight ladder, with one more per override of a stage letter by a correction
-monomial's image, and the final verification; the images of d^n(letter), of
-whole monomials and of their derivatives are memoized for that lifetime.
-The affine engine's bracket memos are dropped when reconcile returns; its
-skew verdict and Jacobi orbits stay.
+none arises.  The systems read every value at k=1, where all degrees
+coincide, so their rows ignore the degree; the final verification compares
+ints and degree, exact over Q(k), and only the applied corrections and a
+failure lift values to k^(s + D).  One Substitution serves one mapping: a
+stage of the weight ladder that has correction monomials, and the final
+verification.  It holds the realizations W_a in its letter memo and the
+images of d^n(letter), of whole monomials and of their derivatives for that
+lifetime, so a stage changes W only after its last image is read.  A target
+monomial holds one stage factor d^j(l); a correction monomial mu enters in
+its place as prefix * d^j(mu) * suffix on the generator side.  A stage's
+system and bracket memos are freed when the stage returns.  The affine
+engine's bracket memos are dropped when reconcile returns; its skew verdict
+and Jacobi orbits stay.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -107,7 +111,7 @@ from .errors import NoSolution, WAlgebraError
 from .liestruct import AlgebraCtx, GenIndex, StructureKernel, SuperMatrix, pairing_index
 from .linalg import System
 from .pvacore import (_STRIDE, BracketTable, DiffPoly, GradedStore, LambdaPoly, Substitution,
-                      VarSpace, check_skew, extend_bracket)
+                      VarSpace, apply_partial, check_skew, extend_bracket)
 
 
 class AffVar(namedtuple("AffVar", "g n")):
@@ -396,7 +400,7 @@ def reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
 
 
 def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
-    gens_all, rank = rctx.cdata.gens, rctx.cdata.col
+    gens_all = rctx.cdata.gens
     affine = rctx.affine_table()
     for name, tab in (("closed-form", table), ("affine", affine)):
         vs = tab.variables
@@ -406,104 +410,108 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                        "pair": bad[0]["pair"]}
             return ReconcileReport(False, {g: DiffPoly() for g in gens_all},
                                    GeneratorSolution({}), failure=failure)
-    engine = affine.engine
-    base = solve_all(rctx)
-    W: dict = dict(base.solutions)
+    W: dict = dict(solve_all(rctx).solutions)
     corrections: dict = {g: DiffPoly() for g in gens_all}
     deferred: list = []
-    weights = sorted({g.t for g in gens_all})
-    for w in weights:
+    for w in sorted({g.t for g in gens_all}):
         stage = [g for g in gens_all if g.t == w]
         lower = [g for g in gens_all if g.t < w]
-        # correction space: weight-w monomials over strictly lower letters;
-        # x[si * len(lowmonos) + mi] is the coefficient of lowmonos[mi] in
-        # the correction of stage[si]
+        # correction space: weight-w monomials over strictly lower letters
         lowmonos = weight_monomials(lower, lambda g: g.t, w)
         if not lowmonos:
             continue
-        # W is fixed until the stage's solve: one substitution for the stage,
-        # and one per (stage letter, correction monomial) override
-        stage_W = dict(W)
-        sub = Substitution(affine, stage_W)
-        overrides: dict = {}
-        images: dict = {}  # mi -> the image of lowmonos[mi], lifted for an override
-        vals = {g: engine.graded(W[g]) for g in stage + lower}
-        first_col = {g: si * len(lowmonos) for si, g in enumerate(stage)}
-        # {mu lambda W_b} for every correction monomial mu, the same for
-        # every a of the stage: bracketed through mu's factors on the first
-        # pair (a, b) not deferred
-        mono_brackets: dict = {}
-        # one row per pair (a, b), lambda power and monomial, reading
-        # bracket(W + x) - target(W + x), linear in x; (b, a) adds no row.
-        # The pair is tagged by its ranks, which hash without Weights
-        system = System()
-
-        for a in stage:
-            for b in lower:
-                target = table.lookup(a, b)
-                if any(l.t > w for poly in target.coeffs.values()
-                       for l in _letters_of(poly)):
-                    deferred += [(a, b), (b, a)]
-                    continue
-                tag = (rank[a], rank[b])
-                _add_rows(system, tag, None, engine.graded_bracket(vals[a], vals[b]))
-                brs = mono_brackets.get(b)
-                if brs is None:
-                    brs = mono_brackets[b] = sub.bracket_images(
-                        lowmonos, vals[b], lambda c, b=b: engine.graded_bracket(vals[c], vals[b]))
-                for mi, br in enumerate(brs):
-                    _add_rows(system, tag, first_col[a] + mi, br)
-                for slot, poly in target.coeffs.items():
-                    S, parts = sub.graded(poly)
-                    for s, p in parts.items():
-                        _add_rows(system, tag, None, (S, s, {slot: p}), -1)
-                    # a target monomial holds at most one stage letter (two
-                    # would outweigh the bracket), so target(W + x) is
-                    # linear in x: substitute each correction monomial for it
-                    through: dict = {}
-                    for m, c in poly.terms.items():
-                        l = next((l for l, _ in m if l.t == w), None)
-                        if l is not None:
-                            through.setdefault(l, {})[m] = c
-                    for l, terms in through.items():
-                        part = DiffPoly(terms)
-                        for mi, mu in enumerate(lowmonos):
-                            over = overrides.get((l, mi))
-                            if over is None:
-                                mu_W = images.get(mi)
-                                if mu_W is None:
-                                    mu_W = images[mi] = sub(DiffPoly({mu: ONE}))
-                                over = overrides[(l, mi)] = Substitution(
-                                    affine, ChainMap({l: mu_W}, stage_W))
-                            S, parts = over.graded(part)
-                            for s, p in parts.items():
-                                _add_rows(system, tag, first_col[l] + mi, (S, s, {slot: p}), -1)
-
-        sol = system.solve()
-        if sol is None:
+        sub = Substitution(affine, W)
+        found = _stage_corrections(rctx, table, sub, stage, lower, lowmonos, deferred)
+        if found is None:
             return ReconcileReport(
                 False, corrections, GeneratorSolution(W),
                 failure={"stage": w, "reason": "correction system inconsistent"},
                 deferred=deferred,
             )
-        for g in stage:
-            col = first_col[g]
-            corrections[g] = DiffPoly({mu: _lifted(mu, sol[col + mi])
-                                       for mi, mu in enumerate(lowmonos) if col + mi in sol})
-            if corrections[g]:
-                W[g] = W[g] + sub(corrections[g])
+        corrections.update(found)
+        # every image is read before W, the mapping of sub, changes
+        W.update({g: W[g] + sub(c) for g, c in found.items() if c})
 
     corrected = GeneratorSolution(W)
     # full verification on graded ints, each unordered pair once, in the
     # stages' orientation (the later generator first)
     sub = Substitution(affine, W)
-    vals = {g: engine.graded(W[g]) for g in gens_all}
     for i, a in enumerate(gens_all):
         for b in gens_all[:i + 1]:
             target = table.lookup(a, b)
             want = {n: sub.graded(p) for n, p in target.coeffs.items()}
-            if not _agrees(engine.graded_bracket(vals[a], vals[b]), want):
+            if not _agrees(affine.engine.graded_bracket(_image(sub, a), _image(sub, b)), want):
                 want = LambdaPoly({n: sub(p) for n, p in target.coeffs.items()})
                 return ReconcileReport(False, corrections, corrected, deferred=deferred, failure={
                     "pair": (a, b), "got": reduced_bracket(rctx, W[a], W[b]), "want": want})
     return ReconcileReport(True, corrections, corrected, deferred=deferred)
+
+
+def _image(sub: Substitution, g) -> tuple:
+    """The value of W_g, the image of the letter g, from sub's letter memo."""
+    return sub.dpow(((g, 0),), 0)
+
+
+def _through(poly: DiffPoly, l, mu: tuple) -> DiffPoly:
+    """poly, each monomial holding one factor d^j(l), with that factor
+    replaced by d^j(mu) in factor order: prefix * d^j(mu) * suffix.  Its
+    image under a substitution is poly's with l mapped to mu's image."""
+    out = DiffPoly()
+    for m, c in poly.terms.items():
+        i = next(i for i, (v, _) in enumerate(m) if v == l)
+        out += (DiffPoly({m[:i]: c}) * apply_partial(DiffPoly({mu: ONE}), m[i][1])
+                * DiffPoly({m[i + 1:]: ONE}))
+    return out
+
+
+def _stage_corrections(rctx: ReductionCtx, table: BracketTable, sub: Substitution, stage: list,
+                       lower: list, lowmonos: list, deferred: list) -> dict | None:
+    """The solved correction {g: DiffPoly over lowmonos} of each stage
+    generator, or None when the stage's system is inconsistent; deferred
+    pairs are appended to deferred.  sub maps each generator to its current
+    realization.  The system and bracket memos die when this returns."""
+    w, rank = stage[0].t, rctx.cdata.col
+    engine = rctx.affine_table().engine
+    first_col = {g: si * len(lowmonos) for si, g in enumerate(stage)}
+    # {mu lambda W_b} for every correction monomial mu, the same for every a
+    # of the stage: bracketed through mu's factors on the first pair (a, b)
+    # not deferred
+    mono_brackets: dict = {}
+    # one row per pair (a, b), lambda power and monomial, reading
+    # bracket(W + x) - target(W + x), linear in x; (b, a) adds no row.  The
+    # pair is tagged by its ranks, which hash without Weights
+    system = System()
+    for a in stage:
+        for b in lower:
+            target = table.lookup(a, b)
+            if any(l.t > w for poly in target.coeffs.values() for l in _letters_of(poly)):
+                deferred += [(a, b), (b, a)]
+                continue
+            tag = (rank[a], rank[b])
+            _add_rows(system, tag, None, engine.graded_bracket(_image(sub, a), _image(sub, b)))
+            brs = mono_brackets.get(b)
+            if brs is None:
+                brs = mono_brackets[b] = sub.bracket_images(lowmonos, b)
+            for mi, br in enumerate(brs):
+                _add_rows(system, tag, first_col[a] + mi, br)
+            for slot, poly in target.coeffs.items():
+                S, parts = sub.graded(poly)
+                for s, p in parts.items():
+                    _add_rows(system, tag, None, (S, s, {slot: p}), -1)
+                # a target monomial holds at most one stage letter (two would
+                # outweigh the bracket), so target(W + x) is linear in x:
+                # put each correction monomial in that letter's place
+                split: dict = {}  # stage letter -> the part of poly that holds it
+                for m, c in poly.terms.items():
+                    l = next((l for l, _ in m if l.t == w), None)
+                    if l is not None:
+                        split.setdefault(l, DiffPoly()).terms[m] = c
+                for l, part in split.items():
+                    for mi, mu in enumerate(lowmonos):
+                        S, parts = sub.graded(_through(part, l, mu))
+                        for s, p in parts.items():
+                            _add_rows(system, tag, first_col[l] + mi, (S, s, {slot: p}), -1)
+    sol = system.solve()
+    return None if sol is None else {g: DiffPoly({
+        mu: _lifted(mu, sol[col + mi]) for mi, mu in enumerate(lowmonos) if col + mi in sol})
+        for g, col in first_col.items()}

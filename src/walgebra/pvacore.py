@@ -113,8 +113,11 @@ grading g = 1: d lowers s by one and products add it, and a letter's image
 of two degrees is refused with a WAlgebraError naming the letter.  Its entry
 point graded takes any Q[k] coefficients and returns an edge value; calling
 it lifts that.  It memoizes d^k of the images of letters and monomials, and
-bracket_images brackets the images of monomials with a fixed homogeneous
-value through their factors by a ProductBracket.
+dpow reads a letter's image from that memo.  bracket_images brackets the
+images of monomials with the image of one letter b through their factors by
+a ProductBracket, whose base is the engine's graded_bracket of two letter
+images; a caller that replaces one letter by a monomial substitutes the
+replaced polynomial on the generator side, with no second mapping.
 """
 
 from __future__ import annotations
@@ -1128,7 +1131,8 @@ class Substitution:
     products add it.  A letter's image must be of one degree: one that
     mixes degrees is refused with a WAlgebraError naming the letter.  The
     images of d^n(letter) and of whole monomials are memoized for the
-    object's lifetime, so the mapping must not change while it is in use."""
+    object's lifetime, so the mapping must not change while it is in use;
+    a letter's image is read back as dpow(((v, 0),), 0), interned once."""
 
     def __init__(self, table: BracketTable, mapping):
         self._engine = table.engine
@@ -1190,18 +1194,19 @@ class Substitution:
             hit = self._monos[m] = (Ma * Mb, sa + sb, out)
         return hit
 
-    def bracket_images(self, monos: list, B: tuple, letter_bracket) -> list:
-        """[{image(mu) lambda B}] for monomials mu over letters of the
-        mapping, B a homogeneous value of the engine (g = 1), as graded
-        brackets (scale, s, {n: {monomial: int}}) at scale L*M_B*(the product
-        of the scales of mu's letter images), s the degrees of B and of
+    def bracket_images(self, monos: list, b) -> list:
+        """[{image(mu) lambda image(b)}] for monomials mu over letters of the
+        mapping and a letter b, as graded brackets (scale, s, {n: {monomial:
+        int}}) at scale L*M_B*(the product of the scales of mu's letter
+        images), M_B the scale of b's image B, s the degrees of B and of
         image(mu) added.  Each runs through mu's factors by one
-        ProductBracket: {d^j image(v) lambda B} = (-lambda)^j
-        letter_bracket(v), letter_bracket(v) the graded bracket {image(v)
-        lambda B}, asked once per letter; the arrows multiply by d^k of
-        factor images from this object's memos.  A letter's image must have
-        the letter's parity and B one parity (WAlgebraError)."""
+        ProductBracket: {d^j image(v) lambda B} = (-lambda)^j {image(v) lambda
+        B}, the engine's graded_bracket of the two letter images, asked once
+        per letter; the arrows multiply by d^k of factor images from this
+        object's memos.  A letter's image must have the letter's parity and B
+        one parity (WAlgebraError)."""
         engine = self._engine
+        B = self._letter(b, 0)
         M_B, s_B, p_B = B
         pB = _parity_class(engine, p_B, "the right operand") or 0
         bases: dict = {}
@@ -1210,9 +1215,10 @@ class Substitution:
             v, j = f
             val = bases.get(v)
             if val is None:
-                if _parity_class(engine, self._letter(v, 0)[2], v) not in (None, v.parity):
+                A = self._letter(v, 0)
+                if _parity_class(engine, A[2], v) not in (None, v.parity):
                     raise WAlgebraError(f"the image of {v} does not have its parity")
-                val = bases[v] = letter_bracket(v)[2]
+                val = bases[v] = engine.graded_bracket(A, B)[2]
             return _minus_lambda_power(val, j)
 
         product = ProductBracket(engine, base, lambda y, k: self.dpow(y, k)[2],

@@ -241,9 +241,6 @@ class _Run:
     def have(self, gi) -> bool:
         return gi is not None and gi in self.recovered
 
-    def pure(self, gi) -> dict:
-        return {gi: _F1}
-
     # -- checked steps ------------------------------------------------------
 
     def _record(self, label, expr, n, expected, passed, note, m=0, lt1=()):
@@ -252,9 +249,16 @@ class _Run:
         self.identities.append(IdentityCheck(label, expr, n, expected, bool(passed), note, linear))
         return bool(passed)
 
-    def single(self, label, aname, ca, bname, cb, n, target) -> bool:
+    def _operands(self, A, B, n) -> tuple:
+        """The expression (A)_(n)(B) and the k=1 combinations of A and B,
+        each operand a GenIndex or a pooled _Vec."""
+        (aname, ca), (bname, cb) = [(X.label, X.lt1) if isinstance(X, _Vec) else (str(X), {X: _F1})
+                                    for X in (A, B)]
+        return f"({aname})_({n})({bname})", ca, cb
+
+    def single(self, label, A, B, n, target) -> bool:
         """Product claimed proportional to one generator; bank it on success."""
-        expr = f"({aname})_({n})({bname})"
+        expr, ca, cb = self._operands(A, B, n)
         if target is None:
             return self._record(label, expr, n, "target generator absent", False,
                                 "target index does not exist for this shape")
@@ -270,8 +274,8 @@ class _Run:
             self.bank(target, expr, Coeff.level(m, lt1[target]))
         return self._record(label, expr, n, f"~ {target}", ok, note, m, lt1)
 
-    def combo(self, label, aname, ca, bname, cb, n, weight, ratio=None, ratio_blocks=None,
-              magnitude_only=False, collect_only=False):
+    def combo(self, label, A, B, n, weight, ratio=None, ratio_blocks=None, magnitude_only=False,
+              collect_only=False):
         """Product claimed to land in one weight slice; pooled for separation.
 
         ratio, when given, asserts the coefficient of the second block's
@@ -279,7 +283,7 @@ class _Run:
         proportionality when only one of the two exists).  collect_only marks
         products gathered merely as slice-separation material: a vanishing
         linear term is then recorded but not counted as a failure."""
-        expr = f"({aname})_({n})({bname})"
+        expr, ca, cb = self._operands(A, B, n)
         m, lt1 = self.table.linear_product(ca, cb, n)
         weight = F(weight)
         note = ""
@@ -417,18 +421,15 @@ def _big_pair(run: _Run, j: int):
     ratio = _pair_ratio_big(run, j) if first else None
     if a != b:
         A, B = run.g(w, j, j + 1), run.g(w, j + 1, j)
-        c1 = run.combo(f"pair({j},{j+1}) top product", str(A), run.pure(A), str(B), run.pure(B),
-                       a + b - 3, 2, ratio=ratio, ratio_blocks=(j, j + 1))
+        c1 = run.combo(f"pair({j},{j+1}) top product", A, B, a + b - 3, 2, ratio=ratio,
+                       ratio_blocks=(j, j + 1))
         if min(a, b) >= 2 and c1 is not None:
             lowA = run.g(w - 1, j, j + 1)
             lowB = run.g(w - 1, j + 1, j)
-            okA = run.single(f"pair({j},{j+1}) lower (1,2)-side", c1.label, c1.lt1, str(A),
-                             run.pure(A), 2, lowA)
-            okB = run.single(f"pair({j},{j+1}) lower (2,1)-side", c1.label, c1.lt1, str(B),
-                             run.pure(B), 2, lowB)
+            okA = run.single(f"pair({j},{j+1}) lower (1,2)-side", c1, A, 2, lowA)
+            okB = run.single(f"pair({j},{j+1}) lower (2,1)-side", c1, B, 2, lowB)
             if okA and okB:
-                run.combo(f"pair({j},{j+1}) lowered product", str(lowA), run.pure(lowA),
-                          str(lowB), run.pure(lowB), a + b - 5, 2)
+                run.combo(f"pair({j},{j+1}) lowered product", lowA, lowB, a + b - 5, 2)
     else:
         m = a
         A = run.g(w, j, j + 1)
@@ -441,31 +442,26 @@ def _big_pair(run: _Run, j: int):
             if anch is None:
                 return
             if not run.have(Bp):
-                run.single(f"pair({j},{j+1}) pre-lower (2,1)-side", str(anch), run.pure(anch),
-                           str(topB), run.pure(topB), 2, Bp)
+                run.single(f"pair({j},{j+1}) pre-lower (2,1)-side", anch, topB, 2, Bp)
             if not run.have(Bp):
                 return
-        c1 = run.combo(f"pair({j},{j+1}) mixed product", str(A), run.pure(A), str(Bp),
-                       run.pure(Bp), 2 * m - 4, 2, ratio=ratio, ratio_blocks=(j, j + 1))
+        c1 = run.combo(f"pair({j},{j+1}) mixed product", A, Bp, 2 * m - 4, 2, ratio=ratio,
+                       ratio_blocks=(j, j + 1))
         if c1 is None:
             return
         lowA = run.g(w - 1, j, j + 1)
-        run.single(f"pair({j},{j+1}) lower (1,2)-side", c1.label, c1.lt1, str(A), run.pure(A),
-                   2, lowA)
+        run.single(f"pair({j},{j+1}) lower (1,2)-side", c1, A, 2, lowA)
         if m >= 3:
             if run.have(lowA):
-                run.combo(f"pair({j},{j+1}) lowered product", str(lowA), run.pure(lowA),
-                          str(Bp), run.pure(Bp), 2 * m - 5, 2)
+                run.combo(f"pair({j},{j+1}) lowered product", lowA, Bp, 2 * m - 5, 2)
         else:
             # size-2 blocks: raise the lowered side back to the top, then use
             # the first product of the two top elements as the second vector
             topB = run.g(m, j + 1, j)
             if not run.have(topB):
-                run.single(f"pair({j},{j+1}) raise (2,1)-side", c1.label, c1.lt1, str(Bp),
-                           run.pure(Bp), 0, topB)
+                run.single(f"pair({j},{j+1}) raise (2,1)-side", c1, Bp, 0, topB)
             if run.have(topB):
-                run.combo(f"pair({j},{j+1}) top product", str(A), run.pure(A), str(topB),
-                          run.pure(topB), 2 * m - 3, 2)
+                run.combo(f"pair({j},{j+1}) top product", A, topB, 2 * m - 3, 2)
     run.solve_slice(2)
     # equal leading pair with m >= 3: the top (2,1)-side element is absent
     # from the weak set; recover it by raising once the anchor is separated
@@ -474,8 +470,7 @@ def _big_pair(run: _Run, j: int):
         topB = run.g(w, j + 1, j)
         Bp = run.g(a - 1, j + 1, j)
         if anch is not None and not run.have(topB):
-            run.single(f"pair({j},{j+1}) raise (2,1)-side", str(anch), run.pure(anch),
-                       str(Bp), run.pure(Bp), 0, topB)
+            run.single(f"pair({j},{j+1}) raise (2,1)-side", anch, Bp, 0, topB)
 
 
 def _ladder_fill(run: _Run, r: int, c: int):
@@ -494,15 +489,13 @@ def _ladder_fill(run: _Run, r: int, c: int):
     while t > lo:
         cur, below = run.g(t, r, c), run.g(t - 1, r, c)
         if run.have(cur) and not run.have(below):
-            run.single(f"ladder({r},{c}) lower to weight {t-1}", str(anch), run.pure(anch),
-                       str(cur), run.pure(cur), 2, below)
+            run.single(f"ladder({r},{c}) lower to weight {t-1}", anch, cur, 2, below)
         t -= 1
     t = lo
     while t < hi:
         cur, above = run.g(t, r, c), run.g(t + 1, r, c)
         if run.have(cur) and not run.have(above):
-            run.single(f"ladder({r},{c}) raise to weight {t+1}", str(anch), run.pure(anch),
-                       str(cur), run.pure(cur), 0, above)
+            run.single(f"ladder({r},{c}) raise to weight {t+1}", anch, cur, 0, above)
         t += 1
 
 
@@ -535,8 +528,7 @@ def _distant_blocks(run: _Run):
                     continue
                 land = left.weight + right.weight - 1
                 target = run.g(land, r, c)
-                run.single(f"hop({r},{c}) via block {mid}", str(left), run.pure(left),
-                           str(right), run.pure(right), 0, target)
+                run.single(f"hop({r},{c}) via block {mid}", left, right, 0, target)
                 _ladder_fill(run, r, c)
 
 
@@ -567,8 +559,8 @@ def _big_towers(run: _Run):
                     continue
                 if not (run.have(xa) and run.have(xb)):
                     continue
-                run.combo(f"tower weight {t} from pair ({j},{j+1})", str(xa), run.pure(xa),
-                          str(xb), run.pure(xb), n, wt, collect_only=True)
+                run.combo(f"tower weight {t} from pair ({j},{j+1})", xa, xb, n, wt,
+                          collect_only=True)
         run.solve_slice(wt)
         run.claim_slice(f"tower weight {t} separation", wt)
 
@@ -615,40 +607,33 @@ def _small_pair(run: _Run, j: int):
             anch = _anchor(run, j)
             if anch is None:
                 # size-2 leading block: lower with the weight-2 combination
-                c0 = run.combo(f"pair({j},{j+1}) weight-2 combination", str(u), run.pure(u),
-                               str(vtop), run.pure(vtop), 0, 2,
+                c0 = run.combo(f"pair({j},{j+1}) weight-2 combination", u, vtop, 0, 2,
                                ratio=_pair_ratio_small(run, j), ratio_blocks=(j, j + 1),
                                magnitude_only=odd)
                 made_combo = c0 is not None
                 if c0 is not None:
-                    run.single(f"pair({j},{j+1}) recover bottom (2,1)-side", c0.label, c0.lt1,
-                               str(vtop), run.pure(vtop), 2, vbot)
+                    run.single(f"pair({j},{j+1}) recover bottom (2,1)-side", c0, vtop, 2, vbot)
             else:
-                run.single(f"pair({j},{j+1}) recover bottom (2,1)-side", str(anch),
-                           run.pure(anch), str(vtop), run.pure(vtop), 2, vbot)
+                run.single(f"pair({j},{j+1}) recover bottom (2,1)-side", anch, vtop, 2, vbot)
         else:
             # later equal pair: raise the in-set bottom to weight 2 first
             anch = _anchor(run, j, j + 1)
             if anch is not None and not run.have(vtop):
-                run.single(f"pair({j},{j+1}) raise (2,1)-side", str(anch), run.pure(anch),
-                           str(vbot), run.pure(vbot), 0, vtop)
+                run.single(f"pair({j},{j+1}) raise (2,1)-side", anch, vbot, 0, vtop)
         if not made_combo and run.have(vtop):
-            run.combo(f"pair({j},{j+1}) weight-2 combination", str(u), run.pure(u),
-                      str(vtop), run.pure(vtop), 0, 2,
-                      ratio=_pair_ratio_small(run, j) if first else None,
-                      ratio_blocks=(j, j + 1), magnitude_only=odd)
+            run.combo(f"pair({j},{j+1}) weight-2 combination", u, vtop, 0, 2,
+                      ratio=_pair_ratio_small(run, j) if first else None, ratio_blocks=(j, j + 1),
+                      magnitude_only=odd)
         v = vbot
     else:
         v = run.g(tb, j + 1, j)
         ratio = None
         if first and a > b:
             ratio = _pair_ratio_small(run, j)
-        run.combo(f"pair({j},{j+1}) weight-2 combination", str(u), run.pure(u), str(v),
-                  run.pure(v), gap - 1, 2, ratio=ratio, ratio_blocks=(j, j + 1),
-                  magnitude_only=odd)
+        run.combo(f"pair({j},{j+1}) weight-2 combination", u, v, gap - 1, 2, ratio=ratio,
+                  ratio_blocks=(j, j + 1), magnitude_only=odd)
     if run.have(u) and run.have(v):
-        run.combo(f"pair({j},{j+1}) weight-1 combination", str(u), run.pure(u), str(v),
-                  run.pure(v), gap, 1)
+        run.combo(f"pair({j},{j+1}) weight-1 combination", u, v, gap, 1)
     run.solve_slice(2)
     # a size-2 leading block leaves the weight-2 slice underdetermined:
     # mirror the top-weight schedule's second vector (raise the (1,2)-side
@@ -660,11 +645,9 @@ def _small_pair(run: _Run, j: int):
             utop = run.g(2, j, j + 1)
             vtop = run.g(2, j + 1, j)
             if c0 is not None and not run.have(utop):
-                run.single(f"pair({j},{j+1}) raise (1,2)-side", c0.label, c0.lt1, str(u),
-                           run.pure(u), 0, utop)
+                run.single(f"pair({j},{j+1}) raise (1,2)-side", c0, u, 0, utop)
             if run.have(utop) and run.have(vtop):
-                run.combo(f"pair({j},{j+1}) auxiliary top product", str(vtop), run.pure(vtop),
-                          str(utop), run.pure(utop), 1, 2)
+                run.combo(f"pair({j},{j+1}) auxiliary top product", vtop, utop, 1, 2)
                 run.solve_slice(2)
 
 
@@ -683,20 +666,18 @@ def _small_weight3(run: _Run):
         if gap >= 2:
             v = run.g(tb, j + 1, j)
             if run.have(u) and run.have(v):
-                run.combo(f"pair({j},{j+1}) weight-3 combination", str(u), run.pure(u),
-                          str(v), run.pure(v), gap - 2, 3, collect_only=True)
+                run.combo(f"pair({j},{j+1}) weight-3 combination", u, v, gap - 2, 3,
+                          collect_only=True)
         else:
             # raise the (1,2)-side bottom one rung, then take a zeroth
             # product against the (2,1)-side weight-2 rung
             anch = _anchor(run, j, j + 1)
             up = run.g(tb + 1, j, j + 1)
             if anch is not None and run.have(u) and not run.have(up):
-                run.single(f"pair({j},{j+1}) raise (1,2)-side", str(anch), run.pure(anch),
-                           str(u), run.pure(u), 0, up)
+                run.single(f"pair({j},{j+1}) raise (1,2)-side", anch, u, 0, up)
             w2 = run.g(2, j + 1, j) if a == b else run.g(tb, j + 1, j)
             if run.have(up) and run.have(w2):
-                run.combo(f"pair({j},{j+1}) weight-3 combination", str(up), run.pure(up),
-                          str(w2), run.pure(w2), 0, 3, collect_only=True)
+                run.combo(f"pair({j},{j+1}) weight-3 combination", up, w2, 0, 3, collect_only=True)
     run.solve_slice(3)
     run.claim_slice("weight-3 separation", 3)
 
@@ -713,8 +694,7 @@ def _small_towers(run: _Run):
             g3 = run.g(3, j, j)
             below = run.g(t - 1, j, j)
             if run.have(g3) and run.have(below):
-                run.combo(f"tower weight {t} on block {j}", str(g3), run.pure(g3),
-                          str(below), run.pure(below), 1, wt, collect_only=True)
+                run.combo(f"tower weight {t} on block {j}", g3, below, 1, wt, collect_only=True)
         run.solve_slice(wt)
         run.claim_slice(f"tower weight {t} separation", wt)
 
@@ -739,8 +719,7 @@ def _run_small(run: _Run) -> DerivationReport:
         branch.append("parity boundary at the leading pair")
     P = run.g(3, l, l)
     if run.have(P):
-        run.single("reference-block weight-2 anchor", str(P), run.pure(P), str(P),
-                   run.pure(P), 3, run.g(2, l, l))
+        run.single("reference-block weight-2 anchor", P, P, 3, run.g(2, l, l))
     for j in range(1, run.d):
         _small_pair(run, j)
     run.claim_slice("weight-2 separation", 2)

@@ -23,13 +23,14 @@ from conftest import (affine_table_reference, bracket_by_chains, corrupted_table
                       gen, poly_normalize, poly_weight, reexpress, small_shapes,
                       solve_generator_reference, substitute, table_of, verify_every_ordered_pair,
                       weight_system_reference, wrong_parity_table)
+from walgebra import dsreduction
 from walgebra.coeffs import ONE, Coeff
-from walgebra.dsreduction import (ReductionCtx, _weight_search, _weight_system, reconcile,
-                                  reduced_bracket, solve_all, weight_monomials)
+from walgebra.dsreduction import (ReductionCtx, _through, _weight_search, _weight_system,
+                                  reconcile, reduced_bracket, solve_all, weight_monomials)
 from walgebra.errors import NoSolution, NormalizationImpossible, WAlgebraError
 from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
                                 pairing_index, pairings)
-from walgebra.linalg import solve_each
+from walgebra.linalg import System, solve_each
 from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution, check_jacobi,
                               extend_bracket, normalize_factors)
 from walgebra.wbracket import MasterEngine
@@ -414,13 +415,90 @@ def test_correction_monomials_bracket_through_their_factors(shape, data):
     affine = rctx.affine_table()
     engine = affine.engine
     sub = Substitution(affine, W)
-    vals = {g: engine.graded(W[g]) for g in lower}
     for b in lower:
-        got = sub.bracket_images(monos, vals[b],
-                                 lambda c: engine.graded_bracket(vals[c], vals[b]))
+        got = sub.bracket_images(monos, b)
         for mu, bracket in zip(monos, got):
             want = extend_bracket(affine, sub(DiffPoly({mu: ONE})), W[b])
             assert _lifted_bracket(engine, bracket) == want, (mu, b)
+
+
+# shapes with odd generators on both sides of a stage letter, and a plain one
+THROUGH_SHAPES = [("sl_super", (2,), (1,)), ("sl_super", (2, 1), (1,)), ("sl", (2, 2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(THROUGH_SHAPES), st.data())
+def test_stage_replacement_matches_the_override_reference(shape, data):
+    # a stage puts a correction monomial mu in the place of its letter l in
+    # the target: each monomial holds one factor d^j(l), replaced by d^j(mu)
+    # in factor order on the generator side and substituted by the stage's
+    # own Substitution; the reference maps l to mu's image by an override.
+    # The identity holds for any letter and monomial: a stage letter sorts
+    # after its lower factors, so a letter of lower weight is drawn too, for
+    # suffixes whose odd factors pass an odd mu.  mu has weight at most 3 and
+    # at most two factors, which keeps the images small
+    rctx, gens, W, _ = _realized(*shape)
+    l = data.draw(st.sampled_from(gens))
+    mu = data.draw(st.sampled_from([m for t in range(2, 7) for m in weight_monomials(
+        gens, lambda g: g.t, F(t, 2)) if len(m) <= 2]))
+    factor = st.tuples(st.sampled_from([g for g in gens if g != l]), st.integers(0, 1))
+    terms = [(data.draw(st.lists(factor, max_size=1)) + [(l, data.draw(st.integers(0, 2)))]
+              + data.draw(st.lists(factor, max_size=1)),
+              data.draw(st.sampled_from(SUBSTITUTION_COEFFS)))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    part = poly_normalize(terms)
+    affine = rctx.affine_table()
+    sub = Substitution(affine, W)
+    want = Substitution(affine, ChainMap({l: sub(DiffPoly({mu: ONE}))}, W))(part)
+    assert sub(_through(part, l, mu)) == want, (part, l, mu)
+
+
+def _counting(cls, made: list):
+    """A subclass of cls whose instances are appended to made."""
+    class Counted(cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+    return Counted
+
+
+def test_reconcile_runs_each_stage_on_one_substitution(monkeypatch):
+    # one Substitution per stage with correction monomials and one for the
+    # final verification, none per correction monomial
+    shape = ("sl", (2, 2))
+    rctx = ReductionCtx(ctx_of(*shape))
+    gens = rctx.cdata.gens
+    stages = [w for w in {g.t for g in gens}
+              if weight_monomials([g for g in gens if g.t < w], lambda g: g.t, w)]
+    made: list = []
+    monkeypatch.setattr(dsreduction, "Substitution", _counting(Substitution, made))
+    assert reconcile(rctx, table_of(*shape)).ok
+    assert len(made) == len(stages) + 1 == 2
+
+
+@pytest.mark.parametrize("shape", [("sl", (2, 2)), ("sl_super", (2, 1), (1,)), ("sl", (3, 1))],
+                         ids=str)
+def test_no_stage_system_outlives_its_stage(monkeypatch, shape):
+    # every System reconcile builds is freed by reference counting before the
+    # next Substitution is made, the final verification's included
+    systems: list = []
+    alive: list = []  # the Systems alive as each Substitution is made
+    monkeypatch.setattr(dsreduction, "System", _counting(System, systems))
+
+    class Watched(Substitution):
+        def __init__(self, *args):
+            alive.append(sum(r() is not None for r in systems))
+            super().__init__(*args)
+
+    monkeypatch.setattr(dsreduction, "Substitution", Watched)
+    rctx, table = ReductionCtx(ctx_of(*shape)), table_of(*shape)
+    gc.disable()
+    try:
+        assert reconcile(rctx, table).ok
+    finally:
+        gc.enable()
+    assert len(alive) >= 2 and systems
+    assert alive == [0] * len(alive)
 
 
 def test_reconcile_drops_the_engine_memos():
