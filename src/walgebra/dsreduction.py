@@ -74,8 +74,18 @@ verification over unordered pairs, (b, a) following from (a, b), is the full
 one.  Parity keeps every realization homogeneous, which the factor-wise
 brackets read their signs from.  The final verification brackets every
 pair, {W_a lambda W_a} included, by the engine's graded_bracket, the sum
-over the terms x of W_a of {x lambda W_b} through x's factors, which holds
-on any table.
+over the terms x of the left operand of {x lambda B} through x's factors,
+which holds on any table and costs per term on the left.  For a != b,
+X^{ba} = S X^{ab} with X^{ab} = {W_a lambda W_b} - T_ab(W), so a pair is
+checked in the orientation that puts the realization of fewer terms on the
+left, against the closed-form entry of that orientation.  For an even a,
+X(lambda) = -X(-lambda-d) on the self-bracket fixes X_0 = -1/2 sum_{n>=1}
+(-1)^n d^n X_n, and each even power from the odd ones above it, so X = 0
+exactly when its parts from lambda^1 up vanish: only those are computed and
+compared, the target's lambda^0 part dropped too.  An odd a leaves X_0 free,
+so its self-bracket is compared in full; a self-bracket is cut only when
+every term of W_a is even.  A failing pair is lifted in full, in the stages'
+orientation.
 
 Substitution.  reconcile evaluates generator-side polynomials (table
 targets, corrections) at the realizations through pvacore.Substitution, on
@@ -433,15 +443,21 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         W.update({g: W[g] + sub(c) for g, c in found.items() if c})
 
     corrected = GeneratorSolution(W)
-    # full verification on graded ints, each unordered pair once, in the
-    # stages' orientation (the later generator first)
+    # full verification on graded ints, each unordered pair once: a distinct
+    # pair with the realization of fewer terms on the left, an even
+    # self-bracket from lambda^1 up; a failure is reported in the stages'
+    # orientation (the later generator first)
     sub = Substitution(affine, W)
+    engine = affine.engine
     for i, a in enumerate(gens_all):
+        A = _image(sub, a)
         for b in gens_all[:i + 1]:
-            target = table.lookup(a, b)
-            want = {n: sub.graded(p) for n, p in target.coeffs.items()}
-            if not _agrees(affine.engine.graded_bracket(_image(sub, a), _image(sub, b)), want):
-                want = LambdaPoly({n: sub(p) for n, p in target.coeffs.items()})
+            B = _image(sub, b)
+            x, y, X, Y = (b, a, B, A) if len(B[2]) < len(A[2]) else (a, b, A, B)
+            low = 1 if a == b and not any(map(engine._parity, A[2])) else 0
+            want = {n: sub.graded(p) for n, p in table.lookup(x, y).coeffs.items() if n >= low}
+            if not _agrees(engine.graded_bracket(X, Y, low), want):
+                want = LambdaPoly({n: sub(p) for n, p in table.lookup(a, b).coeffs.items()})
                 return ReconcileReport(False, corrections, corrected, deferred=deferred, failure={
                     "pair": (a, b), "got": reduced_bracket(rctx, W[a], W[b]), "want": want})
     return ReconcileReport(True, corrections, corrected, deferred=deferred)

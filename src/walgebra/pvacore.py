@@ -92,8 +92,11 @@ graded_bracket returns (L*M_A*M_B, s_A + s_B, {n: {monomial: int}}),
 lambda^n at degree s_A + s_B + g*n, which extend_bracket sums over its
 operands' degree pairs and the reduction oracle reads at k=1.
 graded_bracket sums {x lambda B} over the terms x of A through x's factors,
-{v lambda B} summed once per letter v, and holds on any table.  The linear
-term of an n-th product of two linear combinations has one summation,
+{v lambda B} summed once per letter v, and holds on any table.  Given a
+lower bound low it computes only the parts from lambda^low up (an arrow of
+the left Leibniz rule only lowers the power), all that nth_product needs and
+all that reconcile compares of an even self-bracket.  The linear term of an
+n-th product of two linear combinations has one summation,
 linear_ints: it takes both combinations cleared by clear (a common
 denominator and one int per variable rank), reads the store's ints at k=1
 beside their power g*n, and returns the sum as ints at L times the two
@@ -768,15 +771,16 @@ class _Leibniz:
         engine's grading; WAlgebraError naming P when it mixes degrees."""
         return self.space.homogeneous(P, self.g, P)
 
-    def graded_bracket(self, A: tuple, B: tuple) -> tuple:
-        """{A lambda B} of two homogeneous values, as (L*M_A*M_B, s_A + s_B,
-        {lambda power n: {monomial: int}}), lambda^n at degree s_A + s_B + g*n:
-        the sum over the terms c_x x of A of c_x {x lambda B}, a constant x
-        skipped, on any table.  B is split by parity class, and each {x lambda
-        B} runs through x's factors by one ProductBracket per class: its base
-        {d^j v lambda B} = (-lambda)^j {v lambda B}, with {v lambda B} = sum
-        over the terms c_y y of B of c_y {v lambda y} summed once per letter
-        v, and its arrows multiply by d^k of interned monomials."""
+    def graded_bracket(self, A: tuple, B: tuple, low: int = 0) -> tuple:
+        """{A lambda B} of two homogeneous values from lambda^low up, as
+        (L*M_A*M_B, s_A + s_B, {lambda power n >= low: {monomial: int}}),
+        lambda^n at degree s_A + s_B + g*n: the sum over the terms c_x x of A
+        of c_x {x lambda B}, a constant x skipped, on any table.  B is split
+        by parity class, and each {x lambda B} runs through x's factors by one
+        ProductBracket per class, cut below lambda^low: its base {d^j v lambda
+        B} = (-lambda)^j {v lambda B}, with {v lambda B} = sum over the terms
+        c_y y of B of c_y {v lambda y} summed once per letter v, and its
+        arrows multiply by d^k of interned monomials."""
         (Ma, sa, ta), (Mb, sb, tb) = A, B
         parity = self._parity
         classes: tuple = ({}, {})  # B's terms by parity
@@ -786,7 +790,7 @@ class _Leibniz:
         for pB, part in enumerate(classes):
             if not part:
                 continue
-            product = ProductBracket(self, _LetterBase(self, part), self._dpow, parity, pB)
+            product = ProductBracket(self, _LetterBase(self, part), self._dpow, parity, pB, low)
             for x, cx in ta.items():
                 if not x:
                     continue  # a constant brackets to zero
@@ -945,23 +949,29 @@ class ProductBracket:
     one factor, power(y, k) = d^k of the product y as {interned monomial:
     int}, and parity(y).  An arrow takes lambda^n of the bracket to sum_k
     C(n, k) lambda^(n-k) times its coefficient times d^k(y), on the
-    engine's product memo.  The value of every product and suffix met is
-    memoized in the object, which lives as long as its caller keeps it: one
-    call, except the Jacobi sweep's, one per letter, which the engine keeps
-    until drop_memos."""
+    engine's product memo.  An arrow only lowers the lambda power, so with a
+    lower bound `low` the parts below lambda^low are never needed: the base
+    is cut below it and an arrow stops at it, and every value holds the
+    bracket's parts from lambda^low up.  The value of every product and
+    suffix met is memoized in the object, which lives as long as its caller
+    keeps it: one call, except the Jacobi sweep's, one per letter, which the
+    engine keeps until drop_memos."""
 
-    __slots__ = ("_add_times", "_base", "_power", "_parity", "_pB", "_memo")
+    __slots__ = ("_add_times", "_base", "_power", "_parity", "_pB", "_low", "_memo")
 
-    def __init__(self, engine: _Leibniz, base, power, parity, pB: int):
+    def __init__(self, engine: _Leibniz, base, power, parity, pB: int, low: int = 0):
         self._add_times = engine._add_times
         self._base, self._power, self._parity, self._pB = base, power, parity, pB
+        self._low = low
         self._memo: dict = {}
 
     def __call__(self, m: tuple) -> dict:
         hit = self._memo.get(m)
         if hit is None:
             if len(m) == 1:
-                hit = self._base(m[0])
+                hit, low = self._base(m[0]), self._low
+                if low:
+                    hit = {n: p for n, p in hit.items() if n >= low}
             else:
                 head, rest = m[:1], m[1:]
                 parity, pB = self._parity, self._pB
@@ -973,10 +983,11 @@ class ProductBracket:
         return hit
 
     def _arrow(self, out: dict, br: dict, y: tuple, sign: int) -> None:
-        """out += sign * {X_{lambda+d} B}_-> y for br = {X lambda B}."""
-        add_times, power = self._add_times, self._power
+        """out += sign * {X_{lambda+d} B}_-> y for br = {X lambda B}, from
+        lambda^low up."""
+        add_times, power, low = self._add_times, self._power, self._low
         for n, p in br.items():
-            for k in range(n + 1):
+            for k in range(n - low + 1):
                 dst = out.setdefault(n - k, {})
                 mult = sign * comb(n, k)
                 for z, cz in power(y, k).items():
@@ -1008,26 +1019,27 @@ class _LetterBase:
         return _minus_lambda_power(val, j)
 
 
-def extend_bracket(table: BracketTable, A: DiffPoly, B: DiffPoly) -> LambdaPoly:
+def extend_bracket(table: BracketTable, A: DiffPoly, B: DiffPoly, low: int = 0) -> LambdaPoly:
     """{A lambda B} for arbitrary differential polynomials over the table's
-    variables: graded_bracket summed over the pairs of degrees of A and B,
-    lifted at the edge.  Coefficients multiply through; constants bracket
-    to zero."""
+    variables, from lambda^low up: graded_bracket summed over the pairs of
+    degrees of A and B, lifted at the edge.  Coefficients multiply through;
+    constants bracket to zero."""
     engine = table.engine
     space, g = engine.space, engine.g
     (Ma, pa), (Mb, pb) = space.graded(A, g), space.graded(B, g)
     out: dict = {}  # lambda power -> {degree: {monomial: int}}
     for sa, ta in pa.items():
         for sb, tb in pb.items():
-            _, s, rows = engine.graded_bracket((Ma, sa, ta), (Mb, sb, tb))
+            _, s, rows = engine.graded_bracket((Ma, sa, ta), (Mb, sb, tb), low)
             for n, p in rows.items():
                 _add_scaled(out.setdefault(n, {}).setdefault(s + g * n, {}), p, 1)
     return LambdaPoly({n: space.lift(engine.L * Ma * Mb, parts, g) for n, parts in out.items()})
 
 
 def nth_product(table: BracketTable, A: DiffPoly, B: DiffPoly, n: int) -> DiffPoly:
-    """n-th product a_(n)b = n! * (coefficient of lambda^n in {A lambda B})."""
-    return extend_bracket(table, A, B).get(n).scale(factorial(n))
+    """n-th product a_(n)b = n! * (coefficient of lambda^n in {A lambda B}),
+    the bracket computed from lambda^n up."""
+    return extend_bracket(table, A, B, n).get(n).scale(factorial(n))
 
 
 # ---------------------------------------------------------------------------

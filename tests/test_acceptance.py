@@ -66,7 +66,9 @@ def test_criterion_02_reconcile_zero_residual():
               ("sl", (2, 2, 1), ()), ("sl_super", (4,), (2,)), ("sl", (4, 2), ()),
               ("sl", (3, 2, 1), ())]
     times = [_reconcile_within(kind, p1, p2, 60.0) for kind, p1, p2 in shapes]
-    _report(2, f"{len(shapes)} reconciliations, slowest {max(times):.2f}s")
+    each = ", ".join(f"({'|'.join(','.join(map(str, p)) for p in (p1, p2) if p)}) {dt:.2f}s"
+                     for (_, p1, p2), dt in zip(shapes, times))
+    _report(2, f"{len(shapes)} reconciliations: {each}")
 
 
 def test_criterion_03_axiom_suite():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from conftest import (affine_table_reference, bracket_by_chains, corrupted_table, ctx_of, flatten,
-                      gen, poly_normalize, poly_weight, reexpress, small_shapes,
+                      gen, monomial_parity, poly_normalize, poly_weight, reexpress, small_shapes,
                       solve_generator_reference, substitute, table_of, verify_every_ordered_pair,
                       weight_system_reference, wrong_parity_table)
 from walgebra import dsreduction
@@ -31,8 +31,8 @@ from walgebra.errors import NoSolution, NormalizationImpossible, WAlgebraError
 from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
                                 pairing_index, pairings)
 from walgebra.linalg import System, solve_each
-from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution, check_jacobi,
-                              extend_bracket, normalize_factors)
+from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution, apply_partial,
+                              check_jacobi, check_skew, extend_bracket, normalize_factors)
 from walgebra.wbracket import MasterEngine
 
 F = Fraction
@@ -103,10 +103,41 @@ def _reconcile_digest(rep) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@lru_cache(maxsize=None)
+def _reconciled(kind, p1, p2=()):
+    """The shape's reduction context and its reconcile report, kept across
+    the tests that read them."""
+    rctx = ReductionCtx(ctx_of(kind, p1, p2))
+    return rctx, reconcile(rctx, table_of(kind, p1, p2))
+
+
 def test_reconcile_results_are_pinned():
     for (kind, p1, p2), digest in RECONCILE_DIGESTS.items():
-        rep = reconcile(ReductionCtx(ctx_of(kind, p1, p2)), table_of(kind, p1, p2))
+        rep = _reconciled(kind, p1, p2)[1]
         assert rep.ok and _reconcile_digest(rep) == digest, (kind, p1, p2)
+
+
+def test_an_even_self_bracket_is_fixed_by_its_positive_powers():
+    # skew symmetry of {W_a lambda W_a} for an even a fixes its lambda^0 part
+    # as -1/2 sum_{n>=1} (-1)^n d^n of its lambda^n parts, which lets the
+    # final verification compare only lambda^1 up; the realizations on the
+    # super shapes have their generator's parity, which decides which
+    # self-brackets are cut
+    nonzero = 0
+    for kind, p1, p2 in RECONCILE_DIGESTS:
+        rctx, rep = _reconciled(kind, p1, p2)
+        W = rep.corrected.solutions
+        for a, Wa in W.items():
+            if kind == "sl_super":
+                assert {monomial_parity(m) for m in Wa.terms} == {a.parity}, (kind, p1, p2, a)
+            if a.parity:
+                continue
+            br = reduced_bracket(rctx, Wa, Wa)
+            rest = sum((apply_partial(br.get(n), n).scale((-1) ** n)
+                        for n in br.coeffs if n), DiffPoly())
+            assert br.get(0) == rest.scale(F(-1, 2)), (kind, p1, p2, a)
+            nonzero += bool(br.get(0))
+    assert nonzero
 
 
 # criterion 2's fast shapes and (3,2)
@@ -586,13 +617,77 @@ def test_reconcile_refuses_an_affine_table_that_is_not_skew():
 
 def test_reconcile_refuses_a_skew_table_that_breaks_jacobi():
     # skew symmetry holds, so the refusal comes from the graded comparison
-    # of the final verification, lifted for the failing pair only
+    # of the final verification at lambda^0, lifted for the failing pair
+    # only and in the stages' orientation, the later generator first
     ctx = ctx_of("sl", (2, 1))
-    rep = reconcile(ReductionCtx(ctx), corrupted_table())
+    rctx = ReductionCtx(ctx)
+    rep = reconcile(rctx, corrupted_table())
     assert not rep.ok
     assert "stage" not in rep.failure
-    assert set(rep.failure["pair"]) == {gen(ctx, "3/2", 1, 2), gen(ctx, "3/2", 2, 1)}
+    a, b = gen(ctx, "3/2", 2, 1), gen(ctx, "3/2", 1, 2)
+    gens = ctx.centralizer().gens
+    assert gens.index(a) > gens.index(b)
+    assert rep.failure["pair"] == (a, b)
+    W = rep.corrected.solutions
+    assert rep.failure["got"] == reduced_bracket(rctx, W[a], W[b])
     assert rep.failure["got"] != rep.failure["want"]
+
+
+def _self_bracket_changed(tab, a, extra: LambdaPoly) -> BracketTable:
+    entries = dict(tab.entries)
+    entries[(a, a)] = entries[(a, a)] + extra
+    return BracketTable(tab.variables, entries)
+
+
+def _refused_at_self_bracket(ctx, tab, a):
+    """reconcile refuses tab, which passes the skew check, at the final
+    verification of (a, a), with the full bracket and target lifted."""
+    assert check_skew(tab) == []
+    rctx = ReductionCtx(ctx)
+    rep = reconcile(rctx, tab)
+    assert not rep.ok
+    assert "stage" not in rep.failure and rep.failure["pair"] == (a, a)
+    W = rep.corrected.solutions
+    assert rep.failure["got"] == reduced_bracket(rctx, W[a], W[a])
+    assert rep.failure["want"] == LambdaPoly(
+        {n: Substitution(rctx.affine_table(), W)(p) for n, p in tab.lookup(a, a).coeffs.items()})
+    assert rep.failure["got"] != rep.failure["want"]
+
+
+def test_reconcile_refuses_an_even_self_bracket_changed_above_lambda_0():
+    # k(lambda L + 1/2 dL) added to {L lambda L} on sl(3): skew-consistent
+    # for the even L, and no stage equation reads it, so only the final
+    # verification from lambda^1 up sees it
+    ctx = ctx_of("sl", (3,))
+    L = gen(ctx, 2, 1, 1)
+    l = DiffPoly.variable(L)
+    extra = LambdaPoly({1: l.scale(K), 0: apply_partial(l).scale(F(1, 2) * K)})
+    _refused_at_self_bracket(ctx, _self_bracket_changed(table_of("sl", (3,)), L, extra), L)
+
+
+def test_reconcile_refuses_an_odd_self_bracket_changed_at_lambda_0():
+    # q[2](1,1) added to {a lambda a} at lambda^0 for the odd a = q[3/2](1,2)
+    # on sl(2|1): skew-consistent for an odd a, whose lambda^0 part skew
+    # symmetry leaves free, so only a full self-bracket sees it
+    ctx = ctx_of("sl_super", (2,), (1,))
+    a = gen(ctx, "3/2", 1, 2)
+    assert a.parity
+    extra = LambdaPoly({0: DiffPoly.variable(gen(ctx, 2, 1, 1))})
+    _refused_at_self_bracket(
+        ctx, _self_bracket_changed(table_of("sl_super", (2,), (1,)), a, extra), a)
+
+
+def test_reconcile_refuses_an_even_self_bracket_changed_at_lambda_0_as_not_skew():
+    # a lambda^0 term alone on an even diagonal entry breaks skew symmetry
+    ctx = ctx_of("sl_super", (2,), (1,))
+    e = gen(ctx, 1, 2, 2)
+    assert not e.parity
+    tab = _self_bracket_changed(table_of("sl_super", (2,), (1,)), e,
+                                LambdaPoly({0: DiffPoly.variable(e)}))
+    rep = reconcile(ReductionCtx(ctx), tab)
+    assert not rep.ok
+    assert rep.failure["stage"] == "skew" and rep.failure["table"] == "closed-form"
+    assert rep.failure["pair"] == (e, e)
 
 
 def test_reconcile_corrections_stay_lower_weight():

@@ -16,7 +16,7 @@ import itertools
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 import pytest
@@ -462,6 +462,30 @@ def test_engine_matches_reference_on_random_composites(data):
     # bracketed through its own factors on the left
     S = _self_bracket_operand(data, gens)
     assert extend_bracket(tab, S, S) == reference_bracket(tab, S, S)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("sl", (3, 2), ()), ("sl_super", (2,), (1,))]), st.data())
+def test_bracket_from_a_lower_bound_is_the_full_bracket_cut(shape, data):
+    # graded_bracket(A, B, low) is the full bracket without its parts below
+    # lambda^low, on every pair of degrees of A and B, a self-bracket
+    # included; nth_product, which brackets from lambda^n up, is the n-th
+    # part of the full bracket
+    tab = table_of(*shape)
+    engine, gens = tab.engine, tab.variables
+    space = engine.space
+    A = _self_bracket_operand(data, gens)
+    B = data.draw(st.sampled_from([A, _self_bracket_operand(data, gens)]))
+    (Ma, pa), (Mb, pb) = space.graded(A, 1), space.graded(B, 1)
+    for sa, ta in pa.items():
+        for sb, tb in pb.items():
+            M, s, full = engine.graded_bracket((Ma, sa, ta), (Mb, sb, tb))
+            for low in range(4):
+                cut = {n: p for n, p in full.items() if n >= low}
+                assert engine.graded_bracket((Ma, sa, ta), (Mb, sb, tb), low) == (M, s, cut)
+    whole = extend_bracket(tab, A, B)
+    for n in range(whole.degree() + 2):
+        assert nth_product(tab, A, B, n) == whole.get(n).scale(factorial(n))
 
 
 def _pair_composites(a, b):
