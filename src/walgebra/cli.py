@@ -218,26 +218,25 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         merged.update(_load_config_file(args.config))
         _check_config(args.command, merged)
 
-    def pick(flag: str, default):
+    def pick(flag: str):
         val = getattr(args, flag, None)
         if val is None:
-            val = merged.get(flag, default)
+            val = merged.get(flag, _RUN_DEFAULTS[flag])
         return val
 
-    kind = pick("kind", "sl").replace("-", "_")
     return RunConfig(
         command=args.command,
-        kind=kind,
-        partition=_parse_partition(pick("partition", "")),
-        partition2=_parse_partition(pick("partition2", "")),
-        flavor=pick("flavor", "big"),
-        seed=pick("seed", "big"),
-        ktilde=pick("ktilde", "one"),
-        format=pick("format", "text"),
-        output=pick("output", None),
-        max_weight=_parse_weight(pick("max_weight", None)),
-        max_n=_parse_cap("max_n", pick("max_n", None)),
-        max_elements=_parse_cap("max_elements", pick("max_elements", None)),
+        kind=pick("kind").replace("-", "_"),
+        partition=_parse_partition(pick("partition")),
+        partition2=_parse_partition(pick("partition2")),
+        flavor=pick("flavor"),
+        seed=pick("seed"),
+        ktilde=pick("ktilde"),
+        format=pick("format"),
+        output=pick("output"),
+        max_weight=_parse_weight(pick("max_weight")),
+        max_n=_parse_cap("max_n", pick("max_n")),
+        max_elements=_parse_cap("max_elements", pick("max_elements")),
         gens=((_parse_gen_spec(args.left), _parse_gen_spec(args.right))
               if args.command == "bracket" else ()),
     )

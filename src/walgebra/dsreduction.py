@@ -103,11 +103,13 @@ stage of the weight ladder that has correction monomials, and the final
 verification.  It holds the realizations W_a in its letter memo and the
 images of d^n(letter), of whole monomials and of their derivatives for that
 lifetime, so a stage changes W only after its last image is read.  A target
-monomial holds one stage factor d^j(l); a correction monomial mu enters in
-its place as prefix * d^j(mu) * suffix on the generator side.  A stage's
-system and bracket memos are freed when the stage returns.  The affine
-engine's bracket memos are dropped when reconcile returns; its skew verdict
-and Jacobi orbits stay.
+monomial holds at most one stage factor d^j(l), and as its last factor:
+every other letter weighs less, so it sorts first.  A correction monomial mu
+enters in its place as image(rest) * d^j(mu(W)), multiplied and summed on
+ints by the Substitution's times and combine.  A stage's system and bracket
+memos are freed when the stage returns.  The affine engine's bracket memos
+are dropped when reconcile returns; its skew verdict and Jacobi orbits
+stay.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ from .errors import NoSolution, WAlgebraError
 from .liestruct import AlgebraCtx, GenIndex, StructureKernel, SuperMatrix, pairing_index
 from .linalg import System
 from .pvacore import (_STRIDE, BracketTable, DiffPoly, GradedStore, LambdaPoly, Substitution,
-                      VarSpace, apply_partial, check_skew, extend_bracket)
+                      VarSpace, check_skew, extend_bracket)
 
 
 class AffVar(namedtuple("AffVar", "g n")):
@@ -143,13 +145,6 @@ class AffVar(namedtuple("AffVar", "g n")):
 
     def __str__(self) -> str:
         return f"{self.g}[{self.n}]" if self.n else str(self.g)
-
-
-class GeneratorSolution:
-    """Pinned realizations W_a of every generator."""
-
-    def __init__(self, solutions: dict):
-        self.solutions = solutions  # GenIndex -> DiffPoly
 
 
 class ReductionCtx:
@@ -339,17 +334,18 @@ def _weight_system(rctx: ReductionCtx, stage: list) -> System:
     return system
 
 
-def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
-    """Realize every generator: W_a = a + (weight-homogeneous correction over
-    the positive-weight variables) annihilated by every constraint bracket,
-    every free coefficient pinned to zero.  One elimination per weight t: its
-    columns are all the weight-t unknowns, its rows the constraint brackets
-    and a pin of each bare variable, and each generator a of weight t has a
-    right-hand side of its own, whose pin of a reads 1 and every other 0.
-    The pin makes a's column a pivot that no other column depends on, so the
-    other pivots and the zeroed-free solution are those of a's system alone.
-    The realizations' constraints are then re-verified one by one, in
-    generator order, and the first failure raises NoSolution."""
+def solve_all(rctx: ReductionCtx) -> dict:
+    """Realize every generator as {a: W_a}, W_a = a + (weight-homogeneous
+    correction over the positive-weight variables) annihilated by every
+    constraint bracket, every free coefficient pinned to zero.  One
+    elimination per weight t: its columns are all the weight-t unknowns, its
+    rows the constraint brackets and a pin of each bare variable, and each
+    generator a of weight t has a right-hand side of its own, whose pin of a
+    reads 1 and every other 0.  The pin makes a's column a pivot that no
+    other column depends on, so the other pivots and the zeroed-free
+    solution are those of a's system alone.  The realizations' constraints
+    are then re-verified one by one, in generator order, and the first
+    failure raises NoSolution."""
     engine = rctx.affine_table().engine
     gens = rctx.cdata.gens
     solved: dict = {}
@@ -371,7 +367,7 @@ def solve_all(rctx: ReductionCtx) -> GeneratorSolution:
         for nv_val in nv_vals:
             if not _agrees(engine.graded_bracket(nv_val, W_val), {}):
                 raise NoSolution(f"constraint violated after solve for {a}")
-    return GeneratorSolution(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +378,11 @@ class ReconcileReport:
     """The verdict of reconcile: the corrections found, the corrected
     generators, the failure (None when ok) and the deferred equations."""
 
-    def __init__(self, ok: bool, corrections: dict, corrected: GeneratorSolution,
+    def __init__(self, ok: bool, corrections: dict, corrected: dict,
                  failure: dict | None = None, deferred: list | None = None):
         self.ok = ok
         self.corrections = corrections  # GenIndex -> DiffPoly over generator letters
-        self.corrected = corrected
+        self.corrected = corrected  # GenIndex -> DiffPoly
         self.failure = failure
         self.deferred = [] if deferred is None else deferred
 
@@ -418,9 +414,8 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         if bad:
             failure = {"stage": "skew", "table": name, "kind": bad[0]["kind"],
                        "pair": bad[0]["pair"]}
-            return ReconcileReport(False, {g: DiffPoly() for g in gens_all},
-                                   GeneratorSolution({}), failure=failure)
-    W: dict = dict(solve_all(rctx).solutions)
+            return ReconcileReport(False, {g: DiffPoly() for g in gens_all}, {}, failure=failure)
+    W = solve_all(rctx)
     corrections: dict = {g: DiffPoly() for g in gens_all}
     deferred: list = []
     for w in sorted({g.t for g in gens_all}):
@@ -434,7 +429,7 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         found = _stage_corrections(rctx, table, sub, stage, lower, lowmonos, deferred)
         if found is None:
             return ReconcileReport(
-                False, corrections, GeneratorSolution(W),
+                False, corrections, W,
                 failure={"stage": w, "reason": "correction system inconsistent"},
                 deferred=deferred,
             )
@@ -442,7 +437,6 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         # every image is read before W, the mapping of sub, changes
         W.update({g: W[g] + sub(c) for g, c in found.items() if c})
 
-    corrected = GeneratorSolution(W)
     # full verification on graded ints, each unordered pair once: a distinct
     # pair with the realization of fewer terms on the left, an even
     # self-bracket from lambda^1 up; a failure is reported in the stages'
@@ -458,9 +452,9 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
             want = {n: sub.graded(p) for n, p in table.lookup(x, y).coeffs.items() if n >= low}
             if not _agrees(engine.graded_bracket(X, Y, low), want):
                 want = LambdaPoly({n: sub(p) for n, p in table.lookup(a, b).coeffs.items()})
-                return ReconcileReport(False, corrections, corrected, deferred=deferred, failure={
+                return ReconcileReport(False, corrections, W, deferred=deferred, failure={
                     "pair": (a, b), "got": reduced_bracket(rctx, W[a], W[b]), "want": want})
-    return ReconcileReport(True, corrections, corrected, deferred=deferred)
+    return ReconcileReport(True, corrections, W, deferred=deferred)
 
 
 def _image(sub: Substitution, g) -> tuple:
@@ -468,16 +462,14 @@ def _image(sub: Substitution, g) -> tuple:
     return sub.dpow(((g, 0),), 0)
 
 
-def _through(poly: DiffPoly, l, mu: tuple) -> DiffPoly:
-    """poly, each monomial holding one factor d^j(l), with that factor
-    replaced by d^j(mu) in factor order: prefix * d^j(mu) * suffix.  Its
-    image under a substitution is poly's with l mapped to mu's image."""
-    out = DiffPoly()
-    for m, c in poly.terms.items():
-        i = next(i for i, (v, _) in enumerate(m) if v == l)
-        out += (DiffPoly({m[:i]: c}) * apply_partial(DiffPoly({mu: ONE}), m[i][1])
-                * DiffPoly({m[i + 1:]: ONE}))
-    return out
+def _replaced(sub: Substitution, part: DiffPoly, mu: tuple) -> tuple:
+    """sub's image of part, each monomial of which ends in one factor
+    d^j(l), with l's image replaced by the monomial mu's: the sum of c *
+    image(rest) * d^j(image(mu)) over its terms c * rest * d^j(l), as an
+    edge value on sub's product memo, no DiffPoly built."""
+    dpow = sub.dpow
+    return sub.combine((c, sub.times(dpow(m[:-1], 0), dpow(mu, m[-1][1])))
+                       for m, c in part.terms.items())
 
 
 def _stage_corrections(rctx: ReductionCtx, table: BracketTable, sub: Substitution, stage: list,
@@ -515,16 +507,17 @@ def _stage_corrections(rctx: ReductionCtx, table: BracketTable, sub: Substitutio
                 for s, p in parts.items():
                     _add_rows(system, tag, None, (S, s, {slot: p}), -1)
                 # a target monomial holds at most one stage letter (two would
-                # outweigh the bracket), so target(W + x) is linear in x:
-                # put each correction monomial in that letter's place
-                split: dict = {}  # stage letter -> the part of poly that holds it
+                # outweigh the bracket), and holds it last as d^j(l): every
+                # other letter weighs less, so it sorts first.  target(W + x)
+                # is therefore linear in x: put each correction monomial in
+                # that letter's place
+                split: dict = {}  # stage letter -> the part of poly that ends in it
                 for m, c in poly.terms.items():
-                    l = next((l for l, _ in m if l.t == w), None)
-                    if l is not None:
-                        split.setdefault(l, DiffPoly()).terms[m] = c
+                    if m and m[-1][0].t == w:
+                        split.setdefault(m[-1][0], DiffPoly()).terms[m] = c
                 for l, part in split.items():
                     for mi, mu in enumerate(lowmonos):
-                        S, parts = sub.graded(_through(part, l, mu))
+                        S, parts = _replaced(sub, part, mu)
                         for s, p in parts.items():
                             _add_rows(system, tag, first_col[l] + mi, (S, s, {slot: p}), -1)
     sol = system.solve()

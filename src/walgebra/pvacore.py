@@ -49,25 +49,28 @@ store, not the table, so it dies with the table.  The Leibniz rules only add
 and multiply by integers (binomials, signs, multiplicities), so every
 memoized bracket is an int value at scale L, and a Jacobi term at L^2.  The
 right Leibniz rule has one routine, {var lambda mono}, and the left one
-another, ProductBracket, whose base it is.  The bracket memos ({var lambda
-mono}, products, derivatives d^j of monomials, the table's one derivative
-memo, and the Jacobi sweep's ProductBracket per third letter) grow with
-every call and are dropped by drop_memos, which the reduction oracle calls
-when reconcile returns.  The product memo is keyed by the right factor
-first: a sum times z fetches z's memo once.
+another, ProductBracket, which brackets its letters by the first.  The
+bracket memos ({var lambda mono}, products, derivatives d^j of monomials,
+the table's one derivative memo, and the Jacobi sweep's ProductBracket per
+third letter) grow with every call and are dropped by drop_memos, which the
+reduction oracle calls when reconcile returns.  The product memo is keyed
+by the right factor first: a sum times z fetches z's memo once.
 
 Products.  A product is bracketed through its factors by one routine,
 ProductBracket, against one fixed right operand B of one parity: the left
 Leibniz rule {f r lambda B} = (-1)^{p(r)p(B)} {f lambda+d B}-> r +
 (-1)^{p(f)(p(r)+p(B))} {r lambda+d B}-> f, peeling the first factor, with a
-memo of {suffix lambda B}.  Its values are {lambda power: {interned
-monomial: int}}, of the one degree its caller's grading fixes.  The caller
-gives the bracket of one factor with B and d^k of a product.  It serves
-graded_bracket, whose factors are interned letters, one object per parity
-class of B for one call; the Jacobi sweep's middle term {y lambda c}, one
-object per letter c kept until drop_memos; and Substitution.bracket_images,
-whose factors are the images of generator letters under a substitution, one
-object for one call.
+memo of {suffix lambda B}.  Its base is sesquilinearity, {d^j v lambda B} =
+(-lambda)^j {v lambda B}: it keeps {v lambda B} once per letter v, shifts
+it for each d^j(v), and cuts it below a lower bound.  Its values are
+{lambda power: {interned monomial: int}}, of the one degree its caller's
+grading fixes.  The caller gives only the bracket {v lambda B} of one
+undifferentiated letter, how a factor splits into (v, j), and d^k of a
+product.  It serves graded_bracket, whose factors are interned letters, one
+object per parity class of B for one call; the Jacobi sweep's middle term
+{y lambda c}, one object per letter c kept until drop_memos; and
+Substitution.bracket_images, whose factors are the images of generator
+letters under a substitution, one object for one call.
 
 The Jacobi orbit rule.  When a table's generator brackets are skew-symmetric
 and each {a lambda b} has the parity p(a) + p(b), their extension to all
@@ -116,11 +119,13 @@ grading g = 1: d lowers s by one and products add it, and a letter's image
 of two degrees is refused with a WAlgebraError naming the letter.  Its entry
 point graded takes any Q[k] coefficients and returns an edge value; calling
 it lifts that.  It memoizes d^k of the images of letters and monomials, and
-dpow reads a letter's image from that memo.  bracket_images brackets the
-images of monomials with the image of one letter b through their factors by
-a ProductBracket, whose base is the engine's graded_bracket of two letter
-images; a caller that replaces one letter by a monomial substitutes the
-replaced polynomial on the generator side, with no second mapping.
+dpow reads a letter's image from that memo.  Images multiply by times, on
+the engine's product memo, and sum by combine, which graded calls and which
+takes any Q[k] coefficients: a caller that puts a monomial in the place of a
+letter multiplies and sums the images, with no second mapping and no
+DiffPoly built.  bracket_images brackets the images of monomials with the
+image of one letter b through their factors by a ProductBracket, whose
+letter bracket is the engine's graded_bracket of two letter images.
 """
 
 from __future__ import annotations
@@ -703,6 +708,10 @@ class _Leibniz:
             self._dpows[key] = hit
         return hit
 
+    def _split(self, x: int) -> tuple:
+        """(rank, derivative power) of an interned factor."""
+        return divmod(x, self.space.stride)
+
     def _parity(self, m: tuple) -> int:
         """The parity of a monomial, summed once per monomial."""
         hit = self._parities.get(m)
@@ -720,7 +729,7 @@ class _Leibniz:
         if hit is None:
             hit = {}
             if len(m) == 1:
-                v, l = divmod(m[0], self.space.stride)
+                v, l = self._split(m[0])
                 # sesquilinearity: {u lambda d^l v} = (lambda + d)^l {u lambda v}
                 for n, p in self._entry(u, v).items():
                     for k in range(l + 1):
@@ -745,6 +754,15 @@ class _Leibniz:
             hit = {n: p for n, p in hit.items() if p}
             self._vm[key] = hit
         return hit
+
+    def _letter_bracket(self, v: int, B: dict) -> dict:
+        """{v lambda B} for a rank v and B {interned monomial: int}: the sum
+        over the terms c_y y of B of c_y {v lambda y}."""
+        val: dict = {}
+        for y, cy in B.items():
+            for n, p in self._var_mono(v, y).items():
+                _add_scaled(val.setdefault(n, {}), p, cy)
+        return val
 
     def _add_times(self, out: dict, p: dict, z: tuple, w: int) -> None:
         """out += w * p*z, each monomial of p times the monomial z on the
@@ -777,10 +795,9 @@ class _Leibniz:
         lambda^n at degree s_A + s_B + g*n: the sum over the terms c_x x of A
         of c_x {x lambda B}, a constant x skipped, on any table.  B is split
         by parity class, and each {x lambda B} runs through x's factors by one
-        ProductBracket per class, cut below lambda^low: its base {d^j v lambda
-        B} = (-lambda)^j {v lambda B}, with {v lambda B} = sum over the terms
-        c_y y of B of c_y {v lambda y} summed once per letter v, and its
-        arrows multiply by d^k of interned monomials."""
+        ProductBracket per class, cut below lambda^low, which brackets a
+        letter v by {v lambda B} = sum over the terms c_y y of B of c_y {v
+        lambda y} and multiplies by d^k of interned monomials."""
         (Ma, sa, ta), (Mb, sb, tb) = A, B
         parity = self._parity
         classes: tuple = ({}, {})  # B's terms by parity
@@ -790,7 +807,8 @@ class _Leibniz:
         for pB, part in enumerate(classes):
             if not part:
                 continue
-            product = ProductBracket(self, _LetterBase(self, part), self._dpow, parity, pB, low)
+            product = ProductBracket(self, lambda v, part=part: self._letter_bracket(v, part),
+                                     self._split, self._dpow, parity, pB, low)
             for x, cx in ta.items():
                 if not x:
                     continue  # a constant brackets to zero
@@ -808,13 +826,10 @@ class _Leibniz:
     def skew_diffs(self, pairs=None) -> list:
         """[(a, b, diff)] for the pairs of variables (every stored pair when
         None) that violate {a lambda b} = -(-1)^{p(a)p(b)} {b_{-lambda-d} a},
-        diff = lhs - rhs as {lambda power: {monomial: int}} at scale L.  A
-        sweep of a store that holds all n^2 ordered pairs settles
-        symmetric()."""
-        vs, ints = self.space.vars, self.store.ints
-        whole = pairs is None
-        if whole:
-            pairs = [(vs[u], vs[v]) for u, v in ints]
+        diff = lhs - rhs as {lambda power: {monomial: int}} at scale L."""
+        vs = self.space.vars
+        if pairs is None:
+            pairs = [(vs[u], vs[v]) for u, v in self.store.ints]
         rank = self.space.rank_of
         out = []
         for (a, b) in pairs:
@@ -832,8 +847,6 @@ class _Leibniz:
             diff = {n: p for n, p in diff.items() if p}
             if diff:
                 out.append((a, b, diff))
-        if whole and len(ints) == len(vs) ** 2:
-            self._symmetric = not out and not self.parity_faults()
         return out
 
     def parity_faults(self, pairs=None) -> list:
@@ -854,6 +867,15 @@ class _Leibniz:
                 out.append((a, b, terms))
         return out
 
+    def axiom_faults(self, pairs=None) -> tuple:
+        """(skew_diffs(pairs), parity_faults(pairs)), each pair swept once
+        for each.  A sweep of every pair of a store that holds all n^2
+        ordered pairs settles symmetric()."""
+        skew, parity = self.skew_diffs(pairs), self.parity_faults(pairs)
+        if pairs is None and len(self.store.ints) == len(self.space.vars) ** 2:
+            self._symmetric = not skew and not parity
+        return skew, parity
+
     def symmetric(self) -> bool:
         """Whether the store holds all n^2 ordered pairs, every monomial of
         {a lambda b} has the parity p(a) + p(b), and no pair violates skew
@@ -863,7 +885,7 @@ class _Leibniz:
         if self._symmetric is None:
             self._symmetric = False
             if len(self.store.ints) == len(self.space.vars) ** 2:
-                self.skew_diffs()
+                self.axiom_faults()
         return self._symmetric
 
     def jacobi(self, a, b, c) -> dict:
@@ -879,9 +901,10 @@ class _Leibniz:
                     terms.append(((i, j), cy, q))
         product = self._jacobi_products.get(rc)
         if product is None:
-            cc = rc * space.stride
+            cc = (rc * space.stride,)
             product = self._jacobi_products[rc] = ProductBracket(
-                self, _LetterBase(self, {(cc,): 1}), self._dpow, self._parity, space.odd[cc])
+                self, lambda v: self._var_mono(v, cc), self._split, self._dpow, self._parity,
+                space.odd[cc[0]])
         for n, p in self._entry(ra, rb).items():
             for y, cy in p.items():
                 if not y:
@@ -915,17 +938,6 @@ class _Leibniz:
                        for (i, j), p in diff.items()})
 
 
-def _minus_lambda_power(val: dict, j: int) -> dict:
-    """(-lambda)^j times a value {n: {monomial: int}}: lambda^n goes to
-    lambda^(n+j), negated for odd j.  The value stays homogeneous in both
-    gradings a ProductBracket meets: in the engine's, the k^j of d^j(factor)
-    rides on the factor's derivative count; in a Substitution's (g = 1),
-    d^j(image) sits j degrees lower and lambda^j adds the j back."""
-    if j % 2:
-        return {n + j: {m: -c for m, c in p.items()} for n, p in val.items()}
-    return {n + j: p for n, p in val.items()} if j else val
-
-
 def _parity_class(engine: _Leibniz, p: dict, what) -> int | None:
     """The one parity of the monomials of {monomial: int}, None when there
     are none; WAlgebraError naming `what` when they differ."""
@@ -945,33 +957,46 @@ class ProductBracket:
                        + (-1)^{p(f)(p(r)+p(B))} {r lambda+d B}-> f.
 
     A value is {lambda power: {interned monomial: int}}, of one degree fixed
-    by the caller's grading.  The caller gives base(f) = {f lambda B} for
-    one factor, power(y, k) = d^k of the product y as {interned monomial:
-    int}, and parity(y).  An arrow takes lambda^n of the bracket to sum_k
-    C(n, k) lambda^(n-k) times its coefficient times d^k(y), on the
-    engine's product memo.  An arrow only lowers the lambda power, so with a
-    lower bound `low` the parts below lambda^low are never needed: the base
-    is cut below it and an arrow stops at it, and every value holds the
-    bracket's parts from lambda^low up.  The value of every product and
-    suffix met is memoized in the object, which lives as long as its caller
-    keeps it: one call, except the Jacobi sweep's, one per letter, which the
-    engine keeps until drop_memos."""
+    by the caller's grading.  The caller gives letter(v) = {v lambda B} for
+    one undifferentiated letter v, split(f) = (v, j) for a factor f =
+    d^j(v), power(y, k) = d^k of the product y as {interned monomial: int},
+    and parity(y).  The base of the rule is sesquilinearity, {d^j v lambda
+    B} = (-lambda)^j {v lambda B}, with letter(v) asked once per letter
+    however many d^j(v) it meets; the shift keeps a value homogeneous in
+    both gradings it meets: in the engine's, the k^j of d^j(v) rides on the
+    factor's derivative count; in a Substitution's (g = 1), d^j(image) sits
+    j degrees lower and lambda^j adds the j back.  An arrow takes lambda^n
+    of the bracket to sum_k C(n, k) lambda^(n-k) times its coefficient times
+    d^k(y), on the engine's product memo.  An arrow only lowers the lambda
+    power, so with a lower bound `low` the parts below lambda^low are never
+    needed: the base is cut below it and an arrow stops at it, and every
+    value holds the bracket's parts from lambda^low up.  The value of every
+    letter, product and suffix met is memoized in the object, which lives as
+    long as its caller keeps it: one call, except the Jacobi sweep's, one per
+    letter, which the engine keeps until drop_memos."""
 
-    __slots__ = ("_add_times", "_base", "_power", "_parity", "_pB", "_low", "_memo")
+    __slots__ = ("_add_times", "_letter", "_split", "_power", "_parity", "_pB", "_low",
+                 "_letters", "_memo")
 
-    def __init__(self, engine: _Leibniz, base, power, parity, pB: int, low: int = 0):
+    def __init__(self, engine: _Leibniz, letter, split, power, parity, pB: int, low: int = 0):
         self._add_times = engine._add_times
-        self._base, self._power, self._parity, self._pB = base, power, parity, pB
-        self._low = low
+        self._letter, self._split, self._power = letter, split, power
+        self._parity, self._pB, self._low = parity, pB, low
+        self._letters: dict = {}
         self._memo: dict = {}
 
     def __call__(self, m: tuple) -> dict:
         hit = self._memo.get(m)
         if hit is None:
             if len(m) == 1:
-                hit, low = self._base(m[0]), self._low
-                if low:
-                    hit = {n: p for n, p in hit.items() if n >= low}
+                v, j = self._split(m[0])
+                val = self._letters.get(v)
+                if val is None:
+                    val = self._letters[v] = self._letter(v)
+                # (-lambda)^j {v lambda B}, from lambda^low up
+                low = self._low
+                hit = {n + j: p if j % 2 == 0 else {x: -c for x, c in p.items()}
+                       for n, p in val.items() if n + j >= low}
             else:
                 head, rest = m[:1], m[1:]
                 parity, pB = self._parity, self._pB
@@ -992,31 +1017,6 @@ class ProductBracket:
                 mult = sign * comb(n, k)
                 for z, cz in power(y, k).items():
                     add_times(dst, p, z, mult * cz)
-
-
-class _LetterBase:
-    """The base of the engine's ProductBracket against B, {interned
-    monomial: int} of one parity: for an interned factor x = d^j(v),
-    (-lambda)^j {v lambda B}, where {v lambda B} = sum over the terms c_y y
-    of B of c_y {v lambda y} is summed once per letter v."""
-
-    __slots__ = ("_engine", "_B", "_letters")
-
-    def __init__(self, engine: _Leibniz, B: dict):
-        self._engine, self._B = engine, B
-        self._letters: dict = {}
-
-    def __call__(self, x: int) -> dict:
-        engine = self._engine
-        v, j = divmod(x, engine.space.stride)
-        val = self._letters.get(v)
-        if val is None:
-            val = self._letters[v] = {}
-            var_mono = engine._var_mono
-            for y, cy in self._B.items():
-                for n, p in var_mono(v, y).items():
-                    _add_scaled(val.setdefault(n, {}), p, cy)
-        return _minus_lambda_power(val, j)
 
 
 def extend_bracket(table: BracketTable, A: DiffPoly, B: DiffPoly, low: int = 0) -> LambdaPoly:
@@ -1052,12 +1052,11 @@ def check_skew(table: BracketTable, pairs=None) -> list[dict]:
     ints, only a violating pair's diff lifted; then those of parity, kind
     "parity": a pair whose {a lambda b} holds monomials of a parity other
     than p(a) + p(b), with those terms lifted."""
-    engine = table.engine
-    lift = engine.store.lift
-    return ([{"kind": "skew", "pair": (a, b), "diff": lift(diff)}
-             for a, b, diff in engine.skew_diffs(pairs)]
+    skew, parity = table.engine.axiom_faults(pairs)
+    lift = table.store.lift
+    return ([{"kind": "skew", "pair": (a, b), "diff": lift(diff)} for a, b, diff in skew]
             + [{"kind": "parity", "pair": (a, b), "terms": lift(terms)}
-               for a, b, terms in engine.parity_faults(pairs)])
+               for a, b, terms in parity])
 
 
 class TwoVar:
@@ -1197,43 +1196,41 @@ class Substitution:
         factor's, in factor order."""
         hit = self._monos.get(m)
         if hit is None:
-            Ma, sa, pa = self._mono(m[:-1])
-            Mb, sb, pb = self._letter(*m[-1])
-            add_times = self._engine._add_times
-            out: dict = {}
-            for xb, cb in pb.items():
-                add_times(out, pa, xb, cb)
-            hit = self._monos[m] = (Ma * Mb, sa + sb, out)
+            hit = self._monos[m] = self.times(self._mono(m[:-1]), self._letter(*m[-1]))
         return hit
+
+    def times(self, A: tuple, B: tuple) -> tuple:
+        """The product A*B of two values, each monomial of A times each of B
+        on the right through the engine's product memo."""
+        (Ma, sa, pa), (Mb, sb, pb) = A, B
+        add_times = self._engine._add_times
+        out: dict = {}
+        for xb, cb in pb.items():
+            add_times(out, pa, xb, cb)
+        return Ma * Mb, sa + sb, out
 
     def bracket_images(self, monos: list, b) -> list:
         """[{image(mu) lambda image(b)}] for monomials mu over letters of the
         mapping and a letter b, as graded brackets (scale, s, {n: {monomial:
         int}}) at scale L*M_B*(the product of the scales of mu's letter
         images), M_B the scale of b's image B, s the degrees of B and of
-        image(mu) added.  Each runs through mu's factors by one
-        ProductBracket: {d^j image(v) lambda B} = (-lambda)^j {image(v) lambda
-        B}, the engine's graded_bracket of the two letter images, asked once
-        per letter; the arrows multiply by d^k of factor images from this
-        object's memos.  A letter's image must have the letter's parity and B
-        one parity (WAlgebraError)."""
+        image(mu) added.  Each runs through mu's factors, (letter, j) pairs,
+        by one ProductBracket, which brackets a letter's image with B by the
+        engine's graded_bracket; the arrows multiply by d^k of factor images
+        from this object's memos.  A letter's image must have the letter's
+        parity and B one parity (WAlgebraError)."""
         engine = self._engine
         B = self._letter(b, 0)
         M_B, s_B, p_B = B
         pB = _parity_class(engine, p_B, "the right operand") or 0
-        bases: dict = {}
 
-        def base(f):
-            v, j = f
-            val = bases.get(v)
-            if val is None:
-                A = self._letter(v, 0)
-                if _parity_class(engine, A[2], v) not in (None, v.parity):
-                    raise WAlgebraError(f"the image of {v} does not have its parity")
-                val = bases[v] = engine.graded_bracket(A, B)[2]
-            return _minus_lambda_power(val, j)
+        def letter(v):
+            A = self._letter(v, 0)
+            if _parity_class(engine, A[2], v) not in (None, v.parity):
+                raise WAlgebraError(f"the image of {v} does not have its parity")
+            return engine.graded_bracket(A, B)[2]
 
-        product = ProductBracket(engine, base, lambda y, k: self.dpow(y, k)[2],
+        product = ProductBracket(engine, letter, lambda f: f, lambda y, k: self.dpow(y, k)[2],
                                  lambda y: sum(v.parity for v, _ in y) & 1, pB)
         return [(prod((self._letter(v, 0)[0] for v, _ in mu), start=engine.L * M_B),
                  s_B + sum(self._letter(v, 0)[1] - n for v, n in mu), product(mu))
@@ -1241,16 +1238,17 @@ class Substitution:
 
     def graded(self, poly: DiffPoly) -> tuple:
         """poly with every letter replaced by its image, as an edge value
-        (S, {s: {interned monomial: int}}) in the grading g = 1: poly may
-        have any Q[k] coefficients, so the power p of k on a monomial's image
-        of degree s lands at degree s + p, and the int sums are put on one
-        scale."""
-        parts = []  # (degree, numerator, scale, monomial's image)
-        for m, c in poly.terms.items():
-            M, s, val = self._mono(m)
-            if val:
-                parts += [(s + p, f.numerator, f.denominator * M, val)
-                          for p, f in enumerate(c.num) if f]
+        (S, {s: {interned monomial: int}}) in the grading g = 1: the combine
+        of poly's coefficients with its monomials' images."""
+        return self.combine((c, self._mono(m)) for m, c in poly.terms.items())
+
+    def combine(self, terms: Iterable) -> tuple:
+        """The sum of c * value over pairs (Coeff c, value), as an edge value
+        (S, {s: {interned monomial: int}}) in the grading g = 1: c may have
+        any Q[k] coefficients, so its power p of k on a value of degree s
+        lands at degree s + p, and the int sums are put on one scale."""
+        parts = [(s + p, f.numerator, f.denominator * M, val)  # (degree, numerator, scale, value)
+                 for c, (M, s, val) in terms if val for p, f in enumerate(c.num) if f]
         S = lcm(*{d for _, _, d, _ in parts})
         acc: dict = {}
         for s, num, d, val in parts:

@@ -87,9 +87,6 @@ class ChainIndex(namedtuple("ChainIndex", "j n alpha")):
     __slots__ = ()
 
 
-Chain = tuple  # tuple[ChainIndex, ...]
-
-
 def ladder_nodes(cdata: CentralizerData) -> list[ChainIndex]:
     """All ladder positions (j, n), 0 <= n <= 2*delta(j), with their grades."""
     out = []

@@ -372,9 +372,7 @@ class _Run:
 
     def finish(self, branch: str) -> DerivationReport:
         ws = weak_set(self.ctx, self.flavor)
-        order = {gi: k for k, gi in enumerate(self.cdata.gens)}
         missing = [gi for gi in self.cdata.gens if gi not in self.recovered]
-        missing.sort(key=lambda gi: order[gi])
         return DerivationReport(self.flavor, branch, ws, self.identities, self.recovered, missing)
 
 

@@ -474,8 +474,8 @@ def _mono_order_key(mono: tuple):
 
 def reexpress(gens, P):
     """Write P, a DiffPoly over the reduction oracle's ladder variables, as a
-    differential polynomial in the generators realized by gens (a
-    dsreduction.GeneratorSolution).
+    differential polynomial in the generators realized by gens, {GenIndex:
+    DiffPoly} as dsreduction.solve_all returns it.
 
     Returns (Q, residual): P = Q(W) + residual, residual zero exactly when P
     lies in the subalgebra the W_a generate.  Elimination peels the minimal
@@ -496,7 +496,7 @@ def reexpress(gens, P):
             gen_mono = tuple((v.g, d) for v, d in mono)
             image = DiffPoly.constant(c)
             for v, d in mono:
-                image = image * apply_partial(gens.solutions[v.g], d)
+                image = image * apply_partial(gens[v.g], d)
             P = P - image
             Q = Q + DiffPoly({gen_mono: c})
         else:

@@ -37,7 +37,7 @@ def test_criterion_01_sl2_oracle_equivalence():
     master = bracket_table(ctx).lookup(q, q)
     rctx = ReductionCtx(ctx)
     sol = solve_all(rctx)
-    W = sol.solutions[q]
+    W = sol[q]
     br = reduced_bracket(rctx, W, W)
     for n in sorted(set(br.coeffs) | set(master.coeffs)):
         expressed, residual = reexpress(sol, br.get(n))

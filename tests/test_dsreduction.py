@@ -25,7 +25,7 @@ from conftest import (affine_table_reference, bracket_by_chains, corrupted_table
                       weight_system_reference, wrong_parity_table)
 from walgebra import dsreduction
 from walgebra.coeffs import ONE, Coeff
-from walgebra.dsreduction import (ReductionCtx, _through, _weight_search, _weight_system,
+from walgebra.dsreduction import (ReductionCtx, _replaced, _weight_search, _weight_system,
                                   reconcile, reduced_bracket, solve_all, weight_monomials)
 from walgebra.errors import NoSolution, NormalizationImpossible, WAlgebraError
 from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
@@ -44,7 +44,7 @@ def test_sl2_reduced_equals_master():
     rctx = ReductionCtx(ctx)
     sol = solve_all(rctx)
     q = gen(ctx, 2, 1, 1)
-    W = sol.solutions[q]
+    W = sol[q]
     br = reduced_bracket(rctx, W, W)
     master = table_of("sl", (2,)).lookup(q, q)
     # map each lambda-slot back to generator letters; only the scalar
@@ -60,7 +60,7 @@ def test_sl2_solution_shape():
     rctx = ReductionCtx(ctx)
     sol = solve_all(rctx)
     q = gen(ctx, 2, 1, 1)
-    W = sol.solutions[q]
+    W = sol[q]
     # weight-2 realization: the generator letter plus lower-string corrections
     assert poly_weight(W) == 2
     letters = {v.g for m in W.terms for v, _ in m}
@@ -98,7 +98,7 @@ RECONCILE_DIGESTS = {
 
 def _reconcile_digest(rep) -> str:
     gens = sorted(rep.corrections, key=lambda g: g.sort_key())
-    text = "\n".join(f"{g} W {rep.corrected.solutions[g]!r} C {rep.corrections[g]!r}"
+    text = "\n".join(f"{g} W {rep.corrected[g]!r} C {rep.corrections[g]!r}"
                      for g in gens)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -126,7 +126,7 @@ def test_an_even_self_bracket_is_fixed_by_its_positive_powers():
     nonzero = 0
     for kind, p1, p2 in RECONCILE_DIGESTS:
         rctx, rep = _reconciled(kind, p1, p2)
-        W = rep.corrected.solutions
+        W = rep.corrected
         for a, Wa in W.items():
             if kind == "sl_super":
                 assert {monomial_parity(m) for m in Wa.terms} == {a.parity}, (kind, p1, p2, a)
@@ -217,7 +217,7 @@ def test_values_are_graded_in_the_level():
             assert not _off_grading(entry), (kind, p1, p2, uv)
         rep = reconcile(rctx, table_of(kind, p1, p2))
         assert rep.ok
-        W = rep.corrected.solutions
+        W = rep.corrected
         for poly in (*W.values(), *rep.corrections.values()):
             assert not _off_grading(LambdaPoly({0: poly})), (kind, p1, p2, poly)
         for a in gens:
@@ -277,7 +277,7 @@ def _realized(kind, p1, p2=()):
     realizations W, and a memo of substitute's images under W kept across
     the examples that use the shape."""
     rctx = ReductionCtx(ctx_of(kind, p1, p2))
-    W = solve_all(rctx).solutions
+    W = solve_all(rctx)
     return rctx, sorted(W, key=lambda g: g.sort_key()), W, {}
 
 
@@ -369,7 +369,7 @@ def test_reconcile_agrees_with_the_reference_on_every_ordered_pair(shape):
     table = table_of(*shape)
     rep = reconcile(rctx, table)
     assert rep.ok, rep.failure
-    assert verify_every_ordered_pair(rctx, table, rep.corrected.solutions) == []
+    assert verify_every_ordered_pair(rctx, table, rep.corrected) == []
 
 
 @pytest.mark.parametrize("shape", RECONCILE_SMALL, ids=str)
@@ -453,35 +453,54 @@ def test_correction_monomials_bracket_through_their_factors(shape, data):
             assert _lifted_bracket(engine, bracket) == want, (mu, b)
 
 
-# shapes with odd generators on both sides of a stage letter, and a plain one
-THROUGH_SHAPES = [("sl_super", (2,), (1,)), ("sl_super", (2, 1), (1,)), ("sl", (2, 2))]
+# shapes with odd generators before a stage letter, and a plain one
+REPLACED_SHAPES = [("sl_super", (2,), (1,)), ("sl_super", (2, 1), (1,)), ("sl", (2, 2))]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(THROUGH_SHAPES), st.data())
+@given(st.sampled_from(REPLACED_SHAPES), st.data())
 def test_stage_replacement_matches_the_override_reference(shape, data):
     # a stage puts a correction monomial mu in the place of its letter l in
-    # the target: each monomial holds one factor d^j(l), replaced by d^j(mu)
-    # in factor order on the generator side and substituted by the stage's
-    # own Substitution; the reference maps l to mu's image by an override.
-    # The identity holds for any letter and monomial: a stage letter sorts
-    # after its lower factors, so a letter of lower weight is drawn too, for
-    # suffixes whose odd factors pass an odd mu.  mu has weight at most 3 and
-    # at most two factors, which keeps the images small
+    # the target, whose monomials end in one factor d^j(l) after letters that
+    # sort before l: image(rest) * d^j(mu(W)) on the stage's own
+    # Substitution.  The reference maps l to mu's image by an override.  mu
+    # has weight at most 3 and at most two factors, which keeps the images
+    # small
     rctx, gens, W, _ = _realized(*shape)
-    l = data.draw(st.sampled_from(gens))
+    l = data.draw(st.sampled_from(gens[1:]))  # gens are in factor order
     mu = data.draw(st.sampled_from([m for t in range(2, 7) for m in weight_monomials(
         gens, lambda g: g.t, F(t, 2)) if len(m) <= 2]))
-    factor = st.tuples(st.sampled_from([g for g in gens if g != l]), st.integers(0, 1))
-    terms = [(data.draw(st.lists(factor, max_size=1)) + [(l, data.draw(st.integers(0, 2)))]
-              + data.draw(st.lists(factor, max_size=1)),
+    prefix = st.lists(st.tuples(st.sampled_from(gens[:gens.index(l)]), st.integers(0, 1)),
+                      max_size=2)
+    terms = [(data.draw(prefix) + [(l, data.draw(st.integers(0, 2)))],
               data.draw(st.sampled_from(SUBSTITUTION_COEFFS)))
              for _ in range(data.draw(st.integers(1, 4)))]
     part = poly_normalize(terms)
     affine = rctx.affine_table()
     sub = Substitution(affine, W)
     want = Substitution(affine, ChainMap({l: sub(DiffPoly({mu: ONE}))}, W))(part)
-    assert sub(_through(part, l, mu)) == want, (part, l, mu)
+    got = affine.engine.space.lift(*_replaced(sub, part, mu), 1)
+    assert got == want, (part, l, mu)
+
+
+def test_a_stage_letter_is_the_last_factor_of_its_target_monomials():
+    # in a target {a lambda b} that a stage of weight w does not defer (a of
+    # weight w, b lower, no letter heavier than w), a monomial holds at most
+    # one letter of weight w and holds it last, which _replaced relies on
+    met = 0
+    for kind, p1, p2 in RECONCILE_DIGESTS:
+        table = table_of(kind, p1, p2)
+        gens = sorted(table.variables, key=lambda g: g.sort_key())
+        for a in gens:
+            for b in [g for g in gens if g.t < a.t]:
+                polys = table.lookup(a, b).coeffs.values()
+                if any(v.t > a.t for P in polys for m in P.terms for v, _ in m):
+                    continue  # deferred
+                for m in (m for P in polys for m in P.terms):
+                    at = [i for i, (v, _) in enumerate(m) if v.t == a.t]
+                    assert at in ([], [len(m) - 1]), (kind, p1, p2, a, b, m)
+                    met += bool(at)
+    assert met
 
 
 def _counting(cls, made: list):
@@ -628,7 +647,7 @@ def test_reconcile_refuses_a_skew_table_that_breaks_jacobi():
     gens = ctx.centralizer().gens
     assert gens.index(a) > gens.index(b)
     assert rep.failure["pair"] == (a, b)
-    W = rep.corrected.solutions
+    W = rep.corrected
     assert rep.failure["got"] == reduced_bracket(rctx, W[a], W[b])
     assert rep.failure["got"] != rep.failure["want"]
 
@@ -647,7 +666,7 @@ def _refused_at_self_bracket(ctx, tab, a):
     rep = reconcile(rctx, tab)
     assert not rep.ok
     assert "stage" not in rep.failure and rep.failure["pair"] == (a, a)
-    W = rep.corrected.solutions
+    W = rep.corrected
     assert rep.failure["got"] == reduced_bracket(rctx, W[a], W[a])
     assert rep.failure["want"] == LambdaPoly(
         {n: Substitution(rctx.affine_table(), W)(p) for n, p in tab.lookup(a, a).coeffs.items()})
@@ -754,7 +773,7 @@ def test_projected_table_matches_projecting_afterwards():
                          ("sl_super", (2,), (1,)), ("sl_super", (3,), (1,))]:
         rctx = ReductionCtx(ctx_of(kind, p1, p2))
         reference = _projected_after(rctx)
-        W = solve_all(rctx).solutions
+        W = solve_all(rctx)
         for a in W:
             for b in W:
                 assert reduced_bracket(rctx, W[a], W[b]) == reference(W[a], W[b]), \
@@ -770,7 +789,7 @@ def test_projected_table_matches_projecting_afterwards():
 
 def test_reduced_bracket_refuses_letters_rho_moves():
     rctx = ReductionCtx(ctx_of("sl", (2, 1)))
-    W = next(iter(solve_all(rctx).solutions.values()))
+    W = next(iter(solve_all(rctx).values()))
     low = next(v for v in rctx.variables if v.weight <= 0)
     with pytest.raises(WAlgebraError, match="positive-weight"):
         reduced_bracket(rctx, DiffPoly.variable(low), W)

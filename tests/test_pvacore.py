@@ -28,8 +28,8 @@ from conftest import (canonical_reference, corrupted_table, ctx_of, gen, monomia
 from walgebra.coeffs import Coeff, ONE
 from walgebra.dsreduction import ReductionCtx
 from walgebra.errors import MissingTableEntry, NormalizationImpossible, WAlgebraError
-from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution, TwoVar,
-                              VarSpace, _Leibniz, apply_partial, check_jacobi,
+from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, ProductBracket, Substitution,
+                              TwoVar, VarSpace, _Leibniz, apply_partial, check_jacobi,
                               check_skew, extend_bracket, linear_term,
                               normalize_factors, nth_product)
 
@@ -665,6 +665,55 @@ def test_each_orbit_is_computed_once_on_a_sound_table(monkeypatch):
     calls.clear()
     assert check_jacobi(tab, [(A_EVEN, A_EVEN, A_EVEN)] * 3) == []
     assert len(calls) == 3 and not tab.engine.symmetric()
+
+
+def test_a_whole_table_skew_check_sweeps_parity_once(monkeypatch):
+    # check_skew over every stored pair settles symmetric() from its one
+    # sweep, and symmetric() asked first settles itself by one sweep too
+    calls = []
+    faults = _Leibniz.parity_faults
+
+    def counting(self, pairs=None):
+        calls.append(pairs)
+        return faults(self, pairs)
+
+    monkeypatch.setattr(_Leibniz, "parity_faults", counting)
+    tab = _fresh(table_of("sl", (3, 2)))
+    assert check_skew(tab) == [] and len(calls) == 1
+    assert tab.engine.symmetric() and len(calls) == 1
+    tab = _fresh(table_of("sl", (3, 2)))
+    calls.clear()
+    assert tab.engine.symmetric() and len(calls) == 1
+    assert check_skew(tab) == [] and len(calls) == 2
+
+
+def test_a_product_bracket_asks_each_letter_once():
+    # ProductBracket keeps {v lambda B} per letter v and shifts it by
+    # (-lambda)^j for a factor d^j(v): letter(v) is asked once per letter,
+    # however many d^j(v) factors the products hold
+    tab = table_of("sl_super", (2,), (1,))
+    engine = tab.engine
+    stride, odd = engine.space.stride, engine.space.odd
+    c = (engine.space.rank[tab.variables[-1]] * stride,)
+    asked = []
+
+    def letter(v):
+        asked.append(v)
+        return engine._var_mono(v, c)
+
+    product = ProductBracket(engine, letter, engine._split, engine._dpow, engine._parity,
+                             odd[c[0]])
+    ranks = range(len(tab.variables))
+    for v in ranks:
+        for j in range(4):
+            want = {n + j: {m: (-1) ** j * x for m, x in p.items()}
+                    for n, p in engine._var_mono(v, c).items()}
+            assert product((v * stride + j,)) == want, (v, j)
+    factors = [v * stride + j for v in ranks for j in range(3)]
+    for x, y in itertools.combinations_with_replacement(factors, 2):
+        if not (x == y and odd[x]):
+            product((x, y))
+    assert sorted(asked) == list(ranks)
 
 
 def test_fixed_level_table_with_denominators_matches_reference():
