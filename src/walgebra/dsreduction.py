@@ -182,30 +182,31 @@ class ReductionCtx:
         """{u lambda v} = rho([u, v]) + k*lambda*(u|v) over the ladder basis,
         rho([u, v]) read off as the pairings of [u, v] with the dual rungs of
         p_vars plus the constant (f | [u, v]): one StructureKernel over the
-        dual rungs with f as one more row gives all three.  The store holds
-        them as ints at the lcm of their denominators, f's pairing and (u|v)
-        at the empty monomial, graded g = 1, with no DiffPoly entry built."""
+        dual rungs with f as one more row gives all three, in one pass per
+        variable u against the family of all N^2 - 1 variable matrices.  The
+        store holds them as ints at the lcm of their denominators, f's
+        pairing and (u|v) at the empty monomial, graded g = 1, with no
+        Fraction or DiffPoly entry built."""
         if self._affine is not None:
             return self._affine
         ctx, p_vars, cd = self.ctx, self.p_vars, self.cdata
         kernel = StructureKernel(ctx, pairing_index(
             ctx, [cd.dualFamily[v.g][v.n] for v in p_vars] + [ctx.f]))
         space = VarSpace(self.variables, _STRIDE)
-        rank = space.rank
-        monos = [(rank[v] * _STRIDE,) for v in p_vars] + [()]  # the last for f
-        vals = {}
-        for u in self.variables:
-            mu = self.matrix[u]
-            for v in self.variables:
-                coords, pairing = kernel(mu, self.matrix[v])
-                val = vals[(rank[u], rank[v])] = {}
-                if coords:
-                    val[0] = {monos[i]: c for i, c in coords}
-                if pairing:
-                    val[1] = {(): pairing}
-        L = lcm(*(c.denominator for val in vals.values() for p in val.values() for c in p.values()))
-        ints = {ab: {n: {m: c.numerator * (L // c.denominator) for m, c in p.items()}
-                     for n, p in val.items()} for ab, val in vals.items()}
+        ranks = [space.rank[v] for v in self.variables]
+        monos = [(space.rank[v] * _STRIDE,) for v in p_vars] + [()]  # the last for f
+        family = kernel.family(zip(ranks, map(self.matrix.get, self.variables)))
+        rows = [kernel.constants(self.matrix[u], family) for u in self.variables]
+        L = lcm(*(D for row in rows for _, _, D in row.values()))
+        ints = {}
+        for ru, row in zip(ranks, rows):
+            for rv in ranks:
+                P, c, D = row.get(rv, ((), 0, 1))
+                val = ints[(ru, rv)] = {}
+                if P:
+                    val[0] = {monos[i]: x * (L // D) for i, x in P}
+                if c:
+                    val[1] = {(): c * (L // D)}
         self._affine = BracketTable.of_store(GradedStore(space, L, 1, ints))
         return self._affine
 

@@ -11,8 +11,8 @@ Everything here is exact linear algebra over Q on sparse block matrices:
 * the projection onto the centralizer along the other ad-f string spaces.
 
 Matrices hold Fractions; the ladder walks of dual_bases and the structure
-constants of StructureKernel run on ints over one denominator per matrix and
-build a Fraction only for an entry they return.
+constants of StructureKernel, one pass per left matrix against a family
+indexed once, run on ints over one denominator per matrix.
 
 Indices follow the block conventions used throughout the package: blocks are
 1-based, and entry (r, c) of block (bi, bj) means row r of block bi, column c
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .errors import NormalizationImpossible, SingularPairing, SuperEqualParts, WAlgebraError
 from .linalg import System
@@ -247,9 +247,7 @@ class SuperMatrix:
     def comm(self, other: "SuperMatrix") -> "SuperMatrix":
         """Supercommutator [a, b] = ab - (-1)^{p(a)p(b)} ba of two matrices
         of one parity each; WAlgebraError on a mixed-parity argument."""
-        pa, pb = self.parity(), other.parity()
-        if pa is None or pb is None:
-            raise WAlgebraError("supercommutator of a mixed-parity matrix")
+        pa, pb = _parity(self), _parity(other)
         ab = self.mul(other)
         ba = other.mul(self)
         return ab + ba.scale(-1 if not (pa and pb) else 1)
@@ -265,6 +263,14 @@ class SuperMatrix:
         items = sorted(self.entries.items())
         body = ", ".join(f"({r},{c}):{v}" for (r, c), v in items)
         return f"SuperMatrix({body})"
+
+
+def _parity(m: SuperMatrix) -> int:
+    """m.parity(), a mixed-parity matrix refused with WAlgebraError."""
+    p = m.parity()
+    if p is None:
+        raise WAlgebraError("supercommutator of a mixed-parity matrix")
+    return p
 
 
 class CentralizerData:
@@ -577,60 +583,87 @@ def pairings(index: dict[tuple, list], z: SuperMatrix) -> dict[int, Fraction]:
     return {i: v for i, v in sorted(coords.items()) if v}
 
 
-_NO_PRODUCT = ((), _F0)
-
-
 class StructureKernel:
-    """kernel(x, y) = (coordinates of [x, y] against one pairing index, (x|y)),
-    exactly (tuple(pairings(index, x.comm(y)).items()), ctx.pair(x, y)), in one
-    pass on ints: each matrix (kept alive, its id the key) and the index held
-    over one denominator, a Fraction built only for a nonzero result.  When
-    no column of either matrix is a row of the other, xy = yx = 0, so [x, y]
-    and (x|y) vanish and no product is formed; this reads supports only and
-    assumes no block structure.  A mixed-parity matrix raises the
-    WAlgebraError of SuperMatrix.comm."""
+    """The coordinates of [x, y] against one pairing index and (x|y),
+    exactly tuple(pairings(index, x.comm(y)).items()) and ctx.pair(x, y), on
+    ints, for one left matrix x against a family of matrices y in one pass.
+    family indexes the members once; constants(x, family) walks x's entries
+    once, each meeting the members' entries in its column's row (xy) and its
+    row's column (yx), each product landing straight on the index's reads:
+    no [x, y] is formed, a member that meets nothing is never touched, and
+    no block structure is assumed.  kernel(x, y) is the pass over the
+    one-member family [y], as Fractions.  A mixed-parity matrix on either
+    side raises the WAlgebraError of SuperMatrix.comm."""
 
     def __init__(self, ctx: AlgebraCtx, index: dict[tuple, list]):
-        self._eps, self._fs = ctx.shape.eps, ctx.form_scale
-        self._den = den = lcm(*(w.denominator for ws in index.values() for _, w in ws))
-        self._index = {pos: [(i, w.numerator * (den // w.denominator)) for i, w in ws]
-                       for pos, ws in index.items()}
-        self._ints: dict[int, tuple] = {}
+        self._eps, fs = ctx.shape.eps, ctx.form_scale
+        # index weights and the form scale over one denominator
+        self._den = den = lcm(fs.denominator, *(w.denominator for ws in index.values()
+                                                for _, w in ws))
+        # the index by row and column: {r: {c: [(i, int weight)]}} and {c: {r: ...}}
+        self._by_row, self._by_col = {}, {}
+        for (r, c), ws in index.items():
+            reads = [(i, w.numerator * (den // w.denominator)) for i, w in ws]
+            self._by_row.setdefault(r, {})[c] = self._by_col.setdefault(c, {})[r] = reads
+        self._fs = fs.numerator * (den // fs.denominator)
 
-    def _int(self, m: SuperMatrix) -> tuple:
-        """(m, d, {(r, c): d*m[r, c]}, {r: [(c, d*m[r, c])]}, parity, columns),
-        d = lcm; the row dict's keys are m's rows."""
-        hit = self._ints.get(id(m))
-        if hit is None:
-            at, d = _clear(m)
-            hit = self._ints[id(m)] = (m, d, at, _by_row(at), m.parity(), {c for _, c in at})
-        return hit
+    def family(self, members) -> tuple:
+        """(key, matrix) members on ints over one denominator each, indexed
+        by row, by column (signed as they enter [x, y], for an even and for
+        an odd x) and by transposed position (for the pairing)."""
+        eps = self._eps
+        rows, even, odd, pos, dens = {}, {}, {}, {}, {}
+        for key, y in members:
+            p = _parity(y)
+            at, dens[key] = _clear(y)
+            for (r, c), w in at.items():
+                rows.setdefault(r, []).append((c, key, w))
+                even.setdefault(c, []).append((r, key, -w))
+                odd.setdefault(c, []).append((r, key, w if p else -w))
+                pos.setdefault((c, r), []).append((key, w * eps[c]))
+        return rows, (even, odd), pos, dens
+
+    def constants(self, x: SuperMatrix, family: tuple) -> dict:
+        """{key: (P, c, D)} for the members with a nonzero constant: P the
+        (index position, int) pairs of the nonzero coordinates in order and
+        c the pairing's int, both over D, the reduced common denominator."""
+        rows, cols, pos, dens = family
+        cols = cols[_parity(x)]
+        by_row, by_col = self._by_row, self._by_col
+        at, dx = _clear(x)
+        coords: dict = {}  # key -> {index position: int}
+        pair: dict = {}
+        for (r, c), v in at.items():
+            # (xy)[r, c2] gets x[r, c] y[c, c2], and (yx)[r2, c] gets y[r2, r] x[r, c]
+            for lands, ys in ((by_row.get(r), rows.get(c)), (by_col.get(c), cols.get(r))):
+                if lands and ys:
+                    for at2, k, w in ys:
+                        reads = lands.get(at2)
+                        if reads:
+                            acc = coords.get(k)
+                            if acc is None:
+                                acc = coords[k] = {}
+                            t = v * w
+                            for i, wi in reads:
+                                acc[i] = acc.get(i, 0) + t * wi
+            for k, w in pos.get((r, c), ()):
+                pair[k] = pair.get(k, 0) + v * w
+        out, fs, den = {}, self._fs, self._den
+        for k in coords.keys() | pair.keys():
+            P = sorted((i, v) for i, v in coords.get(k, {}).items() if v)
+            c = pair.get(k, 0) * fs
+            if P or c:
+                D = dx * dens[k] * den
+                g = gcd(D, c, *(v for _, v in P))
+                out[k] = tuple((i, v // g) for i, v in P), c // g, D // g
+        return out
 
     def __call__(self, x: SuperMatrix, y: SuperMatrix) -> tuple:
-        _, _, _, rx, px, cx = ix = self._int(x)
-        _, _, _, ry, py, cy = iy = self._int(y)
-        if px is None or py is None:
-            raise WAlgebraError("supercommutator of a mixed-parity matrix")
-        if cx.isdisjoint(ry) and cy.isdisjoint(rx):
-            return _NO_PRODUCT
-        return self._product(ix, iy)
-
-    def _product(self, ix: tuple, iy: tuple) -> tuple:
-        """kernel(x, y) from the matrices' int forms."""
-        _, dx, ax, rx, px, _ = ix
-        _, dy, ay, ry, py, _ = iy
-        z: dict[tuple, int] = {}  # dx*dy*[x, y] = xy -+ yx
-        for a, rb, s in ((ax, ry, 1), (ay, rx, 1 if px and py else -1)):
-            for (r, c), v in a.items():
-                for c2, w in rb.get(c, ()):
-                    z[r, c2] = z.get((r, c2), 0) + s * v * w
-        coords: dict[int, int] = {}
-        for pos, v in z.items():
-            for i, w in self._index.get(pos, ()):
-                coords[i] = coords.get(i, 0) + v * w
-        tot = sum(v * ay.get((c, r), 0) * self._eps[r] for (r, c), v in ax.items())
-        return (tuple((i, F(v, dx * dy * self._den)) for i, v in sorted(coords.items()) if v),
-                F(tot, dx * dy) * self._fs if tot else _F0)
+        hit = self.constants(x, self.family([(0, y)])).get(0)
+        if hit is None:
+            return (), _F0
+        P, c, D = hit
+        return tuple((i, F(v, D)) for i, v in P), F(c, D)
 
 
 def sharp_coords(cdata: CentralizerData, z: SuperMatrix) -> dict[GenIndex, Fraction]:

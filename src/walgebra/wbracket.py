@@ -18,15 +18,18 @@ multiplies the signs out per chain.
 Structure constants.  Every factor is read off one supercommutator of ladder
 elements: the centralizer coordinates of [x, y] (trace pairings against the
 dual basis) and the pairing (x|y), both read on ints by one
-liestruct.StructureKernel, which answers zero without forming a product when
-the two matrices' supports do not meet (no column of either is a row of the
-other); about half the constants of a table are such pairs.  MasterEngine
-computes each once, keyed by ints (generator ranks in cdata.gens, node
-indices in ladder_nodes): mid factors by (u, v), head factors by (b, u),
-tail factors by (u, a) and the chain-free head terms by (a, b).  Each is
-stored as (tuple of (rank, coordinate) pairs, pairing) of Fractions and
-lives as long as the engine.  The first row computes every constant a full
-table uses, at once.
+liestruct.StructureKernel, in one pass per left matrix against a family
+indexed once (the live nodes' dual rungs, or the centralizer basis), which
+never touches a pair whose matrices meet nothing.  The first row runs the
+passes, keyed by ints (generator ranks in cdata.gens, node indices in
+ladder_nodes): a live node u's raised rung against the duals gives the mid
+factors (u, v) and against the basis the tails (u, a); a basis element b
+against the duals gives the heads (b, u) and against the basis the
+chain-free head terms (b, a).  A pass returns each nonzero constant as ints
+over its reduced denominator, and the sweep's ints below are taken from
+those by exact division, no Fraction built.  mid_factor, tail_factor,
+head_factor and head_term read one constant as Fractions through the same
+pass, for the tests' chain-by-chain oracle.
 
 The sweep.  Evaluation runs right-to-left with memoized suffix sums: V(u)
 collects the value of all chain tails starting at node u, so a full row of
@@ -34,10 +37,11 @@ brackets {a, -} reuses one suffix sweep.  The level is a grading: give k
 degree 1 and lambda and d degree -1; every factor is of degree 0, and so is
 every value, so the coefficient of lambda^n times a monomial with D
 derivatives is c*k^(n+D).  The sweep keeps only c, an int, at a scale of
-its own per node.  With den(f) the lcm of the denominators of a constant f,
-a live node u has the scale sigma(u) = lcm of den(tail(u, a)) over the
-generators a and of den(mid(u, v))*sigma(v) over the nodes v a chain may
-step to from u, successors first; the top scale T is the lcm of
+its own per node.  With den(f) the lcm of the denominators of a constant f
+(the reduced denominator a kernel pass returns with it), a live node u has
+the scale sigma(u) = lcm of den(tail(u, a)) over the generators a and of
+den(mid(u, v))*sigma(v) over the nodes v a chain may step to from u,
+successors first; the top scale T is the lcm of
 den(head(b, u))*sigma(u) and den(top(a, b)).  The sweep keeps
 sigma(u) V(u), which is integral: each constant is stored once as an int,
 a mid factor as f*sigma(u)/sigma(v), a tail as f*sigma(u), an opener as
@@ -72,7 +76,8 @@ from math import gcd, lcm
 
 from .coeffs import Coeff
 from .errors import WAlgebraError
-from .liestruct import AlgebraCtx, CentralizerData, GenIndex, StructureKernel, sharp_coords
+from .liestruct import (AlgebraCtx, CentralizerData, GenIndex, StructureKernel, SuperMatrix,
+                        sharp_coords)
 from .linalg import solve_each
 from .pvacore import (_STRIDE, BracketTable, DiffPoly, GradedStore, VarSpace, apply_partial,
                       extend_bracket)
@@ -97,22 +102,20 @@ def ladder_nodes(cdata: CentralizerData) -> list[ChainIndex]:
     return out
 
 
-_F0 = F(0)
-
 # A structure constant of the chain sum: the centralizer coordinates of a
 # supercommutator as (generator rank, coordinate) pairs, and the pairing;
-# Fractions, or ints scaled for the sweep.
+# Fractions as read per pair, or ints scaled for the sweep.
 Factor = tuple  # (tuple[tuple[int, Fraction], ...], Fraction)
-_NO_FACTOR: Factor = ((), _F0)
+_ZERO = ((), 0, 1)  # a zero kernel pass constant (P, c, D)
 
 
 class MasterEngine:
     """Evaluates generator brackets, symbolic in the level, for one algebra.
 
     Generators are named by their rank in cdata.gens and ladder positions by
-    their index in self.nodes.  Every structure constant is computed once and
-    kept for the engine's lifetime; the first row computes all that a full
-    table uses."""
+    their index in self.nodes.  The first row computes every structure
+    constant a full table uses, once, and keeps them as the sweep's scaled
+    ints for the engine's lifetime."""
 
     def __init__(self, ctx: AlgebraCtx):
         self.ctx = ctx
@@ -129,7 +132,6 @@ class MasterEngine:
                   reverse=True)
         self._live = live
         self._kernel = StructureKernel(ctx, cdata.dual_at)
-        self._constants: dict = {}
         self._scale = 0  # T once _prepare has run
         # the sweep's interned monomials, id 0 unused; per id the memoized
         # derivative ids, per variable rank {id: signed id of the product}
@@ -142,20 +144,12 @@ class MasterEngine:
 
     # -- structure constants, keyed by ranks and node indices ----------------
 
-    def _constant(self, key: tuple, x, y) -> Factor:
-        """The factor of the ladder pair (x, y), memoized under key; x is None
-        past a string top, where the factor vanishes."""
-        hit = self._constants.get(key)
-        if hit is None:
-            hit = _NO_FACTOR if x is None else self._kernel(x, y)
-            self._constants[key] = hit
-        return hit
-
-    def _raised(self, u: int):
-        """q[n+1] one rung past node u, or None when u tops out its string."""
+    def _raised(self, u: int) -> SuperMatrix:
+        """q[n+1] one rung past node u, or the zero matrix when u tops out its
+        string, where every factor vanishes."""
         c = self.nodes[u]
         fam = self.cdata.adFPowers[c.j]
-        return fam[c.n + 1] if c.n + 1 < len(fam) else None
+        return fam[c.n + 1] if c.n + 1 < len(fam) else SuperMatrix(self.ctx.shape)
 
     def _dual(self, u: int):
         c = self.nodes[u]
@@ -166,55 +160,63 @@ class MasterEngine:
 
     def mid_factor(self, u: int, v: int) -> Factor:
         """Factor coupling consecutive chain nodes u -> v."""
-        return self._constant(("mid", u, v), self._raised(u), self._dual(v))
+        return self._kernel(self._raised(u), self._dual(v))
 
     def tail_factor(self, u: int, a: int) -> Factor:
         """Factor closing a chain at node u in the row of generator a."""
-        return self._constant(("tail", u, a), self._raised(u), self._basis(a))
+        return self._kernel(self._raised(u), self._basis(a))
 
     def head_factor(self, b: int, u: int) -> Factor:
         """Factor opening a chain at node u in the column of generator b."""
-        return self._constant(("head", b, u), self._basis(b), self._dual(u))
+        return self._kernel(self._basis(b), self._dual(u))
 
     def head_term(self, a: int, b: int) -> Factor:
         """The chain-free term of {a lambda b}: [q_a, q_b] and (q_a|q_b)."""
-        return self._constant(("top", a, b), self._basis(a), self._basis(b))
+        return self._kernel(self._basis(a), self._basis(b))
 
     def _prepare(self) -> None:
-        """Every structure constant a full table uses, as an int at the scale
-        the sweep needs (see the module docstring); zero mid and head
-        factors are dropped.  The tail and successor factors of a node on an
-        odd string carry its sign -1, and the openers the chain sum's sign
-        (the sign rule in the module docstring), one list per parity of the
-        row's generator."""
-        cdata, live, alpha2 = self.cdata, self._live, self._alpha2
+        """Every structure constant a full table uses, from the four kernel
+        passes, as an int at the scale the sweep needs (see the module
+        docstring); zero mid and head factors are dropped.  The tail and
+        successor factors of a node on an odd string carry its sign -1, and
+        the openers the chain sum's sign (the sign rule in the module
+        docstring), one list per parity of the row's generator."""
+        cdata, live, alpha2, kernel = self.cdata, self._live, self._alpha2, self._kernel
         ranks = range(len(cdata.gens))
-        succ = {u: [(v, fac) for v in live
-                    if alpha2[v] >= alpha2[u] + 2 and any(fac := self.mid_factor(u, v))]
-                for u in live}
+        duals = kernel.family((v, self._dual(v)) for v in live)
+        basis = kernel.family((r, self._basis(r)) for r in ranks)
         delta2 = [int(2 * cdata.delta[g]) for g in cdata.gens]
-        opens = [[(u, fac) for u in live
-                  if alpha2[u] >= -delta2[rb] and any(fac := self.head_factor(rb, u))]
-                 for rb in ranks]
-        # a row skips the nodes above its generator's top grade
-        tails = {u: [self.tail_factor(u, ra) if alpha2[u] <= delta2[ra] - 2 else _NO_FACTOR
-                     for ra in ranks] for u in live}
-        tops = [[self.head_term(ra, rb) for rb in ranks] for ra in ranks]
+        succ, tails = {}, {}
+        for u in live:
+            x = self._raised(u)
+            mids = kernel.constants(x, duals)
+            succ[u] = [(v, mids[v]) for v in live if alpha2[v] >= alpha2[u] + 2 and v in mids]
+            # a row skips the nodes above its generator's top grade
+            ends = kernel.constants(x, basis)
+            tails[u] = [ends.get(ra, _ZERO) if alpha2[u] <= delta2[ra] - 2 else _ZERO
+                        for ra in ranks]
+        opens, tops = [], []
+        for r in ranks:
+            x = self._basis(r)
+            heads = kernel.constants(x, duals)
+            opens.append([(u, heads[u]) for u in live if alpha2[u] >= -delta2[r] and u in heads])
+            row = kernel.constants(x, basis)
+            tops.append([row.get(rb, _ZERO) for rb in ranks])
 
-        sigma: dict[int, int] = {}
+        sigma: dict[int, int] = {}  # a constant (P, c, D) is over its reduced denominator D
         for u in live:  # successors come first
-            sigma[u] = lcm(*map(_den, tails[u]), *(_den(f) * sigma[v] for v, f in succ[u]))
-        T = lcm(*(_den(f) * sigma[u] for us in opens for u, f in us),
-                *(_den(f) for fs in tops for f in fs))
+            sigma[u] = lcm(*(f[2] for f in tails[u]), *(f[2] * sigma[v] for v, f in succ[u]))
+        T = lcm(*(f[2] * sigma[u] for us in opens for u, f in us),
+                *(f[2] for fs in tops for f in fs))
         odd = {u: self.nodes[u].j.parity for u in live}
-        self._succ = {u: [(v, _scaled(f, sigma[u], sigma[v], odd[u])) for v, f in vs]
+        self._succ = {u: [(v, _at_scale(f, sigma[u], sigma[v], odd[u])) for v, f in vs]
                       for u, vs in succ.items()}
-        self._tails = {u: [_scaled(f, sigma[u], 1, odd[u]) for f in fs]
+        self._tails = {u: [_at_scale(f, sigma[u], 1, odd[u]) for f in fs]
                        for u, fs in tails.items()}
-        self._tops = [[_scaled(f, T) for f in fs] for fs in tops]
+        self._tops = [[_at_scale(f, T) for f in fs] for fs in tops]
         # the chain sum enters with -(-1)^(p(a)p(b)): -1 unless a and b are odd
-        even_a = [[(u, _scaled(f, T, sigma[u], 1)) for u, f in us] for us in opens]
-        odd_a = [[(u, _scaled(f, T, sigma[u])) for u, f in us] if cdata.gens[rb].parity
+        even_a = [[(u, _at_scale(f, T, sigma[u], 1)) for u, f in us] for us in opens]
+        odd_a = [[(u, _at_scale(f, T, sigma[u])) for u, f in us] if cdata.gens[rb].parity
                  else even_a[rb] for rb, us in enumerate(opens)]
         self._opens = (even_a, odd_a)
         self._scale = T
@@ -347,18 +349,12 @@ class MasterEngine:
         return out
 
 
-def _den(factor: Factor) -> int:
-    """The lcm of the denominators of a Fraction factor."""
-    P, c = factor
-    return lcm(c.denominator, *(x.denominator for _, x in P))
-
-
-def _scaled(factor: Factor, num: int, den: int = 1, odd: int = 0) -> Factor:
-    """(-1)^odd * num/den * factor as ints, den * _den(factor) dividing num."""
-    P, c = factor
-    s = -1 if odd else 1
-    return (tuple((r, s * x.numerator * (num // (den * x.denominator))) for r, x in P),
-            s * c.numerator * (num // (den * c.denominator)))
+def _at_scale(factor: tuple, num: int, den: int = 1, odd: int = 0) -> Factor:
+    """(-1)^odd * num/den times a kernel pass constant (P, c, D) as ints (P,
+    c); den * D divides num."""
+    P, c, D = factor
+    q = -(num // (den * D)) if odd else num // (den * D)
+    return tuple((r, x * q) for r, x in P), c * q
 
 
 _TABLE_CACHE: dict = {}

@@ -29,7 +29,7 @@ from walgebra import pvacore, serialize, wbracket
 from walgebra.coeffs import Coeff
 from walgebra.dsreduction import ReductionCtx, reconcile
 from walgebra.errors import MissingTableEntry, WAlgebraError
-from walgebra.liestruct import StructureKernel, sharp_coords
+from walgebra.liestruct import StructureKernel, pairings, sharp_coords
 from walgebra.pvacore import (BracketTable, DiffPoly, GradedStore, LambdaPoly, VarSpace,
                               apply_partial, check_jacobi, check_skew, extend_bracket, linear_term,
                               monomial_weight, normalize_factors, nth_product)
@@ -67,6 +67,11 @@ SYMBOLIC_DIGESTS = {
     ("sl_super", (4,), (2,)):
         "16220967be4bd28937ff70da558fecdd2110658a054a2948b1ccb31d0f7fc653",
 }
+
+# sha256 of the store of the (6,4,3) symbolic table that criterion 8
+# replays, recorded when every structure constant was computed one pair at a
+# time; its 300791 terms through the JSON view of _digest take 15 s
+STORE_DIGEST_6_4_3 = "d7d7056ec177aa23165218b0807b06cde7b0110bbd6780a834aee611ea420f81"
 
 
 def _digest(table) -> str:
@@ -152,6 +157,7 @@ def test_random_rows_match_chain_by_chain_evaluation(shape, data):
 @example(("sl", (3, 2), ()))
 @example(("sl", (2, 1, 1), ()))
 @example(("sl_super", (3,), (2,)))
+@example(("sl_super", (3, 1), (2, 1)))
 def test_structure_constants_match_the_matrix_path(shape):
     # every constant the engine can ask for, those of disjoint supports
     # answered by the kernel without a product included, on plain and super
@@ -199,32 +205,35 @@ def test_structure_constants_match_the_matrix_path(shape):
             assert got(engine.head_term(ra, rb)) == want(basis[ra], basis[rb])
 
 
-def test_the_kernel_skips_the_products_of_disjoint_supports(monkeypatch):
-    # on (4,3) the kernel answers more constants than it computes products
-    # for, and each constant answered without a product is that of two
-    # matrices whose products vanish both ways
-    answered, products = [], []
-    call, product = StructureKernel.__call__, StructureKernel._product
-
-    def counting_call(kernel, x, y):
-        before = len(products)
-        val = call(kernel, x, y)
-        answered.append((x, y, len(products) > before))
-        return val
-
-    def counting_product(kernel, ix, iy):
-        products.append(1)
-        return product(kernel, ix, iy)
-
-    monkeypatch.setattr(StructureKernel, "__call__", counting_call)
-    monkeypatch.setattr(StructureKernel, "_product", counting_product)
-    engine = MasterEngine(ctx_of("sl", (4, 3)))
-    for a in engine.cdata.gens:
-        engine.row(a)
-    assert 0 < len(products) < len(answered)
-    for x, y, computed in answered:
-        if not computed:
-            assert not x.mul(y).entries and not y.mul(x).entries
+@pytest.mark.parametrize("shape", [("sl", (4, 3), ()), ("sl_super", (3, 1), (2, 1))])
+def test_the_kernel_pass_touches_only_the_members_it_reports(shape):
+    # the left matrices and families of MasterEngine._prepare: every pair the
+    # pass reports nothing for has zero coordinates and (x|y) = 0 by the
+    # matrix path, every pair it reports is the matrix path's nonzero
+    # constant, and some pairs are left out
+    ctx = ctx_of(*shape)
+    cdata = ctx.centralizer()
+    kernel = StructureKernel(ctx, cdata.dual_at)
+    raised = [m for g in cdata.gens for m in cdata.adFPowers[g][1:]]
+    dual = [m for g in cdata.gens for m in cdata.dualFamily[g]]
+    basis = [cdata.basisF[g] for g in cdata.gens]
+    reported = total = 0
+    for ys in (dual, basis):
+        family = kernel.family(enumerate(ys))
+        for x in raised + basis:
+            out = kernel.constants(x, family)
+            for k, y in enumerate(ys):
+                z = x.comm(y)
+                coords, pairing = pairings(cdata.dual_at, z), ctx.pair(x, y)
+                if k in out:
+                    P, c, D = out[k]
+                    assert ({i: F(v, D) for i, v in P}, F(c, D)) == (coords, pairing)
+                    assert coords or pairing
+                else:
+                    assert not coords and not pairing, shape
+            reported += len(out)
+            total += len(ys)
+    assert 0 < reported < total
 
 
 @settings(max_examples=15, deadline=None)
@@ -292,6 +301,15 @@ def test_interned_operator_matches_the_diffpoly_operator():
 def test_symbolic_tables_are_pinned():
     for shape, want in SYMBOLIC_DIGESTS.items():
         assert _digest(table_of(*shape)) == want, shape
+
+
+def test_the_6_4_3_table_is_pinned():
+    # a symbolic table's store is reduced, so its scale and ints are unique
+    store = table_of("sl", (6, 4, 3)).store
+    terms = sorted((ab, n, m, c) for ab, val in store.ints.items()
+                   for n, p in val.items() for m, c in p.items())
+    body = json.dumps([store.scale, store.space.stride, terms], separators=(",", ":"))
+    assert hashlib.sha256(body.encode()).hexdigest() == STORE_DIGEST_6_4_3
 
 
 def test_tables_cannot_be_corrupted_through_their_entries():
