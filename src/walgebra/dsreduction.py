@@ -61,6 +61,24 @@ constraints and the corrected brackets are then re-verified exactly on
 graded ints, which determine a value over Q(k), compared at the product of
 the two scales.
 
+The slice.  De Sole-Kac-Valeri ("Structure of classical (finite and
+affine) W-algebras", JEMS 2016) prove that pi, the differential-algebra
+morphism that keeps the string tops q_g[0] (the letters of g^f) and sends
+every other letter to zero, is injective on the W-algebra.  A stage's
+residual X(x) = {W_a lambda W_b} - T_ab(W), with the unknown corrections x
+in W, is linear in x and lies in the W-algebra for every x, which is closed
+under products, d and the bracket; so pi(X(x)) = 0 has exactly the
+solutions of X(x) = 0, and two consistent systems with one solution set
+have one reduced row echelon form and one zeroed-free solution.  A stage's
+rows are therefore only those over q_g[0]: its brackets run on an engine of
+kept letters over the affine store (pvacore._Leibniz), which computes pi{A
+lambda B} for full A and B, and which reconcile builds once and empties
+after each stage; its target rows drop every other monomial.  solve_all's
+constraints stay full, since they define the W-algebra, on which alone pi
+is injective; the stage's Substitution, the applied corrections and the
+final verification stay full too, so a wrong restriction could only make
+reconcile refuse, never pass.
+
 Skew symmetry.  reconcile first checks both tables, the closed-form and the
 affine one, for {a lambda b} = S{b lambda a}, S taking lambda^n P to
 -(-1)^{p(a)p(b)} (-lambda-d)^n P, and for parity: every monomial of {a
@@ -123,7 +141,7 @@ from .errors import NoSolution, WAlgebraError
 from .liestruct import AlgebraCtx, GenIndex, StructureKernel, SuperMatrix, pairing_index
 from .linalg import System
 from .pvacore import (_STRIDE, BracketTable, DiffPoly, GradedStore, LambdaPoly, Substitution,
-                      VarSpace, check_skew, extend_bracket)
+                      VarSpace, _Leibniz, check_skew, extend_bracket)
 
 
 class AffVar(namedtuple("AffVar", "g n")):
@@ -290,6 +308,17 @@ def _add_rows(system: System, tag, col: int | None, bracket: tuple, sign: int = 
             add((tag, n, m), col, sign * c, 0, scale)
 
 
+def _add_target(system: System, key: tuple, col: int | None, value: tuple, off) -> None:
+    """Minus the k=1 value of an edge value (S, {s: {monomial: int}}) at one
+    lambda power into the rows keyed (*key, monomial), for the monomials with
+    no factor off the slice (off(m) = 0)."""
+    S, parts = value
+    for p in parts.values():
+        for m, c in p.items():
+            if not off(m):
+                system.add((*key, m), col, -c, 0, S)
+
+
 def _agrees(got: tuple, want: dict) -> bool:
     """Whether a graded bracket (scale, s, {n: {monomial: int}}) of the
     affine engine (g = 1, so lambda^n sits at degree s + n) equals want, {n:
@@ -417,6 +446,7 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
                        "pair": bad[0]["pair"]}
             return ReconcileReport(False, {g: DiffPoly() for g in gens_all}, {}, failure=failure)
     W = solve_all(rctx)
+    sliced = _Leibniz(affine.store, {AffVar(g, 0) for g in gens_all})  # the engine of pi
     corrections: dict = {g: DiffPoly() for g in gens_all}
     deferred: list = []
     for w in sorted({g.t for g in gens_all}):
@@ -427,7 +457,8 @@ def _reconcile(rctx: ReductionCtx, table: BracketTable) -> ReconcileReport:
         if not lowmonos:
             continue
         sub = Substitution(affine, W)
-        found = _stage_corrections(rctx, table, sub, stage, lower, lowmonos, deferred)
+        found = _stage_corrections(rctx, table, sub, sliced, stage, lower, lowmonos, deferred)
+        sliced.drop_memos()
         if found is None:
             return ReconcileReport(
                 False, corrections, W,
@@ -473,14 +504,16 @@ def _replaced(sub: Substitution, part: DiffPoly, mu: tuple) -> tuple:
                        for m, c in part.terms.items())
 
 
-def _stage_corrections(rctx: ReductionCtx, table: BracketTable, sub: Substitution, stage: list,
-                       lower: list, lowmonos: list, deferred: list) -> dict | None:
+def _stage_corrections(rctx: ReductionCtx, table: BracketTable, sub: Substitution,
+                       sliced: _Leibniz, stage: list, lower: list, lowmonos: list,
+                       deferred: list) -> dict | None:
     """The solved correction {g: DiffPoly over lowmonos} of each stage
     generator, or None when the stage's system is inconsistent; deferred
     pairs are appended to deferred.  sub maps each generator to its current
-    realization.  The system and bracket memos die when this returns."""
-    w, rank = stage[0].t, rctx.cdata.col
-    engine = rctx.affine_table().engine
+    realization; the rows are pi of each equation, its brackets computed on
+    sliced, the engine of pi, and its target's monomials off the slice
+    dropped.  The system and bracket memos die when this returns."""
+    w, rank, off = stage[0].t, rctx.cdata.col, sliced.off
     first_col = {g: si * len(lowmonos) for si, g in enumerate(stage)}
     # {mu lambda W_b} for every correction monomial mu, the same for every a
     # of the stage: bracketed through mu's factors on the first pair (a, b)
@@ -497,16 +530,14 @@ def _stage_corrections(rctx: ReductionCtx, table: BracketTable, sub: Substitutio
                 deferred += [(a, b), (b, a)]
                 continue
             tag = (rank[a], rank[b])
-            _add_rows(system, tag, None, engine.graded_bracket(_image(sub, a), _image(sub, b)))
+            _add_rows(system, tag, None, sliced.graded_bracket(_image(sub, a), _image(sub, b)))
             brs = mono_brackets.get(b)
             if brs is None:
-                brs = mono_brackets[b] = sub.bracket_images(lowmonos, b)
+                brs = mono_brackets[b] = sub.bracket_images(lowmonos, b, sliced)
             for mi, br in enumerate(brs):
                 _add_rows(system, tag, first_col[a] + mi, br)
             for slot, poly in target.coeffs.items():
-                S, parts = sub.graded(poly)
-                for s, p in parts.items():
-                    _add_rows(system, tag, None, (S, s, {slot: p}), -1)
+                _add_target(system, (tag, slot), None, sub.graded(poly), off)
                 # a target monomial holds at most one stage letter (two would
                 # outweigh the bracket), and holds it last as d^j(l): every
                 # other letter weighs less, so it sorts first.  target(W + x)
@@ -518,9 +549,8 @@ def _stage_corrections(rctx: ReductionCtx, table: BracketTable, sub: Substitutio
                         split.setdefault(m[-1][0], DiffPoly()).terms[m] = c
                 for l, part in split.items():
                     for mi, mu in enumerate(lowmonos):
-                        S, parts = _replaced(sub, part, mu)
-                        for s, p in parts.items():
-                            _add_rows(system, tag, first_col[l] + mi, (S, s, {slot: p}), -1)
+                        _add_target(system, (tag, slot), first_col[l] + mi,
+                                    _replaced(sub, part, mu), off)
     sol = system.solve()
     return None if sol is None else {g: DiffPoly({
         mu: _lifted(mu, sol[col + mi]) for mi, mu in enumerate(lowmonos) if col + mi in sol})

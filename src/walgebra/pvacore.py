@@ -54,7 +54,12 @@ bracket memos ({var lambda mono}, products, derivatives d^j of monomials,
 the table's one derivative memo, and the Jacobi sweep's ProductBracket per
 third letter) grow with every call and are dropped by drop_memos, which the
 reduction oracle calls when reconcile returns.  The product memo is keyed
-by the right factor first: a sum times z fetches z's memo once.
+by the right factor first: a sum times z fetches z's memo once.  An engine
+may also be built over a table's store with a set of kept letters: it
+brackets to pi of the table's brackets, pi sending every other letter to
+zero, its store's other monomials dropped and a product with another
+letter zero on the memo's miss path; the reduction oracle's stages run on
+one, over the string tops q_g[0].
 
 Products.  A product is bracketed through its factors by one routine,
 ProductBracket, against one fixed right operand B of one parity: the left
@@ -124,8 +129,9 @@ the engine's product memo, and sum by combine, which graded calls and which
 takes any Q[k] coefficients: a caller that puts a monomial in the place of a
 letter multiplies and sums the images, with no second mapping and no
 DiffPoly built.  bracket_images brackets the images of monomials with the
-image of one letter b through their factors by a ProductBracket, whose
-letter bracket is the engine's graded_bracket of two letter images.
+image of one letter b through their factors by a ProductBracket on a
+given engine (the table's, or one of kept letters over its store), whose
+letter bracket is that engine's graded_bracket of two letter images.
 """
 
 from __future__ import annotations
@@ -642,11 +648,33 @@ class _Leibniz:
     monomials and ints at scale L, graded by g.  It keeps the store, not the
     table, so a dropped table takes its engine with it; the Jacobi sweep's
     per-letter products refer back to the engine, so until drop_memos
-    empties them that takes the cyclic collector."""
+    empties them that takes the cyclic collector.
 
-    def __init__(self, store: GradedStore):
+    Given a set of kept letters, the engine computes pi of every bracket,
+    pi the differential-algebra morphism that sends every other letter to
+    zero: its store is the given one with every monomial holding another
+    letter dropped (off(m) counts the factors of m outside the set; it is
+    None on an engine without one), and a product with a factor outside
+    the set is zero, like one with a repeated odd factor.  Every Leibniz term multiplies a table entry by factors of
+    the operands, so that is pi of the full engine's bracket; and so
+    graded_bracket drops an operand's terms with two factors off the set,
+    and its ProductBracket the arrows whose multiplier holds one.  The
+    checks sit in the product memo's miss path and once per call, so the
+    hit paths, and the engine of a table, do no more work per term."""
+
+    def __init__(self, store: GradedStore, kept=None):
+        space = store.space
+        canonical = self._canonical = space.canonical
+        self.off = None
+        if kept is not None:  # closures over keep alone, so the engine is no cycle
+            keep = [v in kept for v in space.vars for _ in range(space.stride)]  # by factor
+            off = self.off = lambda m: len(m) - sum(map(keep.__getitem__, m))
+            self._canonical = lambda xs: None if off(xs) else canonical(xs)
+            store = store._replace(ints={ab: {n: q for n, p in val.items() if (
+                q := {m: c for m, c in p.items() if not off(m)})}
+                for ab, val in store.ints.items()})
         self.store = store
-        self.space, self.L, self.g = store.space, store.scale, store.g
+        self.space, self.L, self.g = space, store.scale, store.g
         self._vm: dict = {}
         self._jacobi_products: dict = {}  # rank c -> ProductBracket against c
         self._products: dict = {}  # right factor -> {left factor: _mul's value}
@@ -684,7 +712,7 @@ class _Leibniz:
         memo = self._products.get(m2) or self._products.setdefault(m2, {})
         hit = memo.get(m1, False)
         if hit is False:
-            hit = memo[m1] = self.space.canonical(m1 + m2)
+            hit = memo[m1] = self._canonical(m1 + m2)
         return hit
 
     def _dpow(self, m: tuple, j: int) -> dict:
@@ -769,7 +797,7 @@ class _Leibniz:
         right through the product memo, read inline: z's memo is fetched
         once, then each monomial of p looked up in it; w nonzero."""
         memo = self._products.get(z) or self._products.setdefault(z, {})
-        canonical, get = self.space.canonical, out.get
+        canonical, get = self._canonical, out.get
         for m, c in p.items():
             r = memo.get(m, False)
             if r is False:
@@ -797,8 +825,12 @@ class _Leibniz:
         by parity class, and each {x lambda B} runs through x's factors by one
         ProductBracket per class, cut below lambda^low, which brackets a
         letter v by {v lambda B} = sum over the terms c_y y of B of c_y {v
-        lambda y} and multiplies by d^k of interned monomials."""
+        lambda y} and multiplies by d^k of interned monomials.  On an
+        engine of kept letters it is pi{A lambda B}, A and B full."""
         (Ma, sa, ta), (Mb, sb, tb) = A, B
+        off = self.off
+        if off:  # a Leibniz term multiplies by all but one factor of x and of y
+            ta, tb = ({x: c for x, c in t.items() if off(x) < 2} for t in (ta, tb))
         parity = self._parity
         classes: tuple = ({}, {})  # B's terms by parity
         for y, c in tb.items():
@@ -808,7 +840,7 @@ class _Leibniz:
             if not part:
                 continue
             product = ProductBracket(self, lambda v, part=part: self._letter_bracket(v, part),
-                                     self._split, self._dpow, parity, pB, low)
+                                     self._split, self._dpow, parity, pB, low, off)
             for x, cx in ta.items():
                 if not x:
                     continue  # a constant brackets to zero
@@ -967,21 +999,25 @@ class ProductBracket:
     factor's derivative count; in a Substitution's (g = 1), d^j(image) sits
     j degrees lower and lambda^j adds the j back.  An arrow takes lambda^n
     of the bracket to sum_k C(n, k) lambda^(n-k) times its coefficient times
-    d^k(y), on the engine's product memo.  An arrow only lowers the lambda
-    power, so with a lower bound `low` the parts below lambda^low are never
-    needed: the base is cut below it and an arrow stops at it, and every
-    value holds the bracket's parts from lambda^low up.  The value of every
+    d^k(y), on the engine's product memo.  Given zero(y), true when every
+    d^k(y) multiplies to zero (a factor off an engine's kept letters), an
+    arrow by such a y is skipped, and the bracket it would multiply is not
+    computed for it.  An arrow only lowers the lambda power, so with a lower
+    bound `low` the parts below lambda^low are never needed: the base is cut
+    below it and an arrow stops at it, and every value holds the bracket's
+    parts from lambda^low up.  The value of every
     letter, product and suffix met is memoized in the object, which lives as
     long as its caller keeps it: one call, except the Jacobi sweep's, one per
     letter, which the engine keeps until drop_memos."""
 
     __slots__ = ("_add_times", "_letter", "_split", "_power", "_parity", "_pB", "_low",
-                 "_letters", "_memo")
+                 "_zero", "_letters", "_memo")
 
-    def __init__(self, engine: _Leibniz, letter, split, power, parity, pB: int, low: int = 0):
+    def __init__(self, engine: _Leibniz, letter, split, power, parity, pB: int, low: int = 0,
+                 zero=None):
         self._add_times = engine._add_times
         self._letter, self._split, self._power = letter, split, power
-        self._parity, self._pB, self._low = parity, pB, low
+        self._parity, self._pB, self._low, self._zero = parity, pB, low, zero
         self._letters: dict = {}
         self._memo: dict = {}
 
@@ -1002,8 +1038,11 @@ class ProductBracket:
                 parity, pB = self._parity, self._pB
                 pr = parity(rest)
                 hit = {}
-                self._arrow(hit, self(head), rest, -1 if pr and pB else 1)
-                self._arrow(hit, self(rest), head, -1 if parity(head) and pr != pB else 1)
+                zero = self._zero
+                if not (zero and zero(rest)):
+                    self._arrow(hit, self(head), rest, -1 if pr and pB else 1)
+                if not (zero and zero(head)):
+                    self._arrow(hit, self(rest), head, -1 if parity(head) and pr != pB else 1)
             self._memo[m] = hit
         return hit
 
@@ -1209,17 +1248,18 @@ class Substitution:
             add_times(out, pa, xb, cb)
         return Ma * Mb, sa + sb, out
 
-    def bracket_images(self, monos: list, b) -> list:
+    def bracket_images(self, monos: list, b, engine: _Leibniz) -> list:
         """[{image(mu) lambda image(b)}] for monomials mu over letters of the
         mapping and a letter b, as graded brackets (scale, s, {n: {monomial:
         int}}) at scale L*M_B*(the product of the scales of mu's letter
         images), M_B the scale of b's image B, s the degrees of B and of
         image(mu) added.  Each runs through mu's factors, (letter, j) pairs,
-        by one ProductBracket, which brackets a letter's image with B by the
-        engine's graded_bracket; the arrows multiply by d^k of factor images
-        from this object's memos.  A letter's image must have the letter's
-        parity and B one parity (WAlgebraError)."""
-        engine = self._engine
+        by one ProductBracket, which brackets a letter's image with B by
+        engine's graded_bracket and multiplies on engine's product memo by
+        d^k of factor images from this object's memos: the table's engine,
+        or one of kept letters over its store for pi of every bracket.  A
+        letter's image must have the letter's parity and B one parity
+        (WAlgebraError)."""
         B = self._letter(b, 0)
         M_B, s_B, p_B = B
         pB = _parity_class(engine, p_B, "the right operand") or 0

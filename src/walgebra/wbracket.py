@@ -28,8 +28,10 @@ against the duals gives the heads (b, u) and against the basis the
 chain-free head terms (b, a).  A pass returns each nonzero constant as ints
 over its reduced denominator, and the sweep's ints below are taken from
 those by exact division, no Fraction built.  mid_factor, tail_factor,
-head_factor and head_term read one constant as Fractions through the same
-pass, for the tests' chain-by-chain oracle.
+head_factor and head_term read one constant as Fractions, for the tests'
+chain-by-chain oracle, from the same passes against families of every
+node's dual rung and of the basis, indexed once per engine on the first
+read, each pass kept.
 
 The sweep.  Evaluation runs right-to-left with memoized suffix sums: V(u)
 collects the value of all chain tails starting at node u, so a full row of
@@ -133,6 +135,7 @@ class MasterEngine:
         self._live = live
         self._kernel = StructureKernel(ctx, cdata.dual_at)
         self._scale = 0  # T once _prepare has run
+        self._families, self._passes = None, {}  # the per-pair reads' passes
         # the sweep's interned monomials, id 0 unused; per id the memoized
         # derivative ids, per variable rank {id: signed id of the product}
         self._monos: list = [None]
@@ -158,21 +161,39 @@ class MasterEngine:
     def _basis(self, r: int):
         return self.cdata.basisF[self.cdata.gens[r]]
 
+    def _read(self, left: tuple, right: int, key: int) -> Factor:
+        """One constant as Fractions: member key of the pass of the left
+        matrix, (0, u) for node u's raised rung or (1, r) for the basis
+        element of rank r, against family right, 0 for every node's dual
+        rung and 1 for the basis.  The two families are indexed on the first
+        read and each pass is kept, so a left matrix is walked once per
+        family."""
+        if self._families is None:
+            kernel, ranks = self._kernel, range(len(self.cdata.gens))
+            self._families = (kernel.family((v, self._dual(v)) for v in range(len(self.nodes))),
+                              kernel.family((r, self._basis(r)) for r in ranks))
+        hit = self._passes.get((left, right))
+        if hit is None:
+            x = self._basis(left[1]) if left[0] else self._raised(left[1])
+            hit = self._passes[(left, right)] = self._kernel.constants(x, self._families[right])
+        P, c, D = hit.get(key, _ZERO)
+        return tuple((i, F(v, D)) for i, v in P), F(c, D)
+
     def mid_factor(self, u: int, v: int) -> Factor:
         """Factor coupling consecutive chain nodes u -> v."""
-        return self._kernel(self._raised(u), self._dual(v))
+        return self._read((0, u), 0, v)
 
     def tail_factor(self, u: int, a: int) -> Factor:
         """Factor closing a chain at node u in the row of generator a."""
-        return self._kernel(self._raised(u), self._basis(a))
+        return self._read((0, u), 1, a)
 
     def head_factor(self, b: int, u: int) -> Factor:
         """Factor opening a chain at node u in the column of generator b."""
-        return self._kernel(self._basis(b), self._dual(u))
+        return self._read((1, b), 0, u)
 
     def head_term(self, a: int, b: int) -> Factor:
         """The chain-free term of {a lambda b}: [q_a, q_b] and (q_a|q_b)."""
-        return self._kernel(self._basis(a), self._basis(b))
+        return self._read((1, a), 1, b)
 
     def _prepare(self) -> None:
         """Every structure constant a full table uses, from the four kernel

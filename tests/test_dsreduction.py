@@ -25,14 +25,16 @@ from conftest import (affine_table_reference, bracket_by_chains, corrupted_table
                       weight_system_reference, wrong_parity_table)
 from walgebra import dsreduction
 from walgebra.coeffs import ONE, Coeff
-from walgebra.dsreduction import (ReductionCtx, _replaced, _weight_search, _weight_system,
-                                  reconcile, reduced_bracket, solve_all, weight_monomials)
+from walgebra.dsreduction import (AffVar, ReductionCtx, _replaced, _weight_search,
+                                  _weight_system, reconcile, reduced_bracket, solve_all,
+                                  weight_monomials)
 from walgebra.errors import NoSolution, NormalizationImpossible, WAlgebraError
 from walgebra.liestruct import (GenIndex, PartitionSpec, SuperMatrix, build_algebra,
                                 pairing_index, pairings)
 from walgebra.linalg import System, solve_each
-from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution, apply_partial,
-                              check_jacobi, check_skew, extend_bracket, normalize_factors)
+from walgebra.pvacore import (BracketTable, DiffPoly, LambdaPoly, Substitution, _Leibniz,
+                              apply_partial, check_jacobi, check_skew, extend_bracket,
+                              normalize_factors)
 from walgebra.wbracket import MasterEngine
 
 F = Fraction
@@ -349,15 +351,18 @@ def _buildable(shapes) -> list:
 
 # every shape of both kinds with at most 4 boxes that the workbench builds
 RECONCILE_SMALL = _buildable(small_shapes(4))
-# and the 5-box shapes with three or more blocks, counting both groups.  The
-# seven 5-box shapes with at most two blocks also reconcile and agree, but
-# reconcile + reference take (5) 3.2 + 6.3 s, (4,1) 2.0 + 2.9 s, (3,2)
-# 2.2 + 4.0 s, sl(1|4) 1.2 + 1.7 s, sl(2|3) 0.9 + 1.6 s, sl(3|2) 0.9 + 1.4 s
-# and sl(4|1) 1.2 + 1.7 s, about 31 s together (one fresh process each, the
-# closed-form table built beforehand) against these fifteen's 8 s, more
-# than a Tier-1 run can spend
+# and the 5-box shapes with three or more blocks, counting both groups, and
+# sl(2|3) and sl(3|2), whose reconcile + reference take 0.6-0.7 + 1.7-1.8 s
+# and 0.5-0.6 + 1.7-1.8 s (two fresh processes each, the closed-form table
+# built beforehand).  The other five 5-box shapes also reconcile and agree,
+# but sl(1|4) 0.6-0.7 + 2.2-2.5 s and sl(4|1) 0.6-0.9 + 1.7-2.4 s put a
+# Tier-1 run past 90 s on a slow host (93.6 s once with them, where their
+# two runs took 8.5 s), and (5) 1.6 + 6.8-9.1 s, (4,1) 0.9 + 3.3-4.1 s and
+# (3,2) 1.0-1.1 + 3.9-4.0 s cost more still, most of it in the DiffPoly
+# reference
 RECONCILE_5 = [s for s in _buildable(small_shapes(5))
-               if sum(s[1]) + sum(s[2]) == 5 and len(s[1]) + len(s[2]) >= 3]
+               if sum(s[1]) + sum(s[2]) == 5 and len(s[1]) + len(s[2]) >= 3] + [
+    ("sl_super", (2,), (3,)), ("sl_super", (3,), (2,))]
 
 
 @pytest.mark.parametrize("shape", RECONCILE_SMALL + RECONCILE_5, ids=str)
@@ -387,7 +392,7 @@ def test_constraint_rows_from_the_memo_match_the_graded_bracket_route(shape):
 
 def test_reconcile_shapes_at_most_4_boxes():
     assert len(RECONCILE_SMALL) == 13
-    assert len(RECONCILE_5) == 15
+    assert len(RECONCILE_5) == 17
 
 
 # every shape of both kinds with at most 5 boxes that the workbench builds
@@ -447,10 +452,88 @@ def test_correction_monomials_bracket_through_their_factors(shape, data):
     engine = affine.engine
     sub = Substitution(affine, W)
     for b in lower:
-        got = sub.bracket_images(monos, b)
+        got = sub.bracket_images(monos, b, engine)
         for mu, bracket in zip(monos, got):
             want = extend_bracket(affine, sub(DiffPoly({mu: ONE})), W[b])
             assert _lifted_bracket(engine, bracket) == want, (mu, b)
+
+
+def _on_slice(engine, m) -> bool:
+    """Whether the interned monomial m is over string tops q_g[0] alone."""
+    return all(engine.space.vars[x // engine.space.stride].n == 0 for x in m)
+
+
+def _slice_part(engine, bracket) -> tuple:
+    """A graded bracket with every monomial off the slice and every empty
+    lambda power dropped."""
+    scale, s, rows = bracket
+    return scale, s, {n: q for n, p in rows.items()
+                      if (q := {m: c for m, c in p.items() if _on_slice(engine, m)})}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SHAPES_5), st.data())
+def test_the_slice_engine_brackets_to_the_slice_part_of_the_full_bracket(shape, data):
+    # pi, the projection onto the string tops q_g[0], commutes with the
+    # Leibniz rules: the engine of kept letters brackets the realizations,
+    # and correction monomials' images through their factors, to the full
+    # engine's bracket with every monomial off the slice dropped
+    rctx, gens, W, _ = _realized(*shape)
+    affine = rctx.affine_table()
+    engine = affine.engine
+    sliced = _Leibniz(affine.store, {AffVar(g, 0) for g in gens})
+    sub = Substitution(affine, W)
+    a, b = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
+    A, B = sub.dpow(((a, 0),), 0), sub.dpow(((b, 0),), 0)
+    assert sliced.graded_bracket(A, B) == _slice_part(engine, engine.graded_bracket(A, B))
+    weights = sorted({g.t for g in gens})
+    if len(weights) < 2:
+        return
+    w = data.draw(st.sampled_from(weights[1:]))
+    pool = [mu for mu in weight_monomials([g for g in gens if g.t < w], lambda g: g.t, w)
+            if len(mu) <= 3 and all(d <= 2 for _, d in mu)]
+    if not pool:
+        return
+    monos = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    for mu in monos:
+        X = sub.dpow(mu, 0)
+        assert sliced.graded_bracket(X, B) == _slice_part(engine, engine.graded_bracket(X, B))
+    for got, full in zip(sub.bracket_images(monos, b, sliced),
+                         sub.bracket_images(monos, b, engine)):
+        assert _slice_part(engine, got) == _slice_part(engine, full), b
+
+
+@pytest.mark.parametrize("shape", [("sl", (2, 2)), ("sl_super", (2, 1), (1,)), ("sl", (3, 1)),
+                                   ("sl_super", (3,), (1,))], ids=str)
+def test_every_stage_row_is_a_slice_monomial(monkeypatch, shape):
+    # a stage's rows are pi of its equations: each row key (pair, lambda
+    # power, monomial) names a monomial over string tops q_g[0] alone
+    systems: list = []
+    in_stage = []
+
+    class Kept(System):
+        def __init__(self):
+            super().__init__()
+            if in_stage:
+                systems.append(self)
+
+    def stage(*args):
+        in_stage.append(True)
+        try:
+            return stage_corrections(*args)
+        finally:
+            in_stage.pop()
+
+    stage_corrections = dsreduction._stage_corrections
+    monkeypatch.setattr(dsreduction, "System", Kept)
+    monkeypatch.setattr(dsreduction, "_stage_corrections", stage)
+    rctx = ReductionCtx(ctx_of(*shape))
+    assert reconcile(rctx, table_of(*shape)).ok
+    engine = rctx.affine_table().engine
+    assert systems and all(system.rows for system in systems)
+    for system in systems:
+        for key in system.rows:
+            assert _on_slice(engine, key[-1]), key
 
 
 # shapes with odd generators before a stage letter, and a plain one
@@ -551,11 +634,13 @@ def test_no_stage_system_outlives_its_stage(monkeypatch, shape):
     assert alive == [0] * len(alive)
 
 
-def test_reconcile_drops_the_engine_memos():
+def test_reconcile_drops_the_engine_memos(monkeypatch):
     # every bracket memo is emptied before reconcile returns, the Jacobi
     # sweep's per-letter products included; the skew verdict and the held
     # orbits stay, and a dropped context takes its engine with it without
-    # the cyclic collector
+    # the cyclic collector.  The engine of the slice dies with the call
+    sliced: list = []
+    monkeypatch.setattr(dsreduction, "_Leibniz", _counting(_Leibniz, sliced))
     gc.disable()
     try:
         rctx = ReductionCtx(ctx_of("sl", (3, 1)))
@@ -568,6 +653,7 @@ def test_reconcile_drops_the_engine_memos():
         assert check_jacobi(affine, triples) == [] and engine._jacobi_products
         assert reconcile(rctx, table_of("sl", (3, 1))).ok
         assert not (engine._vm or engine._products or engine._dpows or engine._jacobi_products)
+        assert len(sliced) == 1 and sliced[0]() is None
         assert engine._symmetric is True and engine.held is held and held
         # the Jacobi sums from emptied memos, past the held orbits
         assert not any(engine.jacobi(*t) for t in triples)
